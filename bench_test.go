@@ -12,9 +12,11 @@ import (
 	"testing"
 	"time"
 
+	"hyperprof/internal/bigtable"
 	"hyperprof/internal/compress"
 	"hyperprof/internal/experiments"
 	"hyperprof/internal/model"
+	"hyperprof/internal/platform"
 	"hyperprof/internal/protowire"
 	"hyperprof/internal/sha3"
 	"hyperprof/internal/sim"
@@ -642,6 +644,41 @@ func BenchmarkCompress(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := compress.Encode(src); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCompressEncode is the bench-gate guard for the allocation-free
+// encoder path SSTable seals take: 1 MiB of incompressible bytes (the shape
+// of BigTable's bootstrap rows) appended into a reused dst. Any allocation
+// that creeps back into AppendEncode shows up in allocs/op.
+func BenchmarkCompressEncode(b *testing.B) {
+	rng := stats.NewRNG(1)
+	src := make([]byte, 1<<20)
+	for i := range src {
+		src[i] = byte(rng.Uint64())
+	}
+	dst := make([]byte, 0, compress.MaxEncodedLen(len(src)))
+	b.SetBytes(int64(len(src)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if dst, err = compress.AppendEncode(dst[:0], src); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBigTableNew measures a DefaultConfig BigTable bring-up: cluster
+// and DFS set-up, bootstrap rows, and one sealed base SSTable per tablet.
+// It is the platform constructor every study pays, and the bench-gate guard
+// for the seal's scratch buffers and the bootstrap slab.
+func BenchmarkBigTableNew(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := bigtable.New(platform.NewEnv(1, 1), bigtable.DefaultConfig()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,6 +9,7 @@ package bigtable
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -149,6 +150,10 @@ type DB struct {
 	// (hard bound vs. probabilistic; an op lands in at most one).
 	Shed, ShedAdaptive int
 
+	// sealRaw and sealEnc are seal's scratch buffers for the raw and encoded
+	// SSTable block; they grow to the largest table sealed so far.
+	sealRaw, sealEnc []byte
+
 	// Observability handles (nil when env.Obs is disabled; see enableObs).
 	mMinorCompactions *obs.Counter
 	mMajorCompactions *obs.Counter
@@ -173,25 +178,31 @@ type sstable struct {
 }
 
 // seal finalizes an sstable: it builds the Bloom filter over its keys and
-// block-compresses its contents (real codec) to size the DFS file.
-func (s *sstable) seal() {
+// block-compresses its contents (real codec) to size the DFS file. Only the
+// two sizes survive the call, so the raw and encoded blocks are built in the
+// DB's scratch buffers, which every seal reuses. No lock guards them: the
+// kernel runs one process at a time and seal never parks.
+func (db *DB) seal(s *sstable) {
 	s.filter = bloom.New(len(s.data)+1, 0.01)
 	keys := make([]string, 0, len(s.data))
-	for k := range s.data {
+	n := 0
+	for k, v := range s.data {
 		keys = append(keys, k)
+		n += len(k) + len(v)
 	}
 	sort.Strings(keys)
-	var raw []byte
+	raw := slices.Grow(db.sealRaw[:0], n)
 	for _, k := range keys {
 		s.filter.Add(k)
 		raw = append(raw, k...)
 		raw = append(raw, s.data[k]...)
 	}
-	s.rawBytes = int64(len(raw))
-	enc, err := compress.Encode(raw)
+	enc, err := compress.AppendEncode(db.sealEnc[:0], raw)
 	if err != nil {
 		panic(fmt.Sprintf("bigtable: seal: %v", err))
 	}
+	db.sealRaw, db.sealEnc = raw, enc
+	s.rawBytes = int64(len(raw))
 	s.bytes = int64(len(enc))
 	if s.bytes == 0 {
 		s.bytes = 1
@@ -368,12 +379,19 @@ func (db *DB) load() error {
 		}
 		base := &sstable{
 			file: fmt.Sprintf("bt/tablet%d/base", t),
-			data: map[string][]byte{},
+			data: make(map[string][]byte, db.cfg.RowsPerTablet),
 		}
+		// One slab holds the tablet's bootstrap rows. Each row gets a
+		// full-slice-expression window, so an append to one row reallocates
+		// instead of clobbering the next.
+		n := int(db.cfg.ValueBytes)
+		slab := make([]byte, db.cfg.RowsPerTablet*n)
 		for i := 0; i < db.cfg.RowsPerTablet; i++ {
-			base.data[rowKey(t, i)] = bootstrapValue(t, i, int(db.cfg.ValueBytes))
+			val := slab[i*n : (i+1)*n : (i+1)*n]
+			fillBootstrap(val, t, i)
+			base.data[rowKey(t, i)] = val
 		}
-		base.seal()
+		db.seal(base)
 		if _, err := db.dfs.Create(base.file, base.bytes); err != nil {
 			return err
 		}
@@ -392,16 +410,21 @@ func rowKey(tablet, row int) string { return fmt.Sprintf("t%d/k%d", tablet, row)
 // payloads, so base SSTables do not shrink further under block compression.
 func bootstrapValue(t, i, n int) []byte {
 	val := make([]byte, n)
-	if n == 0 {
-		return val
+	fillBootstrap(val, t, i)
+	return val
+}
+
+// fillBootstrap writes row i of tablet t's bootstrap content into val.
+func fillBootstrap(val []byte, t, i int) {
+	if len(val) == 0 {
+		return
 	}
 	val[0] = byte(uint64(t)*11 + uint64(i)*17)
 	x := uint64(t)*2654435761 + uint64(i)*40503 + 12345
-	for j := 1; j < n; j++ {
+	for j := 1; j < len(val); j++ {
 		x = x*6364136223846793005 + 1442695040888963407
 		val[j] = byte(x >> 33)
 	}
-	return val
 }
 
 // NumTablets returns the tablet count.
@@ -652,7 +675,7 @@ func (db *DB) flush(tab *tablet) {
 
 	db.env.K.Go("bt-minor-compaction", func(p *sim.Proc) {
 		db.env.ExecRecipe(p, taxonomy.BigTable, tab.server.Node, nil, db.minorRecipe)
-		snap.seal() // real block compression + Bloom filter
+		db.seal(snap) // real block compression + Bloom filter
 		db.CompressedBytes += snap.bytes
 		db.RawBytes += snap.rawBytes
 		if _, err := db.dfs.Create(snap.file, snap.bytes); err != nil {
@@ -717,9 +740,15 @@ func (db *DB) major(tab *tablet) {
 	tab.compacting = sim.NewSignal(db.env.K)
 	inputs := append([]*sstable(nil), tab.ssts...)
 	db.env.K.Go("bt-major-compaction", func(p *sim.Proc) {
+		// The base table dominates the inputs, so their summed key count is
+		// a tight upper bound on the merged size.
+		rows := 0
+		for _, s := range inputs {
+			rows += len(s.data)
+		}
 		merged := &sstable{
 			file: fmt.Sprintf("bt/tablet%d/sst%d", tab.id, tab.nextSST),
-			data: map[string][]byte{},
+			data: make(map[string][]byte, rows),
 		}
 		tab.nextSST++
 		// Merge oldest-to-newest so newer values win.
@@ -737,7 +766,7 @@ func (db *DB) major(tab *tablet) {
 		}
 		p.Sleep(readTime)
 		db.env.ExecRecipe(p, taxonomy.BigTable, tab.server.Node, nil, db.majorRecipe)
-		merged.seal()
+		db.seal(merged)
 		if _, err := db.dfs.Create(merged.file, merged.bytes); err != nil {
 			panic(fmt.Sprintf("bigtable: major write: %v", err))
 		}

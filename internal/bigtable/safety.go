@@ -21,6 +21,16 @@ func (db *DB) SetRecorder(h *check.History) { db.rec = h }
 // Recorder returns the attached recorder, if any.
 func (db *DB) Recorder() *check.History { return db.rec }
 
+// seedInitial returns the row's register key, recording its bootstrap digest
+// first if this is the key's first recorded operation.
+func (db *DB) seedInitial(t, row int) string {
+	key := rowKey(t, row)
+	if !db.rec.Seeded(key) {
+		db.rec.Initial(key, check.Digest(bootstrapValue(t, row, int(db.cfg.ValueBytes))))
+	}
+	return key
+}
+
 // Get returns the current value of row `row` in tablet t.
 func (db *DB) Get(p *sim.Proc, tr *trace.Trace, t, row int) ([]byte, error) {
 	// Front-door gate before anything else: a shed operation never executes
@@ -32,8 +42,7 @@ func (db *DB) Get(p *sim.Proc, tr *trace.Trace, t, row int) ([]byte, error) {
 	defer release()
 	var op *check.Op
 	if db.rec != nil && t >= 0 && t < len(db.tablets) && row >= 0 && row < db.cfg.RowsPerTablet {
-		key := rowKey(t, row)
-		db.rec.Initial(key, check.Digest(bootstrapValue(t, row, int(db.cfg.ValueBytes))))
+		key := db.seedInitial(t, row)
 		op = db.rec.Invoke(p.Name(), "read", key, 0)
 	}
 	start := p.Now()
@@ -59,8 +68,7 @@ func (db *DB) Put(p *sim.Proc, tr *trace.Trace, t, row int, value []byte) error 
 	defer release()
 	var op *check.Op
 	if db.rec != nil && t >= 0 && t < len(db.tablets) && row >= 0 && row < db.cfg.RowsPerTablet {
-		key := rowKey(t, row)
-		db.rec.Initial(key, check.Digest(bootstrapValue(t, row, int(db.cfg.ValueBytes))))
+		key := db.seedInitial(t, row)
 		op = db.rec.Invoke(p.Name(), "write", key, check.Digest(value))
 	}
 	start := p.Now()

@@ -183,9 +183,16 @@ func Digest(b []byte) uint64 {
 // same key are ignored. Platforms call it before the first operation on a
 // key so the checker knows what an untouched register reads as.
 func (h *History) Initial(key string, digest uint64) {
-	if _, ok := h.initials[key]; !ok {
+	if !h.Seeded(key) {
 		h.initials[key] = digest
 	}
+}
+
+// Seeded reports whether key's initial value is already recorded, so a
+// platform can skip computing a digest that Initial would ignore.
+func (h *History) Seeded(key string) bool {
+	_, ok := h.initials[key]
+	return ok
 }
 
 // Invoke records an operation's invocation at the current virtual time and

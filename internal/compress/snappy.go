@@ -11,8 +11,10 @@
 package compress
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Errors returned by Decode.
@@ -42,9 +44,7 @@ const (
 
 func hash4(u uint32) uint32 { return (u * 0x1e35a7bd) >> (32 - hashTableBits) }
 
-func load32(b []byte, i int) uint32 {
-	return uint32(b[i]) | uint32(b[i+1])<<8 | uint32(b[i+2])<<16 | uint32(b[i+3])<<24
-}
+func load32(b []byte, i int) uint32 { return binary.LittleEndian.Uint32(b[i:]) }
 
 // MaxEncodedLen returns the worst-case encoded size for srcLen input bytes.
 func MaxEncodedLen(srcLen int) int {
@@ -55,11 +55,18 @@ func MaxEncodedLen(srcLen int) int {
 
 // Encode compresses src and returns the encoded block. Inputs larger than
 // MaxBlockSize are rejected.
-func Encode(src []byte) ([]byte, error) {
+func Encode(src []byte) ([]byte, error) { return AppendEncode(nil, src) }
+
+// AppendEncode appends the encoded block for src to dst and returns the
+// extended slice; the appended bytes are exactly Encode(src). When dst has
+// MaxEncodedLen(len(src)) bytes of spare capacity nothing is allocated, so a
+// caller that keeps its output buffer across calls encodes allocation-free.
+// Inputs larger than MaxBlockSize are rejected and dst is returned unchanged.
+func AppendEncode(dst, src []byte) ([]byte, error) {
 	if len(src) > MaxBlockSize {
-		return nil, fmt.Errorf("compress: block of %d bytes exceeds limit", len(src))
+		return dst, fmt.Errorf("compress: block of %d bytes exceeds limit", len(src))
 	}
-	dst := make([]byte, 0, MaxEncodedLen(len(src)))
+	dst = slices.Grow(dst, MaxEncodedLen(len(src)))
 	dst = appendUvarint(dst, uint64(len(src)))
 	if len(src) == 0 {
 		return dst, nil

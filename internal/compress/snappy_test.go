@@ -84,9 +84,12 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestRoundTripStructuredProperty(t *testing.T) {
-	// Structured inputs with long matches and overlaps.
+// structuredCorpus returns inputs with long matches and overlaps: random
+// runs, single-byte repeats (overlapping copies) and repeats of earlier
+// windows.
+func structuredCorpus() [][]byte {
 	rng := stats.NewRNG(11)
+	var corpus [][]byte
 	for trial := 0; trial < 200; trial++ {
 		var src []byte
 		for len(src) < 5000 {
@@ -112,7 +115,52 @@ func TestRoundTripStructuredProperty(t *testing.T) {
 				}
 			}
 		}
+		corpus = append(corpus, src)
+	}
+	return corpus
+}
+
+func TestRoundTripStructuredProperty(t *testing.T) {
+	for _, src := range structuredCorpus() {
 		roundTrip(t, src)
+	}
+}
+
+// appendMatchesEncode reports whether AppendEncode onto prefix yields prefix
+// followed by exactly Encode(src), leaving prefix's bytes alone.
+func appendMatchesEncode(prefix, src []byte) bool {
+	want, err := Encode(src)
+	if err != nil {
+		return false
+	}
+	keep := append([]byte(nil), prefix...)
+	got, err := AppendEncode(prefix, src)
+	return err == nil && bytes.Equal(got[:len(keep)], keep) && bytes.Equal(got[len(keep):], want)
+}
+
+func TestAppendEncodeMatchesEncode(t *testing.T) {
+	if err := quick.Check(appendMatchesEncode, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	prefix := []byte("existing block bytes")
+	for i, src := range structuredCorpus() {
+		if !appendMatchesEncode(nil, src) || !appendMatchesEncode(prefix[:i%len(prefix)], src) {
+			t.Fatalf("structured input %d: AppendEncode differs from Encode", i)
+		}
+	}
+	// A dst with spare capacity is written in place, not reallocated.
+	buf := make([]byte, 3, 3+MaxEncodedLen(len(prefix)))
+	got, _ := AppendEncode(buf, prefix)
+	if &got[0] != &buf[0] {
+		t.Fatal("AppendEncode reallocated a dst with enough capacity")
+	}
+}
+
+func TestAppendEncodeAllocs(t *testing.T) {
+	src := structuredCorpus()[0]
+	dst := make([]byte, 0, MaxEncodedLen(len(src)))
+	if n := testing.AllocsPerRun(20, func() { dst, _ = AppendEncode(dst[:0], src) }); n != 0 {
+		t.Fatalf("AppendEncode into a large-enough dst allocates %v objects, want 0", n)
 	}
 }
 

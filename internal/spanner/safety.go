@@ -25,14 +25,23 @@ func (db *DB) SetRecorder(h *check.History) { db.rec = h }
 // Recorder returns the attached recorder, if any.
 func (db *DB) Recorder() *check.History { return db.rec }
 
+// seedInitial returns the row's register key, recording its bootstrap digest
+// first if this is the key's first recorded operation.
+func (db *DB) seedInitial(g, row int) string {
+	key := rowKey(g, row)
+	if !db.rec.Seeded(key) {
+		db.rec.Initial(key, check.Digest(db.bootstrapValue(g, row)))
+	}
+	return key
+}
+
 // Read performs a point read of row `row` in group g, returning the value.
 // A StrongReadFrac fraction of reads (decided by the strong argument)
 // confirms the leader's lease with a quorum round first.
 func (db *DB) Read(p *sim.Proc, tr *trace.Trace, g, row int, strong bool) ([]byte, error) {
 	var op *check.Op
 	if db.rec != nil && g >= 0 && g < len(db.groups) && row >= 0 && row < db.cfg.RowsPerGroup {
-		key := rowKey(g, row)
-		db.rec.Initial(key, check.Digest(db.bootstrapValue(g, row)))
+		key := db.seedInitial(g, row)
 		op = db.rec.Invoke(p.Name(), "read", key, 0)
 	}
 	start := p.Now()
@@ -55,8 +64,7 @@ func (db *DB) Read(p *sim.Proc, tr *trace.Trace, g, row int, strong bool) ([]byt
 func (db *DB) Commit(p *sim.Proc, tr *trace.Trace, g, row int, value []byte) error {
 	var op *check.Op
 	if db.rec != nil && g >= 0 && g < len(db.groups) && row >= 0 && row < db.cfg.RowsPerGroup {
-		key := rowKey(g, row)
-		db.rec.Initial(key, check.Digest(db.bootstrapValue(g, row)))
+		key := db.seedInitial(g, row)
 		op = db.rec.Invoke(p.Name(), "write", key, check.Digest(value))
 	}
 	start := p.Now()

@@ -373,10 +373,13 @@ func (db *DB) load() {
 func (db *DB) bootstrapValue(g, row int) []byte {
 	val := make([]byte, db.cfg.RowBytes)
 	for j := range val {
-		val[j] = byte(uint64(g)*7 + uint64(row)*13 + uint64(j))
+		val[j] = bootstrapByte(g, row, j)
 	}
 	return val
 }
+
+// bootstrapByte is byte j of row `row` of group g's bootstrap content.
+func bootstrapByte(g, row, j int) byte { return byte(uint64(g)*7 + uint64(row)*13 + uint64(j)) }
 
 // lookupRow resolves a row through a replica's applied state, falling back
 // to the virtual bootstrap content.
@@ -388,6 +391,19 @@ func (db *DB) lookupRow(rep *replica, g, row int) ([]byte, error) {
 		return v, nil
 	}
 	return db.bootstrapValue(g, row), nil
+}
+
+// firstByte is lookupRow's first byte for the in-range row stored under key,
+// read without materialising a virtual bootstrap row; ok is false for an
+// empty row.
+func (db *DB) firstByte(rep *replica, key string, g, row int) (b byte, ok bool) {
+	if v, applied := rep.rows[key]; applied {
+		if len(v) == 0 {
+			return 0, false
+		}
+		return v[0], true
+	}
+	return bootstrapByte(g, row, 0), db.cfg.RowBytes > 0
 }
 
 func rowKey(group, row int) string { return fmt.Sprintf("g%d/r%d", group, row) }
@@ -767,11 +783,9 @@ func (db *DB) Query(p *sim.Proc, tr *trace.Trace, g, start int) (int, error) {
 			return 0, err
 		}
 		ioTime += d
-		v, err := db.lookupRow(leader, g, row)
-		if err != nil {
-			return 0, err
-		}
-		if len(v) > 0 && v[0]%2 == 1 {
+		// The store holds keys for in-range rows only, so the read above
+		// has already rejected any row outside the group.
+		if b, ok := db.firstByte(leader, key, g, row); ok && b%2 == 1 {
 			matched++
 		}
 	}

@@ -179,6 +179,33 @@ func TestQueryEvaluatesPredicate(t *testing.T) {
 	}
 }
 
+// TestFirstByteMatchesLookupRow checks the query predicate's virtual-row
+// shortcut against the materialised row, over applied rows (including an
+// empty one), bootstrap rows, and a deployment with empty bootstrap rows.
+func TestFirstByteMatchesLookupRow(t *testing.T) {
+	for _, rowBytes := range []int64{smallConfig().RowBytes, 0} {
+		cfg := smallConfig()
+		cfg.RowBytes = rowBytes
+		db, err := New(testEnv(1), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := db.groups[1].leaderRep()
+		rep.rows[rowKey(1, 3)] = []byte{}
+		rep.rows[rowKey(1, 4)] = []byte{9, 2}
+		for row := 0; row < cfg.RowsPerGroup; row++ {
+			v, err := db.lookupRow(rep, 1, row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, ok := db.firstByte(rep, rowKey(1, row), 1, row)
+			if ok != (len(v) > 0) || ok && b != v[0] {
+				t.Fatalf("RowBytes %d row %d: firstByte = %d,%v; row = %v", rowBytes, row, b, ok, v[:min(len(v), 1)])
+			}
+		}
+	}
+}
+
 func TestCompactionTriggersEveryN(t *testing.T) {
 	env := testEnv(7)
 	cfg := smallConfig()

@@ -117,6 +117,10 @@ func TestAdmissionCacheBasics(t *testing.T) {
 	if !c.Add("rising-star", 80) {
 		t.Fatal("hot candidate rejected")
 	}
+	// It displaced exactly the LRU victim.
+	if c.lru.Peek("a") || c.lru.Len() != 1 {
+		t.Fatalf("victim a still resident or extra entries: len=%d", c.lru.Len())
+	}
 }
 
 func TestAdmissionOversized(t *testing.T) {

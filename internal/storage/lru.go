@@ -9,6 +9,9 @@ type lruCache struct {
 	entries  map[string]*lruEntry
 	head     *lruEntry // most recently used
 	tail     *lruEntry // least recently used
+	// spare is the last removed entry, recycled by the next insert so a full
+	// cache churns without allocating.
+	spare *lruEntry
 }
 
 type lruEntry struct {
@@ -39,33 +42,33 @@ func (c *lruCache) Peek(key string) bool {
 }
 
 // Add inserts or refreshes key with the given size, evicting LRU entries to
-// fit. It returns the evicted keys (oldest first). Entries larger than the
-// whole capacity are not cached.
-func (c *lruCache) Add(key string, size int64) (evicted []string) {
+// fit. Entries larger than the whole capacity are not cached.
+func (c *lruCache) Add(key string, size int64) {
 	if size > c.capacity {
 		// Too big to ever fit; also drop a stale smaller entry if present.
 		if e, ok := c.entries[key]; ok {
 			c.remove(e)
-			evicted = append(evicted, key)
 		}
-		return evicted
+		return
 	}
 	if e, ok := c.entries[key]; ok {
 		c.used += size - e.size
 		e.size = size
 		c.moveToFront(e)
 	} else {
-		e := &lruEntry{key: key, size: size}
+		e := c.spare
+		if e == nil {
+			e = &lruEntry{}
+		}
+		c.spare = nil
+		e.key, e.size = key, size
 		c.entries[key] = e
 		c.pushFront(e)
 		c.used += size
 	}
 	for c.used > c.capacity && c.tail != nil {
-		victim := c.tail
-		c.remove(victim)
-		evicted = append(evicted, victim.key)
+		c.remove(c.tail)
 	}
-	return evicted
 }
 
 // Remove deletes key if present.
@@ -121,4 +124,5 @@ func (c *lruCache) remove(e *lruEntry) {
 	c.unlink(e)
 	delete(c.entries, e.key)
 	c.used -= e.size
+	c.spare = e
 }

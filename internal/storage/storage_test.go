@@ -57,12 +57,12 @@ func TestLRUBasics(t *testing.T) {
 	}
 	// Touch "a" so "b" is least recently used; adding 40 more evicts "b".
 	c.Contains("a")
-	evicted := c.Add("c", 40)
-	if len(evicted) != 1 || evicted[0] != "b" {
-		t.Fatalf("evicted = %v, want [b]", evicted)
-	}
-	if c.Contains("b") {
+	c.Add("c", 40)
+	if c.Peek("b") {
 		t.Fatal("b should be evicted")
+	}
+	if !c.Peek("a") || !c.Peek("c") || c.Len() != 2 {
+		t.Fatalf("want exactly a and c resident, len=%d", c.Len())
 	}
 }
 
@@ -83,9 +83,9 @@ func TestLRUOversizedEntryNotCached(t *testing.T) {
 	}
 	// Replacing an existing entry with an oversized one drops it.
 	c.Add("x", 50)
-	ev := c.Add("x", 500)
-	if c.Peek("x") || len(ev) != 1 {
-		t.Fatalf("stale entry kept, evicted=%v", ev)
+	c.Add("x", 500)
+	if c.Peek("x") || c.Len() != 0 || c.Used() != 0 {
+		t.Fatalf("stale entry kept, len=%d used=%d", c.Len(), c.Used())
 	}
 }
 
@@ -128,6 +128,31 @@ func TestLRUInvariantProperty(t *testing.T) {
 		return true
 	}, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLRUAddSteadyStateAllocs pins the recycling of evicted entries: once a
+// full cache has churned, inserting a new key that evicts an old one
+// allocates nothing.
+func TestLRUAddSteadyStateAllocs(t *testing.T) {
+	keys := make([]string, 64)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%d", i)
+	}
+	c := newLRU(16 * 100)
+	i := 0
+	add := func() {
+		c.Add(keys[i%len(keys)], 100)
+		i++
+	}
+	for j := 0; j < 10*len(keys); j++ {
+		add()
+	}
+	if n := testing.AllocsPerRun(1000, add); n != 0 {
+		t.Fatalf("evicting Add allocates %v objects, want 0", n)
+	}
+	if c.Len() != 16 || c.Used() != 1600 {
+		t.Fatalf("len=%d used=%d, want 16 entries / 1600 bytes", c.Len(), c.Used())
 	}
 }
 

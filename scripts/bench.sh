@@ -23,10 +23,18 @@ benchcount="${BENCHCOUNT:-6}"
 kernpattern='^Benchmark(Sim(KernelEvents|KernelSchedule|KernelRun|KernelDenseTimers|KernelDenseTimersHeapOnly|ProcSwitch)|Stats(SketchRecord|SummaryRecord))$'
 netpattern='^BenchmarkNetMessageDelay$'
 pipepattern='^BenchmarkPipelineHandoff$'
+# The storage-path benches guard the allocation-lean SSTable seal: the
+# encoder into a reused buffer (0 allocs/op) and a full BigTable bring-up.
+# Each op is milliseconds, so they take few iterations. They run at -cpu 1:
+# with one P, fmt's per-P buffer pools hit the same way every run, so
+# BigTableNew's allocs/op is exact and the zero-growth gate applies to it.
+storagepattern='^Benchmark(CompressEncode|BigTableNew)$'
+storagebenchtime=20x
 
 raw="$(go test -run '^$' -bench "$kernpattern" -benchmem -benchtime "$benchtime" -count "$benchcount" .)
 $(go test -run '^$' -bench "$netpattern" -benchmem -benchtime "$netbenchtime" -count "$benchcount" ./internal/netsim/)
-$(go test -run '^$' -bench "$pipepattern" -benchmem -benchtime "$benchtime" -count "$benchcount" ./internal/workload/)"
+$(go test -run '^$' -bench "$pipepattern" -benchmem -benchtime "$benchtime" -count "$benchcount" ./internal/workload/)
+$(go test -run '^$' -bench "$storagepattern" -benchmem -benchtime "$storagebenchtime" -count "$benchcount" -cpu 1 .)"
 printf '%s\n' "$raw"
 
 goversion="$(go env GOVERSION)"
