@@ -24,6 +24,11 @@ FLEET_USERS ?= 200000
 FLEET_OPS ?= 8000
 FLEET_HEAP_MB ?= 128
 
+# go test -run matches one pattern per test level, splitting at each slash:
+# 'TestFoo|TestStudyConformance/obs' runs TestFoo (it has no subtests) and only
+# the obs subtest of TestStudyConformance. A pattern that matches nothing
+# passes with "no tests to run", so keep these in step with the test names.
+
 .PHONY: check build vet fmt test race check-safety check-obs check-overload check-backends check-partitions check-fleet check-pipeline bench bench-gate bench-baseline
 
 check: build vet fmt race
@@ -47,71 +52,75 @@ race:
 	$(GO) test -race -shuffle=on ./...
 
 check-safety:
-	$(GO) run ./cmd/hyperprof -check -check-seeds $(SAFETY_SEEDS)
+	$(GO) run ./cmd/hyperprof -study=safety -check-seeds $(SAFETY_SEEDS)
 
 # check-obs proves the observability plane: unit tests with zero-allocation
-# assertions on the metric record paths, the byte-for-byte sequential-vs-
-# parallel export determinism test, and an end-to-end -obs run emitting the
-# JSON time series and Chrome counter tracks.
+# assertions on the metric record paths, the observability study's
+# conformance subtest (byte-identical sequential vs parallel export), and an
+# end-to-end -study=obs run emitting the JSON time series and Chrome counter
+# tracks.
 check-obs:
 	$(GO) test ./internal/obs/ ./internal/trace/
-	$(GO) test ./internal/experiments/ -run TestObsStudyParallelMatchesSequentialByteForByte
-	$(GO) run ./cmd/hyperprof -obs -spanner 200 -bigtable 200 -bigquery 30 \
+	$(GO) test ./internal/experiments/ -run 'TestStudyConformance/obs'
+	$(GO) run ./cmd/hyperprof -study=obs -spanner 200 -bigtable 200 -bigquery 30 \
 		-obs-out obs-series.json -chrome-trace obs-trace.json
 
 # check-overload proves the overload control plane: the admission, retry
 # budget, circuit breaker and tenant QoS unit tests (including the retry-storm
 # metastability reproduction) in netsim plus the trigger scenarios in faults,
-# the byte-for-byte sequential-vs-parallel overload study determinism test,
-# and an end-to-end -overload run emitting the JSON report.
+# the overload study's shape test and conformance subtest (byte-identical
+# sequential, parallel and exec), and an end-to-end -study=overload run
+# emitting the JSON report.
 check-overload:
 	$(GO) test ./internal/netsim/ ./internal/faults/ ./internal/workload/
 	$(GO) test -race ./internal/netsim/ -run 'TestRetryStormMetastability|TestOverloadRunDeterministic'
-	$(GO) test ./internal/experiments/ -run TestOverloadStudy
-	$(GO) run ./cmd/hyperprof -overload -json > overload.json
+	$(GO) test ./internal/experiments/ -run 'TestOverloadStudy|TestStudyConformance/overload'
+	$(GO) run ./cmd/hyperprof -study=overload -json > overload.json
 
 # check-backends proves the execution-backend abstraction: the dispatch
-# protocol and crash/timeout/retry tests, the byte-for-byte cross-backend
-# determinism tests (in-process vs pool vs exec for every remotable study),
+# protocol and crash/timeout/retry tests, the byte-for-byte conformance test
+# (every study sequential vs parallel, every remotable one also on exec), the
+# backend and work-unit rejection tests,
 # and an end-to-end safety torture through real `hyperprof -worker`
 # subprocesses.
 check-backends:
 	$(GO) test ./internal/dispatch/
-	$(GO) test ./internal/experiments/ -run 'AcrossBackends|Backend|ExecWorker|RunUnit'
-	$(GO) run ./cmd/hyperprof -check -check-seeds $(BACKEND_SEEDS) -backend=exec -workers 2
+	$(GO) test ./internal/experiments/ -run 'TestStudyConformance|Backend|ExecWorker|RunUnit'
+	$(GO) run ./cmd/hyperprof -study=safety -check-seeds $(BACKEND_SEEDS) -backend=exec -workers 2
 
 # check-partitions proves split-brain safety: the per-link fault plane and
 # clock-model unit tests (including the zero-allocation messageDelay guard),
 # the nemesis schedule pairing/determinism property tests, the multi-seed
-# safety-under-partition study tests with broken-knob conviction at -short,
-# and an end-to-end -partition -check sweep (nonzero exit on any violation
+# safety-under-partition study tests with broken-knob conviction and the
+# partition conformance subtest at -short, and an end-to-end
+# -study=partition -check sweep (nonzero exit on any violation
 # outside the broken demonstration arms) emitting the JSON report.
 check-partitions:
 	$(GO) test ./internal/netsim/ ./internal/sim/ ./internal/check/
 	$(GO) test -short ./internal/faults/ -run 'TestNemesis|TestSkippedUnknownTarget'
-	$(GO) test -short ./internal/experiments/ -run 'TestPartitionStudy|TestRenderPartition'
-	$(GO) run ./cmd/hyperprof -partition -check -check-seeds $(PARTITION_SEEDS) -json > partition.json
+	$(GO) test -short ./internal/experiments/ -run 'TestPartitionStudy|TestRenderPartition|TestStudyConformance/partition'
+	$(GO) run ./cmd/hyperprof -study=partition -check -check-seeds $(PARTITION_SEEDS) -json > partition.json
 
 # check-fleet proves the bounded-memory fleet plane: the quantile-sketch
 # accuracy/merge property tests, the reservoir-sampling soundness tests, the
-# sketch-mode byte-identity tests (sequential vs parallel and in-process vs
-# pool vs exec workers), the flat-heap unit test, and an end-to-end reduced
+# fleet conformance subtest (sketch-mode bytes identical sequential, parallel
+# and on exec workers; a different seed must differ), the flat-heap unit test, and an end-to-end reduced
 # fleet characterization under a runtime.ReadMemStats heap ceiling.
 check-fleet:
 	$(GO) test ./internal/stats/ ./internal/check/ ./internal/workload/
-	$(GO) test ./internal/experiments/ -run 'TestFleetScaleDeterministic|TestFleetScaleBackends|TestFleetSketchHeapFlat|TestFleetScaleExactMode'
-	$(GO) run ./cmd/hyperprof -fleet -fleet-servers $(FLEET_SERVERS) -fleet-users $(FLEET_USERS) \
+	$(GO) test ./internal/experiments/ -run 'TestFleetSketchHeapFlat|TestFleetScaleExactMode|TestStudyConformance/fleet'
+	$(GO) run ./cmd/hyperprof -study=fleet -fleet-servers $(FLEET_SERVERS) -fleet-users $(FLEET_USERS) \
 		-fleet-ops $(FLEET_OPS) -fleet-heap-mb $(FLEET_HEAP_MB)
 
-# check-pipeline proves the cross-platform pipeline: the byte-for-byte
-# cross-backend and sequential-vs-parallel pipeline study determinism tests,
+# check-pipeline proves the cross-platform pipeline: the pipeline conformance
+# subtest (byte-identical sequential, parallel and exec),
 # the end-to-end span and stage-crash exactly-once regressions with the
 # broken-handoff fixture convicted, the handoff ledger's 0-alloc hot-path
 # pin, and an end-to-end -study=pipeline -check run (nonzero exit on any
 # honest-arm violation or an unconvicted broken arm) emitting the Chrome
 # export whose spans cross all three platform processes.
 check-pipeline:
-	$(GO) test -short ./internal/experiments/ -run 'TestPipeline'
+	$(GO) test -short ./internal/experiments/ -run 'TestPipeline|TestStudyConformance/pipeline'
 	$(GO) test ./internal/workload/ -run TestClosedLoopShapeDeterministicAndDistinct \
 		-bench BenchmarkPipelineHandoff -benchtime 100000x -benchmem
 	$(GO) run ./cmd/hyperprof -study=pipeline -check -check-seeds $(PIPELINE_SEEDS) \

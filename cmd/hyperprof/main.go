@@ -12,21 +12,21 @@
 //	                   analytics → Spanner serving in ONE simulation, with
 //	                   end-to-end spans and exactly-once handoff checking
 //
-// The legacy mode booleans (-faults, -check, -overload, -partition, -fleet,
-// standalone -obs) still work as aliases but print a deprecation note;
-// -pipeline is shorthand for -study=pipeline. All studies share one flag
-// group that overlays the unified StudyConfig, plus small per-study groups
-// (-fleet-*, -records/-batches/-iterations).
+// -check adds the broken-knob demonstration arms the checkers must convict
+// to the partition and pipeline studies; -obs instruments the selected study
+// with the observability plane. All studies share one flag group that
+// overlays the unified StudyConfig, plus small per-study groups (-fleet-*,
+// -records/-batches/-iterations).
 //
 // Usage:
 //
 //	hyperprof [-study=<name>] [-seed N] [-spanner N] [-bigtable N]
 //	          [-bigquery N] [-clients N] [-rate N] [-parallel N]
-//	          [-backend pool|exec] [-workers N] [-unit-timeout D] [...]
+//	          [-backend exec] [-workers N] [-unit-timeout D] [...]
 //
 // With -backend=exec the process re-invokes itself as `hyperprof -worker`
 // subprocesses and fans the study's work units across them; outputs are
-// byte-identical to the in-process backends.
+// byte-identical to an in-process run.
 package main
 
 import (
@@ -74,13 +74,13 @@ func registerStudyFlags() *studyFlags {
 		clients:     flag.Int("clients", 0, "closed-loop clients per platform (0 = study default)"),
 		rate:        flag.Int("rate", 0, "trace sampling rate, keep 1/rate (0 = study default)"),
 		parallel:    flag.Int("parallel", 0, "concurrent simulation kernels (0 = one per CPU, 1 = sequential); outputs are identical either way"),
-		checkSeeds:  flag.Int("check-seeds", 0, "with -check: faulted runs per platform (0 = default)"),
-		obs:         flag.Bool("obs", false, "enable the observability plane (sim-clock metrics + continuous profiling); standalone it selects the observability study, with -faults it instruments the faulted arms"),
+		checkSeeds:  flag.Int("check-seeds", 0, "fault-injected seeds per platform or arm: safety, partition and pipeline studies (0 = study default)"),
+		obs:         flag.Bool("obs", false, "instrument the selected study with the observability plane (sim-clock metrics + continuous profiling)"),
 		obsInterval: flag.Duration("obs-interval", 0, "virtual-time metrics sampling period (0 = study default)"),
-		obsOut:      flag.String("obs-out", "obs-series.json", "with -obs: write the metric time series as JSON to this file"),
+		obsOut:      flag.String("obs-out", "obs-series.json", "where -study=obs, and -obs with the resilience or overload study, write the metric time series as JSON"),
 		burst:       flag.Bool("burst", false, "shape arrivals/think times with self-similar Pareto on-off bursts (overload and resilience studies)"),
 		diurnal:     flag.Bool("diurnal", false, "shape arrivals/think times with a sinusoidal diurnal envelope (overload and resilience studies)"),
-		backend:     flag.String("backend", "", `execution backend: "" (in-process), "pool" (in-process via the serialized unit registry) or "exec" (hyperprof -worker subprocesses); outputs are identical across backends`),
+		backend:     flag.String("backend", "", `execution backend: "" (in-process) or "exec" (hyperprof -worker subprocesses); outputs are identical across backends`),
 		workers:     flag.Int("workers", 0, "with -backend=exec: worker subprocesses (0 = match -parallel)"),
 		unitTimeout: flag.Duration("unit-timeout", 0, "with -backend=exec: kill a worker whose unit exceeds this wall-clock duration (0 = none)"),
 	}
@@ -127,25 +127,20 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("hyperprof: ")
 	sf := registerStudyFlags()
-	studySel := flag.String("study", "", "study to run: char, safety, resilience, obs, overload, partition, fleet or pipeline (empty = char, or whichever legacy mode flag is set)")
+	studySel := flag.String("study", "", "study to run: char, safety, resilience, obs, overload, partition, fleet or pipeline (empty = char)")
 	jsonOut := flag.Bool("json", false, "emit the full report as JSON instead of text tables")
 	chromeOut := flag.String("chrome-trace", "", "also write sampled traces to this file in Chrome trace-event format (view in Perfetto)")
 	topN := flag.Int("top", 0, "also print the N hottest leaf functions per platform")
 	pprofPrefix := flag.String("pprof", "", "also write per-platform profiles as <prefix>-<platform>.pb.gz (inspect with go tool pprof)")
-	faultsRun := flag.Bool("faults", false, "deprecated alias for -study=resilience")
-	overloadRun := flag.Bool("overload", false, "deprecated alias for -study=overload")
-	checkRun := flag.Bool("check", false, "deprecated alias for -study=safety when standalone; with -study=partition or -study=pipeline it includes the broken-knob demonstration arms the checkers must convict")
-	partitionRun := flag.Bool("partition", false, "deprecated alias for -study=partition")
-	fleetRun := flag.Bool("fleet", false, "deprecated alias for -study=fleet")
-	pipelineRun := flag.Bool("pipeline", false, "shorthand for -study=pipeline: BigTable ingest -> BigQuery analytics -> Spanner serving in one simulation, with end-to-end spans and exactly-once handoff checking")
+	checkRun := flag.Bool("check", false, "with -study=partition or -study=pipeline: include the broken-knob demonstration arms the checkers must convict")
 	pipeRecords := flag.Int("records", 0, "with -study=pipeline: logical records flowing end to end (0 = study default)")
 	pipeBatches := flag.Int("batches", 0, "with -study=pipeline: ingest batches the records arrive in (0 = study default)")
 	pipeIters := flag.Int("iterations", 0, "with -study=pipeline: PageRank-style analytics iterations (0 = study default)")
-	fleetServers := flag.Int("fleet-servers", 0, "with -fleet: total server machines across platforms (0 = study default, 2000)")
-	fleetUsers := flag.Int("fleet-users", 0, "with -fleet: logical user population (0 = study default, 1000000)")
-	fleetOps := flag.Int("fleet-ops", 0, "with -fleet: total completed-operation budget (0 = study default)")
-	fleetHeapMB := flag.Int("fleet-heap-mb", 0, "with -fleet: fail (exit 1) if the coordinator's live heap after the run exceeds this many MiB (0 = no assertion)")
-	sketchErr := flag.Float64("sketch-err", 0, "with -fleet: quantile sketch relative-error bound (0 = 1%)")
+	fleetServers := flag.Int("fleet-servers", 0, "with -study=fleet: total server machines across platforms (0 = study default, 2000)")
+	fleetUsers := flag.Int("fleet-users", 0, "with -study=fleet: logical user population (0 = study default, 1000000)")
+	fleetOps := flag.Int("fleet-ops", 0, "with -study=fleet: total completed-operation budget (0 = study default)")
+	fleetHeapMB := flag.Int("fleet-heap-mb", 0, "with -study=fleet: fail (exit 1) if the coordinator's live heap after the run exceeds this many MiB (0 = no assertion)")
+	sketchErr := flag.Float64("sketch-err", 0, "with -study=fleet: quantile sketch relative-error bound (0 = 1%)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the harness itself to this file (inspect with go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write a heap profile of the harness itself to this file on exit")
 	worker := flag.Bool("worker", false, "serve study work units on stdin/stdout for an exec-backend coordinator (internal; spawned by -backend=exec)")
@@ -156,6 +151,9 @@ func main() {
 			log.Fatal(err)
 		}
 		return
+	}
+	if err := checkModifiers(*studySel, *checkRun); err != nil {
+		log.Fatal(err)
 	}
 
 	if *cpuProfile != "" {
@@ -185,17 +183,7 @@ func main() {
 		}()
 	}
 
-	study := resolveStudy(*studySel, modeFlags{
-		pipeline:  *pipelineRun,
-		fleet:     *fleetRun,
-		partition: *partitionRun,
-		check:     *checkRun,
-		faults:    *faultsRun,
-		overload:  *overloadRun,
-		obs:       *sf.obs,
-	})
-
-	switch study {
+	switch *studySel {
 	case "fleet":
 		cfg := sf.apply(hyperprof.DefaultFleetStudyConfig())
 		if *fleetServers > 0 {
@@ -236,51 +224,21 @@ func main() {
 		runOverload(sf.apply(hyperprof.DefaultOverloadStudyConfig()), *jsonOut, *sf.obsOut)
 	case "obs":
 		runObserve(sf.apply(hyperprof.DefaultObsStudyConfig()), *chromeOut, *sf.obsOut)
-	default:
+	case "", "char":
 		runCharacterize(sf.apply(hyperprof.DefaultCharStudyConfig()), *jsonOut, *chromeOut, *topN, *pprofPrefix)
+	default:
+		log.Fatalf("unknown -study=%s (valid: char, safety, resilience, obs, overload, partition, fleet, pipeline)", *studySel)
 	}
 }
 
-// modeFlags carries the legacy mode booleans, kept as aliases for the
-// -study selector.
-type modeFlags struct {
-	pipeline, fleet, partition, check, faults, overload, obs bool
-}
-
-// resolveStudy maps the -study selector (or, when it is empty, the legacy
-// mode booleans in their historical precedence order) to a canonical study
-// name. Legacy flags used as selectors print a deprecation note on stderr;
-// used as modifiers beside an explicit -study they stay silent (-check adds
-// broken arms to partition/pipeline, -obs instruments any study).
-func resolveStudy(sel string, m modeFlags) string {
-	if sel != "" {
-		switch sel {
-		case "char", "safety", "resilience", "obs", "overload", "partition", "fleet", "pipeline":
-			return sel
-		}
-		log.Fatalf("unknown -study=%s (valid: char, safety, resilience, obs, overload, partition, fleet, pipeline)", sel)
+// checkModifiers rejects -check outside the two studies it modifies. A bare
+// -check once selected the safety torture; ignoring it would quietly run the
+// characterization in its place.
+func checkModifiers(study string, check bool) error {
+	if check && study != "partition" && study != "pipeline" {
+		return fmt.Errorf("-check only applies to -study=partition or -study=pipeline; the safety torture is -study=safety")
 	}
-	deprecated := func(old, name string) string {
-		fmt.Fprintf(os.Stderr, "hyperprof: note: %s is deprecated; use -study=%s\n", old, name)
-		return name
-	}
-	switch {
-	case m.pipeline:
-		return "pipeline"
-	case m.fleet:
-		return deprecated("-fleet", "fleet")
-	case m.partition:
-		return deprecated("-partition", "partition")
-	case m.check:
-		return deprecated("standalone -check", "safety")
-	case m.faults:
-		return deprecated("-faults", "resilience")
-	case m.overload:
-		return deprecated("-overload", "overload")
-	case m.obs:
-		return deprecated("standalone -obs", "obs")
-	}
-	return "char"
+	return nil
 }
 
 // runCharacterize executes the characterization study and prints every §3–§5
@@ -528,9 +486,6 @@ func runPipeline(cfg hyperprof.StudyConfig, jsonOut bool, chromeOut string) {
 	}
 }
 
-// runOverload executes the overload study and prints the naive-vs-protected
-// comparison (or the machine-readable export with -json). With -obs, the
-// protected arms' metric time series are written beside it.
 // runFleet executes the fleet-scale characterization, optionally asserting
 // the coordinator's post-run live heap stays under a ceiling — the CI
 // check-fleet gate's bounded-memory guarantee.
@@ -558,6 +513,9 @@ func runFleet(cfg hyperprof.StudyConfig, jsonOut bool, heapCeilingMB int) {
 	}
 }
 
+// runOverload executes the overload study and prints the naive-vs-protected
+// comparison (or the machine-readable export with -json). With -obs, the
+// protected arms' metric time series are written beside it.
 func runOverload(cfg hyperprof.StudyConfig, jsonOut bool, obsOut string) {
 	o, err := hyperprof.OverloadControl(cfg)
 	if err != nil {

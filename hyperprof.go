@@ -60,18 +60,12 @@ type (
 	ArrivalShape = workload.ArrivalShape
 )
 
-// Execution backends. StudyConfig.Backend selects where a study's
-// independent arms compute — never what they compute: exported bytes are
-// identical across all backends (and across the legacy default, the
-// in-process pool without serialization, selected by the empty string).
-const (
-	// BackendPool runs serialized work units on the in-process goroutine pool.
-	BackendPool = experiments.BackendPool
-	// BackendExec fans work units across hyperprof -worker subprocesses,
-	// keeping the coordinator's memory flat on large sweeps and isolating
-	// arm crashes.
-	BackendExec = experiments.BackendExec
-)
+// BackendExec is the StudyConfig.Backend value that fans a study's work
+// units across hyperprof -worker subprocesses, keeping the coordinator's
+// memory flat on large sweeps and isolating arm crashes. The empty string,
+// the default, runs them on the in-process goroutine pool. The backend
+// decides where arms compute, never what: exported bytes are identical.
+const BackendExec = experiments.BackendExec
 
 // ServeStudyWorker runs the worker half of the exec backend protocol on the
 // given streams until EOF. cmd/hyperprof serves this under -worker; a

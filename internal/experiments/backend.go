@@ -1,19 +1,22 @@
 package experiments
 
-// This file abstracts study execution behind the Backend interface. Every
-// study's arms are independent deterministic simulations, so the only thing
-// a backend decides is *where* an arm computes — never what it computes.
-// Two implementations exist:
+// This file decides where a study's arms compute. Every study's arms are
+// independent deterministic simulations, so the backend decides only *where*
+// an arm computes — never what it computes. There are two places:
 //
-//   - PoolBackend runs work units on the in-process goroutine pool
-//     (runner.go), exactly like the legacy path but through the serialized
-//     unit registry, so the wire representation is exercised without
-//     spawning processes.
-//   - ExecBackend partitions units across `hyperprof -worker` subprocesses
-//     via internal/dispatch, which is what makes 10k-seed safety tortures
-//     and full design-space sweeps practical: each worker is a fresh
-//     address space, so the study's memory high-water mark stays flat and a
-//     crashed arm cannot take the coordinator down.
+//   - In-process (Backend ""): each unit's run function is called directly on
+//     the goroutine pool (runner.go); nothing is serialized.
+//   - Exec (BackendExec): units are partitioned across `hyperprof -worker`
+//     subprocesses via internal/dispatch, which is what makes 10k-seed
+//     safety tortures and full design-space sweeps practical: each worker is
+//     a fresh address space, so the study's memory high-water mark stays
+//     flat and a crashed arm cannot take the coordinator down.
+//
+// A remotable study describes each arm exactly once, as a typed work unit,
+// and declares one unitKind: the wire name plus the function that runs a
+// unit. runUnits hands the units to the configured backend, and the worker
+// registry is built from the same kind values, so the in-process and exec
+// paths cannot drift apart.
 //
 // The determinism invariant extends across backends: a study's exported
 // bytes are identical whether its arms ran sequentially, on the goroutine
@@ -22,14 +25,15 @@ package experiments
 // that every remotable arm result survives a JSON round trip bit-exactly
 // (encoding/json round-trips float64, time.Duration and nil-vs-empty slices
 // faithfully; trace.Trace carries its unexported sampling state through
-// custom JSON). The cross-backend tests pin the invariant byte-for-byte.
+// custom JSON). TestStudyConformance pins the invariant byte-for-byte.
 //
 // Not every study is remotable. The characterization (and the observability
 // study riding on it) hands live simulator state — kernels, profilers,
 // tracers, storage inventories — straight to the figure extractors; there
 // is no wire form of a platformRun, so those studies always execute
 // in-process regardless of the configured backend. Safety, resilience,
-// latency and overload arms condense to plain data and ship fine.
+// latency, overload, partition, fleet and pipeline arms condense to plain
+// data and ship fine.
 
 import (
 	"encoding/json"
@@ -39,70 +43,44 @@ import (
 	"hyperprof/internal/dispatch"
 )
 
-// Backend names accepted by StudyConfig.Backend.
-const (
-	// BackendPool is the in-process goroutine worker pool.
-	BackendPool = "pool"
-	// BackendExec is the multi-process worker backend.
-	BackendExec = "exec"
-)
+// BackendExec selects the multi-process worker backend in
+// StudyConfig.Backend; the empty string selects the in-process pool.
+const BackendExec = "exec"
 
-// Backend executes the independent work units of a study and returns their
-// results in unit order. Units and results are JSON documents so the
-// contract is identical in- and out-of-process; kind routes a unit to its
-// registered runner. If any unit fails, the error of the lowest-indexed
-// failing unit is returned, so the surfaced error is deterministic
-// regardless of worker interleaving.
-type Backend interface {
-	// Name identifies the backend ("pool", "exec").
-	Name() string
-	// Run executes the units of one kind under the study config.
-	Run(cfg StudyConfig, kind string, units []json.RawMessage) ([]json.RawMessage, error)
+// unitKind describes one remotable arm type: U is the unit (the arm's
+// parameters, its wire form on the exec backend) and T the arm result.
+type unitKind[U, T any] struct {
+	// name routes a unit to its kind in the worker registry.
+	name string
+	// run computes one arm under the study config.
+	run func(StudyConfig, U) (T, error)
 }
 
-// ResolveBackend maps a study config to its execution backend. The empty
-// string resolves to nil: run jobs directly on the in-process pool without
-// the serialized unit indirection (the legacy fast path).
-func ResolveBackend(cfg StudyConfig) (Backend, error) {
-	switch cfg.Backend {
-	case "":
-		return nil, nil
-	case BackendPool:
-		return PoolBackend{}, nil
-	case BackendExec:
-		return ExecBackend{}, nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown backend %q (want %q or %q)", cfg.Backend, BackendPool, BackendExec)
+// checkBackend rejects a Backend name no study understands.
+func checkBackend(cfg StudyConfig) error {
+	if cfg.Backend != "" && cfg.Backend != BackendExec {
+		return fmt.Errorf("experiments: unknown backend %q (want \"\" or %q)", cfg.Backend, BackendExec)
 	}
+	return nil
 }
 
-// PoolBackend executes work units on the in-process goroutine pool. It is
-// the same pool the legacy path uses; the difference is that units travel
-// through the serialized registry, so selecting it proves the wire
-// representation without any subprocess in the loop.
-type PoolBackend struct{}
-
-// Name implements Backend.
-func (PoolBackend) Name() string { return BackendPool }
-
-// Run implements Backend.
-func (PoolBackend) Run(cfg StudyConfig, kind string, units []json.RawMessage) ([]json.RawMessage, error) {
-	jobs := make([]func() (json.RawMessage, error), len(units))
-	for i, u := range units {
-		u := u
-		jobs[i] = func() (json.RawMessage, error) { return runUnit(cfg, kind, u) }
+// runUnits executes a study's units on the configured backend and returns
+// their results in unit order. If any unit fails, the error of the
+// lowest-indexed failing unit is returned, so the surfaced error is
+// deterministic regardless of worker interleaving.
+func runUnits[U, T any](cfg StudyConfig, kind unitKind[U, T], units []U) ([]T, error) {
+	if err := checkBackend(cfg); err != nil {
+		return nil, err
 	}
-	return runJobs(cfg.Parallel, jobs)
+	if cfg.Backend == BackendExec {
+		return runExec(cfg, kind, units)
+	}
+	return runJobs(cfg.Parallel, units, func(u U) (T, error) { return kind.run(cfg, u) })
 }
 
-// ExecBackend executes work units across hyperprof -worker subprocesses.
-type ExecBackend struct{}
-
-// Name implements Backend.
-func (ExecBackend) Name() string { return BackendExec }
-
-// Run implements Backend.
-func (ExecBackend) Run(cfg StudyConfig, kind string, units []json.RawMessage) ([]json.RawMessage, error) {
+// runExec executes the units across hyperprof -worker subprocesses. Each
+// unit is marshalled once, together with the config its worker runs under.
+func runExec[U, T any](cfg StudyConfig, kind unitKind[U, T], units []U) ([]T, error) {
 	ec := cfg.Exec
 	workers := ec.Workers
 	if workers <= 0 {
@@ -129,53 +107,70 @@ func (ExecBackend) Run(cfg StudyConfig, kind string, units []json.RawMessage) ([
 	}
 	wire := make([]dispatch.Unit, len(units))
 	for i, u := range units {
-		body, err := json.Marshal(wireUnit{Cfg: wcfg, Body: u})
+		body, err := json.Marshal(wireUnit[U]{Cfg: wcfg, Body: u})
 		if err != nil {
-			return nil, fmt.Errorf("experiments: marshal %s unit %d: %w", kind, i, err)
+			return nil, fmt.Errorf("experiments: marshal %s unit %d: %w", kind.name, i, err)
 		}
-		wire[i] = dispatch.Unit{Kind: kind, Body: body}
+		wire[i] = dispatch.Unit{Kind: kind.name, Body: body}
 	}
-	return pool.Run(wire)
+	raws, err := pool.Run(wire)
+	if err != nil {
+		return nil, err
+	}
+	results := make([]T, len(raws))
+	for i, raw := range raws {
+		if err := json.Unmarshal(raw, &results[i]); err != nil {
+			return nil, fmt.Errorf("experiments: decode %s result %d: %w", kind.name, i, err)
+		}
+	}
+	return results, nil
 }
 
 // wireUnit is the exec backend's frame body: the study config the arm runs
-// under plus the unit's own parameters.
-type wireUnit struct {
-	Cfg  StudyConfig     `json:"cfg"`
-	Body json.RawMessage `json:"body"`
+// under plus the unit's own parameters. The coordinator encodes the typed
+// unit; the worker decodes the body raw and leaves it to the unit's kind.
+type wireUnit[B any] struct {
+	Cfg  StudyConfig `json:"cfg"`
+	Body B           `json:"body"`
 }
 
-// unitRunner executes one decoded work unit and returns its arm result.
-type unitRunner func(cfg StudyConfig, body json.RawMessage) (any, error)
-
-// unitRunners is the registry mapping a unit kind to the function that runs
-// it. Both backends resolve kinds here: the pool backend in-process, the
-// exec backend inside each worker subprocess.
-var unitRunners = map[string]unitRunner{
-	safetyUnitKind:     runSafetyUnit,
-	latencyUnitKind:    runLatencyUnit,
-	resilienceUnitKind: runResilienceUnit,
-	overloadUnitKind:   runOverloadUnit,
-	partitionUnitKind:  runPartitionUnit,
-	fleetUnitKind:      runFleetUnit,
-	pipelineUnitKind:   runPipelineUnit,
-}
-
-// runUnit resolves and executes one serialized work unit in this process.
-func runUnit(cfg StudyConfig, kind string, body json.RawMessage) (json.RawMessage, error) {
-	runner, ok := unitRunners[kind]
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown work unit kind %q", kind)
+// runWire is the worker side of a kind: decode the unit, run it, and encode
+// the result.
+func (k unitKind[U, T]) runWire(cfg StudyConfig, body json.RawMessage) (json.RawMessage, error) {
+	var u U
+	if err := json.Unmarshal(body, &u); err != nil {
+		return nil, fmt.Errorf("experiments: decode %s unit: %w", k.name, err)
 	}
-	result, err := runner(cfg, body)
+	result, err := k.run(cfg, u)
 	if err != nil {
 		return nil, err
 	}
 	out, err := json.Marshal(result)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: marshal %s result: %w", kind, err)
+		return nil, fmt.Errorf("experiments: marshal %s result: %w", k.name, err)
 	}
 	return out, nil
+}
+
+// unitRunners is the worker registry mapping a unit kind's name to its
+// decode-run-encode adapter.
+var unitRunners = map[string]func(StudyConfig, json.RawMessage) (json.RawMessage, error){
+	safetyKind.name:     safetyKind.runWire,
+	latencyKind.name:    latencyKind.runWire,
+	resilienceKind.name: resilienceKind.runWire,
+	overloadKind.name:   overloadKind.runWire,
+	partitionKind.name:  partitionKind.runWire,
+	fleetKind.name:      fleetKind.runWire,
+	pipelineKind.name:   pipelineKind.runWire,
+}
+
+// runUnit resolves and executes one serialized work unit in this process.
+func runUnit(cfg StudyConfig, kind string, body json.RawMessage) (json.RawMessage, error) {
+	run, ok := unitRunners[kind]
+	if !ok {
+		return nil, fmt.Errorf("experiments: unknown work unit kind %q", kind)
+	}
+	return run(cfg, body)
 }
 
 // ServeWorker runs the worker side of the exec backend protocol on the
@@ -184,44 +179,10 @@ func runUnit(cfg StudyConfig, kind string, body json.RawMessage) (json.RawMessag
 // result. cmd/hyperprof serves this under its -worker flag.
 func ServeWorker(r io.Reader, w io.Writer) error {
 	return dispatch.Serve(r, w, func(kind string, body json.RawMessage) (json.RawMessage, error) {
-		var u wireUnit
+		var u wireUnit[json.RawMessage]
 		if err := json.Unmarshal(body, &u); err != nil {
 			return nil, fmt.Errorf("experiments: decode %s work unit: %w", kind, err)
 		}
 		return runUnit(u.Cfg, kind, u.Body)
 	})
-}
-
-// runStudy executes a study's jobs through its configured backend. jobs is
-// the in-process form of the work; units is the serialized form of the same
-// work, element for element, or nil when the study's results cannot cross a
-// process boundary (see the package comment above). With no backend
-// selected — or no wire form available — jobs run directly on the
-// in-process pool, which is bitwise the pre-backend behaviour.
-func runStudy[T any](cfg StudyConfig, kind string, units []any, jobs []func() (T, error)) ([]T, error) {
-	backend, err := ResolveBackend(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if backend == nil || kind == "" || len(units) != len(jobs) {
-		return runJobs(cfg.Parallel, jobs)
-	}
-	payloads := make([]json.RawMessage, len(units))
-	for i, u := range units {
-		payloads[i], err = json.Marshal(u)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: marshal %s unit %d: %w", kind, i, err)
-		}
-	}
-	raws, err := backend.Run(cfg, kind, payloads)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]T, len(raws))
-	for i, raw := range raws {
-		if err := json.Unmarshal(raw, &results[i]); err != nil {
-			return nil, fmt.Errorf("experiments: decode %s result %d: %w", kind, i, err)
-		}
-	}
-	return results, nil
 }

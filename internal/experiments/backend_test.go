@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -9,15 +8,12 @@ import (
 	"testing"
 
 	"hyperprof/internal/taxonomy"
-	"hyperprof/internal/trace"
 )
 
-// These tests pin the backend abstraction's core guarantee: a study's
-// exported bytes are identical whether its arms run in-process via closures
-// (Backend ""), in-process through the serialized unit registry ("pool"),
-// or across worker subprocesses ("exec"). The exec backend re-invokes this
-// test binary: TestMain hijacks the process into a protocol worker when the
-// coordinator's env var is set, so no separate worker binary is built.
+// The exec backend re-invokes this test binary: TestMain hijacks the process
+// into a protocol worker when the coordinator's env var is set, so no
+// separate worker binary is built. TestStudyConformance compares every
+// remotable study's bytes across the in-process and exec backends.
 
 // backendWorkerEnv selects the test binary's alter ego when it is re-executed
 // as an exec-backend worker: "serve" answers the protocol, "crash" simulates
@@ -33,33 +29,25 @@ func TestMain(m *testing.M) {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-	case "crash":
-		os.Exit(7)
 	default:
 		os.Exit(7)
 	}
 }
 
-// withBackend returns cfg retargeted at the named backend, pointing the exec
+// withExec returns cfg retargeted at the exec backend, pointing the worker
 // pool back at this test binary in worker mode.
-func withBackend(t *testing.T, cfg StudyConfig, backend string) StudyConfig {
+func withExec(t *testing.T, cfg StudyConfig) StudyConfig {
 	t.Helper()
-	cfg.Backend = backend
-	if backend == BackendExec {
-		exe, err := os.Executable()
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Exec.Command = []string{exe}
-		cfg.Exec.Env = []string{backendWorkerEnv + "=serve"}
-		cfg.Exec.Workers = 2
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
 	}
+	cfg.Backend = BackendExec
+	cfg.Exec.Command = []string{exe}
+	cfg.Exec.Env = []string{backendWorkerEnv + "=serve"}
+	cfg.Exec.Workers = 2
 	return cfg
 }
-
-// studyBackends are the three execution paths every cross-backend test
-// compares.
-var studyBackends = []string{"", BackendPool, BackendExec}
 
 func backendSafetyConfig() StudyConfig {
 	cfg := DefaultSafetyStudyConfig()
@@ -69,123 +57,6 @@ func backendSafetyConfig() StudyConfig {
 		cfg.Ops = PlatformOps{Spanner: 60, BigTable: 60, BigQuery: 6}
 	}
 	return cfg
-}
-
-func TestSafetyStudyIdenticalAcrossBackends(t *testing.T) {
-	var want []byte
-	for _, backend := range studyBackends {
-		cfg := withBackend(t, backendSafetyConfig(), backend)
-		s, err := cfg.Safety()
-		if err != nil {
-			t.Fatalf("backend %q: %v", backend, err)
-		}
-		var buf bytes.Buffer
-		buf.WriteString(RenderSafety(s))
-		for _, p := range taxonomy.Platforms() {
-			fmt.Fprintf(&buf, "%s marks: %+v\n", p, s.Marks[p])
-		}
-		if want == nil {
-			want = buf.Bytes()
-			continue
-		}
-		if !bytes.Equal(want, buf.Bytes()) {
-			t.Fatalf("backend %q diverged (first diff at %d):\n--- want ---\n%s\n--- got ---\n%s",
-				backend, firstDiff(want, buf.Bytes()), want, buf.Bytes())
-		}
-	}
-}
-
-func TestLatencyStudyIdenticalAcrossBackends(t *testing.T) {
-	rates := []float64{400, 800, 1200}
-	ops := 150
-	if testing.Short() {
-		ops = 80
-	}
-	var want []byte
-	for _, backend := range studyBackends {
-		cfg := withBackend(t, StudyConfig{Seed: 1, Parallel: 2}, backend)
-		points, err := cfg.Latency(rates, ops)
-		if err != nil {
-			t.Fatalf("backend %q: %v", backend, err)
-		}
-		got := []byte(RenderLatency(points))
-		if want == nil {
-			want = got
-			continue
-		}
-		if !bytes.Equal(want, got) {
-			t.Fatalf("backend %q diverged:\n--- want ---\n%s\n--- got ---\n%s", backend, want, got)
-		}
-	}
-}
-
-func TestResilienceStudyIdenticalAcrossBackends(t *testing.T) {
-	mk := func() StudyConfig {
-		cfg := DefaultResilienceStudyConfig()
-		cfg.Ops = PlatformOps{Spanner: 200, BigTable: 200, BigQuery: 24}
-		if testing.Short() {
-			cfg.Ops = PlatformOps{Spanner: 100, BigTable: 100, BigQuery: 12}
-		}
-		cfg.Obs.Enabled = true
-		return cfg
-	}
-	var want []byte
-	for _, backend := range studyBackends {
-		cfg := withBackend(t, mk(), backend)
-		r, err := cfg.Resilience()
-		if err != nil {
-			t.Fatalf("backend %q: %v", backend, err)
-		}
-		var buf bytes.Buffer
-		buf.WriteString(RenderResilience(r))
-		// The faulted arms' traces, fault marks and metric series cross the
-		// process boundary on the exec backend; export them all.
-		for _, p := range taxonomy.Platforms() {
-			chrome, err := trace.ExportChrome(r.Traces[p], 2000)
-			if err != nil {
-				t.Fatal(err)
-			}
-			buf.Write(chrome)
-			fmt.Fprintf(&buf, "%s marks: %+v\n", p, r.Marks[p])
-		}
-		series, err := MarshalPlatformSeries(r.Series)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf.Write(series)
-		if want == nil {
-			want = buf.Bytes()
-			continue
-		}
-		if !bytes.Equal(want, buf.Bytes()) {
-			t.Fatalf("backend %q diverged: %d vs %d bytes (first diff at %d)",
-				backend, len(want), buf.Len(), firstDiff(want, buf.Bytes()))
-		}
-	}
-}
-
-func TestOverloadStudyIdenticalAcrossBackends(t *testing.T) {
-	var want []byte
-	for _, backend := range studyBackends {
-		cfg := withBackend(t, overloadTestConfig(), backend)
-		o, err := cfg.Overload()
-		if err != nil {
-			t.Fatalf("backend %q: %v", backend, err)
-		}
-		doc, err := o.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := append(doc, RenderOverload(o)...)
-		if want == nil {
-			want = got
-			continue
-		}
-		if !bytes.Equal(want, got) {
-			t.Fatalf("backend %q diverged: %d vs %d bytes (first diff at %d)",
-				backend, len(want), len(got), firstDiff(want, got))
-		}
-	}
 }
 
 // TestCharacterizationIgnoresBackend pins the documented carve-out: the
@@ -211,16 +82,9 @@ func TestCharacterizationIgnoresBackend(t *testing.T) {
 // and checks the study fails with the lowest-indexed unit's transport error
 // instead of hanging or succeeding partially.
 func TestExecWorkerCrashSurfacesDeterministicError(t *testing.T) {
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := backendSafetyConfig()
-	cfg.Backend = BackendExec
-	cfg.Exec.Command = []string{exe}
+	cfg := withExec(t, backendSafetyConfig())
 	cfg.Exec.Env = []string{backendWorkerEnv + "=crash"}
-	cfg.Exec.Workers = 2
-	_, err = cfg.Safety()
+	_, err := cfg.Safety()
 	if err == nil {
 		t.Fatal("want transport error from crashing workers, got success")
 	}
@@ -230,10 +94,17 @@ func TestExecWorkerCrashSurfacesDeterministicError(t *testing.T) {
 }
 
 func TestUnknownBackendRejected(t *testing.T) {
-	cfg := backendSafetyConfig()
-	cfg.Backend = "carrier-pigeon"
-	if _, err := cfg.Safety(); err == nil || !strings.Contains(err.Error(), "unknown backend") {
-		t.Fatalf("want unknown-backend error, got: %v", err)
+	for _, backend := range []string{"carrier-pigeon", "pool"} {
+		cfg := backendSafetyConfig()
+		cfg.Backend = backend
+		if _, err := cfg.Safety(); err == nil || !strings.Contains(err.Error(), "unknown backend") {
+			t.Fatalf("backend %q: want unknown-backend error, got: %v", backend, err)
+		}
+		char := DefaultCharStudyConfig()
+		char.Backend = backend
+		if _, err := char.Characterize(); err == nil || !strings.Contains(err.Error(), "unknown backend") {
+			t.Fatalf("characterization, backend %q: want unknown-backend error, got: %v", backend, err)
+		}
 	}
 }
 
@@ -241,5 +112,18 @@ func TestRunUnitRejectsUnknownKind(t *testing.T) {
 	_, err := runUnit(StudyConfig{}, "no/such/kind", json.RawMessage(`{}`))
 	if err == nil || !strings.Contains(err.Error(), "unknown work unit kind") {
 		t.Fatalf("want unknown-kind error, got: %v", err)
+	}
+}
+
+// TestRunUnitRejectsMalformedBody feeds every registered kind a truncated
+// and a wrongly typed body: each must fail with an error naming the kind.
+func TestRunUnitRejectsMalformedBody(t *testing.T) {
+	for kind := range unitRunners {
+		for _, body := range []string{`{`, `"x"`} {
+			_, err := runUnit(StudyConfig{}, kind, json.RawMessage(body))
+			if err == nil || !strings.Contains(err.Error(), kind) {
+				t.Errorf("kind %s, body %s: want an error naming the kind, got %v", kind, body, err)
+			}
+		}
 	}
 }

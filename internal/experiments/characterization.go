@@ -52,6 +52,13 @@ type platformRun struct {
 	series     []obs.Series
 }
 
+// charRuns maps each platform to its simulated day.
+var charRuns = map[taxonomy.Platform]func(StudyConfig) (platformRun, error){
+	taxonomy.Spanner:  runSpannerChar,
+	taxonomy.BigTable: runBigTableChar,
+	taxonomy.BigQuery: runBigQueryChar,
+}
+
 // Characterize builds all three platforms, drives their calibrated
 // workloads, and collects traces, profiles, inventory and (when enabled)
 // observability series. The platforms are independent simulations; they run
@@ -61,14 +68,15 @@ func (cfg StudyConfig) Characterize() (*Characterization, error) {
 	if cfg.Clients <= 0 || cfg.TraceRate <= 0 {
 		return nil, fmt.Errorf("experiments: invalid characterization config %+v", cfg)
 	}
+	if err := checkBackend(cfg); err != nil {
+		return nil, err
+	}
 	// A platformRun hands live simulator state (envs, profilers, tracers)
 	// straight to the figure extractors; it has no wire form, so the
 	// characterization always executes in-process whatever backend the
-	// config selects (the empty kind routes runStudy to the legacy pool).
-	runs, err := runStudy(cfg, "", nil, []func() (platformRun, error){
-		func() (platformRun, error) { return runSpannerChar(cfg) },
-		func() (platformRun, error) { return runBigTableChar(cfg) },
-		func() (platformRun, error) { return runBigQueryChar(cfg) },
+	// config selects.
+	runs, err := runJobs(cfg.Parallel, taxonomy.Platforms(), func(p taxonomy.Platform) (platformRun, error) {
+		return charRuns[p](cfg)
 	})
 	if err != nil {
 		return nil, err

@@ -10,9 +10,9 @@ package experiments
 // works because nothing in the measurement path grows with the number of
 // operations observed, only with the error bound you accept.
 //
-// Fleet rows are pure data, so the study fans out over every backend, and
-// the exported bytes are identical sequential, parallel, pooled or across
-// worker processes. Measured heap statistics are attached to the in-memory
+// Fleet rows are pure data, so the study fans out over either backend, and
+// the exported bytes are identical sequential, parallel or across worker
+// processes. Measured heap statistics are attached to the in-memory
 // result only (json:"-"): memory is a property of the run, not of the
 // canonical artifact.
 
@@ -89,10 +89,7 @@ type FleetStudy struct {
 	Heap FleetHeapStats `json:"-"`
 }
 
-// fleetUnitKind tags fleet platform runs in the backend work-unit registry.
-const fleetUnitKind = "fleet/platform"
-
-// fleetUnit is the serialized form of one platform's fleet run.
+// fleetUnit is one platform's fleet run.
 type fleetUnit struct {
 	Platform taxonomy.Platform `json:"platform"`
 	Servers  int               `json:"servers"`
@@ -101,14 +98,8 @@ type fleetUnit struct {
 	Rate     float64           `json:"rate"`
 }
 
-// runFleetUnit executes one platform's fleet run from its wire form.
-func runFleetUnit(cfg StudyConfig, body json.RawMessage) (any, error) {
-	var u fleetUnit
-	if err := json.Unmarshal(body, &u); err != nil {
-		return nil, fmt.Errorf("experiments: decode fleet unit: %w", err)
-	}
-	return runFleetPlatform(cfg, u)
-}
+// fleetKind runs platform fleet runs on either backend.
+var fleetKind = unitKind[fleetUnit, FleetRow]{name: "fleet/platform", run: runFleetPlatform}
 
 // fleetRecorders builds the latency recorder and operation history for one
 // fleet arm: bounded sketch and reservoir in sketch mode, the exact
@@ -256,15 +247,7 @@ func (cfg StudyConfig) FleetScale() (*FleetStudy, error) {
 	if f.Servers < 3 || f.Users <= 0 || f.Ops <= 0 {
 		return nil, fmt.Errorf("experiments: invalid fleet config %+v (need ≥3 servers, positive users and ops)", f)
 	}
-	fus := cfg.fleetUnits()
-	jobs := make([]func() (FleetRow, error), len(fus))
-	units := make([]any, len(fus))
-	for i, u := range fus {
-		u := u
-		jobs[i] = func() (FleetRow, error) { return runFleetPlatform(cfg, u) }
-		units[i] = u
-	}
-	rows, err := runStudy(cfg, fleetUnitKind, units, jobs)
+	rows, err := runUnits(cfg, fleetKind, cfg.fleetUnits())
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -22,22 +21,18 @@ type LatencyPoint struct {
 	P99Seconds float64
 }
 
-// latencyUnitKind tags latency points in the backend work-unit registry.
-const latencyUnitKind = "latency/point"
-
-// latencyUnit is the serialized form of one offered-load point.
+// latencyUnit is one offered-load point.
 type latencyUnit struct {
 	Rate float64 `json:"rate"`
 	Ops  int     `json:"ops"`
 }
 
-// runLatencyUnit executes one offered-load point from its wire form.
-func runLatencyUnit(cfg StudyConfig, body json.RawMessage) (any, error) {
-	var u latencyUnit
-	if err := json.Unmarshal(body, &u); err != nil {
-		return nil, fmt.Errorf("experiments: decode latency unit: %w", err)
-	}
-	return runLatencyPoint(cfg.Seed, u.Rate, u.Ops)
+// latencyKind runs offered-load points on either backend.
+var latencyKind = unitKind[latencyUnit, LatencyPoint]{
+	name: "latency/point",
+	run: func(cfg StudyConfig, u latencyUnit) (LatencyPoint, error) {
+		return runLatencyPoint(cfg.Seed, u.Rate, u.Ops)
+	},
 }
 
 // runLatencyPoint drives one fresh Spanner deployment at one offered rate.
@@ -70,14 +65,11 @@ func (cfg StudyConfig) Latency(rates []float64, opsPerPoint int) ([]LatencyPoint
 	if opsPerPoint <= 0 {
 		return nil, fmt.Errorf("experiments: opsPerPoint must be positive")
 	}
-	jobs := make([]func() (LatencyPoint, error), len(rates))
-	units := make([]any, len(rates))
+	units := make([]latencyUnit, len(rates))
 	for i, rate := range rates {
-		rate := rate
-		jobs[i] = func() (LatencyPoint, error) { return runLatencyPoint(cfg.Seed, rate, opsPerPoint) }
 		units[i] = latencyUnit{Rate: rate, Ops: opsPerPoint}
 	}
-	return runStudy(cfg, latencyUnitKind, units, jobs)
+	return runUnits(cfg, latencyKind, units)
 }
 
 // RenderLatency renders a latency-under-load curve.

@@ -136,24 +136,18 @@ type overloadArm struct {
 	Series []obs.Series
 }
 
-// overloadUnitKind tags platform arm pairs in the backend registry.
-const overloadUnitKind = "overload/pair"
-
-// overloadUnit is the serialized form of one platform's naive+protected arm
-// pair. The arms share nothing, but pairing them keeps one platform's work
-// on one worker, matching the in-process job granularity.
+// overloadUnit is one platform's naive+protected arm pair. The arms share
+// nothing, but pairing them keeps one platform's work on one worker.
 type overloadUnit struct {
 	Platform taxonomy.Platform `json:"platform"`
 }
 
-// runOverloadUnit executes one platform's arm pair from its wire form.
-func runOverloadUnit(cfg StudyConfig, body json.RawMessage) (any, error) {
-	var u overloadUnit
-	if err := json.Unmarshal(body, &u); err != nil {
-		return nil, fmt.Errorf("experiments: decode overload unit: %w", err)
-	}
-	o := &Overload{Cfg: cfg}
-	return o.runPair(u.Platform)
+// overloadKind runs platform arm pairs on either backend.
+var overloadKind = unitKind[overloadUnit, [2]overloadArm]{
+	name: "overload/pair",
+	run: func(cfg StudyConfig, u overloadUnit) ([2]overloadArm, error) {
+		return (&Overload{Cfg: cfg}).runPair(u.Platform)
+	},
 }
 
 // runPair runs one platform's naive arm and then its protected arm.
@@ -195,22 +189,19 @@ func (cfg StudyConfig) Overload() (*Overload, error) {
 	}
 	o := &Overload{Cfg: cfg, Series: map[taxonomy.Platform][]obs.Series{}}
 	platforms := taxonomy.Platforms()
-	jobs := make([]func() ([2]overloadArm, error), len(platforms))
-	units := make([]any, len(platforms))
+	units := make([]overloadUnit, len(platforms))
 	for i, p := range platforms {
-		p := p
-		jobs[i] = func() ([2]overloadArm, error) { return o.runPair(p) }
 		units[i] = overloadUnit{Platform: p}
 	}
-	pairs, err := runStudy(cfg, overloadUnitKind, units, jobs)
+	pairs, err := runUnits(cfg, overloadKind, units)
 	if err != nil {
 		return nil, err
 	}
-	for i, p := range platforms {
+	for i, u := range units {
 		for _, arm := range pairs[i] {
 			o.Rows = append(o.Rows, arm.Row)
 			if arm.Row.Protected && arm.Series != nil {
-				o.Series[p] = arm.Series
+				o.Series[u.Platform] = arm.Series
 			}
 		}
 	}

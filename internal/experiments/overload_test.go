@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
@@ -41,27 +40,6 @@ func overloadBytes(t *testing.T, o *Overload) []byte {
 		t.Fatal(err)
 	}
 	return append(data, RenderOverload(o)...)
-}
-
-func TestOverloadStudyParallelMatchesSequentialByteForByte(t *testing.T) {
-	seq := overloadTestConfig()
-	seq.Parallel = 1
-	par := overloadTestConfig()
-	par.Parallel = 4
-
-	oSeq, err := seq.Overload()
-	if err != nil {
-		t.Fatal(err)
-	}
-	oPar, err := par.Overload()
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := overloadBytes(t, oSeq), overloadBytes(t, oPar)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("parallel overload study diverged from sequential: %d vs %d bytes (first diff at %d)\n--- sequential ---\n%s\n--- parallel ---\n%s",
-			len(a), len(b), firstDiff(a, b), a, b)
-	}
 }
 
 func TestOverloadStudyShape(t *testing.T) {

@@ -109,10 +109,8 @@ type partitionArm struct {
 	Marks      []trace.Mark
 }
 
-// partitionUnitKind tags partition arms in the backend work-unit registry.
-const partitionUnitKind = "partition/arm"
-
-// partitionUnit is the serialized form of one (platform, arm, seed) run.
+// partitionUnit is one (platform, arm, seed) run; a zero horizon is the
+// fault-free calibration run.
 type partitionUnit struct {
 	Platform taxonomy.Platform `json:"platform"`
 	Arm      string            `json:"arm"`
@@ -120,14 +118,12 @@ type partitionUnit struct {
 	Horizon  time.Duration     `json:"horizon"`
 }
 
-// runPartitionUnit executes one partition arm from its wire form.
-func runPartitionUnit(cfg StudyConfig, body json.RawMessage) (any, error) {
-	var u partitionUnit
-	if err := json.Unmarshal(body, &u); err != nil {
-		return nil, fmt.Errorf("experiments: decode partition unit: %w", err)
-	}
-	s := &Partition{Cfg: cfg}
-	return s.runArm(u.Platform, u.Arm, u.Seed, u.Horizon)
+// partitionKind runs partition arms on either backend.
+var partitionKind = unitKind[partitionUnit, partitionArm]{
+	name: "partition/arm",
+	run: func(cfg StudyConfig, u partitionUnit) (partitionArm, error) {
+		return (&Partition{Cfg: cfg}).runArm(u.Platform, u.Arm, u.Seed, u.Horizon)
+	},
 }
 
 // Partition runs the partition study: per platform one fault-free
@@ -142,54 +138,38 @@ func (cfg StudyConfig) Partition() (*Partition, error) {
 	}
 	s := &Partition{Cfg: cfg, Marks: map[taxonomy.Platform][]trace.Mark{}}
 	platforms := taxonomy.Platforms()
-	calJobs := make([]func() (partitionArm, error), len(platforms))
-	calUnits := make([]any, len(platforms))
+	calUnits := make([]partitionUnit, len(platforms))
 	for i, p := range platforms {
-		p := p
-		calJobs[i] = func() (partitionArm, error) { return s.runArm(p, armBaseline, cfg.Seed, 0) }
 		calUnits[i] = partitionUnit{Platform: p, Arm: armBaseline, Seed: cfg.Seed}
 	}
-	cals, err := runStudy(cfg, partitionUnitKind, calUnits, calJobs)
+	cals, err := runUnits(cfg, partitionKind, calUnits)
 	if err != nil {
 		return nil, err
 	}
-	var jobs []func() (partitionArm, error)
-	var units []any
+	var units []partitionUnit
 	for i, p := range platforms {
 		horizon := cals[i].Row.Elapsed
 		for j := 0; j < cfg.Check.Seeds; j++ {
 			for _, arm := range []string{armNaive, armHardened} {
-				p, arm, seed := p, arm, cfg.Seed+uint64(j)
-				jobs = append(jobs, func() (partitionArm, error) { return s.runArm(p, arm, seed, horizon) })
-				units = append(units, partitionUnit{Platform: p, Arm: arm, Seed: seed, Horizon: horizon})
+				units = append(units, partitionUnit{Platform: p, Arm: arm, Seed: cfg.Seed + uint64(j), Horizon: horizon})
 			}
 		}
 		// Broken arms exist for Spanner (commit-wait off) and BigTable
 		// (unlogged partition writes); BigQuery's shuffle has no equivalent
 		// split-brain write path to break.
 		if cfg.Part.IncludeBroken && p != taxonomy.BigQuery {
-			p := p
-			jobs = append(jobs, func() (partitionArm, error) { return s.runArm(p, armBroken, cfg.Seed, horizon) })
 			units = append(units, partitionUnit{Platform: p, Arm: armBroken, Seed: cfg.Seed, Horizon: horizon})
 		}
 	}
-	arms, err := runStudy(cfg, partitionUnitKind, units, jobs)
+	arms, err := runUnits(cfg, partitionKind, units)
 	if err != nil {
 		return nil, err
 	}
-	for i, p := range platforms {
-		s.merge(p, cals[i])
+	for i, u := range calUnits {
+		s.merge(u.Platform, cals[i])
 	}
-	next := 0
-	for _, p := range platforms {
-		n := 2 * cfg.Check.Seeds
-		if cfg.Part.IncludeBroken && p != taxonomy.BigQuery {
-			n++
-		}
-		for j := 0; j < n; j++ {
-			s.merge(p, arms[next])
-			next++
-		}
+	for i, u := range units {
+		s.merge(u.Platform, arms[i])
 	}
 	return s, nil
 }

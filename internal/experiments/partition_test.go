@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -132,67 +130,6 @@ func TestPartitionStudyBrokenKnobsCaught(t *testing.T) {
 	for _, row := range s.Rows {
 		if row.Arm == armBroken && row.Platform == taxonomy.Spanner && row.Violations == 0 {
 			t.Errorf("spanner broken-arm row reports zero violations")
-		}
-	}
-}
-
-func TestPartitionStudyDeterministic(t *testing.T) {
-	cfg := smallPartitionConfig()
-	cfg.Check.Seeds = 1
-	run := func() string {
-		s, err := cfg.Partition()
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := s.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return RenderPartition(s) + string(data)
-	}
-	if a, b := run(), run(); a != b {
-		t.Fatalf("same config, different studies:\n--- a ---\n%s\n--- b ---\n%s", a, b)
-	}
-}
-
-// TestPartitionStudyIdenticalAcrossBackends pins the export bytes across the
-// in-process, pool and exec backends (and, via the runner, the sequential vs
-// parallel paths): the render, the JSON document and the fault marks must
-// not differ by a byte.
-func TestPartitionStudyIdenticalAcrossBackends(t *testing.T) {
-	mk := func() StudyConfig {
-		cfg := smallPartitionConfig()
-		cfg.Part.IncludeBroken = true
-		if testing.Short() {
-			cfg.Check.Seeds = 1
-			cfg.Ops = PlatformOps{Spanner: 80, BigTable: 80, BigQuery: 8}
-		}
-		return cfg
-	}
-	var want []byte
-	for _, backend := range studyBackends {
-		cfg := withBackend(t, mk(), backend)
-		s, err := cfg.Partition()
-		if err != nil {
-			t.Fatalf("backend %q: %v", backend, err)
-		}
-		var buf bytes.Buffer
-		buf.WriteString(RenderPartition(s))
-		data, err := s.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf.Write(data)
-		for _, p := range taxonomy.Platforms() {
-			fmt.Fprintf(&buf, "%s marks: %+v\n", p, s.Marks[p])
-		}
-		if want == nil {
-			want = buf.Bytes()
-			continue
-		}
-		if !bytes.Equal(want, buf.Bytes()) {
-			t.Fatalf("backend %q diverged (first diff at %d):\n--- want ---\n%s\n--- got ---\n%s",
-				backend, firstDiff(want, buf.Bytes()), want, buf.Bytes())
 		}
 	}
 }

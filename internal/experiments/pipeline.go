@@ -112,24 +112,19 @@ type pipelineArm struct {
 	Counters   []trace.CounterTrack
 }
 
-// pipelineUnitKind tags pipeline arms in the backend work-unit registry.
-const pipelineUnitKind = "pipeline/arm"
-
-// pipelineUnit is the serialized form of one (arm, seed) run.
+// pipelineUnit is one (arm, seed) run; a zero horizon injects no faults.
 type pipelineUnit struct {
 	Arm     string        `json:"arm"`
 	Seed    uint64        `json:"seed"`
 	Horizon time.Duration `json:"horizon"`
 }
 
-// runPipelineUnit executes one pipeline arm from its wire form.
-func runPipelineUnit(cfg StudyConfig, body json.RawMessage) (any, error) {
-	var u pipelineUnit
-	if err := json.Unmarshal(body, &u); err != nil {
-		return nil, fmt.Errorf("experiments: decode pipeline unit: %w", err)
-	}
-	s := &Pipeline{Cfg: cfg}
-	return s.runArm(u.Arm, u.Seed, u.Horizon)
+// pipelineKind runs pipeline arms on either backend.
+var pipelineKind = unitKind[pipelineUnit, pipelineArm]{
+	name: "pipeline/arm",
+	run: func(cfg StudyConfig, u pipelineUnit) (pipelineArm, error) {
+		return (&Pipeline{Cfg: cfg}).runArm(u.Arm, u.Seed, u.Horizon)
+	},
 }
 
 // Pipeline runs the cross-platform pipeline study: one fault-free baseline
@@ -143,27 +138,19 @@ func (cfg StudyConfig) Pipeline() (*Pipeline, error) {
 		return nil, fmt.Errorf("experiments: invalid pipeline config %+v", cfg)
 	}
 	s := &Pipeline{Cfg: cfg}
-	calJobs := []func() (pipelineArm, error){
-		func() (pipelineArm, error) { return s.runArm(armBaseline, cfg.Seed, 0) },
-	}
-	calUnits := []any{pipelineUnit{Arm: armBaseline, Seed: cfg.Seed}}
-	cals, err := runStudy(cfg, pipelineUnitKind, calUnits, calJobs)
+	cals, err := runUnits(cfg, pipelineKind, []pipelineUnit{{Arm: armBaseline, Seed: cfg.Seed}})
 	if err != nil {
 		return nil, err
 	}
 	horizon := cals[0].Row.Elapsed
-	var jobs []func() (pipelineArm, error)
-	var units []any
+	var units []pipelineUnit
 	for j := 0; j < cfg.Check.Seeds; j++ {
-		seed := cfg.Seed + uint64(j)
-		jobs = append(jobs, func() (pipelineArm, error) { return s.runArm(armFaulted, seed, horizon) })
-		units = append(units, pipelineUnit{Arm: armFaulted, Seed: seed, Horizon: horizon})
+		units = append(units, pipelineUnit{Arm: armFaulted, Seed: cfg.Seed + uint64(j), Horizon: horizon})
 	}
 	if cfg.Pipe.IncludeBroken {
-		jobs = append(jobs, func() (pipelineArm, error) { return s.runArm(armBroken, cfg.Seed, 0) })
 		units = append(units, pipelineUnit{Arm: armBroken, Seed: cfg.Seed})
 	}
-	arms, err := runStudy(cfg, pipelineUnitKind, units, jobs)
+	arms, err := runUnits(cfg, pipelineKind, units)
 	if err != nil {
 		return nil, err
 	}

@@ -44,54 +44,6 @@ func pipelineExport(t *testing.T, s *Pipeline) []byte {
 	return buf.Bytes()
 }
 
-// TestPipelineStudyIdenticalAcrossBackends pins the work-unit contract: the
-// pipeline study's full export is byte-identical whether its arms run as
-// in-process closures, through the serialized unit registry, or across
-// worker subprocesses.
-func TestPipelineStudyIdenticalAcrossBackends(t *testing.T) {
-	var want []byte
-	for _, backend := range studyBackends {
-		cfg := withBackend(t, pipelineTestConfig(), backend)
-		cfg.Pipe.IncludeBroken = true
-		s, err := cfg.Pipeline()
-		if err != nil {
-			t.Fatalf("backend %q: %v", backend, err)
-		}
-		got := pipelineExport(t, s)
-		if want == nil {
-			want = got
-			continue
-		}
-		if !bytes.Equal(want, got) {
-			t.Fatalf("backend %q diverged: %d vs %d bytes (first diff at %d)",
-				backend, len(want), len(got), firstDiff(want, got))
-		}
-	}
-}
-
-// TestPipelineStudySequentialMatchesParallel pins determinism across kernel
-// scheduling: one arm at a time and maximum fan-out must export identical
-// bytes.
-func TestPipelineStudySequentialMatchesParallel(t *testing.T) {
-	seq := pipelineTestConfig()
-	seq.Parallel = 1
-	par := pipelineTestConfig()
-	par.Parallel = 4
-	ss, err := seq.Pipeline()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps, err := par.Pipeline()
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := pipelineExport(t, ss), pipelineExport(t, ps)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("sequential and parallel exports diverged: %d vs %d bytes (first diff at %d)",
-			len(a), len(b), firstDiff(a, b))
-	}
-}
-
 // TestPipelineEndToEndSpans pins the tentpole guarantee: every logical
 // record owns exactly one trace ID whose spans cross all three platform
 // stages, so the Chrome export shows one end-to-end request per row.

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -80,24 +79,18 @@ type resilienceArm struct {
 	Series []obs.Series
 }
 
-// resilienceUnitKind tags platform arm pairs in the backend registry.
-const resilienceUnitKind = "resilience/pair"
-
-// resilienceUnit is the serialized form of one platform's baseline+faulted
-// arm pair. The pair stays one unit because the fault schedule spans the
-// measured baseline horizon.
+// resilienceUnit is one platform's baseline+faulted arm pair. The pair stays
+// one unit because the fault schedule spans the measured baseline horizon.
 type resilienceUnit struct {
 	Platform taxonomy.Platform `json:"platform"`
 }
 
-// runResilienceUnit executes one platform's arm pair from its wire form.
-func runResilienceUnit(cfg StudyConfig, body json.RawMessage) (any, error) {
-	var u resilienceUnit
-	if err := json.Unmarshal(body, &u); err != nil {
-		return nil, fmt.Errorf("experiments: decode resilience unit: %w", err)
-	}
-	r := &Resilience{Cfg: cfg}
-	return r.runPair(u.Platform)
+// resilienceKind runs platform arm pairs on either backend.
+var resilienceKind = unitKind[resilienceUnit, [2]resilienceArm]{
+	name: "resilience/pair",
+	run: func(cfg StudyConfig, u resilienceUnit) ([2]resilienceArm, error) {
+		return (&Resilience{Cfg: cfg}).runPair(u.Platform)
+	},
 }
 
 // runPair runs one platform's baseline arm and then, over the measured
@@ -131,25 +124,22 @@ func (cfg StudyConfig) Resilience() (*Resilience, error) {
 		Series: map[taxonomy.Platform][]obs.Series{},
 	}
 	platforms := taxonomy.Platforms()
-	jobs := make([]func() ([2]resilienceArm, error), len(platforms))
-	units := make([]any, len(platforms))
+	units := make([]resilienceUnit, len(platforms))
 	for i, p := range platforms {
-		p := p
-		jobs[i] = func() ([2]resilienceArm, error) { return r.runPair(p) }
 		units[i] = resilienceUnit{Platform: p}
 	}
-	pairs, err := runStudy(cfg, resilienceUnitKind, units, jobs)
+	pairs, err := runUnits(cfg, resilienceKind, units)
 	if err != nil {
 		return nil, err
 	}
-	for i, p := range platforms {
+	for i, u := range units {
 		for _, arm := range pairs[i] {
 			r.Rows = append(r.Rows, arm.Row)
 			if arm.Row.Faulted {
-				r.Traces[p] = arm.Traces
-				r.Marks[p] = arm.Marks
+				r.Traces[u.Platform] = arm.Traces
+				r.Marks[u.Platform] = arm.Marks
 				if arm.Series != nil {
-					r.Series[p] = arm.Series
+					r.Series[u.Platform] = arm.Series
 				}
 			}
 		}

@@ -56,33 +56,6 @@ func TestResilienceStudyAvailabilityAndFaults(t *testing.T) {
 	}
 }
 
-func TestResilienceStudyDeterministic(t *testing.T) {
-	cfg := smallResilienceConfig()
-	a, err := cfg.Resilience()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := cfg.Resilience()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra, rb := RenderResilience(a), RenderResilience(b)
-	if ra != rb {
-		t.Fatalf("same config, different reports:\n--- a ---\n%s--- b ---\n%s", ra, rb)
-	}
-	for _, p := range taxonomy.Platforms() {
-		fa, fb := a.Row(p, true), b.Row(p, true)
-		if len(fa.FaultEvents) != len(fb.FaultEvents) {
-			t.Fatalf("%s: fault counts differ: %d vs %d", p, len(fa.FaultEvents), len(fb.FaultEvents))
-		}
-		for i := range fa.FaultEvents {
-			if fa.FaultEvents[i] != fb.FaultEvents[i] {
-				t.Fatalf("%s fault %d differs: %+v vs %+v", p, i, fa.FaultEvents[i], fb.FaultEvents[i])
-			}
-		}
-	}
-}
-
 func TestResilienceStudyValidation(t *testing.T) {
 	cfg := smallResilienceConfig()
 	cfg.Clients = 0

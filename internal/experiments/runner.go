@@ -14,7 +14,7 @@ import (
 // goroutines without perturbing a single simulated bit. Determinism is
 // preserved by construction: parallelism decides only *when* an arm computes
 // its result, never *what* the result is, and results are merged in the fixed
-// order of the job slice, so sequential and parallel runs render
+// order of the unit slice, so sequential and parallel runs render
 // byte-identical reports. DESIGN.md "Performance architecture" states the
 // invariant precisely.
 
@@ -28,22 +28,22 @@ func Parallelism(n int) int {
 	return n
 }
 
-// runJobs executes the jobs on at most Parallelism(parallel) concurrent
-// workers and returns their results in job order. Each job must be
+// runJobs calls fn on every unit on at most Parallelism(parallel) concurrent
+// workers and returns the results in unit order. Each call must be
 // self-contained: it builds its own kernels and touches no state shared with
-// other jobs. If any job fails, the error of the lowest-indexed failing job
-// is returned (so the reported error is deterministic regardless of worker
-// interleaving); with parallel == 1 jobs run sequentially in order and stop
-// at the first error, exactly like the pre-parallel harness.
-func runJobs[T any](parallel int, jobs []func() (T, error)) ([]T, error) {
-	results := make([]T, len(jobs))
+// other calls. If any call fails, the error of the lowest-indexed failing
+// unit is returned (so the reported error is deterministic regardless of
+// worker interleaving); with parallel == 1 units run sequentially in order
+// and stop at the first error, exactly like the pre-parallel harness.
+func runJobs[U, T any](parallel int, units []U, fn func(U) (T, error)) ([]T, error) {
+	results := make([]T, len(units))
 	workers := Parallelism(parallel)
-	if workers > len(jobs) {
-		workers = len(jobs)
+	if workers > len(units) {
+		workers = len(units)
 	}
 	if workers <= 1 {
-		for i, job := range jobs {
-			r, err := job()
+		for i, u := range units {
+			r, err := fn(u)
 			if err != nil {
 				return nil, err
 			}
@@ -51,7 +51,7 @@ func runJobs[T any](parallel int, jobs []func() (T, error)) ([]T, error) {
 		}
 		return results, nil
 	}
-	errs := make([]error, len(jobs))
+	errs := make([]error, len(units))
 	next := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -59,11 +59,11 @@ func runJobs[T any](parallel int, jobs []func() (T, error)) ([]T, error) {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				results[i], errs[i] = jobs[i]()
+				results[i], errs[i] = fn(units[i])
 			}
 		}()
 	}
-	for i := range jobs {
+	for i := range units {
 		next <- i
 	}
 	close(next)

@@ -8,13 +8,12 @@ import (
 )
 
 func TestRunJobsPreservesOrder(t *testing.T) {
+	units := make([]int, 50)
+	for i := range units {
+		units[i] = i
+	}
 	for _, parallel := range []int{1, 2, 8, 0} {
-		jobs := make([]func() (int, error), 50)
-		for i := range jobs {
-			i := i
-			jobs[i] = func() (int, error) { return i * i, nil }
-		}
-		got, err := runJobs(parallel, jobs)
+		got, err := runJobs(parallel, units, func(u int) (int, error) { return u * u, nil })
 		if err != nil {
 			t.Fatalf("parallel=%d: %v", parallel, err)
 		}
@@ -27,20 +26,19 @@ func TestRunJobsPreservesOrder(t *testing.T) {
 }
 
 func TestRunJobsDeterministicError(t *testing.T) {
-	// Multiple jobs fail; the error of the lowest-indexed failure must win so
-	// parallel and sequential runs report the same error.
+	// Multiple units fail; the error of the lowest-indexed failure must win
+	// so parallel and sequential runs report the same error.
+	units := make([]int, 20)
+	for i := range units {
+		units[i] = i
+	}
 	for _, parallel := range []int{1, 4} {
-		jobs := make([]func() (int, error), 20)
-		for i := range jobs {
-			i := i
-			jobs[i] = func() (int, error) {
-				if i%3 == 1 {
-					return 0, fmt.Errorf("job %d failed", i)
-				}
-				return i, nil
+		_, err := runJobs(parallel, units, func(i int) (int, error) {
+			if i%3 == 1 {
+				return 0, fmt.Errorf("job %d failed", i)
 			}
-		}
-		_, err := runJobs(parallel, jobs)
+			return i, nil
+		})
 		if err == nil || err.Error() != "job 1 failed" {
 			t.Fatalf("parallel=%d: err = %v, want job 1's error", parallel, err)
 		}
@@ -50,12 +48,13 @@ func TestRunJobsDeterministicError(t *testing.T) {
 func TestRunJobsSequentialStopsAtFirstError(t *testing.T) {
 	var ran atomic.Int32
 	sentinel := errors.New("boom")
-	jobs := []func() (int, error){
-		func() (int, error) { ran.Add(1); return 0, nil },
-		func() (int, error) { ran.Add(1); return 0, sentinel },
-		func() (int, error) { ran.Add(1); return 0, nil },
-	}
-	_, err := runJobs(1, jobs)
+	_, err := runJobs(1, []int{0, 1, 2}, func(i int) (int, error) {
+		ran.Add(1)
+		if i == 1 {
+			return 0, sentinel
+		}
+		return 0, nil
+	})
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v", err)
 	}
@@ -67,24 +66,21 @@ func TestRunJobsSequentialStopsAtFirstError(t *testing.T) {
 func TestRunJobsBoundsWorkers(t *testing.T) {
 	const parallel = 3
 	var inFlight, peak atomic.Int32
-	jobs := make([]func() (struct{}, error), 24)
 	gate := make(chan struct{}, parallel)
-	for i := range jobs {
-		jobs[i] = func() (struct{}, error) {
-			n := inFlight.Add(1)
-			for {
-				p := peak.Load()
-				if n <= p || peak.CompareAndSwap(p, n) {
-					break
-				}
+	_, err := runJobs(parallel, make([]struct{}, 24), func(struct{}) (struct{}, error) {
+		n := inFlight.Add(1)
+		for {
+			p := peak.Load()
+			if n <= p || peak.CompareAndSwap(p, n) {
+				break
 			}
-			gate <- struct{}{}
-			<-gate
-			inFlight.Add(-1)
-			return struct{}{}, nil
 		}
-	}
-	if _, err := runJobs(parallel, jobs); err != nil {
+		gate <- struct{}{}
+		<-gate
+		inFlight.Add(-1)
+		return struct{}{}, nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got := peak.Load(); got > parallel {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -77,25 +76,20 @@ type safetyArm struct {
 	Marks      []trace.Mark
 }
 
-// safetyUnitKind tags safety arms in the backend work-unit registry.
-const safetyUnitKind = "safety/arm"
-
-// safetyUnit is the serialized form of one (platform, seed, horizon) arm.
+// safetyUnit is one (platform, seed, horizon) arm; a zero horizon is the
+// fault-free calibration run.
 type safetyUnit struct {
 	Platform taxonomy.Platform `json:"platform"`
 	Seed     uint64            `json:"seed"`
 	Horizon  time.Duration     `json:"horizon"`
 }
 
-// runSafetyUnit executes one safety arm from its wire form (exec backend
-// workers and the pool backend both land here).
-func runSafetyUnit(cfg StudyConfig, body json.RawMessage) (any, error) {
-	var u safetyUnit
-	if err := json.Unmarshal(body, &u); err != nil {
-		return nil, fmt.Errorf("experiments: decode safety unit: %w", err)
-	}
-	s := &Safety{Cfg: cfg}
-	return s.runOne(u.Platform, u.Seed, u.Horizon)
+// safetyKind runs safety arms on either backend.
+var safetyKind = unitKind[safetyUnit, safetyArm]{
+	name: "safety/arm",
+	run: func(cfg StudyConfig, u safetyUnit) (safetyArm, error) {
+		return (&Safety{Cfg: cfg}).runOne(u.Platform, u.Seed, u.Horizon)
+	},
 }
 
 // Safety runs the torture harness: per platform, one fault-free calibration
@@ -110,37 +104,30 @@ func (cfg StudyConfig) Safety() (*Safety, error) {
 	}
 	s := &Safety{Cfg: cfg, Marks: map[taxonomy.Platform][]trace.Mark{}}
 	platforms := taxonomy.Platforms()
-	calJobs := make([]func() (safetyArm, error), len(platforms))
-	calUnits := make([]any, len(platforms))
+	calUnits := make([]safetyUnit, len(platforms))
 	for i, p := range platforms {
-		p := p
-		calJobs[i] = func() (safetyArm, error) { return s.runOne(p, cfg.Seed, 0) }
 		calUnits[i] = safetyUnit{Platform: p, Seed: cfg.Seed}
 	}
-	cals, err := runStudy(cfg, safetyUnitKind, calUnits, calJobs)
+	cals, err := runUnits(cfg, safetyKind, calUnits)
 	if err != nil {
 		return nil, err
 	}
-	var tortureJobs []func() (safetyArm, error)
-	var tortureUnits []any
+	var units []safetyUnit
 	for i, p := range platforms {
-		horizon := cals[i].Row.Elapsed
 		for j := 0; j < cfg.Check.Seeds; j++ {
-			p, seed := p, cfg.Seed+uint64(j)
-			tortureJobs = append(tortureJobs, func() (safetyArm, error) {
-				return s.runOne(p, seed, horizon)
-			})
-			tortureUnits = append(tortureUnits, safetyUnit{Platform: p, Seed: seed, Horizon: horizon})
+			units = append(units, safetyUnit{Platform: p, Seed: cfg.Seed + uint64(j), Horizon: cals[i].Row.Elapsed})
 		}
 	}
-	tortured, err := runStudy(cfg, safetyUnitKind, tortureUnits, tortureJobs)
+	tortured, err := runUnits(cfg, safetyKind, units)
 	if err != nil {
 		return nil, err
 	}
 	for i, p := range platforms {
 		s.merge(p, cals[i])
-		for j := 0; j < cfg.Check.Seeds; j++ {
-			s.merge(p, tortured[i*cfg.Check.Seeds+j])
+		for j, u := range units {
+			if u.Platform == p {
+				s.merge(p, tortured[j])
+			}
 		}
 	}
 	return s, nil

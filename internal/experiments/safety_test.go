@@ -51,22 +51,6 @@ func TestSafetyStudyFindsNoViolations(t *testing.T) {
 	}
 }
 
-func TestSafetyStudyIsDeterministic(t *testing.T) {
-	cfg := smallSafetyConfig()
-	cfg.Check.Seeds = 1
-	a, err := cfg.Safety()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := cfg.Safety()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ra, rb := RenderSafety(a), RenderSafety(b); ra != rb {
-		t.Fatalf("same config, different studies:\n--- a ---\n%s\n--- b ---\n%s", ra, rb)
-	}
-}
-
 func TestSafetyStudyRejectsInvalidConfig(t *testing.T) {
 	cfg := smallSafetyConfig()
 	cfg.Clients = 0

@@ -225,9 +225,9 @@ type ExecConfig struct {
 }
 
 // StudyConfig is the shared core every study runs from. Construct one with a
-// Default*StudyConfig helper (or convert a legacy config via Study()) and
-// call the study's method entry point: Characterize, Safety, Resilience or
-// Observe.
+// Default*StudyConfig helper and call the study's method entry point:
+// Characterize, Safety, Resilience, Observe, Overload, Partition, FleetScale,
+// Pipeline or Latency.
 type StudyConfig struct {
 	// Seed drives all randomness. Studies derive per-platform and per-arm
 	// seeds from it, so equal configs replay bit-identically.
@@ -236,11 +236,10 @@ type StudyConfig struct {
 	// 0 = one worker per CPU, 1 = sequential. Results are byte-identical
 	// either way (see runner.go).
 	Parallel int
-	// Backend selects the study execution backend: "" runs jobs directly on
-	// the in-process worker pool (the legacy fast path), BackendPool routes
-	// them through the pool backend's serialized work-unit path, and
-	// BackendExec fans them out across hyperprof -worker subprocesses.
-	// Outputs are byte-identical across all three (see backend.go).
+	// Backend selects where the study's independent arms compute: "" runs
+	// them on the in-process worker pool and BackendExec fans them out across
+	// hyperprof -worker subprocesses. Outputs are byte-identical either way
+	// (see backend.go).
 	Backend string
 	// Exec sizes the exec backend; ignored unless Backend is BackendExec.
 	Exec ExecConfig
