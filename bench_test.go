@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"hyperprof/internal/bigquery"
 	"hyperprof/internal/bigtable"
 	"hyperprof/internal/compress"
 	"hyperprof/internal/experiments"
@@ -680,6 +681,32 @@ func BenchmarkBigTableNew(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := bigtable.New(platform.NewEnv(1, 1), bigtable.DefaultConfig()); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBigQueryScanAgg measures one ScanAgg query on a DefaultConfig
+// engine, kernel run included: 16 partitions scanned, filtered and
+// partially aggregated by the columnar kernels, shuffled and merged. It is
+// the bench-gate guard for the dense group vectors of the query path and
+// for spawning stage-1 processes only for workers that own partitions.
+func BenchmarkBigQueryScanAgg(b *testing.B) {
+	env := platform.NewEnv(1, 1)
+	e, err := bigquery.New(env, bigquery.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var qerr error
+	query := func(p *sim.Proc) {
+		_, qerr = e.Run(p, nil, bigquery.Query{Kind: bigquery.ScanAgg, Threshold: 500})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		env.K.Go("client", query)
+		env.K.Run()
+		if qerr != nil {
+			b.Fatal(qerr)
 		}
 	}
 }

@@ -166,7 +166,7 @@ type Engine struct {
 	// outDeg is the global out-degree of every graph node (group key) under
 	// the implicit edge set row i → row i+1 within each partition, computed
 	// once at load time for the PageRank kind.
-	outDeg  map[int64]int64
+	outDeg  []int64
 	nextQID int
 	// slotLoc maps a shuffle slot to the server index its put landed on,
 	// which may differ from the home server after a put failover.
@@ -222,6 +222,9 @@ func New(env *platform.Env, cfg Config) (*Engine, error) {
 	}
 	if cfg.ShuffleServers <= 0 || cfg.Chunkservers < 3 {
 		return nil, fmt.Errorf("bigquery: need shuffle servers and >= 3 chunkservers")
+	}
+	if cfg.Groups <= 0 || cfg.DimRows < 0 {
+		return nil, fmt.Errorf("bigquery: need Groups > 0 and DimRows >= 0, got %d and %d", cfg.Groups, cfg.DimRows)
 	}
 	ramR, ssdR, hddR := platform.PaperStorageRatio(taxonomy.BigQuery)
 	// Caches are deliberately provisioned far below the scan working set:
@@ -400,7 +403,7 @@ func (e *Engine) load() error {
 	for i := 0; i < e.cfg.DimRows; i++ {
 		e.dim[int64(i)] = fmt.Sprintf("label-%03d", i%37)
 	}
-	e.outDeg = make(map[int64]int64, e.cfg.Groups)
+	e.outDeg = make([]int64, e.cfg.Groups)
 	for _, p := range e.fact {
 		for _, u := range p.keys {
 			e.outDeg[u]++
@@ -526,26 +529,6 @@ func (e *Engine) shufflePut(p *sim.Proc, from *netsim.Node, qid, pi int, bytes i
 	return fmt.Errorf("bigquery: shuffle put %s failed on all servers: %w", key, lastErr)
 }
 
-// recomputePartial speculatively re-executes one stage-1 shard on the
-// reducer: re-read the fact partition from the DFS, burn the stage-1 recipe,
-// and recompute the partial aggregate. This is how a query survives losing
-// shuffle state — the inputs are durable even when the intermediates are not.
-func (e *Engine) recomputePartial(p *sim.Proc, tr *trace.Trace, reducer *cluster.Machine, q Query, pi int) (map[int64]int64, error) {
-	e.Speculative++
-	e.mSpeculative.Inc()
-	part := e.fact[pi]
-	ioStart := p.Now()
-	d, _, err := e.dfs.Read(part.file, 0, e.cfg.PartitionFileBytes)
-	if err != nil {
-		return nil, err
-	}
-	p.Sleep(d)
-	platform.AnnotateIO(tr, ioStart, p.Now())
-	e.env.ExecRecipe(p, taxonomy.BigQuery, reducer.Node, tr, e.stage1[q.Kind])
-	sel := columnar.FilterGE(part.vals, q.Threshold)
-	return columnar.HashAggregate(part.keys, part.vals, sel)
-}
-
 // FailShuffleServer injects a shuffle-server crash: in-flight shuffle RPCs
 // fail immediately and the server's slots are lost with it. Queries survive
 // through put failover and speculative re-execution.
@@ -642,7 +625,7 @@ func (e *Engine) Run(p *sim.Proc, tr *trace.Trace, q Query) (*Result, error) {
 }
 
 // scanPartitions returns the partitions a query reads. Join queries prune:
-// they scan only the first half of the fact table (a dimension-selective
+// they scan only the first quarter of the fact table (a dimension-selective
 // predicate) but spill wide intermediate rows through the shuffle, which is
 // what makes them remote-work bound.
 func (e *Engine) scanPartitions(q Query) int {
@@ -658,51 +641,62 @@ func (e *Engine) scanPartitions(q Query) int {
 
 // runDistributed executes the two-stage scan/shuffle/reduce plan.
 func (e *Engine) runDistributed(p *sim.Proc, tr *trace.Trace, q Query, qid int) (*Result, error) {
-	nW := len(e.workers)
 	nParts := e.scanPartitions(q)
-	partials := make([]map[int64]int64, nParts)
-	rowsScanned := make([]int, nW)
-	errs := make([]error, nW)
-	bar := sim.NewBarrier(e.env.K, nW)
+	merged, err := e.shuffleRound(p, tr, q, qid, nParts, nil)
+	if err != nil {
+		return nil, err
+	}
+	if e.rec != nil && !merged.Equal(e.referenceOver(q.Threshold, nParts)) {
+		e.rec.Violate("exact-result", fmt.Sprintf("q%d", qid),
+			"query %d (%s) aggregate diverges from the exact reference over %d partitions", qid, q.Kind, nParts)
+	}
 
-	// Stage 1: each worker scans its share of partitions and shuffles one
-	// partial per partition.
-	for w := 0; w < nW; w++ {
-		w := w
+	groups := merged.Map()
+	res := &Result{Groups: groups, RowsScanned: nParts * e.cfg.RowsPerPartition}
+	if q.Kind == JoinQuery {
+		res.Labeled = columnar.HashJoin(groups, e.dim)
+		res.SortedKeys = columnar.SortKeysByValueDesc(groups)
+	}
+	e.Queries[q.Kind]++
+	return res, nil
+}
+
+// shuffleRound runs one two-stage pass over the first nParts fact partitions
+// and returns the merged stage-1 partials. Stage 1 spawns one process per
+// worker that owns a partition (worker w owns partitions w, w+Workers, ...);
+// each computes its partials and puts them in the shuffle tier. Stage 2
+// fetches every slot on one reducer and merges it into a single dense
+// accumulator. A shard whose slot was lost (its shuffle server crashed) or is
+// unreachable is speculatively re-executed from the durable fact partition
+// instead of failing the query. ranks is the rank vector of a PageRank round
+// and nil otherwise.
+func (e *Engine) shuffleRound(p *sim.Proc, tr *trace.Trace, q Query, qid, nParts int, ranks *columnar.Groups) (*columnar.Groups, error) {
+	nW := len(e.workers)
+	busy := min(nW, nParts)
+	errs := make([]error, busy)
+	bar := sim.NewBarrier(e.env.K, busy)
+	procName, round := "bq-s1-w", "query"
+	if q.Kind == PageRank {
+		procName, round = "bq-pr-w", "rank round"
+	}
+
+	for w := 0; w < busy; w++ {
 		worker := e.workers[w]
-		e.env.K.Go(fmt.Sprintf("bq-s1-w%d", w), func(wp *sim.Proc) {
+		e.env.K.Go(fmt.Sprintf("%s%d", procName, w), func(wp *sim.Proc) {
 			defer bar.Done()
 			e.mStage1Active.Add(1)
 			defer e.mStage1Active.Add(-1)
 			for pi := w; pi < nParts; pi += nW {
-				part := e.fact[pi]
-				ioStart := wp.Now()
-				d, _, err := e.dfs.Read(part.file, 0, e.cfg.PartitionFileBytes)
+				partial, err := e.scanPartial(wp, tr, worker, q, pi, ranks)
 				if err != nil {
 					errs[w] = err
 					return
 				}
-				wp.Sleep(d)
-				platform.AnnotateIO(tr, ioStart, wp.Now())
-
-				e.env.ExecRecipe(wp, taxonomy.BigQuery, worker.Node, tr, e.stage1[q.Kind])
-
-				// Real vectorized filter + partial aggregation.
-				sel := columnar.FilterGE(part.vals, q.Threshold)
-				partial, err := columnar.HashAggregate(part.keys, part.vals, sel)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				rowsScanned[w] += len(part.vals)
-				partials[pi] = partial
-
 				// Shuffle the partial to its server; join queries spill
 				// wide intermediate rows (a large fraction of the scanned
-				// bytes), scan-aggregates only compact partials. The put
-				// fails over across the shuffle tier if the home server is
-				// down.
-				bytes := int64(len(partial)) * 16
+				// bytes), the others only compact partials. The put fails
+				// over across the shuffle tier if the home server is down.
+				bytes := int64(partial.Len()) * 16
 				if q.Kind == JoinQuery {
 					bytes = e.cfg.PartitionFileBytes
 				}
@@ -725,14 +719,10 @@ func (e *Engine) runDistributed(p *sim.Proc, tr *trace.Trace, q Query, qid int) 
 		}
 	}
 
-	// Stage 2: fetch every shuffle slot and reduce on one worker. A shard
-	// whose slot was lost (its shuffle server crashed) or is unreachable is
-	// speculatively re-executed from the durable fact partition instead of
-	// failing the query.
 	reducer := e.workers[qid%nW]
 	e.mStage2Active.Add(1)
 	defer e.mStage2Active.Add(-1)
-	merged := map[int64]int64{}
+	merged := columnar.NewGroups(e.cfg.Groups)
 	// contrib counts how many times each stage-1 shard lands in the merge; the
 	// exactly-once checker asserts every shard contributes exactly once,
 	// whether it arrived through the shuffle or through speculative
@@ -753,27 +743,33 @@ func (e *Engine) runDistributed(p *sim.Proc, tr *trace.Trace, q Query, qid int) 
 		resp, _ := e.client.Call(p, reducer.Node, e.shuffle[idx].srv,
 			netsim.Request{Method: "shuffle.get", Payload: key, Priority: true})
 		platform.AnnotateRemote(tr, remStart, p.Now())
-		var partial map[int64]int64
+		var partial *columnar.Groups
 		if resp.Err != nil {
 			if e.cfg.DisableFailover {
 				// Naive arm: no speculative re-execution — a lost or
 				// unreachable slot fails the whole query.
 				return nil, fmt.Errorf("bigquery: shuffle get %s failed: %w", key, resp.Err)
 			}
+			e.Speculative++
+			e.mSpeculative.Inc()
 			var err error
-			if partial, err = e.recomputePartial(p, tr, reducer, q, pi); err != nil {
+			if partial, err = e.scanPartial(p, tr, reducer, q, pi, ranks); err != nil {
 				return nil, err
 			}
 			if e.brokenDoubleMerge {
 				// The reintroduced bug: the speculative result is merged here
 				// and again below, double-counting the shard.
-				columnar.MergeGroups(merged, partial)
+				if err := columnar.MergeGroups(merged, partial); err != nil {
+					return nil, err
+				}
 				contrib[pi]++
 			}
 		} else {
-			partial = resp.Payload.(map[int64]int64)
+			partial = resp.Payload.(*columnar.Groups)
 		}
-		columnar.MergeGroups(merged, partial)
+		if err := columnar.MergeGroups(merged, partial); err != nil {
+			return nil, err
+		}
 		contrib[pi]++
 	}
 	e.env.ExecRecipe(p, taxonomy.BigQuery, reducer.Node, tr, e.stage2[q.Kind])
@@ -781,25 +777,34 @@ func (e *Engine) runDistributed(p *sim.Proc, tr *trace.Trace, q Query, qid int) 
 		for pi, c := range contrib {
 			if c != 1 {
 				e.rec.Violate("exactly-once", slotKey(qid, pi),
-					"query %d merged stage-1 shard %d into the aggregate %d times, want exactly once", qid, pi, c)
+					"%s %d merged stage-1 shard %d into the aggregate %d times, want exactly once", round, qid, pi, c)
 			}
 		}
-		if ref := e.ReferenceOver(q.Threshold, nParts); !equalGroups(merged, ref) {
-			e.rec.Violate("exact-result", fmt.Sprintf("q%d", qid),
-				"query %d (%s) aggregate diverges from the exact reference over %d partitions", qid, q.Kind, nParts)
-		}
 	}
+	return merged, nil
+}
 
-	res := &Result{Groups: merged}
-	for _, n := range rowsScanned {
-		res.RowsScanned += n
+// scanPartial executes one stage-1 shard on machine m: read fact partition pi
+// from the DFS, burn the stage-1 recipe, and compute the shard's partial —
+// the filtered partial aggregate, or a PageRank round's rank contributions.
+// Stage 1 and the reducer's speculative re-execution both run it; the inputs
+// are durable even when the shuffled intermediates are not.
+func (e *Engine) scanPartial(p *sim.Proc, tr *trace.Trace, m *cluster.Machine, q Query, pi int, ranks *columnar.Groups) (*columnar.Groups, error) {
+	part := e.fact[pi]
+	ioStart := p.Now()
+	d, _, err := e.dfs.Read(part.file, 0, e.cfg.PartitionFileBytes)
+	if err != nil {
+		return nil, err
 	}
-	if q.Kind == JoinQuery {
-		res.Labeled = columnar.HashJoin(merged, e.dim)
-		res.SortedKeys = columnar.SortKeysByValueDesc(merged)
+	p.Sleep(d)
+	platform.AnnotateIO(tr, ioStart, p.Now())
+	e.env.ExecRecipe(p, taxonomy.BigQuery, m.Node, tr, e.stage1[q.Kind])
+	if q.Kind == PageRank {
+		return e.rankPartial(part, ranks), nil
 	}
-	e.Queries[q.Kind]++
-	return res, nil
+	// Real vectorized filter + partial aggregation.
+	sel := columnar.FilterGE(part.vals, q.Threshold)
+	return columnar.HashAggregate(part.keys, part.vals, sel, e.cfg.Groups)
 }
 
 // runReport executes the small cached-table query on a single worker.
@@ -818,12 +823,13 @@ func (e *Engine) runReport(p *sim.Proc, tr *trace.Trace, q Query) (*Result, erro
 	// table" proxy).
 	part := e.fact[0]
 	sel := columnar.FilterGE(part.vals, q.Threshold)
-	groups, err := columnar.HashAggregate(part.keys, part.vals, sel)
+	agg, err := columnar.HashAggregate(part.keys, part.vals, sel, e.cfg.Groups)
 	if err != nil {
 		return nil, err
 	}
 	e.env.ExecRecipe(p, taxonomy.BigQuery, worker.Node, tr, e.stage2[Report])
 	e.Queries[Report]++
+	groups := agg.Map()
 	return &Result{Groups: groups, SortedKeys: columnar.SortKeysByValueDesc(groups), RowsScanned: len(part.vals)}, nil
 }
 
@@ -837,11 +843,12 @@ const (
 	prDampDen = 100
 )
 
-// initialRanks is every node at rankScale.
-func (e *Engine) initialRanks() map[int64]int64 {
-	ranks := make(map[int64]int64, e.cfg.Groups)
+// initialRanks is every node at rankScale. A rank vector holds every node of
+// the graph, so all of its keys are present.
+func (e *Engine) initialRanks() *columnar.Groups {
+	ranks := columnar.NewGroups(e.cfg.Groups)
 	for g := 0; g < e.cfg.Groups; g++ {
-		ranks[int64(g)] = rankScale
+		ranks.Add(int64(g), rankScale)
 	}
 	return ranks
 }
@@ -849,13 +856,13 @@ func (e *Engine) initialRanks() map[int64]int64 {
 // rankPartial computes one partition's rank contributions under the implicit
 // edge set keys[i] → keys[i+1 mod n]: each edge carries an equal share of its
 // source's damped rank.
-func (e *Engine) rankPartial(part *partition, ranks map[int64]int64) map[int64]int64 {
-	contrib := map[int64]int64{}
+func (e *Engine) rankPartial(part *partition, ranks *columnar.Groups) *columnar.Groups {
+	contrib := columnar.NewGroups(e.cfg.Groups)
 	n := len(part.keys)
 	for i, u := range part.keys {
 		v := part.keys[(i+1)%n]
 		if d := e.outDeg[u]; d > 0 {
-			contrib[v] += (ranks[u] * prDamp / prDampDen) / d
+			contrib.Add(v, (ranks.Sums[u]*prDamp/prDampDen)/d)
 		}
 	}
 	return contrib
@@ -863,21 +870,22 @@ func (e *Engine) rankPartial(part *partition, ranks map[int64]int64) map[int64]i
 
 // nextRanks folds merged contributions into the next rank vector; every node
 // keeps the undamped base share even with no in-edges.
-func (e *Engine) nextRanks(merged map[int64]int64) map[int64]int64 {
-	next := make(map[int64]int64, e.cfg.Groups)
+func (e *Engine) nextRanks(merged *columnar.Groups) *columnar.Groups {
+	next := columnar.NewGroups(e.cfg.Groups)
 	base := int64(rankScale) * (prDampDen - prDamp) / prDampDen
 	for g := 0; g < e.cfg.Groups; g++ {
-		next[int64(g)] = base + merged[int64(g)]
+		next.Add(int64(g), base+merged.Sums[g])
 	}
 	return next
 }
 
 // referenceRankStep is the exact serial form of one rank iteration, used by
 // the per-iteration exact-result check and by ReferencePageRank.
-func (e *Engine) referenceRankStep(ranks map[int64]int64) map[int64]int64 {
-	merged := map[int64]int64{}
+func (e *Engine) referenceRankStep(ranks *columnar.Groups) *columnar.Groups {
+	merged := columnar.NewGroups(e.cfg.Groups)
 	for _, part := range e.fact {
-		columnar.MergeGroups(merged, e.rankPartial(part, ranks))
+		// Both cover the engine's key domain, so the merge cannot fail.
+		_ = columnar.MergeGroups(merged, e.rankPartial(part, ranks))
 	}
 	return merged
 }
@@ -892,7 +900,7 @@ func (e *Engine) ReferencePageRank(iterations int) map[int64]int64 {
 	for it := 0; it < iterations; it++ {
 		ranks = e.nextRanks(e.referenceRankStep(ranks))
 	}
-	return ranks
+	return ranks.Map()
 }
 
 // runPageRank executes the iterative rank query: each iteration is a full
@@ -912,127 +920,21 @@ func (e *Engine) runPageRank(p *sim.Proc, tr *trace.Trace, q Query, qid int) (*R
 			qid = e.nextQID
 			e.nextQID++
 		}
-		merged, err := e.rankIteration(p, tr, q, qid, ranks)
+		merged, err := e.shuffleRound(p, tr, q, qid, e.cfg.FactPartitions, ranks)
 		if err != nil {
 			return nil, err
+		}
+		if e.rec != nil && !merged.Equal(e.referenceRankStep(ranks)) {
+			e.rec.Violate("exact-result", fmt.Sprintf("q%d", qid),
+				"rank round %d diverges from the exact serial reference", qid)
 		}
 		res.RowsScanned += e.cfg.FactPartitions * e.cfg.RowsPerPartition
 		ranks = e.nextRanks(merged)
 	}
-	res.Groups = ranks
-	res.SortedKeys = columnar.SortKeysByValueDesc(ranks)
+	res.Groups = ranks.Map()
+	res.SortedKeys = columnar.SortKeysByValueDesc(res.Groups)
 	e.Queries[PageRank]++
 	return res, nil
-}
-
-// rankIteration runs one two-stage rank round, mirroring runDistributed's
-// shuffle topology: stage-1 workers contribute per-partition partials into
-// the shuffle tier, stage 2 fetches and merges them with speculative
-// re-execution of lost shards.
-func (e *Engine) rankIteration(p *sim.Proc, tr *trace.Trace, q Query, qid int, ranks map[int64]int64) (map[int64]int64, error) {
-	nW := len(e.workers)
-	nParts := e.cfg.FactPartitions
-	errs := make([]error, nW)
-	bar := sim.NewBarrier(e.env.K, nW)
-
-	for w := 0; w < nW; w++ {
-		w := w
-		worker := e.workers[w]
-		e.env.K.Go(fmt.Sprintf("bq-pr-w%d", w), func(wp *sim.Proc) {
-			defer bar.Done()
-			e.mStage1Active.Add(1)
-			defer e.mStage1Active.Add(-1)
-			for pi := w; pi < nParts; pi += nW {
-				part := e.fact[pi]
-				ioStart := wp.Now()
-				d, _, err := e.dfs.Read(part.file, 0, e.cfg.PartitionFileBytes)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				wp.Sleep(d)
-				platform.AnnotateIO(tr, ioStart, wp.Now())
-
-				e.env.ExecRecipe(wp, taxonomy.BigQuery, worker.Node, tr, e.stage1[PageRank])
-				partial := e.rankPartial(part, ranks)
-
-				bytes := int64(len(partial)) * 16
-				remStart := wp.Now()
-				err = e.shufflePut(wp, worker.Node, qid, pi, bytes, partial)
-				platform.AnnotateRemote(tr, remStart, wp.Now())
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				e.ShuffleBytes += bytes
-				e.mShuffleBytes.Add(bytes)
-			}
-		})
-	}
-	p.WaitBarrier(bar)
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	reducer := e.workers[qid%nW]
-	e.mStage2Active.Add(1)
-	defer e.mStage2Active.Add(-1)
-	merged := map[int64]int64{}
-	contrib := make([]int, nParts)
-	for pi := 0; pi < nParts; pi++ {
-		key := slotKey(qid, pi)
-		idx, ok := e.slotLoc[key]
-		if !ok {
-			idx = pi % len(e.shuffle)
-		}
-		delete(e.slotLoc, key)
-		remStart := p.Now()
-		resp, _ := e.client.Call(p, reducer.Node, e.shuffle[idx].srv,
-			netsim.Request{Method: "shuffle.get", Payload: key, Priority: true})
-		platform.AnnotateRemote(tr, remStart, p.Now())
-		var partial map[int64]int64
-		if resp.Err != nil {
-			if e.cfg.DisableFailover {
-				return nil, fmt.Errorf("bigquery: shuffle get %s failed: %w", key, resp.Err)
-			}
-			e.Speculative++
-			e.mSpeculative.Inc()
-			part := e.fact[pi]
-			ioStart := p.Now()
-			d, _, err := e.dfs.Read(part.file, 0, e.cfg.PartitionFileBytes)
-			if err != nil {
-				return nil, err
-			}
-			p.Sleep(d)
-			platform.AnnotateIO(tr, ioStart, p.Now())
-			e.env.ExecRecipe(p, taxonomy.BigQuery, reducer.Node, tr, e.stage1[PageRank])
-			partial = e.rankPartial(part, ranks)
-			if e.brokenDoubleMerge {
-				columnar.MergeGroups(merged, partial)
-				contrib[pi]++
-			}
-		} else {
-			partial = resp.Payload.(map[int64]int64)
-		}
-		columnar.MergeGroups(merged, partial)
-		contrib[pi]++
-	}
-	e.env.ExecRecipe(p, taxonomy.BigQuery, reducer.Node, tr, e.stage2[PageRank])
-	if e.rec != nil {
-		for pi, c := range contrib {
-			if c != 1 {
-				e.rec.Violate("exactly-once", slotKey(qid, pi),
-					"rank round %d merged stage-1 shard %d into the aggregate %d times, want exactly once", qid, pi, c)
-			}
-		}
-		if ref := e.referenceRankStep(ranks); !equalGroups(merged, ref) {
-			e.rec.Violate("exact-result", fmt.Sprintf("q%d", qid),
-				"rank round %d diverges from the exact serial reference", qid)
-		}
-	}
-	return merged, nil
 }
 
 func slotKey(qid, pi int) string { return fmt.Sprintf("q%d/p%d", qid, pi) }
@@ -1040,18 +942,25 @@ func slotKey(qid, pi int) string { return fmt.Sprintf("q%d/p%d", qid, pi) }
 // Reference computes the exact expected aggregation over the whole fact
 // table without simulation, for verifying query results in tests.
 func (e *Engine) Reference(threshold int64) map[int64]int64 {
-	return e.ReferenceOver(threshold, len(e.fact))
+	return e.referenceOver(threshold, len(e.fact)).Map()
 }
 
 // ReferenceOver computes the exact aggregation over the first nParts
-// partitions (join queries prune to half the table).
+// partitions (join queries prune to a quarter of the table).
 func (e *Engine) ReferenceOver(threshold int64, nParts int) map[int64]int64 {
-	out := map[int64]int64{}
+	return e.referenceOver(threshold, nParts).Map()
+}
+
+// referenceOver is the serial row loop behind the exact-result check and
+// the exported references: it shares no code with the vectorized kernels it
+// verifies.
+func (e *Engine) referenceOver(threshold int64, nParts int) *columnar.Groups {
+	out := columnar.NewGroups(e.cfg.Groups)
 	for pi := 0; pi < nParts && pi < len(e.fact); pi++ {
 		part := e.fact[pi]
 		for i, v := range part.vals {
 			if v >= threshold {
-				out[part.keys[i]] += v
+				out.Add(part.keys[i], v)
 			}
 		}
 	}

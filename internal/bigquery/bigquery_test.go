@@ -1,9 +1,11 @@
 package bigquery
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
+	"hyperprof/internal/check"
 	"hyperprof/internal/platform"
 	"hyperprof/internal/sim"
 	"hyperprof/internal/taxonomy"
@@ -252,5 +254,152 @@ func TestDeterministicRuns(t *testing.T) {
 func TestKindString(t *testing.T) {
 	if ScanAgg.String() != "ScanAgg" || JoinQuery.String() != "Join" || Report.String() != "Report" || Kind(9).String() != "Unknown" {
 		t.Fatal("kind strings")
+	}
+}
+
+func TestNewRejectsEmptyKeyDomain(t *testing.T) {
+	for _, mut := range []func(*Config){
+		func(c *Config) { c.Groups = 0 },
+		func(c *Config) { c.Groups = -3 },
+		func(c *Config) { c.DimRows = -1 },
+	} {
+		cfg := DefaultConfig()
+		mut(&cfg)
+		if _, err := New(platform.NewEnv(1, 1), cfg); err == nil {
+			t.Errorf("config with Groups=%d DimRows=%d accepted", cfg.Groups, cfg.DimRows)
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.DimRows = 0
+	if _, err := New(platform.NewEnv(1, 1), cfg); err != nil {
+		t.Fatalf("empty dimension table rejected: %v", err)
+	}
+}
+
+// idleWorkerConfig has more workers than fact partitions, so stage 1 leaves
+// workers without a partition: 7 of 12 for a full scan, 11 for a join
+// (which prunes to one partition).
+func idleWorkerConfig() Config {
+	cfg := smallConfig()
+	cfg.Workers = 12
+	cfg.FactPartitions = 5
+	return cfg
+}
+
+// presentKeys counts the distinct keys a stage-1 shard of partition pi
+// carries into the shuffle, from the raw columns: the selected rows' keys,
+// or for a rank round every edge target (every key of the partition).
+func presentKeys(e *Engine, pi int, keep func(v int64) bool) int64 {
+	seen := map[int64]bool{}
+	for i, v := range e.fact[pi].vals {
+		if keep(v) {
+			seen[e.fact[pi].keys[i]] = true
+		}
+	}
+	return int64(len(seen))
+}
+
+func TestIdleWorkersExactAndShuffleBytes(t *testing.T) {
+	env := platform.NewEnv(11, 1)
+	e, err := New(env, idleWorkerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := check.NewHistory(env.K)
+	e.SetRecorder(h)
+	if n := e.scanPartitions(Query{Kind: JoinQuery}); n != 1 {
+		t.Fatalf("join scans %d partitions, want 1", n)
+	}
+	queries := []Query{
+		{Kind: ScanAgg, Threshold: 0},
+		{Kind: JoinQuery, Threshold: 300},
+		{Kind: Report, Threshold: 700},
+		{Kind: PageRank, Iterations: 2},
+	}
+	results := make([]*Result, len(queries))
+	shuffled := make([]int64, len(queries))
+	env.K.Go("client", func(p *sim.Proc) {
+		for i, q := range queries {
+			before := e.ShuffleBytes
+			if results[i], err = e.Run(p, nil, q); err != nil {
+				break
+			}
+			shuffled[i] = e.ShuffleBytes - before
+		}
+		e.Stop()
+	})
+	env.K.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if got, want := results[0].Groups, e.Reference(0); !reflect.DeepEqual(got, want) {
+		t.Errorf("ScanAgg = %v, want %v", got, want)
+	}
+	if got, want := results[1].Groups, e.ReferenceOver(300, 1); !reflect.DeepEqual(got, want) {
+		t.Errorf("Join = %v, want %v", got, want)
+	}
+	if got, want := results[2].Groups, e.ReferenceOver(700, 1); !reflect.DeepEqual(got, want) {
+		t.Errorf("Report = %v, want %v", got, want)
+	}
+	if got, want := results[3].Groups, e.ReferencePageRank(2); !reflect.DeepEqual(got, want) {
+		t.Errorf("PageRank = %v, want %v", got, want)
+	}
+
+	var scan, rank int64
+	for pi := range e.fact {
+		scan += 16 * presentKeys(e, pi, func(v int64) bool { return v >= 0 })
+		rank += 16 * presentKeys(e, pi, func(int64) bool { return true })
+	}
+	want := []int64{scan, e.cfg.PartitionFileBytes, 0, 2 * rank}
+	if !reflect.DeepEqual(shuffled, want) {
+		t.Errorf("shuffle bytes per query = %v, want %v", shuffled, want)
+	}
+	if vs := h.Structural(); len(vs) != 0 {
+		t.Fatalf("structural violations: %v", vs)
+	}
+}
+
+func TestIdleWorkersSpeculativeExactlyOnce(t *testing.T) {
+	// Each crash lands after server 0 stored a shard and before stage 2
+	// fetched it, so the slot is lost and the shard re-executed.
+	for _, c := range []struct {
+		q       Query
+		crashAt time.Duration
+	}{
+		{Query{Kind: ScanAgg, Threshold: 500}, 85 * time.Millisecond},
+		{Query{Kind: PageRank, Iterations: 1}, 75 * time.Millisecond},
+	} {
+		q := c.q
+		env := platform.NewEnv(12, 1)
+		e, err := New(env, idleWorkerConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := check.NewHistory(env.K)
+		e.SetRecorder(h)
+		var res *Result
+		env.K.Go("client", func(p *sim.Proc) {
+			env.K.Schedule(c.crashAt, func() { _ = e.FailShuffleServer(0) })
+			res, err = e.Run(p, nil, q)
+			e.Stop()
+		})
+		env.K.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", q.Kind, err)
+		}
+		if e.Speculative == 0 {
+			t.Fatalf("%s: Speculative = 0, want lost shards re-executed", q.Kind)
+		}
+		want := e.Reference(q.Threshold)
+		if q.Kind == PageRank {
+			want = e.ReferencePageRank(q.Iterations)
+		}
+		if !reflect.DeepEqual(res.Groups, want) {
+			t.Errorf("%s: result differs from reference after the crash", q.Kind)
+		}
+		if vs := h.Structural(); len(vs) != 0 {
+			t.Errorf("%s: structural violations: %v", q.Kind, vs)
+		}
 	}
 }

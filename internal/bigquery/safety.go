@@ -53,16 +53,3 @@ func (e *Engine) CheckInvariants() []string {
 	}
 	return out
 }
-
-// equalGroups reports whether two aggregation results are identical.
-func equalGroups(a, b map[int64]int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if bv, ok := b[k]; !ok || bv != v {
-			return false
-		}
-	}
-	return true
-}

@@ -1,6 +1,6 @@
 // Package columnar implements the vectorized relational kernels a
 // BigQuery-class engine executes per batch: selection bitmaps over typed
-// columns, hash aggregation, hash join, and ordering. These are the "core
+// columns, dense group aggregation, hash join, and ordering. These are the "core
 // compute" operators of Table 5 (filter, aggregate, join, sort, compute) as
 // real code; internal/bigquery executes its queries through them.
 package columnar
@@ -8,6 +8,7 @@ package columnar
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -75,19 +76,76 @@ func FilterLT(col []int64, threshold int64) *Bitmap {
 	return b
 }
 
-// HashAggregate computes SUM(vals) grouped by keys over the selected rows.
-func HashAggregate(keys, vals []int64, sel *Bitmap) (map[int64]int64, error) {
+// Groups is a dense partial aggregate over the bounded key domain [0, n):
+// Sums[k] is SUM(val) over the rows keyed k, and key k is present once any
+// row carried it. Presence is tracked apart from the sum, so a present key
+// whose values cancel (or are all zero) stays present, exactly as a map
+// entry would.
+type Groups struct {
+	// Sums is indexed by key; an absent key's sum is 0. Callers read it
+	// and write through Add, which keeps presence in step.
+	Sums    []int64
+	present Bitmap
+	count   int // present keys
+}
+
+// NewGroups returns an empty aggregate over the key domain [0, n).
+func NewGroups(n int) *Groups {
+	return &Groups{Sums: make([]int64, n), present: Bitmap{words: make([]uint64, (n+63)/64), n: n}}
+}
+
+// Len returns the number of present keys.
+func (g *Groups) Len() int { return g.count }
+
+// Add folds v into key k and marks it present. k must lie in the domain.
+func (g *Groups) Add(k, v int64) {
+	g.Sums[k] += v
+	if !g.present.Get(int(k)) {
+		g.present.Set(int(k))
+		g.count++
+	}
+}
+
+// Map converts the aggregate to a key → sum map holding exactly the present
+// keys.
+func (g *Groups) Map() map[int64]int64 {
+	out := make(map[int64]int64, g.count)
+	for i, s := range g.Sums {
+		if g.present.Get(i) {
+			out[int64(i)] = s
+		}
+	}
+	return out
+}
+
+// Equal reports whether two aggregates have the same domain, the same
+// present keys and the same sums.
+func (g *Groups) Equal(o *Groups) bool {
+	return g.count == o.count && slices.Equal(g.present.words, o.present.words) && slices.Equal(g.Sums, o.Sums)
+}
+
+// HashAggregate computes SUM(vals) grouped by keys over the selected rows,
+// into a dense aggregate over the key domain [0, n). A key outside the
+// domain is an error.
+func HashAggregate(keys, vals []int64, sel *Bitmap, n int) (*Groups, error) {
 	if len(keys) != len(vals) {
 		return nil, fmt.Errorf("columnar: column lengths %d != %d", len(keys), len(vals))
 	}
 	if sel != nil && sel.Len() != len(keys) {
 		return nil, fmt.Errorf("columnar: selection length %d != %d", sel.Len(), len(keys))
 	}
-	out := map[int64]int64{}
-	for i := range keys {
-		if sel == nil || sel.Get(i) {
-			out[keys[i]] += vals[i]
+	if n < 0 {
+		return nil, fmt.Errorf("columnar: negative key domain %d", n)
+	}
+	out := NewGroups(n)
+	for i, k := range keys {
+		if sel != nil && !sel.Get(i) {
+			continue
 		}
+		if uint64(k) >= uint64(n) {
+			return nil, fmt.Errorf("columnar: key %d outside domain [0, %d)", k, n)
+		}
+		out.Add(k, vals[i])
 	}
 	return out, nil
 }
@@ -106,11 +164,22 @@ func CountAggregate(keys []int64, sel *Bitmap) (map[int64]int64, error) {
 	return out, nil
 }
 
-// MergeGroups folds src into dst (the stage-2 reduction).
-func MergeGroups(dst, src map[int64]int64) {
-	for k, v := range src {
-		dst[k] += v
+// MergeGroups folds src into dst (the stage-2 reduction). Both must cover
+// the same key domain; a key present in either is present in dst after.
+func MergeGroups(dst, src *Groups) error {
+	if len(dst.Sums) != len(src.Sums) {
+		return fmt.Errorf("columnar: group domains %d != %d", len(dst.Sums), len(src.Sums))
 	}
+	for i, s := range src.Sums {
+		dst.Sums[i] += s
+	}
+	count := 0
+	for i, w := range src.present.words {
+		dst.present.words[i] |= w
+		count += bits.OnesCount64(dst.present.words[i])
+	}
+	dst.count = count
+	return nil
 }
 
 // HashJoin probes each group key against a dimension table, summing values

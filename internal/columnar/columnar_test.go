@@ -1,6 +1,7 @@
 package columnar
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -65,33 +66,48 @@ func TestFilters(t *testing.T) {
 }
 
 func TestHashAggregate(t *testing.T) {
-	keys := []int64{1, 2, 1, 3, 2, 1}
-	vals := []int64{10, 20, 30, 40, 50, 60}
-	got, err := HashAggregate(keys, vals, nil)
+	keys := []int64{1, 2, 1, 3, 2, 1, 5}
+	vals := []int64{10, 20, 30, 40, 50, 60, 0}
+	got, err := HashAggregate(keys, vals, nil, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[int64]int64{1: 100, 2: 70, 3: 40}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("group %d = %d, want %d", k, got[k], v)
-		}
+	// Key 5 sums to zero but is present; keys 0 and 4 are absent.
+	want := map[int64]int64{1: 100, 2: 70, 3: 40, 5: 0}
+	if !reflect.DeepEqual(got.Map(), want) {
+		t.Fatalf("agg = %v, want %v", got.Map(), want)
+	}
+	if got.Len() != 4 || len(got.Sums) != 6 {
+		t.Fatalf("len = %d, domain = %d", got.Len(), len(got.Sums))
 	}
 	// With selection.
 	sel := FilterGE(vals, 30)
-	got, err = HashAggregate(keys, vals, sel)
+	got, err = HashAggregate(keys, vals, sel, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[1] != 90 || got[2] != 50 || got[3] != 40 {
-		t.Fatalf("selected agg = %v", got)
+	if want := map[int64]int64{1: 90, 2: 50, 3: 40}; !reflect.DeepEqual(got.Map(), want) {
+		t.Fatalf("selected agg = %v, want %v", got.Map(), want)
 	}
-	// Length validation.
-	if _, err := HashAggregate(keys, vals[:2], nil); err == nil {
+	// Length and domain validation.
+	if _, err := HashAggregate(keys, vals[:2], nil, 6); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
-	if _, err := HashAggregate(keys, vals, NewBitmap(3)); err == nil {
+	if _, err := HashAggregate(keys, vals, NewBitmap(3), 6); err == nil {
 		t.Fatal("selection mismatch accepted")
+	}
+	if _, err := HashAggregate(keys, vals, nil, 5); err == nil {
+		t.Fatal("key 5 accepted in domain [0, 5)")
+	}
+	if _, err := HashAggregate([]int64{-1}, []int64{1}, nil, 5); err == nil {
+		t.Fatal("negative key accepted")
+	}
+	if _, err := HashAggregate(nil, nil, nil, -1); err == nil {
+		t.Fatal("negative domain accepted")
+	}
+	// A key outside the domain on an unselected row is never read.
+	if _, err := HashAggregate(keys, vals, FilterLT(vals, 1), 6); err != nil {
+		t.Fatalf("unselected rows checked: %v", err)
 	}
 }
 
@@ -107,10 +123,46 @@ func TestCountAggregate(t *testing.T) {
 }
 
 func TestMergeGroups(t *testing.T) {
-	dst := map[int64]int64{1: 5}
-	MergeGroups(dst, map[int64]int64{1: 10, 2: 3})
-	if dst[1] != 15 || dst[2] != 3 {
-		t.Fatalf("merged = %v", dst)
+	dst := NewGroups(4)
+	dst.Add(1, 5)
+	src := NewGroups(4)
+	src.Add(1, 10)
+	src.Add(2, 3)
+	src.Add(3, 0)
+	if err := MergeGroups(dst, src); err != nil {
+		t.Fatal(err)
+	}
+	if want := map[int64]int64{1: 15, 2: 3, 3: 0}; !reflect.DeepEqual(dst.Map(), want) || dst.Len() != 3 {
+		t.Fatalf("merged = %v (len %d), want %v", dst.Map(), dst.Len(), want)
+	}
+	// Merging an empty aggregate changes nothing.
+	if err := MergeGroups(dst, NewGroups(4)); err != nil || dst.Len() != 3 || dst.Sums[1] != 15 {
+		t.Fatalf("empty merge: len %d sums %v err %v", dst.Len(), dst.Sums, err)
+	}
+	if err := MergeGroups(dst, NewGroups(5)); err == nil {
+		t.Fatal("domain mismatch accepted")
+	}
+}
+
+func TestGroupsEqual(t *testing.T) {
+	a, b := NewGroups(3), NewGroups(3)
+	if !a.Equal(b) {
+		t.Fatal("empty aggregates differ")
+	}
+	a.Add(2, 0)
+	if a.Equal(b) || b.Equal(a) {
+		t.Fatal("a present zero-sum key is ignored")
+	}
+	b.Add(2, 0)
+	if !a.Equal(b) {
+		t.Fatal("equal aggregates differ")
+	}
+	b.Add(2, 1)
+	if a.Equal(b) {
+		t.Fatal("different sums compare equal")
+	}
+	if NewGroups(3).Equal(NewGroups(4)) {
+		t.Fatal("different domains compare equal")
 	}
 }
 
@@ -162,39 +214,110 @@ func TestSortAndTopN(t *testing.T) {
 }
 
 func TestAggregateMatchesReferenceProperty(t *testing.T) {
-	// Property: vectorized filter+aggregate equals the naive row loop.
-	rng := stats.NewRNG(5)
+	// Property: vectorized filter+aggregate, split over a random number of
+	// partitions and merged, equals the naive row loop into a map — in sums,
+	// in the present-key set and in Len. Values include 0 and negatives, and
+	// thresholds <= 0 select zero-valued rows, so zero-sum keys must stay
+	// present.
 	if err := quick.Check(func(seed uint16) bool {
-		n := 1 + rng.Intn(500)
-		keys := make([]int64, n)
-		vals := make([]int64, n)
+		rng := stats.NewRNG(uint64(seed))
+		n := 1 + rng.Intn(130)
+		rows := rng.Intn(500)
+		keys := make([]int64, rows)
+		vals := make([]int64, rows)
 		for i := range keys {
-			keys[i] = int64(rng.Intn(10))
-			vals[i] = int64(rng.Intn(1000))
+			keys[i] = int64(rng.Intn(n))
+			vals[i] = int64(rng.Intn(2001)) - 1000
+			if rng.Intn(4) == 0 {
+				vals[i] = 0
+			}
 		}
-		threshold := int64(rng.Intn(1000))
+		threshold := int64(rng.Intn(1201)) - 1100
 
-		sel := FilterGE(vals, threshold)
-		got, err := HashAggregate(keys, vals, sel)
-		if err != nil {
-			return false
-		}
 		want := map[int64]int64{}
 		for i := range keys {
 			if vals[i] >= threshold {
 				want[keys[i]] += vals[i]
 			}
 		}
-		if len(got) != len(want) {
-			return false
-		}
-		for k, v := range want {
-			if got[k] != v {
+		merged := NewGroups(n)
+		parts := 1 + rng.Intn(4)
+		for p := 0; p < parts; p++ {
+			lo, hi := p*rows/parts, (p+1)*rows/parts
+			sel := FilterGE(vals[lo:hi], threshold)
+			partial, err := HashAggregate(keys[lo:hi], vals[lo:hi], sel, n)
+			if err != nil || MergeGroups(merged, partial) != nil {
 				return false
 			}
 		}
-		return true
+		// Map holds the present keys; every absent key must sum to zero.
+		var absent int64
+		for k, s := range merged.Sums {
+			if _, ok := want[int64(k)]; !ok {
+				absent |= s
+			}
+		}
+		return merged.Len() == len(want) && reflect.DeepEqual(merged.Map(), want) && absent == 0
+	}, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestAggregateRejectsBadInputProperty(t *testing.T) {
+	// Property: a key outside [0, n) on a selected row, or mismatched column
+	// and selection lengths, is an error and never a panic.
+	if err := quick.Check(func(seed uint16) bool {
+		rng := stats.NewRNG(uint64(seed))
+		n := 1 + rng.Intn(100)
+		rows := 1 + rng.Intn(200)
+		keys := make([]int64, rows)
+		vals := make([]int64, rows)
+		for i := range keys {
+			keys[i] = int64(rng.Intn(n))
+		}
+		bad := rng.Intn(rows)
+		if rng.Intn(2) == 0 {
+			keys[bad] = -1 - int64(rng.Intn(1000))
+		} else {
+			keys[bad] = int64(n + rng.Intn(1000))
+		}
+		_, errKey := HashAggregate(keys, vals, nil, n)
+		_, errCols := HashAggregate(keys, vals[:rows-1], nil, n)
+		_, errSel := HashAggregate(keys, vals, NewBitmap(rows+1), n)
+		return errKey != nil && errCols != nil && errSel != nil
 	}, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestAggregateAllocations(t *testing.T) {
+	rng := stats.NewRNG(9)
+	keys := make([]int64, 2000)
+	vals := make([]int64, 2000)
+	for i := range keys {
+		keys[i] = int64(rng.Intn(64))
+		vals[i] = int64(rng.Intn(1000))
+	}
+	sel := FilterGE(vals, 500)
+	// The aggregate is three objects — the Groups, its sums and its presence
+	// words — however many rows or keys it folds.
+	if a := testing.AllocsPerRun(100, func() {
+		if _, err := HashAggregate(keys, vals, sel, 64); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 3 {
+		t.Fatalf("HashAggregate allocs = %v, want 3", a)
+	}
+	dst := NewGroups(64)
+	src, err := HashAggregate(keys, vals, sel, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		if err := MergeGroups(dst, src); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Fatalf("MergeGroups allocs = %v, want 0", a)
 	}
 }

@@ -28,7 +28,7 @@ func (db *DB) Recorder() *check.History { return db.rec }
 // seedInitial returns the row's register key, recording its bootstrap digest
 // first if this is the key's first recorded operation.
 func (db *DB) seedInitial(g, row int) string {
-	key := rowKey(g, row)
+	key := db.keys[g][row]
 	if !db.rec.Seeded(key) {
 		db.rec.Initial(key, check.Digest(db.bootstrapValue(g, row)))
 	}

@@ -103,6 +103,9 @@ type DB struct {
 	mgr    *cluster.Manager
 	taxes  platform.TaxTables
 	groups []*group
+	// keys[g][row] is the store key of each in-range row, formatted once
+	// at load so the read, write and scan paths never format one.
+	keys   [][]string
 	rng    *stats.RNG
 	zipf   *stats.Zipf
 	client *netsim.Client
@@ -357,9 +360,12 @@ func (db *DB) place() error {
 // simulated time). Bootstrap row *contents* are virtual — bootstrapValue
 // computes them on demand — so memory scales with written rows only.
 func (db *DB) load() {
+	db.keys = make([][]string, len(db.groups))
 	for _, g := range db.groups {
-		for i := 0; i < db.cfg.RowsPerGroup; i++ {
+		db.keys[g.id] = make([]string, db.cfg.RowsPerGroup)
+		for i := range db.keys[g.id] {
 			key := rowKey(g.id, i)
+			db.keys[g.id][i] = key
 			for _, rep := range g.replicas {
 				if _, err := rep.machine.Store.Write(key, db.cfg.RowBytes); err != nil {
 					panic(fmt.Sprintf("spanner: bootstrap overflow: %v", err))
@@ -387,7 +393,7 @@ func (db *DB) lookupRow(rep *replica, g, row int) ([]byte, error) {
 	if row < 0 || row >= db.cfg.RowsPerGroup {
 		return nil, fmt.Errorf("spanner: row %d out of range", row)
 	}
-	if v, ok := rep.rows[rowKey(g, row)]; ok {
+	if v, ok := rep.rows[db.keys[g][row]]; ok {
 		return v, nil
 	}
 	return db.bootstrapValue(g, row), nil
@@ -407,6 +413,16 @@ func (db *DB) firstByte(rep *replica, key string, g, row int) (b byte, ok bool) 
 }
 
 func rowKey(group, row int) string { return fmt.Sprintf("g%d/r%d", group, row) }
+
+// key returns the store key of row `row` in group g: the one load formatted
+// for an in-range row, and a freshly formatted one otherwise (which the
+// store then rejects as missing).
+func (db *DB) key(g, row int) string {
+	if g >= 0 && g < len(db.keys) && row >= 0 && row < len(db.keys[g]) {
+		return db.keys[g][row]
+	}
+	return rowKey(g, row)
+}
 
 // NumGroups returns the number of tablet groups.
 func (db *DB) NumGroups() int { return db.cfg.Groups }
@@ -452,7 +468,7 @@ func (db *DB) read(p *sim.Proc, tr *trace.Trace, g, row int, strong bool) ([]byt
 		}
 	}
 	db.env.ExecRecipe(p, taxonomy.Spanner, leader.machine.Node, tr, db.readRecipe)
-	key := rowKey(g, row)
+	key := db.key(g, row)
 	ioStart := p.Now()
 	d, _, err := leader.machine.Store.Read(key)
 	if err != nil {
@@ -506,7 +522,7 @@ func (db *DB) commit(p *sim.Proc, tr *trace.Trace, g, row int, value []byte) (ap
 	grp.lastTS = ts
 
 	// Leader durable log append.
-	key := rowKey(g, row)
+	key := db.keys[g][row]
 	cp := make([]byte, len(value))
 	copy(cp, value)
 	entry := logEntry{key: key, value: cp, term: term, ts: ts}
@@ -777,7 +793,7 @@ func (db *DB) Query(p *sim.Proc, tr *trace.Trace, g, start int) (int, error) {
 	var ioTime time.Duration
 	for i := 0; i < db.cfg.QueryScanRows; i++ {
 		row := (start + i) % db.cfg.RowsPerGroup
-		key := rowKey(g, row)
+		key := db.key(g, row)
 		d, _, err := leader.machine.Store.Read(key)
 		if err != nil {
 			return 0, err

@@ -206,6 +206,31 @@ func TestFirstByteMatchesLookupRow(t *testing.T) {
 	}
 }
 
+// TestRowKeyTable checks the keys load formats once against rowKey, for
+// every in-range row and for rows and groups outside the table, which the
+// store must still reject.
+func TestRowKeyTable(t *testing.T) {
+	cfg := smallConfig()
+	db, err := New(testEnv(1), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g := -1; g <= cfg.Groups; g++ {
+		for row := -1; row <= cfg.RowsPerGroup; row++ {
+			if got, want := db.key(g, row), rowKey(g, row); got != want {
+				t.Fatalf("key(%d, %d) = %q, want %q", g, row, got, want)
+			}
+		}
+	}
+	store := db.groups[0].leaderRep().machine.Store
+	if _, _, err := store.Read(db.key(0, cfg.RowsPerGroup)); err == nil {
+		t.Fatal("out-of-range row key found in the store")
+	}
+	if _, _, err := store.Read(db.key(0, cfg.RowsPerGroup-1)); err != nil {
+		t.Fatalf("last row missing from the store: %v", err)
+	}
+}
+
 func TestCompactionTriggersEveryN(t *testing.T) {
 	env := testEnv(7)
 	cfg := smallConfig()
