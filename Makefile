@@ -1,23 +1,24 @@
 GO ?= go
 
-# check-safety sweeps this many fault-injected seeds per platform through the
-# safety torture harness (linearizability + invariant checking under chaos).
+# The safety entry of check-studies sweeps this many fault-injected seeds per
+# platform through the torture harness (linearizability + invariant checking
+# under chaos).
 SAFETY_SEEDS ?= 20
 
-# check-backends tortures this many fault-injected seeds per platform through
-# the exec backend's worker subprocesses end to end.
+# The backends entry tortures this many fault-injected seeds per platform
+# through the exec backend's worker subprocesses end to end.
 BACKEND_SEEDS ?= 8
 
-# check-partitions sweeps this many nemesis seeds per platform through the
+# The partition entry sweeps this many nemesis seeds per platform through the
 # naive and hardened arms of the partition study.
 PARTITION_SEEDS ?= 8
 
-# check-pipeline tortures this many fault-injected seeds through the
+# The pipeline entry tortures this many fault-injected seeds through the
 # cross-platform pipeline study's faulted arms.
 PIPELINE_SEEDS ?= 4
 
-# check-fleet runs the fleet-scale characterization at this reduced size (the
-# full 2000-server/1M-user run lives in the test suite) and fails if the
+# The fleet entry runs the fleet-scale characterization at this reduced size
+# (the full 2000-server/1M-user run lives in the test suite) and fails if the
 # coordinator's live heap after the run exceeds the ceiling.
 FLEET_SERVERS ?= 400
 FLEET_USERS ?= 200000
@@ -29,7 +30,7 @@ FLEET_HEAP_MB ?= 128
 # the obs subtest of TestStudyConformance. A pattern that matches nothing
 # passes with "no tests to run", so keep these in step with the test names.
 
-.PHONY: check build vet fmt test race check-safety check-obs check-overload check-backends check-partitions check-fleet check-pipeline bench bench-gate bench-baseline
+.PHONY: check build vet fmt test race check-studies bench bench-gate bench-baseline
 
 check: build vet fmt race
 
@@ -51,80 +52,80 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-check-safety:
-	$(GO) run ./cmd/hyperprof -study=safety -check-seeds $(SAFETY_SEEDS)
+# check-studies proves each study end to end: per entry of STUDIES, the unit
+# and conformance tests of the planes the study stands on, then a -study= run
+# that emits the study's artifacts. Within an entry the commands stop at the
+# first failure; the loop always runs every entry, then names the failed ones
+# and exits non-zero.
+STUDIES = safety obs overload backends partition fleet pipeline
 
-# check-obs proves the observability plane: unit tests with zero-allocation
-# assertions on the metric record paths, the observability study's
-# conformance subtest (byte-identical sequential vs parallel export), and an
-# end-to-end -study=obs run emitting the JSON time series and Chrome counter
+# safety: the torture harness at SAFETY_SEEDS seeds per platform.
+STUDY_safety = $(GO) run ./cmd/hyperprof -study=safety -check-seeds $(SAFETY_SEEDS)
+
+# obs: unit tests with zero-allocation assertions on the metric record paths,
+# the obs conformance subtest (byte-identical sequential vs parallel export),
+# and a -study=obs run emitting the JSON time series and Chrome counter
 # tracks.
-check-obs:
-	$(GO) test ./internal/obs/ ./internal/trace/
-	$(GO) test ./internal/experiments/ -run 'TestStudyConformance/obs'
+STUDY_obs = $(GO) test ./internal/obs/ ./internal/trace/ && \
+	$(GO) test ./internal/experiments/ -run 'TestStudyConformance/obs' && \
 	$(GO) run ./cmd/hyperprof -study=obs -spanner 200 -bigtable 200 -bigquery 30 \
 		-obs-out obs-series.json -chrome-trace obs-trace.json
 
-# check-overload proves the overload control plane: the admission, retry
-# budget, circuit breaker and tenant QoS unit tests (including the retry-storm
-# metastability reproduction) in netsim plus the trigger scenarios in faults,
-# the overload study's shape test and conformance subtest (byte-identical
-# sequential, parallel and exec), and an end-to-end -study=overload run
-# emitting the JSON report.
-check-overload:
-	$(GO) test ./internal/netsim/ ./internal/faults/ ./internal/workload/
-	$(GO) test -race ./internal/netsim/ -run 'TestRetryStormMetastability|TestOverloadRunDeterministic'
-	$(GO) test ./internal/experiments/ -run 'TestOverloadStudy|TestStudyConformance/overload'
+# overload: the admission, retry budget, circuit breaker and tenant QoS unit
+# tests (including the retry-storm metastability reproduction) in netsim plus
+# the trigger scenarios in faults, the overload study's shape test and
+# conformance subtest (byte-identical sequential, parallel and exec), and a
+# -study=overload run emitting the JSON report.
+STUDY_overload = $(GO) test ./internal/netsim/ ./internal/faults/ ./internal/workload/ && \
+	$(GO) test -race ./internal/netsim/ -run 'TestRetryStormMetastability|TestOverloadRunDeterministic' && \
+	$(GO) test ./internal/experiments/ -run 'TestOverloadStudy|TestStudyConformance/overload' && \
 	$(GO) run ./cmd/hyperprof -study=overload -json > overload.json
 
-# check-backends proves the execution-backend abstraction: the dispatch
-# protocol and crash/timeout/retry tests, the byte-for-byte conformance test
-# (every study sequential vs parallel, every remotable one also on exec), the
-# backend and work-unit rejection tests,
-# and an end-to-end safety torture through real `hyperprof -worker`
-# subprocesses.
-check-backends:
-	$(GO) test ./internal/dispatch/
-	$(GO) test ./internal/experiments/ -run 'TestStudyConformance|Backend|ExecWorker|RunUnit'
+# backends: the dispatch protocol and crash/timeout/retry tests, the
+# byte-for-byte conformance test (every study sequential vs parallel, every
+# remotable one also on exec), the backend and work-unit rejection tests, and
+# a safety torture through real `hyperprof -worker` subprocesses.
+STUDY_backends = $(GO) test ./internal/dispatch/ && \
+	$(GO) test ./internal/experiments/ -run 'TestStudyConformance|Backend|ExecWorker|RunUnit' && \
 	$(GO) run ./cmd/hyperprof -study=safety -check-seeds $(BACKEND_SEEDS) -backend=exec -workers 2
 
-# check-partitions proves split-brain safety: the per-link fault plane and
-# clock-model unit tests (including the zero-allocation messageDelay guard),
-# the nemesis schedule pairing/determinism property tests, the multi-seed
-# safety-under-partition study tests with broken-knob conviction and the
-# partition conformance subtest at -short, and an end-to-end
-# -study=partition -check sweep (nonzero exit on any violation
-# outside the broken demonstration arms) emitting the JSON report.
-check-partitions:
-	$(GO) test ./internal/netsim/ ./internal/sim/ ./internal/check/
-	$(GO) test -short ./internal/faults/ -run 'TestNemesis|TestSkippedUnknownTarget'
-	$(GO) test -short ./internal/experiments/ -run 'TestPartitionStudy|TestRenderPartition|TestStudyConformance/partition'
+# partition: the per-link fault plane and clock-model unit tests (including
+# the zero-allocation messageDelay guard), the nemesis schedule
+# pairing/determinism property tests, the multi-seed safety-under-partition
+# study tests with broken-knob conviction and the partition conformance
+# subtest at -short, and a -study=partition -check sweep (nonzero exit on any
+# violation outside the broken demonstration arms) emitting the JSON report.
+STUDY_partition = $(GO) test ./internal/netsim/ ./internal/sim/ ./internal/check/ && \
+	$(GO) test -short ./internal/faults/ -run 'TestNemesis|TestSkippedUnknownTarget' && \
+	$(GO) test -short ./internal/experiments/ -run 'TestPartitionStudy|TestRenderPartition|TestStudyConformance/partition' && \
 	$(GO) run ./cmd/hyperprof -study=partition -check -check-seeds $(PARTITION_SEEDS) -json > partition.json
 
-# check-fleet proves the bounded-memory fleet plane: the quantile-sketch
-# accuracy/merge property tests, the reservoir-sampling soundness tests, the
-# fleet conformance subtest (sketch-mode bytes identical sequential, parallel
-# and on exec workers; a different seed must differ), the flat-heap unit test, and an end-to-end reduced
-# fleet characterization under a runtime.ReadMemStats heap ceiling.
-check-fleet:
-	$(GO) test ./internal/stats/ ./internal/check/ ./internal/workload/
-	$(GO) test ./internal/experiments/ -run 'TestFleetSketchHeapFlat|TestFleetScaleExactMode|TestStudyConformance/fleet'
+# fleet: the quantile-sketch accuracy/merge property tests, the
+# reservoir-sampling soundness tests, the fleet conformance subtest
+# (sketch-mode bytes identical sequential, parallel and on exec workers; a
+# different seed must differ), the flat-heap unit test, and a reduced fleet
+# characterization under a runtime.ReadMemStats heap ceiling.
+STUDY_fleet = $(GO) test ./internal/stats/ ./internal/check/ ./internal/workload/ && \
+	$(GO) test ./internal/experiments/ -run 'TestFleetSketchHeapFlat|TestFleetScaleExactMode|TestStudyConformance/fleet' && \
 	$(GO) run ./cmd/hyperprof -study=fleet -fleet-servers $(FLEET_SERVERS) -fleet-users $(FLEET_USERS) \
 		-fleet-ops $(FLEET_OPS) -fleet-heap-mb $(FLEET_HEAP_MB)
 
-# check-pipeline proves the cross-platform pipeline: the pipeline conformance
-# subtest (byte-identical sequential, parallel and exec),
-# the end-to-end span and stage-crash exactly-once regressions with the
-# broken-handoff fixture convicted, the handoff ledger's 0-alloc hot-path
-# pin, and an end-to-end -study=pipeline -check run (nonzero exit on any
+# pipeline: the pipeline conformance subtest (byte-identical sequential,
+# parallel and exec), the end-to-end span and stage-crash exactly-once
+# regressions with the broken-handoff fixture convicted, the handoff ledger's
+# 0-alloc hot-path pin, and a -study=pipeline -check run (nonzero exit on any
 # honest-arm violation or an unconvicted broken arm) emitting the Chrome
 # export whose spans cross all three platform processes.
-check-pipeline:
-	$(GO) test -short ./internal/experiments/ -run 'TestPipeline|TestStudyConformance/pipeline'
+STUDY_pipeline = $(GO) test -short ./internal/experiments/ -run 'TestPipeline|TestStudyConformance/pipeline' && \
 	$(GO) test ./internal/workload/ -run TestClosedLoopShapeDeterministicAndDistinct \
-		-bench BenchmarkPipelineHandoff -benchtime 100000x -benchmem
+		-bench BenchmarkPipelineHandoff -benchtime 100000x -benchmem && \
 	$(GO) run ./cmd/hyperprof -study=pipeline -check -check-seeds $(PIPELINE_SEEDS) \
 		-chrome-trace pipeline-trace.json
+
+check-studies:
+	@failed=""; \
+	$(foreach s,$(STUDIES),echo "== check-studies: $(s)"; (set -x; $(STUDY_$(s))) || failed="$$failed $(s)";) \
+	if [ -n "$$failed" ]; then echo "check-studies: failed:$$failed" >&2; exit 1; fi
 
 # bench runs the DES-kernel substrate microbenchmarks into BENCH_1.json and
 # diffs the result against the committed BENCH_0.json baseline — a soft gate

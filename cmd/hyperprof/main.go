@@ -488,7 +488,7 @@ func runPipeline(cfg hyperprof.StudyConfig, jsonOut bool, chromeOut string) {
 
 // runFleet executes the fleet-scale characterization, optionally asserting
 // the coordinator's post-run live heap stays under a ceiling — the CI
-// check-fleet gate's bounded-memory guarantee.
+// check-studies fleet gate's bounded-memory guarantee.
 func runFleet(cfg hyperprof.StudyConfig, jsonOut bool, heapCeilingMB int) {
 	st, err := hyperprof.FleetScale(cfg)
 	if err != nil {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -13,9 +12,7 @@ import (
 	"hyperprof/internal/faults"
 	"hyperprof/internal/netsim"
 	"hyperprof/internal/platform"
-	"hyperprof/internal/sim"
 	"hyperprof/internal/spanner"
-	"hyperprof/internal/stats"
 	"hyperprof/internal/taxonomy"
 	"hyperprof/internal/trace"
 )
@@ -109,6 +106,8 @@ type partitionArm struct {
 	Marks      []trace.Mark
 }
 
+func (a partitionArm) elapsed() time.Duration { return a.Row.Elapsed }
+
 // partitionUnit is one (platform, arm, seed) run; a zero horizon is the
 // fault-free calibration run.
 type partitionUnit struct {
@@ -142,26 +141,21 @@ func (cfg StudyConfig) Partition() (*Partition, error) {
 	for i, p := range platforms {
 		calUnits[i] = partitionUnit{Platform: p, Arm: armBaseline, Seed: cfg.Seed}
 	}
-	cals, err := runUnits(cfg, partitionKind, calUnits)
-	if err != nil {
-		return nil, err
-	}
-	var units []partitionUnit
-	for i, p := range platforms {
-		horizon := cals[i].Row.Elapsed
-		for j := 0; j < cfg.Check.Seeds; j++ {
-			for _, arm := range []string{armNaive, armHardened} {
-				units = append(units, partitionUnit{Platform: p, Arm: arm, Seed: cfg.Seed + uint64(j), Horizon: horizon})
+	cals, units, arms, err := calibrateThenTorture(cfg, partitionKind, calUnits,
+		func(units []partitionUnit, i int, horizon time.Duration) []partitionUnit {
+			for j := 0; j < cfg.Check.Seeds; j++ {
+				for _, arm := range []string{armNaive, armHardened} {
+					units = append(units, partitionUnit{Platform: platforms[i], Arm: arm, Seed: cfg.Seed + uint64(j), Horizon: horizon})
+				}
 			}
-		}
-		// Broken arms exist for Spanner (commit-wait off) and BigTable
-		// (unlogged partition writes); BigQuery's shuffle has no equivalent
-		// split-brain write path to break.
-		if cfg.Part.IncludeBroken && p != taxonomy.BigQuery {
-			units = append(units, partitionUnit{Platform: p, Arm: armBroken, Seed: cfg.Seed, Horizon: horizon})
-		}
-	}
-	arms, err := runUnits(cfg, partitionKind, units)
+			// Broken arms exist for Spanner (commit-wait off) and BigTable
+			// (unlogged partition writes); BigQuery's shuffle has no equivalent
+			// split-brain write path to break.
+			if cfg.Part.IncludeBroken && platforms[i] != taxonomy.BigQuery {
+				units = append(units, partitionUnit{Platform: platforms[i], Arm: armBroken, Seed: cfg.Seed, Horizon: horizon})
+			}
+			return units
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -221,17 +215,7 @@ func (s *Partition) nemesisFor(horizon time.Duration, seed uint64, stragglerProb
 	nodes, partitionTargets, clocks []string) faults.NemesisConfig {
 	part := s.Cfg.Part
 	return faults.NemesisConfig{
-		ScheduleConfig: faults.ScheduleConfig{
-			Horizon:         time.Duration(float64(horizon) * 0.8),
-			MTBF:            time.Duration(float64(horizon) * s.Cfg.Faults.MTBFFrac),
-			MTTR:            time.Duration(float64(horizon) * s.Cfg.Faults.MTTRFrac),
-			StragglerProb:   stragglerProb,
-			StragglerFactor: s.Cfg.Faults.StragglerFactor,
-			NetDegradeProb:  s.Cfg.Faults.NetDegradeProb,
-			NetExtraDelay:   s.Cfg.Faults.NetExtraDelay,
-			NetDropProb:     s.Cfg.Faults.NetDropProb,
-			Seed:            seed,
-		},
+		ScheduleConfig:   s.Cfg.Faults.schedule(horizon, seed, stragglerProb),
 		Nodes:            nodes,
 		PartitionTargets: partitionTargets,
 		PartitionMTBF:    time.Duration(float64(horizon) * part.MTBFFrac),
@@ -246,63 +230,10 @@ func (s *Partition) nemesisFor(horizon time.Duration, seed uint64, stragglerProb
 	}
 }
 
-// driveCounts are the per-run operation counters drive accumulates.
-type driveCounts struct {
-	ops, errs, writes, werrs int
-	elapsed                  time.Duration
-}
-
-// drive launches open-loop clients and runs the simulation to completion.
-// op performs one operation and reports whether it was a write. When horizon
-// > 0 each client fires its ops on a fixed schedule spanning the horizon
-// (client offsets stagger the slots): a closed loop would let an arm that
-// fails fast burn its whole op budget inside one fault window while an arm
-// that fails slow rides the window out, so the availability comparison
-// would measure retry latency, not recovery. On a fixed schedule both arms
-// attempt the same op at the same instant, and success depends only on the
-// system's state at that instant.
-func (s *Partition) drive(env *platform.Env, name string, seed uint64, totalOps int, horizon time.Duration,
-	op func(p *sim.Proc, rng *stats.RNG, client, i int) (bool, error)) driveCounts {
-	clients := s.Cfg.Clients
-	per := totalOps / clients
-	if per < 1 {
-		per = 1
-	}
-	slot := horizon / time.Duration(per)
-	root := stats.NewRNG(seed ^ 0x50415254) // "PART"
-	bar := sim.NewBarrier(env.K, clients)
-	var dc driveCounts
-	for c := 0; c < clients; c++ {
-		c := c
-		rng := root.Fork()
-		offset := slot * time.Duration(c) / time.Duration(clients)
-		env.K.Go(fmt.Sprintf("%s-partition-c%d", name, c), func(p *sim.Proc) {
-			defer bar.Done()
-			for i := 0; i < per; i++ {
-				if target := offset + slot*time.Duration(i); p.Now() < target {
-					p.Sleep(target - p.Now())
-				}
-				dc.ops++
-				write, err := op(p, rng, c, i)
-				if write {
-					dc.writes++
-				}
-				if err != nil {
-					dc.errs++
-					if write {
-						dc.werrs++
-					}
-				}
-			}
-		})
-	}
-	env.K.Go(name+"-measure", func(p *sim.Proc) {
-		p.WaitBarrier(bar)
-		dc.elapsed = p.Now()
-	})
-	env.K.Run()
-	return dc
-}
+// partitionSalt ("PART") salts the torture clients' RNG root. Faulted arms
+// pace the clients open-loop over the horizon (see drive), so the naive and
+// hardened arms attempt each op at the same instant.
+const partitionSalt = 0x50415254
 
 // finish condenses a completed run into an arm: availability and goodput
 // from the drive counters, staleness from the recorded history, violations
@@ -330,10 +261,7 @@ func (s *Partition) finish(p taxonomy.Platform, arm string, seed uint64, env *pl
 	if eng != nil {
 		row.FaultsApplied = len(eng.Applied)
 		out.Row = row
-		for _, a := range eng.Applied {
-			out.Marks = append(out.Marks, trace.Mark{At: a.At, Name: a.Label()})
-		}
-		out.Marks = append(out.Marks, marks...)
+		out.Marks = faultMarks(eng, marks...)
 	}
 	return out
 }
@@ -422,19 +350,12 @@ func (s *Partition) runSpanner(arm string, seed uint64, horizon time.Duration) (
 			}
 		}
 		sort.Strings(nodes)
-		s.registerNet(eng, env, seed)
+		registerNet(eng, env.Net, seed)
 		eng.InjectAll(faults.GenerateNemesisSchedule(crashable,
 			s.nemesisFor(horizon, seed, s.Cfg.Faults.StragglerProb, nodes, nil, clocks)))
 	}
-	dc := s.drive(env, "spanner", seed, s.Cfg.Ops.Spanner, horizon,
-		func(p *sim.Proc, rng *stats.RNG, c, i int) (bool, error) {
-			g, r := rng.Intn(scfg.Groups), rng.Intn(s.Cfg.Check.HotRows)
-			if rng.Bool(0.5) {
-				_, err := db.Read(p, nil, g, r, rng.Bool(0.15))
-				return false, err
-			}
-			return true, db.Commit(p, nil, g, r, []byte(fmt.Sprintf("s%d/c%d/op%d", seed, c, i)))
-		})
+	dc := drive(env, "spanner", "partition", seed^partitionSalt, s.Cfg.Clients, s.Cfg.Ops.Spanner, horizon,
+		spannerTorture(db, scfg.Groups, s.Cfg.Check.HotRows, seed))
 	return s.finish(taxonomy.Spanner, arm, seed, env, h, reg, eng, dc), nil
 }
 
@@ -489,25 +410,19 @@ func (s *Partition) runBigTable(arm string, seed uint64, horizon time.Duration) 
 			crashable = append(crashable, fmt.Sprintf("bigtable/ts%d", i))
 		}
 		crashable = append(crashable, "bigtable/cs0")
-		s.registerNet(eng, env, seed)
+		registerNet(eng, env.Net, seed)
 		eng.InjectAll(faults.GenerateNemesisSchedule(crashable,
 			s.nemesisFor(horizon, seed+1000, 0, nil, partitionable, nil)))
 	}
-	dc := s.drive(env, "bigtable", seed, s.Cfg.Ops.BigTable, horizon,
-		func(p *sim.Proc, rng *stats.RNG, c, i int) (bool, error) {
-			t, r := rng.Intn(bcfg.Tablets), rng.Intn(s.Cfg.Check.HotRows)
-			if arm == armBroken {
-				// Concentrate the demonstration arm on two tablets (one on a
-				// partitionable server) so writes lost to the broken fixture
-				// are reliably re-read after the heal.
-				t %= 2
-			}
-			if rng.Bool(0.5) {
-				_, err := db.Get(p, nil, t, r)
-				return false, err
-			}
-			return true, db.Put(p, nil, t, r, []byte(fmt.Sprintf("s%d/c%d/op%d", seed, c, i)))
-		})
+	spread := bcfg.Tablets
+	if arm == armBroken {
+		// Concentrate the demonstration arm on two tablets (one on a
+		// partitionable server) so writes lost to the broken fixture are
+		// reliably re-read after the heal.
+		spread = 2
+	}
+	dc := drive(env, "bigtable", "partition", seed^partitionSalt, s.Cfg.Clients, s.Cfg.Ops.BigTable, horizon,
+		bigtableTorture(db, bcfg.Tablets, spread, s.Cfg.Check.HotRows, seed))
 	return s.finish(taxonomy.BigTable, arm, seed, env, h, reg, eng, dc), nil
 }
 
@@ -536,21 +451,7 @@ func (s *Partition) runBigQuery(arm string, seed uint64, horizon time.Duration) 
 			Gray:  env.Net.SetLinkFault,
 			Heal:  env.Net.HealLink,
 		})
-		var crashable []string
-		for i := 0; i < qcfg.ShuffleServers; i += 2 {
-			i := i
-			name := fmt.Sprintf("bigquery/ss%d", i)
-			crashable = append(crashable, name)
-			eng.Register(name, faults.Actions{
-				Crash:       func() { _ = e.FailShuffleServer(i) },
-				Recover:     func() { _ = e.RecoverShuffleServer(i) },
-				SetSlowdown: func(f float64) { _ = e.SetShuffleSlowdown(i, f) },
-			})
-		}
-		eng.Register("bigquery/cs0", faults.Actions{
-			Crash:   func() { _ = e.DFS().FailServer(0) },
-			Recover: func() { _ = e.DFS().RecoverServer(0) },
-		})
+		crashable := registerShuffleTargets(eng, e, qcfg.ShuffleServers)
 		// Partition node set: the shuffle tier plus two worker nodes, so
 		// drawn topologies cut worker->shuffle data paths (where failover
 		// matters) as well as intra-tier links.
@@ -579,47 +480,20 @@ func (s *Partition) runBigQuery(arm string, seed uint64, horizon time.Duration) 
 			}
 		}
 		sort.Strings(nodes)
-		s.registerNet(eng, env, seed)
+		registerNet(eng, env.Net, seed)
 		eng.InjectAll(faults.GenerateNemesisSchedule(crashable,
 			s.nemesisFor(horizon, seed+2000, s.Cfg.Faults.StragglerProb, nodes, nil, nil)))
 	}
-	kinds := []bigquery.Kind{bigquery.ScanAgg, bigquery.JoinQuery}
-	dc := s.drive(env, "bigquery", seed, s.Cfg.Ops.BigQuery, horizon,
-		func(p *sim.Proc, rng *stats.RNG, c, i int) (bool, error) {
-			q := bigquery.Query{Kind: kinds[rng.Intn(len(kinds))], Threshold: int64(rng.Intn(1000))}
-			_, err := e.Run(p, nil, q)
-			return false, err
-		})
+	dc := drive(env, "bigquery", "partition", seed^partitionSalt, s.Cfg.Clients, s.Cfg.Ops.BigQuery, horizon,
+		bigqueryTorture(e))
 	return s.finish(taxonomy.BigQuery, arm, seed, env, h, reg, eng, dc), nil
-}
-
-func (s *Partition) registerNet(eng *faults.Engine, env *platform.Env, seed uint64) {
-	eng.RegisterNetwork(func(extra time.Duration, drop float64) {
-		env.Net.Degrade(extra, drop, seed^0x4e455444) // "NETD"
-	}, env.Net.Restore)
 }
 
 // JSON renders the study's machine-readable export: seed, rows and the
 // broken arms' expected-violation digests, in fixed order, so equal configs
 // produce byte-identical documents on every backend.
 func (s *Partition) JSON() ([]byte, error) {
-	type brokenViolation struct {
-		Seed   uint64
-		Kind   string
-		Key    string
-		Detail string
-	}
-	var broken []brokenViolation
-	for _, v := range s.BrokenViolations {
-		broken = append(broken, brokenViolation{Seed: v.Seed, Kind: v.Kind, Key: v.Key, Detail: v.Detail})
-	}
-	doc := struct {
-		Seed             uint64
-		Rows             []PartitionRow
-		Violations       []SafetyViolation
-		BrokenViolations []brokenViolation
-	}{Seed: s.Cfg.Seed, Rows: s.Rows, Violations: s.Violations, BrokenViolations: broken}
-	return json.MarshalIndent(doc, "", "  ")
+	return verdictJSON(s.Cfg.Seed, s.Rows, s.Violations, s.BrokenViolations)
 }
 
 // RenderPartition renders the study as a fixed-width table followed by the
@@ -642,17 +516,8 @@ func RenderPartition(s *Partition) string {
 	}
 	if s.Ok() {
 		b.WriteString("PASS: no safety violations in baseline/naive/hardened arms\n")
-	} else {
-		fmt.Fprintf(&b, "FAIL: %d safety violations\n", len(s.Violations))
-		for _, v := range s.Violations {
-			fmt.Fprintf(&b, "[seed %d] %s\n", v.Seed, v.Violation.String())
-		}
 	}
-	if len(s.BrokenViolations) > 0 {
-		fmt.Fprintf(&b, "broken-knob arms (expected violations): %d found\n", len(s.BrokenViolations))
-		for _, v := range s.BrokenViolations {
-			fmt.Fprintf(&b, "[seed %d] %s\n", v.Seed, v.Violation.String())
-		}
-	}
+	writeViolations(&b, "FAIL: %d safety violations\n", s.Violations)
+	writeViolations(&b, "broken-knob arms (expected violations): %d found\n", s.BrokenViolations)
 	return b.String()
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -112,6 +111,8 @@ type pipelineArm struct {
 	Counters   []trace.CounterTrack
 }
 
+func (a pipelineArm) elapsed() time.Duration { return a.Row.Elapsed }
+
 // pipelineUnit is one (arm, seed) run; a zero horizon injects no faults.
 type pipelineUnit struct {
 	Arm     string        `json:"arm"`
@@ -138,19 +139,16 @@ func (cfg StudyConfig) Pipeline() (*Pipeline, error) {
 		return nil, fmt.Errorf("experiments: invalid pipeline config %+v", cfg)
 	}
 	s := &Pipeline{Cfg: cfg}
-	cals, err := runUnits(cfg, pipelineKind, []pipelineUnit{{Arm: armBaseline, Seed: cfg.Seed}})
-	if err != nil {
-		return nil, err
-	}
-	horizon := cals[0].Row.Elapsed
-	var units []pipelineUnit
-	for j := 0; j < cfg.Check.Seeds; j++ {
-		units = append(units, pipelineUnit{Arm: armFaulted, Seed: cfg.Seed + uint64(j), Horizon: horizon})
-	}
-	if cfg.Pipe.IncludeBroken {
-		units = append(units, pipelineUnit{Arm: armBroken, Seed: cfg.Seed})
-	}
-	arms, err := runUnits(cfg, pipelineKind, units)
+	cals, _, arms, err := calibrateThenTorture(cfg, pipelineKind, []pipelineUnit{{Arm: armBaseline, Seed: cfg.Seed}},
+		func(units []pipelineUnit, _ int, horizon time.Duration) []pipelineUnit {
+			for j := 0; j < cfg.Check.Seeds; j++ {
+				units = append(units, pipelineUnit{Arm: armFaulted, Seed: cfg.Seed + uint64(j), Horizon: horizon})
+			}
+			if cfg.Pipe.IncludeBroken {
+				units = append(units, pipelineUnit{Arm: armBroken, Seed: cfg.Seed})
+			}
+			return units
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -188,23 +186,6 @@ func (s *Pipeline) Row(arm string) *PipelineRow {
 		}
 	}
 	return nil
-}
-
-// scheduleFor converts the fractional fault rates into an absolute schedule
-// over the calibrated horizon (faults stop arriving at 80% so recoveries land
-// while the pipeline drains).
-func (s *Pipeline) scheduleFor(horizon time.Duration, seed uint64) faults.ScheduleConfig {
-	return faults.ScheduleConfig{
-		Horizon:         time.Duration(float64(horizon) * 0.8),
-		MTBF:            time.Duration(float64(horizon) * s.Cfg.Faults.MTBFFrac),
-		MTTR:            time.Duration(float64(horizon) * s.Cfg.Faults.MTTRFrac),
-		StragglerProb:   s.Cfg.Faults.StragglerProb,
-		StragglerFactor: s.Cfg.Faults.StragglerFactor,
-		NetDegradeProb:  s.Cfg.Faults.NetDegradeProb,
-		NetExtraDelay:   s.Cfg.Faults.NetExtraDelay,
-		NetDropProb:     s.Cfg.Faults.NetDropProb,
-		Seed:            seed,
-	}
 }
 
 // runArm executes one (arm, seed) pipeline run: three platform stacks built
@@ -292,22 +273,9 @@ func (s *Pipeline) runArm(arm string, seed uint64, horizon time.Duration) (pipel
 		// may crash (or straggle) mid-iteration, plus one DFS chunkserver, so
 		// recovery exercises both re-put failover and speculative stage-1
 		// re-execution while the handoff latch sees a replay.
-		for i := 0; i < qcfg.ShuffleServers; i += 2 {
-			i := i
-			eng.Register(fmt.Sprintf("bigquery/ss%d", i), faults.Actions{
-				Crash:       func() { _ = analytics.FailShuffleServer(i) },
-				Recover:     func() { _ = analytics.RecoverShuffleServer(i) },
-				SetSlowdown: func(f float64) { _ = analytics.SetShuffleSlowdown(i, f) },
-			})
-		}
-		eng.Register("bigquery/cs0", faults.Actions{
-			Crash:   func() { _ = analytics.DFS().FailServer(0) },
-			Recover: func() { _ = analytics.DFS().RecoverServer(0) },
-		})
-		eng.RegisterNetwork(func(extra time.Duration, drop float64) {
-			bqEnv.Net.Degrade(extra, drop, seed^0x4e455444) // "NETD"
-		}, bqEnv.Net.Restore)
-		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), s.scheduleFor(horizon, seed+2000)))
+		registerShuffleTargets(eng, analytics, qcfg.ShuffleServers)
+		registerNet(eng, bqEnv.Net, seed)
+		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), cfg.Faults.schedule(horizon, seed+2000, cfg.Faults.StragglerProb)))
 	}
 
 	var elapsed time.Duration
@@ -358,10 +326,7 @@ func (s *Pipeline) runArm(arm string, seed uint64, horizon time.Duration) (pipel
 	out := pipelineArm{Violations: violations}
 	if eng != nil {
 		row.FaultsApplied = len(eng.Applied)
-		for _, a := range eng.Applied {
-			out.Marks = append(out.Marks, trace.Mark{At: a.At, Name: a.Label()})
-		}
-		out.Marks = append(out.Marks, marks...)
+		out.Marks = faultMarks(eng, marks...)
 	}
 	out.Row = row
 	if arm == armBaseline && seed == cfg.Seed {
@@ -423,23 +388,7 @@ func (s *Pipeline) Chrome() ([]byte, error) {
 // broken arm's expected-violation digests, in fixed order, so equal configs
 // produce byte-identical documents on every backend.
 func (s *Pipeline) JSON() ([]byte, error) {
-	type brokenViolation struct {
-		Seed   uint64
-		Kind   string
-		Key    string
-		Detail string
-	}
-	var broken []brokenViolation
-	for _, v := range s.BrokenViolations {
-		broken = append(broken, brokenViolation{Seed: v.Seed, Kind: v.Kind, Key: v.Key, Detail: v.Detail})
-	}
-	doc := struct {
-		Seed             uint64
-		Rows             []PipelineRow
-		Violations       []SafetyViolation
-		BrokenViolations []brokenViolation
-	}{Seed: s.Cfg.Seed, Rows: s.Rows, Violations: s.Violations, BrokenViolations: broken}
-	return json.MarshalIndent(doc, "", "  ")
+	return verdictJSON(s.Cfg.Seed, s.Rows, s.Violations, s.BrokenViolations)
 }
 
 // RenderPipeline renders the study as a fixed-width table, the per-stage
@@ -476,17 +425,8 @@ func RenderPipeline(s *Pipeline) string {
 	}
 	if s.Ok() {
 		b.WriteString("PASS: exactly-once handoff held across every baseline/faulted arm\n")
-	} else {
-		fmt.Fprintf(&b, "FAIL: %d violations\n", len(s.Violations))
-		for _, v := range s.Violations {
-			fmt.Fprintf(&b, "[seed %d] %s\n", v.Seed, v.Violation.String())
-		}
 	}
-	if len(s.BrokenViolations) > 0 {
-		fmt.Fprintf(&b, "broken-handoff arm (expected violations): %d found\n", len(s.BrokenViolations))
-		for _, v := range s.BrokenViolations {
-			fmt.Fprintf(&b, "[seed %d] %s\n", v.Seed, v.Violation.String())
-		}
-	}
+	writeViolations(&b, "FAIL: %d violations\n", s.Violations)
+	writeViolations(&b, "broken-handoff arm (expected violations): %d found\n", s.BrokenViolations)
 	return b.String()
 }

@@ -157,26 +157,6 @@ func (r *Resilience) Row(p taxonomy.Platform, faulted bool) *ResilienceRow {
 	return nil
 }
 
-// scheduleConfig converts the study's fractional fault rates into an
-// absolute schedule over the measured horizon. Faults stop arriving at 80%
-// of the horizon so recoveries land while the workload is still draining.
-// stragglerProb overrides the configured probability so platforms whose
-// targets cannot straggle (BigTable's tablet servers are not RPC-fronted)
-// get crash-only schedules instead of dead skipped events.
-func (r *Resilience) scheduleConfig(horizon time.Duration, seed uint64, stragglerProb float64) faults.ScheduleConfig {
-	return faults.ScheduleConfig{
-		Horizon:         time.Duration(float64(horizon) * 0.8),
-		MTBF:            time.Duration(float64(horizon) * r.Cfg.Faults.MTBFFrac),
-		MTTR:            time.Duration(float64(horizon) * r.Cfg.Faults.MTTRFrac),
-		StragglerProb:   stragglerProb,
-		StragglerFactor: r.Cfg.Faults.StragglerFactor,
-		NetDegradeProb:  r.Cfg.Faults.NetDegradeProb,
-		NetExtraDelay:   r.Cfg.Faults.NetExtraDelay,
-		NetDropProb:     r.Cfg.Faults.NetDropProb,
-		Seed:            seed,
-	}
-}
-
 // runArm runs one platform arm. A zero horizon is the baseline (no faults);
 // a positive horizon is the faulted arm with a schedule spanning it. The arm
 // builds its own environment and kernel and touches no study state, so
@@ -218,8 +198,8 @@ func (r *Resilience) runSpanner(horizon time.Duration) (resilienceArm, error) {
 				SetSlowdown: func(f float64) { _ = db.SetReplicaSlowdown(g, region, f) },
 			})
 		}
-		r.registerNetwork(eng, env)
-		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), r.scheduleConfig(horizon, r.Cfg.Seed, r.Cfg.Faults.StragglerProb)))
+		registerNet(eng, env.Net, r.Cfg.Seed)
+		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), r.Cfg.Faults.schedule(horizon, r.Cfg.Seed, r.Cfg.Faults.StragglerProb)))
 	}
 	run := workload.Spanner(env, db, workload.DefaultSpannerMix(), r.Cfg.Clients, r.Cfg.Ops.Spanner,
 		workload.ClosedLoopOpts{Shape: r.Cfg.Shape})
@@ -236,22 +216,9 @@ func (r *Resilience) runBigTable(horizon time.Duration) (resilienceArm, error) {
 	var eng *faults.Engine
 	if horizon > 0 {
 		eng = faults.NewEngine(env.K)
-		// Every other tablet server is injectable (the rest always survive,
-		// so reassignment always has a destination), plus one DFS
-		// chunkserver to drive commit-log and read failover.
-		for i := 0; i < bigtable.DefaultConfig().TabletServers; i += 2 {
-			i := i
-			eng.Register(fmt.Sprintf("bigtable/ts%d", i), faults.Actions{
-				Crash:   func() { _ = db.FailTabletServer(i) },
-				Recover: func() { _ = db.RecoverTabletServer(i) },
-			})
-		}
-		eng.Register("bigtable/cs0", faults.Actions{
-			Crash:   func() { _ = db.DFS().FailServer(0) },
-			Recover: func() { _ = db.DFS().RecoverServer(0) },
-		})
-		r.registerNetwork(eng, env)
-		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), r.scheduleConfig(horizon, r.Cfg.Seed+1, 0)))
+		registerTabletTargets(eng, db, bigtable.DefaultConfig().TabletServers)
+		registerNet(eng, env.Net, r.Cfg.Seed)
+		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), r.Cfg.Faults.schedule(horizon, r.Cfg.Seed+1, 0)))
 	}
 	run := workload.BigTable(env, db, workload.DefaultBigTableMix(), r.Cfg.Clients, r.Cfg.Ops.BigTable,
 		workload.ClosedLoopOpts{Shape: r.Cfg.Shape})
@@ -270,32 +237,13 @@ func (r *Resilience) runBigQuery(horizon time.Duration) (resilienceArm, error) {
 	var eng *faults.Engine
 	if horizon > 0 {
 		eng = faults.NewEngine(env.K)
-		// Every other shuffle server is injectable so puts always have a
-		// live destination; lost slots are speculatively re-executed.
-		for i := 0; i < qcfg.ShuffleServers; i += 2 {
-			i := i
-			eng.Register(fmt.Sprintf("bigquery/ss%d", i), faults.Actions{
-				Crash:       func() { _ = e.FailShuffleServer(i) },
-				Recover:     func() { _ = e.RecoverShuffleServer(i) },
-				SetSlowdown: func(f float64) { _ = e.SetShuffleSlowdown(i, f) },
-			})
-		}
-		eng.Register("bigquery/cs0", faults.Actions{
-			Crash:   func() { _ = e.DFS().FailServer(0) },
-			Recover: func() { _ = e.DFS().RecoverServer(0) },
-		})
-		r.registerNetwork(eng, env)
-		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), r.scheduleConfig(horizon, r.Cfg.Seed+2, r.Cfg.Faults.StragglerProb)))
+		registerShuffleTargets(eng, e, qcfg.ShuffleServers)
+		registerNet(eng, env.Net, r.Cfg.Seed)
+		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), r.Cfg.Faults.schedule(horizon, r.Cfg.Seed+2, r.Cfg.Faults.StragglerProb)))
 	}
 	run := workload.BigQuery(env, e, workload.DefaultBigQueryMix(), r.Cfg.Clients, r.Cfg.Ops.BigQuery,
 		workload.ClosedLoopOpts{Shape: r.Cfg.Shape})
 	return r.measure(taxonomy.BigQuery, env, run, eng)
-}
-
-func (r *Resilience) registerNetwork(eng *faults.Engine, env *platform.Env) {
-	eng.RegisterNetwork(func(extra time.Duration, drop float64) {
-		env.Net.Degrade(extra, drop, r.Cfg.Seed^0x4e455444) // "NETD"
-	}, env.Net.Restore)
 }
 
 // measure drains the scheduled workload and condenses it into an arm-local
@@ -338,10 +286,7 @@ func (r *Resilience) measure(p taxonomy.Platform, env *platform.Env, run *worklo
 		arm.Row.FaultsApplied = len(eng.Applied)
 		arm.Row.FaultEvents = eng.Applied
 		arm.Traces = traces
-		arm.Marks = make([]trace.Mark, 0, len(eng.Applied))
-		for _, a := range eng.Applied {
-			arm.Marks = append(arm.Marks, trace.Mark{At: a.At, Name: a.Label()})
-		}
+		arm.Marks = faultMarks(eng)
 	}
 	return arm, nil
 }

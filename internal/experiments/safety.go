@@ -11,9 +11,7 @@ import (
 	"hyperprof/internal/faults"
 	"hyperprof/internal/netsim"
 	"hyperprof/internal/platform"
-	"hyperprof/internal/sim"
 	"hyperprof/internal/spanner"
-	"hyperprof/internal/stats"
 	"hyperprof/internal/taxonomy"
 	"hyperprof/internal/trace"
 )
@@ -76,6 +74,8 @@ type safetyArm struct {
 	Marks      []trace.Mark
 }
 
+func (a safetyArm) elapsed() time.Duration { return a.Row.Elapsed }
+
 // safetyUnit is one (platform, seed, horizon) arm; a zero horizon is the
 // fault-free calibration run.
 type safetyUnit struct {
@@ -108,17 +108,13 @@ func (cfg StudyConfig) Safety() (*Safety, error) {
 	for i, p := range platforms {
 		calUnits[i] = safetyUnit{Platform: p, Seed: cfg.Seed}
 	}
-	cals, err := runUnits(cfg, safetyKind, calUnits)
-	if err != nil {
-		return nil, err
-	}
-	var units []safetyUnit
-	for i, p := range platforms {
-		for j := 0; j < cfg.Check.Seeds; j++ {
-			units = append(units, safetyUnit{Platform: p, Seed: cfg.Seed + uint64(j), Horizon: cals[i].Row.Elapsed})
-		}
-	}
-	tortured, err := runUnits(cfg, safetyKind, units)
+	cals, units, tortured, err := calibrateThenTorture(cfg, safetyKind, calUnits,
+		func(units []safetyUnit, i int, horizon time.Duration) []safetyUnit {
+			for j := 0; j < cfg.Check.Seeds; j++ {
+				units = append(units, safetyUnit{Platform: platforms[i], Seed: cfg.Seed + uint64(j), Horizon: horizon})
+			}
+			return units
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -158,84 +154,23 @@ func (s *Safety) runOne(p taxonomy.Platform, seed uint64, horizon time.Duration)
 	}
 }
 
-// scheduleFor converts the fractional fault rates into an absolute schedule
-// over the calibrated horizon (faults stop arriving at 80% so recoveries
-// land while the workload drains).
-func (s *Safety) scheduleFor(horizon time.Duration, seed uint64, stragglerProb float64) faults.ScheduleConfig {
-	return faults.ScheduleConfig{
-		Horizon:         time.Duration(float64(horizon) * 0.8),
-		MTBF:            time.Duration(float64(horizon) * s.Cfg.Faults.MTBFFrac),
-		MTTR:            time.Duration(float64(horizon) * s.Cfg.Faults.MTTRFrac),
-		StragglerProb:   stragglerProb,
-		StragglerFactor: s.Cfg.Faults.StragglerFactor,
-		NetDegradeProb:  s.Cfg.Faults.NetDegradeProb,
-		NetExtraDelay:   s.Cfg.Faults.NetExtraDelay,
-		NetDropProb:     s.Cfg.Faults.NetDropProb,
-		Seed:            seed,
+// finish condenses a completed run into an arm: the drive counters, the
+// applied fault count and every checker's findings.
+func (s *Safety) finish(p taxonomy.Platform, seed uint64, env *platform.Env,
+	h *check.History, reg *check.Registry, eng *faults.Engine, dc driveCounts) safetyArm {
+	arm := safetyArm{Row: SafetyRow{Platform: p, Seed: seed, Faulted: eng != nil,
+		Ops: dc.ops, Errors: dc.errs, Elapsed: dc.elapsed}}
+	if eng != nil {
+		arm.Row.FaultsApplied = len(eng.Applied)
 	}
+	arm.Violations, arm.Marks = collect(p, seed, h, reg, env.K.Now())
+	arm.Row.Violations = len(arm.Violations)
+	return arm
 }
 
-// drive launches the closed-loop torture clients and runs the simulation to
-// completion. op performs one operation; it gets the client's private RNG
-// and (client, op) indices so it can build globally unique write values.
-func (s *Safety) drive(env *platform.Env, name string, seed uint64, totalOps int,
-	op func(p *sim.Proc, rng *stats.RNG, client, i int) error) (ops, errs int, elapsed time.Duration) {
-	clients := s.Cfg.Clients
-	per := totalOps / clients
-	if per < 1 {
-		per = 1
-	}
-	root := stats.NewRNG(seed ^ 0x53414645) // "SAFE"
-	bar := sim.NewBarrier(env.K, clients)
-	for c := 0; c < clients; c++ {
-		c := c
-		rng := root.Fork()
-		env.K.Go(fmt.Sprintf("%s-torture-c%d", name, c), func(p *sim.Proc) {
-			defer bar.Done()
-			for i := 0; i < per; i++ {
-				ops++
-				if err := op(p, rng, c, i); err != nil {
-					errs++
-				}
-			}
-		})
-	}
-	env.K.Go(name+"-measure", func(p *sim.Proc) {
-		p.WaitBarrier(bar)
-		elapsed = p.Now()
-	})
-	env.K.Run()
-	return ops, errs, elapsed
-}
-
-// collect drains every checker after a run — linearizability over the
-// recorded history, structural violations, and the standing invariants —
-// tagging findings with platform and seed. It returns the arm-local findings
-// and marks; the caller folds them into the study during the ordered merge.
-func collect(p taxonomy.Platform, seed uint64, h *check.History, reg *check.Registry, at time.Duration) ([]SafetyViolation, []trace.Mark) {
-	var vs []check.Violation
-	vs = append(vs, h.CheckLinearizability()...)
-	vs = append(vs, h.CheckExternalConsistency()...)
-	vs = append(vs, h.Structural()...)
-	vs = append(vs, reg.Check(at)...)
-	var out []SafetyViolation
-	var marks []trace.Mark
-	for _, v := range vs {
-		v.Platform = string(p)
-		out = append(out, SafetyViolation{Seed: seed, Violation: v})
-		marks = append(marks, trace.Mark{
-			At:   v.At,
-			Name: fmt.Sprintf("VIOLATION %s %s (seed %d)", v.Kind, v.Key, seed),
-		})
-	}
-	return out, marks
-}
-
-func (s *Safety) registerNet(eng *faults.Engine, env *platform.Env, seed uint64) {
-	eng.RegisterNetwork(func(extra time.Duration, drop float64) {
-		env.Net.Degrade(extra, drop, seed^0x4e455444) // "NETD"
-	}, env.Net.Restore)
-}
+// safetySalt ("SAFE") salts the torture clients' RNG root. The clients run
+// closed-loop: faults, not pacing, are what this study varies between arms.
+const safetySalt = 0x53414645
 
 func (s *Safety) runSpanner(seed uint64, horizon time.Duration) (safetyArm, error) {
 	env := platform.NewEnv(seed, 1)
@@ -267,26 +202,12 @@ func (s *Safety) runSpanner(seed uint64, horizon time.Duration) (safetyArm, erro
 				})
 			}
 		}
-		s.registerNet(eng, env, seed)
-		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), s.scheduleFor(horizon, seed, s.Cfg.Faults.StragglerProb)))
+		registerNet(eng, env.Net, seed)
+		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), s.Cfg.Faults.schedule(horizon, seed, s.Cfg.Faults.StragglerProb)))
 	}
-	ops, errs, elapsed := s.drive(env, "spanner", seed, s.Cfg.Ops.Spanner,
-		func(p *sim.Proc, rng *stats.RNG, c, i int) error {
-			g, r := rng.Intn(scfg.Groups), rng.Intn(s.Cfg.Check.HotRows)
-			if rng.Bool(0.5) {
-				_, err := db.Read(p, nil, g, r, rng.Bool(0.15))
-				return err
-			}
-			return db.Commit(p, nil, g, r, []byte(fmt.Sprintf("s%d/c%d/op%d", seed, c, i)))
-		})
-	arm := safetyArm{Row: SafetyRow{Platform: taxonomy.Spanner, Seed: seed, Faulted: eng != nil,
-		Ops: ops, Errors: errs, Elapsed: elapsed}}
-	if eng != nil {
-		arm.Row.FaultsApplied = len(eng.Applied)
-	}
-	arm.Violations, arm.Marks = collect(taxonomy.Spanner, seed, h, reg, env.K.Now())
-	arm.Row.Violations = len(arm.Violations)
-	return arm, nil
+	dc := drive(env, "spanner", "torture", seed^safetySalt, s.Cfg.Clients, s.Cfg.Ops.Spanner, 0,
+		spannerTorture(db, scfg.Groups, s.Cfg.Check.HotRows, seed))
+	return s.finish(taxonomy.Spanner, seed, env, h, reg, eng, dc), nil
 }
 
 func (s *Safety) runBigTable(seed uint64, horizon time.Duration) (safetyArm, error) {
@@ -304,40 +225,13 @@ func (s *Safety) runBigTable(seed uint64, horizon time.Duration) (safetyArm, err
 	var eng *faults.Engine
 	if horizon > 0 {
 		eng = faults.NewEngine(env.K)
-		// Every other tablet server plus one chunkserver, as in the
-		// resilience study: crashes force tablet reassignment and commit-log
-		// replay, the exact recovery paths the checkers guard.
-		for i := 0; i < bcfg.TabletServers; i += 2 {
-			i := i
-			eng.Register(fmt.Sprintf("bigtable/ts%d", i), faults.Actions{
-				Crash:   func() { _ = db.FailTabletServer(i) },
-				Recover: func() { _ = db.RecoverTabletServer(i) },
-			})
-		}
-		eng.Register("bigtable/cs0", faults.Actions{
-			Crash:   func() { _ = db.DFS().FailServer(0) },
-			Recover: func() { _ = db.DFS().RecoverServer(0) },
-		})
-		s.registerNet(eng, env, seed)
-		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), s.scheduleFor(horizon, seed+1000, 0)))
+		registerTabletTargets(eng, db, bcfg.TabletServers)
+		registerNet(eng, env.Net, seed)
+		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), s.Cfg.Faults.schedule(horizon, seed+1000, 0)))
 	}
-	ops, errs, elapsed := s.drive(env, "bigtable", seed, s.Cfg.Ops.BigTable,
-		func(p *sim.Proc, rng *stats.RNG, c, i int) error {
-			t, r := rng.Intn(bcfg.Tablets), rng.Intn(s.Cfg.Check.HotRows)
-			if rng.Bool(0.5) {
-				_, err := db.Get(p, nil, t, r)
-				return err
-			}
-			return db.Put(p, nil, t, r, []byte(fmt.Sprintf("s%d/c%d/op%d", seed, c, i)))
-		})
-	arm := safetyArm{Row: SafetyRow{Platform: taxonomy.BigTable, Seed: seed, Faulted: eng != nil,
-		Ops: ops, Errors: errs, Elapsed: elapsed}}
-	if eng != nil {
-		arm.Row.FaultsApplied = len(eng.Applied)
-	}
-	arm.Violations, arm.Marks = collect(taxonomy.BigTable, seed, h, reg, env.K.Now())
-	arm.Row.Violations = len(arm.Violations)
-	return arm, nil
+	dc := drive(env, "bigtable", "torture", seed^safetySalt, s.Cfg.Clients, s.Cfg.Ops.BigTable, 0,
+		bigtableTorture(db, bcfg.Tablets, bcfg.Tablets, s.Cfg.Check.HotRows, seed))
+	return s.finish(taxonomy.BigTable, seed, env, h, reg, eng, dc), nil
 }
 
 func (s *Safety) runBigQuery(seed uint64, horizon time.Duration) (safetyArm, error) {
@@ -356,36 +250,12 @@ func (s *Safety) runBigQuery(seed uint64, horizon time.Duration) (safetyArm, err
 	var eng *faults.Engine
 	if horizon > 0 {
 		eng = faults.NewEngine(env.K)
-		for i := 0; i < qcfg.ShuffleServers; i += 2 {
-			i := i
-			eng.Register(fmt.Sprintf("bigquery/ss%d", i), faults.Actions{
-				Crash:       func() { _ = e.FailShuffleServer(i) },
-				Recover:     func() { _ = e.RecoverShuffleServer(i) },
-				SetSlowdown: func(f float64) { _ = e.SetShuffleSlowdown(i, f) },
-			})
-		}
-		eng.Register("bigquery/cs0", faults.Actions{
-			Crash:   func() { _ = e.DFS().FailServer(0) },
-			Recover: func() { _ = e.DFS().RecoverServer(0) },
-		})
-		s.registerNet(eng, env, seed)
-		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), s.scheduleFor(horizon, seed+2000, s.Cfg.Faults.StragglerProb)))
+		registerShuffleTargets(eng, e, qcfg.ShuffleServers)
+		registerNet(eng, env.Net, seed)
+		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), s.Cfg.Faults.schedule(horizon, seed+2000, s.Cfg.Faults.StragglerProb)))
 	}
-	kinds := []bigquery.Kind{bigquery.ScanAgg, bigquery.JoinQuery}
-	ops, errs, elapsed := s.drive(env, "bigquery", seed, s.Cfg.Ops.BigQuery,
-		func(p *sim.Proc, rng *stats.RNG, c, i int) error {
-			q := bigquery.Query{Kind: kinds[rng.Intn(len(kinds))], Threshold: int64(rng.Intn(1000))}
-			_, err := e.Run(p, nil, q)
-			return err
-		})
-	arm := safetyArm{Row: SafetyRow{Platform: taxonomy.BigQuery, Seed: seed, Faulted: eng != nil,
-		Ops: ops, Errors: errs, Elapsed: elapsed}}
-	if eng != nil {
-		arm.Row.FaultsApplied = len(eng.Applied)
-	}
-	arm.Violations, arm.Marks = collect(taxonomy.BigQuery, seed, h, reg, env.K.Now())
-	arm.Row.Violations = len(arm.Violations)
-	return arm, nil
+	dc := drive(env, "bigquery", "torture", seed^safetySalt, s.Cfg.Clients, s.Cfg.Ops.BigQuery, 0, bigqueryTorture(e))
+	return s.finish(taxonomy.BigQuery, seed, env, h, reg, eng, dc), nil
 }
 
 // RenderSafety renders the study as a fixed-width table followed by every
@@ -409,9 +279,6 @@ func RenderSafety(s *Safety) string {
 		b.WriteString("PASS: no safety violations\n")
 		return b.String()
 	}
-	fmt.Fprintf(&b, "FAIL: %d safety violations\n", len(s.Violations))
-	for _, v := range s.Violations {
-		fmt.Fprintf(&b, "[seed %d] %s\n", v.Seed, v.Violation.String())
-	}
+	writeViolations(&b, "FAIL: %d safety violations\n", s.Violations)
 	return b.String()
 }

@@ -20,11 +20,12 @@ type PlatformOps struct {
 	Spanner, BigTable, BigQuery int
 }
 
-// FaultConfig groups the fault-injection rates shared by the safety and
-// resilience studies. Rates are fractions of the measured fault-free horizon
-// (MTBFFrac 0.5 means each target expects roughly two fault windows per
-// run); the zero value disables injection-specific behaviour but studies
-// that inject always set it explicitly.
+// FaultConfig groups the fault-injection rates shared by the fault studies
+// (safety, resilience, partition, pipeline). Rates are fractions of the
+// measured fault-free horizon (MTBFFrac 0.5 means each target expects
+// roughly two fault windows per run); the zero value disables
+// injection-specific behaviour but studies that inject always set it
+// explicitly.
 type FaultConfig struct {
 	// MTBFFrac is the per-target mean time between failures as a fraction
 	// of the platform's baseline elapsed time.

@@ -9,7 +9,9 @@ import (
 // This file is the per-directed-link fault plane: extra delay, loss
 // probability, or a full block injected on individual (from, to) node pairs,
 // composed with the network's global degradation knobs. The global
-// Degrade/Restore pair is the deprecated wildcard form of this plane.
+// Degrade/Restore pair is the wildcard form of this plane and stays beside
+// it: it drops requests only, from one network-wide stream, so expressing it
+// as per-link faults would change every fault study's results.
 //
 // Semantics, chosen to model gray failures rather than clean outages:
 //

@@ -186,11 +186,13 @@ func (n *Network) Kernel() *sim.Kernel { return n.k }
 // never stack, the rule TestOverlappingBrownoutsReplaceNotStack pins; the
 // per-link plane follows the same replace-not-stack rule in SetLinkFault.
 //
-// Deprecated: Degrade is the wildcard form of the per-directed-link fault
-// plane (links.go) — one (extra, drop) applied to every non-local link at
-// once, requests only. New fault scenarios should target individual links
-// via SetLinkFault/BlockLink; Degrade is kept so existing brownout
-// schedules and their callers keep compiling and behaving identically.
+// Degrade is the wildcard counterpart of the per-directed-link fault plane
+// (links.go): one (extra, drop) applied to every non-local link at once. It
+// is how a fault schedule's network-degradation windows reach the network,
+// and the link plane cannot stand in for it without changing every fault
+// study's results: Degrade drops requests only, from one network-wide
+// stream, while a faulted link drops in the direction it is set on, from a
+// stream of its own. Target individual links with SetLinkFault/BlockLink.
 func (n *Network) Degrade(extra time.Duration, dropProb float64, seed uint64) {
 	if extra < 0 {
 		extra = 0
@@ -210,9 +212,7 @@ func (n *Network) Degrade(extra time.Duration, dropProb float64, seed uint64) {
 
 // Restore clears injected network degradation. The drop generator is kept so
 // alternating Degrade/Restore windows stay on one deterministic stream.
-//
-// Deprecated: Restore pairs with Degrade, the wildcard form of the per-link
-// fault plane; per-link faults are cleared with HealLink/HealAllLinks.
+// Per-link faults are cleared with HealLink/HealAllLinks instead.
 func (n *Network) Restore() {
 	n.extraDelay = 0
 	n.dropProb = 0
