@@ -8,9 +8,12 @@
 package bigtable
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
+	"sync"
 	"time"
 
 	"hyperprof/internal/bloom"
@@ -167,6 +170,10 @@ type DB struct {
 
 type sstable struct {
 	file string
+	// base, when non-nil, is the tablet's shared base index: the table holds
+	// every bootstrap row virtually, and data is the overlay of rows some
+	// write overrode. A table without a base holds exactly data.
+	base *baseIndex
 	data map[string][]byte
 	// bytes is the on-DFS (block-compressed) size; rawBytes the logical
 	// size before compression.
@@ -177,25 +184,131 @@ type sstable struct {
 	filter *bloom.Filter
 }
 
+// baseIndex is everything a base SSTable needs besides its row contents,
+// which fillBootstrap computes on demand. It depends only on (tablet,
+// RowsPerTablet, ValueBytes), so one index per triple is built once per
+// process and shared read-only by every DB: tens of bytes per row.
+type baseIndex struct {
+	tablet     int
+	valueBytes int
+	// rows are the tablet's bootstrap keys in sorted order with their row
+	// numbers; keyBytes is the sum of the key lengths.
+	rows     []baseRow
+	keyBytes int
+	// filter, bytes and rawBytes are the sealed base table's: one real
+	// Snappy encode of the raw block sizes it.
+	filter          *bloom.Filter
+	bytes, rawBytes int64
+}
+
+type baseRow struct {
+	key string
+	row int
+}
+
+// has reports whether key is one of the base rows.
+func (b *baseIndex) has(key string) bool {
+	i := sort.Search(len(b.rows), func(i int) bool { return b.rows[i].key >= key })
+	return i < len(b.rows) && b.rows[i].key == key
+}
+
+type baseIndexKey struct {
+	tablet, rows int
+	valueBytes   int64
+}
+
+type baseIndexOnce struct {
+	once sync.Once
+	idx  *baseIndex
+}
+
+// baseIndexes caches one *baseIndexOnce per baseIndexKey for the life of the
+// process.
+var baseIndexes sync.Map
+
+// baseIndexFor returns tablet t's shared base index, building it on first
+// use with this DB's seal buffers (so the builder's in-run seals find them
+// already grown).
+func (db *DB) baseIndexFor(t int) *baseIndex {
+	key := baseIndexKey{tablet: t, rows: db.cfg.RowsPerTablet, valueBytes: db.cfg.ValueBytes}
+	e, ok := baseIndexes.Load(key)
+	if !ok {
+		e, _ = baseIndexes.LoadOrStore(key, &baseIndexOnce{})
+	}
+	bo := e.(*baseIndexOnce)
+	bo.once.Do(func() { bo.idx = db.buildBaseIndex(t) })
+	return bo.idx
+}
+
+func (db *DB) buildBaseIndex(t int) *baseIndex {
+	idx := &baseIndex{tablet: t, valueBytes: int(db.cfg.ValueBytes), rows: make([]baseRow, db.cfg.RowsPerTablet)}
+	for i := range idx.rows {
+		k := rowKey(t, i)
+		idx.rows[i] = baseRow{key: k, row: i}
+		idx.keyBytes += len(k)
+	}
+	slices.SortFunc(idx.rows, func(a, b baseRow) int { return strings.Compare(a.key, b.key) })
+	s := &sstable{base: idx}
+	db.seal(s)
+	idx.filter, idx.bytes, idx.rawBytes = s.filter, s.bytes, s.rawBytes
+	return idx
+}
+
 // seal finalizes an sstable: it builds the Bloom filter over its keys and
 // block-compresses its contents (real codec) to size the DFS file. Only the
 // two sizes survive the call, so the raw and encoded blocks are built in the
 // DB's scratch buffers, which every seal reuses. No lock guards them: the
-// kernel runs one process at a time and seal never parks.
+// kernel runs one process at a time and seal never parks. A table with a
+// base merges the sorted base keys with its sorted overlay keys and writes
+// the virtual rows straight into the raw block; when the overlay adds no key
+// the table shares the base's filter, which holds exactly its keys.
 func (db *DB) seal(s *sstable) {
-	s.filter = bloom.New(len(s.data)+1, 0.01)
+	b := s.base
 	keys := make([]string, 0, len(s.data))
-	n := 0
+	n, count := 0, 0
+	var rows []baseRow
+	if b != nil {
+		rows = b.rows
+		n, count = b.keyBytes+len(rows)*b.valueBytes, len(rows)
+	}
 	for k, v := range s.data {
 		keys = append(keys, k)
+		if b != nil && b.has(k) {
+			n += len(v) - b.valueBytes // overrides a base row
+			continue
+		}
 		n += len(k) + len(v)
+		count++
 	}
 	sort.Strings(keys)
+	add := true
+	if b != nil && b.filter != nil && count == len(b.rows) {
+		s.filter, add = b.filter, false
+	} else {
+		s.filter = bloom.New(count+1, 0.01)
+	}
 	raw := slices.Grow(db.sealRaw[:0], n)
-	for _, k := range keys {
-		s.filter.Add(k)
-		raw = append(raw, k...)
-		raw = append(raw, s.data[k]...)
+	for len(rows) > 0 || len(keys) > 0 {
+		var k string
+		if len(keys) == 0 || (len(rows) > 0 && rows[0].key < keys[0]) {
+			k = rows[0].key
+			raw = append(raw, k...)
+			l := len(raw)
+			raw = raw[:l+b.valueBytes]
+			fillBootstrap(raw[l:], b.tablet, rows[0].row)
+			rows = rows[1:]
+		} else {
+			k = keys[0]
+			if len(rows) > 0 && rows[0].key == k {
+				rows = rows[1:]
+			}
+			keys = keys[1:]
+			raw = append(raw, k...)
+			raw = append(raw, s.data[k]...)
+		}
+		if add {
+			s.filter.Add(k)
+		}
 	}
 	enc, err := compress.AppendEncode(db.sealEnc[:0], raw)
 	if err != nil {
@@ -255,7 +368,7 @@ type tablet struct {
 
 // New builds and starts a deployment on the environment.
 func New(env *platform.Env, cfg Config) (*DB, error) {
-	if cfg.Tablets <= 0 || cfg.TabletServers <= 0 || cfg.RowsPerTablet <= 0 {
+	if cfg.Tablets <= 0 || cfg.TabletServers <= 0 || cfg.RowsPerTablet <= 0 || cfg.ValueBytes < 0 {
 		return nil, fmt.Errorf("bigtable: invalid config %+v", cfg)
 	}
 	if cfg.Chunkservers < 3 {
@@ -366,6 +479,8 @@ func (db *DB) buildRecipes() {
 }
 
 // load places tablets on servers and bootstraps a base SSTable per tablet.
+// Base rows are virtual (fillBootstrap computes them on demand) over the
+// tablet's shared base index, so a DB stores only the rows it writes.
 func (db *DB) load() error {
 	machines := db.mgr.Machines()
 	for t := 0; t < db.cfg.Tablets; t++ {
@@ -377,21 +492,14 @@ func (db *DB) load() error {
 			nextSeq:   1,
 			flushDone: map[int64]bool{},
 		}
+		idx := db.baseIndexFor(t)
 		base := &sstable{
-			file: fmt.Sprintf("bt/tablet%d/base", t),
-			data: make(map[string][]byte, db.cfg.RowsPerTablet),
+			file:     fmt.Sprintf("bt/tablet%d/base", t),
+			base:     idx,
+			filter:   idx.filter,
+			bytes:    idx.bytes,
+			rawBytes: idx.rawBytes,
 		}
-		// One slab holds the tablet's bootstrap rows. Each row gets a
-		// full-slice-expression window, so an append to one row reallocates
-		// instead of clobbering the next.
-		n := int(db.cfg.ValueBytes)
-		slab := make([]byte, db.cfg.RowsPerTablet*n)
-		for i := 0; i < db.cfg.RowsPerTablet; i++ {
-			val := slab[i*n : (i+1)*n : (i+1)*n]
-			fillBootstrap(val, t, i)
-			base.data[rowKey(t, i)] = val
-		}
-		db.seal(base)
 		if _, err := db.dfs.Create(base.file, base.bytes); err != nil {
 			return err
 		}
@@ -408,22 +516,55 @@ func rowKey(tablet, row int) string { return fmt.Sprintf("t%d/k%d", tablet, row)
 // byte (tests and scan predicates rely on it) followed by incompressible
 // per-row noise — bootstrap data models already-compressed historical
 // payloads, so base SSTables do not shrink further under block compression.
+// Each call returns a fresh row, so a caller may keep or modify it.
 func bootstrapValue(t, i, n int) []byte {
 	val := make([]byte, n)
 	fillBootstrap(val, t, i)
 	return val
 }
 
-// fillBootstrap writes row i of tablet t's bootstrap content into val.
+// bootstrapFirst is the first byte of row i of tablet t's bootstrap content.
+func bootstrapFirst(t, i int) byte { return byte(uint64(t)*11 + uint64(i)*17) }
+
+// The bootstrap noise of a row is one 64-bit LCG stream: byte j ≥ 1 is bits
+// 33–40 of the stream's j-th state. lcgMul8 and lcgAdd8 step a state eight
+// places at once.
+const (
+	lcgMul  = 6364136223846793005
+	lcgAdd  = 1442695040888963407
+	lcgMul8 = 0xb59dda5f38413d21
+	lcgAdd8 = 0x5b21778e3c8666a8
+)
+
+// fillBootstrap writes row i of tablet t's bootstrap content into val. Seals
+// generate every base row this way, so the stream runs as eight interleaved
+// lanes whose multiplies do not wait on each other; the bytes are those of
+// stepping one state at a time.
 func fillBootstrap(val []byte, t, i int) {
 	if len(val) == 0 {
 		return
 	}
-	val[0] = byte(uint64(t)*11 + uint64(i)*17)
+	val[0] = bootstrapFirst(t, i)
 	x := uint64(t)*2654435761 + uint64(i)*40503 + 12345
-	for j := 1; j < len(val); j++ {
-		x = x*6364136223846793005 + 1442695040888963407
-		val[j] = byte(x >> 33)
+	rest := val[1:]
+	x0 := x*lcgMul + lcgAdd
+	x1 := x0*lcgMul + lcgAdd
+	x2 := x1*lcgMul + lcgAdd
+	x3 := x2*lcgMul + lcgAdd
+	x4 := x3*lcgMul + lcgAdd
+	x5 := x4*lcgMul + lcgAdd
+	x6 := x5*lcgMul + lcgAdd
+	x7 := x6*lcgMul + lcgAdd
+	j := 0
+	for ; j+8 <= len(rest); j += 8 {
+		binary.LittleEndian.PutUint64(rest[j:], x0>>33&0xff|x1>>33&0xff<<8|x2>>33&0xff<<16|x3>>33&0xff<<24|
+			x4>>33&0xff<<32|x5>>33&0xff<<40|x6>>33&0xff<<48|x7>>33&0xff<<56)
+		x0, x1, x2, x3 = x0*lcgMul8+lcgAdd8, x1*lcgMul8+lcgAdd8, x2*lcgMul8+lcgAdd8, x3*lcgMul8+lcgAdd8
+		x4, x5, x6, x7 = x4*lcgMul8+lcgAdd8, x5*lcgMul8+lcgAdd8, x6*lcgMul8+lcgAdd8, x7*lcgMul8+lcgAdd8
+	}
+	for x = x0; j < len(rest); j++ {
+		rest[j] = byte(x >> 33)
+		x = x*lcgMul + lcgAdd
 	}
 }
 
@@ -509,6 +650,7 @@ func (db *DB) get(p *sim.Proc, tr *trace.Trace, t, row int) ([]byte, error) {
 			continue
 		}
 		v, ok := s.data[key]
+		inBase := !ok && s.base != nil && row >= 0 && row < db.cfg.RowsPerTablet
 		ioStart := p.Now()
 		blockOff := int64(0)
 		if s.bytes > 16<<10 {
@@ -524,6 +666,10 @@ func (db *DB) get(p *sim.Proc, tr *trace.Trace, t, row int) ([]byte, error) {
 		if ok {
 			db.Gets++
 			return v, nil
+		}
+		if inBase {
+			db.Gets++
+			return bootstrapValue(t, row, int(db.cfg.ValueBytes)), nil
 		}
 	}
 	return nil, fmt.Errorf("%w: %q", storage.ErrNotFound, key)
@@ -621,8 +767,8 @@ func (db *DB) Scan(p *sim.Proc, tr *trace.Trace, t, start int) (int, error) {
 
 	matched := 0
 	for i := 0; i < db.cfg.ScanRows; i++ {
-		v := db.lookup(tab, rowKey(t, (start+i)%db.cfg.RowsPerTablet))
-		if len(v) > 0 && v[0]%2 == 1 {
+		row := (start + i) % db.cfg.RowsPerTablet
+		if b, ok := db.firstByte(tab, rowKey(t, row), row); ok && b%2 == 1 {
 			matched++
 		}
 	}
@@ -630,23 +776,25 @@ func (db *DB) Scan(p *sim.Proc, tr *trace.Trace, t, start int) (int, error) {
 	return matched, nil
 }
 
-// lookup resolves a key through the merge hierarchy without IO (used by
-// scans after the range has been streamed).
-func (db *DB) lookup(tab *tablet, key string) []byte {
-	if v, ok := tab.mem[key]; ok {
-		return v
+// firstByte resolves an in-range row through the merge hierarchy without IO
+// (used by scans after the range has been streamed) and returns its first
+// byte, reading a virtual base row's without building it; ok is false for
+// an empty row.
+func (db *DB) firstByte(tab *tablet, key string, row int) (b byte, ok bool) {
+	v, found := tab.mem[key]
+	for i := 0; !found && i < len(tab.imm); i++ {
+		v, found = tab.imm[i].data[key]
 	}
-	for _, s := range tab.imm {
-		if v, ok := s.data[key]; ok {
-			return v
+	for i := 0; !found && i < len(tab.ssts); i++ {
+		s := tab.ssts[i]
+		if v, found = s.data[key]; !found && s.base != nil {
+			return bootstrapFirst(tab.id, row), db.cfg.ValueBytes > 0
 		}
 	}
-	for _, s := range tab.ssts {
-		if v, ok := s.data[key]; ok {
-			return v
-		}
+	if len(v) == 0 {
+		return 0, false
 	}
-	return nil
+	return v[0], true
 }
 
 // flush snapshots the memtable and writes it to the DFS as a new SSTable in
@@ -740,8 +888,7 @@ func (db *DB) major(tab *tablet) {
 	tab.compacting = sim.NewSignal(db.env.K)
 	inputs := append([]*sstable(nil), tab.ssts...)
 	db.env.K.Go("bt-major-compaction", func(p *sim.Proc) {
-		// The base table dominates the inputs, so their summed key count is
-		// a tight upper bound on the merged size.
+		// The summed overlay key count bounds the merged overlay's size.
 		rows := 0
 		for _, s := range inputs {
 			rows += len(s.data)
@@ -751,7 +898,9 @@ func (db *DB) major(tab *tablet) {
 			data: make(map[string][]byte, rows),
 		}
 		tab.nextSST++
-		// Merge oldest-to-newest so newer values win.
+		// Merge oldest-to-newest so newer values win. The oldest input
+		// carries the tablet's base index, which the merged table keeps:
+		// its overlay holds only the rows some input overrode.
 		var readTime time.Duration
 		for i := len(inputs) - 1; i >= 0; i-- {
 			s := inputs[i]
@@ -760,6 +909,9 @@ func (db *DB) major(tab *tablet) {
 				panic(fmt.Sprintf("bigtable: major read: %v", err))
 			}
 			readTime += d
+			if s.base != nil {
+				merged.base = s.base
+			}
 			for k, v := range s.data {
 				merged.data[k] = v
 			}

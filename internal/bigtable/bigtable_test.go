@@ -30,17 +30,25 @@ func newDB(t *testing.T, seed uint64) (*platform.Env, *DB) {
 	return env, db
 }
 
+// TestNewValidation checks that degenerate configs, dataset sizes included,
+// are config errors, not constructor panics.
 func TestNewValidation(t *testing.T) {
-	env := platform.NewEnv(1, 1)
-	bad := DefaultConfig()
-	bad.Tablets = 0
-	if _, err := New(env, bad); err == nil {
-		t.Fatal("zero tablets accepted")
-	}
-	bad = DefaultConfig()
-	bad.Chunkservers = 2
-	if _, err := New(env, bad); err == nil {
-		t.Fatal("two chunkservers accepted")
+	for _, c := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"zero tablets", func(c *Config) { c.Tablets = 0 }},
+		{"two chunkservers", func(c *Config) { c.Chunkservers = 2 }},
+		{"zero rows per tablet", func(c *Config) { c.RowsPerTablet = 0 }},
+		{"negative value bytes", func(c *Config) { c.ValueBytes = -1 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			c.edit(&cfg)
+			if _, err := New(platform.NewEnv(1, 1), cfg); err == nil {
+				t.Fatalf("%+v accepted", cfg)
+			}
+		})
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hyperprof/internal/platform"
+	"hyperprof/internal/sim"
 )
 
 // TestBaseSSTableSizesGolden pins the on-DFS and logical sizes of the
@@ -81,24 +82,61 @@ func TestSealAllocs(t *testing.T) {
 	}
 }
 
-// TestBootstrapRowsDoNotAlias checks the per-tablet bootstrap slab: every
-// row holds its own bootstrap bytes, and appending to one row must not
-// overwrite its neighbour in the slab.
-func TestBootstrapRowsDoNotAlias(t *testing.T) {
-	_, db := newDB(t, 1)
-	n := int(db.cfg.ValueBytes)
-	base := db.tablets[1].ssts[0]
-	for _, i := range []int{0, 1, db.cfg.RowsPerTablet - 1} {
-		if got := base.data[rowKey(1, i)]; !bytes.Equal(got, bootstrapValue(1, i, n)) {
+// TestVirtualRowsDoNotAlias checks that base rows are virtual: every row
+// Get returns holds its own bootstrap bytes, and appending to or writing
+// into a returned row changes no other row and no other DB.
+func TestVirtualRowsDoNotAlias(t *testing.T) {
+	envA, a := newDB(t, 1)
+	envB, b := newDB(t, 1)
+	n := int(a.cfg.ValueBytes)
+	get := func(env *platform.Env, db *DB, tab, row int) []byte {
+		t.Helper()
+		var v []byte
+		var err error
+		env.K.Go("client", func(p *sim.Proc) { v, err = db.Get(p, nil, tab, row) })
+		env.K.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	for _, i := range []int{0, 1, a.cfg.RowsPerTablet - 1} {
+		if got := get(envA, a, 1, i); !bytes.Equal(got, bootstrapValue(1, i, n)) {
 			t.Fatalf("row %d differs from its bootstrap value", i)
 		}
 	}
-	row0 := base.data[rowKey(1, 0)]
-	if cap(row0) != n {
-		t.Fatalf("bootstrap row cap %d, want %d", cap(row0), n)
+	row0 := get(envA, a, 1, 0)
+	_ = append(row0[:1], 0xff)
+	row0[n-1] ^= 0xff
+	for _, c := range []struct {
+		env *platform.Env
+		db  *DB
+		row int
+	}{{envA, a, 0}, {envA, a, 1}, {envB, b, 0}} {
+		if got := get(c.env, c.db, 1, c.row); !bytes.Equal(got, bootstrapValue(1, c.row, n)) {
+			t.Fatalf("writing into a returned row 0 changed row %d (first byte %d)", c.row, got[0])
+		}
 	}
-	_ = append(row0, 0xff)
-	if got := base.data[rowKey(1, 1)]; !bytes.Equal(got, bootstrapValue(1, 1, n)) {
-		t.Fatalf("append to row 0 clobbered row 1 (first byte %d)", got[0])
+}
+
+// TestFillBootstrapMatchesOneStepLCG checks the eight-lane bootstrap fill
+// against stepping the LCG one state at a time, across lengths around the
+// lane width.
+func TestFillBootstrapMatchesOneStepLCG(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 8, 9, 10, 16, 17, 23, 1023, 1024, 1025} {
+		for _, row := range []int{0, 7, 2999} {
+			want := make([]byte, n)
+			if n > 0 {
+				want[0] = byte(uint64(3)*11 + uint64(row)*17)
+				x := uint64(3)*2654435761 + uint64(row)*40503 + 12345
+				for j := 1; j < n; j++ {
+					x = x*6364136223846793005 + 1442695040888963407
+					want[j] = byte(x >> 33)
+				}
+			}
+			if got := bootstrapValue(3, row, n); !bytes.Equal(got, want) {
+				t.Fatalf("%d bytes of row %d differ from the one-step LCG", n, row)
+			}
+		}
 	}
 }

@@ -10,6 +10,7 @@ package spanner
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"hyperprof/internal/check"
@@ -206,7 +207,7 @@ func applyUpTo(rep *replica, n int) {
 // network should use metro-scale cross-region RTTs (see RecommendedNetConfig)
 // for paper-shaped commit latencies.
 func New(env *platform.Env, cfg Config) (*DB, error) {
-	if cfg.Groups <= 0 || cfg.Regions < 3 || cfg.RowsPerGroup <= 0 {
+	if cfg.Groups <= 0 || cfg.Regions < 3 || cfg.RowsPerGroup <= 0 || cfg.RowBytes < 0 {
 		return nil, fmt.Errorf("spanner: invalid config %+v", cfg)
 	}
 	ramR, ssdR, hddR := platform.PaperStorageRatio(taxonomy.Spanner)
@@ -358,19 +359,29 @@ func (db *DB) place() error {
 
 // load bootstraps the replica stores with the initial row objects (outside
 // simulated time). Bootstrap row *contents* are virtual — bootstrapValue
-// computes them on demand — so memory scales with written rows only.
+// computes them on demand — so memory scales with written rows only. Each
+// machine's store takes one bulk Load of its replicas' keys, group by group
+// and rows in order (a group has one replica per region, so at most one on
+// a machine).
 func (db *DB) load() {
 	db.keys = make([][]string, len(db.groups))
 	for _, g := range db.groups {
 		db.keys[g.id] = make([]string, db.cfg.RowsPerGroup)
 		for i := range db.keys[g.id] {
-			key := rowKey(g.id, i)
-			db.keys[g.id][i] = key
+			db.keys[g.id][i] = rowKey(g.id, i)
+		}
+	}
+	for _, m := range db.mgr.Machines() {
+		var keys [][]string
+		for _, g := range db.groups {
 			for _, rep := range g.replicas {
-				if _, err := rep.machine.Store.Write(key, db.cfg.RowBytes); err != nil {
-					panic(fmt.Sprintf("spanner: bootstrap overflow: %v", err))
+				if rep.machine == m {
+					keys = append(keys, db.keys[g.id])
 				}
 			}
+		}
+		if err := m.Store.Load(slices.Concat(keys...), db.cfg.RowBytes); err != nil {
+			panic(fmt.Sprintf("spanner: bootstrap overflow: %v", err))
 		}
 	}
 }

@@ -27,17 +27,25 @@ func smallConfig() Config {
 	return cfg
 }
 
+// TestNewValidation checks that degenerate configs, dataset sizes included,
+// are config errors, not bootstrap panics.
 func TestNewValidation(t *testing.T) {
-	env := testEnv(1)
-	bad := DefaultConfig()
-	bad.Groups = 0
-	if _, err := New(env, bad); err == nil {
-		t.Fatal("zero groups accepted")
-	}
-	bad = DefaultConfig()
-	bad.Regions = 2
-	if _, err := New(env, bad); err == nil {
-		t.Fatal("two regions accepted (majority needs 3)")
+	for _, c := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"zero groups", func(c *Config) { c.Groups = 0 }},
+		{"two regions (majority needs 3)", func(c *Config) { c.Regions = 2 }},
+		{"zero rows per group", func(c *Config) { c.RowsPerGroup = 0 }},
+		{"negative row bytes", func(c *Config) { c.RowBytes = -1 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			c.edit(&cfg)
+			if _, err := New(testEnv(1), cfg); err == nil {
+				t.Fatalf("%+v accepted", cfg)
+			}
+		})
 	}
 }
 

@@ -71,6 +71,38 @@ func (c *lruCache) Add(key string, size int64) {
 	}
 }
 
+// load leaves an empty cache as Adding each of keys with the given size in
+// order would: with equal sizes it holds the most recently added distinct
+// keys that fit, most recent first. Its entries are cut from one slab.
+func (c *lruCache) load(keys []string, size int64) {
+	if size > c.capacity {
+		return
+	}
+	fit := len(keys)
+	if size > 0 && c.capacity/size < int64(fit) {
+		fit = int(c.capacity / size)
+	}
+	slab := make([]lruEntry, fit)
+	c.entries = make(map[string]*lruEntry, fit)
+	for i := len(keys) - 1; i >= 0 && len(c.entries) < fit; i-- {
+		if _, dup := c.entries[keys[i]]; dup {
+			continue // an earlier Add of a key a later one refreshed
+		}
+		e := &slab[len(c.entries)]
+		e.key, e.size = keys[i], size
+		c.entries[e.key] = e
+		// Walking backwards, each entry is older than those already placed.
+		e.prev = c.tail
+		if c.tail != nil {
+			c.tail.next = e
+		} else {
+			c.head = e
+		}
+		c.tail = e
+		c.used += size
+	}
+}
+
 // Remove deletes key if present.
 func (c *lruCache) Remove(key string) {
 	if e, ok := c.entries[key]; ok {

@@ -172,11 +172,11 @@ func (s *TieredStore) Read(key string) (time.Duration, Tier, error) {
 // log costs are modeled by callers via RawAccess.
 func (s *TieredStore) Write(key string, size int64) (time.Duration, error) {
 	if size < 0 {
-		return 0, fmt.Errorf("storage: negative size %d", size)
+		return 0, errNegativeSize(size)
 	}
 	old := s.objects[key]
 	if s.hddUsed-old+size > s.hddCap {
-		return 0, fmt.Errorf("%w: need %d bytes", ErrFull, size)
+		return 0, errFull(size)
 	}
 	s.hddUsed += size - old
 	s.objects[key] = size
@@ -185,6 +185,55 @@ func (s *TieredStore) Write(key string, size int64) (time.Duration, error) {
 	s.account(RAM, size, true)
 	s.account(HDD, size, true)
 	return s.params[RAM].AccessTime(size), nil
+}
+
+func errNegativeSize(size int64) error { return fmt.Errorf("storage: negative size %d", size) }
+
+func errFull(size int64) error { return fmt.Errorf("%w: need %d bytes", ErrFull, size) }
+
+// Load writes every key with the given size, in order: it leaves exactly the
+// state and returns exactly the error that the same sequence of Write calls
+// would, stopping at the first key that does not fit. On an empty LRU store
+// it builds that state directly instead of churning the caches: the objects
+// map sized up front, each cache holding the most recent keys that fit its
+// capacity, and the RAM and HDD write counters. Otherwise (a store holding
+// objects, or TinyLFU admission, whose sketch sees every write) it runs the
+// Writes. A store without objects has empty caches: Write and Read cache
+// only stored objects, and Delete removes a key from every tier.
+func (s *TieredStore) Load(keys []string, size int64) error {
+	if len(s.objects) > 0 || s.sketch != nil {
+		for _, k := range keys {
+			if _, err := s.Write(k, size); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if size < 0 && len(keys) > 0 {
+		return errNegativeSize(size)
+	}
+	s.objects = make(map[string]int64, len(keys))
+	var err error
+	n := 0
+	for _, k := range keys {
+		old := s.objects[k]
+		if s.hddUsed-old+size > s.hddCap {
+			err = errFull(size)
+			break
+		}
+		s.hddUsed += size - old
+		s.objects[k] = size
+		n++
+	}
+	keys = keys[:n]
+	s.ram.load(keys, size)
+	s.ssd.load(keys, size)
+	for _, t := range []Tier{RAM, HDD} {
+		st := s.stats[t]
+		st.Writes += int64(n)
+		st.BytesWrit += int64(n) * size
+	}
+	return err
 }
 
 // Delete removes an object from backing store and caches.

@@ -23,14 +23,15 @@ benchcount="${BENCHCOUNT:-6}"
 kernpattern='^Benchmark(Sim(KernelEvents|KernelSchedule|KernelRun|KernelDenseTimers|KernelDenseTimersHeapOnly|ProcSwitch)|Stats(SketchRecord|SummaryRecord))$'
 netpattern='^BenchmarkNetMessageDelay$'
 pipepattern='^BenchmarkPipelineHandoff$'
-# The storage-path benches guard the allocation-lean SSTable seal: the
-# encoder into a reused buffer (0 allocs/op) and a full BigTable bring-up.
+# The storage-path benches guard the allocation-lean SSTable seal and
+# bootstrap: the encoder into a reused buffer (0 allocs/op), a full BigTable
+# bring-up and a full Spanner bring-up.
 # BigQueryScanAgg guards the query path's dense partial aggregation: one
 # ScanAgg query through the columnar kernels and the shuffle.
 # Each op is milliseconds, so they take few iterations. They run at -cpu 1:
 # with one P, fmt's per-P buffer pools hit the same way every run, so
 # their allocs/op is exact and the zero-growth gate applies to them.
-storagepattern='^Benchmark(CompressEncode|BigTableNew|BigQueryScanAgg)$'
+storagepattern='^Benchmark(CompressEncode|BigTableNew|SpannerNew|BigQueryScanAgg)$'
 storagebenchtime=20x
 
 raw="$(go test -run '^$' -bench "$kernpattern" -benchmem -benchtime "$benchtime" -count "$benchcount" .)
