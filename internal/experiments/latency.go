@@ -43,7 +43,7 @@ func runLatencyPoint(seed uint64, rate float64, opsPerPoint int) (LatencyPoint, 
 	if err != nil {
 		return LatencyPoint{}, err
 	}
-	res := workload.SpannerOpenLoop(env, db, workload.DefaultSpannerMix(), rate, opsPerPoint)
+	res := workload.SpannerOpenLoopWithOpts(env, db, workload.DefaultSpannerMix(), rate, opsPerPoint, workload.OpenLoopOpts{})
 	env.K.Run()
 	if err := res.Err(); err != nil {
 		return LatencyPoint{}, err

@@ -28,7 +28,6 @@ import (
 	"hyperprof/internal/platform"
 	"hyperprof/internal/sim"
 	"hyperprof/internal/spanner"
-	"hyperprof/internal/stats"
 	"hyperprof/internal/taxonomy"
 	"hyperprof/internal/workload"
 )
@@ -220,14 +219,22 @@ func (o *Overload) runArm(p taxonomy.Platform, protected bool) (overloadArm, err
 	return overloadArm{}, fmt.Errorf("experiments: unknown platform %q", p)
 }
 
-// governor builds the protected arm's tenant governor (nil for naive arms).
-func (o *Overload) governor(protected bool, env *platform.Env) *netsim.TenantGovernor {
-	if !protected {
-		return nil
+// load schedules one arm's multi-tenant workload of ops at the platform's
+// total offered rate. The protected arm gates it through a tenant governor.
+func (o *Overload) load(env *platform.Env, protected bool, rate float64, ops *workload.Ops) *workload.OverloadRun {
+	var gov *netsim.TenantGovernor
+	if protected {
+		gov = netsim.NewTenantGovernor(o.Cfg.Load.QoSCapacity)
+		gov.EnableMetrics(env.Obs)
 	}
-	gov := netsim.NewTenantGovernor(o.Cfg.Load.QoSCapacity)
-	gov.EnableMetrics(env.Obs)
-	return gov
+	l := o.Cfg.Load
+	return workload.Overload(workload.OverloadConfig{
+		Duration: l.Duration,
+		Window:   l.Window,
+		Tenants:  overloadTenants(rate),
+		Governor: gov,
+		Shape:    o.Cfg.Shape,
+	}, ops)
 }
 
 // trigger injects the retry-storm scenario: a brownout on the given server
@@ -302,38 +309,7 @@ func (o *Overload) runSpanner(protected bool) (overloadArm, error) {
 	if err != nil {
 		return overloadArm{}, err
 	}
-	gov := o.governor(protected, env)
-	mix := workload.DefaultSpannerMix()
-	run := workload.Overload(env, workload.OverloadConfig{
-		Duration: cfg.Load.Duration,
-		Window:   cfg.Load.Window,
-		Tenants:  overloadTenants(cfg.Load.SpannerRate),
-		Governor: gov,
-		Shape:    cfg.Shape,
-	}, func(tenant string, rng *stats.RNG) func() func(p *sim.Proc) error {
-		picker := stats.NewWeighted(rng, []float64{mix.Reads, mix.Writes, mix.Queries})
-		val := []byte("spanner-overload-value-0123456789abcdef")
-		return func() func(p *sim.Proc) error {
-			g := rng.Intn(db.NumGroups())
-			row := db.PickRow()
-			op := picker.Next()
-			strong := rng.Bool(mix.StrongReadFrac)
-			return func(p *sim.Proc) error {
-				tr := env.Tracer.Start(taxonomy.Spanner, p.Now())
-				var err error
-				switch op {
-				case 0:
-					_, err = db.Read(p, tr, g, row, strong)
-				case 1:
-					err = db.Commit(p, tr, g, row, val)
-				default:
-					_, err = db.Query(p, tr, g, row)
-				}
-				env.Tracer.Finish(tr, p.Now())
-				return err
-			}
-		}
-	})
+	run := o.load(env, protected, cfg.Load.SpannerRate, workload.SpannerOps(env, db, workload.DefaultSpannerMix()))
 	eng := faults.NewEngine(env.K)
 	var servers []string
 	for g := 0; g < scfg.Groups; g++ {
@@ -367,37 +343,7 @@ func (o *Overload) runBigTable(protected bool) (overloadArm, error) {
 	if err != nil {
 		return overloadArm{}, err
 	}
-	gov := o.governor(protected, env)
-	mix := workload.DefaultBigTableMix()
-	run := workload.Overload(env, workload.OverloadConfig{
-		Duration: cfg.Load.Duration,
-		Window:   cfg.Load.Window,
-		Tenants:  overloadTenants(cfg.Load.BigTableRate),
-		Governor: gov,
-		Shape:    cfg.Shape,
-	}, func(tenant string, rng *stats.RNG) func() func(p *sim.Proc) error {
-		picker := stats.NewWeighted(rng, []float64{mix.Gets, mix.Puts, mix.Scans})
-		val := []byte("bigtable-overload-value-0123456789abcdef")
-		return func() func(p *sim.Proc) error {
-			t := rng.Intn(db.NumTablets())
-			row := db.PickRow()
-			op := picker.Next()
-			return func(p *sim.Proc) error {
-				tr := env.Tracer.Start(taxonomy.BigTable, p.Now())
-				var err error
-				switch op {
-				case 0:
-					_, err = db.Get(p, tr, t, row)
-				case 1:
-					err = db.Put(p, tr, t, row, val)
-				default:
-					_, err = db.Scan(p, tr, t, row)
-				}
-				env.Tracer.Finish(tr, p.Now())
-				return err
-			}
-		}
-	})
+	run := o.load(env, protected, cfg.Load.BigTableRate, workload.BigTableOps(env, db, workload.DefaultBigTableMix()))
 	// BigTable operations execute on the tablet server's node directly (no
 	// RPC queue, no slowdown hook), so the trigger is the flash crowd alone;
 	// overload pressure comes from the surged arrival rate itself.
@@ -421,34 +367,7 @@ func (o *Overload) runBigQuery(protected bool) (overloadArm, error) {
 	if err != nil {
 		return overloadArm{}, err
 	}
-	gov := o.governor(protected, env)
-	mix := workload.DefaultBigQueryMix()
-	run := workload.Overload(env, workload.OverloadConfig{
-		Duration: cfg.Load.Duration,
-		Window:   cfg.Load.Window,
-		Tenants:  overloadTenants(cfg.Load.BigQueryRate),
-		Governor: gov,
-		Shape:    cfg.Shape,
-	}, func(tenant string, rng *stats.RNG) func() func(p *sim.Proc) error {
-		picker := stats.NewWeighted(rng, []float64{mix.ScanAgg, mix.Join, mix.Report})
-		return func() func(p *sim.Proc) error {
-			q := bigquery.Query{Threshold: int64(rng.Intn(900))}
-			switch picker.Next() {
-			case 0:
-				q.Kind = bigquery.ScanAgg
-			case 1:
-				q.Kind = bigquery.JoinQuery
-			default:
-				q.Kind = bigquery.Report
-			}
-			return func(p *sim.Proc) error {
-				tr := env.Tracer.Start(taxonomy.BigQuery, p.Now())
-				_, err := e.Run(p, tr, q)
-				env.Tracer.Finish(tr, p.Now())
-				return err
-			}
-		}
-	})
+	run := o.load(env, protected, cfg.Load.BigQueryRate, workload.BigQueryOps(env, e, workload.DefaultBigQueryMix()))
 	eng := faults.NewEngine(env.K)
 	var servers []string
 	for i := 0; i < qcfg.ShuffleServers; i++ {

@@ -64,7 +64,7 @@ type LoadConfig struct {
 	SpannerRate, BigTableRate, BigQueryRate float64
 	// Duration is the arrival horizon; operations in flight still drain.
 	Duration time.Duration
-	// Window is the goodput accounting bucket width (0 = 50ms).
+	// Window is the goodput accounting bucket width (0 = 100ms).
 	Window time.Duration
 	// TriggerAt and TriggerDur place the retry-storm trigger: a brownout
 	// (service times multiplied by SlowFactor) compounded by a flash crowd

@@ -91,11 +91,7 @@ func conformanceStudies() []studyCase {
 			var buf bytes.Buffer
 			buf.WriteString(RenderResilience(r))
 			for _, p := range taxonomy.Platforms() {
-				chrome, err := trace.ExportChrome(r.Traces[p], 2000)
-				if err != nil {
-					t.Fatal(err)
-				}
-				buf.Write(chrome)
+				buf.Write(chromeTraces(t, r.Traces[p]))
 				fmt.Fprintf(&buf, "%s marks: %+v\nfaults: %+v\n", p, r.Marks[p], r.Row(p, true).FaultEvents)
 			}
 			series, err := MarshalPlatformSeries(r.Series)
@@ -361,12 +357,20 @@ func charBytes(t *testing.T, ch *Characterization) []byte {
 	for _, p := range taxonomy.Platforms() {
 		all = append(all, ch.Traces[p]...)
 	}
-	chrome, err := trace.ExportChrome(all, 2000)
+	buf.Write(chromeTraces(t, all))
+	return buf.Bytes()
+}
+
+// chromeTraces renders up to 2000 traces as a Chrome trace document.
+func chromeTraces(t *testing.T, traces []*trace.Trace) []byte {
+	t.Helper()
+	b := trace.NewChromeBuilder()
+	b.AddTraces(traces, 2000)
+	data, err := b.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf.Write(chrome)
-	return buf.Bytes()
+	return data
 }
 
 func firstDiff(a, b []byte) int {

@@ -160,8 +160,14 @@ func (c *Client) backoff(retry int) time.Duration {
 	return time.Duration(c.rng.Jitter(float64(d), 0.5))
 }
 
-// observe records a completed call latency for quantile-based hedging.
-func (c *Client) observe(d time.Duration) { c.lats.Add(float64(d)) }
+// observe records a completed call latency for quantile-based hedging. Only
+// a client with quantile hedging armed keeps samples: the summary is
+// unbounded, and nothing else reads it.
+func (c *Client) observe(d time.Duration) {
+	if c.policy.HedgeQuantile > 0 {
+		c.lats.Add(float64(d))
+	}
+}
 
 // spendRetryToken takes one token from the retry budget, reporting whether
 // the retry may proceed. With budgeting disabled it always allows. The check

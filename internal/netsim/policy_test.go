@@ -310,3 +310,41 @@ func TestHedgeDelayUsesObservedQuantile(t *testing.T) {
 		t.Fatalf("quantile hedge delay = %v, want 10ms", got)
 	}
 }
+
+// TestClientKeepsNoLatenciesWithoutQuantileHedging pins the memory bound: a
+// client without quantile hedging records no latency samples, whichever call
+// path succeeds.
+func TestClientKeepsNoLatenciesWithoutQuantileHedging(t *testing.T) {
+	k, n := testNet()
+	client := n.NewNode("cli", 0, 0, 1)
+	a := NewServer(n.NewNode("a", 0, 0, 1), 1)
+	b := NewServer(n.NewNode("b", 0, 0, 1), 1)
+	h := func(p *sim.Proc, req Request) Response {
+		p.Sleep(time.Millisecond)
+		return Response{Payload: "ok"}
+	}
+	a.Handle("op", h)
+	b.Handle("op", h)
+	a.Start()
+	b.Start()
+	c := NewClient(Policy{HedgeDelay: 50 * time.Millisecond, MaxAttempts: 2}, 1)
+	k.Go("client", func(p *sim.Proc) {
+		for i := 0; i < 4; i++ {
+			if resp, _ := c.CallAny(p, client, []*Server{a, b}, Request{Method: "op"}); resp.Err != nil {
+				t.Errorf("CallAny: %v", resp.Err)
+			}
+			if resp, _ := c.CallHedged(p, client, []*Server{a, b}, Request{Method: "op"}); resp.Err != nil {
+				t.Errorf("CallHedged: %v", resp.Err)
+			}
+		}
+		a.Stop()
+		b.Stop()
+	})
+	k.Run()
+	if c.Attempts == 0 {
+		t.Fatal("no attempts made")
+	}
+	if got := c.lats.N(); got != 0 {
+		t.Fatalf("client without quantile hedging kept %d latency samples, want 0", got)
+	}
+}

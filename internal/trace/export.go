@@ -157,17 +157,3 @@ func (b *ChromeBuilder) AddCounters(tracks []CounterTrack) {
 func (b *ChromeBuilder) Marshal() ([]byte, error) {
 	return json.MarshalIndent(b.events, "", " ")
 }
-
-// ExportChrome renders the traces as a Chrome trace-event JSON document.
-func ExportChrome(traces []*Trace, limit int) ([]byte, error) {
-	return ExportChromeMarks(traces, limit, nil)
-}
-
-// ExportChromeMarks is ExportChrome plus timeline marks, so injected faults
-// line up visually against the query intervals they perturbed.
-func ExportChromeMarks(traces []*Trace, limit int, marks []Mark) ([]byte, error) {
-	b := NewChromeBuilder()
-	b.AddMarks(marks)
-	b.AddTraces(traces, limit)
-	return b.Marshal()
-}

@@ -135,7 +135,9 @@ func TestExportChrome(t *testing.T) {
 	tc.Annotate(0, ms(9), Remote)
 	tr.Finish(tc, ms(9))
 
-	data, err := ExportChrome(tr.Sampled(), 0)
+	b := NewChromeBuilder()
+	b.AddTraces(tr.Sampled(), 0)
+	data, err := b.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +160,9 @@ func TestExportChrome(t *testing.T) {
 		t.Fatalf("process metadata = %d", names["process_name"])
 	}
 	// Limit caps exported traces.
-	capped, err := ExportChrome(tr.Sampled(), 1)
+	b = NewChromeBuilder()
+	b.AddTraces(tr.Sampled(), 1)
+	capped, err := b.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +183,10 @@ func TestExportChromeMarks(t *testing.T) {
 		{At: ms(1), Name: "crash spanner/g0/r1"},
 		{At: ms(4), Name: "recover spanner/g0/r1"},
 	}
-	data, err := ExportChromeMarks(tr.Sampled(), 0, marks)
+	b := NewChromeBuilder()
+	b.AddMarks(marks)
+	b.AddTraces(tr.Sampled(), 0)
+	data, err := b.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}

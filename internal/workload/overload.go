@@ -14,9 +14,7 @@ import (
 	"time"
 
 	"hyperprof/internal/netsim"
-	"hyperprof/internal/platform"
 	"hyperprof/internal/sim"
-	"hyperprof/internal/stats"
 )
 
 // OverloadTenant describes one tenant of an overload workload.
@@ -34,7 +32,7 @@ type OverloadConfig struct {
 	// Duration is the arrival horizon: arrivals stop once the sim clock
 	// passes it (operations in flight still complete).
 	Duration time.Duration
-	// Window is the goodput accounting bucket width.
+	// Window is the goodput accounting bucket width (0 = 100ms).
 	Window time.Duration
 	// Tenants are the arrival processes, registered in order.
 	Tenants []OverloadTenant
@@ -146,13 +144,13 @@ func (r *OverloadRun) maybeFinish() {
 	}
 }
 
-// Overload schedules a multi-tenant open-loop workload. setup is called once
-// per tenant (in registration order, with that tenant's forked RNG) and
-// returns the per-arrival prepare function; as in openLoop, prepare runs on
-// the tenant's arrival process and returns the operation to execute in its
-// own process. Call env.K.Run() afterwards to execute.
-func Overload(env *platform.Env, cfg OverloadConfig,
-	setup func(tenant string, rng *stats.RNG) func() func(p *sim.Proc) error) *OverloadRun {
+// Overload schedules a multi-tenant open-loop workload of ops: each tenant
+// (in registration order) draws from its own forked RNG stream, and as in
+// openLoop each operation is drawn on the tenant's arrival process and runs
+// in its own process. Call env.K.Run() afterwards to execute; the caller
+// stops the platform once Done fires.
+func Overload(cfg OverloadConfig, ops *Ops) *OverloadRun {
+	env := ops.env
 	if cfg.Window <= 0 {
 		cfg.Window = 100 * time.Millisecond
 	}
@@ -178,7 +176,6 @@ func Overload(env *platform.Env, cfg OverloadConfig,
 		run.mult[tn.Name] = 1
 	}
 	for i, tn := range cfg.Tenants {
-		tn := tn
 		st := run.Tenants[i]
 		var gov *netsim.Tenant
 		if cfg.Governor != nil {
@@ -190,55 +187,27 @@ func Overload(env *platform.Env, cfg OverloadConfig,
 			continue
 		}
 		rng := env.RNG.Fork()
-		prepare := setup(tn.Name, rng)
+		s := ops.stream(rng, overloadDriver)
+		envl := cfg.Shape.envelope(rng)
 		baseGap := float64(time.Second) / tn.RatePerSec
-		shaped := cfg.Shape.enabled()
-		sh := cfg.Shape.withDefaults()
-		maxMult := sh.maxMult()
-		var burst *burstEnv
-		if shaped && sh.Burst {
-			burst = newBurstEnv(rng, sh)
-		}
-		// nextArrival sleeps until the tenant's next accepted arrival or the
-		// horizon, whichever comes first. Unshaped it is the legacy single Exp
-		// gap; shaped it thins an envelope process at the peak rate, exactly
-		// as openLoop does, with the flash-crowd multiplier folded into the
-		// candidate rate so SetRateMult keeps working mid-run.
-		nextArrival := func(p *sim.Proc) bool {
-			for {
-				gap := baseGap / run.mult[tn.Name]
-				if shaped {
-					gap /= maxMult
-				}
-				p.Sleep(time.Duration(rng.Exp(gap)))
-				if p.Now() >= cfg.Duration {
-					return false
-				}
-				if !shaped {
-					return true
-				}
-				m := 1.0
-				if burst != nil {
-					m *= burst.mult(p.Now())
-				}
-				if sh.Diurnal {
-					m *= sh.diurnalMult(p.Now())
-				}
-				if rng.Float64()*maxMult < m {
-					return true
-				}
-			}
-		}
+		opName := fmt.Sprintf("overload-%s-op", tn.Name)
 		env.K.Go(fmt.Sprintf("overload-%s-arrivals", tn.Name), func(p *sim.Proc) {
 			defer func() {
 				run.gensLeft--
 				run.maybeFinish()
 			}()
 			for {
-				if !nextArrival(p) {
+				// The flash-crowd multiplier scales the candidate rate, so
+				// SetRateMult takes effect at the next candidate, shaped or
+				// not; arrivals stop at the horizon.
+				p.Sleep(time.Duration(rng.Exp(envl.gap(baseGap / run.mult[tn.Name]))))
+				at := p.Now()
+				if at >= cfg.Duration {
 					return
 				}
-				at := p.Now()
+				if !envl.accept(at) {
+					continue
+				}
 				st.Arrivals++
 				run.win(at).Arrivals++
 				if gov != nil && !cfg.Governor.Admit(gov) {
@@ -246,11 +215,11 @@ func Overload(env *platform.Env, cfg OverloadConfig,
 					run.win(at).Throttled++
 					continue
 				}
-				op := prepare()
+				x := s.next()
 				run.outstanding++
-				env.K.Go(fmt.Sprintf("overload-%s-op", tn.Name), func(op2 *sim.Proc) {
-					err := op(op2)
-					done := op2.Now()
+				env.K.Go(opName, func(op *sim.Proc) {
+					err := s.issue(op, x)
+					done := op.Now()
 					if err == nil {
 						st.Successes++
 						run.win(done).Successes++

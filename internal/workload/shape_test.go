@@ -9,7 +9,20 @@ import (
 	"hyperprof/internal/sim"
 	"hyperprof/internal/spanner"
 	"hyperprof/internal/stats"
+	"hyperprof/internal/trace"
 )
+
+// probeOps is a single-kind operation source for driver tests: draw makes
+// each operation's parameters on the driver's stream, and run executes it.
+func probeOps(env *platform.Env, draw func(s *stream) op, run func(p *sim.Proc, x op) error) *Ops {
+	return &Ops{
+		env:     env,
+		name:    "probe",
+		weights: []float64{1},
+		draw:    draw,
+		call:    func(p *sim.Proc, _ *trace.Trace, x op, _ []byte) error { return run(p, x) },
+	}
+}
 
 // arrivalTrace drives the open-loop helper with an instantaneous no-op
 // operation and returns the arrival instants, exposing the arrival process
@@ -18,15 +31,10 @@ func arrivalTrace(t *testing.T, seed uint64, rate float64, total int, opts OpenL
 	t.Helper()
 	env := platform.NewEnv(seed, 1)
 	var arrivals []time.Duration
-	res := openLoop(env, "shape-probe", rate, total, opts,
-		func(rng *stats.RNG) func() func(p *sim.Proc) error {
-			return func() func(p *sim.Proc) error {
-				return func(p *sim.Proc) error {
-					arrivals = append(arrivals, p.Now())
-					return nil
-				}
-			}
-		}, nil)
+	res := openLoop(probeOps(env, func(*stream) op { return op{} }, func(p *sim.Proc, _ op) error {
+		arrivals = append(arrivals, p.Now())
+		return nil
+	}), rate, total, opts)
 	env.K.Run()
 	if err := res.Err(); err != nil {
 		t.Fatal(err)
@@ -135,16 +143,11 @@ func TestArrivalShapeDiurnalFollowsEnvelope(t *testing.T) {
 func TestOpenLoopSketchRecorder(t *testing.T) {
 	env := platform.NewEnv(17, 1)
 	sk := stats.NewSketch(0.01)
-	res := openLoop(env, "sketch-probe", 2000, 500, OpenLoopOpts{Latencies: sk},
-		func(rng *stats.RNG) func() func(p *sim.Proc) error {
-			return func() func(p *sim.Proc) error {
-				d := time.Duration(1+rng.Intn(1000)) * time.Microsecond
-				return func(p *sim.Proc) error {
-					p.Sleep(d)
-					return nil
-				}
-			}
-		}, nil)
+	ops := probeOps(env, func(s *stream) op { return op{shard: 1 + s.rng.Intn(1000)} }, func(p *sim.Proc, x op) error {
+		p.Sleep(time.Duration(x.shard) * time.Microsecond)
+		return nil
+	})
+	res := openLoop(ops, 2000, 500, OpenLoopOpts{Latencies: sk})
 	env.K.Run()
 	if err := res.Err(); err != nil {
 		t.Fatal(err)

@@ -190,7 +190,7 @@ func (sentinelErr) Error() string { return "sentinel" }
 
 func TestSpannerOpenLoop(t *testing.T) {
 	env, db := spannerFixture(t, 50)
-	res := SpannerOpenLoop(env, db, DefaultSpannerMix(), 2000, 150)
+	res := SpannerOpenLoopWithOpts(env, db, DefaultSpannerMix(), 2000, 150, OpenLoopOpts{})
 	env.K.Run()
 	if err := res.Err(); err != nil {
 		t.Fatal(err)
@@ -212,7 +212,7 @@ func TestSpannerOpenLoop(t *testing.T) {
 func TestSpannerOpenLoopLatencyGrowsWithLoad(t *testing.T) {
 	p99At := func(rate float64) float64 {
 		env, db := spannerFixture(t, 51)
-		res := SpannerOpenLoop(env, db, DefaultSpannerMix(), rate, 250)
+		res := SpannerOpenLoopWithOpts(env, db, DefaultSpannerMix(), rate, 250, OpenLoopOpts{})
 		env.K.Run()
 		if err := res.Err(); err != nil {
 			t.Fatal(err)
@@ -228,7 +228,7 @@ func TestSpannerOpenLoopLatencyGrowsWithLoad(t *testing.T) {
 
 func TestSpannerOpenLoopValidation(t *testing.T) {
 	env, db := spannerFixture(t, 52)
-	res := SpannerOpenLoop(env, db, DefaultSpannerMix(), 0, 10)
+	res := SpannerOpenLoopWithOpts(env, db, DefaultSpannerMix(), 0, 10, OpenLoopOpts{})
 	if res.Err() == nil {
 		t.Fatal("zero rate accepted")
 	}
@@ -246,7 +246,7 @@ func TestBigTableOpenLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := BigTableOpenLoop(env, db, DefaultBigTableMix(), 2000, 120)
+	res := BigTableOpenLoopWithOpts(env, db, DefaultBigTableMix(), 2000, 120, OpenLoopOpts{})
 	env.K.Run()
 	if err := res.Err(); err != nil {
 		t.Fatal(err)

@@ -28,8 +28,10 @@ invocations=(
 	"-study=safety -backend=exec -workers 2"
 	"-study=resilience"
 	"-study=resilience -obs"
+	"-study=resilience -burst -diurnal"
 	"-study=obs"
 	"-study=overload -json"
+	"-study=overload -json -burst -diurnal"
 	"-study=partition -check -json"
 	"-study=pipeline -check -chrome-trace trace.json"
 	"-study=fleet -json -fleet-servers 400 -fleet-users 200000 -fleet-ops 8000"
