@@ -8,6 +8,7 @@ package hyperprof
 // Run with: go test -bench=. -benchmem
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -468,6 +469,23 @@ func BenchmarkSimProcSwitch(b *testing.B) {
 	})
 	b.ResetTimer()
 	k.Run()
+}
+
+// BenchmarkSimProcSpawn measures starting a process and running it to exit.
+// Its allocs/op pins the spawn cost — the Proc, its resume channel and the
+// goroutine's closure — that every open-loop arrival pays, so a coroutine
+// scheme that costs more per process cannot land unnoticed. The Gosched
+// lets each exited goroutine finish before the next spawn, so the runtime
+// reuses it and allocs/op is exact.
+func BenchmarkSimProcSpawn(b *testing.B) {
+	b.ReportAllocs()
+	k := sim.New()
+	body := func(p *sim.Proc) {}
+	for i := 0; i < b.N; i++ {
+		k.Go("bench", body)
+		k.Run()
+		runtime.Gosched()
+	}
 }
 
 // benchSketchValues feeds a fixed pseudo-random lognormal-ish latency stream

@@ -117,6 +117,7 @@ func enableStudyObs(cfg StudyConfig, env *platform.Env) {
 
 func runSpannerChar(cfg StudyConfig) (platformRun, error) {
 	env := platform.NewEnv(cfg.Seed, cfg.TraceRate)
+	defer env.K.Close()
 	env.Net = netsim.New(env.K, spanner.RecommendedNetConfig())
 	enableStudyObs(cfg, env)
 	db, err := spanner.New(env, spanner.DefaultConfig())
@@ -143,6 +144,7 @@ func runSpannerChar(cfg StudyConfig) (platformRun, error) {
 
 func runBigTableChar(cfg StudyConfig) (platformRun, error) {
 	env := platform.NewEnv(cfg.Seed+1, cfg.TraceRate)
+	defer env.K.Close()
 	enableStudyObs(cfg, env)
 	db, err := bigtable.New(env, bigtable.DefaultConfig())
 	if err != nil {
@@ -171,6 +173,7 @@ func runBigTableChar(cfg StudyConfig) (platformRun, error) {
 
 func runBigQueryChar(cfg StudyConfig) (platformRun, error) {
 	env := platform.NewEnv(cfg.Seed+2, cfg.TraceRate)
+	defer env.K.Close()
 	enableStudyObs(cfg, env)
 	e, err := bigquery.New(env, bigquery.DefaultConfig())
 	if err != nil {

@@ -128,6 +128,7 @@ func runFleetPlatform(cfg StudyConfig, u fleetUnit) (FleetRow, error) {
 	switch u.Platform {
 	case taxonomy.Spanner:
 		env = platform.NewEnv(cfg.Seed, fleetTraceRate)
+		defer env.K.Close()
 		env.Net = netsim.New(env.K, spanner.RecommendedNetConfig())
 		sc := spanner.DefaultConfig()
 		sc.Regions = 3
@@ -146,6 +147,7 @@ func runFleetPlatform(cfg StudyConfig, u fleetUnit) (FleetRow, error) {
 		res = workload.SpannerOpenLoopWithOpts(env, db, workload.DefaultSpannerMix(), u.Rate, u.Ops, opts)
 	case taxonomy.BigTable:
 		env = platform.NewEnv(cfg.Seed+1, fleetTraceRate)
+		defer env.K.Close()
 		bc := bigtable.DefaultConfig()
 		bc.TabletServers = max(1, u.Servers*4/5)
 		bc.Chunkservers = max(3, u.Servers-bc.TabletServers)
@@ -162,6 +164,7 @@ func runFleetPlatform(cfg StudyConfig, u fleetUnit) (FleetRow, error) {
 		res = workload.BigTableOpenLoopWithOpts(env, db, workload.DefaultBigTableMix(), u.Rate, u.Ops, opts)
 	case taxonomy.BigQuery:
 		env = platform.NewEnv(cfg.Seed+2, fleetTraceRate)
+		defer env.K.Close()
 		qc := bigquery.DefaultConfig()
 		qc.Workers = max(1, u.Servers*7/10)
 		qc.ShuffleServers = max(1, u.Servers*3/20)

@@ -38,6 +38,7 @@ var latencyKind = unitKind[latencyUnit, LatencyPoint]{
 // runLatencyPoint drives one fresh Spanner deployment at one offered rate.
 func runLatencyPoint(seed uint64, rate float64, opsPerPoint int) (LatencyPoint, error) {
 	env := platform.NewEnv(seed, 1)
+	defer env.K.Close()
 	env.Net = netsim.New(env.K, spanner.RecommendedNetConfig())
 	db, err := spanner.New(env, spanner.DefaultConfig())
 	if err != nil {

@@ -298,6 +298,7 @@ func (row *OverloadRow) clientCounters(c *netsim.Client) {
 func (o *Overload) runSpanner(protected bool) (overloadArm, error) {
 	cfg := o.Cfg
 	env := platform.NewEnv(cfg.Seed, cfg.TraceRate)
+	defer env.K.Close()
 	env.Net = netsim.New(env.K, spanner.RecommendedNetConfig())
 	enableStudyObs(cfg, env)
 	scfg := spanner.DefaultConfig()
@@ -334,6 +335,7 @@ func (o *Overload) runSpanner(protected bool) (overloadArm, error) {
 func (o *Overload) runBigTable(protected bool) (overloadArm, error) {
 	cfg := o.Cfg
 	env := platform.NewEnv(cfg.Seed+1, cfg.TraceRate)
+	defer env.K.Close()
 	enableStudyObs(cfg, env)
 	bcfg := bigtable.DefaultConfig()
 	if protected {
@@ -357,6 +359,7 @@ func (o *Overload) runBigTable(protected bool) (overloadArm, error) {
 func (o *Overload) runBigQuery(protected bool) (overloadArm, error) {
 	cfg := o.Cfg
 	env := platform.NewEnv(cfg.Seed+2, cfg.TraceRate)
+	defer env.K.Close()
 	enableStudyObs(cfg, env)
 	qcfg := bigquery.DefaultConfig()
 	qcfg.RPC = o.overloadRPCPolicy(protected, 20*time.Millisecond)

@@ -268,6 +268,7 @@ func (s *Partition) finish(p taxonomy.Platform, arm string, seed uint64, env *pl
 
 func (s *Partition) runSpanner(arm string, seed uint64, horizon time.Duration) (partitionArm, error) {
 	env := platform.NewEnv(seed, 1)
+	defer env.K.Close()
 	env.Net = netsim.New(env.K, spanner.RecommendedNetConfig())
 	env.Net.SetLinkSeed(seed ^ 0x4c494e4b) // "LINK"
 	scfg := spanner.DefaultConfig()
@@ -361,6 +362,7 @@ func (s *Partition) runSpanner(arm string, seed uint64, horizon time.Duration) (
 
 func (s *Partition) runBigTable(arm string, seed uint64, horizon time.Duration) (partitionArm, error) {
 	env := platform.NewEnv(seed+1000, 1)
+	defer env.K.Close()
 	bcfg := bigtable.DefaultConfig()
 	switch arm {
 	case armHardened, armBaseline:
@@ -428,6 +430,7 @@ func (s *Partition) runBigTable(arm string, seed uint64, horizon time.Duration) 
 
 func (s *Partition) runBigQuery(arm string, seed uint64, horizon time.Duration) (partitionArm, error) {
 	env := platform.NewEnv(seed+2000, 1)
+	defer env.K.Close()
 	env.Net.SetLinkSeed(seed ^ 0x4c494e4b) // "LINK"
 	qcfg := bigquery.DefaultConfig()
 	qcfg.RPC = resilienceRPCPolicy()

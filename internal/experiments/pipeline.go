@@ -195,6 +195,7 @@ func (s *Pipeline) Row(arm string) *PipelineRow {
 func (s *Pipeline) runArm(arm string, seed uint64, horizon time.Duration) (pipelineArm, error) {
 	cfg := s.Cfg
 	k := sim.New()
+	defer k.Close()
 	// Per-stage environments share the kernel but keep their own networks,
 	// profilers and RNG streams; the seed offsets mirror the safety study's
 	// per-platform decorrelation.

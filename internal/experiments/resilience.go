@@ -175,6 +175,7 @@ func (r *Resilience) runArm(p taxonomy.Platform, horizon time.Duration) (resilie
 
 func (r *Resilience) runSpanner(horizon time.Duration) (resilienceArm, error) {
 	env := platform.NewEnv(r.Cfg.Seed, r.Cfg.TraceRate)
+	defer env.K.Close()
 	env.Net = netsim.New(env.K, spanner.RecommendedNetConfig())
 	enableStudyObs(r.Cfg, env)
 	scfg := spanner.DefaultConfig()
@@ -208,6 +209,7 @@ func (r *Resilience) runSpanner(horizon time.Duration) (resilienceArm, error) {
 
 func (r *Resilience) runBigTable(horizon time.Duration) (resilienceArm, error) {
 	env := platform.NewEnv(r.Cfg.Seed+1, r.Cfg.TraceRate)
+	defer env.K.Close()
 	enableStudyObs(r.Cfg, env)
 	db, err := bigtable.New(env, bigtable.DefaultConfig())
 	if err != nil {
@@ -227,6 +229,7 @@ func (r *Resilience) runBigTable(horizon time.Duration) (resilienceArm, error) {
 
 func (r *Resilience) runBigQuery(horizon time.Duration) (resilienceArm, error) {
 	env := platform.NewEnv(r.Cfg.Seed+2, r.Cfg.TraceRate)
+	defer env.K.Close()
 	enableStudyObs(r.Cfg, env)
 	qcfg := bigquery.DefaultConfig()
 	qcfg.RPC = resilienceRPCPolicy()

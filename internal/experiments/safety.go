@@ -174,6 +174,7 @@ const safetySalt = 0x53414645
 
 func (s *Safety) runSpanner(seed uint64, horizon time.Duration) (safetyArm, error) {
 	env := platform.NewEnv(seed, 1)
+	defer env.K.Close()
 	env.Net = netsim.New(env.K, spanner.RecommendedNetConfig())
 	scfg := spanner.DefaultConfig()
 	scfg.RPC = resilienceRPCPolicy()
@@ -212,6 +213,7 @@ func (s *Safety) runSpanner(seed uint64, horizon time.Duration) (safetyArm, erro
 
 func (s *Safety) runBigTable(seed uint64, horizon time.Duration) (safetyArm, error) {
 	env := platform.NewEnv(seed+1000, 1)
+	defer env.K.Close()
 	bcfg := bigtable.DefaultConfig()
 	db, err := bigtable.New(env, bcfg)
 	if err != nil {
@@ -236,6 +238,7 @@ func (s *Safety) runBigTable(seed uint64, horizon time.Duration) (safetyArm, err
 
 func (s *Safety) runBigQuery(seed uint64, horizon time.Duration) (safetyArm, error) {
 	env := platform.NewEnv(seed+2000, 1)
+	defer env.K.Close()
 	qcfg := bigquery.DefaultConfig()
 	qcfg.RPC = resilienceRPCPolicy()
 	e, err := bigquery.New(env, qcfg)

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"hyperprof/internal/taxonomy"
 	"hyperprof/internal/trace"
@@ -184,9 +186,13 @@ const (
 	modeSeedPlusOne = "seed+1"
 )
 
-// conformanceExport runs st in the given mode and returns its export.
+// conformanceExport runs st in the given mode and returns its export. It
+// also gates the run's lifecycle: once the study returns, every goroutine
+// it started — simulated processes, pool workers, exec pipe readers — must
+// have ended.
 func conformanceExport(t *testing.T, st studyCase, mode string) []byte {
 	t.Helper()
+	base := runtime.NumGoroutine()
 	cfg := st.cfg
 	cfg.Parallel = 1
 	switch mode {
@@ -197,7 +203,23 @@ func conformanceExport(t *testing.T, st studyCase, mode string) []byte {
 	case modeSeedPlusOne:
 		cfg.Seed++
 	}
-	return st.export(t, cfg)
+	out := st.export(t, cfg)
+	checkGoroutines(t, st.name+" "+mode, base)
+	return out
+}
+
+// checkGoroutines fails t unless the goroutine count returns to base. A
+// goroutine that has handed back its last result may still be returning, so
+// it polls for a few seconds before failing.
+func checkGoroutines(t *testing.T, what string, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%s: %d goroutines still running after the study returned, %d before it", what, n, base)
+	}
 }
 
 // conformanceDigests memoizes the SHA-256 of each (study, mode) export, so a

@@ -7,6 +7,15 @@
 // (either the kernel or a single process) is executing, so simulations are
 // reproducible bit-for-bit and need no locking.
 //
+// A process's lifecycle is spawn (Go) → park and resume on primitives →
+// exit, either by returning from its body or, if it is still parked when the
+// simulation is abandoned, by Close unwinding it: Close resumes each live
+// process in turn, and the process ends itself with runtime.Goexit, running
+// its deferred calls on the way out. A parked goroutine keeps everything its
+// stack reaches alive, so a caller that drops a kernel with parked processes
+// (server loops waiting for requests that will never come) must Close it to
+// release the simulation.
+//
 // A Kernel is single-threaded by construction, but distinct kernels share no
 // state, so independent simulations may run on concurrent goroutines (the
 // experiments runner exploits this; see DESIGN.md "Performance
@@ -15,6 +24,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"time"
 )
@@ -26,8 +36,11 @@ type Kernel struct {
 	seq    int64
 	events eventQueue
 	yield  chan struct{}
-	live   int // processes started and not yet terminated
-	parked int // processes currently blocked on a primitive
+	live   int   // processes started and not yet terminated
+	procs  *Proc // head of the intrusive list of those live processes
+	// closing is set by Close: a process resumed from then on unwinds
+	// instead of running.
+	closing bool
 }
 
 // New returns an empty kernel at virtual time zero.
@@ -51,8 +64,9 @@ func NewHeapOnly() *Kernel {
 func (k *Kernel) Now() time.Duration { return k.now }
 
 // Live reports the number of processes that have been started and have not
-// yet terminated. After Run returns, a nonzero Live count means processes are
-// deadlocked waiting on primitives nobody will fire.
+// yet terminated. After Run returns and until Close, a nonzero Live count
+// means processes are blocked on primitives nobody will fire (deadlocked, or
+// server loops whose work has drained); Close ends them and Live reads 0.
 func (k *Kernel) Live() int { return k.live }
 
 // PendingEvents returns the number of events currently queued. Under strict
@@ -108,15 +122,79 @@ func (k *Kernel) wake(at time.Duration, p *Proc) {
 // called before Run, from kernel context, or from another process.
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{k: k, name: name, resume: make(chan struct{})}
-	k.live++
+	k.link(p)
 	go func() {
+		// A body that returns takes the explicit exit below; one that Close
+		// unwinds leaves through runtime.Goexit, which runs the deferred
+		// exit. returned keeps the deferred call from reading k.closing
+		// once the kernel has control again. A panicking body (closing is
+		// false) takes neither, so the panic crashes the program with the
+		// kernel still blocked.
+		returned := false
+		defer func() {
+			if !returned && k.closing {
+				k.exit(p)
+			}
+		}()
 		<-p.resume
-		fn(p)
-		k.live--
-		k.yield <- struct{}{}
+		if !k.closing {
+			fn(p)
+		}
+		returned = true
+		k.exit(p)
 	}()
 	k.wake(k.now, p)
 	return p
+}
+
+// link records p as live at the head of the kernel's process list. The list
+// is intrusive (prev/next live on Proc) so spawning allocates nothing beyond
+// the process itself.
+func (k *Kernel) link(p *Proc) {
+	k.live++
+	p.next = k.procs
+	if k.procs != nil {
+		k.procs.prev = p
+	}
+	k.procs = p
+}
+
+// exit retires p and hands control back to the kernel. It is the last thing
+// a process goroutine does.
+func (k *Kernel) exit(p *Proc) {
+	if p.prev != nil {
+		p.prev.next = p.next
+	} else {
+		k.procs = p.next
+	}
+	if p.next != nil {
+		p.next.prev = p.prev
+	}
+	p.prev, p.next = nil, nil
+	k.live--
+	k.yield <- struct{}{}
+}
+
+// Close ends every live process and drops every pending event, releasing
+// the goroutines — and through their stacks the simulated state — that a
+// drained run leaves parked. It resumes the live processes one at a time, in
+// strict alternation as Run does. A parked one unwinds with runtime.Goexit,
+// so its deferred calls run and a recover in its body cannot stop it; one
+// that never started exits without running its body. Deferred calls may
+// touch simulated state (release a resource, count a barrier down, record a
+// metric), so call Close only after everything the caller reports has been
+// read out of the simulation. Processes spawned or re-parked by those
+// deferred calls are unwound too; Close returns when none is left.
+//
+// Close is for kernel context: call it after Run or RunUntil returns, never
+// from a process or an event. The kernel is spent afterwards: a process
+// started later exits without running its body. A second Close does nothing.
+func (k *Kernel) Close() {
+	k.closing = true
+	for k.procs != nil {
+		k.step(k.procs)
+	}
+	k.events = eventQueue{heapOnly: k.events.heapOnly}
 }
 
 // step transfers control to process p until it parks or terminates.
@@ -508,9 +586,10 @@ func (q *eventHeap) pop() event {
 // Proc is a simulated process. All Proc methods must be called from within
 // the process's own goroutine (i.e. from the fn passed to Kernel.Go).
 type Proc struct {
-	k      *Kernel
-	name   string
-	resume chan struct{}
+	k          *Kernel
+	name       string
+	resume     chan struct{}
+	prev, next *Proc // neighbours in the kernel's live-process list
 }
 
 // Name returns the name the process was started with.
@@ -522,12 +601,14 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.k.now }
 
-// park blocks the process until some event resumes it.
+// park blocks the process until some event resumes it, or until Close
+// resumes it to unwind.
 func (p *Proc) park() {
-	p.k.parked++
 	p.k.yield <- struct{}{}
 	<-p.resume
-	p.k.parked--
+	if p.k.closing {
+		runtime.Goexit()
+	}
 }
 
 // Sleep blocks the process for virtual duration d. It rides the wake fast

@@ -371,10 +371,9 @@ func TestDeadlockLeavesLiveProcs(t *testing.T) {
 	if k.Live() != 1 {
 		t.Fatalf("live = %d, want 1 (deadlocked proc)", k.Live())
 	}
-	s.Fire() // release so the goroutine can exit during test teardown
-	k.Run()
+	k.Close()
 	if k.Live() != 0 {
-		t.Fatalf("live = %d after fire", k.Live())
+		t.Fatalf("live = %d after Close", k.Live())
 	}
 }
 

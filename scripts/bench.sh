@@ -20,7 +20,9 @@ netbenchtime="${NETBENCHTIME:-1000000x}"
 # ever add time) and the maximum B/op and allocs/op (which are deterministic,
 # so max == min unless something is actually wrong).
 benchcount="${BENCHCOUNT:-6}"
-kernpattern='^Benchmark(Sim(KernelEvents|KernelSchedule|KernelRun|KernelDenseTimers|KernelDenseTimersHeapOnly|ProcSwitch)|Stats(SketchRecord|SummaryRecord))$'
+# SimProcSpawn pins the allocations of starting a process and running it to
+# exit, which every open-loop arrival pays.
+kernpattern='^Benchmark(Sim(KernelEvents|KernelSchedule|KernelRun|KernelDenseTimers|KernelDenseTimersHeapOnly|ProcSwitch|ProcSpawn)|Stats(SketchRecord|SummaryRecord))$'
 netpattern='^BenchmarkNetMessageDelay$'
 pipepattern='^BenchmarkPipelineHandoff$'
 # The storage-path benches guard the allocation-lean SSTable seal and
