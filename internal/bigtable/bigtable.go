@@ -1084,9 +1084,6 @@ func (db *DB) HealTabletServer(i int) error {
 	return nil
 }
 
-// TabletServerPartitioned reports whether tablet server i is partitioned.
-func (db *DB) TabletServerPartitioned(i int) bool { return db.partitioned[i] }
-
 // rebuildFromLog applies crash semantics to a reassigned tablet: the crashed
 // server's volatile state — the active memtable and any still-flushing
 // snapshots — is lost, and the new server's memtable is rebuilt by replaying

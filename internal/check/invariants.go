@@ -23,15 +23,6 @@ func (r *Registry) Register(name string, check func() []string) {
 	r.invs = append(r.invs, inv{name: name, check: check})
 }
 
-// Names returns the registered invariant names in registration order.
-func (r *Registry) Names() []string {
-	out := make([]string, len(r.invs))
-	for i, v := range r.invs {
-		out[i] = v.name
-	}
-	return out
-}
-
 // Check runs every invariant and converts breaches into violations stamped
 // with the given virtual time.
 func (r *Registry) Check(at time.Duration) []Violation {

@@ -208,14 +208,15 @@ func (s *Partition) runArm(p taxonomy.Platform, arm string, seed uint64, horizon
 
 // nemesisFor converts the study's fractional rates into an absolute nemesis
 // config over the calibrated horizon (fault arrivals stop at 80% so heals
-// land while the workload drains). nodes feed link-scoped partitions and the
-// gray link; partitionTargets feed target-scoped partitions instead; clocks
-// name the skewable targets.
+// land while the workload drains). netNodes feed the brown-out window (see
+// FaultConfig.schedule); nodes feed link-scoped partitions and the gray
+// link; partitionTargets feed target-scoped partitions instead; clocks name
+// the skewable targets.
 func (s *Partition) nemesisFor(horizon time.Duration, seed uint64, stragglerProb float64,
-	nodes, partitionTargets, clocks []string) faults.NemesisConfig {
+	netNodes, nodes, partitionTargets, clocks []string) faults.NemesisConfig {
 	part := s.Cfg.Part
 	return faults.NemesisConfig{
-		ScheduleConfig:   s.Cfg.Faults.schedule(horizon, seed, stragglerProb),
+		ScheduleConfig:   s.Cfg.Faults.schedule(horizon, seed, stragglerProb, netNodes),
 		Nodes:            nodes,
 		PartitionTargets: partitionTargets,
 		PartitionMTBF:    time.Duration(float64(horizon) * part.MTBFFrac),
@@ -270,7 +271,6 @@ func (s *Partition) runSpanner(arm string, seed uint64, horizon time.Duration) (
 	env := platform.NewEnv(seed, 1)
 	defer env.K.Close()
 	env.Net = netsim.New(env.K, spanner.RecommendedNetConfig())
-	env.Net.SetLinkSeed(seed ^ 0x4c494e4b) // "LINK"
 	scfg := spanner.DefaultConfig()
 	scfg.RPC = resilienceRPCPolicy()
 	scfg.ClockEps = s.Cfg.Part.ClockEps
@@ -309,11 +309,7 @@ func (s *Partition) runSpanner(arm string, seed uint64, horizon time.Duration) (
 	var eng *faults.Engine
 	if horizon > 0 {
 		eng = faults.NewEngine(env.K)
-		eng.RegisterLinkPlane(faults.LinkPlane{
-			Block: env.Net.BlockLink,
-			Gray:  env.Net.SetLinkFault,
-			Heal:  env.Net.HealLink,
-		})
+		registerLinks(eng, env.Net, seed)
 		// Every replica is a straggler/clock-skew target; only two per group
 		// may crash (a majority always survives crashes — partitions, not
 		// crashes, are this study's quorum threat).
@@ -351,9 +347,8 @@ func (s *Partition) runSpanner(arm string, seed uint64, horizon time.Duration) (
 			}
 		}
 		sort.Strings(nodes)
-		registerNet(eng, env.Net, seed)
 		eng.InjectAll(faults.GenerateNemesisSchedule(crashable,
-			s.nemesisFor(horizon, seed, s.Cfg.Faults.StragglerProb, nodes, nil, clocks)))
+			s.nemesisFor(horizon, seed, s.Cfg.Faults.StragglerProb, env.Net.NodeNames(), nodes, nil, clocks)))
 	}
 	dc := drive(env, "spanner", "partition", seed^partitionSalt, s.Cfg.Clients, s.Cfg.Ops.Spanner, horizon,
 		spannerTorture(db, scfg.Groups, s.Cfg.Check.HotRows, seed))
@@ -412,9 +407,8 @@ func (s *Partition) runBigTable(arm string, seed uint64, horizon time.Duration) 
 			crashable = append(crashable, fmt.Sprintf("bigtable/ts%d", i))
 		}
 		crashable = append(crashable, "bigtable/cs0")
-		registerNet(eng, env.Net, seed)
 		eng.InjectAll(faults.GenerateNemesisSchedule(crashable,
-			s.nemesisFor(horizon, seed+1000, 0, nil, partitionable, nil)))
+			s.nemesisFor(horizon, seed+1000, 0, nil, nil, partitionable, nil)))
 	}
 	spread := bcfg.Tablets
 	if arm == armBroken {
@@ -431,7 +425,6 @@ func (s *Partition) runBigTable(arm string, seed uint64, horizon time.Duration) 
 func (s *Partition) runBigQuery(arm string, seed uint64, horizon time.Duration) (partitionArm, error) {
 	env := platform.NewEnv(seed+2000, 1)
 	defer env.K.Close()
-	env.Net.SetLinkSeed(seed ^ 0x4c494e4b) // "LINK"
 	qcfg := bigquery.DefaultConfig()
 	qcfg.RPC = resilienceRPCPolicy()
 	if arm == armNaive {
@@ -449,11 +442,7 @@ func (s *Partition) runBigQuery(arm string, seed uint64, horizon time.Duration) 
 	var eng *faults.Engine
 	if horizon > 0 {
 		eng = faults.NewEngine(env.K)
-		eng.RegisterLinkPlane(faults.LinkPlane{
-			Block: env.Net.BlockLink,
-			Gray:  env.Net.SetLinkFault,
-			Heal:  env.Net.HealLink,
-		})
+		registerLinks(eng, env.Net, seed)
 		crashable := registerShuffleTargets(eng, e, qcfg.ShuffleServers)
 		// Partition node set: the shuffle tier plus two worker nodes, so
 		// drawn topologies cut worker->shuffle data paths (where failover
@@ -483,9 +472,8 @@ func (s *Partition) runBigQuery(arm string, seed uint64, horizon time.Duration) 
 			}
 		}
 		sort.Strings(nodes)
-		registerNet(eng, env.Net, seed)
 		eng.InjectAll(faults.GenerateNemesisSchedule(crashable,
-			s.nemesisFor(horizon, seed+2000, s.Cfg.Faults.StragglerProb, nodes, nil, nil)))
+			s.nemesisFor(horizon, seed+2000, s.Cfg.Faults.StragglerProb, env.Net.NodeNames(), nodes, nil, nil)))
 	}
 	dc := drive(env, "bigquery", "partition", seed^partitionSalt, s.Cfg.Clients, s.Cfg.Ops.BigQuery, horizon,
 		bigqueryTorture(e))

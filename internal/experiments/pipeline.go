@@ -275,8 +275,8 @@ func (s *Pipeline) runArm(arm string, seed uint64, horizon time.Duration) (pipel
 		// recovery exercises both re-put failover and speculative stage-1
 		// re-execution while the handoff latch sees a replay.
 		registerShuffleTargets(eng, analytics, qcfg.ShuffleServers)
-		registerNet(eng, bqEnv.Net, seed)
-		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), cfg.Faults.schedule(horizon, seed+2000, cfg.Faults.StragglerProb)))
+		registerLinks(eng, bqEnv.Net, seed)
+		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), cfg.Faults.schedule(horizon, seed+2000, cfg.Faults.StragglerProb, bqEnv.Net.NodeNames())))
 	}
 
 	var elapsed time.Duration

@@ -199,8 +199,8 @@ func (r *Resilience) runSpanner(horizon time.Duration) (resilienceArm, error) {
 				SetSlowdown: func(f float64) { _ = db.SetReplicaSlowdown(g, region, f) },
 			})
 		}
-		registerNet(eng, env.Net, r.Cfg.Seed)
-		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), r.Cfg.Faults.schedule(horizon, r.Cfg.Seed, r.Cfg.Faults.StragglerProb)))
+		registerLinks(eng, env.Net, r.Cfg.Seed)
+		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), r.Cfg.Faults.schedule(horizon, r.Cfg.Seed, r.Cfg.Faults.StragglerProb, env.Net.NodeNames())))
 	}
 	run := workload.Spanner(env, db, workload.DefaultSpannerMix(), r.Cfg.Clients, r.Cfg.Ops.Spanner,
 		workload.ClosedLoopOpts{Shape: r.Cfg.Shape})
@@ -219,8 +219,7 @@ func (r *Resilience) runBigTable(horizon time.Duration) (resilienceArm, error) {
 	if horizon > 0 {
 		eng = faults.NewEngine(env.K)
 		registerTabletTargets(eng, db, bigtable.DefaultConfig().TabletServers)
-		registerNet(eng, env.Net, r.Cfg.Seed)
-		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), r.Cfg.Faults.schedule(horizon, r.Cfg.Seed+1, 0)))
+		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), r.Cfg.Faults.schedule(horizon, r.Cfg.Seed+1, 0, nil)))
 	}
 	run := workload.BigTable(env, db, workload.DefaultBigTableMix(), r.Cfg.Clients, r.Cfg.Ops.BigTable,
 		workload.ClosedLoopOpts{Shape: r.Cfg.Shape})
@@ -241,8 +240,8 @@ func (r *Resilience) runBigQuery(horizon time.Duration) (resilienceArm, error) {
 	if horizon > 0 {
 		eng = faults.NewEngine(env.K)
 		registerShuffleTargets(eng, e, qcfg.ShuffleServers)
-		registerNet(eng, env.Net, r.Cfg.Seed)
-		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), r.Cfg.Faults.schedule(horizon, r.Cfg.Seed+2, r.Cfg.Faults.StragglerProb)))
+		registerLinks(eng, env.Net, r.Cfg.Seed)
+		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), r.Cfg.Faults.schedule(horizon, r.Cfg.Seed+2, r.Cfg.Faults.StragglerProb, env.Net.NodeNames())))
 	}
 	run := workload.BigQuery(env, e, workload.DefaultBigQueryMix(), r.Cfg.Clients, r.Cfg.Ops.BigQuery,
 		workload.ClosedLoopOpts{Shape: r.Cfg.Shape})

@@ -81,3 +81,38 @@ func TestRenderResilienceShape(t *testing.T) {
 		}
 	}
 }
+
+// TestBrownoutOnlyOnRPCPlatforms: with a brown-out certain to draw, the
+// Spanner and BigQuery faulted arms apply its two events on their networks,
+// while BigTable's — whose data path sends no RPCs — applies none, so its
+// FaultsApplied counts only tablet-server and chunkserver events.
+func TestBrownoutOnlyOnRPCPlatforms(t *testing.T) {
+	cfg := smallResilienceConfig()
+	cfg.Faults.NetDegradeProb = 1
+	for _, p := range taxonomy.Platforms() {
+		pair, err := (&Resilience{Cfg: cfg}).runPair(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := pair[1].Row
+		if len(row.FaultEvents) != row.FaultsApplied {
+			t.Fatalf("%s: %d fault events for FaultsApplied %d", p, len(row.FaultEvents), row.FaultsApplied)
+		}
+		brownouts := 0
+		for _, ev := range row.FaultEvents {
+			switch {
+			case strings.HasPrefix(ev.Target, "brownout"):
+				brownouts++
+			case p == taxonomy.BigTable && !strings.HasPrefix(ev.Target, "bigtable/ts") && !strings.HasPrefix(ev.Target, "bigtable/cs"):
+				t.Errorf("%s: applied fault %q is neither a tablet server nor a chunkserver event", p, ev.Label())
+			}
+		}
+		want := 2
+		if p == taxonomy.BigTable {
+			want = 0
+		}
+		if brownouts != want {
+			t.Errorf("%s: %d brown-out events applied, want %d", p, brownouts, want)
+		}
+	}
+}

@@ -203,8 +203,8 @@ func (s *Safety) runSpanner(seed uint64, horizon time.Duration) (safetyArm, erro
 				})
 			}
 		}
-		registerNet(eng, env.Net, seed)
-		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), s.Cfg.Faults.schedule(horizon, seed, s.Cfg.Faults.StragglerProb)))
+		registerLinks(eng, env.Net, seed)
+		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), s.Cfg.Faults.schedule(horizon, seed, s.Cfg.Faults.StragglerProb, env.Net.NodeNames())))
 	}
 	dc := drive(env, "spanner", "torture", seed^safetySalt, s.Cfg.Clients, s.Cfg.Ops.Spanner, 0,
 		spannerTorture(db, scfg.Groups, s.Cfg.Check.HotRows, seed))
@@ -228,8 +228,7 @@ func (s *Safety) runBigTable(seed uint64, horizon time.Duration) (safetyArm, err
 	if horizon > 0 {
 		eng = faults.NewEngine(env.K)
 		registerTabletTargets(eng, db, bcfg.TabletServers)
-		registerNet(eng, env.Net, seed)
-		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), s.Cfg.Faults.schedule(horizon, seed+1000, 0)))
+		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), s.Cfg.Faults.schedule(horizon, seed+1000, 0, nil)))
 	}
 	dc := drive(env, "bigtable", "torture", seed^safetySalt, s.Cfg.Clients, s.Cfg.Ops.BigTable, 0,
 		bigtableTorture(db, bcfg.Tablets, bcfg.Tablets, s.Cfg.Check.HotRows, seed))
@@ -254,8 +253,8 @@ func (s *Safety) runBigQuery(seed uint64, horizon time.Duration) (safetyArm, err
 	if horizon > 0 {
 		eng = faults.NewEngine(env.K)
 		registerShuffleTargets(eng, e, qcfg.ShuffleServers)
-		registerNet(eng, env.Net, seed)
-		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), s.Cfg.Faults.schedule(horizon, seed+2000, s.Cfg.Faults.StragglerProb)))
+		registerLinks(eng, env.Net, seed)
+		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), s.Cfg.Faults.schedule(horizon, seed+2000, s.Cfg.Faults.StragglerProb, env.Net.NodeNames())))
 	}
 	dc := drive(env, "bigquery", "torture", seed^safetySalt, s.Cfg.Clients, s.Cfg.Ops.BigQuery, 0, bigqueryTorture(e))
 	return s.finish(taxonomy.BigQuery, seed, env, h, reg, eng, dc), nil

@@ -36,9 +36,12 @@ type FaultConfig struct {
 	// (service-time multiplier StragglerFactor) instead of a crash.
 	StragglerProb   float64
 	StragglerFactor float64
-	// NetDegradeProb is the chance of one network-degradation window per
-	// platform run, adding NetExtraDelay per message and dropping requests
-	// with probability NetDropProb while it lasts.
+	// NetDegradeProb is the chance of one network brown-out window per
+	// platform run. While it lasts, every message on every link of the
+	// platform's network, in both directions, pays NetExtraDelay and is lost
+	// with probability NetDropProb. A lost request fails before the handler
+	// runs; a lost response fails after it ran, an indeterminate outcome.
+	// BigTable's data path sends no RPCs, so its runs get no window.
 	NetDegradeProb float64
 	NetExtraDelay  time.Duration
 	NetDropProb    float64

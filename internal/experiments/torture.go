@@ -31,8 +31,10 @@ import (
 // recoveries land while the workload drains. stragglerProb overrides the
 // configured probability so platforms whose targets cannot straggle
 // (BigTable's tablet servers are not RPC-fronted) get crash-only schedules
-// instead of dead skipped events.
-func (f FaultConfig) schedule(horizon time.Duration, seed uint64, stragglerProb float64) faults.ScheduleConfig {
+// instead of dead skipped events. netNodes are the nodes the brown-out window
+// covers, every directed link between them; BigTable passes none, since its
+// data path sends no RPCs a brown-out could slow.
+func (f FaultConfig) schedule(horizon time.Duration, seed uint64, stragglerProb float64, netNodes []string) faults.ScheduleConfig {
 	return faults.ScheduleConfig{
 		Horizon:         time.Duration(float64(horizon) * 0.8),
 		MTBF:            time.Duration(float64(horizon) * f.MTBFFrac),
@@ -42,15 +44,17 @@ func (f FaultConfig) schedule(horizon time.Duration, seed uint64, stragglerProb 
 		NetDegradeProb:  f.NetDegradeProb,
 		NetExtraDelay:   f.NetExtraDelay,
 		NetDropProb:     f.NetDropProb,
+		NetNodes:        netNodes,
 		Seed:            seed,
 	}
 }
 
-// registerNet hooks the schedule's network-degradation windows to net.
-func registerNet(eng *faults.Engine, net *netsim.Network, seed uint64) {
-	eng.RegisterNetwork(func(extra time.Duration, drop float64) {
-		net.Degrade(extra, drop, seed^0x4e455444) // "NETD"
-	}, net.Restore)
+// registerLinks hooks the engine's link-scoped events — partitions, gray
+// links and the schedule's brown-out window — to net's link plane, whose
+// per-link loss streams derive from seed salted with "LINK".
+func registerLinks(eng *faults.Engine, net *netsim.Network, seed uint64) {
+	net.SetLinkSeed(seed ^ 0x4c494e4b) // "LINK"
+	eng.RegisterLinkPlane(faults.LinkPlane{Block: net.BlockLink, Gray: net.SetLinkFault, Heal: net.HealLink})
 }
 
 // registerShuffleTargets registers BigQuery's fault targets: every other

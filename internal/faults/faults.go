@@ -1,7 +1,8 @@
 // Package faults is the deterministic fault-injection engine: it drives
-// crash/recover, straggler (service-time multiplier), and network-degradation
-// events against named targets on the discrete-event clock, generates seeded
-// random fault schedules, and runs chaos scenarios with per-scenario stats.
+// crash/recover, straggler (service-time multiplier), partition, gray-link
+// and clock-skew events against named targets and directed network links on
+// the discrete-event clock, generates seeded random fault schedules, and
+// runs chaos scenarios with per-scenario stats.
 //
 // The engine knows nothing about platforms. Each injectable component
 // registers a named Actions bundle (how to crash it, recover it, or slow it
@@ -31,11 +32,6 @@ const (
 	// Straggler multiplies the target's service time by Event.Factor;
 	// Factor <= 1 clears the injection.
 	Straggler
-	// NetDegrade adds Event.Extra per-message delay and drops requests with
-	// probability Event.Factor, network-wide.
-	NetDegrade
-	// NetRestore clears network degradation.
-	NetRestore
 	// RateSurge multiplies the target's offered load by Event.Factor — the
 	// flash-crowd injection for open-loop overload scenarios; Factor <= 1
 	// restores the base rate.
@@ -50,7 +46,8 @@ const (
 	Heal
 	// GrayLink injects an asymmetric slow-lossy link: each directed link in
 	// Event.Links pays Event.Extra per message and loses messages with
-	// probability Event.Factor. Healed by a matching Heal.
+	// probability Event.Factor. Healed by a matching Heal, or by a GrayLink
+	// with zero Extra and Factor, which keeps any Partition block in place.
 	GrayLink
 	// ClockSkew sets the target's clock to Event.Extra offset drifting at
 	// Event.Factor seconds per second; a later ClockSkew with zero values
@@ -67,10 +64,6 @@ func (k Kind) String() string {
 		return "recover"
 	case Straggler:
 		return "straggler"
-	case NetDegrade:
-		return "net-degrade"
-	case NetRestore:
-		return "net-restore"
 	case RateSurge:
 		return "rate-surge"
 	case Partition:
@@ -96,13 +89,14 @@ type Event struct {
 	At time.Duration
 	// Kind selects the action.
 	Kind Kind
-	// Target names the registered target; empty for network-wide events.
+	// Target names the registered target; for link-scoped events it is only
+	// the label the applied fault is reported under.
 	Target string
-	// Factor is the straggler multiplier, the drop probability (NetDegrade,
-	// GrayLink) or the drift rate (ClockSkew).
+	// Factor is the straggler multiplier, the drop probability (GrayLink) or
+	// the drift rate (ClockSkew).
 	Factor float64
-	// Extra is the per-message delay (NetDegrade, GrayLink) or the clock
-	// offset (ClockSkew).
+	// Extra is the per-message delay (GrayLink) or the clock offset
+	// (ClockSkew).
 	Extra time.Duration
 	// Links are the directed links a Partition/GrayLink/Heal event acts on;
 	// empty means the event is target-scoped instead.
@@ -156,12 +150,10 @@ func (a Applied) Label() string {
 
 // Engine schedules fault events against registered targets on a kernel.
 type Engine struct {
-	k          *sim.Kernel
-	targets    map[string]Actions
-	names      []string
-	netDegrade func(extra time.Duration, drop float64)
-	netRestore func()
-	links      *LinkPlane
+	k       *sim.Kernel
+	targets map[string]Actions
+	names   []string
+	links   *LinkPlane
 
 	// Applied lists the faults that fired, in firing order.
 	Applied []Applied
@@ -186,12 +178,6 @@ func (e *Engine) Register(name string, a Actions) {
 		e.names = append(e.names, name)
 	}
 	e.targets[name] = a
-}
-
-// RegisterNetwork wires the network-wide degradation hooks.
-func (e *Engine) RegisterNetwork(degrade func(extra time.Duration, drop float64), restore func()) {
-	e.netDegrade = degrade
-	e.netRestore = restore
 }
 
 // RegisterLinkPlane wires the directed-link fault hooks Partition, GrayLink
@@ -234,18 +220,6 @@ func (e *Engine) inject(ev Event, st *ScenarioStats) {
 // apply performs the event's action, reporting whether it was applicable.
 func (e *Engine) apply(ev Event) bool {
 	switch ev.Kind {
-	case NetDegrade:
-		if e.netDegrade == nil {
-			return false
-		}
-		e.netDegrade(ev.Extra, ev.Factor)
-		return true
-	case NetRestore:
-		if e.netRestore == nil {
-			return false
-		}
-		e.netRestore()
-		return true
 	case Partition, GrayLink, Heal:
 		if len(ev.Links) > 0 {
 			return e.applyLinks(ev)
@@ -380,7 +354,7 @@ func (st *ScenarioStats) Labels() []string {
 // per-kind counts in kind order, then per-label counts in sorted label order.
 func (st *ScenarioStats) String() string {
 	s := fmt.Sprintf("scenario %q: %d scheduled, %d applied", st.Name, st.Scheduled, len(st.Applied))
-	for _, k := range []Kind{Crash, Recover, Straggler, NetDegrade, NetRestore, RateSurge, Partition, Heal, GrayLink, ClockSkew} {
+	for _, k := range []Kind{Crash, Recover, Straggler, RateSurge, Partition, Heal, GrayLink, ClockSkew} {
 		if n := st.ByKind[k]; n > 0 {
 			s += fmt.Sprintf(", %d %s", n, k)
 		}

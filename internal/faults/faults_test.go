@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -60,7 +61,7 @@ func TestEngineSkipsUnknownTargetsAndMissingActions(t *testing.T) {
 	e.InjectAll([]Event{
 		{At: time.Millisecond, Kind: Crash, Target: "nope"},
 		{At: 2 * time.Millisecond, Kind: Recover, Target: "limited"},
-		{At: 3 * time.Millisecond, Kind: NetDegrade}, // no network registered
+		{At: 3 * time.Millisecond, Kind: GrayLink, Links: []Link{{From: "a", To: "b"}}}, // no link plane registered
 		{At: 4 * time.Millisecond, Kind: Crash, Target: "limited"},
 	})
 	k.Run()
@@ -72,24 +73,27 @@ func TestEngineSkipsUnknownTargetsAndMissingActions(t *testing.T) {
 	}
 }
 
+// TestEngineNetworkHooks: a GrayLink event hands its delay and loss to
+// the link plane's Gray hook for every link it carries, and a zero GrayLink
+// clears them through the same hook.
 func TestEngineNetworkHooks(t *testing.T) {
 	k := sim.New()
 	e := NewEngine(k)
-	var degraded, restored bool
-	e.RegisterNetwork(
-		func(extra time.Duration, drop float64) {
-			degraded = true
-			if extra != 5*time.Millisecond || drop != 0.25 {
-				t.Errorf("degrade(%v, %v)", extra, drop)
-			}
-		},
-		func() { restored = true },
-	)
-	e.Inject(Event{At: time.Millisecond, Kind: NetDegrade, Factor: 0.25, Extra: 5 * time.Millisecond})
-	e.Inject(Event{At: 2 * time.Millisecond, Kind: NetRestore})
+	var calls []string
+	e.RegisterLinkPlane(LinkPlane{Gray: func(from, to string, extra time.Duration, drop float64) bool {
+		calls = append(calls, fmt.Sprintf("%s->%s %v %v", from, to, extra, drop))
+		return true
+	}})
+	links := []Link{{From: "a", To: "b"}, {From: "b", To: "a"}}
+	e.Inject(Event{At: time.Millisecond, Kind: GrayLink, Target: "brownout", Links: links, Factor: 0.25, Extra: 5 * time.Millisecond})
+	e.Inject(Event{At: 2 * time.Millisecond, Kind: GrayLink, Target: "brownout-end", Links: links})
 	k.Run()
-	if !degraded || !restored {
-		t.Fatalf("degraded=%v restored=%v, want both", degraded, restored)
+	want := []string{"a->b 5ms 0.25", "b->a 5ms 0.25", "a->b 0s 0", "b->a 0s 0"}
+	if !reflect.DeepEqual(calls, want) {
+		t.Fatalf("Gray calls = %v, want %v", calls, want)
+	}
+	if len(e.Applied) != 2 || e.Applied[0].Label() != "gray-link brownout" {
+		t.Fatalf("Applied = %+v, want the two brown-out events", e.Applied)
 	}
 }
 
@@ -130,6 +134,7 @@ func TestGenerateScheduleDeterministicAndPaired(t *testing.T) {
 		NetDegradeProb: 1,
 		NetExtraDelay:  time.Millisecond,
 		NetDropProb:    0.1,
+		NetNodes:       []string{"m0", "m1", "m2"},
 		Seed:           42,
 	}
 	targets := []string{"n0", "n1", "n2"}
@@ -141,9 +146,11 @@ func TestGenerateScheduleDeterministicAndPaired(t *testing.T) {
 	if len(a) == 0 {
 		t.Fatal("expected some events over a 10s horizon with 2s MTBF")
 	}
-	// Every crash must have a later recovery for the same target, and all
-	// events must be inside the horizon and time-sorted.
+	// Every crash must have a later recovery for the same target, the
+	// brown-out must close after it opens, and all events must be inside the
+	// horizon and time-sorted.
 	open := map[string]int{}
+	var brownout []Event
 	last := time.Duration(-1)
 	for _, ev := range a {
 		if ev.At < 0 || ev.At > cfg.Horizon {
@@ -161,7 +168,13 @@ func TestGenerateScheduleDeterministicAndPaired(t *testing.T) {
 			if open[ev.Target] < 0 {
 				t.Fatalf("recover before crash for %s", ev.Target)
 			}
+		case GrayLink:
+			brownout = append(brownout, ev)
 		}
+	}
+	if len(brownout) != 2 || brownout[0].Factor != cfg.NetDropProb || brownout[0].Extra != cfg.NetExtraDelay ||
+		brownout[1].Factor != 0 || brownout[1].Extra != 0 || !reflect.DeepEqual(brownout[0].Links, brownout[1].Links) {
+		t.Fatalf("brown-out events = %+v, want one open and one zero close over the same links", brownout)
 	}
 	for name, n := range open {
 		if n != 0 {
@@ -196,5 +209,64 @@ func TestGenerateSchedulePrefixStableAcrossTargetAdditions(t *testing.T) {
 	}
 	if !reflect.DeepEqual(filter(two, "n0", "n1"), filter(three, "n0", "n1")) {
 		t.Fatal("adding a target changed existing targets' fault draws")
+	}
+}
+
+// TestBrownoutCoversEveryDirectedPair: the brown-out window carries every
+// directed link between distinct nodes exactly once, a node list too short
+// to form a link emits no window, and the crash and straggler draws are the
+// same with or without the window.
+func TestBrownoutCoversEveryDirectedPair(t *testing.T) {
+	nodes := []string{"n0", "n1", "n2", "n3"}
+	cfg := ScheduleConfig{
+		Horizon:         10 * time.Second,
+		MTBF:            time.Second,
+		MTTR:            100 * time.Millisecond,
+		StragglerProb:   0.3,
+		StragglerFactor: 4,
+		NetDegradeProb:  1,
+		NetExtraDelay:   time.Millisecond,
+		NetDropProb:     0.1,
+		NetNodes:        nodes,
+		Seed:            5,
+	}
+	targets := []string{"t0", "t1", "t2"}
+	split := func(evs []Event) (rest, brownout []Event) {
+		for _, ev := range evs {
+			if ev.Kind == GrayLink {
+				brownout = append(brownout, ev)
+			} else {
+				rest = append(rest, ev)
+			}
+		}
+		return rest, brownout
+	}
+	withNodes, brownout := split(GenerateSchedule(targets, cfg))
+	if len(brownout) != 2 {
+		t.Fatalf("brown-out events = %d, want 2", len(brownout))
+	}
+	seen := map[Link]bool{}
+	for _, l := range brownout[0].Links {
+		if l.From == l.To || seen[l] {
+			t.Fatalf("brown-out link %v is a self-link or a duplicate", l)
+		}
+		seen[l] = true
+	}
+	for _, from := range nodes {
+		for _, to := range nodes {
+			if from != to && !seen[Link{From: from, To: to}] {
+				t.Fatalf("brown-out misses link %s->%s", from, to)
+			}
+		}
+	}
+	for _, short := range [][]string{nil, {"n0"}} {
+		cfg.NetNodes = short
+		without, none := split(GenerateSchedule(targets, cfg))
+		if len(none) != 0 {
+			t.Fatalf("nodes %v: brown-out emitted %d events, want none", short, len(none))
+		}
+		if !reflect.DeepEqual(withNodes, without) {
+			t.Fatalf("nodes %v: crash and straggler events differ from the schedule with a brown-out", short)
+		}
 	}
 }

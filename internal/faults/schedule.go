@@ -25,11 +25,15 @@ type ScheduleConfig struct {
 	// StragglerFactor is the service-time multiplier for straggler windows
 	// (values <= 1 disable straggler generation).
 	StragglerFactor float64
-	// NetDegradeProb is the chance of one network-degradation window over
-	// the horizon; Extra and drop use NetExtraDelay / NetDropProb.
+	// NetDegradeProb is the chance of one network brown-out window over the
+	// horizon: a GrayLink event over every directed link between NetNodes,
+	// each paying NetExtraDelay per message and losing messages with
+	// probability NetDropProb. Without at least two NetNodes there is no
+	// window.
 	NetDegradeProb float64
 	NetExtraDelay  time.Duration
 	NetDropProb    float64
+	NetNodes       []string
 	// Seed drives every draw; equal seeds yield identical schedules.
 	Seed uint64
 }
@@ -42,8 +46,9 @@ const minRepair = time.Millisecond
 // targets. Each target gets an independent exponential crash arrival process
 // (forked from the config seed, so adding targets does not shift earlier
 // targets' draws); each crash or straggler window is paired with the matching
-// recovery event inside the horizon. Events are returned sorted by time with
-// target name as the tiebreaker.
+// recovery event inside the horizon. The optional brown-out window draws from
+// the fork after every target's, so it never shifts a crash or straggler.
+// Events are returned sorted by time with target name as the tiebreaker.
 func GenerateSchedule(targets []string, cfg ScheduleConfig) []Event {
 	var evs []Event
 	if cfg.Horizon <= 0 {
@@ -81,7 +86,7 @@ func GenerateSchedule(targets []string, cfg ScheduleConfig) []Event {
 			at = end + time.Duration(rng.Exp(float64(cfg.MTBF)))
 		}
 	}
-	if cfg.NetDegradeProb > 0 {
+	if cfg.NetDegradeProb > 0 && len(cfg.NetNodes) >= 2 {
 		rng := root.Fork()
 		if rng.Bool(cfg.NetDegradeProb) {
 			start := time.Duration(rng.Float64() * float64(cfg.Horizon) * 0.5)
@@ -89,9 +94,12 @@ func GenerateSchedule(targets []string, cfg ScheduleConfig) []Event {
 			if end > cfg.Horizon {
 				end = cfg.Horizon
 			}
+			links := meshLinks(cfg.NetNodes)
+			// The window closes with a zero GrayLink rather than a Heal, so a
+			// Partition block on one of its links outlives it.
 			evs = append(evs,
-				Event{At: start, Kind: NetDegrade, Factor: cfg.NetDropProb, Extra: cfg.NetExtraDelay},
-				Event{At: end, Kind: NetRestore})
+				Event{At: start, Kind: GrayLink, Target: "brownout", Links: links, Extra: cfg.NetExtraDelay, Factor: cfg.NetDropProb},
+				Event{At: end, Kind: GrayLink, Target: "brownout-end", Links: links})
 		}
 	}
 	sort.SliceStable(evs, func(i, j int) bool {
@@ -101,4 +109,18 @@ func GenerateSchedule(targets []string, cfg ScheduleConfig) []Event {
 		return evs[i].Target < evs[j].Target
 	})
 	return evs
+}
+
+// meshLinks returns every directed link between two distinct nodes, in node
+// order.
+func meshLinks(nodes []string) []Link {
+	links := make([]Link, 0, len(nodes)*(len(nodes)-1))
+	for _, from := range nodes {
+		for _, to := range nodes {
+			if from != to {
+				links = append(links, Link{From: from, To: to})
+			}
+		}
+	}
+	return links
 }

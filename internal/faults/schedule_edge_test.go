@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -144,35 +145,99 @@ func TestWindowsClampToHorizon(t *testing.T) {
 	}
 }
 
-// TestOverlappingBrownoutsReplaceNotStack: two NetDegrade windows overlapping
-// on one network must replace each other's parameters, not accumulate, and a
-// single restore returns the network to healthy.
-func TestOverlappingBrownoutsReplaceNotStack(t *testing.T) {
+// brownoutRig is a two-node network with a server on b, wired to an engine
+// through the link plane the way the fault studies wire it.
+type brownoutRig struct {
+	k    *sim.Kernel
+	net  *netsim.Network
+	e    *Engine
+	a    *netsim.Node
+	srvB *netsim.Server
+}
+
+func newBrownoutRig() *brownoutRig {
 	k := sim.New()
 	net := netsim.New(k, netsim.DefaultConfig())
 	e := NewEngine(k)
-	e.RegisterNetwork(func(extra time.Duration, drop float64) { net.Degrade(extra, drop, 99) }, net.Restore)
+	e.RegisterLinkPlane(LinkPlane{Block: net.BlockLink, Gray: net.SetLinkFault, Heal: net.HealLink})
 	a, b := net.NewNode("a", 0, 0, 1), net.NewNode("b", 0, 1, 1)
-	base := net.TransferTime(a, b, 0)
+	srv := netsim.NewServer(b, 1)
+	srv.Handle("op", func(p *sim.Proc, req netsim.Request) netsim.Response { return netsim.Response{} })
+	srv.Start()
+	return &brownoutRig{k: k, net: net, e: e, a: a, srvB: srv}
+}
+
+// callAt issues one a->b call at the given instant and stores its outcome.
+func (r *brownoutRig) callAt(at time.Duration, resp *netsim.Response, elapsed *time.Duration) {
+	r.k.Go("caller", func(p *sim.Proc) {
+		p.Sleep(at)
+		*resp, *elapsed = r.srvB.Call(p, r.a, netsim.Request{Method: "op"})
+	})
+}
+
+// TestOverlappingBrownoutsReplaceNotStack: two brown-out windows overlapping
+// on one network must replace each other's parameters, not accumulate, and a
+// single closing event returns the network to healthy.
+func TestOverlappingBrownoutsReplaceNotStack(t *testing.T) {
+	r := newBrownoutRig()
+	links := meshLinks(r.net.NodeNames())
+	base := r.net.TransferTime(r.a, r.srvB.Node, 0)
 	var during, after time.Duration
-	e.InjectAll([]Event{
-		{At: 10 * time.Millisecond, Kind: NetDegrade, Extra: 5 * time.Millisecond, Factor: 0},
+	var duringResp, afterResp netsim.Response
+	r.e.InjectAll([]Event{
+		{At: 10 * time.Millisecond, Kind: GrayLink, Target: "brownout", Links: links, Extra: 5 * time.Millisecond},
 		// The second brown-out opens before the first closes: it replaces the
 		// 5ms surcharge with 1ms rather than stacking to 6ms.
-		{At: 20 * time.Millisecond, Kind: NetDegrade, Extra: time.Millisecond, Factor: 0},
-		{At: 40 * time.Millisecond, Kind: NetRestore},
+		{At: 20 * time.Millisecond, Kind: GrayLink, Target: "brownout", Links: links, Extra: time.Millisecond},
+		{At: 40 * time.Millisecond, Kind: GrayLink, Target: "brownout-end", Links: links},
 	})
-	k.Schedule(30*time.Millisecond, func() { during = net.TransferTime(a, b, 0) + net.ExtraDelay() })
-	k.Schedule(50*time.Millisecond, func() { after = net.TransferTime(a, b, 0) + net.ExtraDelay() })
-	k.Run()
-	if want := base + time.Millisecond; during != want {
-		t.Fatalf("delay during overlapping brown-outs = %v, want replaced %v (not stacked %v)",
-			during, want, base+6*time.Millisecond)
+	r.callAt(30*time.Millisecond, &duringResp, &during)
+	r.callAt(50*time.Millisecond, &afterResp, &after)
+	r.k.Run()
+	r.k.Close()
+	if duringResp.Err != nil || afterResp.Err != nil {
+		t.Fatalf("lossless brown-out failed a call: %v / %v", duringResp.Err, afterResp.Err)
 	}
-	if after != base {
-		t.Fatalf("delay after restore = %v, want %v", after, base)
+	// Request and response both cross a browned-out link.
+	if want := 2 * (base + time.Millisecond); during != want {
+		t.Fatalf("round trip during overlapping brown-outs = %v, want replaced %v (not stacked %v)",
+			during, want, 2*(base+6*time.Millisecond))
 	}
-	if len(e.Applied) != 3 {
-		t.Fatalf("Applied = %d, want 3", len(e.Applied))
+	if after != 2*base {
+		t.Fatalf("round trip after the brown-out = %v, want %v", after, 2*base)
+	}
+	if len(r.e.Applied) != 3 {
+		t.Fatalf("Applied = %d, want 3", len(r.e.Applied))
+	}
+}
+
+// TestBrownoutEndKeepsPartitionBlock: a brown-out that closes while a
+// partition holds one of its links clears only its own delay and loss; the
+// block stays until the partition's Heal.
+func TestBrownoutEndKeepsPartitionBlock(t *testing.T) {
+	r := newBrownoutRig()
+	links := meshLinks(r.net.NodeNames())
+	cut := []Link{{From: "a", To: "b"}}
+	r.e.InjectAll([]Event{
+		{At: 5 * time.Millisecond, Kind: GrayLink, Target: "brownout", Links: links, Extra: time.Millisecond, Factor: 0.5},
+		{At: 10 * time.Millisecond, Kind: Partition, Target: "partition/cut", Links: cut},
+		{At: 20 * time.Millisecond, Kind: GrayLink, Target: "brownout-end", Links: links},
+		{At: 30 * time.Millisecond, Kind: Heal, Target: "partition/cut", Links: cut},
+	})
+	var inside, healed netsim.Response
+	var insideElapsed, healedElapsed time.Duration
+	r.callAt(25*time.Millisecond, &inside, &insideElapsed)
+	r.callAt(35*time.Millisecond, &healed, &healedElapsed)
+	r.k.Run()
+	r.k.Close()
+	if !errors.Is(inside.Err, netsim.ErrLinkBlocked) {
+		t.Fatalf("call after the brown-out ended inside the partition: err = %v, want ErrLinkBlocked", inside.Err)
+	}
+	base := r.net.TransferTime(r.a, r.srvB.Node, 0)
+	if insideElapsed != base {
+		t.Fatalf("blocked call took %v, want one unbrowned transfer %v", insideElapsed, base)
+	}
+	if healed.Err != nil || healedElapsed != 2*base {
+		t.Fatalf("call after the heal: err = %v elapsed = %v, want nil/%v", healed.Err, healedElapsed, 2*base)
 	}
 }

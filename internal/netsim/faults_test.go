@@ -9,7 +9,8 @@ import (
 )
 
 // Tests for the server failure modes (crash, shedding, straggler) and
-// injected network degradation, plus the Stop drain-semantics contract.
+// network brown-outs on the link plane, plus the Stop drain-semantics
+// contract.
 
 func TestCrashFailsQueuedAndInServiceRequests(t *testing.T) {
 	k, n := testNet()
@@ -149,6 +150,13 @@ func TestStragglerSlowdownStretchesServiceTime(t *testing.T) {
 	}
 }
 
+// brownOut sets the same gray fault on both directions of the cli<->srv link:
+// the brown-out shape a fault schedule applies to every link.
+func brownOut(n *Network, extra time.Duration, drop float64) {
+	n.SetLinkFault("cli", "srv", extra, drop)
+	n.SetLinkFault("srv", "cli", extra, drop)
+}
+
 func TestNetworkDegradationAddsDelay(t *testing.T) {
 	k, n := testNet()
 	server := n.NewNode("srv", 0, 0, 1)
@@ -159,18 +167,12 @@ func TestNetworkDegradationAddsDelay(t *testing.T) {
 	var normal, degraded time.Duration
 	k.Go("client", func(p *sim.Proc) {
 		_, normal = s.Call(p, client, Request{Method: "op"})
-		n.Degrade(5*time.Millisecond, 0, 1)
-		if !n.Degraded() {
-			t.Error("Degraded() false after Degrade")
-		}
+		brownOut(n, 5*time.Millisecond, 0)
 		_, degraded = s.Call(p, client, Request{Method: "op"})
-		n.Restore()
-		if n.Degraded() {
-			t.Error("Degraded() true after Restore")
-		}
+		brownOut(n, 0, 0)
 		_, e3 := s.Call(p, client, Request{Method: "op"})
 		if e3 != normal {
-			t.Errorf("post-restore elapsed = %v, want %v", e3, normal)
+			t.Errorf("post-brown-out elapsed = %v, want %v", e3, normal)
 		}
 		s.Stop()
 	})
@@ -186,17 +188,25 @@ func TestNetworkDegradationDropsRequests(t *testing.T) {
 	server := n.NewNode("srv", 0, 0, 1)
 	client := n.NewNode("cli", 0, 0, 1)
 	s := NewServer(server, 1)
-	s.Handle("op", func(p *sim.Proc, req Request) Response { return Response{} })
+	executed := 0
+	s.Handle("op", func(p *sim.Proc, req Request) Response { executed++; return Response{} })
 	s.Start()
-	n.Degrade(0, 1, 7) // drop everything
+	brownOut(n, 0, 1) // drop everything
 	var resp Response
+	var elapsed time.Duration
 	k.Go("client", func(p *sim.Proc) {
-		resp, _ = s.Call(p, client, Request{Method: "op"})
+		resp, elapsed = s.Call(p, client, Request{Method: "op"})
 		s.Stop()
 	})
 	k.Run()
 	if !errors.Is(resp.Err, ErrNetDropped) {
 		t.Fatalf("err = %v, want ErrNetDropped", resp.Err)
+	}
+	if want := n.TransferTime(client, server, 0); elapsed != want {
+		t.Fatalf("drop surfaced after %v, want one request transfer %v", elapsed, want)
+	}
+	if executed != 0 {
+		t.Fatalf("handler ran %d times for a lost request", executed)
 	}
 	if n.Dropped != 1 {
 		t.Fatalf("Dropped = %d, want 1", n.Dropped)
@@ -206,22 +216,34 @@ func TestNetworkDegradationDropsRequests(t *testing.T) {
 	}
 }
 
+// TestLocalCallsExemptFromDegradation: a link with both delay and loss charges
+// the delay before the loss surfaces, and local calls never cross the fault
+// plane even when their own node's self-link is faulted.
 func TestLocalCallsExemptFromDegradation(t *testing.T) {
 	k, n := testNet()
-	node := n.NewNode("srv", 0, 0, 1)
-	s := NewServer(node, 1)
+	server := n.NewNode("srv", 0, 0, 1)
+	client := n.NewNode("cli", 0, 0, 1)
+	s := NewServer(server, 1)
 	s.Handle("op", func(p *sim.Proc, req Request) Response { return Response{} })
 	s.Start()
-	n.Degrade(5*time.Millisecond, 1, 7)
-	var resp Response
-	var elapsed time.Duration
+	brownOut(n, 5*time.Millisecond, 1)
+	n.SetLinkFault("srv", "srv", 5*time.Millisecond, 1)
+	var remote, local Response
+	var remoteElapsed, localElapsed time.Duration
 	k.Go("client", func(p *sim.Proc) {
-		resp, elapsed = s.Call(p, node, Request{Method: "op"})
+		remote, remoteElapsed = s.Call(p, client, Request{Method: "op"})
+		local, localElapsed = s.Call(p, server, Request{Method: "op"})
 		s.Stop()
 	})
 	k.Run()
-	if resp.Err != nil || elapsed != 0 {
-		t.Fatalf("local call under degradation: err=%v elapsed=%v, want nil/0", resp.Err, elapsed)
+	if !errors.Is(remote.Err, ErrNetDropped) {
+		t.Fatalf("remote err = %v, want ErrNetDropped", remote.Err)
+	}
+	if want := n.TransferTime(client, server, 0) + 5*time.Millisecond; remoteElapsed != want {
+		t.Fatalf("remote drop surfaced after %v, want the delayed transfer %v", remoteElapsed, want)
+	}
+	if local.Err != nil || localElapsed != 0 {
+		t.Fatalf("local call under brown-out: err=%v elapsed=%v, want nil/0", local.Err, localElapsed)
 	}
 }
 

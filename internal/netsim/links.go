@@ -1,32 +1,31 @@
 package netsim
 
 import (
+	"sort"
 	"time"
 
 	"hyperprof/internal/stats"
 )
 
-// This file is the per-directed-link fault plane: extra delay, loss
-// probability, or a full block injected on individual (from, to) node pairs,
-// composed with the network's global degradation knobs. The global
-// Degrade/Restore pair is the wildcard form of this plane and stays beside
-// it: it drops requests only, from one network-wide stream, so expressing it
-// as per-link faults would change every fault study's results.
+// This file is the network's fault plane: extra delay, loss probability, or
+// a full block injected on individual directed (from, to) node pairs. It is
+// the only one: a network-wide brown-out is a gray fault set on every
+// directed link (NodeNames lists the endpoints).
 //
 // Semantics, chosen to model gray failures rather than clean outages:
 //
 //   - Link faults are directed. Blocking a->b leaves b->a healthy, which is
 //     exactly the asymmetric reachability ("A hears B, B cannot hear A")
 //     that breaks naive failure detectors.
-//   - Request-direction faults surface like the global knobs: a blocked link
-//     returns ErrLinkBlocked and a lossy link ErrNetDropped after one
-//     request transfer, before the handler runs.
+//   - Request-direction faults surface before the handler runs: a blocked
+//     link returns ErrLinkBlocked and a lossy link ErrNetDropped after one
+//     request transfer.
 //   - Response-direction faults are the gray half: the handler has already
 //     executed, so a blocked or lossy reverse link loses only the
 //     acknowledgment. The caller sees an error for work that happened —
 //     the indeterminate-outcome case the safety checker must tolerate.
-//   - Setting a link's parameters replaces the previous ones (never stacks),
-//     matching the documented Degrade rule for the global path.
+//   - Setting a link's gray parameters replaces the previous ones (never
+//     stacks), and leaves a full block in place.
 //
 // Determinism: each directed link draws losses from its own RNG stream
 // seeded from fnv64(from, to) XOR the network's link seed, so the stream a
@@ -98,8 +97,9 @@ func (n *Network) link(from, to string) *linkFault {
 // SetLinkFault injects a gray fault on the directed link from -> to: every
 // message crossing it pays extra delay on top of the transfer cost and is
 // lost with probability drop. Calling it again replaces the previous
-// parameters (never stacks), like Degrade on the global path. It reports
-// whether both endpoint names are known; an unknown name injects nothing.
+// parameters (never stacks); SetLinkFault(from, to, 0, 0) clears them and
+// keeps a BlockLink block. It reports whether both endpoint names are known;
+// an unknown name injects nothing.
 func (n *Network) SetLinkFault(from, to string, extra time.Duration, drop float64) bool {
 	lf := n.link(from, to)
 	if lf == nil {
@@ -144,7 +144,7 @@ func (n *Network) UnblockLink(from, to string) bool {
 
 // HealLink clears every injected fault on the directed link. The link's RNG
 // stream is kept, so alternating fault/heal windows stay on one
-// deterministic stream (the same rule Restore follows globally).
+// deterministic stream.
 func (n *Network) HealLink(from, to string) bool {
 	lf := n.link(from, to)
 	if lf == nil {
@@ -152,13 +152,6 @@ func (n *Network) HealLink(from, to string) bool {
 	}
 	lf.extra, lf.drop, lf.blocked = 0, 0, false
 	return true
-}
-
-// HealAllLinks clears every injected per-link fault on the network.
-func (n *Network) HealAllLinks() {
-	for _, lf := range n.links {
-		lf.extra, lf.drop, lf.blocked = 0, 0, false
-	}
 }
 
 // LinkBlocked reports whether the directed link from -> to is currently
@@ -182,8 +175,16 @@ func (n *Network) Reachable(a, b *Node) bool {
 	return !n.LinkBlocked(a.Name, b.Name) && !n.LinkBlocked(b.Name, a.Name)
 }
 
-// NodeByName returns the registered node with the given name, or nil.
-func (n *Network) NodeByName(name string) *Node { return n.nodesByName[name] }
+// NodeNames returns the names of the network's nodes, sorted: the endpoint
+// set a network-wide fault covers.
+func (n *Network) NodeNames() []string {
+	names := make([]string, 0, len(n.nodesByName))
+	for name := range n.nodesByName {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
 
 // linkBlocked is the message-path form of LinkBlocked: local messages never
 // cross the fault plane.
@@ -196,7 +197,7 @@ func (n *Network) linkBlocked(from, to *Node) bool {
 }
 
 // linkDrop draws the per-link loss decision for one directed message,
-// counting losses alongside global-degradation drops.
+// counting losses in Dropped.
 func (n *Network) linkDrop(from, to *Node) bool {
 	if from == to || len(n.links) == 0 {
 		return false

@@ -84,8 +84,7 @@ func TestBlockedLinkIsAsymmetric(t *testing.T) {
 func TestLinkFaultReplacesNotStacks(t *testing.T) {
 	r := newLinkRig()
 	r.net.SetLinkFault("a", "b", 5*time.Millisecond, 0)
-	// The second window replaces the 5ms surcharge with 1ms, mirroring the
-	// documented Degrade rule on the global path.
+	// The second window replaces the 5ms surcharge with 1ms.
 	r.net.SetLinkFault("a", "b", time.Millisecond, 0)
 	base := r.net.TransferTime(r.a, r.b, 0)
 	if got, want := r.net.messageDelay(r.a, r.b, 0), base+time.Millisecond; got != want {

@@ -3,7 +3,9 @@
 // racks and regions, latency/bandwidth transfer costs, and an RPC layer with
 // real server-side queueing on worker pools. Time classification of RPC
 // waits (remote work vs IO) is the caller's concern and is annotated at the
-// platform layer.
+// platform layer. Network faults enter through one plane, the per-directed-
+// link faults of links.go; a network-wide brown-out is that plane applied to
+// every link.
 package netsim
 
 import (
@@ -42,26 +44,14 @@ type Network struct {
 	k   *sim.Kernel
 	cfg Config
 
-	// Degradation state (fault injection): every non-local RPC message pays
-	// extraDelay, and a dropProb fraction of requests is lost. A dropped
-	// request surfaces as ErrNetDropped after the request transfer
-	// (connection-reset semantics) so callers never block forever and the
-	// simulation stays leak-free even without deadlines.
-	extraDelay time.Duration
-	dropProb   float64
-	dropRNG    *stats.RNG
-	// Dropped counts messages lost to injected degradation, global or
-	// per-link.
-	Dropped int
-
-	// Per-directed-link fault plane (see links.go): extra delay, loss
-	// probability or a full block per (from, to) node pair, composed with the
-	// global knobs above. nodesByName backs name-addressed link injection;
-	// linkSeed is the base of the per-link RNG streams. Blocked counts
-	// messages lost to fully blocked links.
+	// The fault plane (see links.go): extra delay, loss probability or a
+	// full block per directed (from, to) node pair. nodesByName backs name-addressed link injection; linkSeed is
+	// the base of the per-link RNG streams. Dropped counts messages lost to
+	// lossy links, Blocked messages lost to fully blocked links.
 	links       map[linkKey]*linkFault
 	nodesByName map[string]*Node
 	linkSeed    uint64
+	Dropped     int
 	Blocked     int
 
 	// Delivery accounting (safety checking): when enabled, the network counts
@@ -179,86 +169,20 @@ func New(k *sim.Kernel, cfg Config) *Network {
 // Kernel returns the simulation kernel.
 func (n *Network) Kernel() *sim.Kernel { return n.k }
 
-// Degrade injects network degradation: every non-local RPC message pays an
-// extra per-message delay, and each request is dropped with probability
-// dropProb, drawn from a generator seeded with seed (deterministic in call
-// order). Calling Degrade again replaces the previous parameters — windows
-// never stack, the rule TestOverlappingBrownoutsReplaceNotStack pins; the
-// per-link plane follows the same replace-not-stack rule in SetLinkFault.
-//
-// Degrade is the wildcard counterpart of the per-directed-link fault plane
-// (links.go): one (extra, drop) applied to every non-local link at once. It
-// is how a fault schedule's network-degradation windows reach the network,
-// and the link plane cannot stand in for it without changing every fault
-// study's results: Degrade drops requests only, from one network-wide
-// stream, while a faulted link drops in the direction it is set on, from a
-// stream of its own. Target individual links with SetLinkFault/BlockLink.
-func (n *Network) Degrade(extra time.Duration, dropProb float64, seed uint64) {
-	if extra < 0 {
-		extra = 0
-	}
-	if dropProb < 0 {
-		dropProb = 0
-	}
-	if dropProb > 1 {
-		dropProb = 1
-	}
-	n.extraDelay = extra
-	n.dropProb = dropProb
-	if dropProb > 0 && n.dropRNG == nil {
-		n.dropRNG = stats.NewRNG(seed)
-	}
-}
-
-// Restore clears injected network degradation. The drop generator is kept so
-// alternating Degrade/Restore windows stay on one deterministic stream.
-// Per-link faults are cleared with HealLink/HealAllLinks instead.
-func (n *Network) Restore() {
-	n.extraDelay = 0
-	n.dropProb = 0
-}
-
-// Degraded reports whether degradation is currently injected.
-func (n *Network) Degraded() bool { return n.extraDelay > 0 || n.dropProb > 0 }
-
-// ExtraDelay returns the currently injected per-message delay. Successive
-// Degrade calls replace (never stack) this value, which fault-schedule tests
-// assert directly.
-func (n *Network) ExtraDelay() time.Duration { return n.extraDelay }
-
-// DropProb returns the currently injected request-drop probability.
-func (n *Network) DropProb() float64 { return n.dropProb }
-
-// messageDelay is TransferTime plus any injected per-message delay — the
-// global surcharge and the directed link's own, composed; local messages are
-// exempt (they never cross the degraded fabric). This is the RPC hot path:
-// the len check skips the map lookup entirely on unfaulted networks, and the
-// lookup itself uses a value-typed key, so the function allocates nothing
-// (pinned by TestMessageDelayZeroAllocs and BenchmarkNetMessageDelay).
+// messageDelay is TransferTime plus the directed link's injected
+// per-message delay; local messages are exempt (they never cross the
+// fabric). This is the RPC hot path: the len check skips the map lookup
+// entirely on unfaulted networks, and the lookup itself uses a value-typed
+// key, so the function allocates nothing (pinned by
+// TestMessageDelayZeroAllocs and BenchmarkNetMessageDelay).
 func (n *Network) messageDelay(a, b *Node, size int64) time.Duration {
 	d := n.TransferTime(a, b, size)
-	if a != b {
-		d += n.extraDelay
-		if len(n.links) != 0 {
-			if lf := n.links[linkKey{a.Name, b.Name}]; lf != nil {
-				d += lf.extra
-			}
+	if a != b && len(n.links) != 0 {
+		if lf := n.links[linkKey{a.Name, b.Name}]; lf != nil {
+			d += lf.extra
 		}
 	}
 	return d
-}
-
-// dropRequest decides whether a non-local request is lost to degradation.
-func (n *Network) dropRequest(from, to *Node) bool {
-	if from == to || n.dropProb <= 0 || n.dropRNG == nil {
-		return false
-	}
-	if n.dropRNG.Bool(n.dropProb) {
-		n.Dropped++
-		n.m.drops.Inc()
-		return true
-	}
-	return false
 }
 
 // Node is one server: a location plus a CPU core pool.
@@ -363,9 +287,9 @@ var ErrOverloaded = errors.New("netsim: server overloaded")
 // not complete within the configured deadline.
 var ErrDeadlineExceeded = errors.New("netsim: deadline exceeded")
 
-// ErrNetDropped is returned when injected network degradation loses the
-// request. It models a reset connection: the caller learns of the loss after
-// one request transfer rather than hanging forever.
+// ErrNetDropped is returned when a lossy link loses the request or the
+// response. It models a reset connection: the caller learns of the loss after
+// one transfer rather than hanging forever.
 var ErrNetDropped = errors.New("netsim: request dropped by degraded network")
 
 // Server is an RPC endpoint with a bounded worker pool: calls queue in FIFO
@@ -589,14 +513,6 @@ func (s *Server) Stopped() bool { return s.stopped }
 // Crashed reports whether the server went down via Crash.
 func (s *Server) Crashed() bool { return s.crashed }
 
-// QueueDepth returns the number of requests waiting (excluding in service).
-func (s *Server) QueueDepth() int {
-	if s.stopped {
-		return 0 // only shutdown sentinels remain
-	}
-	return s.queue.Len()
-}
-
 // Call performs a blocking RPC from the calling process located at `from`:
 // request transfer, server queueing and handler execution, response
 // transfer. It returns the response and the total elapsed virtual time.
@@ -604,7 +520,7 @@ func (s *Server) QueueDepth() int {
 // Failures surface as Response.Err after one request transfer (connection
 // refused/reset semantics): ErrNotStarted before Start, ErrServerDown after
 // Stop or Crash, ErrOverloaded when the bounded queue is full, and
-// ErrNetDropped when injected degradation loses the request.
+// ErrLinkBlocked or ErrNetDropped when a faulted link loses the request.
 func (s *Server) Call(p *sim.Proc, from *Node, req Request) (Response, time.Duration) {
 	start := p.Now()
 	net := s.Node.net
@@ -616,7 +532,7 @@ func (s *Server) Call(p *sim.Proc, from *Node, req Request) (Response, time.Dura
 	case net.linkBlocked(from, s.Node):
 		net.Blocked++
 		return Response{Err: fmt.Errorf("%w: %s -> %s", ErrLinkBlocked, from.Name, s.Node.Name)}, p.Now() - start
-	case net.dropRequest(from, s.Node) || net.linkDrop(from, s.Node):
+	case net.linkDrop(from, s.Node):
 		return Response{Err: fmt.Errorf("%w: to %s", ErrNetDropped, s.Node.Name)}, p.Now() - start
 	case !s.started:
 		return Response{Err: fmt.Errorf("%w: %s", ErrNotStarted, s.Node.Name)}, p.Now() - start
@@ -674,9 +590,6 @@ func (s *Server) Call(p *sim.Proc, from *Node, req Request) (Response, time.Dura
 // lossy reverse link. This is the gray-failure half of the link plane — the
 // handler has already executed (or the cached response already exists), so a
 // lost response costs the caller an error for work that actually happened.
-// The global degradation knobs deliberately do not apply here: they are
-// request-path-only, and changing that would perturb every existing
-// brownout schedule's RNG draw order.
 func (s *Server) respond(p *sim.Proc, from *Node, resp Response) Response {
 	net := s.Node.net
 	p.Sleep(net.messageDelay(s.Node, from, resp.Bytes))

@@ -29,10 +29,6 @@ import (
 // are mutually exclusive.
 var ErrExpired = errors.New("netsim: request expired in queue")
 
-// ErrThrottled is returned when a per-tenant QoS governor rejects an
-// operation because the tenant is at its weighted admission share.
-var ErrThrottled = errors.New("netsim: tenant throttled")
-
 // ErrCircuitOpen is returned (without touching the network) for attempts
 // against a target whose circuit breaker is open. It is retryable so replica
 // rotation moves on to the next target.
@@ -175,8 +171,8 @@ type Tenant struct {
 
 // TenantGovernor enforces weighted per-tenant admission over a shared
 // concurrency capacity: each tenant gets a reserved share proportional to
-// its weight, and an arrival finding its tenant at the share is throttled
-// with ErrThrottled. Because shares are reservations (not borrowable), a
+// its weight, and an arrival finding its tenant at the share is throttled:
+// Admit returns false. Because shares are reservations (not borrowable), a
 // flash-crowd tenant saturating its own share leaves every other tenant's
 // capacity untouched — the starvation-isolation property the overload study
 // asserts with its fairness index.

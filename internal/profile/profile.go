@@ -109,12 +109,6 @@ func WithJitter(frac float64) Option {
 	return func(p *Profiler) { p.jitter = frac }
 }
 
-// WithClockHz sets the modeled core frequency used to convert CPU time to
-// cycles. The default is 2 GHz.
-func WithClockHz(hz float64) Option {
-	return func(p *Profiler) { p.hz = hz }
-}
-
 // New creates a profiler using the given classifier (nil for the fleet
 // default) and seed.
 func New(classifier *taxonomy.Classifier, seed uint64, opts ...Option) *Profiler {

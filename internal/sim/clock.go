@@ -38,9 +38,6 @@ func (c *Clock) Now() time.Duration {
 	return t + c.offset + time.Duration(c.drift*float64(t-c.setAt))
 }
 
-// Eps returns the clock's uncertainty bound.
-func (c *Clock) Eps() time.Duration { return c.eps }
-
 // Earliest returns the lower edge of the uncertainty interval — the earliest
 // instant true time could be, given the local reading.
 func (c *Clock) Earliest() time.Duration { return c.Now() - c.eps }
@@ -58,11 +55,6 @@ func (c *Clock) SetSkew(offset time.Duration, drift float64) {
 	c.offset = offset
 	c.drift = drift
 	c.setAt = c.k.Now()
-}
-
-// ClearSkew removes injected skew: the clock snaps back to true time.
-func (c *Clock) ClearSkew() {
-	c.offset, c.drift, c.setAt = 0, 0, c.k.Now()
 }
 
 // CommitWait parks the process until the clock's uncertainty interval has

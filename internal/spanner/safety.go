@@ -2,7 +2,6 @@ package spanner
 
 import (
 	"fmt"
-	"strings"
 
 	"hyperprof/internal/check"
 	"hyperprof/internal/sim"
@@ -160,41 +159,4 @@ func (db *DB) CheckInvariants() []string {
 		}
 	}
 	return out
-}
-
-// DumpGroup renders group g's replication state — term, commit index, leader
-// and each replica's log entries (key@term), applied count and liveness —
-// for diagnosing checker violations.
-func (db *DB) DumpGroup(g int) string {
-	if g < 0 || g >= len(db.groups) {
-		return fmt.Sprintf("spanner: group %d out of range", g)
-	}
-	grp := db.groups[g]
-	var b strings.Builder
-	fmt.Fprintf(&b, "group %d: term=%d committed=%d leader=region %d\n",
-		grp.id, grp.term, grp.committed, grp.leaderRep().region)
-	for _, rep := range grp.replicas {
-		state := "live"
-		if rep.srv.Stopped() {
-			state = "down"
-		}
-		fmt.Fprintf(&b, "  region %d (%s): applied=%d log=[", rep.region, state, rep.applied)
-		for i, e := range rep.log {
-			if i > 0 {
-				b.WriteByte(' ')
-			}
-			fmt.Fprintf(&b, "%s@%d", e.key, e.term)
-		}
-		b.WriteString("]\n")
-	}
-	return b.String()
-}
-
-// Committed returns the majority-acknowledged log length of group g (tests
-// and monitoring).
-func (db *DB) Committed(g int) (int, error) {
-	if g < 0 || g >= len(db.groups) {
-		return 0, fmt.Errorf("spanner: group %d out of range", g)
-	}
-	return db.groups[g].committed, nil
 }

@@ -6,8 +6,10 @@
 #
 # Runs both binaries on a fixed list of -study invocations, each in a fresh
 # directory of its own, and compares the pair's stdout, exit status and every
-# file the run wrote (obs-series.json, the -chrome-trace file). Exits 1 and
-# names the first invocation that differs; exits 0 when every pair matches.
+# file the run wrote (obs-series.json, the -chrome-trace file). Every
+# invocation runs, even after one differs, so a re-baseline shows exactly
+# which artifacts moved. Exits 1 and lists each invocation that differs;
+# exits 0 when every pair matches.
 # Fleet runs with -json because its text report prints the coordinator's
 # live heap, which varies between runs of one binary.
 set -euo pipefail
@@ -48,6 +50,7 @@ run() {
 	echo "$status" >"$dir/status"
 }
 
+differs=()
 for i in "${!invocations[@]}"; do
 	inv="${invocations[$i]}"
 	# Word splitting of $inv is intended: each entry is a flag list.
@@ -57,8 +60,16 @@ for i in "${!invocations[@]}"; do
 	run "$new" "$work/$i/new" $inv
 	if ! diff -r -q "$work/$i/old" "$work/$i/new"; then
 		echo "cmp_studies: DIFFERS: hyperprof $inv" >&2
-		exit 1
+		differs+=("$inv")
+		continue
 	fi
 	echo "cmp_studies: identical: hyperprof $inv"
 done
+if [ ${#differs[@]} -ne 0 ]; then
+	echo "cmp_studies: ${#differs[@]} of ${#invocations[@]} invocations differ:" >&2
+	for inv in "${differs[@]}"; do
+		echo "  hyperprof $inv" >&2
+	done
+	exit 1
+fi
 echo "cmp_studies: all ${#invocations[@]} invocations identical"
