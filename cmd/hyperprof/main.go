@@ -515,7 +515,8 @@ func runFleet(cfg hyperprof.StudyConfig, jsonOut bool, heapCeilingMB int) {
 
 // runOverload executes the overload study and prints the naive-vs-protected
 // comparison (or the machine-readable export with -json). With -obs, the
-// protected arms' metric time series are written beside it.
+// protected arms' metric time series are written to obsOut in either mode;
+// only text mode announces the file, so JSON output stays one valid document.
 func runOverload(cfg hyperprof.StudyConfig, jsonOut bool, obsOut string) {
 	o, err := hyperprof.OverloadControl(cfg)
 	if err != nil {
@@ -528,26 +529,29 @@ func runOverload(cfg hyperprof.StudyConfig, jsonOut bool, obsOut string) {
 		}
 		os.Stdout.Write(data)
 		fmt.Println()
+	} else {
+		fmt.Print(hyperprof.RenderOverload(o))
+		for _, p := range hyperprof.Platforms() {
+			if row := o.Row(p, true); row != nil {
+				fmt.Printf("%s tenants (protected):", p)
+				for _, tn := range row.Tenants {
+					fmt.Printf(" [%s w%.0f ok=%d thr=%d]", tn.Name, tn.Weight, tn.Successes, tn.Throttled)
+				}
+				fmt.Println()
+			}
+		}
+	}
+	if !cfg.Obs.Enabled {
 		return
 	}
-	fmt.Print(hyperprof.RenderOverload(o))
-	for _, p := range hyperprof.Platforms() {
-		if row := o.Row(p, true); row != nil {
-			fmt.Printf("%s tenants (protected):", p)
-			for _, tn := range row.Tenants {
-				fmt.Printf(" [%s w%.0f ok=%d thr=%d]", tn.Name, tn.Weight, tn.Successes, tn.Throttled)
-			}
-			fmt.Println()
-		}
+	data, err := hyperprof.MarshalMetricSeries(o.Series)
+	if err != nil {
+		log.Fatal(err)
 	}
-	if cfg.Obs.Enabled {
-		data, err := hyperprof.MarshalMetricSeries(o.Series)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(obsOut, data, 0o644); err != nil {
-			log.Fatal(err)
-		}
+	if err := os.WriteFile(obsOut, data, 0o644); err != nil {
+		log.Fatal(err)
+	}
+	if !jsonOut {
 		fmt.Printf("Wrote %d bytes of metric time series (protected arms) to %s\n", len(data), obsOut)
 	}
 }

@@ -22,7 +22,7 @@ import (
 // resilienceRPCPolicy is the client-side policy both arms run with: a few
 // quick retries so transient faults (crashed replica, dropped message, shed
 // request) are retried instead of surfacing as operation errors. No deadline
-// is set; hedging is exercised separately in the netsim tests.
+// is set.
 func resilienceRPCPolicy() netsim.Policy {
 	return netsim.Policy{
 		MaxAttempts: 3,

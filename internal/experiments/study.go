@@ -153,20 +153,11 @@ type ObsConfig struct {
 	Interval time.Duration
 	// Window is the histogram window capacity (0 = obs.DefaultConfig).
 	Window int
-	// Sketch switches histograms to bounded-memory quantile sketches with
-	// relative error SketchRelErr (0 = stats.DefaultSketchRelErr).
-	Sketch       bool
-	SketchRelErr float64
 }
 
 // registry builds the obs registry config for this study.
 func (o ObsConfig) registry() obs.Config {
-	return obs.Config{
-		Interval:     o.Interval,
-		Window:       o.Window,
-		Sketch:       o.Sketch,
-		SketchRelErr: o.SketchRelErr,
-	}
+	return obs.Config{Interval: o.Interval, Window: o.Window}
 }
 
 // SketchConfig switches a study's measurement plane from exact recording to

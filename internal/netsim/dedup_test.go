@@ -154,76 +154,6 @@ func TestDedupDoesNotCacheFailures(t *testing.T) {
 	}
 }
 
-func TestHedgedCallExecutesOncePerServer(t *testing.T) {
-	// A hedged call sends the same call ID to two servers: each executes at
-	// most once (two admits, two execs, no per-server duplicates), and the
-	// slow primary's late completion is not double-counted anywhere.
-	k, n := testNet()
-	n.EnableDeliveryAccounting()
-	client := n.NewNode("cli", 0, 0, 1)
-	priExecs, bakExecs := 0, 0
-	pri := countingServer(n, "pri", 100*time.Millisecond, &priExecs)
-	bak := countingServer(n, "bak", time.Millisecond, &bakExecs)
-	pri.SetDedup(true)
-	bak.SetDedup(true)
-
-	c := NewClient(Policy{HedgeDelay: 5 * time.Millisecond}, 1)
-	var resp Response
-	k.Go("client", func(p *sim.Proc) {
-		resp, _ = c.CallHedged(p, client, []*Server{pri, bak}, Request{Method: "op"})
-	})
-	k.Run()
-	if resp.Err != nil || resp.Payload != "bak" {
-		t.Fatalf("resp = %+v, want backup's answer", resp)
-	}
-	if priExecs != 1 || bakExecs != 1 {
-		t.Fatalf("execs pri=%d bak=%d, want 1 and 1", priExecs, bakExecs)
-	}
-	if dups := n.DupExecs(); len(dups) != 0 {
-		t.Fatalf("DupExecs = %v, want none", dups)
-	}
-	if c.Hedges != 1 || c.HedgeWins != 1 {
-		t.Fatalf("Hedges = %d, HedgeWins = %d, want 1/1", c.Hedges, c.HedgeWins)
-	}
-	pri.Stop()
-	bak.Stop()
-	k.Run()
-	if k.Live() != 0 {
-		t.Fatalf("leaked procs: %d", k.Live())
-	}
-}
-
-func TestHedgeWinsNotCountedForFailedBackup(t *testing.T) {
-	// Regression: the backup fires first with a retryable failure, then the
-	// primary succeeds. The primary's answer is adopted, so HedgeWins must
-	// stay 0 — previously the backup's fast failure was counted as a win.
-	k, n := testNet()
-	client := n.NewNode("cli", 0, 0, 1)
-	priExecs := 0
-	pri := countingServer(n, "pri", 20*time.Millisecond, &priExecs)
-	bak := NewServer(n.NewNode("bak", 0, 0, 1), 1) // never started: fails fast
-
-	c := NewClient(Policy{HedgeDelay: 5 * time.Millisecond}, 1)
-	var resp Response
-	k.Go("client", func(p *sim.Proc) {
-		resp, _ = c.CallHedged(p, client, []*Server{pri, bak}, Request{Method: "op"})
-		pri.Stop()
-	})
-	k.Run()
-	if resp.Err != nil || resp.Payload != "pri" {
-		t.Fatalf("resp = %+v, want primary's success", resp)
-	}
-	if c.Hedges != 1 {
-		t.Fatalf("Hedges = %d, want 1", c.Hedges)
-	}
-	if c.HedgeWins != 0 {
-		t.Fatalf("HedgeWins = %d, want 0: the failed backup did not win", c.HedgeWins)
-	}
-	if k.Live() != 0 {
-		t.Fatalf("leaked procs: %d", k.Live())
-	}
-}
-
 func TestCallIDsDistinctAcrossClientsAndCalls(t *testing.T) {
 	k, n := testNet()
 	client := n.NewNode("cli", 0, 0, 1)

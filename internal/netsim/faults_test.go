@@ -89,7 +89,7 @@ func TestBoundedQueueShedsLoad(t *testing.T) {
 	server := n.NewNode("srv", 0, 0, 1)
 	client := n.NewNode("cli", 0, 0, 1)
 	s := NewServer(server, 1)
-	s.SetQueueLimit(1)
+	s.SetAdmission(Admission{MaxQueue: 1})
 	s.Handle("slow", func(p *sim.Proc, req Request) Response {
 		p.Sleep(10 * time.Millisecond)
 		return Response{}

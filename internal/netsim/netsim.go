@@ -56,7 +56,7 @@ type Network struct {
 
 	// Delivery accounting (safety checking): when enabled, the network counts
 	// per-(server, call-ID) request arrivals and handler executions, so a
-	// checker can prove at-most-once execution under retries and hedging.
+	// checker can prove at-most-once execution under retries.
 	accounting bool
 	admits     map[deliveryKey]int
 	execs      map[deliveryKey]int
@@ -76,8 +76,7 @@ type Network struct {
 // per-client/server) aggregation keeps the series set small and stable while
 // still separating platforms, which each own their Network.
 type netMetrics struct {
-	calls, attempts, retries, failovers *obs.Counter
-	hedges, hedgeWins, deadlines        *obs.Counter
+	calls, attempts, retries, deadlines *obs.Counter
 	sheds, drops, dedupSuppressed       *obs.Counter
 	// Overload-control plane series: adaptive sheds, CoDel queue expiries,
 	// retry-budget exhaustions, breaker transitions, and the network-wide
@@ -99,9 +98,6 @@ func (n *Network) EnableMetrics(r *obs.Registry) {
 		calls:            r.Counter("rpc.calls"),
 		attempts:         r.Counter("rpc.attempts"),
 		retries:          r.Counter("rpc.retries"),
-		failovers:        r.Counter("rpc.failovers"),
-		hedges:           r.Counter("rpc.hedges"),
-		hedgeWins:        r.Counter("rpc.hedge_wins"),
 		deadlines:        r.Counter("rpc.deadlines"),
 		sheds:            r.Counter("rpc.sheds"),
 		drops:            r.Counter("rpc.drops"),
@@ -144,9 +140,9 @@ func (n *Network) Execs(server string, id uint64) int {
 }
 
 // DupExecs returns a sorted description of every (server, call-ID) pair whose
-// handler executed more than once — the at-most-once violations. Retried and
-// hedged requests legitimately admit twice; with server-side dedup enabled
-// they must still execute at most once per server.
+// handler executed more than once — the at-most-once violations. Retried
+// requests legitimately admit twice; with server-side dedup enabled they must
+// still execute at most once per server.
 func (n *Network) DupExecs() []string {
 	var out []string
 	for k, c := range n.execs {
@@ -240,9 +236,9 @@ func (n *Network) TransferTime(a, b *Node, size int64) time.Duration {
 }
 
 // Request is an RPC request. CallID, when nonzero, identifies the logical
-// call across retries and hedged duplicates: policy clients stamp one ID per
-// logical call so servers can deduplicate re-deliveries and the network can
-// account at-most-once execution. Zero means untracked (plain Server.Call).
+// call across retries: policy clients stamp one ID per logical call so
+// servers can deduplicate re-deliveries and the network can account
+// at-most-once execution. Zero means untracked (plain Server.Call).
 type Request struct {
 	Method  string
 	Bytes   int64
@@ -308,7 +304,6 @@ type Server struct {
 	handlers map[string]Handler
 	queue    *sim.Queue[*inFlight]
 	workers  int
-	maxQueue int
 	slowdown float64
 	started  bool
 	stopped  bool
@@ -321,8 +316,8 @@ type Server struct {
 	// Shed counts requests rejected by the hard queue bound.
 	Shed int
 
-	// Overload admission control (see Admission). adm.enabled() gating keeps
-	// the unconfigured server on the pre-existing fast path.
+	// Overload admission control (see Admission); the zero value admits
+	// everything.
 	adm     Admission
 	shedRNG *stats.RNG
 	// ShedAdaptive counts requests rejected by utilization-driven shedding
@@ -338,8 +333,8 @@ type Server struct {
 	// Duplicate suppression (at-most-once execution): with dedup enabled, a
 	// second delivery of the same nonzero CallID joins the in-flight execution
 	// (singleflight) or replays the cached successful response instead of
-	// running the handler again. Production RPC stacks need this so hedged
-	// and retried mutations are not applied twice.
+	// running the handler again. Production RPC stacks need this so retried
+	// mutations are not applied twice.
 	dedup         bool
 	pendingByID   map[uint64]*inFlight
 	doneByID      map[uint64]Response
@@ -381,11 +376,6 @@ func (s *Server) SetDedup(on bool) {
 		s.doneByID = map[uint64]Response{}
 	}
 }
-
-// SetQueueLimit bounds the server's request queue: a request arriving while
-// max requests are already waiting is shed with ErrOverloaded. max <= 0
-// (the default) leaves the queue unbounded.
-func (s *Server) SetQueueLimit(max int) { s.maxQueue = max }
 
 // SetSlowdown injects a straggler: each request's service time is multiplied
 // by factor. factor <= 1 clears the injection.

@@ -30,8 +30,9 @@ import (
 var ErrExpired = errors.New("netsim: request expired in queue")
 
 // ErrCircuitOpen is returned (without touching the network) for attempts
-// against a target whose circuit breaker is open. It is retryable so replica
-// rotation moves on to the next target.
+// against a target whose circuit breaker is open. It is retryable: the call
+// backs off and retries, and a retry after the cooldown is the half-open
+// probe.
 var ErrCircuitOpen = errors.New("netsim: circuit breaker open")
 
 // Admission configures a server's overload admission control. The zero value
@@ -60,19 +61,11 @@ type Admission struct {
 	Seed uint64
 }
 
-// enabled reports whether any admission mechanism is configured.
-func (a Admission) enabled() bool {
-	return a.MaxQueue > 0 || a.Target > 0 || a.ShedStartFrac > 0
-}
-
-// SetAdmission installs overload admission control on the server. It
-// subsumes SetQueueLimit: the hard bound, the CoDel expiry parameters and
-// the adaptive shedding threshold all come from one Admission value.
+// SetAdmission installs overload admission control on the server: the hard
+// queue bound, the CoDel expiry parameters and the adaptive shedding
+// threshold all come from one Admission value.
 func (s *Server) SetAdmission(a Admission) {
 	s.adm = a
-	if a.MaxQueue > 0 {
-		s.maxQueue = a.MaxQueue
-	}
 	if a.ShedStartFrac > 0 && s.shedRNG == nil {
 		s.shedRNG = stats.NewRNG(a.Seed ^ 0x53484544) // "SHED"
 	}
@@ -84,7 +77,7 @@ func (s *Server) SetAdmission(a Admission) {
 // doubled hard bound.
 func (s *Server) admit(req Request) error {
 	depth := s.queue.Len()
-	limit := s.maxQueue
+	limit := s.adm.MaxQueue
 	if req.Priority && limit > 0 {
 		limit *= 2
 	}
@@ -93,8 +86,8 @@ func (s *Server) admit(req Request) error {
 		s.Node.net.m.sheds.Inc()
 		return fmt.Errorf("%w: %s (queue depth %d)", ErrOverloaded, s.Node.Name, depth)
 	}
-	if !req.Priority && s.adm.ShedStartFrac > 0 && s.maxQueue > 0 {
-		frac := float64(depth) / float64(s.maxQueue)
+	if !req.Priority && s.adm.ShedStartFrac > 0 && s.adm.MaxQueue > 0 {
+		frac := float64(depth) / float64(s.adm.MaxQueue)
 		if frac >= s.adm.ShedStartFrac {
 			p := (frac - s.adm.ShedStartFrac) / (1 - s.adm.ShedStartFrac)
 			if s.shedRNG.Bool(p) {

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -214,14 +215,14 @@ func TestRetryBudgetExhaustedMidBackoff(t *testing.T) {
 	}
 }
 
-// TestRetryBudgetRefillsOnSuccess checks the token-bucket refill: successes
-// credit RetryRefill tokens up to the cap, re-arming retries only while the
-// fleet is healthy.
+// TestRetryBudgetRefillsOnSuccess checks the token-bucket refill: each
+// success credits retryRefill tokens up to the cap, re-arming retries only
+// while the fleet is healthy.
 func TestRetryBudgetRefillsOnSuccess(t *testing.T) {
 	k, _, _, client, s := policyFixture(1)
 	s.Handle("op", func(p *sim.Proc, req Request) Response { return Response{} })
 	s.Start()
-	c := NewClient(Policy{MaxAttempts: 2, RetryBudget: 2, RetryRefill: 0.5}, 1)
+	c := NewClient(Policy{MaxAttempts: 2, RetryBudget: 2}, 1)
 	// Drain the bucket: impossible method errors are application-level and
 	// not retryable, so instead drain via a second, never-started server.
 	dead := NewServer(s.Node.net.NewNode("dead", 0, 0, 1), 1)
@@ -231,11 +232,18 @@ func TestRetryBudgetRefillsOnSuccess(t *testing.T) {
 		if c.RetryTokens() != 0 {
 			t.Errorf("tokens = %v after drain, want 0", c.RetryTokens())
 		}
-		for i := 0; i < 3; i++ {
+		for i := 0; i < 5; i++ {
 			c.Call(p, client, s, Request{Method: "op"})
 		}
-		if c.RetryTokens() != 1.5 {
-			t.Errorf("tokens = %v after 3 successes, want 1.5", c.RetryTokens())
+		// Sums of 0.1 are not exact in floating point.
+		if got := c.RetryTokens(); math.Abs(got-5*retryRefill) > 1e-9 {
+			t.Errorf("tokens = %v after 5 successes, want %v", got, 5*retryRefill)
+		}
+		for i := 0; i < 20; i++ {
+			c.Call(p, client, s, Request{Method: "op"})
+		}
+		if got := c.RetryTokens(); got != 2 {
+			t.Errorf("tokens = %v after 25 successes, want the cap 2", got)
 		}
 	})
 	k.Run()
@@ -299,52 +307,6 @@ func TestBreakerOpensFastFailsAndProbes(t *testing.T) {
 		}
 		if c.BreakerOpens != 1 {
 			t.Errorf("BreakerOpens = %d, want 1", c.BreakerOpens)
-		}
-	})
-	k.Run()
-	s.Stop()
-	k.Run()
-	if k.Live() != 0 {
-		t.Fatalf("leaked procs: %d", k.Live())
-	}
-}
-
-// TestHedgeSuppressedWhenBackupBreakerOpen is the satellite edge case: a
-// hedged call whose backup target's breaker is open must not send the hedge —
-// it waits out the primary instead of hammering the unhealthy backup.
-func TestHedgeSuppressedWhenBackupBreakerOpen(t *testing.T) {
-	k, n, _, client, s := policyFixture(1)
-	s.Handle("op", func(p *sim.Proc, req Request) Response {
-		p.Sleep(5 * time.Millisecond) // slow enough to trip the hedge delay
-		return Response{Payload: "primary"}
-	})
-	s.Start()
-	backup := NewServer(n.NewNode("backup", 0, 0, 4), 1)
-	// backup never started: attempts against it fail with ErrNotStarted.
-	c := NewClient(Policy{
-		MaxAttempts:     1,
-		HedgeDelay:      time.Millisecond,
-		BreakerFailures: 2,
-		BreakerCooldown: time.Second,
-	}, 3)
-	k.Go("driver", func(p *sim.Proc) {
-		// Open the backup's breaker through the public call path.
-		for i := 0; i < 2; i++ {
-			c.Call(p, client, backup, Request{Method: "op"})
-		}
-		if !c.BreakerOpenFor(backup) {
-			t.Fatalf("backup breaker not open")
-		}
-		hedgesBefore, fastFailsBefore := c.Hedges, c.BreakerFastFails
-		resp, _ := c.CallHedged(p, client, []*Server{s, backup}, Request{Method: "op"})
-		if resp.Err != nil || resp.Payload != "primary" {
-			t.Errorf("hedged call = %+v, want primary success", resp)
-		}
-		if c.Hedges != hedgesBefore {
-			t.Errorf("hedge was sent despite open backup breaker")
-		}
-		if c.BreakerFastFails != fastFailsBefore+1 {
-			t.Errorf("BreakerFastFails = %d, want %d", c.BreakerFastFails, fastFailsBefore+1)
 		}
 	})
 	k.Run()
@@ -419,9 +381,7 @@ func overloadRun(t *testing.T, pol Policy, adm Admission) []int {
 	serverNode := n.NewNode("srv", 0, 0, 8)
 	clientNode := n.NewNode("cli", 0, 0, 8)
 	s := NewServer(serverNode, 4) // 4 workers x 1ms service = 4000/s capacity
-	if adm.enabled() {
-		s.SetAdmission(adm)
-	}
+	s.SetAdmission(adm)
 	s.Handle("op", func(p *sim.Proc, req Request) Response {
 		p.Sleep(time.Millisecond)
 		return Response{}
@@ -485,7 +445,6 @@ func TestRetryStormMetastability(t *testing.T) {
 	}
 	protectedPol := naivePol
 	protectedPol.RetryBudget = 50
-	protectedPol.RetryRefill = 0.1
 	protectedPol.BreakerFailures = 10
 	protectedPol.BreakerCooldown = 50 * time.Millisecond
 	adm := Admission{

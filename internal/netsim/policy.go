@@ -1,11 +1,12 @@
 package netsim
 
-// This file implements client-side RPC resilience policies: per-call
-// deadlines, retries with exponential backoff and deterministic jitter, and
-// hedged backup requests after a p-quantile delay. Together with the
-// server-side bounded queues these are the production mechanisms that shape
-// the tail behaviour the paper's SLO discussion (§5.6) attributes to
-// resilience machinery rather than raw service time.
+// This file implements the client-side RPC resilience policy: one target per
+// call, a per-attempt deadline, retries with exponential backoff and
+// deterministic jitter, a per-client retry budget and per-target circuit
+// breakers. Together with the server-side admission control these are the
+// production mechanisms that shape the tail behaviour the paper's SLO
+// discussion (§5.6) attributes to resilience machinery rather than raw
+// service time.
 
 import (
 	"errors"
@@ -17,7 +18,7 @@ import (
 )
 
 // Policy configures client-side call resilience. The zero value is a plain
-// call: no deadline, single attempt, no hedging — and takes a fast path that
+// call: no deadline, single attempt — and takes a fast path that
 // is event-for-event identical to Server.Call, so wiring a Client through a
 // platform does not perturb fault-free runs.
 type Policy struct {
@@ -34,29 +35,13 @@ type Policy struct {
 	// immediately.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// HedgeQuantile, when in (0,1], arms hedging: once the client has
-	// observed at least hedgeMinSamples completed calls, a backup request is
-	// sent to the next replica if the primary has not answered within that
-	// quantile of observed latencies. Before enough samples exist,
-	// HedgeDelay (if nonzero) is used as the bootstrap delay.
-	HedgeQuantile float64
-	// HedgeDelay is the fixed (or bootstrap) hedge delay; 0 with a zero
-	// HedgeQuantile disables hedging.
-	HedgeDelay time.Duration
-	// Retryable decides which errors are retried/failed-over; nil means
-	// DefaultRetryable.
-	Retryable func(error) bool
 
 	// RetryBudget arms the per-client retry token bucket: the bucket starts
 	// full at RetryBudget tokens, every retry spends one, and every
-	// successful call refills RetryRefill tokens (capped at RetryBudget).
+	// successful call refills retryRefill tokens (capped at RetryBudget).
 	// Retries therefore amplify only while the fleet is healthy — the
 	// defense against retry-storm metastability. 0 disables budgeting.
 	RetryBudget float64
-	// RetryRefill is the token refill per success; 0 with a nonzero
-	// RetryBudget means the default 0.1 (one retry earned per ten
-	// successes).
-	RetryRefill float64
 
 	// BreakerFailures arms per-target circuit breakers: after this many
 	// consecutive retryable failures against one target, the breaker opens
@@ -67,15 +52,15 @@ type Policy struct {
 	BreakerCooldown time.Duration
 }
 
-// hedgeMinSamples is how many completed calls the client needs before it
-// trusts its latency histogram for quantile-based hedge delays.
-const hedgeMinSamples = 16
+// retryRefill is the retry-budget refill per successful call: one retry
+// earned per ten successes.
+const retryRefill = 0.1
 
-// DefaultRetryable reports whether an RPC error is safely retryable at
-// another replica or a later time: connection-level failures (server down or
-// not yet started), shed load, missed deadlines, and degradation drops.
-// Application-level handler errors are not retryable by default.
-func DefaultRetryable(err error) bool {
+// retryable reports whether an RPC error is safely retryable at a later
+// time: connection-level failures (server down or not yet started), shed
+// load, missed deadlines, link losses and open breakers. Application-level
+// handler errors are not retried.
+func retryable(err error) bool {
 	return errors.Is(err, ErrServerDown) || errors.Is(err, ErrNotStarted) ||
 		errors.Is(err, ErrOverloaded) || errors.Is(err, ErrDeadlineExceeded) ||
 		errors.Is(err, ErrNetDropped) || errors.Is(err, ErrExpired) ||
@@ -88,11 +73,10 @@ func DefaultRetryable(err error) bool {
 type Client struct {
 	policy Policy
 	rng    *stats.RNG
-	lats   stats.Summary
 
 	// Call-ID assignment: id is handed out lazily by the network of the first
-	// call's target, seq increments per logical call. Retries and hedges of
-	// one logical call share its ID so servers can deduplicate them.
+	// call's target, seq increments per logical call. Retries of one logical
+	// call share its ID so servers can deduplicate them.
 	id      uint64
 	nextSeq uint64
 
@@ -103,9 +87,7 @@ type Client struct {
 	breakers map[*Server]*breaker
 
 	// Counters for reports and tests.
-	Calls, Attempts, Retries int
-	Hedges, HedgeWins        int
-	Deadlines, Failovers     int
+	Calls, Attempts, Retries, Deadlines int
 	// BudgetExhausted counts retries suppressed by an empty token bucket,
 	// BreakerOpens counts closed/half-open -> open transitions, and
 	// BreakerFastFails counts attempts answered with ErrCircuitOpen without
@@ -118,14 +100,8 @@ type Client struct {
 // NewClient creates a client with the given policy; seed drives backoff
 // jitter (and nothing else), so equal seeds give bit-identical behaviour.
 func NewClient(policy Policy, seed uint64) *Client {
-	if policy.RetryBudget > 0 && policy.RetryRefill <= 0 {
-		policy.RetryRefill = 0.1
-	}
 	return &Client{policy: policy, rng: stats.NewRNG(seed), budget: policy.RetryBudget}
 }
-
-// Policy returns the client's policy.
-func (c *Client) Policy() Policy { return c.policy }
 
 // callID mints the next logical call ID: client ID in the high bits, per-call
 // sequence in the low. The client ID comes from the target's network so equal
@@ -137,13 +113,6 @@ func (c *Client) callID(n *Network) uint64 {
 	}
 	c.nextSeq++
 	return c.id<<32 | c.nextSeq
-}
-
-func (c *Client) retryable(err error) bool {
-	if c.policy.Retryable != nil {
-		return c.policy.Retryable(err)
-	}
-	return DefaultRetryable(err)
 }
 
 // backoff returns the jittered backoff before retry number retry (1-based).
@@ -158,15 +127,6 @@ func (c *Client) backoff(retry int) time.Duration {
 	// Deterministic jitter: ±50% from the client's seeded stream, decorrelating
 	// retry storms without real randomness.
 	return time.Duration(c.rng.Jitter(float64(d), 0.5))
-}
-
-// observe records a completed call latency for quantile-based hedging. Only
-// a client with quantile hedging armed keeps samples: the summary is
-// unbounded, and nothing else reads it.
-func (c *Client) observe(d time.Duration) {
-	if c.policy.HedgeQuantile > 0 {
-		c.lats.Add(float64(d))
-	}
 }
 
 // spendRetryToken takes one token from the retry budget, reporting whether
@@ -192,7 +152,7 @@ func (c *Client) refillBudget() {
 	if c.policy.RetryBudget <= 0 {
 		return
 	}
-	c.budget += c.policy.RetryRefill
+	c.budget += retryRefill
 	if c.budget > c.policy.RetryBudget {
 		c.budget = c.policy.RetryBudget
 	}
@@ -248,7 +208,7 @@ func (c *Client) noteResult(s *Server, err error, now time.Duration) {
 	if b == nil {
 		return
 	}
-	if err == nil || !c.retryable(err) {
+	if err == nil || !retryable(err) {
 		b.state = breakerClosed
 		b.fails = 0
 		return
@@ -272,15 +232,6 @@ func (c *Client) BreakerOpenFor(s *Server) bool {
 	}
 	b := c.breakers[s]
 	return b != nil && b.state == breakerOpen
-}
-
-// hedgeDelay returns the current hedge trigger delay, or 0 if hedging is
-// disabled.
-func (c *Client) hedgeDelay() time.Duration {
-	if c.policy.HedgeQuantile > 0 && c.lats.N() >= hedgeMinSamples {
-		return time.Duration(c.lats.Quantile(c.policy.HedgeQuantile))
-	}
-	return c.policy.HedgeDelay
 }
 
 // attempt performs one attempt against s, honoring the per-attempt deadline.
@@ -315,20 +266,12 @@ func (c *Client) attempt(p *sim.Proc, from *Node, s *Server, req Request) Respon
 	return resp
 }
 
-// Call performs a policy-driven RPC against a single server: deadline per
-// attempt, retries with exponential backoff and jitter.
+// Call performs a policy-driven RPC against one server: a deadline per
+// attempt, retries with exponential backoff and jitter under the retry budget,
+// and the target's circuit breaker. It returns the last response and the
+// total elapsed time.
 func (c *Client) Call(p *sim.Proc, from *Node, s *Server, req Request) (Response, time.Duration) {
-	return c.CallAny(p, from, []*Server{s}, req)
-}
-
-// CallAny performs a policy-driven RPC that fails over across targets:
-// attempt i goes to targets[i mod len(targets)], so retries rotate through
-// the replica set. It returns the last response and total elapsed time.
-func (c *Client) CallAny(p *sim.Proc, from *Node, targets []*Server, req Request) (Response, time.Duration) {
-	if len(targets) == 0 {
-		return Response{Err: fmt.Errorf("netsim: no targets for %s", req.Method)}, 0
-	}
-	net := targets[0].Node.net
+	net := s.Node.net
 	c.Calls++
 	net.m.calls.Inc()
 	if req.CallID == 0 {
@@ -351,129 +294,21 @@ func (c *Client) CallAny(p *sim.Proc, from *Node, targets []*Server, req Request
 			}
 			c.Retries++
 			net.m.retries.Inc()
-			if targets[i%len(targets)] != targets[(i-1)%len(targets)] {
-				c.Failovers++
-				net.m.failovers.Inc()
-			}
 		}
-		target := targets[i%len(targets)]
-		if !c.breakerAllows(target, p.Now()) {
+		if !c.breakerAllows(s, p.Now()) {
 			c.BreakerFastFails++
 			net.m.breakerFastFails.Inc()
-			resp = Response{Err: fmt.Errorf("%w: %s", ErrCircuitOpen, target.Node.Name)}
+			resp = Response{Err: fmt.Errorf("%w: %s", ErrCircuitOpen, s.Node.Name)}
 		} else {
-			resp = c.attempt(p, from, target, req)
-			c.noteResult(target, resp.Err, p.Now())
+			resp = c.attempt(p, from, s, req)
+			c.noteResult(s, resp.Err, p.Now())
 		}
-		if resp.Err == nil || !c.retryable(resp.Err) {
+		if resp.Err == nil || !retryable(resp.Err) {
 			break
 		}
 	}
-	elapsed := p.Now() - start
 	if resp.Err == nil {
-		c.observe(elapsed)
 		c.refillBudget()
 	}
-	return resp, elapsed
-}
-
-// CallHedged performs a policy-driven RPC with a hedged backup: the primary
-// goes to targets[0]; if it has not answered within the hedge delay (the
-// policy's latency quantile once observed, HedgeDelay before that), a backup
-// request is sent to targets[1] and the first successful response wins. With
-// hedging disabled or fewer than two targets it degrades to CallAny.
-func (c *Client) CallHedged(p *sim.Proc, from *Node, targets []*Server, req Request) (Response, time.Duration) {
-	hd := c.hedgeDelay()
-	if hd <= 0 || len(targets) < 2 {
-		return c.CallAny(p, from, targets, req)
-	}
-	net := targets[0].Node.net
-	c.Calls++
-	net.m.calls.Inc()
-	if req.CallID == 0 {
-		req.CallID = c.callID(net)
-	}
-	start := p.Now()
-	k := net.k
-
-	launch := func(s *Server) (*Response, *sim.Signal) {
-		var resp Response
-		done := sim.NewSignal(k)
-		c.Attempts++
-		net.m.attempts.Inc()
-		k.Go(fmt.Sprintf("rpc-hedge/%s", req.Method), func(ap *sim.Proc) {
-			r, _ := s.Call(ap, from, req)
-			resp = r
-			c.noteResult(s, r.Err, ap.Now())
-			done.Fire()
-		})
-		return &resp, done
-	}
-
-	priResp, priDone := launch(targets[0])
-	gate := sim.NewSignal(k)
-	priDone.OnFire(gate.Fire)
-	k.Schedule(hd, gate.Fire)
-	p.Wait(gate)
-
-	resp := *priResp
-	fromBackup := false
-	if !priDone.Fired() && !c.breakerAllows(targets[1], p.Now()) {
-		// The backup's breaker is open: hedging would only hammer a target
-		// already deemed unhealthy, so wait out the primary instead.
-		c.BreakerFastFails++
-		net.m.breakerFastFails.Inc()
-		p.Wait(priDone)
-		resp = *priResp
-	} else if !priDone.Fired() {
-		// Primary is straggling: send the backup and take the first answer.
-		c.Hedges++
-		net.m.hedges.Inc()
-		bakResp, bakDone := launch(targets[1])
-		first := sim.NewSignal(k)
-		priDone.OnFire(first.Fire)
-		bakDone.OnFire(first.Fire)
-		p.Wait(first)
-		switch {
-		case bakDone.Fired() && (!priDone.Fired() || (*priResp).Err != nil):
-			resp = *bakResp
-			fromBackup = true
-		case priDone.Fired():
-			resp = *priResp
-		}
-		// If the winner failed retryably and the other attempt is still out,
-		// wait for it rather than giving up with a losable error.
-		if resp.Err != nil && c.retryable(resp.Err) {
-			both := sim.NewSignal(k)
-			remaining := 0
-			for _, d := range []*sim.Signal{priDone, bakDone} {
-				if !d.Fired() {
-					remaining++
-					d.OnFire(both.Fire)
-				}
-			}
-			if remaining > 0 {
-				p.Wait(both)
-				if bakDone.Fired() && (*bakResp).Err == nil {
-					resp = *bakResp
-					fromBackup = true
-				} else if priDone.Fired() && (*priResp).Err == nil {
-					resp = *priResp
-					fromBackup = false
-				}
-			}
-		}
-		// A hedge win means the backup's *successful* response is the one the
-		// caller gets. A backup that raced ahead only to fail — while the
-		// primary's success was ultimately adopted — is not a win.
-		if fromBackup && resp.Err == nil {
-			c.HedgeWins++
-			net.m.hedgeWins.Inc()
-		}
-	}
-	elapsed := p.Now() - start
-	if resp.Err == nil {
-		c.observe(elapsed)
-	}
-	return resp, elapsed
+	return resp, p.Now() - start
 }

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -101,30 +102,31 @@ func TestDeadlineNotHitOnFastCall(t *testing.T) {
 	}
 }
 
-func TestRetryFailsOverAcrossTargets(t *testing.T) {
-	k, n := testNet()
-	client := n.NewNode("cli", 0, 0, 1)
-	bad := NewServer(n.NewNode("bad", 0, 0, 1), 1)
-	good := NewServer(n.NewNode("good", 0, 0, 1), 1)
-	handler := func(p *sim.Proc, req Request) Response { return Response{Payload: "ok"} }
-	bad.Handle("op", handler)
-	good.Handle("op", handler)
-	bad.Start()
-	good.Start()
-	bad.Crash()
+func TestRetrySucceedsAfterRetryableFailure(t *testing.T) {
+	k, _, _, client, s := policyFixture(1)
+	// The first attempt is shed with a retryable error; the retry is served.
+	served := 0
+	s.Handle("op", func(p *sim.Proc, req Request) Response {
+		served++
+		if served == 1 {
+			return Response{Err: fmt.Errorf("%w: first attempt", ErrOverloaded)}
+		}
+		return Response{Payload: "ok"}
+	})
+	s.Start()
 
 	c := NewClient(Policy{MaxAttempts: 3, BackoffBase: time.Millisecond, BackoffMax: 4 * time.Millisecond}, 1)
 	var resp Response
 	k.Go("client", func(p *sim.Proc) {
-		resp, _ = c.CallAny(p, client, []*Server{bad, good}, Request{Method: "op"})
-		good.Stop()
+		resp, _ = c.Call(p, client, s, Request{Method: "op"})
+		s.Stop()
 	})
 	k.Run()
 	if resp.Err != nil || resp.Payload != "ok" {
-		t.Fatalf("resp = %+v, want failover success", resp)
+		t.Fatalf("resp = %+v, want the retry's success", resp)
 	}
-	if c.Attempts != 2 || c.Retries != 1 || c.Failovers != 1 {
-		t.Fatalf("Attempts=%d Retries=%d Failovers=%d, want 2/1/1", c.Attempts, c.Retries, c.Failovers)
+	if c.Attempts != 2 || c.Retries != 1 || served != 2 {
+		t.Fatalf("Attempts=%d Retries=%d served=%d, want 2/1/2", c.Attempts, c.Retries, served)
 	}
 	if k.Live() != 0 {
 		t.Fatalf("leaked procs: %d", k.Live())
@@ -190,161 +192,5 @@ func TestBackoffDeterministicAndCapped(t *testing.T) {
 		// Not strictly impossible, but with distinct seeds the first draws
 		// colliding would indicate the seed is ignored.
 		t.Fatal("different seeds gave identical first backoff")
-	}
-}
-
-func TestHedgedCallBackupWins(t *testing.T) {
-	k, n := testNet()
-	client := n.NewNode("cli", 0, 0, 1)
-	slow := NewServer(n.NewNode("slow", 0, 0, 1), 1)
-	fast := NewServer(n.NewNode("fast", 0, 0, 1), 1)
-	slow.Handle("op", func(p *sim.Proc, req Request) Response {
-		p.Sleep(100 * time.Millisecond)
-		return Response{Payload: "slow"}
-	})
-	fast.Handle("op", func(p *sim.Proc, req Request) Response {
-		p.Sleep(time.Millisecond)
-		return Response{Payload: "fast"}
-	})
-	slow.Start()
-	fast.Start()
-	c := NewClient(Policy{HedgeDelay: 5 * time.Millisecond, HedgeQuantile: 0.95}, 1)
-	var resp Response
-	var elapsed time.Duration
-	k.Go("client", func(p *sim.Proc) {
-		resp, elapsed = c.CallHedged(p, client, []*Server{slow, fast}, Request{Method: "op"})
-	})
-	k.Run()
-	if resp.Err != nil || resp.Payload != "fast" {
-		t.Fatalf("resp = %+v, want backup's answer", resp)
-	}
-	if c.Hedges != 1 || c.HedgeWins != 1 {
-		t.Fatalf("Hedges=%d HedgeWins=%d, want 1/1", c.Hedges, c.HedgeWins)
-	}
-	// Hedge fired at 5ms; backup took ~1ms + transfers. Nowhere near 100ms.
-	if elapsed >= 20*time.Millisecond {
-		t.Fatalf("elapsed = %v, want well under the slow primary", elapsed)
-	}
-	slow.Stop()
-	fast.Stop()
-	k.Run()
-	if k.Live() != 0 {
-		t.Fatalf("leaked procs: %d", k.Live())
-	}
-}
-
-func TestHedgeNotSentWhenPrimaryFast(t *testing.T) {
-	k, n := testNet()
-	client := n.NewNode("cli", 0, 0, 1)
-	a := NewServer(n.NewNode("a", 0, 0, 1), 1)
-	b := NewServer(n.NewNode("b", 0, 0, 1), 1)
-	h := func(p *sim.Proc, req Request) Response {
-		p.Sleep(time.Millisecond)
-		return Response{Payload: "a"}
-	}
-	a.Handle("op", h)
-	b.Handle("op", h)
-	a.Start()
-	b.Start()
-	c := NewClient(Policy{HedgeDelay: 50 * time.Millisecond}, 1)
-	var resp Response
-	k.Go("client", func(p *sim.Proc) {
-		resp, _ = c.CallHedged(p, client, []*Server{a, b}, Request{Method: "op"})
-		a.Stop()
-		b.Stop()
-	})
-	k.Run()
-	if resp.Err != nil {
-		t.Fatalf("resp = %+v", resp)
-	}
-	if c.Hedges != 0 || c.Attempts != 1 {
-		t.Fatalf("Hedges=%d Attempts=%d, want 0/1", c.Hedges, c.Attempts)
-	}
-	if k.Live() != 0 {
-		t.Fatalf("leaked procs: %d", k.Live())
-	}
-}
-
-func TestHedgeWaitsForOutstandingAttemptOnRetryableFailure(t *testing.T) {
-	k, n := testNet()
-	client := n.NewNode("cli", 0, 0, 1)
-	// Primary is slow but will succeed; backup crashes mid-flight.
-	slow := NewServer(n.NewNode("slow", 0, 0, 1), 1)
-	crashy := NewServer(n.NewNode("crashy", 0, 0, 1), 1)
-	slow.Handle("op", func(p *sim.Proc, req Request) Response {
-		p.Sleep(30 * time.Millisecond)
-		return Response{Payload: "slow-ok"}
-	})
-	crashy.Handle("op", func(p *sim.Proc, req Request) Response {
-		p.Sleep(100 * time.Millisecond)
-		return Response{Payload: "never"}
-	})
-	slow.Start()
-	crashy.Start()
-	k.Schedule(10*time.Millisecond, crashy.Crash) // backup fails after hedging
-	c := NewClient(Policy{HedgeDelay: 5 * time.Millisecond}, 1)
-	var resp Response
-	k.Go("client", func(p *sim.Proc) {
-		resp, _ = c.CallHedged(p, client, []*Server{slow, crashy}, Request{Method: "op"})
-		slow.Stop()
-	})
-	k.Run()
-	if resp.Err != nil || resp.Payload != "slow-ok" {
-		t.Fatalf("resp = %+v, want the slow primary's success", resp)
-	}
-	if k.Live() != 0 {
-		t.Fatalf("leaked procs: %d", k.Live())
-	}
-}
-
-func TestHedgeDelayUsesObservedQuantile(t *testing.T) {
-	c := NewClient(Policy{HedgeQuantile: 0.5, HedgeDelay: time.Millisecond}, 1)
-	// Before enough samples, the bootstrap delay applies.
-	if got := c.hedgeDelay(); got != time.Millisecond {
-		t.Fatalf("bootstrap hedge delay = %v", got)
-	}
-	for i := 0; i < hedgeMinSamples; i++ {
-		c.observe(10 * time.Millisecond)
-	}
-	if got := c.hedgeDelay(); got != 10*time.Millisecond {
-		t.Fatalf("quantile hedge delay = %v, want 10ms", got)
-	}
-}
-
-// TestClientKeepsNoLatenciesWithoutQuantileHedging pins the memory bound: a
-// client without quantile hedging records no latency samples, whichever call
-// path succeeds.
-func TestClientKeepsNoLatenciesWithoutQuantileHedging(t *testing.T) {
-	k, n := testNet()
-	client := n.NewNode("cli", 0, 0, 1)
-	a := NewServer(n.NewNode("a", 0, 0, 1), 1)
-	b := NewServer(n.NewNode("b", 0, 0, 1), 1)
-	h := func(p *sim.Proc, req Request) Response {
-		p.Sleep(time.Millisecond)
-		return Response{Payload: "ok"}
-	}
-	a.Handle("op", h)
-	b.Handle("op", h)
-	a.Start()
-	b.Start()
-	c := NewClient(Policy{HedgeDelay: 50 * time.Millisecond, MaxAttempts: 2}, 1)
-	k.Go("client", func(p *sim.Proc) {
-		for i := 0; i < 4; i++ {
-			if resp, _ := c.CallAny(p, client, []*Server{a, b}, Request{Method: "op"}); resp.Err != nil {
-				t.Errorf("CallAny: %v", resp.Err)
-			}
-			if resp, _ := c.CallHedged(p, client, []*Server{a, b}, Request{Method: "op"}); resp.Err != nil {
-				t.Errorf("CallHedged: %v", resp.Err)
-			}
-		}
-		a.Stop()
-		b.Stop()
-	})
-	k.Run()
-	if c.Attempts == 0 {
-		t.Fatal("no attempts made")
-	}
-	if got := c.lats.N(); got != 0 {
-		t.Fatalf("client without quantile hedging kept %d latency samples, want 0", got)
 	}
 }

@@ -22,11 +22,8 @@ package obs
 
 import (
 	"encoding/json"
-	"math"
 	"sort"
 	"time"
-
-	"hyperprof/internal/stats"
 )
 
 // Config sizes the observability plane.
@@ -39,18 +36,6 @@ type Config struct {
 	// samples; observations past the cap within one interval are counted in
 	// the ".dropped" series rather than silently lost.
 	Window int
-	// Sketch switches histograms from exact windowed quantiles to a
-	// bounded-memory quantile sketch (stats.Sketch). Quantiles are then
-	// within SketchRelErr relative error instead of exact, observations are
-	// never dropped (there is no window cap to overflow), and memory per
-	// histogram is O(log(max/min)/α) instead of O(Window). Estimates are
-	// rounded to integer nanoseconds before entering the export path, so
-	// sketch-mode exports remain byte-deterministic. Exact mode stays the
-	// default.
-	Sketch bool
-	// SketchRelErr is the sketch's relative value-error bound α; zero means
-	// stats.DefaultSketchRelErr (1%). Ignored unless Sketch is set.
-	SketchRelErr float64
 }
 
 // DefaultConfig returns the standard sampling setup: 1ms virtual-time
@@ -130,18 +115,13 @@ func (g *Gauge) Add(delta int64) {
 // Histogram collects raw integer observations (typically latency
 // nanoseconds) over each sampling interval and emits windowed quantiles —
 // p50, p99, max — plus the observation count at every tick. Quantiles are
-// exact by default; with Config.Sketch they come from a bounded-memory
-// quantile sketch and carry its relative error bound instead. A nil
-// Histogram is valid; Record on it is a no-op.
+// exact over the window. A nil Histogram is valid; Record on it is a no-op.
 type Histogram struct {
 	name string
 	// buf is preallocated to the window capacity; Record appends in place and
 	// never grows it, so the record path performs zero allocations.
 	buf     []int64
 	dropped int64 // observations past the window within one interval
-	// sk replaces buf in sketch mode (Config.Sketch): bounded memory, no
-	// window overflow, quantiles within the sketch's relative error bound.
-	sk *stats.Sketch
 
 	p50, p99, max, count, drop []Point // per-tick derived series
 }
@@ -149,10 +129,6 @@ type Histogram struct {
 // Record adds one observation to the current window.
 func (h *Histogram) Record(v int64) {
 	if h == nil {
-		return
-	}
-	if h.sk != nil {
-		h.sk.Add(float64(v))
 		return
 	}
 	if len(h.buf) < cap(h.buf) {
@@ -252,12 +228,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 		return nil
 	}
 	r.claim(name + ".p50")
-	h := &Histogram{name: name}
-	if r.cfg.Sketch {
-		h.sk = stats.NewSketch(r.cfg.SketchRelErr)
-	} else {
-		h.buf = make([]int64, 0, r.cfg.Window)
-	}
+	h := &Histogram{name: name, buf: make([]int64, 0, r.cfg.Window)}
 	r.hists = append(r.hists, h)
 	return h
 }
@@ -311,16 +282,6 @@ func (r *Registry) sample(t time.Duration) {
 // observations in place, emits the derived quantile points, and resets the
 // window for the next interval.
 func (h *Histogram) tick(t time.Duration) {
-	if h.sk != nil {
-		if n := h.sk.N(); n > 0 {
-			h.p50 = append(h.p50, Point{T: t, V: int64(math.Round(h.sk.Quantile(0.5)))})
-			h.p99 = append(h.p99, Point{T: t, V: int64(math.Round(h.sk.Quantile(0.99)))})
-			h.max = append(h.max, Point{T: t, V: int64(math.Round(h.sk.Max()))})
-		}
-		h.count = append(h.count, Point{T: t, V: int64(h.sk.N())})
-		h.sk.Reset()
-		return
-	}
 	n := len(h.buf)
 	if n > 0 {
 		sort.Slice(h.buf, func(i, j int) bool { return h.buf[i] < h.buf[j] })

@@ -295,74 +295,3 @@ func BenchmarkHistogramRecord(b *testing.B) {
 		}
 	}
 }
-
-func TestHistogramSketchMode(t *testing.T) {
-	r := NewRegistry(Config{Sketch: true, SketchRelErr: 0.01})
-	h := r.Histogram("lat")
-	// A window far larger than any exact-mode cap: sketch mode has no
-	// overflow, so all 50000 observations count.
-	for i := int64(1); i <= 50000; i++ {
-		h.Record(i * 1000)
-	}
-	r.SampleAt(time.Millisecond)
-	// Second interval: window resets.
-	h.Record(7_000_000)
-	r.SampleAt(2 * time.Millisecond)
-
-	got := map[string][]Point{}
-	for _, s := range r.Snapshot() {
-		got[s.Name] = s.Points
-	}
-	if v := got["lat.count"][0].V; v != 50000 {
-		t.Fatalf("count = %d, want 50000 (sketch mode must not drop)", v)
-	}
-	if _, ok := got["lat.dropped"]; ok {
-		t.Error("dropped series present in sketch mode")
-	}
-	within := func(got, want int64) bool {
-		d := got - want
-		if d < 0 {
-			d = -d
-		}
-		return float64(d) <= 0.011*float64(want)
-	}
-	if v := got["lat.p50"][0].V; !within(v, 25_000_000) {
-		t.Errorf("sketch p50 = %d, want within 1%% of 25000000", v)
-	}
-	if v := got["lat.p99"][0].V; !within(v, 49_500_000) {
-		t.Errorf("sketch p99 = %d, want within 1%% of 49500000", v)
-	}
-	if v := got["lat.max"][0].V; !within(v, 50_000_000) {
-		t.Errorf("sketch max = %d, want within 1%% of 50000000", v)
-	}
-	if v := got["lat.p50"][1].V; !within(v, 7_000_000) {
-		t.Errorf("second-interval p50 = %d, want ~7000000", v)
-	}
-	if v := got["lat.count"][1].V; v != 1 {
-		t.Errorf("second-interval count = %d, want 1", v)
-	}
-}
-
-func TestHistogramSketchModeDeterministic(t *testing.T) {
-	run := func() []byte {
-		r := NewRegistry(Config{Sketch: true})
-		h := r.Histogram("lat")
-		rng := uint64(0x9e3779b97f4a7c15)
-		for i := 0; i < 10000; i++ {
-			rng ^= rng << 13
-			rng ^= rng >> 7
-			rng ^= rng << 17
-			h.Record(int64(rng % 1_000_000))
-		}
-		r.SampleAt(time.Millisecond)
-		b, err := MarshalSeries(r.Snapshot())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	a, b := run(), run()
-	if string(a) != string(b) {
-		t.Fatal("sketch-mode export not byte-deterministic across identical runs")
-	}
-}

@@ -33,6 +33,7 @@ invocations=(
 	"-study=resilience -burst -diurnal"
 	"-study=obs"
 	"-study=overload -json"
+	"-study=overload -obs"
 	"-study=overload -json -burst -diurnal"
 	"-study=partition -check -json"
 	"-study=pipeline -check -chrome-trace trace.json"
