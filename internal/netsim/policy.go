@@ -115,14 +115,29 @@ func (c *Client) callID(n *Network) uint64 {
 	return c.id<<32 | c.nextSeq
 }
 
-// backoff returns the jittered backoff before retry number retry (1-based).
-func (c *Client) backoff(retry int) time.Duration {
-	if c.policy.BackoffBase <= 0 {
+// Backoff returns the nominal backoff before retry number retry (1-based):
+// BackoffBase doubled per further retry, capped at BackoffMax. A Client
+// jitters it; callers that retry something other than an RPC under this
+// policy's schedule use it as is.
+func (p Policy) Backoff(retry int) time.Duration {
+	if p.BackoffBase <= 0 {
 		return 0
 	}
-	d := c.policy.BackoffBase << uint(retry-1)
-	if c.policy.BackoffMax > 0 && d > c.policy.BackoffMax {
-		d = c.policy.BackoffMax
+	d := p.BackoffBase << uint(retry-1)
+	if p.BackoffMax > 0 && d > p.BackoffMax {
+		d = p.BackoffMax
+	}
+	return d
+}
+
+// Attempts returns the policy's total attempt budget: MaxAttempts, at least 1.
+func (p Policy) Attempts() int { return max(p.MaxAttempts, 1) }
+
+// backoff returns the jittered backoff before retry number retry (1-based).
+func (c *Client) backoff(retry int) time.Duration {
+	d := c.policy.Backoff(retry)
+	if d == 0 {
+		return 0
 	}
 	// Deterministic jitter: ±50% from the client's seeded stream, decorrelating
 	// retry storms without real randomness.
@@ -278,12 +293,8 @@ func (c *Client) Call(p *sim.Proc, from *Node, s *Server, req Request) (Response
 		req.CallID = c.callID(net)
 	}
 	start := p.Now()
-	attempts := c.policy.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
 	var resp Response
-	for i := 0; i < attempts; i++ {
+	for i := 0; i < c.policy.Attempts(); i++ {
 		if i > 0 {
 			// Sleep the backoff before spending the token: a concurrent call
 			// through the shared client may drain the bucket meanwhile, which

@@ -374,3 +374,70 @@ func TestElectionRequiresMajority(t *testing.T) {
 	})
 	env.K.Run()
 }
+
+// TestPartitionedElectionRetriesOnPolicySchedule cuts every replica of group
+// 0 off from the others, so step-down finds no quorum-connected candidate.
+// The election is retried on the RPC policy's schedule (3 tries, each after
+// a 3ms cross-region round trip plus a 200µs, then 400µs backoff): a heal
+// inside that window lets the read through, and without one the read fails
+// with ErrNoQuorum once the schedule is spent, not at once.
+func TestPartitionedElectionRetriesOnPolicySchedule(t *testing.T) {
+	const spent = 2*3*time.Millisecond + 600*time.Microsecond
+	for _, c := range []struct {
+		name   string
+		healAt time.Duration // 0: never
+	}{
+		{"healed inside the schedule", 5 * time.Millisecond},
+		{"never healed", 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			env := testEnv(65)
+			cfg := smallConfig()
+			cfg.PartitionRecovery = true
+			cfg.RPC = netsim.Policy{MaxAttempts: 3, BackoffBase: 200 * time.Microsecond, BackoffMax: 2 * time.Millisecond}
+			db, err := New(env, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var nodes []string
+			for r := 0; r < cfg.Regions; r++ {
+				name, err := db.ReplicaNodeName(0, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				nodes = append(nodes, name)
+			}
+			for _, a := range nodes {
+				for _, b := range nodes {
+					if a != b {
+						env.Net.BlockLink(a, b)
+					}
+				}
+			}
+			if c.healAt > 0 {
+				env.K.Schedule(c.healAt, func() {
+					for _, a := range nodes {
+						for _, b := range nodes {
+							env.Net.HealLink(a, b)
+						}
+					}
+				})
+			}
+			env.K.Go("client", func(p *sim.Proc) {
+				defer db.Stop()
+				_, err := db.Read(p, nil, 0, 1, false)
+				switch {
+				case c.healAt > 0 && err != nil:
+					t.Errorf("read after a heal at %v failed: %v", c.healAt, err)
+				case c.healAt > 0 && p.Now() < spent:
+					t.Errorf("read returned at %v, before the third election try at %v", p.Now(), spent)
+				case c.healAt == 0 && !errors.Is(err, ErrNoQuorum):
+					t.Errorf("read with no quorum anywhere = %v, want ErrNoQuorum", err)
+				case c.healAt == 0 && p.Now() != spent:
+					t.Errorf("read failed at %v, want once the schedule is spent at %v", p.Now(), spent)
+				}
+			})
+			env.K.Run()
+		})
+	}
+}

@@ -469,7 +469,7 @@ func (db *DB) read(p *sim.Proc, tr *trace.Trace, g, row int, strong bool) ([]byt
 		return nil, fmt.Errorf("spanner: group %d out of range", g)
 	}
 	grp := db.groups[g]
-	leader, err := db.ensureLeader(grp)
+	leader, err := db.ensureLeader(p, grp)
 	if err != nil {
 		return nil, err
 	}
@@ -509,7 +509,7 @@ func (db *DB) commit(p *sim.Proc, tr *trace.Trace, g, row int, value []byte) (ap
 		return false, 0, fmt.Errorf("spanner: row %d out of range", row)
 	}
 	grp := db.groups[g]
-	leader, err := db.ensureLeader(grp)
+	leader, err := db.ensureLeader(p, grp)
 	if err != nil {
 		return false, 0, err
 	}
@@ -725,14 +725,39 @@ func (db *DB) OverloadStats() (shed, adaptive, expired int) {
 // either direction) steps down the same way, and the election runs over the
 // majority-connected component — so the minority side never commits and the
 // majority side regains availability without waiting for the heal.
-func (db *DB) ensureLeader(grp *group) (*replica, error) {
-	lead := grp.leaderRep()
-	if lead.srv.Stopped() || (db.cfg.PartitionRecovery && !db.quorumConnected(grp, grp.leader)) {
-		if _, err := db.elect(grp); err != nil {
+//
+// When PartitionRecovery finds no quorum-connected candidate, the election
+// is retried on the consensus RPC policy's schedule rather than failed at
+// once: up to RPC.Attempts() tries, the next one after a cross-group round
+// trip (what a failed replication attempt costs) plus the policy's backoff.
+// Step-down must not fail an operation faster than the replication retries
+// it replaces would; waiting never commits on the minority side.
+func (db *DB) ensureLeader(p *sim.Proc, grp *group) (*replica, error) {
+	for retry := 1; ; retry++ {
+		lead := grp.leaderRep()
+		if !lead.srv.Stopped() && (!db.cfg.PartitionRecovery || db.quorumConnected(grp, grp.leader)) {
+			return lead, nil
+		}
+		_, err := db.elect(grp)
+		if err == nil {
+			return grp.leaderRep(), nil
+		}
+		if !db.cfg.PartitionRecovery || retry >= db.cfg.RPC.Attempts() {
 			return nil, err
 		}
+		p.Sleep(db.groupRTT(grp) + db.cfg.RPC.Backoff(retry))
 	}
-	return grp.leaderRep(), nil
+}
+
+// groupRTT is the longest round trip between two of the group's replicas.
+func (db *DB) groupRTT(grp *group) time.Duration {
+	var rtt time.Duration
+	for _, a := range grp.replicas {
+		for _, b := range grp.replicas {
+			rtt = max(rtt, db.env.Net.RTT(a.machine.Node, b.machine.Node))
+		}
+	}
+	return rtt
 }
 
 // quorumConnected reports whether group grp's replica i is live and can
@@ -793,7 +818,7 @@ func (db *DB) Query(p *sim.Proc, tr *trace.Trace, g, start int) (int, error) {
 		return 0, fmt.Errorf("spanner: group %d out of range", g)
 	}
 	grp := db.groups[g]
-	leader, err := db.ensureLeader(grp)
+	leader, err := db.ensureLeader(p, grp)
 	if err != nil {
 		return 0, err
 	}
