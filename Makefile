@@ -57,7 +57,7 @@ race:
 # that emits the study's artifacts. Within an entry the commands stop at the
 # first failure; the loop always runs every entry, then names the failed ones
 # and exits non-zero.
-STUDIES = safety obs overload backends partition fleet pipeline
+STUDIES = safety obs overload backends partition fleet pipeline limits
 
 # safety: the torture harness at SAFETY_SEEDS seeds per platform.
 STUDY_safety = $(GO) run ./cmd/hyperprof -study=safety -check-seeds $(SAFETY_SEEDS)
@@ -121,6 +121,13 @@ STUDY_pipeline = $(GO) test -short ./internal/experiments/ -run 'TestPipeline|Te
 		-bench BenchmarkPipelineHandoff -benchtime 100000x -benchmem && \
 	$(GO) run ./cmd/hyperprof -study=pipeline -check -check-seeds $(PIPELINE_SEEDS) \
 		-chrome-trace pipeline-trace.json
+
+# limits: the analytical model and SoC unit tests, then the §6 limit studies
+# (Figures 9, 10 and 13–15) and the Table 8 validation, each with its §6.4
+# extensions.
+STUDY_limits = $(GO) test ./internal/model/ ./internal/soc/ && \
+	$(GO) run ./cmd/hyperprof -study=limits -extended && \
+	$(GO) run ./cmd/hyperprof -study=table8 -extended
 
 check-studies:
 	@failed=""; \

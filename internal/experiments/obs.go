@@ -75,12 +75,6 @@ func CounterTracks(m map[taxonomy.Platform][]obs.Series) []trace.CounterTrack {
 	return tracks
 }
 
-// JSON renders the study's time series as one compact JSON document.
-func (o *ObsStudy) JSON() ([]byte, error) { return MarshalPlatformSeries(o.Series) }
-
-// CounterTracks converts the study's series into Chrome-trace counter tracks.
-func (o *ObsStudy) CounterTracks() []trace.CounterTrack { return CounterTracks(o.Series) }
-
 // RenderObs renders a per-platform summary of the collected series: count,
 // sampling interval, and the final value of a few headline series.
 func RenderObs(o *ObsStudy) string {

@@ -31,17 +31,6 @@ func overloadTestConfig() StudyConfig {
 	return cfg
 }
 
-// overloadBytes renders every artifact a byte comparison can cover: the JSON
-// export and the fixed-width table.
-func overloadBytes(t *testing.T, o *Overload) []byte {
-	t.Helper()
-	data, err := o.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return append(data, RenderOverload(o)...)
-}
-
 func TestOverloadStudyShape(t *testing.T) {
 	cfg := overloadTestConfig()
 	o, err := cfg.Overload()

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -22,26 +21,6 @@ func pipelineTestConfig() StudyConfig {
 		cfg.Check.Seeds = 1
 	}
 	return cfg
-}
-
-// pipelineExport condenses every cross-process artifact of a pipeline study
-// into one byte string: the canonical JSON document, the rendered report,
-// and the Chrome export whose spans cross the three platform processes.
-func pipelineExport(t *testing.T, s *Pipeline) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	doc, err := s.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf.Write(doc)
-	buf.WriteString(RenderPipeline(s))
-	chrome, err := s.Chrome()
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf.Write(chrome)
-	return buf.Bytes()
 }
 
 // TestPipelineEndToEndSpans pins the tentpole guarantee: every logical

@@ -1,12 +1,8 @@
 package experiments
 
-// This file is the unified Study API: StudyConfig is the shared core — one
-// struct of grouped knobs (operation budgets, fault rates, checker sizing,
-// observability, load, nemesis, pipeline) with one method entry point per
-// study (Characterize, Safety, Resilience, Observe, Overload, Partition,
-// Fleet, Pipeline) and a Default*StudyConfig constructor per study. The
-// legacy per-study config structs and Run* wrappers that predated it have
-// been deleted; StudyConfig is the only way in.
+// This file is the unified Study API: StudyConfig, one struct of grouped
+// knobs with one method entry point and one Default*StudyConfig constructor
+// per study. The study table (table.go) runs each of them.
 
 import (
 	"time"

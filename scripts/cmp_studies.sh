@@ -38,6 +38,10 @@ invocations=(
 	"-study=partition -check -json"
 	"-study=pipeline -check -chrome-trace trace.json"
 	"-study=fleet -json -fleet-servers 400 -fleet-users 200000 -fleet-ops 8000"
+	"-study=limits"
+	"-study=limits -extended"
+	"-study=table8"
+	"-study=table8 -extended"
 )
 
 # run BIN DIR ARGS... runs one invocation inside DIR, keeping its stdout and
