@@ -23,12 +23,8 @@ import (
 	"strings"
 	"time"
 
-	"hyperprof/internal/bigquery"
-	"hyperprof/internal/bigtable"
 	"hyperprof/internal/check"
-	"hyperprof/internal/netsim"
-	"hyperprof/internal/platform"
-	"hyperprof/internal/spanner"
+	"hyperprof/internal/sim"
 	"hyperprof/internal/stats"
 	"hyperprof/internal/taxonomy"
 	"hyperprof/internal/workload"
@@ -105,90 +101,53 @@ var fleetKind = unitKind[fleetUnit, FleetRow]{name: "fleet/platform", run: runFl
 // fleet arm: bounded sketch and reservoir in sketch mode, the exact
 // defaults otherwise (exact mode exists for error-bound validation at small
 // scale; it defeats the purpose at fleet scale).
-func fleetRecorders(cfg StudyConfig, env *platform.Env, seed uint64) (stats.Recorder, *check.History) {
+func fleetRecorders(cfg StudyConfig, k *sim.Kernel, seed uint64) (stats.Recorder, *check.History) {
 	if !cfg.Sketch.Enabled {
-		return &stats.Summary{}, check.NewHistory(env.K)
+		return &stats.Summary{}, check.NewHistory(k)
 	}
 	histCap := cfg.Sketch.HistoryCap
 	if histCap <= 0 {
 		histCap = defaultFleetHistoryCap
 	}
-	return stats.NewSketch(cfg.Sketch.RelErr), check.NewSampledHistory(env.K, histCap, seed)
+	return stats.NewSketch(cfg.Sketch.RelErr), check.NewSampledHistory(k, histCap, seed)
 }
 
 // runFleetPlatform sizes one platform to its server share and drives it
 // open-loop with bounded-memory recording.
 func runFleetPlatform(cfg StudyConfig, u fleetUnit) (FleetRow, error) {
-	opts := workload.OpenLoopOpts{Shape: cfg.Fleet.Shape}
-	var (
-		res  *workload.OpenLoopResult
-		hist *check.History
-		env  *platform.Env
-	)
-	switch u.Platform {
-	case taxonomy.Spanner:
-		env = platform.NewEnv(cfg.Seed, fleetTraceRate)
-		defer env.K.Close()
-		env.Net = netsim.New(env.K, spanner.RecommendedNetConfig())
-		sc := spanner.DefaultConfig()
-		sc.Regions = 3
-		sc.Groups = max(1, u.Servers/sc.Regions)
-		// Rows stay bounded: users are a logical population attributed to
-		// arrivals, not materialized state.
-		sc.RowsPerGroup = 64
-		db, err := spanner.New(env, sc)
-		if err != nil {
-			return FleetRow{}, err
-		}
-		var rec stats.Recorder
-		rec, hist = fleetRecorders(cfg, env, cfg.Seed)
-		db.SetRecorder(hist)
-		opts.Latencies = rec
-		res = workload.SpannerOpenLoopWithOpts(env, db, workload.DefaultSpannerMix(), u.Rate, u.Ops, opts)
-	case taxonomy.BigTable:
-		env = platform.NewEnv(cfg.Seed+1, fleetTraceRate)
-		defer env.K.Close()
-		bc := bigtable.DefaultConfig()
-		bc.TabletServers = max(1, u.Servers*4/5)
-		bc.Chunkservers = max(3, u.Servers-bc.TabletServers)
-		bc.Tablets = 2 * bc.TabletServers
-		bc.RowsPerTablet = 32
-		db, err := bigtable.New(env, bc)
-		if err != nil {
-			return FleetRow{}, err
-		}
-		var rec stats.Recorder
-		rec, hist = fleetRecorders(cfg, env, cfg.Seed+1)
-		db.SetRecorder(hist)
-		opts.Latencies = rec
-		res = workload.BigTableOpenLoopWithOpts(env, db, workload.DefaultBigTableMix(), u.Rate, u.Ops, opts)
-	case taxonomy.BigQuery:
-		env = platform.NewEnv(cfg.Seed+2, fleetTraceRate)
-		defer env.K.Close()
-		qc := bigquery.DefaultConfig()
-		qc.Workers = max(1, u.Servers*7/10)
-		qc.ShuffleServers = max(1, u.Servers*3/20)
-		qc.Chunkservers = max(3, u.Servers-qc.Workers-qc.ShuffleServers)
-		// Chunkserver capacity is provisioned proportionally to the fact
-		// table (see bigquery.New) and chunk placement is hash-random, so
-		// keep partitions proportional to chunkservers and files small
-		// (1 MiB, a quarter chunk): the per-server constant slack then
-		// dominates the worst hash-placement imbalance.
-		qc.FactPartitions = min(max(4, 2*qc.Chunkservers), 256)
-		qc.RowsPerPartition = 256
-		qc.PartitionFileBytes = 1 << 20
-		e, err := bigquery.New(env, qc)
-		if err != nil {
-			return FleetRow{}, err
-		}
-		var rec stats.Recorder
-		rec, hist = fleetRecorders(cfg, env, cfg.Seed+2)
-		e.SetRecorder(hist)
-		opts.Latencies = rec
-		res = workload.BigQueryOpenLoopWithOpts(env, e, workload.DefaultBigQueryMix(), u.Rate, u.Ops, opts)
-	default:
-		return FleetRow{}, fmt.Errorf("experiments: unknown platform %q", u.Platform)
+	b := newPlatformBuild(cfg.Seed, adjacentSeeds, fleetTraceRate)
+	sc := &b.spanner
+	sc.Regions = 3
+	sc.Groups = max(1, u.Servers/sc.Regions)
+	// Rows stay bounded: users are a logical population attributed to
+	// arrivals, not materialized state.
+	sc.RowsPerGroup = 64
+	bc := &b.bigtable
+	bc.TabletServers = max(1, u.Servers*4/5)
+	bc.Chunkservers = max(3, u.Servers-bc.TabletServers)
+	bc.Tablets = 2 * bc.TabletServers
+	bc.RowsPerTablet = 32
+	qc := &b.bigquery
+	qc.Workers = max(1, u.Servers*7/10)
+	qc.ShuffleServers = max(1, u.Servers*3/20)
+	qc.Chunkservers = max(3, u.Servers-qc.Workers-qc.ShuffleServers)
+	// Chunkserver capacity is provisioned proportionally to the fact table
+	// (see bigquery.New) and chunk placement is hash-random, so keep
+	// partitions proportional to chunkservers and files small (1 MiB, a
+	// quarter chunk): the per-server constant slack then dominates the worst
+	// hash-placement imbalance.
+	qc.FactPartitions = min(max(4, 2*qc.Chunkservers), 256)
+	qc.RowsPerPartition = 256
+	qc.PartitionFileBytes = 1 << 20
+	st, err := b.build(u.Platform)
+	if err != nil {
+		return FleetRow{}, err
 	}
+	env := st.env
+	defer env.K.Close()
+	rec, hist := fleetRecorders(cfg, env.K, st.seed)
+	checkStacks(hist, nil, st)
+	res := st.openLoop(u.Rate, u.Ops, workload.OpenLoopOpts{Shape: cfg.Fleet.Shape, Latencies: rec})
 	end := env.K.Run()
 	if err := res.Err(); err != nil {
 		return FleetRow{}, err

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"hyperprof/internal/netsim"
-	"hyperprof/internal/platform"
-	"hyperprof/internal/spanner"
+	"hyperprof/internal/taxonomy"
 	"hyperprof/internal/workload"
 )
 
@@ -37,15 +35,13 @@ var latencyKind = unitKind[latencyUnit, LatencyPoint]{
 
 // runLatencyPoint drives one fresh Spanner deployment at one offered rate.
 func runLatencyPoint(seed uint64, rate float64, opsPerPoint int) (LatencyPoint, error) {
-	env := platform.NewEnv(seed, 1)
-	defer env.K.Close()
-	env.Net = netsim.New(env.K, spanner.RecommendedNetConfig())
-	db, err := spanner.New(env, spanner.DefaultConfig())
+	st, err := newPlatformBuild(seed, adjacentSeeds, 1).build(taxonomy.Spanner)
 	if err != nil {
 		return LatencyPoint{}, err
 	}
-	res := workload.SpannerOpenLoopWithOpts(env, db, workload.DefaultSpannerMix(), rate, opsPerPoint, workload.OpenLoopOpts{})
-	env.K.Run()
+	defer st.env.K.Close()
+	res := st.openLoop(rate, opsPerPoint, workload.OpenLoopOpts{})
+	st.env.K.Run()
 	if err := res.Err(); err != nil {
 		return LatencyPoint{}, err
 	}

@@ -20,14 +20,11 @@ import (
 	"strings"
 	"time"
 
-	"hyperprof/internal/bigquery"
-	"hyperprof/internal/bigtable"
 	"hyperprof/internal/faults"
 	"hyperprof/internal/netsim"
 	"hyperprof/internal/obs"
 	"hyperprof/internal/platform"
 	"hyperprof/internal/sim"
-	"hyperprof/internal/spanner"
 	"hyperprof/internal/taxonomy"
 	"hyperprof/internal/workload"
 )
@@ -207,18 +204,6 @@ func (cfg StudyConfig) Overload() (*Overload, error) {
 	return o, nil
 }
 
-func (o *Overload) runArm(p taxonomy.Platform, protected bool) (overloadArm, error) {
-	switch p {
-	case taxonomy.Spanner:
-		return o.runSpanner(protected)
-	case taxonomy.BigTable:
-		return o.runBigTable(protected)
-	case taxonomy.BigQuery:
-		return o.runBigQuery(protected)
-	}
-	return overloadArm{}, fmt.Errorf("experiments: unknown platform %q", p)
-}
-
 // load schedules one arm's multi-tenant workload of ops at the platform's
 // total offered rate. The protected arm gates it through a tenant governor.
 func (o *Overload) load(env *platform.Env, protected bool, rate float64, ops *workload.Ops) *workload.OverloadRun {
@@ -295,98 +280,70 @@ func (row *OverloadRow) clientCounters(c *netsim.Client) {
 	row.BreakerFastFails = c.BreakerFastFails
 }
 
-func (o *Overload) runSpanner(protected bool) (overloadArm, error) {
-	cfg := o.Cfg
-	env := platform.NewEnv(cfg.Seed, cfg.TraceRate)
-	defer env.K.Close()
-	env.Net = netsim.New(env.K, spanner.RecommendedNetConfig())
-	enableStudyObs(cfg, env)
-	scfg := spanner.DefaultConfig()
-	scfg.RPC = o.overloadRPCPolicy(protected, 6*time.Millisecond)
+// runArm runs one platform arm: the platform under the arm's RPC policy
+// (and, protected, its admission control), the tenants' open-loop load, and
+// the retry-storm trigger on the platform's slowdown targets.
+func (o *Overload) runArm(p taxonomy.Platform, protected bool) (overloadArm, error) {
+	l := o.Cfg.Load
+	b := o.Cfg.studyBuild()
+	b.spanner.RPC = o.overloadRPCPolicy(protected, 6*time.Millisecond)
+	b.bigquery.RPC = o.overloadRPCPolicy(protected, 20*time.Millisecond)
 	if protected {
-		scfg.Admission = o.admission()
+		b.spanner.Admission = o.admission()
+		b.bigtable.Admission = o.admission()
+		b.bigquery.Admission = o.admission()
 	}
-	db, err := spanner.New(env, scfg)
+	st, err := b.build(p)
 	if err != nil {
 		return overloadArm{}, err
 	}
-	run := o.load(env, protected, cfg.Load.SpannerRate, workload.SpannerOps(env, db, workload.DefaultSpannerMix()))
-	eng := faults.NewEngine(env.K)
+	defer st.env.K.Close()
+	rate := map[taxonomy.Platform]float64{
+		taxonomy.Spanner: l.SpannerRate, taxonomy.BigTable: l.BigTableRate, taxonomy.BigQuery: l.BigQueryRate,
+	}[p]
+	run := o.load(st.env, protected, rate, st.ops)
+	eng := faults.NewEngine(st.env.K)
 	var servers []string
-	for g := 0; g < scfg.Groups; g++ {
-		for r := 0; r < scfg.Regions; r++ {
-			g, r := g, r
-			name := fmt.Sprintf("spanner/g%d/r%d", g, r)
+	var stop func()
+	switch p {
+	case taxonomy.Spanner:
+		for g := 0; g < b.spanner.Groups; g++ {
+			for r := 0; r < b.spanner.Regions; r++ {
+				name := fmt.Sprintf("spanner/g%d/r%d", g, r)
+				servers = append(servers, name)
+				eng.Register(name, faults.Actions{
+					SetSlowdown: func(f float64) { _ = st.sp.SetReplicaSlowdown(g, r, f) },
+				})
+			}
+		}
+		stop = st.sp.Stop
+	case taxonomy.BigQuery:
+		for i := 0; i < b.bigquery.ShuffleServers; i++ {
+			name := fmt.Sprintf("bigquery/ss%d", i)
 			servers = append(servers, name)
 			eng.Register(name, faults.Actions{
-				SetSlowdown: func(f float64) { _ = db.SetReplicaSlowdown(g, r, f) },
+				SetSlowdown: func(f float64) { _ = st.bq.SetShuffleSlowdown(i, f) },
 			})
 		}
+		stop = st.bq.Stop
 	}
-	o.trigger(eng, run, servers)
-	arm := o.finish(taxonomy.Spanner, protected, env, run, eng, db.Stop)
-	shed, adaptive, expired := db.OverloadStats()
-	arm.Row.Sheds = shed + adaptive
-	arm.Row.Expired = expired
-	arm.Row.clientCounters(db.RPCClient())
-	return arm, nil
-}
-
-func (o *Overload) runBigTable(protected bool) (overloadArm, error) {
-	cfg := o.Cfg
-	env := platform.NewEnv(cfg.Seed+1, cfg.TraceRate)
-	defer env.K.Close()
-	enableStudyObs(cfg, env)
-	bcfg := bigtable.DefaultConfig()
-	if protected {
-		bcfg.Admission = o.admission()
-	}
-	db, err := bigtable.New(env, bcfg)
-	if err != nil {
-		return overloadArm{}, err
-	}
-	run := o.load(env, protected, cfg.Load.BigTableRate, workload.BigTableOps(env, db, workload.DefaultBigTableMix()))
 	// BigTable operations execute on the tablet server's node directly (no
-	// RPC queue, no slowdown hook), so the trigger is the flash crowd alone;
+	// RPC queue, no slowdown hook), so its trigger is the flash crowd alone;
 	// overload pressure comes from the surged arrival rate itself.
-	eng := faults.NewEngine(env.K)
-	o.trigger(eng, run, nil)
-	arm := o.finish(taxonomy.BigTable, protected, env, run, eng, nil)
-	arm.Row.Sheds = db.Shed + db.ShedAdaptive
-	return arm, nil
-}
-
-func (o *Overload) runBigQuery(protected bool) (overloadArm, error) {
-	cfg := o.Cfg
-	env := platform.NewEnv(cfg.Seed+2, cfg.TraceRate)
-	defer env.K.Close()
-	enableStudyObs(cfg, env)
-	qcfg := bigquery.DefaultConfig()
-	qcfg.RPC = o.overloadRPCPolicy(protected, 20*time.Millisecond)
-	if protected {
-		qcfg.Admission = o.admission()
-	}
-	e, err := bigquery.New(env, qcfg)
-	if err != nil {
-		return overloadArm{}, err
-	}
-	run := o.load(env, protected, cfg.Load.BigQueryRate, workload.BigQueryOps(env, e, workload.DefaultBigQueryMix()))
-	eng := faults.NewEngine(env.K)
-	var servers []string
-	for i := 0; i < qcfg.ShuffleServers; i++ {
-		i := i
-		name := fmt.Sprintf("bigquery/ss%d", i)
-		servers = append(servers, name)
-		eng.Register(name, faults.Actions{
-			SetSlowdown: func(f float64) { _ = e.SetShuffleSlowdown(i, f) },
-		})
-	}
 	o.trigger(eng, run, servers)
-	arm := o.finish(taxonomy.BigQuery, protected, env, run, eng, e.Stop)
-	shed, adaptive, expired := e.OverloadStats()
-	arm.Row.Sheds = shed + adaptive
-	arm.Row.Expired = expired
-	arm.Row.clientCounters(e.RPCClient())
+	arm := o.finish(p, protected, st.env, run, eng, stop)
+	switch p {
+	case taxonomy.Spanner:
+		shed, adaptive, expired := st.sp.OverloadStats()
+		arm.Row.Sheds, arm.Row.Expired = shed+adaptive, expired
+		arm.Row.clientCounters(st.sp.RPCClient())
+	case taxonomy.BigTable:
+		arm.Row.Sheds = st.bt.Shed + st.bt.ShedAdaptive
+	case taxonomy.BigQuery:
+		shed, adaptive, expired := st.bq.OverloadStats()
+		arm.Row.Sheds, arm.Row.Expired = shed+adaptive, expired
+		arm.Row.clientCounters(st.bq.RPCClient())
+	}
 	return arm, nil
 }
 

@@ -2,17 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
-	"hyperprof/internal/bigquery"
-	"hyperprof/internal/bigtable"
-	"hyperprof/internal/check"
 	"hyperprof/internal/faults"
-	"hyperprof/internal/netsim"
-	"hyperprof/internal/platform"
-	"hyperprof/internal/spanner"
 	"hyperprof/internal/taxonomy"
 	"hyperprof/internal/trace"
 )
@@ -193,30 +187,159 @@ func (s *Partition) Row(p taxonomy.Platform, arm string) *PartitionRow {
 	return nil
 }
 
+// runArm runs one (platform, arm, seed) run. A zero horizon is the
+// fault-free calibration run; a positive one draws a nemesis over it.
 func (s *Partition) runArm(p taxonomy.Platform, arm string, seed uint64, horizon time.Duration) (partitionArm, error) {
-	switch p {
-	case taxonomy.Spanner:
-		return s.runSpanner(arm, seed, horizon)
-	case taxonomy.BigTable:
-		return s.runBigTable(arm, seed, horizon)
-	case taxonomy.BigQuery:
-		return s.runBigQuery(arm, seed, horizon)
-	default:
-		return partitionArm{}, fmt.Errorf("experiments: unknown platform %q", p)
+	b := newPlatformBuild(seed, spacedSeeds, 1)
+	b.checked = true
+	b.spanner.RPC = resilienceRPCPolicy()
+	b.spanner.ClockEps = s.Cfg.Part.ClockEps
+	b.bigquery.RPC = resilienceRPCPolicy()
+	switch arm {
+	case armHardened, armBaseline:
+		b.spanner.PartitionRecovery = true
+		b.bigtable.PartitionRecovery = true
+	case armBroken:
+		// BROKEN: Spanner keeps recovery on so commits keep flowing through
+		// skewed leaders; the safety knob that is off is the commit-wait.
+		// BigTable serves writes from partitioned servers.
+		b.spanner.PartitionRecovery = true
+		b.spanner.DisableCommitWait = true
+		b.bigtable.BrokenPartitionWrites = true
+	case armNaive:
+		b.bigquery.DisableFailover = true
 	}
+	st, err := b.build(p)
+	if err != nil {
+		return partitionArm{}, err
+	}
+	defer st.env.K.Close()
+	scfg := b.spanner
+	if p == taxonomy.Spanner && arm == armBroken {
+		// Deterministic fast clock on every replica of group 0: the offset is
+		// far past the uncertainty bound (and past any commit's replication
+		// latency), so with commit-wait disabled a group-0 commit returns
+		// while its timestamp still sits in other groups' future — any commit
+		// invoked through a healthy group inside that window carries a
+		// smaller timestamp, the inversion the external-consistency checker
+		// must pin with a two-op subhistory. With commit-wait enabled the
+		// same skew would only stretch the wait, never break the ordering.
+		for r := 0; r < scfg.Regions; r++ {
+			if err := st.sp.SetClockSkew(0, r, 20*s.Cfg.Part.ClockEps, 0); err != nil {
+				return partitionArm{}, err
+			}
+		}
+	}
+	var eng *faults.Engine
+	if horizon > 0 {
+		eng = faults.NewEngine(st.env.K)
+		sched := st.faultSchedule(eng, s.Cfg.Faults, horizon, seed)
+		// nodes feed link-scoped partitions and the gray link, partitionable
+		// target-scoped partitions; clocks are the skewable targets.
+		var crashable, nodes, partitionable, clocks []string
+		switch p {
+		case taxonomy.Spanner:
+			// Every replica is a straggler/clock-skew target; only two per
+			// group may crash (a majority always survives crashes —
+			// partitions, not crashes, are this study's quorum threat).
+			for g := 0; g < scfg.Groups; g++ {
+				for r := 0; r < scfg.Regions; r++ {
+					name := fmt.Sprintf("spanner/g%d/r%d", g, r)
+					a := faults.Actions{
+						SetSlowdown:  func(f float64) { _ = st.sp.SetReplicaSlowdown(g, r, f) },
+						SetClockSkew: func(o time.Duration, d float64) { _ = st.sp.SetClockSkew(g, r, o, d) },
+					}
+					if r == g%scfg.Regions || r == (g+1)%scfg.Regions {
+						a.Crash = func() { _ = st.sp.CrashReplica(g, r) }
+						a.Recover = func() { _ = st.sp.RestartReplica(g, r) }
+						crashable = append(crashable, name)
+					}
+					eng.Register(name, a)
+					// The broken arm's planted group-0 skew must survive the
+					// run: a nemesis skew window would replace it (skew
+					// replaces, never stacks), so group 0 is off the nemesis
+					// clock-target list.
+					if !(arm == armBroken && g == 0) {
+						clocks = append(clocks, name)
+					}
+					node, err := st.sp.ReplicaNodeName(g, r)
+					if err != nil {
+						return partitionArm{}, err
+					}
+					nodes = append(nodes, node)
+				}
+			}
+		case taxonomy.BigTable:
+			// Even servers may crash, odd servers may be partitioned: the
+			// sets are disjoint so a reassignment destination always exists,
+			// and the tablet data path is not RPC-fronted, so partitions are
+			// target-scoped (platform-level Partition/Heal actions) rather
+			// than link-scoped.
+			for i := 0; i < b.bigtable.TabletServers; i++ {
+				name := fmt.Sprintf("bigtable/ts%d", i)
+				a := faults.Actions{
+					Partition: func() { _ = st.bt.PartitionTabletServer(i) },
+					Heal:      func() { _ = st.bt.HealTabletServer(i) },
+				}
+				if i%2 == 0 {
+					a.Crash = func() { _ = st.bt.FailTabletServer(i) }
+					a.Recover = func() { _ = st.bt.RecoverTabletServer(i) }
+					crashable = append(crashable, name)
+				} else {
+					partitionable = append(partitionable, name)
+				}
+				eng.Register(name, a)
+			}
+			eng.Register("bigtable/cs0", faults.Actions{
+				Crash:   func() { _ = st.bt.DFS().FailServer(0) },
+				Recover: func() { _ = st.bt.DFS().RecoverServer(0) },
+			})
+			crashable = append(crashable, "bigtable/cs0")
+		case taxonomy.BigQuery:
+			crashable = registerShuffleTargets(eng, st.bq, b.bigquery.ShuffleServers)
+			// The shuffle tier plus two worker nodes, so drawn topologies cut
+			// worker->shuffle data paths (where failover matters) as well as
+			// intra-tier links.
+			for i := 0; i < b.bigquery.ShuffleServers; i++ {
+				n, err := st.bq.ShuffleNodeName(i)
+				if err != nil {
+					return partitionArm{}, err
+				}
+				nodes = append(nodes, n)
+			}
+			for w := 0; w < 2 && w < b.bigquery.Workers; w++ {
+				n, err := st.bq.WorkerNodeName(w)
+				if err != nil {
+					return partitionArm{}, err
+				}
+				nodes = append(nodes, n)
+			}
+		}
+		slices.Sort(nodes)
+		eng.InjectAll(faults.GenerateNemesisSchedule(crashable,
+			s.nemesisFor(sched, horizon, slices.Compact(nodes), partitionable, clocks)))
+	}
+	spread := 0
+	if p == taxonomy.BigTable && arm == armBroken {
+		// Concentrate the demonstration arm on two tablets (one on a
+		// partitionable server) so writes lost to the broken fixture are
+		// reliably re-read after the heal.
+		spread = 2
+	}
+	dc := drive(st.env, st.name, "partition", seed^partitionSalt, s.Cfg.Clients, s.Cfg.Ops.of(p), horizon,
+		st.torture(s.Cfg.Check.HotRows, seed, spread))
+	return s.finish(st, arm, seed, eng, dc), nil
 }
 
-// nemesisFor converts the study's fractional rates into an absolute nemesis
-// config over the calibrated horizon (fault arrivals stop at 80% so heals
-// land while the workload drains). netNodes feed the brown-out window (see
-// FaultConfig.schedule); nodes feed link-scoped partitions and the gray
-// link; partitionTargets feed target-scoped partitions instead; clocks name
-// the skewable targets.
-func (s *Partition) nemesisFor(horizon time.Duration, seed uint64, stragglerProb float64,
-	netNodes, nodes, partitionTargets, clocks []string) faults.NemesisConfig {
+// nemesisFor extends a fault schedule (see stack.faultSchedule) into the
+// study's nemesis over the calibrated horizon: nodes feed link-scoped
+// partitions and the gray link, partitionTargets target-scoped partitions,
+// and clocks name the skewable targets.
+func (s *Partition) nemesisFor(sc faults.ScheduleConfig, horizon time.Duration,
+	nodes, partitionTargets, clocks []string) faults.NemesisConfig {
 	part := s.Cfg.Part
 	return faults.NemesisConfig{
-		ScheduleConfig:   s.Cfg.Faults.schedule(horizon, seed, stragglerProb, netNodes),
+		ScheduleConfig:   sc,
 		Nodes:            nodes,
 		PartitionTargets: partitionTargets,
 		PartitionMTBF:    time.Duration(float64(horizon) * part.MTBFFrac),
@@ -239,10 +362,9 @@ const partitionSalt = 0x50415254
 // finish condenses a completed run into an arm: availability and goodput
 // from the drive counters, staleness from the recorded history, violations
 // from every checker, and fault marks from the engine.
-func (s *Partition) finish(p taxonomy.Platform, arm string, seed uint64, env *platform.Env,
-	h *check.History, reg *check.Registry, eng *faults.Engine, dc driveCounts) partitionArm {
+func (s *Partition) finish(st *stack, arm string, seed uint64, eng *faults.Engine, dc driveCounts) partitionArm {
 	row := PartitionRow{
-		Platform: p, Arm: arm, Seed: seed,
+		Platform: st.p, Arm: arm, Seed: seed,
 		Ops: dc.ops, Errors: dc.errs, Writes: dc.writes, WriteErrors: dc.werrs,
 		Elapsed: dc.elapsed, WriteAvailability: 1,
 	}
@@ -255,8 +377,8 @@ func (s *Partition) finish(p taxonomy.Platform, arm string, seed uint64, env *pl
 	if dc.elapsed > 0 {
 		row.GoodputOpsPerSec = float64(dc.ops-dc.errs) / dc.elapsed.Seconds()
 	}
-	row.StaleReads, row.MaxStaleness = h.Staleness()
-	violations, marks := collect(p, seed, h, reg, env.K.Now())
+	row.StaleReads, row.MaxStaleness = st.h.Staleness()
+	violations, marks := collect(st.p, seed, st.h, st.reg, st.env.K.Now())
 	row.Violations = len(violations)
 	out := partitionArm{Row: row, Violations: violations}
 	if eng != nil {
@@ -265,219 +387,6 @@ func (s *Partition) finish(p taxonomy.Platform, arm string, seed uint64, env *pl
 		out.Marks = faultMarks(eng, marks...)
 	}
 	return out
-}
-
-func (s *Partition) runSpanner(arm string, seed uint64, horizon time.Duration) (partitionArm, error) {
-	env := platform.NewEnv(seed, 1)
-	defer env.K.Close()
-	env.Net = netsim.New(env.K, spanner.RecommendedNetConfig())
-	scfg := spanner.DefaultConfig()
-	scfg.RPC = resilienceRPCPolicy()
-	scfg.ClockEps = s.Cfg.Part.ClockEps
-	switch arm {
-	case armHardened, armBaseline:
-		scfg.PartitionRecovery = true
-	case armBroken:
-		// BROKEN: recovery stays on so commits keep flowing through skewed
-		// leaders; the safety knob that is off is the commit-wait.
-		scfg.PartitionRecovery = true
-		scfg.DisableCommitWait = true
-	}
-	db, err := spanner.New(env, scfg)
-	if err != nil {
-		return partitionArm{}, err
-	}
-	h := check.NewHistory(env.K)
-	db.SetRecorder(h)
-	reg := &check.Registry{}
-	db.RegisterInvariants(reg)
-	if arm == armBroken {
-		// Deterministic fast clock on every replica of group 0: the offset is
-		// far past the uncertainty bound (and past any commit's replication
-		// latency), so with commit-wait disabled a group-0 commit returns
-		// while its timestamp still sits in other groups' future — any commit
-		// invoked through a healthy group inside that window carries a
-		// smaller timestamp, the inversion the external-consistency checker
-		// must pin with a two-op subhistory. With commit-wait enabled the
-		// same skew would only stretch the wait, never break the ordering.
-		for r := 0; r < scfg.Regions; r++ {
-			if err := db.SetClockSkew(0, r, 20*s.Cfg.Part.ClockEps, 0); err != nil {
-				return partitionArm{}, err
-			}
-		}
-	}
-	var eng *faults.Engine
-	if horizon > 0 {
-		eng = faults.NewEngine(env.K)
-		registerLinks(eng, env.Net, seed)
-		// Every replica is a straggler/clock-skew target; only two per group
-		// may crash (a majority always survives crashes — partitions, not
-		// crashes, are this study's quorum threat).
-		var crashable, clocks []string
-		nodeSet := map[string]bool{}
-		var nodes []string
-		for g := 0; g < scfg.Groups; g++ {
-			for r := 0; r < scfg.Regions; r++ {
-				g, r := g, r
-				name := fmt.Sprintf("spanner/g%d/r%d", g, r)
-				a := faults.Actions{
-					SetSlowdown:  func(f float64) { _ = db.SetReplicaSlowdown(g, r, f) },
-					SetClockSkew: func(o time.Duration, d float64) { _ = db.SetClockSkew(g, r, o, d) },
-				}
-				if r == g%scfg.Regions || r == (g+1)%scfg.Regions {
-					a.Crash = func() { _ = db.CrashReplica(g, r) }
-					a.Recover = func() { _ = db.RestartReplica(g, r) }
-					crashable = append(crashable, name)
-				}
-				eng.Register(name, a)
-				// The broken arm's planted group-0 skew must survive the run:
-				// a nemesis skew window would replace it (skew replaces, never
-				// stacks), so group 0 is off the nemesis clock-target list.
-				if !(arm == armBroken && g == 0) {
-					clocks = append(clocks, name)
-				}
-				node, err := db.ReplicaNodeName(g, r)
-				if err != nil {
-					return partitionArm{}, err
-				}
-				if !nodeSet[node] {
-					nodeSet[node] = true
-					nodes = append(nodes, node)
-				}
-			}
-		}
-		sort.Strings(nodes)
-		eng.InjectAll(faults.GenerateNemesisSchedule(crashable,
-			s.nemesisFor(horizon, seed, s.Cfg.Faults.StragglerProb, env.Net.NodeNames(), nodes, nil, clocks)))
-	}
-	dc := drive(env, "spanner", "partition", seed^partitionSalt, s.Cfg.Clients, s.Cfg.Ops.Spanner, horizon,
-		spannerTorture(db, scfg.Groups, s.Cfg.Check.HotRows, seed))
-	return s.finish(taxonomy.Spanner, arm, seed, env, h, reg, eng, dc), nil
-}
-
-func (s *Partition) runBigTable(arm string, seed uint64, horizon time.Duration) (partitionArm, error) {
-	env := platform.NewEnv(seed+1000, 1)
-	defer env.K.Close()
-	bcfg := bigtable.DefaultConfig()
-	switch arm {
-	case armHardened, armBaseline:
-		bcfg.PartitionRecovery = true
-	case armBroken:
-		bcfg.BrokenPartitionWrites = true
-	}
-	db, err := bigtable.New(env, bcfg)
-	if err != nil {
-		return partitionArm{}, err
-	}
-	h := check.NewHistory(env.K)
-	db.SetRecorder(h)
-	reg := &check.Registry{}
-	db.RegisterInvariants(reg)
-	reg.Register("bigtable-dfs", db.DFS().CheckReplicaConsistency)
-	var eng *faults.Engine
-	if horizon > 0 {
-		eng = faults.NewEngine(env.K)
-		// Even servers may crash, odd servers may be partitioned: the sets are
-		// disjoint so a reassignment destination always exists, and the tablet
-		// data path is not RPC-fronted, so partitions are target-scoped
-		// (platform-level Partition/Heal actions) rather than link-scoped.
-		var partitionable []string
-		for i := 0; i < bcfg.TabletServers; i++ {
-			i := i
-			name := fmt.Sprintf("bigtable/ts%d", i)
-			a := faults.Actions{
-				Partition: func() { _ = db.PartitionTabletServer(i) },
-				Heal:      func() { _ = db.HealTabletServer(i) },
-			}
-			if i%2 == 0 {
-				a.Crash = func() { _ = db.FailTabletServer(i) }
-				a.Recover = func() { _ = db.RecoverTabletServer(i) }
-				eng.Register(name, a)
-			} else {
-				eng.Register(name, a)
-				partitionable = append(partitionable, name)
-			}
-		}
-		eng.Register("bigtable/cs0", faults.Actions{
-			Crash:   func() { _ = db.DFS().FailServer(0) },
-			Recover: func() { _ = db.DFS().RecoverServer(0) },
-		})
-		var crashable []string
-		for i := 0; i < bcfg.TabletServers; i += 2 {
-			crashable = append(crashable, fmt.Sprintf("bigtable/ts%d", i))
-		}
-		crashable = append(crashable, "bigtable/cs0")
-		eng.InjectAll(faults.GenerateNemesisSchedule(crashable,
-			s.nemesisFor(horizon, seed+1000, 0, nil, nil, partitionable, nil)))
-	}
-	spread := bcfg.Tablets
-	if arm == armBroken {
-		// Concentrate the demonstration arm on two tablets (one on a
-		// partitionable server) so writes lost to the broken fixture are
-		// reliably re-read after the heal.
-		spread = 2
-	}
-	dc := drive(env, "bigtable", "partition", seed^partitionSalt, s.Cfg.Clients, s.Cfg.Ops.BigTable, horizon,
-		bigtableTorture(db, bcfg.Tablets, spread, s.Cfg.Check.HotRows, seed))
-	return s.finish(taxonomy.BigTable, arm, seed, env, h, reg, eng, dc), nil
-}
-
-func (s *Partition) runBigQuery(arm string, seed uint64, horizon time.Duration) (partitionArm, error) {
-	env := platform.NewEnv(seed+2000, 1)
-	defer env.K.Close()
-	qcfg := bigquery.DefaultConfig()
-	qcfg.RPC = resilienceRPCPolicy()
-	if arm == armNaive {
-		qcfg.DisableFailover = true
-	}
-	e, err := bigquery.New(env, qcfg)
-	if err != nil {
-		return partitionArm{}, err
-	}
-	h := check.NewHistory(env.K)
-	e.SetRecorder(h)
-	reg := &check.Registry{}
-	e.RegisterInvariants(reg)
-	reg.Register("bigquery-dfs", e.DFS().CheckReplicaConsistency)
-	var eng *faults.Engine
-	if horizon > 0 {
-		eng = faults.NewEngine(env.K)
-		registerLinks(eng, env.Net, seed)
-		crashable := registerShuffleTargets(eng, e, qcfg.ShuffleServers)
-		// Partition node set: the shuffle tier plus two worker nodes, so
-		// drawn topologies cut worker->shuffle data paths (where failover
-		// matters) as well as intra-tier links.
-		nodeSet := map[string]bool{}
-		var nodes []string
-		addNode := func(name string, err error) error {
-			if err != nil {
-				return err
-			}
-			if !nodeSet[name] {
-				nodeSet[name] = true
-				nodes = append(nodes, name)
-			}
-			return nil
-		}
-		for i := 0; i < qcfg.ShuffleServers; i++ {
-			n, err := e.ShuffleNodeName(i)
-			if err2 := addNode(n, err); err2 != nil {
-				return partitionArm{}, err2
-			}
-		}
-		for w := 0; w < 2 && w < qcfg.Workers; w++ {
-			n, err := e.WorkerNodeName(w)
-			if err2 := addNode(n, err); err2 != nil {
-				return partitionArm{}, err2
-			}
-		}
-		sort.Strings(nodes)
-		eng.InjectAll(faults.GenerateNemesisSchedule(crashable,
-			s.nemesisFor(horizon, seed+2000, s.Cfg.Faults.StragglerProb, env.Net.NodeNames(), nodes, nil, nil)))
-	}
-	dc := drive(env, "bigquery", "partition", seed^partitionSalt, s.Cfg.Clients, s.Cfg.Ops.BigQuery, horizon,
-		bigqueryTorture(e))
-	return s.finish(taxonomy.BigQuery, arm, seed, env, h, reg, eng, dc), nil
 }
 
 // JSON renders the study's machine-readable export: seed, rows and the

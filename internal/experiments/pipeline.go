@@ -6,15 +6,10 @@ import (
 	"strings"
 	"time"
 
-	"hyperprof/internal/bigquery"
-	"hyperprof/internal/bigtable"
 	"hyperprof/internal/check"
 	"hyperprof/internal/faults"
-	"hyperprof/internal/netsim"
 	"hyperprof/internal/obs"
-	"hyperprof/internal/platform"
 	"hyperprof/internal/sim"
-	"hyperprof/internal/spanner"
 	"hyperprof/internal/taxonomy"
 	"hyperprof/internal/trace"
 	"hyperprof/internal/workload"
@@ -196,63 +191,35 @@ func (s *Pipeline) runArm(arm string, seed uint64, horizon time.Duration) (pipel
 	cfg := s.Cfg
 	k := sim.New()
 	defer k.Close()
-	// Per-stage environments share the kernel but keep their own networks,
-	// profilers and RNG streams; the seed offsets mirror the safety study's
-	// per-platform decorrelation.
-	spEnv := platform.NewEnvOn(k, seed, cfg.TraceRate)
-	btEnv := platform.NewEnvOn(k, seed+1000, cfg.TraceRate)
-	bqEnv := platform.NewEnvOn(k, seed+2000, cfg.TraceRate)
-	spEnv.Net = netsim.New(k, spanner.RecommendedNetConfig())
-	// One tracer across the stages: StartChild spans inherit the ingest root's
-	// trace ID, which is what stitches a record's stages into one request.
-	tracer := trace.NewTracer(cfg.TraceRate)
-	spEnv.Tracer, btEnv.Tracer, bqEnv.Tracer = tracer, tracer, tracer
-	// Each stage gets its own metrics registry (platform series names repeat
-	// across stages, and a registry rejects duplicates); one shared sampling
-	// tick below keeps the three registries on a common clock.
-	stages := []struct {
-		name string
-		env  *platform.Env
-	}{
-		{string(taxonomy.BigTable), btEnv},
-		{string(taxonomy.BigQuery), bqEnv},
-		{string(taxonomy.Spanner), spEnv},
-	}
-	var regs []*obs.Registry
-	if cfg.Obs.Enabled {
-		for _, st := range stages {
-			regs = append(regs, st.env.EnableObs(cfg.Obs.registry()))
+	// The stages share the kernel and one tracer — StartChild spans inherit
+	// the ingest root's trace ID, which is what stitches a record's stages
+	// into one request — but keep their own networks, profilers, RNG streams
+	// and metrics registries (platform series names repeat across stages,
+	// and a registry rejects duplicates).
+	b := newPlatformBuild(seed, spacedSeeds, cfg.TraceRate)
+	b.obs, b.k, b.tracer = cfg.Obs, k, trace.NewTracer(cfg.TraceRate)
+	b.spanner.RPC = resilienceRPCPolicy()
+	b.bigquery.RPC = resilienceRPCPolicy()
+	var built []*stack
+	for _, p := range taxonomy.Platforms() {
+		st, err := b.build(p)
+		if err != nil {
+			return pipelineArm{}, err
 		}
+		built = append(built, st)
 	}
-	scfg := spanner.DefaultConfig()
-	scfg.RPC = resilienceRPCPolicy()
-	serving, err := spanner.New(spEnv, scfg)
-	if err != nil {
-		return pipelineArm{}, err
-	}
-	ingest, err := bigtable.New(btEnv, bigtable.DefaultConfig())
-	if err != nil {
-		return pipelineArm{}, err
-	}
-	qcfg := bigquery.DefaultConfig()
-	qcfg.RPC = resilienceRPCPolicy()
-	analytics, err := bigquery.New(bqEnv, qcfg)
-	if err != nil {
-		return pipelineArm{}, err
-	}
+	serving, ingest, analytics := built[0], built[1], built[2]
 	// One history across all three stages: the platforms' key namespaces are
 	// disjoint ("g%d/r%d", "t%d/k%d", "q%d/p%d"), so per-key checkers never
 	// mix stages, while cross-stage ordering shares one clock.
-	h := check.NewHistory(k)
-	serving.SetRecorder(h)
-	ingest.SetRecorder(h)
-	analytics.SetRecorder(h)
-	reg := &check.Registry{}
-	serving.RegisterInvariants(reg)
-	ingest.RegisterInvariants(reg)
-	analytics.RegisterInvariants(reg)
-	reg.Register("bigtable-dfs", ingest.DFS().CheckReplicaConsistency)
-	reg.Register("bigquery-dfs", analytics.DFS().CheckReplicaConsistency)
+	checkStacks(check.NewHistory(k), &check.Registry{}, built...)
+	stages := []*stack{ingest, analytics, serving}
+	var regs []*obs.Registry
+	if cfg.Obs.Enabled {
+		for _, st := range stages {
+			regs = append(regs, st.env.Obs)
+		}
+	}
 
 	wcfg := workload.PipelineConfig{
 		Records:    cfg.Pipe.Records,
@@ -264,8 +231,8 @@ func (s *Pipeline) runArm(arm string, seed uint64, horizon time.Duration) (pipel
 		ForceReplay:         arm != armBaseline,
 		DisableHandoffDedup: arm == armBroken,
 	}
-	run := workload.Pipeline(btEnv, ingest, analytics, serving, wcfg)
-	run.Ledger.RegisterInvariants(reg)
+	run := workload.Pipeline(ingest.env, ingest.bt, analytics.bq, serving.sp, wcfg)
+	run.Ledger.RegisterInvariants(serving.reg)
 
 	var eng *faults.Engine
 	if horizon > 0 {
@@ -274,9 +241,8 @@ func (s *Pipeline) runArm(arm string, seed uint64, horizon time.Duration) (pipel
 		// may crash (or straggle) mid-iteration, plus one DFS chunkserver, so
 		// recovery exercises both re-put failover and speculative stage-1
 		// re-execution while the handoff latch sees a replay.
-		registerShuffleTargets(eng, analytics, qcfg.ShuffleServers)
-		registerLinks(eng, bqEnv.Net, seed)
-		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), cfg.Faults.schedule(horizon, seed+2000, cfg.Faults.StragglerProb, bqEnv.Net.NodeNames())))
+		registerShuffleTargets(eng, analytics.bq, b.bigquery.ShuffleServers)
+		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), analytics.faultSchedule(eng, cfg.Faults, horizon, seed)))
 	}
 
 	var elapsed time.Duration
@@ -312,7 +278,7 @@ func (s *Pipeline) runArm(arm string, seed uint64, horizon time.Duration) (pipel
 		Records: cfg.Pipe.Records, Batches: cfg.Pipe.Batches,
 		Ops: run.Completed, Errors: len(run.Errors), Elapsed: elapsed,
 		Replays: run.Ledger.Replays(), Deduped: run.Ledger.Deduped(),
-		RePuts: analytics.RePuts, Speculative: analytics.Speculative,
+		RePuts: analytics.bq.RePuts, Speculative: analytics.bq.Speculative,
 	}
 	var e2e []time.Duration
 	for _, d := range run.EndToEnd {
@@ -322,7 +288,7 @@ func (s *Pipeline) runArm(arm string, seed uint64, horizon time.Duration) (pipel
 	}
 	row.EndToEndP50 = durQuantile(e2e, 0.50)
 	row.EndToEndP99 = durQuantile(e2e, 0.99)
-	violations, marks := collect(pipelinePlatform, seed, h, reg, k.Now())
+	violations, marks := collect(pipelinePlatform, seed, serving.h, serving.reg, k.Now())
 	row.Violations = len(violations)
 	out := pipelineArm{Violations: violations}
 	if eng != nil {
@@ -331,10 +297,10 @@ func (s *Pipeline) runArm(arm string, seed uint64, horizon time.Duration) (pipel
 	}
 	out.Row = row
 	if arm == armBaseline && seed == cfg.Seed {
-		out.Traces = tracer.Sampled()
+		out.Traces = b.tracer.Sampled()
 		for i, r := range regs {
 			for _, series := range r.Snapshot() {
-				track := trace.CounterTrack{Process: stages[i].name, Name: series.Name}
+				track := trace.CounterTrack{Process: string(stages[i].p), Name: series.Name}
 				for _, pt := range series.Points {
 					track.Points = append(track.Points, trace.CounterPoint{At: pt.T, Value: pt.V})
 				}

@@ -5,14 +5,11 @@ import (
 	"strings"
 	"time"
 
-	"hyperprof/internal/bigquery"
-	"hyperprof/internal/bigtable"
 	"hyperprof/internal/faults"
 	"hyperprof/internal/netsim"
 	"hyperprof/internal/obs"
 	"hyperprof/internal/platform"
 	"hyperprof/internal/sim"
-	"hyperprof/internal/spanner"
 	"hyperprof/internal/stats"
 	"hyperprof/internal/taxonomy"
 	"hyperprof/internal/trace"
@@ -162,90 +159,35 @@ func (r *Resilience) Row(p taxonomy.Platform, faulted bool) *ResilienceRow {
 // builds its own environment and kernel and touches no study state, so
 // distinct platforms may run concurrently.
 func (r *Resilience) runArm(p taxonomy.Platform, horizon time.Duration) (resilienceArm, error) {
-	switch p {
-	case taxonomy.Spanner:
-		return r.runSpanner(horizon)
-	case taxonomy.BigTable:
-		return r.runBigTable(horizon)
-	case taxonomy.BigQuery:
-		return r.runBigQuery(horizon)
-	}
-	return resilienceArm{}, fmt.Errorf("experiments: unknown platform %q", p)
-}
-
-func (r *Resilience) runSpanner(horizon time.Duration) (resilienceArm, error) {
-	env := platform.NewEnv(r.Cfg.Seed, r.Cfg.TraceRate)
-	defer env.K.Close()
-	env.Net = netsim.New(env.K, spanner.RecommendedNetConfig())
-	enableStudyObs(r.Cfg, env)
-	scfg := spanner.DefaultConfig()
-	scfg.RPC = resilienceRPCPolicy()
-	db, err := spanner.New(env, scfg)
+	b := r.Cfg.studyBuild()
+	b.spanner.RPC = resilienceRPCPolicy()
+	b.bigquery.RPC = resilienceRPCPolicy()
+	st, err := b.build(p)
 	if err != nil {
 		return resilienceArm{}, err
 	}
+	defer st.env.K.Close()
 	var eng *faults.Engine
 	if horizon > 0 {
-		eng = faults.NewEngine(env.K)
-		// One replica per group is injectable, so a majority always
-		// survives and no acknowledged write can be lost. The target region
-		// cycles with the group index, so initial leaders (region 0) are
-		// crashed too and elections are exercised.
-		for g := 0; g < scfg.Groups; g++ {
-			g, region := g, g%scfg.Regions
-			eng.Register(fmt.Sprintf("spanner/g%d/r%d", g, region), faults.Actions{
-				Crash:       func() { _ = db.CrashReplica(g, region) },
-				Recover:     func() { _ = db.RestartReplica(g, region) },
-				SetSlowdown: func(f float64) { _ = db.SetReplicaSlowdown(g, region, f) },
-			})
+		eng = faults.NewEngine(st.env.K)
+		switch p {
+		case taxonomy.Spanner:
+			// One replica per group is injectable, so a majority always
+			// survives and no acknowledged write can be lost. The target
+			// region cycles with the group index, so initial leaders (region
+			// 0) are crashed too and elections are exercised.
+			for g := 0; g < b.spanner.Groups; g++ {
+				registerReplicas(eng, st.sp, g, g%b.spanner.Regions)
+			}
+		case taxonomy.BigTable:
+			registerTabletTargets(eng, st.bt, b.bigtable.TabletServers)
+		case taxonomy.BigQuery:
+			registerShuffleTargets(eng, st.bq, b.bigquery.ShuffleServers)
 		}
-		registerLinks(eng, env.Net, r.Cfg.Seed)
-		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), r.Cfg.Faults.schedule(horizon, r.Cfg.Seed, r.Cfg.Faults.StragglerProb, env.Net.NodeNames())))
+		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), st.faultSchedule(eng, r.Cfg.Faults, horizon, r.Cfg.Seed)))
 	}
-	run := workload.Spanner(env, db, workload.DefaultSpannerMix(), r.Cfg.Clients, r.Cfg.Ops.Spanner,
-		workload.ClosedLoopOpts{Shape: r.Cfg.Shape})
-	return r.measure(taxonomy.Spanner, env, run, eng)
-}
-
-func (r *Resilience) runBigTable(horizon time.Duration) (resilienceArm, error) {
-	env := platform.NewEnv(r.Cfg.Seed+1, r.Cfg.TraceRate)
-	defer env.K.Close()
-	enableStudyObs(r.Cfg, env)
-	db, err := bigtable.New(env, bigtable.DefaultConfig())
-	if err != nil {
-		return resilienceArm{}, err
-	}
-	var eng *faults.Engine
-	if horizon > 0 {
-		eng = faults.NewEngine(env.K)
-		registerTabletTargets(eng, db, bigtable.DefaultConfig().TabletServers)
-		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), r.Cfg.Faults.schedule(horizon, r.Cfg.Seed+1, 0, nil)))
-	}
-	run := workload.BigTable(env, db, workload.DefaultBigTableMix(), r.Cfg.Clients, r.Cfg.Ops.BigTable,
-		workload.ClosedLoopOpts{Shape: r.Cfg.Shape})
-	return r.measure(taxonomy.BigTable, env, run, eng)
-}
-
-func (r *Resilience) runBigQuery(horizon time.Duration) (resilienceArm, error) {
-	env := platform.NewEnv(r.Cfg.Seed+2, r.Cfg.TraceRate)
-	defer env.K.Close()
-	enableStudyObs(r.Cfg, env)
-	qcfg := bigquery.DefaultConfig()
-	qcfg.RPC = resilienceRPCPolicy()
-	e, err := bigquery.New(env, qcfg)
-	if err != nil {
-		return resilienceArm{}, err
-	}
-	var eng *faults.Engine
-	if horizon > 0 {
-		eng = faults.NewEngine(env.K)
-		registerShuffleTargets(eng, e, qcfg.ShuffleServers)
-		registerLinks(eng, env.Net, r.Cfg.Seed)
-		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), r.Cfg.Faults.schedule(horizon, r.Cfg.Seed+2, r.Cfg.Faults.StragglerProb, env.Net.NodeNames())))
-	}
-	run := workload.BigQuery(env, e, workload.DefaultBigQueryMix(), r.Cfg.Clients, r.Cfg.Ops.BigQuery,
-		workload.ClosedLoopOpts{Shape: r.Cfg.Shape})
-	return r.measure(taxonomy.BigQuery, env, run, eng)
+	run := st.closedLoop(r.Cfg.Clients, r.Cfg.Ops.of(p), workload.ClosedLoopOpts{Shape: r.Cfg.Shape})
+	return r.measure(p, st.env, run, eng)
 }
 
 // measure drains the scheduled workload and condenses it into an arm-local

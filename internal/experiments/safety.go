@@ -5,13 +5,8 @@ import (
 	"strings"
 	"time"
 
-	"hyperprof/internal/bigquery"
-	"hyperprof/internal/bigtable"
 	"hyperprof/internal/check"
 	"hyperprof/internal/faults"
-	"hyperprof/internal/netsim"
-	"hyperprof/internal/platform"
-	"hyperprof/internal/spanner"
 	"hyperprof/internal/taxonomy"
 	"hyperprof/internal/trace"
 )
@@ -137,127 +132,55 @@ func (s *Safety) merge(p taxonomy.Platform, arm safetyArm) {
 	s.Marks[p] = append(s.Marks[p], arm.Marks...)
 }
 
+// safetySalt ("SAFE") salts the torture clients' RNG root. The clients run
+// closed-loop: faults, not pacing, are what this study varies between arms.
+const safetySalt = 0x53414645
+
 // runOne runs one (platform, seed) arm. A zero horizon is the fault-free
 // calibration run; a positive horizon is a torture run with a fault schedule
 // spanning it. The arm builds its own environment and kernel and touches no
 // study state, so distinct arms may run concurrently.
 func (s *Safety) runOne(p taxonomy.Platform, seed uint64, horizon time.Duration) (safetyArm, error) {
-	switch p {
-	case taxonomy.Spanner:
-		return s.runSpanner(seed, horizon)
-	case taxonomy.BigTable:
-		return s.runBigTable(seed, horizon)
-	case taxonomy.BigQuery:
-		return s.runBigQuery(seed, horizon)
-	default:
-		return safetyArm{}, fmt.Errorf("experiments: unknown platform %q", p)
+	b := newPlatformBuild(seed, spacedSeeds, 1)
+	b.checked = true
+	b.spanner.RPC = resilienceRPCPolicy()
+	b.bigquery.RPC = resilienceRPCPolicy()
+	st, err := b.build(p)
+	if err != nil {
+		return safetyArm{}, err
 	}
-}
-
-// finish condenses a completed run into an arm: the drive counters, the
-// applied fault count and every checker's findings.
-func (s *Safety) finish(p taxonomy.Platform, seed uint64, env *platform.Env,
-	h *check.History, reg *check.Registry, eng *faults.Engine, dc driveCounts) safetyArm {
+	defer st.env.K.Close()
+	var eng *faults.Engine
+	if horizon > 0 {
+		eng = faults.NewEngine(st.env.K)
+		switch p {
+		case taxonomy.Spanner:
+			// Two replicas per group are injectable. Overlapping windows can
+			// take a group below quorum — operations then fail with
+			// ErrNoQuorum, which is availability loss the checker tolerates;
+			// electing or serving from a minority would be the safety loss it
+			// does not.
+			scfg := b.spanner
+			for g := 0; g < scfg.Groups; g++ {
+				registerReplicas(eng, st.sp, g, g%scfg.Regions, (g+1)%scfg.Regions)
+			}
+		case taxonomy.BigTable:
+			registerTabletTargets(eng, st.bt, b.bigtable.TabletServers)
+		case taxonomy.BigQuery:
+			registerShuffleTargets(eng, st.bq, b.bigquery.ShuffleServers)
+		}
+		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), st.faultSchedule(eng, s.Cfg.Faults, horizon, seed)))
+	}
+	dc := drive(st.env, st.name, "torture", seed^safetySalt, s.Cfg.Clients, s.Cfg.Ops.of(p), 0,
+		st.torture(s.Cfg.Check.HotRows, seed, 0))
 	arm := safetyArm{Row: SafetyRow{Platform: p, Seed: seed, Faulted: eng != nil,
 		Ops: dc.ops, Errors: dc.errs, Elapsed: dc.elapsed}}
 	if eng != nil {
 		arm.Row.FaultsApplied = len(eng.Applied)
 	}
-	arm.Violations, arm.Marks = collect(p, seed, h, reg, env.K.Now())
+	arm.Violations, arm.Marks = collect(p, seed, st.h, st.reg, st.env.K.Now())
 	arm.Row.Violations = len(arm.Violations)
-	return arm
-}
-
-// safetySalt ("SAFE") salts the torture clients' RNG root. The clients run
-// closed-loop: faults, not pacing, are what this study varies between arms.
-const safetySalt = 0x53414645
-
-func (s *Safety) runSpanner(seed uint64, horizon time.Duration) (safetyArm, error) {
-	env := platform.NewEnv(seed, 1)
-	defer env.K.Close()
-	env.Net = netsim.New(env.K, spanner.RecommendedNetConfig())
-	scfg := spanner.DefaultConfig()
-	scfg.RPC = resilienceRPCPolicy()
-	db, err := spanner.New(env, scfg)
-	if err != nil {
-		return safetyArm{}, err
-	}
-	h := check.NewHistory(env.K)
-	db.SetRecorder(h)
-	reg := &check.Registry{}
-	db.RegisterInvariants(reg)
-	var eng *faults.Engine
-	if horizon > 0 {
-		eng = faults.NewEngine(env.K)
-		// Two replicas per group are injectable. Overlapping windows can take
-		// a group below quorum — operations then fail with ErrNoQuorum, which
-		// is availability loss the checker tolerates; electing or serving
-		// from a minority would be the safety loss it does not.
-		for g := 0; g < scfg.Groups; g++ {
-			for _, region := range []int{g % scfg.Regions, (g + 1) % scfg.Regions} {
-				g, region := g, region
-				eng.Register(fmt.Sprintf("spanner/g%d/r%d", g, region), faults.Actions{
-					Crash:       func() { _ = db.CrashReplica(g, region) },
-					Recover:     func() { _ = db.RestartReplica(g, region) },
-					SetSlowdown: func(f float64) { _ = db.SetReplicaSlowdown(g, region, f) },
-				})
-			}
-		}
-		registerLinks(eng, env.Net, seed)
-		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), s.Cfg.Faults.schedule(horizon, seed, s.Cfg.Faults.StragglerProb, env.Net.NodeNames())))
-	}
-	dc := drive(env, "spanner", "torture", seed^safetySalt, s.Cfg.Clients, s.Cfg.Ops.Spanner, 0,
-		spannerTorture(db, scfg.Groups, s.Cfg.Check.HotRows, seed))
-	return s.finish(taxonomy.Spanner, seed, env, h, reg, eng, dc), nil
-}
-
-func (s *Safety) runBigTable(seed uint64, horizon time.Duration) (safetyArm, error) {
-	env := platform.NewEnv(seed+1000, 1)
-	defer env.K.Close()
-	bcfg := bigtable.DefaultConfig()
-	db, err := bigtable.New(env, bcfg)
-	if err != nil {
-		return safetyArm{}, err
-	}
-	h := check.NewHistory(env.K)
-	db.SetRecorder(h)
-	reg := &check.Registry{}
-	db.RegisterInvariants(reg)
-	reg.Register("bigtable-dfs", db.DFS().CheckReplicaConsistency)
-	var eng *faults.Engine
-	if horizon > 0 {
-		eng = faults.NewEngine(env.K)
-		registerTabletTargets(eng, db, bcfg.TabletServers)
-		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), s.Cfg.Faults.schedule(horizon, seed+1000, 0, nil)))
-	}
-	dc := drive(env, "bigtable", "torture", seed^safetySalt, s.Cfg.Clients, s.Cfg.Ops.BigTable, 0,
-		bigtableTorture(db, bcfg.Tablets, bcfg.Tablets, s.Cfg.Check.HotRows, seed))
-	return s.finish(taxonomy.BigTable, seed, env, h, reg, eng, dc), nil
-}
-
-func (s *Safety) runBigQuery(seed uint64, horizon time.Duration) (safetyArm, error) {
-	env := platform.NewEnv(seed+2000, 1)
-	defer env.K.Close()
-	qcfg := bigquery.DefaultConfig()
-	qcfg.RPC = resilienceRPCPolicy()
-	e, err := bigquery.New(env, qcfg)
-	if err != nil {
-		return safetyArm{}, err
-	}
-	h := check.NewHistory(env.K)
-	e.SetRecorder(h)
-	reg := &check.Registry{}
-	e.RegisterInvariants(reg)
-	reg.Register("bigquery-dfs", e.DFS().CheckReplicaConsistency)
-	var eng *faults.Engine
-	if horizon > 0 {
-		eng = faults.NewEngine(env.K)
-		registerShuffleTargets(eng, e, qcfg.ShuffleServers)
-		registerLinks(eng, env.Net, seed)
-		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), s.Cfg.Faults.schedule(horizon, seed+2000, s.Cfg.Faults.StragglerProb, env.Net.NodeNames())))
-	}
-	dc := drive(env, "bigquery", "torture", seed^safetySalt, s.Cfg.Clients, s.Cfg.Ops.BigQuery, 0, bigqueryTorture(e))
-	return s.finish(taxonomy.BigQuery, seed, env, h, reg, eng, dc), nil
+	return arm, nil
 }
 
 // RenderSafety renders the study as a fixed-width table followed by every

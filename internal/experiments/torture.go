@@ -57,6 +57,20 @@ func registerLinks(eng *faults.Engine, net *netsim.Network, seed uint64) {
 	eng.RegisterLinkPlane(faults.LinkPlane{Block: net.BlockLink, Gray: net.SetLinkFault, Heal: net.HealLink})
 }
 
+// faultSchedule hooks the engine's link events to the stack's network and
+// returns the stack's fault schedule over horizon, seeded with the stack's
+// seed; linkSeed is the study seed the per-link loss streams derive from.
+// BigTable gets neither links nor stragglers: its tablet servers are not
+// RPC-fronted, so its data path sends no RPCs a link fault or a brown-out
+// could touch.
+func (s *stack) faultSchedule(eng *faults.Engine, f FaultConfig, horizon time.Duration, linkSeed uint64) faults.ScheduleConfig {
+	if s.p == taxonomy.BigTable {
+		return f.schedule(horizon, s.seed, 0, nil)
+	}
+	registerLinks(eng, s.env.Net, linkSeed)
+	return f.schedule(horizon, s.seed, f.StragglerProb, s.env.Net.NodeNames())
+}
+
 // registerShuffleTargets registers BigQuery's fault targets: every other
 // shuffle server, so puts always have a live destination and lost slots are
 // speculatively re-executed, plus DFS chunkserver 0. It returns the
@@ -77,6 +91,18 @@ func registerShuffleTargets(eng *faults.Engine, e *bigquery.Engine, servers int)
 		Recover: func() { _ = e.DFS().RecoverServer(0) },
 	})
 	return names
+}
+
+// registerReplicas registers group g's Spanner replicas in the given
+// regions as crash, recover and straggler targets.
+func registerReplicas(eng *faults.Engine, db *spanner.DB, g int, regions ...int) {
+	for _, r := range regions {
+		eng.Register(fmt.Sprintf("spanner/g%d/r%d", g, r), faults.Actions{
+			Crash:       func() { _ = db.CrashReplica(g, r) },
+			Recover:     func() { _ = db.RestartReplica(g, r) },
+			SetSlowdown: func(f float64) { _ = db.SetReplicaSlowdown(g, r, f) },
+		})
+	}
 }
 
 // registerTabletTargets registers BigTable's fault targets: every other
@@ -167,42 +193,44 @@ func drive(env *platform.Env, name, role string, rngSeed uint64, clients, totalO
 	return dc
 }
 
-// spannerTorture is the contended Spanner workload: per op a random group
-// and hot row, then a read (15% of them strong) or a commit of a unique
-// value.
-func spannerTorture(db *spanner.DB, groups, hotRows int, seed uint64) tortureOp {
-	return func(p *sim.Proc, rng *stats.RNG, c, i int) (bool, error) {
-		g, r := rng.Intn(groups), rng.Intn(hotRows)
-		if rng.Bool(0.5) {
-			_, err := db.Read(p, nil, g, r, rng.Bool(0.15))
-			return false, err
+// torture is the stack's contended workload over hotRows hot rows; writes
+// carry globally unique values. Spanner: per op a random group and hot row,
+// then a read (15% of them strong) or a commit. BigTable: per op a random
+// tablet and hot row, then a get or a put; the drawn tablet is taken modulo
+// spread (0: every tablet), so a narrow spread concentrates the ops on the
+// first tablets without changing the RNG stream. BigQuery: per op a ScanAgg
+// or a join at a random threshold, all reads.
+func (s *stack) torture(hotRows int, seed uint64, spread int) tortureOp {
+	value := func(c, i int) []byte { return []byte(fmt.Sprintf("s%d/c%d/op%d", seed, c, i)) }
+	switch s.p {
+	case taxonomy.Spanner:
+		db := s.sp
+		return func(p *sim.Proc, rng *stats.RNG, c, i int) (bool, error) {
+			g, r := rng.Intn(db.NumGroups()), rng.Intn(hotRows)
+			if rng.Bool(0.5) {
+				_, err := db.Read(p, nil, g, r, rng.Bool(0.15))
+				return false, err
+			}
+			return true, db.Commit(p, nil, g, r, value(c, i))
 		}
-		return true, db.Commit(p, nil, g, r, []byte(fmt.Sprintf("s%d/c%d/op%d", seed, c, i)))
-	}
-}
-
-// bigtableTorture is the contended BigTable workload: per op a random tablet
-// and hot row, then a get or a put of a unique value. The drawn tablet is
-// taken modulo spread, so spread < tablets concentrates the ops on the first
-// spread tablets without changing the RNG stream.
-func bigtableTorture(db *bigtable.DB, tablets, spread, hotRows int, seed uint64) tortureOp {
-	return func(p *sim.Proc, rng *stats.RNG, c, i int) (bool, error) {
-		t, r := rng.Intn(tablets)%spread, rng.Intn(hotRows)
-		if rng.Bool(0.5) {
-			_, err := db.Get(p, nil, t, r)
-			return false, err
+	case taxonomy.BigTable:
+		db := s.bt
+		if spread <= 0 {
+			spread = db.NumTablets()
 		}
-		return true, db.Put(p, nil, t, r, []byte(fmt.Sprintf("s%d/c%d/op%d", seed, c, i)))
+		return func(p *sim.Proc, rng *stats.RNG, c, i int) (bool, error) {
+			t, r := rng.Intn(db.NumTablets())%spread, rng.Intn(hotRows)
+			if rng.Bool(0.5) {
+				_, err := db.Get(p, nil, t, r)
+				return false, err
+			}
+			return true, db.Put(p, nil, t, r, value(c, i))
+		}
 	}
-}
-
-// bigqueryTorture is the BigQuery workload: per op a ScanAgg or a join at a
-// random threshold. Queries are all reads.
-func bigqueryTorture(e *bigquery.Engine) tortureOp {
 	kinds := []bigquery.Kind{bigquery.ScanAgg, bigquery.JoinQuery}
 	return func(p *sim.Proc, rng *stats.RNG, c, i int) (bool, error) {
 		q := bigquery.Query{Kind: kinds[rng.Intn(len(kinds))], Threshold: int64(rng.Intn(1000))}
-		_, err := e.Run(p, nil, q)
+		_, err := s.bq.Run(p, nil, q)
 		return false, err
 	}
 }
