@@ -28,6 +28,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"slices"
 	"sync"
 	"time"
 )
@@ -37,6 +38,10 @@ import (
 // length long before it allocates anything), so the coordinator rejects it
 // and recycles the worker instead of attempting the allocation.
 const MaxFrame = 1 << 28 // 256 MiB
+
+// frameChunk is the first read buffer of a frame body; study frames fit in
+// it, larger ones grow as their bytes arrive.
+const frameChunk = 64 << 10
 
 // request is one unit of work sent coordinator -> worker.
 type request struct {
@@ -82,9 +87,19 @@ func readFrame(r io.Reader, v any) error {
 	if n == 0 || n > MaxFrame {
 		return fmt.Errorf("dispatch: malformed frame length %d", n)
 	}
-	data := make([]byte, n)
-	if _, err := io.ReadFull(r, data); err != nil {
-		return fmt.Errorf("dispatch: truncated frame: %w", err)
+	// The body is read as it arrives: the buffer starts at frameChunk and
+	// doubles, never past n, so a header whose body never comes costs one
+	// chunk, not the length it claims.
+	data := make([]byte, 0, min(int(n), frameChunk))
+	for len(data) < int(n) {
+		if len(data) == cap(data) {
+			data = slices.Grow(data, min(int(n)-len(data), len(data)))
+		}
+		end := min(cap(data), int(n))
+		if _, err := io.ReadFull(r, data[len(data):end]); err != nil {
+			return fmt.Errorf("dispatch: truncated frame: %w", err)
+		}
+		data = data[:end]
 	}
 	if err := json.Unmarshal(data, v); err != nil {
 		return fmt.Errorf("dispatch: malformed frame payload: %w", err)
