@@ -86,13 +86,6 @@ func runExec[U, T any](cfg StudyConfig, kind unitKind[U, T], units []U) ([]T, er
 	if workers <= 0 {
 		workers = Parallelism(cfg.Parallel)
 	}
-	retries := ec.Retries
-	switch {
-	case retries == 0:
-		retries = 1
-	case retries < 0:
-		retries = 0
-	}
 	// Workers re-run units in a fresh process, so the config they see must
 	// not re-select a backend: arms execute directly.
 	wcfg := cfg
@@ -103,7 +96,10 @@ func runExec[U, T any](cfg StudyConfig, kind unitKind[U, T], units []U) ([]T, er
 		Env:         ec.Env,
 		Workers:     workers,
 		UnitTimeout: ec.UnitTimeout,
-		Retries:     retries,
+		// One re-dispatch after a worker crash, timeout or protocol failure;
+		// application errors are never retried, so a deterministic failure
+		// surfaces identically on every backend.
+		Retries: 1,
 	}
 	wire := make([]dispatch.Unit, len(units))
 	for i, u := range units {
