@@ -134,6 +134,26 @@ func TestPartitionStudyBrokenKnobsCaught(t *testing.T) {
 	}
 }
 
+// TestPartitionStudySafeAtSmallQueryCounts runs the study at the sizes where
+// the hardened BigQuery arm used to keep a shuffle slot on two servers
+// (hyperprof -study=partition -spanner 40 -bigtable 40 -bigquery 4
+// -check-seeds 1): a put whose response was lost had stored its slot before
+// the put failed over to the next server.
+func TestPartitionStudySafeAtSmallQueryCounts(t *testing.T) {
+	for _, n := range []int{2, 4, 6, 8} {
+		cfg := DefaultPartitionStudyConfig()
+		cfg.Check.Seeds = 1
+		cfg.Ops = PlatformOps{Spanner: 40, BigTable: 40, BigQuery: n}
+		s, err := cfg.Partition()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !s.Ok() {
+			t.Errorf("%d BigQuery ops: partition study found violations:\n%s", n, RenderPartition(s))
+		}
+	}
+}
+
 func TestPartitionStudyRejectsInvalidConfig(t *testing.T) {
 	cfg := smallPartitionConfig()
 	cfg.Part.MTBFFrac = 0
