@@ -206,8 +206,8 @@ func TieringPolicyAblation(seed uint64, accesses int) (*TieringPolicyResult, err
 		if err != nil {
 			return nil, err
 		}
-		for i := 0; i < objects; i++ {
-			if _, err := st.Write(fmt.Sprintf("obj-%d", i), objBytes); err != nil {
+		for i := uint64(0); i < objects; i++ {
+			if _, err := st.Write(i, objBytes); err != nil {
 				return nil, err
 			}
 		}
@@ -217,12 +217,12 @@ func TieringPolicyAblation(seed uint64, accesses int) (*TieringPolicyResult, err
 		ramHits, points := 0, 0
 		for i := 0; i < accesses; i++ {
 			point := i%4 != 3
-			var key string
+			var key uint64
 			if point {
-				key = fmt.Sprintf("obj-%d", zipf.Next())
+				key = uint64(zipf.Next())
 				points++
 			} else {
-				key = fmt.Sprintf("obj-%d", i%objects) // sequential scan pollution
+				key = uint64(i % objects) // sequential scan pollution
 			}
 			d, tier, err := st.Read(key)
 			if err != nil {

@@ -14,7 +14,7 @@ import (
 // asserts after every run.
 
 // SetRecorder attaches an operation-history recorder. Pass nil to detach.
-// Reads and commits are recorded against the per-row register keyed by
+// Reads and commits are recorded against the per-row register named by
 // rowKey, with values stored as digests; commit failures distinguish definite
 // no-effects from indeterminate outcomes (entry appended but not known
 // committed), which the linearizability checker treats as writes that may
@@ -27,7 +27,7 @@ func (db *DB) Recorder() *check.History { return db.rec }
 // seedInitial returns the row's register key, recording its bootstrap digest
 // first if this is the key's first recorded operation.
 func (db *DB) seedInitial(g, row int) string {
-	key := db.keys[g][row]
+	key := rowKey(g, row)
 	if !db.rec.Seeded(key) {
 		db.rec.Initial(key, check.Digest(db.bootstrapValue(g, row)))
 	}
@@ -135,12 +135,12 @@ func (db *DB) CheckInvariants() []string {
 					holders++
 				} else if e.term == ref.term {
 					out = append(out, fmt.Sprintf("group %d: index %d term %d names %s on region %d but %s on the leader",
-						grp.id, idx, e.term, e.key, rep.region, ref.key))
+						grp.id, idx, e.term, idKey(e.key), rep.region, idKey(ref.key)))
 				}
 			}
 			if holders < need {
 				out = append(out, fmt.Sprintf("group %d: committed index %d (%s, term %d) held by %d/%d replicas, needs a majority",
-					grp.id, idx, ref.key, ref.term, holders, n))
+					grp.id, idx, idKey(ref.key), ref.term, holders, n))
 			}
 		}
 		for _, rep := range grp.replicas {

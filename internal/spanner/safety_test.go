@@ -220,7 +220,7 @@ func TestFollowerAppliesOnlyCommittedPrefix(t *testing.T) {
 			if len(rep.log) != 1 || rep.applied != 0 {
 				t.Errorf("region %d after W1: log=%d applied=%d, want 1/0", rep.region, len(rep.log), rep.applied)
 			}
-			if _, leaked := rep.rows[rowKey(0, 1)]; leaked {
+			if _, leaked := rep.rows[rowID(0, 1)]; leaked {
 				t.Errorf("region %d applied W1 before it was committed", rep.region)
 			}
 		}
@@ -287,7 +287,7 @@ func TestStaleTermAppendRefused(t *testing.T) {
 			Bytes:  128,
 			Payload: appendArgs{
 				FromIndex: wantLog,
-				Entries:   []logEntry{{key: rowKey(0, 7), value: []byte("from-deposed-leader"), term: staleTerm}},
+				Entries:   []logEntry{{key: rowID(0, 7), value: []byte("from-deposed-leader"), term: staleTerm}},
 				Term:      staleTerm,
 				Commit:    grp.committed,
 			},
@@ -334,7 +334,7 @@ func TestDivergentPrefixAppendBackedUp(t *testing.T) {
 			Bytes:  128,
 			Payload: appendArgs{
 				FromIndex: len(follower.log),
-				Entries:   []logEntry{{key: rowKey(0, 4), value: []byte("on-top"), term: grp.term}},
+				Entries:   []logEntry{{key: rowID(0, 4), value: []byte("on-top"), term: grp.term}},
 				Term:      grp.term,
 				PrevTerm:  grp.term + 7, // deliberately wrong
 				Commit:    grp.committed,

@@ -10,7 +10,7 @@ package spanner
 import (
 	"errors"
 	"fmt"
-	"slices"
+	"math"
 	"time"
 
 	"hyperprof/internal/check"
@@ -104,9 +104,6 @@ type DB struct {
 	mgr    *cluster.Manager
 	taxes  platform.TaxTables
 	groups []*group
-	// keys[g][row] is the store key of each in-range row, formatted once
-	// at load so the read, write and scan paths never format one.
-	keys   [][]string
 	rng    *stats.RNG
 	zipf   *stats.Zipf
 	client *netsim.Client
@@ -161,7 +158,7 @@ func (g *group) leaderRep() *replica { return g.replicas[g.leader] }
 // it, so elections can order logs by recency (Raft's up-to-date rule) and the
 // invariant checker can tell a stale divergent suffix from a committed entry.
 type logEntry struct {
-	key   string
+	key   uint64 // rowID
 	value []byte
 	term  int
 	// ts is the commit timestamp minted from the leader's local clock when
@@ -181,7 +178,7 @@ type replica struct {
 	// time would let an uncommitted entry leak into reads and then vanish
 	// across a failover — a dirty read.
 	log     []logEntry
-	rows    map[string][]byte
+	rows    map[uint64][]byte // by rowID
 	applied int
 	// clock is the replica's local wall clock: true time plus whatever skew
 	// the nemesis injected, known only up to the config's uncertainty bound.
@@ -207,7 +204,7 @@ func applyUpTo(rep *replica, n int) {
 // network should use metro-scale cross-region RTTs (see RecommendedNetConfig)
 // for paper-shaped commit latencies.
 func New(env *platform.Env, cfg Config) (*DB, error) {
-	if cfg.Groups <= 0 || cfg.Regions < 3 || cfg.RowsPerGroup <= 0 || cfg.RowBytes < 0 {
+	if cfg.Groups <= 0 || cfg.Regions < 3 || cfg.RowsPerGroup <= 0 || uint64(cfg.RowsPerGroup) > math.MaxUint32 || cfg.RowBytes < 0 {
 		return nil, fmt.Errorf("spanner: invalid config %+v", cfg)
 	}
 	ramR, ssdR, hddR := platform.PaperStorageRatio(taxonomy.Spanner)
@@ -346,7 +343,7 @@ func (db *DB) place() error {
 			}
 			m := ms[g%len(ms)]
 			rep := &replica{
-				machine: m, region: r, rows: map[string][]byte{},
+				machine: m, region: r, rows: map[uint64][]byte{},
 				clock: sim.NewClock(db.env.K, db.cfg.ClockEps),
 			}
 			db.startServer(grp, rep)
@@ -360,27 +357,23 @@ func (db *DB) place() error {
 // load bootstraps the replica stores with the initial row objects (outside
 // simulated time). Bootstrap row *contents* are virtual — bootstrapValue
 // computes them on demand — so memory scales with written rows only. Each
-// machine's store takes one bulk Load of its replicas' keys, group by group
-// and rows in order (a group has one replica per region, so at most one on
-// a machine).
+// machine's store takes one bulk Load of its replicas' row ids, group by
+// group and rows in order (a group has one replica per region, so at most
+// one on a machine).
 func (db *DB) load() {
-	db.keys = make([][]string, len(db.groups))
-	for _, g := range db.groups {
-		db.keys[g.id] = make([]string, db.cfg.RowsPerGroup)
-		for i := range db.keys[g.id] {
-			db.keys[g.id][i] = rowKey(g.id, i)
-		}
-	}
+	keys := make([]uint64, 0, len(db.groups)*db.cfg.RowsPerGroup) // any machine's share
 	for _, m := range db.mgr.Machines() {
-		var keys [][]string
+		keys = keys[:0]
 		for _, g := range db.groups {
 			for _, rep := range g.replicas {
 				if rep.machine == m {
-					keys = append(keys, db.keys[g.id])
+					for row := 0; row < db.cfg.RowsPerGroup; row++ {
+						keys = append(keys, rowID(g.id, row))
+					}
 				}
 			}
 		}
-		if err := m.Store.Load(slices.Concat(keys...), db.cfg.RowBytes); err != nil {
+		if err := m.Store.Load(keys, db.cfg.RowBytes); err != nil {
 			panic(fmt.Sprintf("spanner: bootstrap overflow: %v", err))
 		}
 	}
@@ -404,17 +397,16 @@ func (db *DB) lookupRow(rep *replica, g, row int) ([]byte, error) {
 	if row < 0 || row >= db.cfg.RowsPerGroup {
 		return nil, fmt.Errorf("spanner: row %d out of range", row)
 	}
-	if v, ok := rep.rows[db.keys[g][row]]; ok {
+	if v, ok := rep.rows[rowID(g, row)]; ok {
 		return v, nil
 	}
 	return db.bootstrapValue(g, row), nil
 }
 
-// firstByte is lookupRow's first byte for the in-range row stored under key,
-// read without materialising a virtual bootstrap row; ok is false for an
-// empty row.
-func (db *DB) firstByte(rep *replica, key string, g, row int) (b byte, ok bool) {
-	if v, applied := rep.rows[key]; applied {
+// firstByte is lookupRow's first byte for an in-range row, read without
+// materialising a virtual bootstrap row; ok is false for an empty row.
+func (db *DB) firstByte(rep *replica, g, row int) (b byte, ok bool) {
+	if v, applied := rep.rows[rowID(g, row)]; applied {
 		if len(v) == 0 {
 			return 0, false
 		}
@@ -423,16 +415,26 @@ func (db *DB) firstByte(rep *replica, key string, g, row int) (b byte, ok bool) 
 	return bootstrapByte(g, row, 0), db.cfg.RowBytes > 0
 }
 
-func rowKey(group, row int) string { return fmt.Sprintf("g%d/r%d", group, row) }
+// rowID is the key of row `row` in group g in the replica stores and row
+// state: the group over the row's low 32 bits. New caps RowsPerGroup below
+// 2^32, so in-range rows never alias; callers range-check the row first.
+func rowID(g, row int) uint64 { return uint64(g)<<32 | uint64(uint32(row)) }
 
-// key returns the store key of row `row` in group g: the one load formatted
-// for an in-range row, and a freshly formatted one otherwise (which the
-// store then rejects as missing).
-func (db *DB) key(g, row int) string {
-	if g >= 0 && g < len(db.keys) && row >= 0 && row < len(db.keys[g]) {
-		return db.keys[g][row]
+// rowKey is a row's name in text: the operation history's register key and
+// the invariant messages.
+func rowKey(g, row int) string { return fmt.Sprintf("g%d/r%d", g, row) }
+
+// idKey is rowKey for a rowID.
+func idKey(id uint64) string { return rowKey(int(id>>32), int(uint32(id))) }
+
+// readRow reads row `row` of group g from a replica's store. A row outside
+// the group has no object, and fails as the store fails a missing key.
+func (db *DB) readRow(rep *replica, g, row int) (time.Duration, error) {
+	if row < 0 || row >= db.cfg.RowsPerGroup {
+		return 0, fmt.Errorf("%w: %q", storage.ErrNotFound, rowKey(g, row))
 	}
-	return rowKey(g, row)
+	d, _, err := rep.machine.Store.Read(rowID(g, row))
+	return d, err
 }
 
 // NumGroups returns the number of tablet groups.
@@ -479,9 +481,8 @@ func (db *DB) read(p *sim.Proc, tr *trace.Trace, g, row int, strong bool) ([]byt
 		}
 	}
 	db.env.ExecRecipe(p, taxonomy.Spanner, leader.machine.Node, tr, db.readRecipe)
-	key := db.key(g, row)
 	ioStart := p.Now()
-	d, _, err := leader.machine.Store.Read(key)
+	d, err := db.readRow(leader, g, row)
 	if err != nil {
 		return nil, err
 	}
@@ -533,7 +534,7 @@ func (db *DB) commit(p *sim.Proc, tr *trace.Trace, g, row int, value []byte) (ap
 	grp.lastTS = ts
 
 	// Leader durable log append.
-	key := db.keys[g][row]
+	key := rowID(g, row)
 	cp := make([]byte, len(value))
 	copy(cp, value)
 	entry := logEntry{key: key, value: cp, term: term, ts: ts}
@@ -829,15 +830,12 @@ func (db *DB) Query(p *sim.Proc, tr *trace.Trace, g, start int) (int, error) {
 	var ioTime time.Duration
 	for i := 0; i < db.cfg.QueryScanRows; i++ {
 		row := (start + i) % db.cfg.RowsPerGroup
-		key := db.key(g, row)
-		d, _, err := leader.machine.Store.Read(key)
+		d, err := db.readRow(leader, g, row)
 		if err != nil {
 			return 0, err
 		}
 		ioTime += d
-		// The store holds keys for in-range rows only, so the read above
-		// has already rejected any row outside the group.
-		if b, ok := db.firstByte(leader, key, g, row); ok && b%2 == 1 {
+		if b, ok := db.firstByte(leader, g, row); ok && b%2 == 1 {
 			matched++
 		}
 	}

@@ -3,12 +3,16 @@ package spanner
 import (
 	"bytes"
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"hyperprof/internal/check"
 	"hyperprof/internal/netsim"
 	"hyperprof/internal/platform"
 	"hyperprof/internal/sim"
+	"hyperprof/internal/storage"
 	"hyperprof/internal/taxonomy"
 	"hyperprof/internal/trace"
 )
@@ -199,14 +203,14 @@ func TestFirstByteMatchesLookupRow(t *testing.T) {
 			t.Fatal(err)
 		}
 		rep := db.groups[1].leaderRep()
-		rep.rows[rowKey(1, 3)] = []byte{}
-		rep.rows[rowKey(1, 4)] = []byte{9, 2}
+		rep.rows[rowID(1, 3)] = []byte{}
+		rep.rows[rowID(1, 4)] = []byte{9, 2}
 		for row := 0; row < cfg.RowsPerGroup; row++ {
 			v, err := db.lookupRow(rep, 1, row)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, ok := db.firstByte(rep, rowKey(1, row), 1, row)
+			b, ok := db.firstByte(rep, 1, row)
 			if ok != (len(v) > 0) || ok && b != v[0] {
 				t.Fatalf("RowBytes %d row %d: firstByte = %d,%v; row = %v", rowBytes, row, b, ok, v[:min(len(v), 1)])
 			}
@@ -214,28 +218,98 @@ func TestFirstByteMatchesLookupRow(t *testing.T) {
 	}
 }
 
-// TestRowKeyTable checks the keys load formats once against rowKey, for
-// every in-range row and for rows and groups outside the table, which the
-// store must still reject.
+// TestRowKeyTable checks how rows are named. Every in-range row has its own
+// rowID, loaded on each of its group's replicas. Reads and commits at rows
+// -1, RowsPerGroup and 1<<32 (whose low 32 bits are row 0) fail and leave
+// every loaded row as it was. The operation history and the invariant
+// messages name rows "g%d/r%d".
 func TestRowKeyTable(t *testing.T) {
 	cfg := smallConfig()
-	db, err := New(testEnv(1), cfg)
+	env := testEnv(1)
+	db, err := New(env, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for g := -1; g <= cfg.Groups; g++ {
-		for row := -1; row <= cfg.RowsPerGroup; row++ {
-			if got, want := db.key(g, row), rowKey(g, row); got != want {
-				t.Fatalf("key(%d, %d) = %q, want %q", g, row, got, want)
+	seen := map[uint64]bool{}
+	for g, grp := range db.groups {
+		for row := 0; row < cfg.RowsPerGroup; row++ {
+			id := rowID(g, row)
+			if seen[id] {
+				t.Fatalf("rowID(%d, %d) = %#x repeats", g, row, id)
+			}
+			seen[id] = true
+			for _, rep := range grp.replicas {
+				if !rep.machine.Store.Has(id) {
+					t.Fatalf("row g%d/r%d missing from region %d's store", g, row, rep.region)
+				}
+			}
+		}
+		for _, row := range []int{-1, cfg.RowsPerGroup} {
+			if grp.leaderRep().machine.Store.Has(rowID(g, row)) {
+				t.Fatalf("out-of-range row %d of group %d is in the store", row, g)
 			}
 		}
 	}
-	store := db.groups[0].leaderRep().machine.Store
-	if _, _, err := store.Read(db.key(0, cfg.RowsPerGroup)); err == nil {
-		t.Fatal("out-of-range row key found in the store")
+
+	// storeReads counts the object reads group 1's replica stores served.
+	storeReads := func() (n int64) {
+		for _, rep := range db.groups[1].replicas {
+			for _, tier := range storage.Tiers() {
+				n += rep.machine.Store.Stats(tier).Reads
+			}
+		}
+		return n
 	}
-	if _, _, err := store.Read(db.key(0, cfg.RowsPerGroup-1)); err != nil {
-		t.Fatalf("last row missing from the store: %v", err)
+	h := check.NewHistory(env.K)
+	db.SetRecorder(h)
+	env.K.Go("client", func(p *sim.Proc) {
+		defer db.Stop()
+		before := storeReads()
+		for _, row := range []int{-1, cfg.RowsPerGroup, 1 << 32} {
+			if v, err := db.Read(p, nil, 1, row, false); err == nil {
+				t.Errorf("Read(1, %d) = %v, want an error", row, v)
+			}
+			if err := db.Commit(p, nil, 1, row, []byte("stray")); err == nil {
+				t.Errorf("Commit(1, %d) succeeded", row)
+			}
+		}
+		if n := storeReads() - before; n != 0 {
+			t.Errorf("rejected reads read %d objects from the stores", n)
+		}
+		for _, row := range []int{0, cfg.RowsPerGroup - 1} {
+			v, err := db.Read(p, nil, 1, row, false)
+			if err != nil || !bytes.Equal(v, db.bootstrapValue(1, row)) {
+				t.Errorf("Read(1, %d) = %v, %v; want the bootstrap row", row, v, err)
+			}
+		}
+		if err := db.Commit(p, nil, 1, 7, []byte("seven")); err != nil {
+			t.Error(err)
+		}
+	})
+	env.K.Run()
+	for _, rep := range db.groups[1].replicas {
+		for id := range rep.rows {
+			if id != rowID(1, 7) {
+				t.Errorf("region %d applied row %s", rep.region, idKey(id))
+			}
+		}
+	}
+	var keys []string
+	for _, op := range h.Ops() {
+		keys = append(keys, op.Key)
+	}
+	if want := []string{"g1/r0", "g1/r499", "g1/r7"}; !slices.Equal(keys, want) {
+		t.Fatalf("recorded keys %v, want %v", keys, want)
+	}
+
+	// A follower whose committed entry names another row under the leader's
+	// term breaks log matching; the message names both rows in text.
+	grp := db.groups[1]
+	follower := grp.replicas[(grp.leader+1)%len(grp.replicas)]
+	follower.log[0].key = rowID(1, 8)
+	br := strings.Join(db.CheckInvariants(), "\n")
+	if !strings.Contains(br, "names g1/r8 on region") || !strings.Contains(br, "but g1/r7 on the leader") {
+		t.Fatalf("invariant messages do not name rows as g%%d/r%%d:\n%s", br)
 	}
 }
 

@@ -1,7 +1,5 @@
 package storage
 
-import "hash/fnv"
-
 // This file implements a frequency-aware cache admission policy in the
 // TinyLFU family, the practical form of §3's suggestion to place data
 // between storage tiers with learned/frequency signals instead of pure
@@ -34,16 +32,24 @@ func newFreqSketch(keys int) *freqSketch {
 	return s
 }
 
-func (s *freqSketch) hashes(key string) [4]uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	a := h.Sum64()
+// FNV-1a, 64-bit, written inline: hash/fnv's Hash allocates per use.
+const fnvOffset64 uint64 = 14695981039346656037
+
+func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * 1099511628211 }
+
+// hashes derives the four row indexes of a key from one FNV-1a hash of its
+// eight little-endian bytes.
+func (s *freqSketch) hashes(key uint64) [4]uint64 {
+	a := fnvOffset64
+	for i := 0; i < 8; i++ {
+		a = fnvByte(a, byte(key>>(8*i)))
+	}
 	b := a>>32 | a<<32
 	return [4]uint64{a, a + b, a + 2*b, a + 3*b}
 }
 
 // Touch records one access.
-func (s *freqSketch) Touch(key string) {
+func (s *freqSketch) Touch(key uint64) {
 	hs := s.hashes(key)
 	for i := range s.rows {
 		idx := hs[i] & s.mask
@@ -58,7 +64,7 @@ func (s *freqSketch) Touch(key string) {
 }
 
 // Estimate returns the minimum-counter frequency estimate.
-func (s *freqSketch) Estimate(key string) uint8 {
+func (s *freqSketch) Estimate(key uint64) uint8 {
 	hs := s.hashes(key)
 	est := uint8(255)
 	for i := range s.rows {
@@ -78,45 +84,3 @@ func (s *freqSketch) decay() {
 	}
 	s.adds = 0
 }
-
-// admissionCache wraps an LRU with TinyLFU-style admission: every access
-// feeds the sketch, and a candidate only displaces the LRU victim when the
-// sketch says it is at least as hot.
-type admissionCache struct {
-	lru    *lruCache
-	sketch *freqSketch
-}
-
-func newAdmissionCache(capacity int64, expectedKeys int) *admissionCache {
-	return &admissionCache{lru: newLRU(capacity), sketch: newFreqSketch(expectedKeys)}
-}
-
-// Contains reports and records an access.
-func (c *admissionCache) Contains(key string) bool {
-	c.sketch.Touch(key)
-	return c.lru.Contains(key)
-}
-
-// Add inserts the key if it deserves the space: when the cache has room it
-// always enters; when full, it must beat the current LRU victim's estimated
-// frequency. Returns whether the key is resident afterwards.
-func (c *admissionCache) Add(key string, size int64) bool {
-	c.sketch.Touch(key)
-	if c.lru.Peek(key) {
-		c.lru.Add(key, size)
-		return true
-	}
-	if c.lru.Used()+size <= c.lru.capacity || size > c.lru.capacity {
-		c.lru.Add(key, size)
-		return c.lru.Peek(key)
-	}
-	victim := c.lru.tail
-	if victim != nil && c.sketch.Estimate(key) < c.sketch.Estimate(victim.key) {
-		return false // candidate is colder than what it would displace
-	}
-	c.lru.Add(key, size)
-	return c.lru.Peek(key)
-}
-
-// Used returns resident bytes.
-func (c *admissionCache) Used() int64 { return c.lru.Used() }

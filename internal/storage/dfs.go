@@ -3,7 +3,8 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"math"
+	"strconv"
 	"time"
 
 	"hyperprof/internal/obs"
@@ -18,7 +19,8 @@ type DFS struct {
 	down        []bool // failure-injection flags per chunkserver
 	replication int
 	chunkSize   int64
-	files       map[string]int64 // file sizes
+	files       map[string]file
+	nextID      uint64 // the id the next Create gives its file
 
 	// Observability handles (nil when disabled): replicaReads counts chunk
 	// reads served, replicaFailovers counts replicas skipped on the way (down
@@ -35,6 +37,16 @@ func (d *DFS) EnableMetrics(r *obs.Registry) {
 	d.replicaReads = r.Counter("dfs.replica.reads")
 	d.replicaFailovers = r.Counter("dfs.replica.failovers")
 }
+
+// file is one DFS file: its size, and the id that keys its chunk replicas
+// in the chunkservers' stores.
+type file struct {
+	size int64
+	id   uint32
+}
+
+// maxChunks bounds a file's chunk count so chunk indices fit chunkKey.
+const maxChunks = 1 << 32
 
 // ErrAllReplicasDown is returned when every replica of a chunk sits on a
 // failed chunkserver.
@@ -68,7 +80,7 @@ func NewDFS(cfg DFSConfig) (*DFS, error) {
 	d := &DFS{
 		replication: cfg.Replication,
 		chunkSize:   cfg.ChunkSize,
-		files:       map[string]int64{},
+		files:       map[string]file{},
 		down:        make([]bool, cfg.Chunkservers),
 	}
 	for i := 0; i < cfg.Chunkservers; i++ {
@@ -122,19 +134,28 @@ func (d *DFS) Servers() []*TieredStore { return d.servers }
 // ChunkSize returns the chunk granularity.
 func (d *DFS) ChunkSize() int64 { return d.chunkSize }
 
-// chunkKey names a chunk replica object.
-func chunkKey(file string, idx int64) string { return fmt.Sprintf("%s#%d", file, idx) }
+// chunkKey names a chunk replica object: the file's id over the chunk index.
+func chunkKey(f file, idx int64) uint64 { return uint64(f.id)<<32 | uint64(idx) }
 
-// replicaServers returns the deterministic replica placement for a chunk.
-func (d *DFS) replicaServers(file string, idx int64) []int {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s/%d", file, idx)
-	start := int(h.Sum64() % uint64(len(d.servers)))
-	out := make([]int, d.replication)
-	for i := range out {
-		out[i] = (start + i) % len(d.servers)
+// replicaServers appends the deterministic replica placement of a chunk to
+// dst and returns it: replication consecutive servers from one picked by an
+// FNV-1a hash of the bytes name + "/" + idx in decimal. Callers pass a
+// stack buffer, so placement allocates nothing.
+func (d *DFS) replicaServers(dst []int, name string, idx int64) []int {
+	h := fnvOffset64
+	for i := 0; i < len(name); i++ {
+		h = fnvByte(h, name[i])
 	}
-	return out
+	h = fnvByte(h, '/')
+	var digits [20]byte
+	for _, c := range strconv.AppendInt(digits[:0], idx, 10) {
+		h = fnvByte(h, c)
+	}
+	start := int(h % uint64(len(d.servers)))
+	for i := 0; i < d.replication; i++ {
+		dst = append(dst, (start+i)%len(d.servers))
+	}
+	return dst
 }
 
 // Exists reports whether the file exists.
@@ -145,11 +166,20 @@ func (d *DFS) Exists(name string) bool {
 
 // FileSize returns a file's size or an error.
 func (d *DFS) FileSize(name string) (int64, error) {
-	sz, ok := d.files[name]
+	f, ok := d.files[name]
 	if !ok {
 		return 0, fmt.Errorf("%w: file %q", ErrNotFound, name)
 	}
-	return sz, nil
+	return f.size, nil
+}
+
+// chunks returns a file's chunk count: at least one, even when empty.
+func (d *DFS) chunks(size int64) int64 {
+	n := size / d.chunkSize
+	if size%d.chunkSize != 0 || n == 0 {
+		n++
+	}
+	return n
 }
 
 // Create allocates a file of the given size, writing all chunk replicas. The
@@ -162,8 +192,17 @@ func (d *DFS) Create(name string, size int64) (time.Duration, error) {
 	if d.Exists(name) {
 		return 0, fmt.Errorf("storage: file %q exists", name)
 	}
-	d.files[name] = size
+	if d.chunks(size) > maxChunks {
+		return 0, fmt.Errorf("storage: file %q needs more than %d chunks", name, int64(maxChunks))
+	}
+	if d.nextID > math.MaxUint32 {
+		return 0, fmt.Errorf("storage: file ids exhausted")
+	}
+	f := file{size: size, id: uint32(d.nextID)}
+	d.nextID++
+	d.files[name] = f
 	var total time.Duration
+	var buf [8]int
 	for idx, remaining := int64(0), size; remaining > 0 || idx == 0; idx++ {
 		sz := min64(remaining, d.chunkSize)
 		if size == 0 {
@@ -171,11 +210,11 @@ func (d *DFS) Create(name string, size int64) (time.Duration, error) {
 		}
 		var worst time.Duration
 		placed := 0
-		for _, si := range d.replicaServers(name, idx) {
+		for _, si := range d.replicaServers(buf[:0], name, idx) {
 			if d.down[si] {
 				continue // re-replication after recovery is out of scope
 			}
-			dur, err := d.servers[si].Write(chunkKey(name, idx), sz)
+			dur, err := d.servers[si].Write(chunkKey(f, idx), sz)
 			if err != nil {
 				return 0, err
 			}
@@ -201,10 +240,11 @@ func (d *DFS) Create(name string, size int64) (time.Duration, error) {
 // It also returns the slowest tier touched, which callers use to decide
 // whether an access counted as a cache hit.
 func (d *DFS) Read(name string, offset, length int64) (time.Duration, Tier, error) {
-	size, ok := d.files[name]
+	f, ok := d.files[name]
 	if !ok {
 		return 0, HDD, fmt.Errorf("%w: file %q", ErrNotFound, name)
 	}
+	size := f.size
 	if offset < 0 || length < 0 || offset+length > size {
 		return 0, HDD, fmt.Errorf("storage: read [%d,%d) out of bounds for %q (size %d)", offset, offset+length, name, size)
 	}
@@ -213,6 +253,7 @@ func (d *DFS) Read(name string, offset, length int64) (time.Duration, Tier, erro
 	}
 	var total time.Duration
 	worstTier := RAM
+	var buf [8]int
 	for idx := offset / d.chunkSize; idx <= (offset+length-1)/d.chunkSize; idx++ {
 		// Serve from the first live replica that actually holds the chunk. A
 		// recovered server may hold stale replicas (chunks written while it
@@ -221,13 +262,13 @@ func (d *DFS) Read(name string, offset, length int64) (time.Duration, Tier, erro
 		var dur time.Duration
 		var tier Tier
 		served := false
-		for _, cand := range d.replicaServers(name, idx) {
+		for _, cand := range d.replicaServers(buf[:0], name, idx) {
 			if d.down[cand] {
 				d.replicaFailovers.Inc()
 				continue
 			}
 			var err error
-			dur, tier, err = d.servers[cand].Read(chunkKey(name, idx))
+			dur, tier, err = d.servers[cand].Read(chunkKey(f, idx))
 			if err == nil {
 				served = true
 				break
@@ -251,17 +292,14 @@ func (d *DFS) Read(name string, offset, length int64) (time.Duration, Tier, erro
 
 // Delete removes a file and all chunk replicas.
 func (d *DFS) Delete(name string) error {
-	size, ok := d.files[name]
+	f, ok := d.files[name]
 	if !ok {
 		return fmt.Errorf("%w: file %q", ErrNotFound, name)
 	}
-	nChunks := (size + d.chunkSize - 1) / d.chunkSize
-	if nChunks == 0 {
-		nChunks = 1
-	}
-	for idx := int64(0); idx < nChunks; idx++ {
-		for _, si := range d.replicaServers(name, idx) {
-			d.servers[si].Delete(chunkKey(name, idx))
+	var buf [8]int
+	for idx := int64(0); idx < d.chunks(f.size); idx++ {
+		for _, si := range d.replicaServers(buf[:0], name, idx) {
+			d.servers[si].Delete(chunkKey(f, idx))
 		}
 	}
 	delete(d.files, name)

@@ -9,39 +9,62 @@ import (
 	"testing"
 )
 
-// lruState lists a cache's entries most recent first as key:size, walking
-// the list both ways so a broken back link shows up as a mismatch.
-func lruState(t *testing.T, c *lruCache) []string {
+// lruState lists a cache's objects most recent first as key:size, walking
+// its links through the slab both ways, so a broken back link shows up as a
+// mismatch. It also checks the header's count and byte total.
+func lruState(t *testing.T, s *TieredStore, c *lruCache) []string {
 	t.Helper()
 	var fwd []string
-	for e := c.head; e != nil; e = e.next {
-		fwd = append(fwd, fmt.Sprintf("%s:%d", e.key, e.size))
+	var used int64
+	for i := c.head; i != nilSlot; i = s.objs[i].lru[c.tier].next {
+		o := s.objs[i]
+		if !o.lru[c.tier].cached {
+			t.Fatalf("%v list holds uncached slot %d", c.tier, i)
+		}
+		fwd = append(fwd, fmt.Sprintf("%d:%d", o.key, o.size))
+		used += o.size
 	}
 	var back []string
-	for e := c.tail; e != nil; e = e.prev {
-		back = append(back, fmt.Sprintf("%s:%d", e.key, e.size))
+	for i := c.tail; i != nilSlot; i = s.objs[i].lru[c.tier].prev {
+		back = append(back, fmt.Sprintf("%d:%d", s.objs[i].key, s.objs[i].size))
 	}
 	slices.Reverse(back)
-	if !slices.Equal(fwd, back) || len(fwd) != len(c.entries) {
-		t.Fatalf("lru links broken: forward %v, backward %v, %d entries", fwd, back, len(c.entries))
+	if !slices.Equal(fwd, back) || len(fwd) != c.Len() || used != c.Used() || used > c.capacity {
+		t.Fatalf("%v links broken: forward %v, backward %v, %d objects, %d of %d bytes used, %d linked",
+			c.tier, fwd, back, c.Len(), c.Used(), c.capacity, used)
 	}
 	return fwd
+}
+
+// storedObjects maps each stored key to its size, checking that the index
+// and the slab agree.
+func storedObjects(t *testing.T, s *TieredStore) map[uint64]int64 {
+	t.Helper()
+	out := make(map[uint64]int64, len(s.index))
+	for k, i := range s.index {
+		if s.objs[i].key != k {
+			t.Fatalf("index names slot %d for key %d, which holds key %d", i, k, s.objs[i].key)
+		}
+		out[k] = s.objs[i].size
+	}
+	if len(s.index)+len(s.free) != len(s.objs) {
+		t.Fatalf("%d indexed + %d free slots != %d in the slab", len(s.index), len(s.free), len(s.objs))
+	}
+	return out
 }
 
 // sameStore fails unless two stores hold the same objects, cache contents
 // and order, tier usage and statistics.
 func sameStore(t *testing.T, when string, want, got *TieredStore) {
 	t.Helper()
-	if !maps.Equal(want.objects, got.objects) || want.hddUsed != got.hddUsed {
+	if !maps.Equal(storedObjects(t, want), storedObjects(t, got)) || want.hddUsed != got.hddUsed {
 		t.Fatalf("%s: objects/hddUsed differ: %d objects %d bytes vs %d objects %d bytes",
-			when, len(want.objects), want.hddUsed, len(got.objects), got.hddUsed)
+			when, len(want.index), want.hddUsed, len(got.index), got.hddUsed)
 	}
-	for _, c := range []struct {
-		tier      string
-		want, got *lruCache
-	}{{"RAM", want.ram, got.ram}, {"SSD", want.ssd, got.ssd}} {
-		if w, g := lruState(t, c.want), lruState(t, c.got); !slices.Equal(w, g) {
-			t.Fatalf("%s: %s cache differs:\n Write loop %v\n Load       %v", when, c.tier, w, g)
+	for _, tier := range []Tier{RAM, SSD} {
+		w, g := lruState(t, want, want.cache(tier)), lruState(t, got, got.cache(tier))
+		if !slices.Equal(w, g) {
+			t.Fatalf("%s: %v cache differs:\n Write loop %v\n Load       %v", when, tier, w, g)
 		}
 	}
 	for _, tier := range Tiers() {
@@ -55,12 +78,23 @@ func sameStore(t *testing.T, when string, want, got *TieredStore) {
 	}
 }
 
+// cache returns the store's RAM or SSD cache.
+func (s *TieredStore) cache(t Tier) *lruCache {
+	if t == RAM {
+		return &s.ram
+	}
+	return &s.ssd
+}
+
 // FuzzTieredStoreLoad checks that Load leaves exactly what the Write loop
-// leaves — both caches' contents and order, tier usage, statistics, objects
-// and HDD usage, and the same error at the same key on overflow — and that
-// the two stores stay equal through a few more reads, writes and deletes.
-// dupEvery > 0 repeats an earlier key at every dupEvery-th position;
-// prefill writes that many objects before the load.
+// leaves — both caches' contents and order, walked both ways through the
+// slab, tier usage, statistics, objects and HDD usage, and the same error at
+// the same key on overflow — and that the two stores stay equal through more
+// reads, writes and deletes. Those include the two paths the slab adds: an
+// overwrite that resizes an object while it is cached, and a Delete followed
+// by a Write of a new key, which takes the freed slot. dupEvery > 0 repeats
+// an earlier key at every dupEvery-th position; prefill writes that many
+// objects before the load.
 func FuzzTieredStoreLoad(f *testing.F) {
 	// RAM churns while SSD holds everything: Spanner's default shape.
 	f.Add(uint32(48<<10), uint32(4<<20), uint32(16<<20), uint16(1500), int32(1024), uint8(0), false, uint8(0))
@@ -85,14 +119,18 @@ func FuzzTieredStoreLoad(f *testing.F) {
 		if tinyLFU {
 			policy = TinyLFUPolicy
 		}
-		keys := make([]string, nKeys%2048)
+		keys := make([]uint64, nKeys%2048)
 		for i := range keys {
 			k := i
 			if dupEvery > 0 && i%int(dupEvery) == 0 {
 				k = i / 2
 			}
-			keys[i] = fmt.Sprintf("k%d", k)
+			keys[i] = uint64(k)
 		}
+		const (
+			pre   = 1 << 40 // prefill keys
+			fresh = 1 << 41 // keys first written after the load
+		)
 		stores := [2]*TieredStore{}
 		for i := range stores {
 			s, err := NewTieredStoreWithPolicy(caps, nil, policy)
@@ -100,7 +138,7 @@ func FuzzTieredStoreLoad(f *testing.F) {
 				t.Fatal(err)
 			}
 			for j := 0; j < int(prefill%8); j++ {
-				s.Write(fmt.Sprintf("pre%d", j), int64(j+1)*100)
+				s.Write(pre+uint64(j), int64(j+1)*100)
 			}
 			stores[i] = s
 		}
@@ -121,11 +159,41 @@ func FuzzTieredStoreLoad(f *testing.F) {
 			for j := 0; j < len(keys); j += 7 {
 				s.Read(keys[j])
 			}
-			s.Write("late", 1+int64(size%97))
+			s.Write(fresh, 1+int64(size%97))
 			if len(keys) > 0 {
 				s.Delete(keys[len(keys)/2])
 			}
 		}
 		sameStore(t, "after more operations", want, got)
+		if len(keys) == 0 {
+			return
+		}
+		// Resize the most recently written loaded key while it is cached
+		// (the read promotes it), growing and then shrinking it.
+		last := keys[len(keys)-1]
+		for _, s := range stores {
+			s.Read(last)
+			for _, sz := range []int64{2*int64(size) + 1, int64(size) / 2} {
+				s.Write(last, sz)
+			}
+		}
+		sameStore(t, "after resizing a cached object", want, got)
+		// A new key takes the slot the last Delete freed.
+		victim := keys[0]
+		for _, s := range stores {
+			i, ok := s.index[victim]
+			s.Delete(victim)
+			if _, err := s.Write(fresh+1, 1+int64(size%89)); err != nil || !ok {
+				continue
+			}
+			if j := s.index[fresh+1]; j != i {
+				t.Fatalf("new key took slot %d, not the freed slot %d", j, i)
+			}
+		}
+		for _, s := range stores {
+			s.Read(fresh + 1)
+			s.Read(last)
+		}
+		sameStore(t, "after a delete and a new key", want, got)
 	})
 }

@@ -1,160 +1,154 @@
 package storage
 
-// lruCache is a byte-budgeted LRU cache of string keys with per-entry sizes.
-// It is hand-rolled (intrusive doubly-linked list + map) so eviction order
-// and memory accounting are fully deterministic.
+// nilSlot ends a recency list.
+const nilSlot = -1
+
+// object is one stored object in a TieredStore's slab: its key and size,
+// and its place in the RAM and SSD caches. The slab holds no pointers, so
+// the garbage collector never scans it.
+type object struct {
+	key  uint64
+	size int64
+	// lru holds the object's recency links, indexed by the cache's tier
+	// (RAM or SSD).
+	lru [2]link
+}
+
+// link threads an object through one cache's recency list.
+type link struct {
+	prev, next int32 // slots toward the head and the tail, or nilSlot
+	cached     bool
+}
+
+// lruCache is a byte-budgeted LRU list threaded through a TieredStore's
+// object slab: the header of one tier's recency list, most recently used
+// first. It is hand-rolled (intrusive doubly-linked list) so eviction order
+// and memory accounting are fully deterministic. A cached object's size is
+// its stored size; the store adjusts used when it resizes a cached object.
 type lruCache struct {
-	capacity int64
-	used     int64
-	entries  map[string]*lruEntry
-	head     *lruEntry // most recently used
-	tail     *lruEntry // least recently used
-	// spare is the last removed entry, recycled by the next insert so a full
-	// cache churns without allocating.
-	spare *lruEntry
+	tier       Tier // RAM or SSD: which of object.lru this list threads
+	capacity   int64
+	used       int64
+	n          int
+	head, tail int32 // most and least recently used slots, or nilSlot
 }
 
-type lruEntry struct {
-	key        string
-	size       int64
-	prev, next *lruEntry
+func newLRU(t Tier, capacity int64) lruCache {
+	return lruCache{tier: t, capacity: capacity, head: nilSlot, tail: nilSlot}
 }
 
-func newLRU(capacity int64) *lruCache {
-	return &lruCache{capacity: capacity, entries: map[string]*lruEntry{}}
-}
+func (c *lruCache) has(objs []object, i int32) bool { return objs[i].lru[c.tier].cached }
 
-// Contains reports whether key is cached and, if so, marks it most recently
+// touch reports whether slot i is cached and, if so, marks it most recently
 // used.
-func (c *lruCache) Contains(key string) bool {
-	e, ok := c.entries[key]
-	if !ok {
+func (c *lruCache) touch(objs []object, i int32) bool {
+	if !c.has(objs, i) {
 		return false
 	}
-	c.moveToFront(e)
+	c.moveToFront(objs, i)
 	return true
 }
 
-// Peek reports presence without touching recency.
-func (c *lruCache) Peek(key string) bool {
-	_, ok := c.entries[key]
-	return ok
-}
-
-// Add inserts or refreshes key with the given size, evicting LRU entries to
-// fit. Entries larger than the whole capacity are not cached.
-func (c *lruCache) Add(key string, size int64) {
-	if size > c.capacity {
-		// Too big to ever fit; also drop a stale smaller entry if present.
-		if e, ok := c.entries[key]; ok {
-			c.remove(e)
-		}
+// add inserts or refreshes slot i at its size, evicting LRU entries to fit.
+// An object larger than the whole capacity is not cached, and dropped if it
+// was.
+func (c *lruCache) add(objs []object, i int32) {
+	if objs[i].size > c.capacity {
+		c.remove(objs, i)
 		return
 	}
-	if e, ok := c.entries[key]; ok {
-		c.used += size - e.size
-		e.size = size
-		c.moveToFront(e)
+	if c.has(objs, i) {
+		c.moveToFront(objs, i)
 	} else {
-		e := c.spare
-		if e == nil {
-			e = &lruEntry{}
-		}
-		c.spare = nil
-		e.key, e.size = key, size
-		c.entries[key] = e
-		c.pushFront(e)
-		c.used += size
+		c.pushFront(objs, i)
+		c.used += objs[i].size
+		c.n++
 	}
-	for c.used > c.capacity && c.tail != nil {
-		c.remove(c.tail)
+	for c.used > c.capacity && c.tail != nilSlot {
+		c.remove(objs, c.tail)
 	}
 }
 
-// load leaves an empty cache as Adding each of keys with the given size in
-// order would: with equal sizes it holds the most recently added distinct
-// keys that fit, most recent first. Its entries are cut from one slab.
-func (c *lruCache) load(keys []string, size int64) {
+// load threads an empty cache as adding the objects of keys in order would
+// leave it, when each of them has the given size: the most recently added
+// distinct keys that fit, most recent first. Slot j holds keys[j] unless
+// keys repeats one, when index resolves the slot.
+func (c *lruCache) load(objs []object, index map[uint64]int32, keys []uint64, size int64) {
 	if size > c.capacity {
 		return
 	}
-	fit := len(keys)
+	fit := len(objs)
 	if size > 0 && c.capacity/size < int64(fit) {
 		fit = int(c.capacity / size)
 	}
-	slab := make([]lruEntry, fit)
-	c.entries = make(map[string]*lruEntry, fit)
-	for i := len(keys) - 1; i >= 0 && len(c.entries) < fit; i-- {
-		if _, dup := c.entries[keys[i]]; dup {
-			continue // an earlier Add of a key a later one refreshed
+	for j := len(keys) - 1; j >= 0 && c.n < fit; j-- {
+		i := int32(j)
+		if len(objs) < len(keys) {
+			i = index[keys[j]]
 		}
-		e := &slab[len(c.entries)]
-		e.key, e.size = keys[i], size
-		c.entries[e.key] = e
-		// Walking backwards, each entry is older than those already placed.
-		e.prev = c.tail
-		if c.tail != nil {
-			c.tail.next = e
+		l := &objs[i].lru[c.tier]
+		if l.cached {
+			continue // an earlier add of a key a later one refreshed
+		}
+		// Walking backwards, each slot is older than those already placed.
+		*l = link{prev: c.tail, next: nilSlot, cached: true}
+		if c.tail != nilSlot {
+			objs[c.tail].lru[c.tier].next = i
 		} else {
-			c.head = e
+			c.head = i
 		}
-		c.tail = e
+		c.tail = i
 		c.used += size
+		c.n++
 	}
 }
 
-// Remove deletes key if present.
-func (c *lruCache) Remove(key string) {
-	if e, ok := c.entries[key]; ok {
-		c.remove(e)
+// remove drops slot i from the cache if it is cached.
+func (c *lruCache) remove(objs []object, i int32) {
+	if !c.has(objs, i) {
+		return
 	}
+	c.unlink(objs, i)
+	c.used -= objs[i].size
+	c.n--
 }
 
 // Used returns the bytes currently cached.
 func (c *lruCache) Used() int64 { return c.used }
 
-// Len returns the number of cached entries.
-func (c *lruCache) Len() int { return len(c.entries) }
+// Len returns the number of cached objects.
+func (c *lruCache) Len() int { return c.n }
 
-func (c *lruCache) pushFront(e *lruEntry) {
-	e.prev = nil
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
+func (c *lruCache) pushFront(objs []object, i int32) {
+	objs[i].lru[c.tier] = link{prev: nilSlot, next: c.head, cached: true}
+	if c.head != nilSlot {
+		objs[c.head].lru[c.tier].prev = i
 	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
+	c.head = i
+	if c.tail == nilSlot {
+		c.tail = i
 	}
 }
 
-func (c *lruCache) moveToFront(e *lruEntry) {
-	if c.head == e {
+func (c *lruCache) moveToFront(objs []object, i int32) {
+	if c.head == i {
 		return
 	}
-	c.unlink(e)
-	c.pushFront(e)
+	c.unlink(objs, i)
+	c.pushFront(objs, i)
 }
 
-func (c *lruCache) unlink(e *lruEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
+func (c *lruCache) unlink(objs []object, i int32) {
+	l := objs[i].lru[c.tier]
+	if l.prev != nilSlot {
+		objs[l.prev].lru[c.tier].next = l.next
+	} else {
+		c.head = l.next
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
+	if l.next != nilSlot {
+		objs[l.next].lru[c.tier].prev = l.prev
+	} else {
+		c.tail = l.prev
 	}
-	if c.head == e {
-		c.head = e.next
-	}
-	if c.tail == e {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (c *lruCache) remove(e *lruEntry) {
-	c.unlink(e)
-	delete(c.entries, e.key)
-	c.used -= e.size
-	c.spare = e
+	objs[i].lru[c.tier] = link{prev: nilSlot, next: nilSlot}
 }

@@ -20,16 +20,13 @@ func (d *DFS) CheckReplicaConsistency() []string {
 	}
 	sort.Strings(names)
 	var out []string
+	var buf [8]int
 	for _, name := range names {
-		size := d.files[name]
-		nChunks := (size + d.chunkSize - 1) / d.chunkSize
-		if nChunks == 0 {
-			nChunks = 1
-		}
-		for idx := int64(0); idx < nChunks; idx++ {
-			key := chunkKey(name, idx)
+		f := d.files[name]
+		for idx := int64(0); idx < d.chunks(f.size); idx++ {
+			key := chunkKey(f, idx)
 			liveCopies, copies := 0, 0
-			for _, si := range d.replicaServers(name, idx) {
+			for _, si := range d.replicaServers(buf[:0], name, idx) {
 				if !d.servers[si].Has(key) {
 					continue
 				}

@@ -46,7 +46,7 @@ func TestReplicaConsistencyFlagsStaleOnlyChunks(t *testing.T) {
 	}
 	// Fail every replica of chunk 0: the chunk's copies all sit on failed
 	// servers now.
-	for _, si := range d.replicaServers("a/part-0", 0) {
+	for _, si := range d.replicaServers(nil, "a/part-0", 0) {
 		if err := d.FailServer(si); err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +59,7 @@ func TestReplicaConsistencyFlagsStaleOnlyChunks(t *testing.T) {
 		t.Fatalf("breach text = %q", br[0])
 	}
 	// Recovery restores the invariant.
-	for _, si := range d.replicaServers("a/part-0", 0) {
+	for _, si := range d.replicaServers(nil, "a/part-0", 0) {
 		if err := d.RecoverServer(si); err != nil {
 			t.Fatal(err)
 		}
@@ -77,8 +77,8 @@ func TestReplicaConsistencyFlagsLostChunks(t *testing.T) {
 	if _, err := d.Create("a/part-0", 2<<20); err != nil {
 		t.Fatal(err)
 	}
-	for _, si := range d.replicaServers("a/part-0", 1) {
-		d.servers[si].Delete(chunkKey("a/part-0", 1))
+	for _, si := range d.replicaServers(nil, "a/part-0", 1) {
+		d.servers[si].Delete(chunkKey(d.files["a/part-0"], 1))
 	}
 	br := d.CheckReplicaConsistency()
 	if len(br) != 1 || !strings.Contains(br[0], "no replica holds the chunk") {

@@ -3,6 +3,8 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -45,85 +47,97 @@ func TestCapacitiesValidate(t *testing.T) {
 	}
 }
 
+// lruStore returns an LRU store whose RAM tier, the cache under test, holds
+// capacity bytes over SSD and HDD tiers that hold everything the tests write.
+func lruStore(t *testing.T, capacity int64) *TieredStore {
+	t.Helper()
+	s, err := NewTieredStore(Capacities{RAM: capacity, SSD: 1 << 30, HDD: 1 << 31}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestLRUBasics(t *testing.T) {
-	c := newLRU(100)
-	c.Add("a", 40)
-	c.Add("b", 40)
-	if !c.Contains("a") || !c.Contains("b") {
+	const a, b, c = 1, 2, 3
+	s := lruStore(t, 100)
+	s.Write(a, 40)
+	s.Write(b, 40)
+	if !inRAM(s, a) || !inRAM(s, b) {
 		t.Fatal("entries missing")
 	}
-	if c.Used() != 80 || c.Len() != 2 {
-		t.Fatalf("used=%d len=%d", c.Used(), c.Len())
+	if s.Used(RAM) != 80 || s.ram.Len() != 2 {
+		t.Fatalf("used=%d len=%d", s.Used(RAM), s.ram.Len())
 	}
-	// Touch "a" so "b" is least recently used; adding 40 more evicts "b".
-	c.Contains("a")
-	c.Add("c", 40)
-	if c.Peek("b") {
+	// Touch a so b is least recently used; adding 40 more evicts b.
+	if _, tier, _ := s.Read(a); tier != RAM {
+		t.Fatalf("cached a read from %v", tier)
+	}
+	s.Write(c, 40)
+	if inRAM(s, b) {
 		t.Fatal("b should be evicted")
 	}
-	if !c.Peek("a") || !c.Peek("c") || c.Len() != 2 {
-		t.Fatalf("want exactly a and c resident, len=%d", c.Len())
+	if !inRAM(s, a) || !inRAM(s, c) || s.ram.Len() != 2 {
+		t.Fatalf("want exactly a and c resident, len=%d", s.ram.Len())
 	}
 }
 
 func TestLRUUpdateSize(t *testing.T) {
-	c := newLRU(100)
-	c.Add("a", 30)
-	c.Add("a", 60)
-	if c.Used() != 60 || c.Len() != 1 {
-		t.Fatalf("used=%d len=%d", c.Used(), c.Len())
+	s := lruStore(t, 100)
+	s.Write(1, 30)
+	s.Write(1, 60)
+	if s.Used(RAM) != 60 || s.ram.Len() != 1 || s.Used(SSD) != 60 {
+		t.Fatalf("RAM used=%d len=%d, SSD used=%d", s.Used(RAM), s.ram.Len(), s.Used(SSD))
 	}
 }
 
 func TestLRUOversizedEntryNotCached(t *testing.T) {
-	c := newLRU(100)
-	c.Add("big", 200)
-	if c.Peek("big") || c.Used() != 0 {
+	const big, x = 1, 2
+	s := lruStore(t, 100)
+	s.Write(big, 200)
+	if inRAM(s, big) || s.Used(RAM) != 0 {
 		t.Fatal("oversized entry cached")
 	}
-	// Replacing an existing entry with an oversized one drops it.
-	c.Add("x", 50)
-	c.Add("x", 500)
-	if c.Peek("x") || c.Len() != 0 || c.Used() != 0 {
-		t.Fatalf("stale entry kept, len=%d used=%d", c.Len(), c.Used())
+	// Growing a cached entry past the capacity drops it.
+	s.Write(x, 50)
+	s.Write(x, 500)
+	if inRAM(s, x) || s.ram.Len() != 0 || s.Used(RAM) != 0 {
+		t.Fatalf("stale entry kept, len=%d used=%d", s.ram.Len(), s.Used(RAM))
 	}
 }
 
 func TestLRURemove(t *testing.T) {
-	c := newLRU(100)
-	c.Add("a", 10)
-	c.Remove("a")
-	c.Remove("missing") // no-op
-	if c.Used() != 0 || c.Peek("a") {
+	s := lruStore(t, 100)
+	s.Write(1, 10)
+	s.Delete(1)
+	s.Delete(2) // no-op
+	if s.Used(RAM) != 0 || s.Used(SSD) != 0 || inRAM(s, 1) {
 		t.Fatal("remove failed")
 	}
 }
 
 func TestLRUInvariantProperty(t *testing.T) {
-	// Property: used never exceeds capacity, and used equals the sum of
-	// resident entry sizes, under arbitrary operation sequences.
+	// Property: each cache's used bytes never exceed its capacity and equal
+	// the sum of its linked objects' sizes, walked both ways, under
+	// arbitrary operation sequences.
 	if err := quick.Check(func(ops []uint16) bool {
-		c := newLRU(500)
+		s, err := NewTieredStore(Capacities{RAM: 500, SSD: 1500, HDD: 1 << 20}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, op := range ops {
-			key := fmt.Sprintf("k%d", op%37)
+			key := uint64(op % 37)
 			switch op % 3 {
 			case 0:
-				c.Add(key, int64(op%120))
+				s.Write(key, int64(op%120))
 			case 1:
-				c.Contains(key)
+				s.Read(key)
 			case 2:
-				c.Remove(key)
+				s.Delete(key)
 			}
-			if c.Used() > 500 {
-				return false
-			}
-			var sum int64
-			for _, e := range c.entries {
-				sum += e.size
-			}
-			if sum != c.Used() {
-				return false
-			}
+			lruState(t, s, &s.ram)
+			lruState(t, s, &s.ssd)
+			storedObjects(t, s)
 		}
 		return true
 	}, &quick.Config{MaxCount: 200}); err != nil {
@@ -131,28 +145,25 @@ func TestLRUInvariantProperty(t *testing.T) {
 	}
 }
 
-// TestLRUAddSteadyStateAllocs pins the recycling of evicted entries: once a
-// full cache has churned, inserting a new key that evicts an old one
+// TestLRUAddSteadyStateAllocs pins the slab's recency links: once a full
+// RAM tier has churned, writing a stored object that evicts another
 // allocates nothing.
 func TestLRUAddSteadyStateAllocs(t *testing.T) {
-	keys := make([]string, 64)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("k%d", i)
-	}
-	c := newLRU(16 * 100)
+	s := lruStore(t, 16*100)
+	const keys = 64
 	i := 0
-	add := func() {
-		c.Add(keys[i%len(keys)], 100)
+	write := func() {
+		s.Write(uint64(i%keys), 100)
 		i++
 	}
-	for j := 0; j < 10*len(keys); j++ {
-		add()
+	for j := 0; j < 10*keys; j++ {
+		write()
 	}
-	if n := testing.AllocsPerRun(1000, add); n != 0 {
-		t.Fatalf("evicting Add allocates %v objects, want 0", n)
+	if n := testing.AllocsPerRun(1000, write); n != 0 {
+		t.Fatalf("evicting Write allocates %v objects, want 0", n)
 	}
-	if c.Len() != 16 || c.Used() != 1600 {
-		t.Fatalf("len=%d used=%d, want 16 entries / 1600 bytes", c.Len(), c.Used())
+	if s.ram.Len() != 16 || s.Used(RAM) != 1600 {
+		t.Fatalf("len=%d used=%d, want 16 entries / 1600 bytes", s.ram.Len(), s.Used(RAM))
 	}
 }
 
@@ -166,42 +177,44 @@ func testStore(t *testing.T) *TieredStore {
 }
 
 func TestTieredReadPromotion(t *testing.T) {
+	const obj = 1 << 32 // above every fill key
 	s := testStore(t)
-	if _, err := s.Write("obj", 1000); err != nil {
+	if _, err := s.Write(obj, 1000); err != nil {
 		t.Fatal(err)
 	}
 	// First read: RAM (write landed in the buffer).
-	_, tier, err := s.Read("obj")
+	_, tier, err := s.Read(obj)
 	if err != nil || tier != RAM {
 		t.Fatalf("read after write: tier=%v err=%v", tier, err)
 	}
 	// Evict from RAM by filling it.
-	for i := 0; i < 2000; i++ {
-		if _, err := s.Write(fmt.Sprintf("fill%d", i), 1000); err != nil {
+	for i := uint64(0); i < 2000; i++ {
+		if _, err := s.Write(i, 1000); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if s.ram.Peek("obj") {
+	if inRAM(s, obj) {
 		t.Fatal("obj should be evicted from RAM")
 	}
 	// Next read hits SSD and promotes back to RAM.
-	_, tier, err = s.Read("obj")
+	_, tier, err = s.Read(obj)
 	if err != nil || tier != SSD {
 		t.Fatalf("ssd read: tier=%v err=%v", tier, err)
 	}
-	if _, tier, _ = s.Read("obj"); tier != RAM {
+	if _, tier, _ = s.Read(obj); tier != RAM {
 		t.Fatalf("promotion failed: tier=%v", tier)
 	}
 }
 
 func TestTieredHDDReadAfterFullEviction(t *testing.T) {
+	const cold = 1 << 32 // above every hot key
 	s := testStore(t)
-	s.Write("cold", 1000)
+	s.Write(cold, 1000)
 	// Flood both caches.
-	for i := 0; i < 20000; i++ {
-		s.Write(fmt.Sprintf("hot%d", i), 1000)
+	for i := uint64(0); i < 20000; i++ {
+		s.Write(i, 1000)
 	}
-	_, tier, err := s.Read("cold")
+	_, tier, err := s.Read(cold)
 	if err != nil || tier != HDD {
 		t.Fatalf("cold read: tier=%v err=%v", tier, err)
 	}
@@ -213,7 +226,7 @@ func TestTieredHDDReadAfterFullEviction(t *testing.T) {
 
 func TestTieredReadMissing(t *testing.T) {
 	s := testStore(t)
-	if _, _, err := s.Read("ghost"); !errors.Is(err, ErrNotFound) {
+	if _, _, err := s.Read(42); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -223,17 +236,17 @@ func TestTieredWriteErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Write("x", -1); err == nil {
+	if _, err := s.Write(1, -1); err == nil {
 		t.Fatal("negative size accepted")
 	}
-	if _, err := s.Write("big", 2000); !errors.Is(err, ErrFull) {
+	if _, err := s.Write(2, 2000); !errors.Is(err, ErrFull) {
 		t.Fatalf("overfull write err = %v", err)
 	}
 	// Rewriting the same key accounts the delta, not the sum.
-	if _, err := s.Write("a", 600); err != nil {
+	if _, err := s.Write(3, 600); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Write("a", 900); err != nil {
+	if _, err := s.Write(3, 900); err != nil {
 		t.Fatalf("rewrite should fit: %v", err)
 	}
 	if s.Used(HDD) != 900 {
@@ -243,15 +256,15 @@ func TestTieredWriteErrors(t *testing.T) {
 
 func TestTieredDelete(t *testing.T) {
 	s := testStore(t)
-	s.Write("x", 500)
-	s.Delete("x")
-	if s.Has("x") || s.Used(HDD) != 0 {
+	s.Write(1, 500)
+	s.Delete(1)
+	if s.Has(1) || s.Used(HDD) != 0 {
 		t.Fatal("delete incomplete")
 	}
-	if _, err := s.Size("x"); !errors.Is(err, ErrNotFound) {
+	if _, err := s.Size(1); !errors.Is(err, ErrNotFound) {
 		t.Fatal("size after delete")
 	}
-	s.Delete("x") // idempotent
+	s.Delete(1) // idempotent
 }
 
 func TestRawAccessAccounting(t *testing.T) {
@@ -335,6 +348,14 @@ func TestDFSCreateValidation(t *testing.T) {
 	if _, err := d.Create("f", 10); err == nil {
 		t.Fatal("duplicate create accepted")
 	}
+	// Chunk keys hold a 32-bit chunk index under a 32-bit file id.
+	if _, err := d.Create("huge", maxChunks*d.ChunkSize()+1); err == nil {
+		t.Fatal("file with more than 2^32 chunks accepted")
+	}
+	d.nextID = maxChunks
+	if _, err := d.Create("g", 10); err == nil || d.Exists("g") {
+		t.Fatal("create past the last file id accepted")
+	}
 }
 
 func TestDFSReplication(t *testing.T) {
@@ -348,8 +369,8 @@ func TestDFSReplication(t *testing.T) {
 		t.Fatalf("replicated bytes = %d, want 3MiB", total)
 	}
 	// Placement must be deterministic.
-	r1 := d.replicaServers("f", 0)
-	r2 := d.replicaServers("f", 0)
+	r1 := d.replicaServers(nil, "f", 0)
+	r2 := d.replicaServers(nil, "f", 0)
 	for i := range r1 {
 		if r1[i] != r2[i] {
 			t.Fatal("placement not deterministic")
@@ -361,6 +382,49 @@ func TestDFSReplication(t *testing.T) {
 			t.Fatal("replica placed twice on same server")
 		}
 		seen[s] = true
+	}
+}
+
+// TestDFSPlacementMatchesFormattedHash pins replicaServers' inline hash to
+// the formula it replaced: FNV-1a over fmt's "%s/%d" of the file name and
+// chunk index, start at the hash modulo the server count, then consecutive
+// servers. Names follow the BigTable and BigQuery file shapes.
+func TestDFSPlacementMatchesFormattedHash(t *testing.T) {
+	for _, servers := range []int{3, 8, 17} {
+		cfg := dfsConfig()
+		cfg.Chunkservers = servers
+		d, err := NewDFS(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"bt/tablet0/base", "bt/tablet17/sst3", "bq/fact/part-007", "bq/report/small", ""} {
+			for _, idx := range []int64{0, 1, 9, 10, 99, 12345, 1<<32 - 1} {
+				h := fnv.New64a()
+				fmt.Fprintf(h, "%s/%d", name, idx)
+				start := int(h.Sum64() % uint64(servers))
+				want := []int{start, (start + 1) % servers, (start + 2) % servers}
+				if got := d.replicaServers(nil, name, idx); !slices.Equal(got, want) {
+					t.Fatalf("%d servers, %q chunk %d: placement %v, want %v", servers, name, idx, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestDFSCachedReadAllocs checks that reading a chunk from a replica's RAM
+// cache allocates nothing: no formatted key, no placement slice.
+func TestDFSCachedReadAllocs(t *testing.T) {
+	d, _ := NewDFS(dfsConfig())
+	if _, err := d.Create("bt/tablet3/sst1", 3<<20); err != nil {
+		t.Fatal(err)
+	}
+	read := func() {
+		if _, tier, err := d.Read("bt/tablet3/sst1", 1<<20, 4096); err != nil || tier != RAM {
+			t.Fatalf("cached read: %v, %v", tier, err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, read); n != 0 {
+		t.Fatalf("cached chunk Read allocates %v objects, want 0", n)
 	}
 }
 
@@ -424,7 +488,7 @@ func TestInventoryAddStore(t *testing.T) {
 func TestDFSReadFailsOverToSurvivingReplica(t *testing.T) {
 	d, _ := NewDFS(dfsConfig())
 	d.Create("ha-file", 1<<20)
-	primary := d.replicaServers("ha-file", 0)[0]
+	primary := d.replicaServers(nil, "ha-file", 0)[0]
 	if err := d.FailServer(primary); err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +499,7 @@ func TestDFSReadFailsOverToSurvivingReplica(t *testing.T) {
 		t.Fatalf("read with one replica down: %v", err)
 	}
 	// Fail the remaining replicas.
-	for _, si := range d.replicaServers("ha-file", 0)[1:] {
+	for _, si := range d.replicaServers(nil, "ha-file", 0)[1:] {
 		d.FailServer(si)
 	}
 	if _, _, err := d.Read("ha-file", 0, 1<<20); !errors.Is(err, ErrAllReplicasDown) {
@@ -470,7 +534,7 @@ func TestDFSCreateSkipsDownServers(t *testing.T) {
 
 func TestDFSWriteWhileDownReadableAfterRecovery(t *testing.T) {
 	d, _ := NewDFS(dfsConfig())
-	primary := d.replicaServers("outage-file", 0)[0]
+	primary := d.replicaServers(nil, "outage-file", 0)[0]
 	if err := d.FailServer(primary); err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +556,7 @@ func TestDFSDeleteWhileServerDown(t *testing.T) {
 	if _, err := d.Create("doomed", 1<<20); err != nil {
 		t.Fatal(err)
 	}
-	victim := d.replicaServers("doomed", 0)[0]
+	victim := d.replicaServers(nil, "doomed", 0)[0]
 	if err := d.FailServer(victim); err != nil {
 		t.Fatal(err)
 	}

@@ -25,13 +25,20 @@ type TierStats struct {
 // RAM, then SSD, then HDD, promoting on miss; writes land in the RAM buffer
 // and are durably accounted against HDD backing (the platforms model their
 // own log/flush costs explicitly).
+//
+// Objects are named by integer keys. One index maps each key to its slot in
+// a pointer-free object slab, and both caches are recency lists threaded
+// through the slab, so every operation is one map lookup at most. Nothing
+// ranges over the index: eviction order depends only on operation order.
 type TieredStore struct {
 	params  map[Tier]TierParams
-	ram     *lruCache
-	ssd     *lruCache
+	ram     lruCache
+	ssd     lruCache
 	hddCap  int64
 	hddUsed int64
-	objects map[string]int64 // backing-store object sizes
+	index   map[uint64]int32 // stored object keys to their slots in objs
+	objs    []object
+	free    []int32 // slots Delete released, reused before objs grows
 	stats   map[Tier]*TierStats
 	// sketch, when non-nil, gates RAM admission by estimated frequency
 	// (the TinyLFU policy).
@@ -67,12 +74,12 @@ func NewTieredStoreWithPolicy(caps Capacities, params map[Tier]TierParams, polic
 		params = DefaultTierParams()
 	}
 	s := &TieredStore{
-		params:  params,
-		ram:     newLRU(caps[RAM]),
-		ssd:     newLRU(caps[SSD]),
-		hddCap:  caps[HDD],
-		objects: map[string]int64{},
-		stats:   map[Tier]*TierStats{RAM: {}, SSD: {}, HDD: {}},
+		params: params,
+		ram:    newLRU(RAM, caps[RAM]),
+		ssd:    newLRU(SSD, caps[SSD]),
+		hddCap: caps[HDD],
+		index:  map[uint64]int32{},
+		stats:  map[Tier]*TierStats{RAM: {}, SSD: {}, HDD: {}},
 	}
 	if policy == TinyLFUPolicy {
 		// Size the sketch for the number of RAM-cacheable objects.
@@ -85,17 +92,18 @@ func NewTieredStoreWithPolicy(caps Capacities, params map[Tier]TierParams, polic
 	return s, nil
 }
 
-// admitRAM inserts a key into the RAM cache subject to the policy.
-func (s *TieredStore) admitRAM(key string, size int64) {
+// admitRAM inserts slot i into the RAM cache subject to the policy.
+func (s *TieredStore) admitRAM(i int32) {
 	if s.sketch != nil {
-		s.sketch.Touch(key)
-		if !s.ram.Peek(key) && s.ram.Used()+size > s.ram.capacity && size <= s.ram.capacity {
-			if v := s.ram.tail; v != nil && s.sketch.Estimate(key) < s.sketch.Estimate(v.key) {
+		o := &s.objs[i]
+		s.sketch.Touch(o.key)
+		if !s.ram.has(s.objs, i) && s.ram.Used()+o.size > s.ram.capacity && o.size <= s.ram.capacity {
+			if v := s.ram.tail; v != nilSlot && s.sketch.Estimate(o.key) < s.sketch.Estimate(s.objs[v].key) {
 				return // colder than the victim it would displace
 			}
 		}
 	}
-	s.ram.Add(key, size)
+	s.ram.add(s.objs, i)
 }
 
 // Capacity returns the configured capacity of a tier.
@@ -126,42 +134,43 @@ func (s *TieredStore) Used(t Tier) int64 {
 func (s *TieredStore) Stats(t Tier) TierStats { return *s.stats[t] }
 
 // Has reports whether the object exists in the backing store.
-func (s *TieredStore) Has(key string) bool {
-	_, ok := s.objects[key]
+func (s *TieredStore) Has(key uint64) bool {
+	_, ok := s.index[key]
 	return ok
 }
 
 // Size returns the object's size, or an error if it does not exist.
-func (s *TieredStore) Size(key string) (int64, error) {
-	sz, ok := s.objects[key]
+func (s *TieredStore) Size(key uint64) (int64, error) {
+	i, ok := s.index[key]
 	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrNotFound, key)
+		return 0, errNotFound(key)
 	}
-	return sz, nil
+	return s.objs[i].size, nil
 }
 
 // Read fetches an object, returning the modeled access time and the tier
 // that served it. Lower-tier hits promote the object into the caches above.
-func (s *TieredStore) Read(key string) (time.Duration, Tier, error) {
-	size, ok := s.objects[key]
+func (s *TieredStore) Read(key uint64) (time.Duration, Tier, error) {
+	i, ok := s.index[key]
 	if !ok {
-		return 0, HDD, fmt.Errorf("%w: %q", ErrNotFound, key)
+		return 0, HDD, errNotFound(key)
 	}
+	size := s.objs[i].size
 	if s.sketch != nil {
 		s.sketch.Touch(key)
 	}
 	switch {
-	case s.ram.Contains(key):
+	case s.ram.touch(s.objs, i):
 		s.account(RAM, size, false)
 		return s.params[RAM].AccessTime(size), RAM, nil
-	case s.ssd.Contains(key):
+	case s.ssd.touch(s.objs, i):
 		s.account(SSD, size, false)
-		s.admitRAM(key, size)
+		s.admitRAM(i)
 		return s.params[SSD].AccessTime(size), SSD, nil
 	default:
 		s.account(HDD, size, false)
-		s.ssd.Add(key, size)
-		s.admitRAM(key, size)
+		s.ssd.add(s.objs, i)
+		s.admitRAM(i)
 		return s.params[HDD].AccessTime(size), HDD, nil
 	}
 }
@@ -170,22 +179,59 @@ func (s *TieredStore) Read(key string) (time.Duration, Tier, error) {
 // (durability is the platform's concern) and lands in the RAM write buffer
 // and SSD cache. The returned duration is the RAM buffer access; flush and
 // log costs are modeled by callers via RawAccess.
-func (s *TieredStore) Write(key string, size int64) (time.Duration, error) {
+func (s *TieredStore) Write(key uint64, size int64) (time.Duration, error) {
 	if size < 0 {
 		return 0, errNegativeSize(size)
 	}
-	old := s.objects[key]
+	i, ok := s.index[key]
+	var old int64
+	if ok {
+		old = s.objs[i].size
+	}
 	if s.hddUsed-old+size > s.hddCap {
 		return 0, errFull(size)
 	}
 	s.hddUsed += size - old
-	s.objects[key] = size
-	s.admitRAM(key, size)
-	s.ssd.Add(key, size)
+	if ok {
+		s.resize(i, size)
+	} else {
+		i = s.insert(key, size)
+	}
+	s.admitRAM(i)
+	s.ssd.add(s.objs, i)
 	s.account(RAM, size, true)
 	s.account(HDD, size, true)
 	return s.params[RAM].AccessTime(size), nil
 }
+
+// insert gives a new key a slot, reusing one Delete released if any.
+func (s *TieredStore) insert(key uint64, size int64) int32 {
+	o := object{key: key, size: size}
+	var i int32
+	if n := len(s.free); n > 0 {
+		i = s.free[n-1]
+		s.free = s.free[:n-1]
+		s.objs[i] = o
+	} else {
+		i = int32(len(s.objs))
+		s.objs = append(s.objs, o)
+	}
+	s.index[key] = i
+	return i
+}
+
+// resize changes a stored object's size, charging the difference to each
+// cache that holds it; the caches' next add refreshes or evicts it.
+func (s *TieredStore) resize(i int32, size int64) {
+	for _, c := range [...]*lruCache{&s.ram, &s.ssd} {
+		if c.has(s.objs, i) {
+			c.used += size - s.objs[i].size
+		}
+	}
+	s.objs[i].size = size
+}
+
+func errNotFound(key uint64) error { return fmt.Errorf("%w: key %#x", ErrNotFound, key) }
 
 func errNegativeSize(size int64) error { return fmt.Errorf("storage: negative size %d", size) }
 
@@ -194,14 +240,15 @@ func errFull(size int64) error { return fmt.Errorf("%w: need %d bytes", ErrFull,
 // Load writes every key with the given size, in order: it leaves exactly the
 // state and returns exactly the error that the same sequence of Write calls
 // would, stopping at the first key that does not fit. On an empty LRU store
-// it builds that state directly instead of churning the caches: the objects
-// map sized up front, each cache holding the most recent keys that fit its
-// capacity, and the RAM and HDD write counters. Otherwise (a store holding
-// objects, or TinyLFU admission, whose sketch sees every write) it runs the
-// Writes. A store without objects has empty caches: Write and Read cache
-// only stored objects, and Delete removes a key from every tier.
-func (s *TieredStore) Load(keys []string, size int64) error {
-	if len(s.objects) > 0 || s.sketch != nil {
+// it builds that state directly instead of churning the caches: one pass
+// fills the slab and the index, sized up front, then each cache threads the
+// most recent keys that fit its capacity, and the RAM and HDD write counters
+// add up. Otherwise (a store holding objects, or TinyLFU admission, whose
+// sketch sees every write) it runs the Writes. A store without objects has
+// empty caches and only free slots: Write and Read cache only stored
+// objects, and Delete removes a key from every tier.
+func (s *TieredStore) Load(keys []uint64, size int64) error {
+	if len(s.index) > 0 || s.sketch != nil {
 		for _, k := range keys {
 			if _, err := s.Write(k, size); err != nil {
 				return err
@@ -212,22 +259,31 @@ func (s *TieredStore) Load(keys []string, size int64) error {
 	if size < 0 && len(keys) > 0 {
 		return errNegativeSize(size)
 	}
-	s.objects = make(map[string]int64, len(keys))
+	s.index = make(map[uint64]int32, len(keys))
+	s.objs = make([]object, 0, len(keys))
+	s.free = nil
 	var err error
 	n := 0
 	for _, k := range keys {
-		old := s.objects[k]
+		var old int64
+		_, dup := s.index[k]
+		if dup {
+			old = size
+		}
 		if s.hddUsed-old+size > s.hddCap {
 			err = errFull(size)
 			break
 		}
 		s.hddUsed += size - old
-		s.objects[k] = size
+		if !dup {
+			s.index[k] = int32(len(s.objs))
+			s.objs = append(s.objs, object{key: k, size: size})
+		}
 		n++
 	}
 	keys = keys[:n]
-	s.ram.load(keys, size)
-	s.ssd.load(keys, size)
+	s.ram.load(s.objs, s.index, keys, size)
+	s.ssd.load(s.objs, s.index, keys, size)
 	for _, t := range []Tier{RAM, HDD} {
 		st := s.stats[t]
 		st.Writes += int64(n)
@@ -236,14 +292,18 @@ func (s *TieredStore) Load(keys []string, size int64) error {
 	return err
 }
 
-// Delete removes an object from backing store and caches.
-func (s *TieredStore) Delete(key string) {
-	if size, ok := s.objects[key]; ok {
-		s.hddUsed -= size
-		delete(s.objects, key)
+// Delete removes an object from backing store and caches, and frees its
+// slot.
+func (s *TieredStore) Delete(key uint64) {
+	i, ok := s.index[key]
+	if !ok {
+		return
 	}
-	s.ram.Remove(key)
-	s.ssd.Remove(key)
+	s.ram.remove(s.objs, i)
+	s.ssd.remove(s.objs, i)
+	s.hddUsed -= s.objs[i].size
+	delete(s.index, key)
+	s.free = append(s.free, i)
 }
 
 // RawAccess returns the modeled time for a raw transfer of size bytes at a

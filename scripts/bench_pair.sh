@@ -12,7 +12,13 @@
 # drift on a shared runner lands on both sides. Each run takes two samples
 # per benchmark, so a side gets twice the samples of one default bench.sh
 # run. Six rounds rather than three: parent-vs-parent on a shared 2-vCPU VM,
-# three rounds failed 4 of 6 gates and six rounds 7 of 20.
+# three rounds failed 4 of 6 gates and six rounds 7 of 20, most often on the
+# shortest kernel samples. So the kernel and pipeline benchmarks run
+# BENCHTIME=1000000x on both sides (bench.sh defaults to 100000x): the
+# shortest sample, StatsSummaryRecord at 20-40 ns/op on that VM, lasts
+# 20-40 ms rather than 2-4 ms. Parent-vs-parent with it failed 1 of 10 runs,
+# on BenchmarkSpannerNew (+25%), a 20x storage sample BENCHTIME does not
+# set; ~160 s per run.
 # Each run's output goes to OUT_DIR (default bench-pair/) as parent-N.txt /
 # change-N.txt, beside its JSON; bench.sh then merges a side's runs into
 # parent.json / change.json by its own rule, and
@@ -26,7 +32,8 @@ set -e
 parent="${1:?usage: bench_pair.sh PARENT_DIR [OUT_DIR]}"
 out="${2:-bench-pair}"
 BENCHCOUNT=2
-export BENCHCOUNT
+BENCHTIME=1000000x
+export BENCHCOUNT BENCHTIME
 
 here="$(pwd)"
 parent="$(cd "$parent" && pwd)"
