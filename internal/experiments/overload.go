@@ -222,16 +222,20 @@ func (o *Overload) load(env *platform.Env, protected bool, rate float64, ops *wo
 	}, ops)
 }
 
-// trigger injects the retry-storm scenario: a brownout on the given server
-// targets (already registered with the engine) compounded by a flash crowd
-// on the flash tenant. Platforms without a slowdown hook pass no servers and
-// get the flash crowd alone.
-func (o *Overload) trigger(eng *faults.Engine, run *workload.OverloadRun, servers []string) {
-	l := o.Cfg.Load
-	eng.Register("tenant/flash", faults.Actions{
-		SetRate: func(mult float64) { run.SetRateMult("flash", mult) },
-	})
-	eng.RunScenario(faults.RetryStorm(servers, "tenant/flash", l.TriggerAt, l.TriggerDur, l.SlowFactor, l.FlashMult))
+// brownoutTargets are the servers the retry storm slows, in the order its
+// events fire: every Spanner replica (by group, then region) or every
+// BigQuery shuffle server. BigTable operations execute on the tablet
+// server's node directly (no RPC queue, no slowdown hook), so its trigger is
+// the flash crowd alone; overload pressure comes from the surged arrival
+// rate itself.
+func (b platformBuild) brownoutTargets(p taxonomy.Platform) []string {
+	switch p {
+	case taxonomy.Spanner:
+		return b.replicaTargets()
+	case taxonomy.BigQuery:
+		return servers(0, 1, b.bigquery.ShuffleServers, shuffleTarget)
+	}
+	return nil
 }
 
 // finish drains the run, stopping the platform behind it, and condenses the
@@ -302,35 +306,20 @@ func (o *Overload) runArm(p taxonomy.Platform, protected bool) (overloadArm, err
 		taxonomy.Spanner: l.SpannerRate, taxonomy.BigTable: l.BigTableRate, taxonomy.BigQuery: l.BigQueryRate,
 	}[p]
 	run := o.load(st.env, protected, rate, st.ops)
-	eng := faults.NewEngine(st.env.K)
-	var servers []string
+	eng := b.faultEngine(st)
 	var stop func()
 	switch p {
 	case taxonomy.Spanner:
-		for g := 0; g < b.spanner.Groups; g++ {
-			for r := 0; r < b.spanner.Regions; r++ {
-				name := fmt.Sprintf("spanner/g%d/r%d", g, r)
-				servers = append(servers, name)
-				eng.Register(name, faults.Actions{
-					SetSlowdown: func(f float64) { _ = st.sp.SetReplicaSlowdown(g, r, f) },
-				})
-			}
-		}
 		stop = st.sp.Stop
 	case taxonomy.BigQuery:
-		for i := 0; i < b.bigquery.ShuffleServers; i++ {
-			name := fmt.Sprintf("bigquery/ss%d", i)
-			servers = append(servers, name)
-			eng.Register(name, faults.Actions{
-				SetSlowdown: func(f float64) { _ = st.bq.SetShuffleSlowdown(i, f) },
-			})
-		}
 		stop = st.bq.Stop
 	}
-	// BigTable operations execute on the tablet server's node directly (no
-	// RPC queue, no slowdown hook), so its trigger is the flash crowd alone;
-	// overload pressure comes from the surged arrival rate itself.
-	o.trigger(eng, run, servers)
+	// The retry storm: a brownout on the platform's servers compounded by a
+	// flash crowd on the flash tenant.
+	eng.Register("tenant/flash", faults.Actions{
+		SetRate: func(mult float64) { run.SetRateMult("flash", mult) },
+	})
+	eng.InjectAll(faults.RetryStorm(b.brownoutTargets(p), "tenant/flash", l.TriggerAt, l.TriggerDur, l.SlowFactor, l.FlashMult))
 	arm := o.finish(p, protected, st.env, run, eng, stop)
 	switch p {
 	case taxonomy.Spanner:

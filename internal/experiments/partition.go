@@ -232,36 +232,15 @@ func (s *Partition) runArm(p taxonomy.Platform, arm string, seed uint64, horizon
 	}
 	var eng *faults.Engine
 	if horizon > 0 {
-		eng = faults.NewEngine(st.env.K)
-		sched := st.faultSchedule(eng, s.Cfg.Faults, horizon, seed)
-		// nodes feed link-scoped partitions and the gray link, partitionable
-		// target-scoped partitions; clocks are the skewable targets.
-		var crashable, nodes, partitionable, clocks []string
+		eng = b.faultEngine(st)
+		sched := st.faultSchedule(s.Cfg.Faults, horizon)
+		crashable, partitionable, clocks := b.partitionTargets(p, arm)
+		// nodes feed link-scoped partitions and the gray link.
+		var nodes []string
 		switch p {
 		case taxonomy.Spanner:
-			// Every replica is a straggler/clock-skew target; only two per
-			// group may crash (a majority always survives crashes —
-			// partitions, not crashes, are this study's quorum threat).
 			for g := 0; g < scfg.Groups; g++ {
 				for r := 0; r < scfg.Regions; r++ {
-					name := fmt.Sprintf("spanner/g%d/r%d", g, r)
-					a := faults.Actions{
-						SetSlowdown:  func(f float64) { _ = st.sp.SetReplicaSlowdown(g, r, f) },
-						SetClockSkew: func(o time.Duration, d float64) { _ = st.sp.SetClockSkew(g, r, o, d) },
-					}
-					if r == g%scfg.Regions || r == (g+1)%scfg.Regions {
-						a.Crash = func() { _ = st.sp.CrashReplica(g, r) }
-						a.Recover = func() { _ = st.sp.RestartReplica(g, r) }
-						crashable = append(crashable, name)
-					}
-					eng.Register(name, a)
-					// The broken arm's planted group-0 skew must survive the
-					// run: a nemesis skew window would replace it (skew
-					// replaces, never stacks), so group 0 is off the nemesis
-					// clock-target list.
-					if !(arm == armBroken && g == 0) {
-						clocks = append(clocks, name)
-					}
 					node, err := st.sp.ReplicaNodeName(g, r)
 					if err != nil {
 						return partitionArm{}, err
@@ -269,34 +248,7 @@ func (s *Partition) runArm(p taxonomy.Platform, arm string, seed uint64, horizon
 					nodes = append(nodes, node)
 				}
 			}
-		case taxonomy.BigTable:
-			// Even servers may crash, odd servers may be partitioned: the
-			// sets are disjoint so a reassignment destination always exists,
-			// and the tablet data path is not RPC-fronted, so partitions are
-			// target-scoped (platform-level Partition/Heal actions) rather
-			// than link-scoped.
-			for i := 0; i < b.bigtable.TabletServers; i++ {
-				name := fmt.Sprintf("bigtable/ts%d", i)
-				a := faults.Actions{
-					Partition: func() { _ = st.bt.PartitionTabletServer(i) },
-					Heal:      func() { _ = st.bt.HealTabletServer(i) },
-				}
-				if i%2 == 0 {
-					a.Crash = func() { _ = st.bt.FailTabletServer(i) }
-					a.Recover = func() { _ = st.bt.RecoverTabletServer(i) }
-					crashable = append(crashable, name)
-				} else {
-					partitionable = append(partitionable, name)
-				}
-				eng.Register(name, a)
-			}
-			eng.Register("bigtable/cs0", faults.Actions{
-				Crash:   func() { _ = st.bt.DFS().FailServer(0) },
-				Recover: func() { _ = st.bt.DFS().RecoverServer(0) },
-			})
-			crashable = append(crashable, "bigtable/cs0")
 		case taxonomy.BigQuery:
-			crashable = registerShuffleTargets(eng, st.bq, b.bigquery.ShuffleServers)
 			// The shuffle tier plus two worker nodes, so drawn topologies cut
 			// worker->shuffle data paths (where failover matters) as well as
 			// intra-tier links.
@@ -329,6 +281,38 @@ func (s *Partition) runArm(p taxonomy.Platform, arm string, seed uint64, horizon
 	dc := drive(st.env, st.name, "partition", seed^partitionSalt, s.Cfg.Clients, s.Cfg.Ops.of(p), horizon,
 		st.torture(s.Cfg.Check.HotRows, seed, spread))
 	return s.finish(st, arm, seed, eng, dc), nil
+}
+
+// partitionTargets are the partition study's target lists, in the order its
+// nemesis draws over them: crashable for crash and straggler windows,
+// partitionable for target-scoped partitions, clocks for clock skew.
+// Spanner: two replicas per group, by group then region, may crash (a
+// majority survives crashes; partitions are this study's quorum threat);
+// every replica may skew its clock except group 0's on the broken arm, whose
+// planted skew a nemesis window would replace. BigTable: the even servers,
+// then chunkserver 0, may crash; the odd ones may be partitioned, so a
+// reassignment destination always exists. BigQuery: the even shuffle servers
+// may crash; chunkserver 0 is never drawn.
+func (b platformBuild) partitionTargets(p taxonomy.Platform, arm string) (crashable, partitionable, clocks []string) {
+	switch p {
+	case taxonomy.Spanner:
+		regions := b.spanner.Regions
+		for g := 0; g < b.spanner.Groups; g++ {
+			r0, r1 := g%regions, (g+1)%regions
+			crashable = append(crashable, replicaTarget(g, min(r0, r1)), replicaTarget(g, max(r0, r1)))
+		}
+		clocks = b.replicaTargets()
+		if arm == armBroken {
+			clocks = clocks[regions:]
+		}
+	case taxonomy.BigTable:
+		n := b.bigtable.TabletServers
+		crashable = append(servers(0, 2, n, tabletTarget), chunkTarget(p))
+		partitionable = servers(1, 2, n, tabletTarget)
+	case taxonomy.BigQuery:
+		crashable = servers(0, 2, b.bigquery.ShuffleServers, shuffleTarget)
+	}
+	return crashable, partitionable, clocks
 }
 
 // nemesisFor extends a fault schedule (see stack.faultSchedule) into the

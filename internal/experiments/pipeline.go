@@ -236,13 +236,12 @@ func (s *Pipeline) runArm(arm string, seed uint64, horizon time.Duration) (pipel
 
 	var eng *faults.Engine
 	if horizon > 0 {
-		eng = faults.NewEngine(k)
+		eng = b.faultEngine(analytics)
 		// The middle stage is the torture target: every other shuffle server
 		// may crash (or straggle) mid-iteration, plus one DFS chunkserver, so
 		// recovery exercises both re-put failover and speculative stage-1
 		// re-execution while the handoff latch sees a replay.
-		registerShuffleTargets(eng, analytics.bq, b.bigquery.ShuffleServers)
-		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), analytics.faultSchedule(eng, cfg.Faults, horizon, seed)))
+		eng.InjectAll(faults.GenerateSchedule(b.crashTargets(analytics.p, 0), analytics.faultSchedule(cfg.Faults, horizon)))
 	}
 
 	var elapsed time.Duration

@@ -169,22 +169,10 @@ func (r *Resilience) runArm(p taxonomy.Platform, horizon time.Duration) (resilie
 	defer st.env.K.Close()
 	var eng *faults.Engine
 	if horizon > 0 {
-		eng = faults.NewEngine(st.env.K)
-		switch p {
-		case taxonomy.Spanner:
-			// One replica per group is injectable, so a majority always
-			// survives and no acknowledged write can be lost. The target
-			// region cycles with the group index, so initial leaders (region
-			// 0) are crashed too and elections are exercised.
-			for g := 0; g < b.spanner.Groups; g++ {
-				registerReplicas(eng, st.sp, g, g%b.spanner.Regions)
-			}
-		case taxonomy.BigTable:
-			registerTabletTargets(eng, st.bt, b.bigtable.TabletServers)
-		case taxonomy.BigQuery:
-			registerShuffleTargets(eng, st.bq, b.bigquery.ShuffleServers)
-		}
-		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), st.faultSchedule(eng, r.Cfg.Faults, horizon, r.Cfg.Seed)))
+		eng = b.faultEngine(st)
+		// One Spanner replica per group may crash, so a majority always
+		// survives and no acknowledged write can be lost.
+		eng.InjectAll(faults.GenerateSchedule(b.crashTargets(p, 1), st.faultSchedule(r.Cfg.Faults, horizon)))
 	}
 	run := st.closedLoop(r.Cfg.Clients, r.Cfg.Ops.of(p), workload.ClosedLoopOpts{Shape: r.Cfg.Shape})
 	return r.measure(p, st.env, run, eng)

@@ -152,24 +152,12 @@ func (s *Safety) runOne(p taxonomy.Platform, seed uint64, horizon time.Duration)
 	defer st.env.K.Close()
 	var eng *faults.Engine
 	if horizon > 0 {
-		eng = faults.NewEngine(st.env.K)
-		switch p {
-		case taxonomy.Spanner:
-			// Two replicas per group are injectable. Overlapping windows can
-			// take a group below quorum — operations then fail with
-			// ErrNoQuorum, which is availability loss the checker tolerates;
-			// electing or serving from a minority would be the safety loss it
-			// does not.
-			scfg := b.spanner
-			for g := 0; g < scfg.Groups; g++ {
-				registerReplicas(eng, st.sp, g, g%scfg.Regions, (g+1)%scfg.Regions)
-			}
-		case taxonomy.BigTable:
-			registerTabletTargets(eng, st.bt, b.bigtable.TabletServers)
-		case taxonomy.BigQuery:
-			registerShuffleTargets(eng, st.bq, b.bigquery.ShuffleServers)
-		}
-		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), st.faultSchedule(eng, s.Cfg.Faults, horizon, seed)))
+		eng = b.faultEngine(st)
+		// Two Spanner replicas per group may crash. Overlapping windows can
+		// take a group below quorum — operations then fail with ErrNoQuorum,
+		// which is availability loss the checker tolerates; electing or
+		// serving from a minority would be the safety loss it does not.
+		eng.InjectAll(faults.GenerateSchedule(b.crashTargets(p, 2), st.faultSchedule(s.Cfg.Faults, horizon)))
 	}
 	dc := drive(st.env, st.name, "torture", seed^safetySalt, s.Cfg.Clients, s.Cfg.Ops.of(p), 0,
 		st.torture(s.Cfg.Check.HotRows, seed, 0))

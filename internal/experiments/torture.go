@@ -3,123 +3,172 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
 	"hyperprof/internal/bigquery"
-	"hyperprof/internal/bigtable"
 	"hyperprof/internal/check"
 	"hyperprof/internal/faults"
-	"hyperprof/internal/netsim"
 	"hyperprof/internal/platform"
 	"hyperprof/internal/sim"
-	"hyperprof/internal/spanner"
 	"hyperprof/internal/stats"
 	"hyperprof/internal/taxonomy"
 	"hyperprof/internal/trace"
 )
 
 // This file is the skeleton the fault studies (safety, resilience, partition,
-// pipeline) share: the fault-rate → schedule conversion, the network and
-// platform fault targets, the torture loop and its per-platform operations,
-// the calibrate-then-torture fan-out, and the verdict output. What differs
-// per study — Spanner's targets, platform config knobs, merge order — stays
-// in the study's own file.
+// pipeline, and overload's trigger) share: the fault-rate → schedule
+// conversion, the network link plane, every stack's fault surface and the
+// shared target selection, the torture loop and its per-platform
+// operations, the calibrate-then-torture fan-out, and the verdict output.
+// What differs per study — its own target selection, platform config knobs,
+// merge order — stays in the study's own file.
 
-// schedule converts the fractional fault rates into an absolute schedule
-// over the calibrated horizon. Faults stop arriving at 80% of the horizon so
-// recoveries land while the workload drains. stragglerProb overrides the
-// configured probability so platforms whose targets cannot straggle
-// (BigTable's tablet servers are not RPC-fronted) get crash-only schedules
-// instead of dead skipped events. netNodes are the nodes the brown-out window
-// covers, every directed link between them; BigTable passes none, since its
-// data path sends no RPCs a brown-out could slow.
-func (f FaultConfig) schedule(horizon time.Duration, seed uint64, stragglerProb float64, netNodes []string) faults.ScheduleConfig {
-	return faults.ScheduleConfig{
+// faultSchedule converts the fractional fault rates into the stack's fault
+// schedule over the calibrated horizon, seeded with the stack's seed. Faults
+// stop arriving at 80% of the horizon so recoveries land while the workload
+// drains. The brown-out window covers every directed link between the
+// stack's network nodes. BigTable gets neither stragglers nor a brown-out:
+// its tablet servers are not RPC-fronted, so its data path sends no RPCs a
+// slowdown or a link fault could touch, and its schedule is crash-only
+// rather than full of dead skipped events.
+func (s *stack) faultSchedule(f FaultConfig, horizon time.Duration) faults.ScheduleConfig {
+	sc := faults.ScheduleConfig{
 		Horizon:         time.Duration(float64(horizon) * 0.8),
 		MTBF:            time.Duration(float64(horizon) * f.MTBFFrac),
 		MTTR:            time.Duration(float64(horizon) * f.MTTRFrac),
-		StragglerProb:   stragglerProb,
 		StragglerFactor: f.StragglerFactor,
 		NetDegradeProb:  f.NetDegradeProb,
 		NetExtraDelay:   f.NetExtraDelay,
 		NetDropProb:     f.NetDropProb,
-		NetNodes:        netNodes,
-		Seed:            seed,
+		Seed:            s.seed,
 	}
-}
-
-// registerLinks hooks the engine's link-scoped events — partitions, gray
-// links and the schedule's brown-out window — to net's link plane, whose
-// per-link loss streams derive from seed salted with "LINK".
-func registerLinks(eng *faults.Engine, net *netsim.Network, seed uint64) {
-	net.SetLinkSeed(seed ^ 0x4c494e4b) // "LINK"
-	eng.RegisterLinkPlane(faults.LinkPlane{Block: net.BlockLink, Gray: net.SetLinkFault, Heal: net.HealLink})
-}
-
-// faultSchedule hooks the engine's link events to the stack's network and
-// returns the stack's fault schedule over horizon, seeded with the stack's
-// seed; linkSeed is the study seed the per-link loss streams derive from.
-// BigTable gets neither links nor stragglers: its tablet servers are not
-// RPC-fronted, so its data path sends no RPCs a link fault or a brown-out
-// could touch.
-func (s *stack) faultSchedule(eng *faults.Engine, f FaultConfig, horizon time.Duration, linkSeed uint64) faults.ScheduleConfig {
-	if s.p == taxonomy.BigTable {
-		return f.schedule(horizon, s.seed, 0, nil)
+	if s.p != taxonomy.BigTable {
+		sc.StragglerProb, sc.NetNodes = f.StragglerProb, s.env.Net.NodeNames()
 	}
-	registerLinks(eng, s.env.Net, linkSeed)
-	return f.schedule(horizon, s.seed, f.StragglerProb, s.env.Net.NodeNames())
+	return sc
 }
 
-// registerShuffleTargets registers BigQuery's fault targets: every other
-// shuffle server, so puts always have a live destination and lost slots are
-// speculatively re-executed, plus DFS chunkserver 0. It returns the
-// shuffle-server target names.
-func registerShuffleTargets(eng *faults.Engine, e *bigquery.Engine, servers int) []string {
-	var names []string
-	for i := 0; i < servers; i += 2 {
-		name := fmt.Sprintf("bigquery/ss%d", i)
-		names = append(names, name)
-		eng.Register(name, faults.Actions{
-			Crash:       func() { _ = e.FailShuffleServer(i) },
-			Recover:     func() { _ = e.RecoverShuffleServer(i) },
-			SetSlowdown: func(f float64) { _ = e.SetShuffleSlowdown(i, f) },
+// Fault target names; no study formats one.
+func replicaTarget(g, r int) string { return fmt.Sprintf("spanner/g%d/r%d", g, r) }
+func tabletTarget(i int) string     { return fmt.Sprintf("bigtable/ts%d", i) }
+func shuffleTarget(i int) string    { return fmt.Sprintf("bigquery/ss%d", i) }
+
+// chunkTarget names DFS chunkserver 0 of BigTable or BigQuery, the one
+// chunkserver a study may crash.
+func chunkTarget(p taxonomy.Platform) string {
+	if p == taxonomy.BigTable {
+		return "bigtable/cs0"
+	}
+	return "bigquery/cs0"
+}
+
+// faultSurface registers every fault target of stack s, built from b, with
+// every action its platform supports: each Spanner replica crashes, recovers,
+// straggles and skews its clock; each BigTable tablet server crashes,
+// recovers, and is partitioned and healed at the platform level (its data
+// path is not RPC-fronted); each BigQuery shuffle server crashes, recovers
+// and straggles; DFS chunkserver 0 crashes and recovers. A study's schedule
+// draws only over its own selection of these names.
+func (b platformBuild) faultSurface(s *stack, register func(string, faults.Actions)) {
+	switch s.p {
+	case taxonomy.Spanner:
+		db := s.sp
+		for g := 0; g < b.spanner.Groups; g++ {
+			for r := 0; r < b.spanner.Regions; r++ {
+				register(replicaTarget(g, r), faults.Actions{
+					Crash:        func() { _ = db.CrashReplica(g, r) },
+					Recover:      func() { _ = db.RestartReplica(g, r) },
+					SetSlowdown:  func(f float64) { _ = db.SetReplicaSlowdown(g, r, f) },
+					SetClockSkew: func(o time.Duration, d float64) { _ = db.SetClockSkew(g, r, o, d) },
+				})
+			}
+		}
+	case taxonomy.BigTable:
+		db := s.bt
+		for i := 0; i < b.bigtable.TabletServers; i++ {
+			register(tabletTarget(i), faults.Actions{
+				Crash:     func() { _ = db.FailTabletServer(i) },
+				Recover:   func() { _ = db.RecoverTabletServer(i) },
+				Partition: func() { _ = db.PartitionTabletServer(i) },
+				Heal:      func() { _ = db.HealTabletServer(i) },
+			})
+		}
+	case taxonomy.BigQuery:
+		e := s.bq
+		for i := 0; i < b.bigquery.ShuffleServers; i++ {
+			register(shuffleTarget(i), faults.Actions{
+				Crash:       func() { _ = e.FailShuffleServer(i) },
+				Recover:     func() { _ = e.RecoverShuffleServer(i) },
+				SetSlowdown: func(f float64) { _ = e.SetShuffleSlowdown(i, f) },
+			})
+		}
+	}
+	if dfs := s.dfs; dfs != nil {
+		register(chunkTarget(s.p), faults.Actions{
+			Crash:   func() { _ = dfs.FailServer(0) },
+			Recover: func() { _ = dfs.RecoverServer(0) },
 		})
 	}
-	eng.Register("bigquery/cs0", faults.Actions{
-		Crash:   func() { _ = e.DFS().FailServer(0) },
-		Recover: func() { _ = e.DFS().RecoverServer(0) },
-	})
-	return names
 }
 
-// registerReplicas registers group g's Spanner replicas in the given
-// regions as crash, recover and straggler targets.
-func registerReplicas(eng *faults.Engine, db *spanner.DB, g int, regions ...int) {
-	for _, r := range regions {
-		eng.Register(fmt.Sprintf("spanner/g%d/r%d", g, r), faults.Actions{
-			Crash:       func() { _ = db.CrashReplica(g, r) },
-			Recover:     func() { _ = db.RestartReplica(g, r) },
-			SetSlowdown: func(f float64) { _ = db.SetReplicaSlowdown(g, r, f) },
-		})
+// faultEngine returns a fault engine on s's kernel with s's whole fault
+// surface registered and, except on BigTable, its link-scoped events —
+// partitions, gray links and the brown-out window — hooked to s's network,
+// whose per-link loss streams derive from the study seed salted with "LINK".
+func (b platformBuild) faultEngine(s *stack) *faults.Engine {
+	eng := faults.NewEngine(s.env.K)
+	b.faultSurface(s, eng.Register)
+	if s.p != taxonomy.BigTable {
+		net := s.env.Net
+		net.SetLinkSeed(b.seed ^ 0x4c494e4b) // "LINK"
+		eng.RegisterLinkPlane(faults.LinkPlane{Block: net.BlockLink, Gray: net.SetLinkFault, Heal: net.HealLink})
 	}
+	return eng
 }
 
-// registerTabletTargets registers BigTable's fault targets: every other
-// tablet server (the rest always survive, so reassignment always has a
-// destination) plus DFS chunkserver 0, so crashes drive tablet reassignment,
-// commit-log replay and read failover.
-func registerTabletTargets(eng *faults.Engine, db *bigtable.DB, servers int) {
-	for i := 0; i < servers; i += 2 {
-		eng.Register(fmt.Sprintf("bigtable/ts%d", i), faults.Actions{
-			Crash:   func() { _ = db.FailTabletServer(i) },
-			Recover: func() { _ = db.RecoverTabletServer(i) },
-		})
+// servers names servers from, from+step, ... below n.
+func servers(from, step, n int, name func(int) string) []string {
+	var out []string
+	for i := from; i < n; i += step {
+		out = append(out, name(i))
 	}
-	eng.Register("bigtable/cs0", faults.Actions{
-		Crash:   func() { _ = db.DFS().FailServer(0) },
-		Recover: func() { _ = db.DFS().RecoverServer(0) },
-	})
+	return out
+}
+
+// replicaTargets names every Spanner replica, by group, then region.
+func (b platformBuild) replicaTargets() []string {
+	var out []string
+	for g := 0; g < b.spanner.Groups; g++ {
+		out = append(out, servers(0, 1, b.spanner.Regions, func(r int) string { return replicaTarget(g, r) })...)
+	}
+	return out
+}
+
+// crashTargets is the sorted target list the safety, resilience and
+// pipeline schedules draw over. On Spanner it holds perGroup replicas of
+// each group g, in regions g, g+1, ... (mod Regions): the region cycles
+// with the group, so the initial leaders (region 0) crash too and elections
+// are exercised. On BigTable and BigQuery it holds the even servers — the
+// odd ones always survive, so tablet reassignment and shuffle puts always
+// have a live destination — plus chunkserver 0.
+func (b platformBuild) crashTargets(p taxonomy.Platform, perGroup int) []string {
+	var ts []string
+	switch p {
+	case taxonomy.Spanner:
+		for g := 0; g < b.spanner.Groups; g++ {
+			for k := 0; k < perGroup; k++ {
+				ts = append(ts, replicaTarget(g, (g+k)%b.spanner.Regions))
+			}
+		}
+	case taxonomy.BigTable:
+		ts = append(servers(0, 2, b.bigtable.TabletServers, tabletTarget), chunkTarget(p))
+	case taxonomy.BigQuery:
+		ts = append(servers(0, 2, b.bigquery.ShuffleServers, shuffleTarget), chunkTarget(p))
+	}
+	slices.Sort(ts)
+	return ts
 }
 
 // faultMarks turns the engine's applied faults into timeline marks, followed

@@ -97,35 +97,6 @@ func TestEngineNetworkHooks(t *testing.T) {
 	}
 }
 
-func TestScenarioStats(t *testing.T) {
-	k := sim.New()
-	rec := &recorder{k: k}
-	e := NewEngine(k)
-	e.Register("a", rec.actions("a"))
-	st := e.RunScenario(Scenario{
-		Name: "bounce",
-		Events: []Event{
-			{At: time.Millisecond, Kind: Crash, Target: "a"},
-			{At: 2 * time.Millisecond, Kind: Recover, Target: "a"},
-			{At: 3 * time.Millisecond, Kind: Crash, Target: "ghost"},
-		},
-	})
-	k.Run()
-	if st.Scheduled != 3 || len(st.Applied) != 2 {
-		t.Fatalf("scheduled=%d applied=%d, want 3/2", st.Scheduled, len(st.Applied))
-	}
-	if st.ByKind[Crash] != 1 || st.ByKind[Recover] != 1 {
-		t.Fatalf("ByKind = %v", st.ByKind)
-	}
-	if st.ByLabel["crash a"] != 1 || st.ByLabel["recover a"] != 1 {
-		t.Fatalf("ByLabel = %v", st.ByLabel)
-	}
-	want := `scenario "bounce": 3 scheduled, 2 applied, 1 crash, 1 recover; crash a x1; recover a x1`
-	if got := st.String(); got != want {
-		t.Fatalf("String() = %q, want %q", got, want)
-	}
-}
-
 func TestGenerateScheduleDeterministicAndPaired(t *testing.T) {
 	cfg := ScheduleConfig{
 		Horizon:        10 * time.Second,

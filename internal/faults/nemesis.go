@@ -1,11 +1,11 @@
 package faults
 
-// Nemesis scenarios: partition topologies, gray links and clock skew — the
+// Nemesis windows: partition topologies, gray links and clock skew — the
 // gray-failure shapes hyperscale operators actually see, as opposed to the
-// clean whole-node crashes GenerateSchedule draws. Partition events carry
-// their directed link sets, so one Partition event opens exactly one window
-// that one matching Heal event (same label, same links) closes; the
-// schedule property tests pin that pairing.
+// clean whole-node crashes GenerateSchedule draws. Each window is a pair of
+// events. Partition events carry their directed link sets, so one Partition
+// event opens exactly one window that one matching Heal event (same label,
+// same links) closes; FuzzNemesisSchedule pins that pairing.
 
 import (
 	"sort"
@@ -26,30 +26,27 @@ func crossLinks(a, b []string) []Link {
 	return links
 }
 
-// partitionScenario pairs one Partition event with its Heal over the same
+// partitionWindow pairs one Partition event with its Heal over the same
 // links at the same label.
-func partitionScenario(name, label string, links []Link, at, dur time.Duration) Scenario {
-	return Scenario{
-		Name: name,
-		Events: []Event{
-			{At: at, Kind: Partition, Target: label, Links: links},
-			{At: at + dur, Kind: Heal, Target: label, Links: links},
-		},
+func partitionWindow(label string, links []Link, at, dur time.Duration) []Event {
+	return []Event{
+		{At: at, Kind: Partition, Target: label, Links: links},
+		{At: at + dur, Kind: Heal, Target: label, Links: links},
 	}
 }
 
-// SplitBrain cuts the minority side off from the majority side in both
+// splitBrain cuts the minority side off from the majority side in both
 // directions over [at, at+dur) — the canonical quorum-loss partition. Links
 // within each side stay healthy.
-func SplitBrain(minority, majority []string, at, dur time.Duration) Scenario {
-	return partitionScenario("split-brain", "partition/split", crossLinks(minority, majority), at, dur)
+func splitBrain(minority, majority []string, at, dur time.Duration) []Event {
+	return partitionWindow("partition/split", crossLinks(minority, majority), at, dur)
 }
 
-// RingPartition leaves each node able to reach only its ring neighbors over
+// ringPartition leaves each node able to reach only its ring neighbors over
 // [at, at+dur): node i talks to i-1 and i+1 (mod n) and nobody else — the
 // topology where every pair of non-neighbors disagrees about who is up while
 // everyone is transitively connected.
-func RingPartition(nodes []string, at, dur time.Duration) Scenario {
+func ringPartition(nodes []string, at, dur time.Duration) []Event {
 	var links []Link
 	n := len(nodes)
 	for i := 0; i < n; i++ {
@@ -60,55 +57,47 @@ func RingPartition(nodes []string, at, dur time.Duration) Scenario {
 			links = append(links, Link{From: nodes[i], To: nodes[j]}, Link{From: nodes[j], To: nodes[i]})
 		}
 	}
-	return partitionScenario("ring-partition", "partition/ring", links, at, dur)
+	return partitionWindow("partition/ring", links, at, dur)
 }
 
-// BridgePartition blocks sideA from sideB directly while both sides still
-// reach the bridge nodes — the partial partition where the bridge sees the
-// whole fleet healthy and each side sees the other dead.
-func BridgePartition(sideA, sideB, bridge []string, at, dur time.Duration) Scenario {
-	return partitionScenario("bridge-partition", "partition/bridge", crossLinks(sideA, sideB), at, dur)
+// bridgePartition blocks sideA from sideB directly while both sides still
+// reach the nodes left out of either side — the partial partition where
+// the bridge sees the whole fleet healthy and each side sees the other dead.
+func bridgePartition(sideA, sideB []string, at, dur time.Duration) []Event {
+	return partitionWindow("partition/bridge", crossLinks(sideA, sideB), at, dur)
 }
 
-// GrayLinkScenario injects an asymmetric limping link: messages from -> to
+// grayLinkWindow injects an asymmetric limping link: messages from -> to
 // pay extra delay and are lost with probability drop over [at, at+dur),
 // while to -> from stays healthy — the failure mode that breaks detectors
 // assuming reachability is symmetric.
-func GrayLinkScenario(from, to string, extra time.Duration, drop float64, at, dur time.Duration) Scenario {
+func grayLinkWindow(from, to string, extra time.Duration, drop float64, at, dur time.Duration) []Event {
 	links := []Link{{From: from, To: to}}
-	return Scenario{
-		Name: "gray-link",
-		Events: []Event{
-			{At: at, Kind: GrayLink, Target: "gray/" + from + "->" + to, Links: links, Extra: extra, Factor: drop},
-			{At: at + dur, Kind: Heal, Target: "gray/" + from + "->" + to, Links: links},
-		},
+	label := "gray/" + from + "->" + to
+	return []Event{
+		{At: at, Kind: GrayLink, Target: label, Links: links, Extra: extra, Factor: drop},
+		{At: at + dur, Kind: Heal, Target: label, Links: links},
 	}
 }
 
-// TargetPartitionScenario cuts one registered target off at the platform
-// level over [at, at+dur): the opening event invokes the target's Partition
-// action, the closing one its Heal. This is the partition form for
-// components whose data path is not RPC-fronted (BigTable's tablet servers),
-// where the netsim link plane cannot model the cut.
-func TargetPartitionScenario(target string, at, dur time.Duration) Scenario {
-	return Scenario{
-		Name: "target-partition",
-		Events: []Event{
-			{At: at, Kind: Partition, Target: target},
-			{At: at + dur, Kind: Heal, Target: target},
-		},
+// targetPartition cuts one registered target off at the platform level over
+// [at, at+dur): the opening event invokes the target's Partition action,
+// the closing one its Heal. This is the partition form for components whose
+// data path is not RPC-fronted (BigTable's tablet servers), where the netsim
+// link plane cannot model the cut.
+func targetPartition(target string, at, dur time.Duration) []Event {
+	return []Event{
+		{At: at, Kind: Partition, Target: target},
+		{At: at + dur, Kind: Heal, Target: target},
 	}
 }
 
-// ClockSkewScenario skews the target's clock by offset, drifting at drift
+// clockSkewWindow skews the target's clock by offset, drifting at drift
 // seconds per second, over [at, at+dur); the closing event clears the skew.
-func ClockSkewScenario(target string, offset time.Duration, drift float64, at, dur time.Duration) Scenario {
-	return Scenario{
-		Name: "clock-skew",
-		Events: []Event{
-			{At: at, Kind: ClockSkew, Target: target, Extra: offset, Factor: drift},
-			{At: at + dur, Kind: ClockSkew, Target: target},
-		},
+func clockSkewWindow(target string, offset time.Duration, drift float64, at, dur time.Duration) []Event {
+	return []Event{
+		{At: at, Kind: ClockSkew, Target: target, Extra: offset, Factor: drift},
+		{At: at + dur, Kind: ClockSkew, Target: target},
 	}
 }
 
@@ -183,10 +172,10 @@ func GenerateNemesisSchedule(targets []string, cfg NemesisConfig) []Event {
 				end = cfg.Horizon
 			}
 			if len(cfg.Nodes) >= 2 {
-				evs = append(evs, drawPartition(prng, cfg.Nodes, at, end-at).Events...)
+				evs = append(evs, drawPartition(prng, cfg.Nodes, at, end-at)...)
 			} else {
 				target := cfg.PartitionTargets[prng.Intn(len(cfg.PartitionTargets))]
-				evs = append(evs, TargetPartitionScenario(target, at, end-at).Events...)
+				evs = append(evs, targetPartition(target, at, end-at)...)
 			}
 			at = end + time.Duration(prng.Exp(float64(cfg.PartitionMTBF)))
 		}
@@ -208,7 +197,7 @@ func GenerateNemesisSchedule(targets []string, cfg NemesisConfig) []Event {
 		if start+dur > cfg.Horizon {
 			dur = cfg.Horizon - start
 		}
-		evs = append(evs, GrayLinkScenario(cfg.Nodes[i], cfg.Nodes[j], cfg.GrayExtra, cfg.GrayDrop, start, dur).Events...)
+		evs = append(evs, grayLinkWindow(cfg.Nodes[i], cfg.Nodes[j], cfg.GrayExtra, cfg.GrayDrop, start, dur)...)
 	}
 
 	// Per-target clock-skew windows, each on its own forked stream so adding
@@ -230,7 +219,7 @@ func GenerateNemesisSchedule(targets []string, cfg NemesisConfig) []Event {
 			if start+dur > cfg.Horizon {
 				dur = cfg.Horizon - start
 			}
-			evs = append(evs, ClockSkewScenario(name, offset, drift, start, dur).Events...)
+			evs = append(evs, clockSkewWindow(name, offset, drift, start, dur)...)
 		}
 	}
 
@@ -246,7 +235,7 @@ func GenerateNemesisSchedule(targets []string, cfg NemesisConfig) []Event {
 // drawPartition picks a partition topology and node split from the stream.
 // Splits and rings need at least 2 and 4 nodes respectively; smaller fleets
 // fall back to a split-brain.
-func drawPartition(rng *stats.RNG, nodes []string, at, dur time.Duration) Scenario {
+func drawPartition(rng *stats.RNG, nodes []string, at, dur time.Duration) []Event {
 	shuffled := append([]string(nil), nodes...)
 	for i := len(shuffled) - 1; i > 0; i-- {
 		j := rng.Intn(i + 1)
@@ -255,16 +244,16 @@ func drawPartition(rng *stats.RNG, nodes []string, at, dur time.Duration) Scenar
 	topo := rng.Intn(3)
 	switch {
 	case topo == 1 && len(shuffled) >= 4:
-		return RingPartition(shuffled, at, dur)
+		return ringPartition(shuffled, at, dur)
 	case topo == 2 && len(shuffled) >= 3:
 		// One bridge node; the rest split as evenly as the shuffle fell.
 		rest := shuffled[1:]
-		return BridgePartition(rest[:len(rest)/2], rest[len(rest)/2:], shuffled[:1], at, dur)
+		return bridgePartition(rest[:len(rest)/2], rest[len(rest)/2:], at, dur)
 	default:
 		k := 1 + rng.Intn((len(shuffled)+1)/2) // minority of up to half the fleet
 		if k >= len(shuffled) {
 			k = len(shuffled) - 1
 		}
-		return SplitBrain(shuffled[:k], shuffled[k:], at, dur)
+		return splitBrain(shuffled[:k], shuffled[k:], at, dur)
 	}
 }

@@ -1,50 +1,29 @@
 package faults
 
-// Canned overload scenarios. Each is a deterministic event schedule against
-// named targets; the overload study pairs them with open-loop workloads to
-// reproduce the three canonical overload shapes: a flash crowd (one tenant's
-// offered load surges), a brownout (capacity quietly shrinks while load holds),
-// and a retry storm (a transient brownout whose retry amplification outlives
-// the trigger — the metastable failure).
-
 import "time"
 
-// FlashCrowd surges the named tenant's offered load by mult over [at, at+dur).
-func FlashCrowd(tenant string, at, dur time.Duration, mult float64) Scenario {
-	return Scenario{
-		Name: "flash-crowd",
-		Events: []Event{
-			{At: at, Kind: RateSurge, Target: tenant, Factor: mult},
-			{At: at + dur, Kind: RateSurge, Target: tenant, Factor: 1},
-		},
-	}
-}
-
-// Brownout multiplies the named servers' service times by factor over
-// [at, at+dur) — capacity shrinks while offered load holds.
-func Brownout(servers []string, at, dur time.Duration, factor float64) Scenario {
-	s := Scenario{Name: "brownout"}
+// RetryStorm is the canned overload trigger the overload study pairs with
+// open-loop workloads: a brownout multiplying the named servers' service
+// times by slowFactor over [at, at+dur), compounded by a flash crowd
+// surging the tenant's offered load by rateMult over the same window (no
+// tenant, no surge; no servers, the flash crowd alone). Whether the system
+// recovers after both clear depends entirely on the overload control
+// plane — with naive eager retries the amplified load keeps the queues
+// saturated forever, the metastable failure. Each server's pair of events
+// comes in server order, then the tenant's.
+func RetryStorm(servers []string, tenant string, at, dur time.Duration, slowFactor, rateMult float64) []Event {
+	evs := make([]Event, 0, 2*len(servers)+2)
 	for _, srv := range servers {
-		s.Events = append(s.Events,
-			Event{At: at, Kind: Straggler, Target: srv, Factor: factor},
+		evs = append(evs,
+			Event{At: at, Kind: Straggler, Target: srv, Factor: slowFactor},
 			Event{At: at + dur, Kind: Straggler, Target: srv, Factor: 1},
 		)
 	}
-	return s
-}
-
-// RetryStorm is the metastability trigger: a brownout on the named servers
-// compounded by a flash crowd on one tenant. Whether the system recovers
-// after both clear depends entirely on the overload control plane — with
-// naive eager retries the amplified load keeps the queues saturated forever.
-func RetryStorm(servers []string, tenant string, at, dur time.Duration, slowFactor, rateMult float64) Scenario {
-	s := Brownout(servers, at, dur, slowFactor)
-	s.Name = "retry-storm"
 	if tenant != "" {
-		s.Events = append(s.Events,
+		evs = append(evs,
 			Event{At: at, Kind: RateSurge, Target: tenant, Factor: rateMult},
 			Event{At: at + dur, Kind: RateSurge, Target: tenant, Factor: 1},
 		)
 	}
-	return s
+	return evs
 }

@@ -1,100 +1,60 @@
 package faults
 
 import (
-	"strings"
+	"reflect"
 	"testing"
 	"time"
 
 	"hyperprof/internal/sim"
 )
 
-// TestRateSurgeDrivesSetRate checks the RateSurge kind end to end: the surge
-// applies the multiplier, the clearing event restores the base rate, and
-// targets without a SetRate hook skip the event.
+// TestRateSurgeDrivesSetRate checks the RateSurge kind end to end through a
+// server-less retry storm (the flash crowd alone): the surge applies the
+// multiplier, the clearing event restores the base rate, and targets without
+// a SetRate hook skip the event.
 func TestRateSurgeDrivesSetRate(t *testing.T) {
 	k := sim.New()
 	e := NewEngine(k)
 	var mults []float64
 	e.Register("tenant/flash", Actions{SetRate: func(m float64) { mults = append(mults, m) }})
 	e.Register("no-rate", Actions{Crash: func() {}})
-	st := e.RunScenario(FlashCrowd("tenant/flash", 10*time.Millisecond, 20*time.Millisecond, 5))
+	e.InjectAll(RetryStorm(nil, "tenant/flash", 10*time.Millisecond, 20*time.Millisecond, 8, 5))
 	e.Inject(Event{At: 40 * time.Millisecond, Kind: RateSurge, Target: "no-rate", Factor: 2})
 	k.Run()
 
 	if len(mults) != 2 || mults[0] != 5 || mults[1] != 1 {
 		t.Fatalf("SetRate calls = %v, want [5 1]", mults)
 	}
-	if st.ByKind[RateSurge] != 2 {
-		t.Fatalf("ByKind[RateSurge] = %d, want 2", st.ByKind[RateSurge])
+	want := []Applied{
+		{At: 10 * time.Millisecond, Kind: RateSurge, Target: "tenant/flash"},
+		{At: 30 * time.Millisecond, Kind: RateSurge, Target: "tenant/flash"},
+	}
+	if !reflect.DeepEqual(e.Applied, want) {
+		t.Fatalf("Applied = %+v, want %+v", e.Applied, want)
 	}
 	if e.Skipped != 1 {
 		t.Fatalf("Skipped = %d, want 1 (target without SetRate)", e.Skipped)
 	}
 }
 
-// TestScenarioStatsAggregatesRepeatedLabels is the satellite regression: the
-// same action applied repeatedly aggregates into one ByLabel entry, and the
-// String() rendering lists labels in sorted order.
-func TestScenarioStatsAggregatesRepeatedLabels(t *testing.T) {
-	k := sim.New()
-	rec := &recorder{k: k}
-	e := NewEngine(k)
-	e.Register("b", rec.actions("b"))
-	e.Register("a", rec.actions("a"))
-	st := e.RunScenario(Scenario{
-		Name: "flap",
-		Events: []Event{
-			{At: 1 * time.Millisecond, Kind: Straggler, Target: "b", Factor: 2},
-			{At: 2 * time.Millisecond, Kind: Straggler, Target: "a", Factor: 2},
-			{At: 3 * time.Millisecond, Kind: Straggler, Target: "b", Factor: 1},
-			{At: 4 * time.Millisecond, Kind: Straggler, Target: "b", Factor: 3},
-		},
-	})
-	k.Run()
-
-	if st.ByLabel["straggler b"] != 3 || st.ByLabel["straggler a"] != 1 {
-		t.Fatalf("ByLabel = %v, want straggler b:3, straggler a:1", st.ByLabel)
-	}
-	labels := st.Labels()
-	if len(labels) != 2 || labels[0] != "straggler a" || labels[1] != "straggler b" {
-		t.Fatalf("Labels() = %v, want sorted [straggler a, straggler b]", labels)
-	}
-	got := st.String()
-	want := `scenario "flap": 4 scheduled, 4 applied, 4 straggler; straggler a x1; straggler b x3`
-	if got != want {
-		t.Fatalf("String() = %q, want %q", got, want)
-	}
-	// Rendering is a pure function of the aggregates: repeated calls match.
-	if st.String() != got {
-		t.Fatalf("String() not stable")
-	}
-	if !strings.Contains(got, "straggler a x1") {
-		t.Fatalf("label aggregation missing from %q", got)
-	}
-}
-
 // TestRetryStormScenarioShape pins the canned retry-storm schedule: a paired
-// slowdown on every server plus a paired surge on the tenant.
+// slowdown on every server in server order, then a paired surge on the
+// tenant; without a tenant, the brownout alone.
 func TestRetryStormScenarioShape(t *testing.T) {
-	s := RetryStorm([]string{"s1", "s2"}, "tenant/flash", 100*time.Millisecond, 50*time.Millisecond, 8, 4)
-	if s.Name != "retry-storm" {
-		t.Fatalf("Name = %q", s.Name)
+	at, dur := 100*time.Millisecond, 50*time.Millisecond
+	got := RetryStorm([]string{"s1", "s2"}, "tenant/flash", at, dur, 8, 4)
+	want := []Event{
+		{At: at, Kind: Straggler, Target: "s1", Factor: 8},
+		{At: at + dur, Kind: Straggler, Target: "s1", Factor: 1},
+		{At: at, Kind: Straggler, Target: "s2", Factor: 8},
+		{At: at + dur, Kind: Straggler, Target: "s2", Factor: 1},
+		{At: at, Kind: RateSurge, Target: "tenant/flash", Factor: 4},
+		{At: at + dur, Kind: RateSurge, Target: "tenant/flash", Factor: 1},
 	}
-	if len(s.Events) != 6 {
-		t.Fatalf("len(Events) = %d, want 6 (2 per server + 2 surge)", len(s.Events))
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("RetryStorm = %+v, want %+v", got, want)
 	}
-	var surges, slows int
-	for _, ev := range s.Events {
-		switch ev.Kind {
-		case RateSurge:
-			surges++
-		case Straggler:
-			slows++
-		default:
-			t.Fatalf("unexpected kind %v", ev.Kind)
-		}
-	}
-	if surges != 2 || slows != 4 {
-		t.Fatalf("surges=%d slows=%d, want 2/4", surges, slows)
+	if got := RetryStorm([]string{"s1", "s2"}, "", at, dur, 8, 4); !reflect.DeepEqual(got, want[:4]) {
+		t.Fatalf("RetryStorm without a tenant = %+v, want the brownout %+v", got, want[:4])
 	}
 }

@@ -18,7 +18,13 @@
 # shortest sample, StatsSummaryRecord at 20-40 ns/op on that VM, lasts
 # 20-40 ms rather than 2-4 ms. Parent-vs-parent with it failed 1 of 10 runs,
 # on BenchmarkSpannerNew (+25%), a 20x storage sample BENCHTIME does not
-# set; ~160 s per run.
+# set. So the storage benchmarks take STORAGEBENCHCOUNT=4 samples per run,
+# 24 per side, still at 20x each: longer samples would change what a row
+# measures. Parent-vs-parent with both, 10 runs of 120-145 s on the same
+# VM: SpannerNew never failed; 4 runs did, 2 on BigTableNew (+67%, +69%),
+# whose samples are bimodal per process (about 45 or 80 us/op), and 2 on
+# kernel rows (+28%, +30%). 8 samples per run failed 5 of 10, 1 on
+# BigTableNew.
 # Each run's output goes to OUT_DIR (default bench-pair/) as parent-N.txt /
 # change-N.txt, beside its JSON; bench.sh then merges a side's runs into
 # parent.json / change.json by its own rule, and
@@ -33,7 +39,8 @@ parent="${1:?usage: bench_pair.sh PARENT_DIR [OUT_DIR]}"
 out="${2:-bench-pair}"
 BENCHCOUNT=2
 BENCHTIME=1000000x
-export BENCHCOUNT BENCHTIME
+STORAGEBENCHCOUNT=4
+export BENCHCOUNT BENCHTIME STORAGEBENCHCOUNT
 
 here="$(pwd)"
 parent="$(cd "$parent" && pwd)"
