@@ -354,22 +354,58 @@ func BenchmarkAblationChainHandoff(b *testing.B) {
 
 // --- Substrate microbenchmarks ---
 
-// BenchmarkSimKernelEvents measures raw event throughput of the DES kernel:
-// schedule b.N callbacks, then drain them all. It rides ScheduleArg — the
-// hoisted-callback fast path — so the whole schedule/dispatch cycle is
-// allocation-free; the closure form (Schedule) pays one allocation per event
-// for the captured state and is measured by BenchmarkSimKernelSchedule.
-func BenchmarkSimKernelEvents(b *testing.B) {
+// kernelBatch is the queue depth the kernel event benchmarks schedule up to
+// before each drain, and kernelSpacing the virtual time between a batch's
+// events. The depth is fixed, as benchDenseTimers keeps a standing
+// population, so the queue, and with it an op's time and B/op, does not
+// depend on -benchtime. A batch spans the timer wheel's ~4.2ms horizon, 64
+// events to a bucket, so every batch reuses the buckets the first one grew.
+const (
+	kernelBatch   = 1 << 14
+	kernelSpacing = 256 * time.Nanosecond
+)
+
+// kernelBatches runs b.N events through k: push(n) schedules a batch of n,
+// then k.Run drains it, with only the halves selected by timePush and
+// timeRun under the timer. One untimed batch first grows the queue to its
+// standing depth. It returns how many events it scheduled, that batch
+// included.
+func kernelBatches(b *testing.B, k *sim.Kernel, push func(n int), timePush, timeRun bool) int {
 	b.ReportAllocs()
+	push(kernelBatch)
+	k.Run()
+	b.ResetTimer()
+	for done := 0; done < b.N; done += kernelBatch {
+		n := min(kernelBatch, b.N-done)
+		if !timePush {
+			b.StopTimer()
+		}
+		push(n)
+		b.StartTimer()
+		if !timeRun {
+			b.StopTimer()
+		}
+		k.Run()
+		b.StartTimer()
+	}
+	return kernelBatch + b.N
+}
+
+// BenchmarkSimKernelEvents measures raw event throughput of the DES kernel:
+// schedule a batch of callbacks, then drain it. It rides ScheduleArg — the
+// hoisted-callback fast path — so the whole schedule/dispatch cycle is
+// allocation-free; the closure form (Schedule) is measured by
+// BenchmarkSimKernelSchedule.
+func BenchmarkSimKernelEvents(b *testing.B) {
 	k := sim.New()
 	n := 0
 	tick := func(arg any) { *(arg.(*int))++ }
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.ScheduleArg(time.Duration(i), tick, &n)
+	push := func(size int) {
+		for i := 0; i < size; i++ {
+			k.ScheduleArg(time.Duration(i)*kernelSpacing, tick, &n)
+		}
 	}
-	k.Run()
-	if n != b.N {
+	if kernelBatches(b, k, push, true, true) != n {
 		b.Fatal("lost events")
 	}
 }
@@ -425,33 +461,32 @@ func BenchmarkSimKernelDenseTimersHeapOnly(b *testing.B) {
 	benchDenseTimers(b, sim.NewHeapOnly())
 }
 
-// BenchmarkSimKernelSchedule isolates the push half of the event loop: heap
-// insertion cost without any dispatch. The queue is drained outside the timer.
+// BenchmarkSimKernelSchedule isolates the push half of the event loop:
+// queue insertion cost without any dispatch. Each batch is drained outside
+// the timer.
 func BenchmarkSimKernelSchedule(b *testing.B) {
-	b.ReportAllocs()
 	k := sim.New()
 	fn := func() {}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.Schedule(time.Duration(i), fn)
+	push := func(size int) {
+		for i := 0; i < size; i++ {
+			k.Schedule(time.Duration(i)*kernelSpacing, fn)
+		}
 	}
-	b.StopTimer()
-	k.Run()
+	kernelBatches(b, k, push, true, false)
 }
 
-// BenchmarkSimKernelRun isolates the pop-and-dispatch half: the queue is
-// populated outside the timer, then drained under it.
+// BenchmarkSimKernelRun isolates the pop-and-dispatch half: each batch is
+// scheduled outside the timer, then drained under it.
 func BenchmarkSimKernelRun(b *testing.B) {
-	b.ReportAllocs()
 	k := sim.New()
 	n := 0
 	fn := func() { n++ }
-	for i := 0; i < b.N; i++ {
-		k.Schedule(time.Duration(i), fn)
+	push := func(size int) {
+		for i := 0; i < size; i++ {
+			k.Schedule(time.Duration(i)*kernelSpacing, fn)
+		}
 	}
-	b.ResetTimer()
-	k.Run()
-	if n != b.N {
+	if kernelBatches(b, k, push, false, true) != n {
 		b.Fatal("lost events")
 	}
 }
@@ -584,20 +619,33 @@ func BenchmarkModelEvaluation(b *testing.B) {
 	b.ReportMetric(s, "speedup")
 }
 
-// BenchmarkTraceBreakdown measures the §4.1 sweep-line categorization.
+// BenchmarkTraceBreakdown measures the §4.1 sweep-line categorization on a
+// Spanner-shaped trace of 20 intervals, the size of a characterization
+// Spanner trace: back-to-back CPU steps, a log write, and a replication
+// wait that the last steps overlap. Its allocs/op must stay 0.
 func BenchmarkTraceBreakdown(b *testing.B) {
+	b.ReportAllocs()
 	tr := trace.NewTracer(1)
 	tc := tr.Start(taxonomy.Spanner, 0)
-	for i := 0; i < 64; i++ {
-		s := time.Duration(i) * time.Millisecond
-		tc.Annotate(s, s+5*time.Millisecond, trace.Class(i%3))
+	steps := []time.Duration{73, 532, 71, 66, 86, 61, 109, 79, 53, 19, 43, 34, 134, 19, 149, 61, 116}
+	at := time.Duration(0)
+	for _, d := range steps {
+		tc.Annotate(at, at+d*time.Microsecond, trace.CPU)
+		at += d * time.Microsecond
 	}
-	tr.Finish(tc, 70*time.Millisecond)
+	tc.Annotate(at, at+80*time.Microsecond, trace.IO)
+	tc.Annotate(at-300*time.Microsecond, at+3364*time.Microsecond, trace.Remote)
+	at += 3364 * time.Microsecond
+	tc.Annotate(at, at+time.Microsecond, trace.IO)
+	tr.Finish(tc, at+20*time.Microsecond)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tc.ComputeBreakdown()
+		breakdownSink = tc.ComputeBreakdown()
 	}
 }
+
+// breakdownSink keeps BenchmarkTraceBreakdown's result live.
+var breakdownSink trace.Breakdown
 
 // --- Extension benches (§6.4 future work) ---
 

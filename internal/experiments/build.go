@@ -47,8 +47,10 @@ type platformBuild struct {
 	bigtable bigtable.Config
 	bigquery bigquery.Config
 
-	seed      uint64 // the study seed; see adjacentSeeds
-	stride    uint64
+	seed   uint64 // the study seed; see adjacentSeeds
+	stride uint64
+	// traceRate is each stack's trace sampling rate. Studies that read no
+	// trace build at 0, which gives each stack no tracer at all.
 	traceRate int
 	// obs wires the metrics plane into every stack when obs.Enabled.
 	obs ObsConfig
@@ -57,7 +59,7 @@ type platformBuild struct {
 	checked bool
 	// k and tracer, when set, are shared by every stack built: the pipeline
 	// runs its three stages on one kernel with one tracer. Otherwise each
-	// stack gets a kernel and a tracer of its own.
+	// stack gets a kernel of its own, and a tracer of its own at traceRate.
 	k      *sim.Kernel
 	tracer *trace.Tracer
 }
@@ -179,8 +181,15 @@ func (b platformBuild) build(p taxonomy.Platform) (*stack, error) {
 	if b.checked {
 		checkStacks(check.NewHistory(k), &check.Registry{}, s)
 	}
+	if stackBuilt != nil {
+		stackBuilt(s)
+	}
 	return s, nil
 }
+
+// stackBuilt, when set, sees every stack build returns. Tests set it to
+// check what the stacks of a whole study run carry.
+var stackBuilt func(*stack)
 
 // checkStacks records every operation of the stacks into h and, when reg is
 // set, registers their standing invariants with it: each platform's own in

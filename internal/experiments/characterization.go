@@ -94,7 +94,8 @@ func (cfg StudyConfig) Characterize() (*Characterization, error) {
 }
 
 // studyBuild is the platform build of the studies that run at the study's
-// trace rate with its obs plane, on adjacent seeds.
+// trace rate with its obs plane, on adjacent seeds. Overload sets no trace
+// rate, so its stacks record no traces.
 func (cfg StudyConfig) studyBuild() platformBuild {
 	b := newPlatformBuild(cfg.Seed, adjacentSeeds, cfg.TraceRate)
 	b.obs = cfg.Obs

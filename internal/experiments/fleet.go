@@ -5,10 +5,11 @@ package experiments
 // attributed to a logical user population in the millions, with every
 // unbounded recording surface swapped for its bounded-memory counterpart —
 // latency summaries become quantile sketches (stats.Sketch), operation
-// histories become reservoir samples (check.NewSampledHistory), and traces
-// are sampled hard. The point is the paper's setting: hyperscale profiling
-// works because nothing in the measurement path grows with the number of
-// operations observed, only with the error bound you accept.
+// histories become reservoir samples (check.NewSampledHistory), and no
+// traces are recorded at all, since nothing in the study reads one. The
+// point is the paper's setting: hyperscale profiling works because nothing
+// in the measurement path grows with the number of operations observed,
+// only with the error bound you accept.
 //
 // Fleet rows are pure data, so the study fans out over either backend, and
 // the exported bytes are identical sequential, parallel or across worker
@@ -29,10 +30,6 @@ import (
 	"hyperprof/internal/taxonomy"
 	"hyperprof/internal/workload"
 )
-
-// fleetTraceRate keeps 1 in 256 traces in fleet mode, bounding tracer
-// memory by ops/256 instead of ops.
-const fleetTraceRate = 256
 
 // defaultFleetHistoryCap is the reservoir size for sampled operation
 // histories when SketchConfig.HistoryCap is zero.
@@ -115,7 +112,7 @@ func fleetRecorders(cfg StudyConfig, k *sim.Kernel, seed uint64) (stats.Recorder
 // runFleetPlatform sizes one platform to its server share and drives it
 // open-loop with bounded-memory recording.
 func runFleetPlatform(cfg StudyConfig, u fleetUnit) (FleetRow, error) {
-	b := newPlatformBuild(cfg.Seed, adjacentSeeds, fleetTraceRate)
+	b := newPlatformBuild(cfg.Seed, adjacentSeeds, 0)
 	sc := &b.spanner
 	sc.Regions = 3
 	sc.Groups = max(1, u.Servers/sc.Regions)
@@ -226,9 +223,8 @@ func (cfg StudyConfig) FleetScale() (*FleetStudy, error) {
 // bound.
 func DefaultFleetStudyConfig() StudyConfig {
 	return StudyConfig{
-		Seed:      1,
-		TraceRate: fleetTraceRate,
-		Sketch:    SketchConfig{Enabled: true},
+		Seed:   1,
+		Sketch: SketchConfig{Enabled: true},
 		Fleet: FleetConfig{
 			Servers:  2000,
 			Users:    1_000_000,

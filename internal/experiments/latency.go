@@ -35,7 +35,7 @@ var latencyKind = unitKind[latencyUnit, LatencyPoint]{
 
 // runLatencyPoint drives one fresh Spanner deployment at one offered rate.
 func runLatencyPoint(seed uint64, rate float64, opsPerPoint int) (LatencyPoint, error) {
-	st, err := newPlatformBuild(seed, adjacentSeeds, 1).build(taxonomy.Spanner)
+	st, err := newPlatformBuild(seed, adjacentSeeds, 0).build(taxonomy.Spanner)
 	if err != nil {
 		return LatencyPoint{}, err
 	}

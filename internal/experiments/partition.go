@@ -190,7 +190,7 @@ func (s *Partition) Row(p taxonomy.Platform, arm string) *PartitionRow {
 // runArm runs one (platform, arm, seed) run. A zero horizon is the
 // fault-free calibration run; a positive one draws a nemesis over it.
 func (s *Partition) runArm(p taxonomy.Platform, arm string, seed uint64, horizon time.Duration) (partitionArm, error) {
-	b := newPlatformBuild(seed, spacedSeeds, 1)
+	b := newPlatformBuild(seed, spacedSeeds, 0)
 	b.checked = true
 	b.spanner.RPC = resilienceRPCPolicy()
 	b.spanner.ClockEps = s.Cfg.Part.ClockEps

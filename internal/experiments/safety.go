@@ -141,7 +141,7 @@ const safetySalt = 0x53414645
 // spanning it. The arm builds its own environment and kernel and touches no
 // study state, so distinct arms may run concurrently.
 func (s *Safety) runOne(p taxonomy.Platform, seed uint64, horizon time.Duration) (safetyArm, error) {
-	b := newPlatformBuild(seed, spacedSeeds, 1)
+	b := newPlatformBuild(seed, spacedSeeds, 0)
 	b.checked = true
 	b.spanner.RPC = resilienceRPCPolicy()
 	b.bigquery.RPC = resilienceRPCPolicy()

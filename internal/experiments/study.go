@@ -306,12 +306,11 @@ func DefaultCharStudyConfig() StudyConfig {
 // hammering eight hot rows per platform across five faulted seeds.
 func DefaultSafetyStudyConfig() StudyConfig {
 	return StudyConfig{
-		Seed:      1,
-		Clients:   6,
-		TraceRate: 1,
-		Ops:       PlatformOps{Spanner: 400, BigTable: 400, BigQuery: 24},
-		Faults:    defaultFaults(),
-		Check:     CheckConfig{Seeds: 5, HotRows: 8},
+		Seed:    1,
+		Clients: 6,
+		Ops:     PlatformOps{Spanner: 400, BigTable: 400, BigQuery: 24},
+		Faults:  defaultFaults(),
+		Check:   CheckConfig{Seeds: 5, HotRows: 8},
 	}
 }
 
@@ -349,11 +348,10 @@ func DefaultObsStudyConfig() StudyConfig {
 // more via the config.
 func DefaultPartitionStudyConfig() StudyConfig {
 	return StudyConfig{
-		Seed:      1,
-		Clients:   6,
-		TraceRate: 1,
-		Ops:       PlatformOps{Spanner: 400, BigTable: 400, BigQuery: 24},
-		Check:     CheckConfig{Seeds: 2, HotRows: 8},
+		Seed:    1,
+		Clients: 6,
+		Ops:     PlatformOps{Spanner: 400, BigTable: 400, BigQuery: 24},
+		Check:   CheckConfig{Seeds: 2, HotRows: 8},
 		Faults: FaultConfig{
 			MTBFFrac:        1.0,
 			MTTRFrac:        0.03,
@@ -382,9 +380,8 @@ func DefaultPartitionStudyConfig() StudyConfig {
 // weighted tenant shares.
 func DefaultOverloadStudyConfig() StudyConfig {
 	return StudyConfig{
-		Seed:      1,
-		Clients:   8,
-		TraceRate: 1,
+		Seed:    1,
+		Clients: 8,
 		Load: LoadConfig{
 			SpannerRate:     2000,
 			BigTableRate:    3500,

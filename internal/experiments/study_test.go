@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -136,6 +137,9 @@ func conformanceExport(t *testing.T, st studyCase, mode string) []byte {
 		cfg = withExec(t, st.cfg)
 	case modeSeedPlusOne:
 		cfg.Seed++
+	}
+	if mode == modeSequential {
+		defer countTracers(st.Name)()
 	}
 	res, err := st.Run(cfg, allOutputs)
 	if err != nil {
@@ -343,4 +347,56 @@ func firstDiff(a, b []byte) int {
 		}
 	}
 	return n
+}
+
+// stackTracers counts, per study, the stacks its sequential conformance run
+// built with a tracer ([0]) and without one ([1]).
+var stackTracers = map[string][2]int{}
+
+// countTracers starts counting the tracers of the named study's stacks and
+// returns the function that stops it.
+func countTracers(name string) (stop func()) {
+	var mu sync.Mutex
+	stackTracers[name] = [2]int{}
+	stackBuilt = func(s *stack) {
+		mu.Lock()
+		defer mu.Unlock()
+		n := stackTracers[name]
+		if s.env.Tracer != nil {
+			n[0]++
+		} else {
+			n[1]++
+		}
+		stackTracers[name] = n
+	}
+	return func() { stackBuilt = nil }
+}
+
+// TestOnlyTraceReadingStudiesTrace pins which studies record traces. The
+// ones that read them (char and limits through the characterization, obs,
+// resilience and pipeline) build every stack with a tracer; every other
+// study builds its stacks with none, so its operations pay nothing for
+// tracing. A study that starts reading traces must move to the first list,
+// or it reads nothing.
+func TestOnlyTraceReadingStudiesTrace(t *testing.T) {
+	readsTraces := map[string]bool{"char": true, "limits": true, "obs": true, "resilience": true, "pipeline": true}
+	// Table8 runs on the simulated SoC and builds no platform stack.
+	buildsNone := map[string]bool{"table8": true}
+	for _, st := range conformanceStudies(t) {
+		conformanceDigest(t, st, modeSequential)
+		n := stackTracers[st.Name]
+		traced, untraced := n[0], n[1]
+		switch {
+		case buildsNone[st.Name]:
+			if traced+untraced != 0 {
+				t.Errorf("%s: built %d platform stacks, want none", st.Name, traced+untraced)
+			}
+		case traced+untraced == 0:
+			t.Errorf("%s: built no platform stack", st.Name)
+		case readsTraces[st.Name] && untraced > 0:
+			t.Errorf("%s reads traces but built %d of %d stacks without a tracer", st.Name, untraced, traced+untraced)
+		case !readsTraces[st.Name] && traced > 0:
+			t.Errorf("%s reads no trace but built %d of %d stacks with a tracer", st.Name, traced, traced+untraced)
+		}
+	}
 }

@@ -27,8 +27,11 @@ import (
 
 // Env bundles the shared facilities a platform simulation runs against.
 type Env struct {
-	K      *sim.Kernel
-	Net    *netsim.Network
+	K   *sim.Kernel
+	Net *netsim.Network
+	// Tracer records the environment's query traces; nil means tracing is
+	// off, and every trace the environment hands out is nil (see
+	// trace.Tracer).
 	Tracer *trace.Tracer
 	Prof   *profile.Profiler
 	RNG    *stats.RNG
@@ -40,7 +43,8 @@ type Env struct {
 }
 
 // NewEnv builds an environment with its own kernel and network, a tracer at
-// the given sampling rate, and a profiler seeded from seed.
+// the given sampling rate (none when the rate is 0), and a profiler seeded
+// from seed.
 func NewEnv(seed uint64, traceRate int) *Env {
 	return NewEnvOn(sim.New(), seed, traceRate)
 }
@@ -50,16 +54,20 @@ func NewEnv(seed uint64, traceRate int) *Env {
 // Each environment still gets its own network, profiler and RNG stream
 // (per-stage seeds keep the streams decorrelated); pipeline callers
 // typically overwrite Tracer with one shared tracer so a logical request's
-// stage spans carry a single trace ID across platforms.
+// stage spans carry a single trace ID across platforms. A traceRate of 0 (or
+// below) leaves Tracer nil: the environment records no traces.
 func NewEnvOn(k *sim.Kernel, seed uint64, traceRate int) *Env {
-	return &Env{
+	e := &Env{
 		K:      k,
 		Net:    netsim.New(k, netsim.DefaultConfig()),
-		Tracer: trace.NewTracer(traceRate),
 		Prof:   profile.New(nil, seed, profile.WithJitter(0.05)),
 		RNG:    stats.NewRNG(seed ^ 0x9e3779b97f4a7c15),
 		Jitter: 0.25,
 	}
+	if traceRate > 0 {
+		e.Tracer = trace.NewTracer(traceRate)
+	}
+	return e
 }
 
 // EnableObs attaches an observability registry to the environment and wires
@@ -177,9 +185,7 @@ func (e *Env) ExecStep(p *sim.Proc, plat taxonomy.Platform, node *netsim.Node, t
 	p.Sleep(d)
 	node.CPU.Release(1)
 	e.Prof.Record(profile.Work{Platform: plat, Function: s.Function, Duration: d, Micro: s.Micro})
-	if tr != nil {
-		tr.Annotate(start, p.Now(), trace.CPU)
-	}
+	tr.Annotate(start, p.Now(), trace.CPU)
 }
 
 // ExecRecipe runs every step of a recipe in order on the node.
@@ -189,18 +195,14 @@ func (e *Env) ExecRecipe(p *sim.Proc, plat taxonomy.Platform, node *netsim.Node,
 	}
 }
 
-// AnnotateIO marks a completed storage access on the trace.
+// AnnotateIO marks a completed storage access on the trace, if any.
 func AnnotateIO(tr *trace.Trace, start, end time.Duration) {
-	if tr != nil {
-		tr.Annotate(start, end, trace.IO)
-	}
+	tr.Annotate(start, end, trace.IO)
 }
 
-// AnnotateRemote marks a completed remote-work wait on the trace.
+// AnnotateRemote marks a completed remote-work wait on the trace, if any.
 func AnnotateRemote(tr *trace.Trace, start, end time.Duration) {
-	if tr != nil {
-		tr.Annotate(start, end, trace.Remote)
-	}
+	tr.Annotate(start, end, trace.Remote)
 }
 
 // TaxTables carries a platform's calibrated datacenter- and system-tax

@@ -7,8 +7,9 @@
 package trace
 
 import (
+	"cmp"
 	"encoding/json"
-	"sort"
+	"slices"
 	"time"
 
 	"hyperprof/internal/taxonomy"
@@ -55,8 +56,9 @@ type Trace struct {
 	finished  bool
 }
 
-// Sampled reports whether this trace retains its annotations.
-func (t *Trace) Sampled() bool { return t.sampled }
+// Sampled reports whether this trace retains its annotations. A nil trace,
+// the one an untraced environment hands out, retains none.
+func (t *Trace) Sampled() bool { return t != nil && t.sampled }
 
 // traceJSON is the wire form of a Trace. Traces cross process boundaries
 // when a study runs on the exec backend, and the sampling and finish flags
@@ -95,10 +97,10 @@ func (t *Trace) UnmarshalJSON(data []byte) error {
 }
 
 // Annotate records that [start, end) was spent in the given class. Reversed
-// or empty intervals are ignored. Annotations on unsampled traces are
+// or empty intervals are ignored. Annotations on unsampled or nil traces are
 // dropped.
 func (t *Trace) Annotate(start, end time.Duration, c Class) {
-	if !t.sampled || end <= start {
+	if !t.Sampled() || end <= start {
 		return
 	}
 	t.Intervals = append(t.Intervals, Interval{Start: start, End: end, Class: c})
@@ -106,6 +108,11 @@ func (t *Trace) Annotate(start, end time.Duration, c Class) {
 
 // Tracer creates and collects traces. Sampling is deterministic in the trace
 // ID so a run is reproducible: trace k is sampled iff k mod rate == 0.
+//
+// A nil *Tracer records nothing: Start and StartChild return a nil *Trace,
+// Finish ignores it, and Total and Sampled report no traces. An environment
+// whose study reads no traces carries a nil tracer, so its operations pay
+// nothing for tracing.
 type Tracer struct {
 	rate    uint64
 	nextID  uint64
@@ -125,6 +132,9 @@ func NewTracer(rate int) *Tracer {
 
 // Start begins a new trace for a query on the given platform at time now.
 func (tr *Tracer) Start(p taxonomy.Platform, now time.Duration) *Trace {
+	if tr == nil {
+		return nil
+	}
 	id := tr.nextID
 	tr.nextID++
 	tr.total++
@@ -138,13 +148,16 @@ func (tr *Tracer) Start(p taxonomy.Platform, now time.Duration) *Trace {
 // crossing system boundaries. No new ID is allocated; the child is finished
 // and collected independently of its parent.
 func (tr *Tracer) StartChild(parent *Trace, p taxonomy.Platform, now time.Duration) *Trace {
+	if tr == nil {
+		return nil
+	}
 	tr.total++
 	return &Trace{ID: parent.ID, Platform: p, Start: now, sampled: parent.sampled}
 }
 
 // Finish marks the trace complete at time now and retains it if sampled.
 func (tr *Tracer) Finish(t *Trace, now time.Duration) {
-	if t.finished {
+	if tr == nil || t.finished {
 		return
 	}
 	t.finished = true
@@ -155,10 +168,20 @@ func (tr *Tracer) Finish(t *Trace, now time.Duration) {
 }
 
 // Total returns the number of traces started.
-func (tr *Tracer) Total() int { return tr.total }
+func (tr *Tracer) Total() int {
+	if tr == nil {
+		return 0
+	}
+	return tr.total
+}
 
 // Sampled returns the retained traces in completion order.
-func (tr *Tracer) Sampled() []*Trace { return tr.sampled }
+func (tr *Tracer) Sampled() []*Trace {
+	if tr == nil {
+		return nil
+	}
+	return tr.sampled
+}
 
 // Breakdown is a trace's end-to-end time split into the three classes plus
 // any uncovered gap (time not annotated at all, e.g. client-side queueing).
@@ -198,48 +221,91 @@ func (t *Trace) ComputeBreakdown() Breakdown {
 
 // BreakdownWithPrecedence computes the breakdown with an explicit precedence
 // order (order[0] wins overlaps), used by the precedence ablation study.
+//
+// It sweeps once over the intervals' endpoints, clamped to the trace window,
+// in time order, keeping how many intervals of each precedence rank are open:
+// each stretch between consecutive endpoints goes to the best rank open over
+// it, or to Gap when none is. Intervals that are empty or reversed once
+// clamped cover nothing, and an interval of a class order does not name
+// counts as order[0]. A trace with no intervals, or whose window is empty or
+// reversed (End before Start: a trace never finished), is all Gap.
 func (t *Trace) BreakdownWithPrecedence(order [3]Class) Breakdown {
 	b := Breakdown{Total: t.End - t.Start}
-	if len(t.Intervals) == 0 {
+	if len(t.Intervals) == 0 || b.Total <= 0 {
 		b.Gap = b.Total
 		return b
 	}
-	// Sweep over elementary segments between all boundary points, assigning
-	// each segment to the highest-precedence class covering it.
-	points := make([]time.Duration, 0, 2*len(t.Intervals)+2)
-	points = append(points, t.Start, t.End)
+	// Two edges per interval; the buffer keeps a trace of up to 32 intervals
+	// off the heap.
+	var buf [64]edge
+	edges := buf[:0]
 	for _, iv := range t.Intervals {
-		points = append(points, clamp(iv.Start, t.Start, t.End), clamp(iv.End, t.Start, t.End))
-	}
-	sort.Slice(points, func(i, j int) bool { return points[i] < points[j] })
-	rank := map[Class]int{order[0]: 0, order[1]: 1, order[2]: 2}
-	for i := 0; i+1 < len(points); i++ {
-		lo, hi := points[i], points[i+1]
+		lo, hi := clamp(iv.Start, t.Start, t.End), clamp(iv.End, t.Start, t.End)
 		if hi <= lo {
 			continue
 		}
-		mid := lo + (hi-lo)/2
-		best := -1
-		for _, iv := range t.Intervals {
-			if iv.Start <= mid && mid < iv.End {
-				if r := rank[iv.Class]; best == -1 || r < best {
-					best = r
-				}
+		r := rankOf(order, iv.Class)
+		edges = append(edges, edge{at: lo, rank: r, delta: 1}, edge{at: hi, rank: r, delta: -1})
+	}
+	slices.SortFunc(edges, func(a, b edge) int { return cmp.Compare(a.at, b.at) })
+	var open [3]int
+	prev := t.Start
+	for i := 0; i < len(edges); {
+		at := edges[i].at
+		if seg := at - prev; seg > 0 {
+			switch {
+			case open[0] > 0:
+				b.add(order[0], seg)
+			case open[1] > 0:
+				b.add(order[1], seg)
+			case open[2] > 0:
+				b.add(order[2], seg)
+			default:
+				b.Gap += seg
 			}
+			prev = at
 		}
-		seg := hi - lo
-		switch {
-		case best == -1:
-			b.Gap += seg
-		case order[best] == CPU:
-			b.CPU += seg
-		case order[best] == IO:
-			b.IO += seg
-		default:
-			b.Remote += seg
+		for ; i < len(edges) && edges[i].at == at; i++ {
+			open[edges[i].rank] += int(edges[i].delta)
 		}
 	}
+	// Every interval has closed by its clamped end, so the rest of the
+	// window is uncovered.
+	b.Gap += t.End - prev
 	return b
+}
+
+// edge is an interval's clamped start (delta +1) or end (delta -1), tagged
+// with the interval's precedence rank.
+type edge struct {
+	at    time.Duration
+	rank  int8
+	delta int8
+}
+
+// rankOf returns c's precedence rank: its last position in order, or 0 when
+// order does not name it.
+func rankOf(order [3]Class, c Class) int8 {
+	var r int8
+	for i, o := range order {
+		if o == c {
+			r = int8(i)
+		}
+	}
+	return r
+}
+
+// add credits seg to class c; a class other than CPU or IO counts as remote
+// work.
+func (b *Breakdown) add(c Class, seg time.Duration) {
+	switch c {
+	case CPU:
+		b.CPU += seg
+	case IO:
+		b.IO += seg
+	default:
+		b.Remote += seg
+	}
 }
 
 func clamp(v, lo, hi time.Duration) time.Duration {

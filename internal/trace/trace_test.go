@@ -257,3 +257,28 @@ func TestClassString(t *testing.T) {
 		t.Fatal("class strings")
 	}
 }
+
+// TestNilTracerRecordsNothing pins the untraced environment: every method of
+// a nil *Tracer, and of the nil *Trace it hands out, is a no-op that
+// allocates nothing.
+func TestNilTracerRecordsNothing(t *testing.T) {
+	var tr *Tracer
+	var tc *Trace
+	allocs := testing.AllocsPerRun(100, func() {
+		tc = tr.Start(taxonomy.Spanner, ms(1))
+		child := tr.StartChild(tc, taxonomy.BigQuery, ms(2))
+		tc.Annotate(ms(1), ms(3), CPU)
+		child.Annotate(ms(2), ms(3), Remote)
+		tr.Finish(child, ms(3))
+		tr.Finish(tc, ms(4))
+	})
+	if allocs != 0 {
+		t.Fatalf("nil tracer allocated %v times per op", allocs)
+	}
+	if tc != nil || tc.Sampled() {
+		t.Fatalf("nil tracer started trace %+v", tc)
+	}
+	if tr.Total() != 0 || tr.Sampled() != nil {
+		t.Fatalf("nil tracer reports %d traces, %d sampled", tr.Total(), len(tr.Sampled()))
+	}
+}

@@ -26,8 +26,9 @@ netbenchtime="${NETBENCHTIME:-1000000x}"
 # so max == min unless something is actually wrong).
 benchcount="${BENCHCOUNT:-6}"
 # SimProcSpawn pins the allocations of starting a process and running it to
-# exit, which every open-loop arrival pays.
-kernpattern='^Benchmark(Sim(KernelEvents|KernelSchedule|KernelRun|KernelDenseTimers|KernelDenseTimersHeapOnly|ProcSwitch|ProcSpawn)|Stats(SketchRecord|SummaryRecord))$'
+# exit, which every open-loop arrival pays. TraceBreakdown pins the §4.1
+# breakdown of a Spanner-sized trace at 0 allocs/op.
+kernpattern='^Benchmark(Sim(KernelEvents|KernelSchedule|KernelRun|KernelDenseTimers|KernelDenseTimersHeapOnly|ProcSwitch|ProcSpawn)|Stats(SketchRecord|SummaryRecord)|TraceBreakdown)$'
 netpattern='^BenchmarkNetMessageDelay$'
 pipepattern='^BenchmarkPipelineHandoff$'
 # The storage-path benches guard the allocation-lean SSTable seal and

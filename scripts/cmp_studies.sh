@@ -10,6 +10,9 @@
 # invocation runs, even after one differs, so a re-baseline shows exactly
 # which artifacts moved. Exits 1 and lists each invocation that differs;
 # exits 0 when every pair matches.
+# The char -chrome-trace run names each query by its breakdown's group. The
+# export keeps the first 2000 traces, so it samples every second trace to
+# reach BigQuery's, the ones with the most intervals.
 # Fleet runs with -json because its text report prints the coordinator's
 # live heap, which varies between runs of one binary.
 set -euo pipefail
@@ -26,6 +29,7 @@ trap 'rm -rf "$work"' EXIT
 invocations=(
 	"-study=char"
 	"-study=char -seed 7"
+	"-study=char -rate 2 -chrome-trace trace.json"
 	"-study=safety"
 	"-study=safety -backend=exec -workers 2"
 	"-study=resilience"
