@@ -30,7 +30,7 @@ FLEET_HEAP_MB ?= 128
 # the obs subtest of TestStudyConformance. A pattern that matches nothing
 # passes with "no tests to run", so keep these in step with the test names.
 
-.PHONY: check build vet fmt test race check-studies bench bench-gate bench-baseline
+.PHONY: check build vet fmt test race fuzz check-studies bench bench-gate bench-baseline
 
 check: build vet fmt race
 
@@ -51,6 +51,24 @@ test:
 
 race:
 	$(GO) test -race -shuffle=on ./...
+
+# fuzz runs each fuzz target for FUZZTIME beyond its seed corpus (go test
+# -fuzz takes one target in one package per run). A failing input is written
+# under the package's testdata/fuzz/ and replays in every later go test.
+FUZZTIME ?= 10s
+FUZZ_TARGETS = \
+	FuzzTieredStoreLoad:./internal/storage/ \
+	FuzzSlotIndex:./internal/storage/ \
+	FuzzReadFrame:./internal/dispatch/ \
+	FuzzStudyArgs:./cmd/hyperprof/ \
+	FuzzNemesisSchedule:./internal/faults/
+
+fuzz:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		name=$${t%%:*}; pkg=$${t#*:}; \
+		echo "== fuzz: $$name ($$pkg, $(FUZZTIME))"; \
+		$(GO) test -run '^$$' -fuzz "^$$name$$" -fuzztime $(FUZZTIME) "$$pkg"; \
+	done
 
 # check-studies proves each study end to end: per entry of STUDIES, the unit
 # and conformance tests of the planes the study stands on, then a -study= run

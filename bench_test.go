@@ -25,6 +25,7 @@ import (
 	"hyperprof/internal/sim"
 	"hyperprof/internal/spanner"
 	"hyperprof/internal/stats"
+	"hyperprof/internal/storage"
 	"hyperprof/internal/taxonomy"
 	"hyperprof/internal/trace"
 )
@@ -768,6 +769,51 @@ func BenchmarkSpannerNew(b *testing.B) {
 		env.Net = netsim.New(env.K, spanner.RecommendedNetConfig())
 		if _, err := spanner.New(env, spanner.DefaultConfig()); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTieredStoreRead measures TieredStore.Read on one DefaultConfig
+// Spanner machine's store: its 12,000 bootstrap rows (three groups of 4,000,
+// keyed group<<32 | row) loaded at 1 KiB into Spanner's machine capacities,
+// then one op reads a fixed sequence of 16,384 keys drawn with Spanner's
+// row skew (a uniform group, a Zipf(1.1) row). RAM holds about 1,400 rows,
+// so the reads mix RAM hits with SSD hits that promote and evict. It is the
+// bench-gate guard for the store's key lookup, recency links and per-tier
+// accounting at 0 allocs/op.
+func BenchmarkTieredStoreRead(b *testing.B) {
+	cfg := spanner.DefaultConfig()
+	groups := []uint64{0, 3, 6} // the groups region 0's first machine holds
+	ramR, ssdR, hddR := platform.PaperStorageRatio(taxonomy.Spanner)
+	ram := int64(len(groups))*int64(cfg.RowsPerGroup)*cfg.RowBytes/32 + 1<<20
+	s, err := storage.NewTieredStore(storage.Capacities{
+		storage.RAM: ram, storage.SSD: ram * ssdR / ramR, storage.HDD: ram * hddR / ramR,
+	}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	keys := make([]uint64, 0, len(groups)*cfg.RowsPerGroup)
+	for _, g := range groups {
+		for row := 0; row < cfg.RowsPerGroup; row++ {
+			keys = append(keys, g<<32|uint64(row))
+		}
+	}
+	if err := s.Load(keys, cfg.RowBytes); err != nil {
+		b.Fatal(err)
+	}
+	rng := stats.NewRNG(1)
+	zipf := stats.NewZipf(rng.Fork(), cfg.RowsPerGroup, 1.1)
+	reads := make([]uint64, 1<<14)
+	for i := range reads {
+		reads[i] = groups[rng.Intn(len(groups))]<<32 | uint64(zipf.Next())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, k := range reads {
+			if _, _, err := s.Read(k); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -210,8 +210,7 @@ func New(env *platform.Env, cfg Config) (*DB, error) {
 	ramR, ssdR, hddR := platform.PaperStorageRatio(taxonomy.Spanner)
 	// Provision RAM so roughly 3% of a machine's resident rows fit, keeping
 	// the Table 1 ratio for the other tiers.
-	perMachineGroups := (cfg.Groups + machinesPerRegion(cfg) - 1) / machinesPerRegion(cfg)
-	ram := int64(perMachineGroups)*int64(cfg.RowsPerGroup)*cfg.RowBytes/32 + 1<<20
+	ram := int64(perMachineGroups(cfg))*int64(cfg.RowsPerGroup)*cfg.RowBytes/32 + 1<<20
 	spec := cluster.Spec{
 		Regions:         cfg.Regions,
 		RacksPerRegion:  1,
@@ -280,6 +279,13 @@ func machinesPerRegion(cfg Config) int {
 		m = 1
 	}
 	return m
+}
+
+// perMachineGroups bounds the groups one machine holds a replica of: place
+// deals each region's machines the groups round robin, one replica per
+// region.
+func perMachineGroups(cfg Config) int {
+	return (cfg.Groups + machinesPerRegion(cfg) - 1) / machinesPerRegion(cfg)
 }
 
 // RecommendedNetConfig returns network parameters for a metro-replicated
@@ -361,7 +367,7 @@ func (db *DB) place() error {
 // group and rows in order (a group has one replica per region, so at most
 // one on a machine).
 func (db *DB) load() {
-	keys := make([]uint64, 0, len(db.groups)*db.cfg.RowsPerGroup) // any machine's share
+	keys := make([]uint64, 0, perMachineGroups(db.cfg)*db.cfg.RowsPerGroup) // one machine's share
 	for _, m := range db.mgr.Machines() {
 		keys = keys[:0]
 		for _, g := range db.groups {

@@ -56,7 +56,7 @@ func TestFreqSketchHashesKeyBytes(t *testing.T) {
 
 // inRAM reports whether the RAM cache holds key, without touching recency.
 func inRAM(s *TieredStore, key uint64) bool {
-	i, ok := s.index[key]
+	i, ok := s.index.get(s.objs, key)
 	return ok && s.ram.has(s.objs, i)
 }
 

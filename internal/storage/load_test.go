@@ -16,17 +16,26 @@ func lruState(t *testing.T, s *TieredStore, c *lruCache) []string {
 	t.Helper()
 	var fwd []string
 	var used int64
-	for i := c.head; i != nilSlot; i = s.objs[i].lru[c.tier].next {
+	listed := make([]bool, len(s.objs))
+	for i := c.head; i != nilSlot; i = s.objs[i].lru[c.tier].next - 1 {
 		o := s.objs[i]
-		if !o.lru[c.tier].cached {
-			t.Fatalf("%v list holds uncached slot %d", c.tier, i)
+		if !c.has(s.objs, i) || listed[i] {
+			t.Fatalf("%v list holds uncached or repeated slot %d", c.tier, i)
 		}
+		listed[i] = true
 		fwd = append(fwd, fmt.Sprintf("%d:%d", o.key, o.size))
 		used += o.size
 	}
 	var back []string
-	for i := c.tail; i != nilSlot; i = s.objs[i].lru[c.tier].prev {
+	for i := c.tail; i != nilSlot; i = s.objs[i].lru[c.tier].prev - 1 {
 		back = append(back, fmt.Sprintf("%d:%d", s.objs[i].key, s.objs[i].size))
+	}
+	// Every slot outside the list holds a zero link, so has reports it
+	// uncached: a stale link would name an object the list does not hold.
+	for i, o := range s.objs {
+		if !listed[i] && o.lru[c.tier] != (link{}) {
+			t.Fatalf("%v cache does not list slot %d (key %d), which holds link %+v", c.tier, i, o.key, o.lru[c.tier])
+		}
 	}
 	slices.Reverse(back)
 	if !slices.Equal(fwd, back) || len(fwd) != c.Len() || used != c.Used() || used > c.capacity {
@@ -36,19 +45,38 @@ func lruState(t *testing.T, s *TieredStore, c *lruCache) []string {
 	return fwd
 }
 
+// slots lists the slots the index holds, in table order. Only tests range
+// over the index.
+func (x *slotIndex) slots() []int32 {
+	var out []int32
+	for _, s := range x.table {
+		if s != 0 {
+			out = append(out, s-1)
+		}
+	}
+	return out
+}
+
 // storedObjects maps each stored key to its size, checking that the index
-// and the slab agree.
+// and the slab agree: each indexed slot's key looks up that slot, no key is
+// indexed twice, and every slab slot is indexed or free.
 func storedObjects(t *testing.T, s *TieredStore) map[uint64]int64 {
 	t.Helper()
-	out := make(map[uint64]int64, len(s.index))
-	for k, i := range s.index {
-		if s.objs[i].key != k {
-			t.Fatalf("index names slot %d for key %d, which holds key %d", i, k, s.objs[i].key)
+	slots := s.index.slots()
+	out := make(map[uint64]int64, len(slots))
+	for _, i := range slots {
+		k := s.objs[i].key
+		if j, ok := s.index.get(s.objs, k); !ok || j != i {
+			t.Fatalf("index holds slot %d for key %d, but the lookup finds slot %d (%v)", i, k, j, ok)
+		}
+		if _, dup := out[k]; dup {
+			t.Fatalf("index holds key %d twice", k)
 		}
 		out[k] = s.objs[i].size
 	}
-	if len(s.index)+len(s.free) != len(s.objs) {
-		t.Fatalf("%d indexed + %d free slots != %d in the slab", len(s.index), len(s.free), len(s.objs))
+	if len(slots) != s.index.n || s.index.n+len(s.free) != len(s.objs) {
+		t.Fatalf("%d indexed slots (count %d) + %d free slots != %d in the slab",
+			len(slots), s.index.n, len(s.free), len(s.objs))
 	}
 	return out
 }
@@ -59,7 +87,7 @@ func sameStore(t *testing.T, when string, want, got *TieredStore) {
 	t.Helper()
 	if !maps.Equal(storedObjects(t, want), storedObjects(t, got)) || want.hddUsed != got.hddUsed {
 		t.Fatalf("%s: objects/hddUsed differ: %d objects %d bytes vs %d objects %d bytes",
-			when, len(want.index), want.hddUsed, len(got.index), got.hddUsed)
+			when, want.index.n, want.hddUsed, got.index.n, got.hddUsed)
 	}
 	for _, tier := range []Tier{RAM, SSD} {
 		w, g := lruState(t, want, want.cache(tier)), lruState(t, got, got.cache(tier))
@@ -181,12 +209,12 @@ func FuzzTieredStoreLoad(f *testing.F) {
 		// A new key takes the slot the last Delete freed.
 		victim := keys[0]
 		for _, s := range stores {
-			i, ok := s.index[victim]
+			i, ok := s.index.get(s.objs, victim)
 			s.Delete(victim)
 			if _, err := s.Write(fresh+1, 1+int64(size%89)); err != nil || !ok {
 				continue
 			}
-			if j := s.index[fresh+1]; j != i {
+			if j, _ := s.index.get(s.objs, fresh+1); j != i {
 				t.Fatalf("new key took slot %d, not the freed slot %d", j, i)
 			}
 		}
@@ -195,5 +223,25 @@ func FuzzTieredStoreLoad(f *testing.F) {
 			s.Read(last)
 		}
 		sameStore(t, "after a delete and a new key", want, got)
+		// A burst of Deletes empties probe runs the load filled, then a
+		// deleted loaded key is written again and must be found and read.
+		again := keys[len(keys)/3]
+		for _, s := range stores {
+			for j := len(keys) / 3; j < len(keys); j += 2 {
+				s.Delete(keys[j])
+			}
+			if s.Has(again) {
+				t.Fatalf("deleted key %d still stored", again)
+			}
+			_, werr := s.Write(again, 1+int64(size%83))
+			if werr == nil && !s.Has(again) {
+				t.Fatalf("re-written key %d not found", again)
+			}
+			for j := 0; j < len(keys); j += 5 {
+				s.Read(keys[j])
+			}
+			s.Read(again)
+		}
+		sameStore(t, "after a burst of deletes and a re-write", want, got)
 	})
 }

@@ -4,8 +4,8 @@ package storage
 const nilSlot = -1
 
 // object is one stored object in a TieredStore's slab: its key and size,
-// and its place in the RAM and SSD caches. The slab holds no pointers, so
-// the garbage collector never scans it.
+// and its place in the RAM and SSD caches, in 32 bytes. The slab holds no
+// pointers, so the garbage collector never scans it.
 type object struct {
 	key  uint64
 	size int64
@@ -14,10 +14,12 @@ type object struct {
 	lru [2]link
 }
 
-// link threads an object through one cache's recency list.
+// link threads an object through one cache's recency list. Each field holds
+// a neighbour's slot plus one, so nilSlot is stored as 0 and a zero link,
+// as a new object has, is one that no list holds. An object is in a list
+// when it has a predecessor or is the list's head.
 type link struct {
-	prev, next int32 // slots toward the head and the tail, or nilSlot
-	cached     bool
+	prev, next int32 // slots toward the head and the tail, plus one
 }
 
 // lruCache is a byte-budgeted LRU list threaded through a TieredStore's
@@ -37,7 +39,9 @@ func newLRU(t Tier, capacity int64) lruCache {
 	return lruCache{tier: t, capacity: capacity, head: nilSlot, tail: nilSlot}
 }
 
-func (c *lruCache) has(objs []object, i int32) bool { return objs[i].lru[c.tier].cached }
+func (c *lruCache) has(objs []object, i int32) bool {
+	return objs[i].lru[c.tier].prev != 0 || c.head == i
+}
 
 // touch reports whether slot i is cached and, if so, marks it most recently
 // used.
@@ -73,7 +77,7 @@ func (c *lruCache) add(objs []object, i int32) {
 // leave it, when each of them has the given size: the most recently added
 // distinct keys that fit, most recent first. Slot j holds keys[j] unless
 // keys repeats one, when index resolves the slot.
-func (c *lruCache) load(objs []object, index map[uint64]int32, keys []uint64, size int64) {
+func (c *lruCache) load(objs []object, index *slotIndex, keys []uint64, size int64) {
 	if size > c.capacity {
 		return
 	}
@@ -84,16 +88,15 @@ func (c *lruCache) load(objs []object, index map[uint64]int32, keys []uint64, si
 	for j := len(keys) - 1; j >= 0 && c.n < fit; j-- {
 		i := int32(j)
 		if len(objs) < len(keys) {
-			i = index[keys[j]]
+			i, _ = index.get(objs, keys[j])
 		}
-		l := &objs[i].lru[c.tier]
-		if l.cached {
+		if c.has(objs, i) {
 			continue // an earlier add of a key a later one refreshed
 		}
 		// Walking backwards, each slot is older than those already placed.
-		*l = link{prev: c.tail, next: nilSlot, cached: true}
+		objs[i].lru[c.tier] = link{prev: c.tail + 1}
 		if c.tail != nilSlot {
-			objs[c.tail].lru[c.tier].next = i
+			objs[c.tail].lru[c.tier].next = i + 1
 		} else {
 			c.head = i
 		}
@@ -120,9 +123,9 @@ func (c *lruCache) Used() int64 { return c.used }
 func (c *lruCache) Len() int { return c.n }
 
 func (c *lruCache) pushFront(objs []object, i int32) {
-	objs[i].lru[c.tier] = link{prev: nilSlot, next: c.head, cached: true}
+	objs[i].lru[c.tier] = link{next: c.head + 1}
 	if c.head != nilSlot {
-		objs[c.head].lru[c.tier].prev = i
+		objs[c.head].lru[c.tier].prev = i + 1
 	}
 	c.head = i
 	if c.tail == nilSlot {
@@ -140,15 +143,16 @@ func (c *lruCache) moveToFront(objs []object, i int32) {
 
 func (c *lruCache) unlink(objs []object, i int32) {
 	l := objs[i].lru[c.tier]
-	if l.prev != nilSlot {
-		objs[l.prev].lru[c.tier].next = l.next
+	prev, next := l.prev-1, l.next-1
+	if prev != nilSlot {
+		objs[prev].lru[c.tier].next = l.next
 	} else {
-		c.head = l.next
+		c.head = next
 	}
-	if l.next != nilSlot {
-		objs[l.next].lru[c.tier].prev = l.prev
+	if next != nilSlot {
+		objs[next].lru[c.tier].prev = l.prev
 	} else {
-		c.tail = l.prev
+		c.tail = prev
 	}
-	objs[i].lru[c.tier] = link{prev: nilSlot, next: nilSlot}
+	objs[i].lru[c.tier] = link{}
 }
