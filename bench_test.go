@@ -524,6 +524,34 @@ func BenchmarkSimProcSpawn(b *testing.B) {
 	}
 }
 
+// BenchmarkServerCallDedup measures one RPC through a Client to a server
+// with duplicate suppression on: both transfers, the server's queue and
+// worker, and the call's dedup record. Its allocs/op pins the path at two
+// allocations, the server's inFlight and the worker's queue waiter, and its
+// B/op stays flat in b.N only because each record settles with its call
+// instead of accumulating.
+func BenchmarkServerCallDedup(b *testing.B) {
+	b.ReportAllocs()
+	k := sim.New()
+	n := netsim.New(k, netsim.DefaultConfig())
+	srv := netsim.NewServer(n.NewNode("srv", 0, 0, 1), 1)
+	srv.Handle("op", func(p *sim.Proc, req netsim.Request) netsim.Response {
+		return netsim.Response{Bytes: 32}
+	})
+	srv.SetDedup(true)
+	srv.Start()
+	from := n.NewNode("cli", 0, 0, 1)
+	c := netsim.NewClient(netsim.Policy{}, 1)
+	k.Go("client", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			c.Call(p, from, srv, netsim.Request{Method: "op", Bytes: 64})
+		}
+		srv.Stop()
+	})
+	b.ResetTimer()
+	k.Run()
+}
+
 // benchSketchValues feeds a fixed pseudo-random lognormal-ish latency stream
 // to a Recorder — the record path every fleet-scale study rides.
 func benchSketchValues(b *testing.B, r stats.Recorder) {

@@ -174,7 +174,7 @@ type Engine struct {
 	nextQID int
 	// slotLoc maps a shuffle slot to the server index its put landed on,
 	// which may differ from the home server after a put failover.
-	slotLoc map[string]int
+	slotLoc map[slotKey]int
 
 	stage1 map[Kind]platform.Recipe // per-partition
 	stage2 map[Kind]platform.Recipe // per-query
@@ -211,10 +211,10 @@ type partition struct {
 type shuffleServer struct {
 	machine *cluster.Machine
 	srv     *netsim.Server
-	slots   map[string]shuffleSlot
+	slots   map[slotKey]shuffleSlot
 	// dropped tombstones released slot keys (see releaseSlot), so a put
 	// still in flight when its slot was released cannot land after it.
-	dropped map[string]bool
+	dropped map[slotKey]bool
 }
 
 type shuffleSlot struct {
@@ -272,7 +272,7 @@ func New(env *platform.Env, cfg Config) (*Engine, error) {
 		taxes:   platform.TaxTablesFor(taxonomy.BigQuery),
 		rng:     stats.NewRNG(cfg.Seed),
 		dim:     map[int64]string{},
-		slotLoc: map[string]int{},
+		slotLoc: map[slotKey]int{},
 		Queries: map[Kind]int{},
 	}
 	// The RPC client seed is derived from the config seed without touching
@@ -286,7 +286,7 @@ func New(env *platform.Env, cfg Config) (*Engine, error) {
 	}
 	for i := 0; i < cfg.ShuffleServers; i++ {
 		m := machines[(cfg.Workers+1+i)%len(machines)]
-		ss := &shuffleServer{machine: m, slots: map[string]shuffleSlot{}}
+		ss := &shuffleServer{machine: m, slots: map[slotKey]shuffleSlot{}}
 		e.startShuffleServer(ss)
 		e.shuffle = append(e.shuffle, ss)
 	}
@@ -456,11 +456,11 @@ func (e *Engine) handleShufflePut(ss *shuffleServer) netsim.Handler {
 // have run.
 func (e *Engine) handleShuffleDrop(ss *shuffleServer) netsim.Handler {
 	return func(p *sim.Proc, req netsim.Request) netsim.Response {
-		key := req.Payload.(string)
+		key := req.Payload.(slotKey)
 		p.Use(ss.machine.Node.CPU, 1, 20*time.Microsecond)
 		delete(ss.slots, key)
 		if ss.dropped == nil {
-			ss.dropped = map[string]bool{}
+			ss.dropped = map[slotKey]bool{}
 		}
 		ss.dropped[key] = true
 		return netsim.Response{Bytes: 32}
@@ -469,7 +469,7 @@ func (e *Engine) handleShuffleDrop(ss *shuffleServer) netsim.Handler {
 
 func (e *Engine) handleShuffleGet(ss *shuffleServer) netsim.Handler {
 	return func(p *sim.Proc, req netsim.Request) netsim.Response {
-		key := req.Payload.(string)
+		key := req.Payload.(slotKey)
 		slot, ok := ss.slots[key]
 		if !ok {
 			return netsim.Response{Err: fmt.Errorf("bigquery: shuffle slot %q missing", key)}
@@ -482,7 +482,7 @@ func (e *Engine) handleShuffleGet(ss *shuffleServer) netsim.Handler {
 }
 
 type shufflePutArgs struct {
-	key     string
+	key     slotKey
 	payload interface{}
 }
 
@@ -527,7 +527,7 @@ func (e *Engine) startShuffleServer(ss *shuffleServer) {
 // attempt, or after its response was lost — so every server a put failed on
 // gets its slot released (see releaseSlot): a slot lives on one server.
 func (e *Engine) shufflePut(p *sim.Proc, from *netsim.Node, qid, pi int, bytes int64, payload interface{}) error {
-	key := slotKey(qid, pi)
+	key := newSlotKey(qid, pi)
 	tries := len(e.shuffle)
 	if e.cfg.DisableFailover {
 		tries = 1
@@ -566,7 +566,7 @@ func (e *Engine) shufflePut(p *sim.Proc, from *netsim.Node, qid, pi int, bytes i
 // anyway). What keeps a running server from answering — a partition, a lossy
 // link, a full priority queue — passes: every fault window closes, so the
 // loop ends.
-func (e *Engine) releaseSlot(from *netsim.Node, idx int, key string) {
+func (e *Engine) releaseSlot(from *netsim.Node, idx int, key slotKey) {
 	ss := e.shuffle[idx]
 	e.env.K.Go("bq-shuffle-release", func(p *sim.Proc) {
 		backoff := time.Millisecond
@@ -603,7 +603,7 @@ func (e *Engine) RecoverShuffleServer(i int) error {
 	if !ss.srv.Stopped() {
 		return fmt.Errorf("bigquery: shuffle server %d is already running", i)
 	}
-	ss.slots, ss.dropped = map[string]shuffleSlot{}, nil
+	ss.slots, ss.dropped = map[slotKey]shuffleSlot{}, nil
 	e.startShuffleServer(ss)
 	return nil
 }
@@ -781,7 +781,7 @@ func (e *Engine) shuffleRound(p *sim.Proc, tr *trace.Trace, q Query, qid, nParts
 	// re-execution — never both, never twice.
 	contrib := make([]int, nParts)
 	for pi := 0; pi < nParts; pi++ {
-		key := slotKey(qid, pi)
+		key := newSlotKey(qid, pi)
 		idx, ok := e.slotLoc[key]
 		if !ok {
 			idx = pi % len(e.shuffle)
@@ -828,7 +828,7 @@ func (e *Engine) shuffleRound(p *sim.Proc, tr *trace.Trace, q Query, qid, nParts
 	if e.rec != nil {
 		for pi, c := range contrib {
 			if c != 1 {
-				e.rec.Violate("exactly-once", slotKey(qid, pi),
+				e.rec.Violate("exactly-once", newSlotKey(qid, pi).String(),
 					"%s %d merged stage-1 shard %d into the aggregate %d times, want exactly once", round, qid, pi, c)
 			}
 		}
@@ -989,7 +989,15 @@ func (e *Engine) runPageRank(p *sim.Proc, tr *trace.Trace, q Query, qid int) (*R
 	return res, nil
 }
 
-func slotKey(qid, pi int) string { return fmt.Sprintf("q%d/p%d", qid, pi) }
+// slotKey names the shuffle slot of stage-1 shard pi of query qid: the query
+// in the high 32 bits, the shard in the low. An integer key costs no string
+// on the put/get/drop path; String renders the q<qid>/p<pi> form that
+// violation and invariant messages print.
+type slotKey uint64
+
+func newSlotKey(qid, pi int) slotKey { return slotKey(uint64(qid)<<32 | uint64(uint32(pi))) }
+
+func (k slotKey) String() string { return fmt.Sprintf("q%d/p%d", uint64(k>>32), uint32(k)) }
 
 // Reference computes the exact expected aggregation over the whole fact
 // table without simulation, for verifying query results in tests.

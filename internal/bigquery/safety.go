@@ -39,7 +39,7 @@ func (e *Engine) CheckInvariants() []string {
 			out = append(out, fmt.Sprintf("slot %s: location %d out of range", key, idx))
 		}
 	}
-	holders := map[string]int{}
+	holders := map[slotKey]int{}
 	for i, ss := range e.shuffle {
 		if ss.srv.Stopped() {
 			continue

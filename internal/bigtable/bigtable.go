@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -510,7 +511,16 @@ func (db *DB) load() error {
 	return nil
 }
 
-func rowKey(tablet, row int) string { return fmt.Sprintf("t%d/k%d", tablet, row) }
+// rowKey renders the t<tablet>/k<row> key into a stack buffer: one
+// allocation, the string itself.
+func rowKey(tablet, row int) string {
+	var buf [48]byte
+	b := append(buf[:0], 't')
+	b = strconv.AppendInt(b, int64(tablet), 10)
+	b = append(b, "/k"...)
+	b = strconv.AppendInt(b, int64(row), 10)
+	return string(b)
+}
 
 // bootstrapValue generates a row's initial content: a deterministic first
 // byte (tests and scan predicates rely on it) followed by incompressible

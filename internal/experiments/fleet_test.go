@@ -121,8 +121,11 @@ func TestFleetScaleValidation(t *testing.T) {
 }
 
 // TestFleetSketchHeapFlat is the memory-architecture pin at unit scale:
-// growing the op budget 8x must not grow the coordinator's live heap
-// accordingly. (The fleet-scale variant of this assertion runs in
+// growing the op budget 8x must not grow the live heap that a finished
+// study leaves behind. It measures after FleetScale returns, when every arm's
+// kernel is closed, so it sees what the study's results retain, not what a
+// running simulation holds; bigquery's TestLiveHeapFlatInsideRun reads the
+// heap before Close. (The fleet-scale variant of this assertion runs in
 // TestFleetScaleDefaultCompletesBounded.)
 func TestFleetSketchHeapFlat(t *testing.T) {
 	heapAfter := func(ops int) uint64 {

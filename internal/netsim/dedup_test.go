@@ -185,3 +185,176 @@ func TestCallIDsDistinctAcrossClientsAndCalls(t *testing.T) {
 		t.Fatalf("distinct call IDs = %d, want 6", len(seen))
 	}
 }
+
+// Dedup record lifetime: a server holds a call's dedup records only while
+// the call is in flight. Each case checks that pendingByID and doneByID are
+// empty once every call settles, and that the delivery counts are the ones
+// a forever-kept record gives (settling changes no lookup).
+
+func assertSettled(t *testing.T, s *Server) {
+	t.Helper()
+	if len(s.pendingByID) != 0 || len(s.doneByID) != 0 {
+		t.Errorf("after settle: %d pending and %d done dedup records, want none",
+			len(s.pendingByID), len(s.doneByID))
+	}
+}
+
+// assertDeliveries checks one call ID's admissions and executions at srv,
+// and the server's suppressed duplicates.
+func assertDeliveries(t *testing.T, n *Network, s *Server, id uint64, admits, execs, dups int) {
+	t.Helper()
+	if got := n.Admits(s.Node.Name, id); got != admits {
+		t.Errorf("Admits = %d, want %d", got, admits)
+	}
+	if got := n.Execs(s.Node.Name, id); got != execs {
+		t.Errorf("Execs = %d, want %d", got, execs)
+	}
+	if s.DupSuppressed != dups {
+		t.Errorf("DupSuppressed = %d, want %d", s.DupSuppressed, dups)
+	}
+}
+
+// firstCallID is the ID a fresh client's first call gets on a fresh network.
+const firstCallID = 1<<32 | 1
+
+func TestDedupRecordSettlesInline(t *testing.T) {
+	// With no deadline every attempt runs inline, so the record settles as
+	// Client.Call returns: between calls the server holds nothing.
+	k, n := testNet()
+	n.EnableDeliveryAccounting()
+	client := n.NewNode("cli", 0, 0, 1)
+	execs := 0
+	s := countingServer(n, "srv", time.Millisecond, &execs)
+	s.SetDedup(true)
+
+	c := NewClient(Policy{MaxAttempts: 3}, 1)
+	k.Go("client", func(p *sim.Proc) {
+		for i := 0; i < 4; i++ {
+			if resp, _ := c.Call(p, client, s, Request{Method: "op"}); resp.Err != nil {
+				t.Errorf("call %d: %v", i, resp.Err)
+			}
+			assertSettled(t, s)
+		}
+		s.Stop()
+	})
+	k.Run()
+	if execs != 4 {
+		t.Fatalf("handler executed %d times, want 4", execs)
+	}
+	assertDeliveries(t, n, s, firstCallID, 1, 1, 0)
+}
+
+func TestDedupRecordSettlesAfterTimedOutAttemptDrains(t *testing.T) {
+	// The only attempt misses its deadline: Client.Call returns while the
+	// helper still waits on the handler. The record must outlive the call
+	// and settle when that helper returns.
+	k, n := testNet()
+	n.EnableDeliveryAccounting()
+	client := n.NewNode("cli", 0, 0, 1)
+	execs := 0
+	s := countingServer(n, "srv", 3*time.Millisecond, &execs)
+	s.SetDedup(true)
+
+	c := NewClient(Policy{Deadline: 2 * time.Millisecond, MaxAttempts: 1}, 1)
+	var resp Response
+	k.Go("client", func(p *sim.Proc) {
+		resp, _ = c.Call(p, client, s, Request{Method: "op"})
+		if len(s.pendingByID) != 1 {
+			t.Errorf("pending records when the call returned = %d, want 1 (its attempt still drains)", len(s.pendingByID))
+		}
+		s.Stop()
+	})
+	k.Run()
+	if !errors.Is(resp.Err, ErrDeadlineExceeded) {
+		t.Fatalf("resp.Err = %v, want a missed deadline", resp.Err)
+	}
+	if execs != 1 {
+		t.Fatalf("handler executed %d times, want 1", execs)
+	}
+	assertSettled(t, s)
+	assertDeliveries(t, n, s, firstCallID, 1, 1, 0)
+	if k.Live() != 0 {
+		t.Fatalf("leaked procs: %d", k.Live())
+	}
+}
+
+func TestDedupRecordSettlesAfterJoinedRetry(t *testing.T) {
+	// The first attempt times out, the retry joins it in flight; both the
+	// call and its first attempt's helper return before the record settles.
+	k, n := testNet()
+	n.EnableDeliveryAccounting()
+	client := n.NewNode("cli", 0, 0, 1)
+	execs := 0
+	s := countingServer(n, "srv", 3*time.Millisecond, &execs)
+	s.SetDedup(true)
+
+	c := NewClient(Policy{Deadline: 2 * time.Millisecond, MaxAttempts: 3}, 1)
+	var resp Response
+	k.Go("client", func(p *sim.Proc) {
+		resp, _ = c.Call(p, client, s, Request{Method: "op"})
+		s.Stop()
+	})
+	k.Run()
+	if resp.Err != nil {
+		t.Fatalf("resp.Err = %v", resp.Err)
+	}
+	assertSettled(t, s)
+	assertDeliveries(t, n, s, firstCallID, 2, 1, 1)
+}
+
+func TestDedupRecordReplaysLostResponseThenSettles(t *testing.T) {
+	// The handler runs, but a fully lossy reverse link drops its response.
+	// The retry must still find the cached success and replay it rather
+	// than execute again; the record settles when the call returns.
+	k, n := testNet()
+	n.EnableDeliveryAccounting()
+	client := n.NewNode("cli", 0, 0, 1)
+	execs := 0
+	s := countingServer(n, "srv", time.Millisecond, &execs)
+	s.SetDedup(true)
+	n.SetLinkFault("srv", "cli", 0, 1)
+	k.Schedule(1200*time.Microsecond, func() { n.HealLink("srv", "cli") })
+
+	c := NewClient(Policy{MaxAttempts: 3, BackoffBase: time.Millisecond}, 1)
+	var resp Response
+	k.Go("client", func(p *sim.Proc) {
+		resp, _ = c.Call(p, client, s, Request{Method: "op"})
+		s.Stop()
+	})
+	k.Run()
+	if resp.Err != nil || resp.Payload != "srv" {
+		t.Fatalf("resp = %+v, want the replayed success", resp)
+	}
+	if c.Attempts != 2 {
+		t.Fatalf("attempts = %d, want 2 (one lost response, one replay)", c.Attempts)
+	}
+	assertSettled(t, s)
+	assertDeliveries(t, n, s, firstCallID, 2, 1, 1)
+}
+
+func TestDedupRecordSettlesAfterCrash(t *testing.T) {
+	// A crash mid-call fails the in-service attempt; the retry finds the
+	// server down. Nothing is cached and the pending record clears.
+	k, n := testNet()
+	n.EnableDeliveryAccounting()
+	client := n.NewNode("cli", 0, 0, 1)
+	execs := 0
+	s := countingServer(n, "srv", time.Millisecond, &execs)
+	s.SetDedup(true)
+	k.Schedule(500*time.Microsecond, s.Crash)
+
+	c := NewClient(Policy{MaxAttempts: 2}, 1)
+	var resp Response
+	k.Go("client", func(p *sim.Proc) {
+		resp, _ = c.Call(p, client, s, Request{Method: "op"})
+	})
+	k.Run()
+	if !errors.Is(resp.Err, ErrServerDown) {
+		t.Fatalf("resp.Err = %v, want the crash error", resp.Err)
+	}
+	assertSettled(t, s)
+	assertDeliveries(t, n, s, firstCallID, 1, 1, 0)
+	if k.Live() != 0 {
+		t.Fatalf("leaked procs: %d", k.Live())
+	}
+}

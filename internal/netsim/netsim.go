@@ -334,7 +334,9 @@ type Server struct {
 	// second delivery of the same nonzero CallID joins the in-flight execution
 	// (singleflight) or replays the cached successful response instead of
 	// running the handler again. Production RPC stacks need this so retried
-	// mutations are not applied twice.
+	// mutations are not applied twice. A doneByID record lives until the
+	// Client.Call that minted its ID settles it (see settle), so the maps
+	// hold in-flight calls, not completed ones.
 	dedup         bool
 	pendingByID   map[uint64]*inFlight
 	doneByID      map[uint64]Response
@@ -344,10 +346,35 @@ type Server struct {
 type inFlight struct {
 	req  Request
 	resp Response
-	done *sim.Signal
+	done sim.Signal
+	// deduped marks a call registered in pendingByID: its completion clears
+	// that entry and caches a success in doneByID (see fire).
+	deduped bool
 	// enqueuedAt is the admission instant, the basis of the CoDel sojourn.
 	enqueuedAt time.Duration
 }
+
+// fire completes c with the response already in c.resp: its waiters wake
+// first, then the dedup bookkeeping runs. The pending entry always clears,
+// and only definite successes are cached. Every completion point (CoDel
+// expiry, handler return, Crash) goes through here, once per call.
+func (s *Server) fire(c *inFlight) {
+	c.done.Fire()
+	if c.deduped {
+		id := c.req.CallID
+		delete(s.pendingByID, id)
+		if c.resp.Err == nil {
+			s.doneByID[id] = c.resp
+		}
+	}
+}
+
+// settle drops the cached response of call ID id. Client.Call calls it once
+// the logical call that minted id has returned and every attempt it started
+// has returned from Call: no request carrying id can arrive after that, so
+// the record can never be read again. Deleting from a nil map (dedup off) is
+// a no-op.
+func (s *Server) settle(id uint64) { delete(s.doneByID, id) }
 
 // NewServer creates a server on a node with the given worker pool size.
 func NewServer(node *Node, workers int) *Server {
@@ -412,7 +439,7 @@ func (s *Server) Start() {
 					if !c.done.Fired() {
 						c.resp = Response{Err: fmt.Errorf("%w: %s after %v queued",
 							ErrExpired, s.Node.Name, p.Now()-c.enqueuedAt)}
-						c.done.Fire()
+						s.fire(c)
 					}
 					continue
 				}
@@ -442,7 +469,7 @@ func (s *Server) Start() {
 				// its response already went out, so drop the handler's.
 				if !c.done.Fired() {
 					c.resp = resp
-					c.done.Fire()
+					s.fire(c)
 				}
 			}
 		})
@@ -480,14 +507,14 @@ func (s *Server) Crash() {
 			s.Node.net.m.queueDepth.Add(-1)
 			if !c.done.Fired() {
 				c.resp = Response{Err: downErr}
-				c.done.Fire()
+				s.fire(c)
 			}
 		}
 	}
 	for _, c := range s.inService {
 		if !c.done.Fired() {
 			c.resp = Response{Err: downErr}
-			c.done.Fire()
+			s.fire(c)
 		}
 	}
 	// Workers blocked on the (now empty) queue exit via sentinels; workers
@@ -545,25 +572,17 @@ func (s *Server) Call(p *sim.Proc, from *Node, req Request) (Response, time.Dura
 		if prev, ok := s.pendingByID[req.CallID]; ok {
 			s.DupSuppressed++
 			net.m.dedupSuppressed.Inc()
-			p.Wait(prev.done)
+			p.Wait(&prev.done)
 			return s.respond(p, from, prev.resp), p.Now() - start
 		}
 	}
 	if err := s.admit(req); err != nil {
 		return Response{Err: err}, p.Now() - start
 	}
-	c := &inFlight{req: req, done: sim.NewSignal(net.k), enqueuedAt: p.Now()}
+	c := &inFlight{req: req, enqueuedAt: p.Now()}
 	if s.dedup && tracked {
-		id := req.CallID
-		s.pendingByID[id] = c
-		// The done hook runs on completion and on crash alike: the pending
-		// entry always clears, and only definite successes are cached.
-		c.done.OnFire(func() {
-			delete(s.pendingByID, id)
-			if c.resp.Err == nil {
-				s.doneByID[id] = c.resp
-			}
-		})
+		c.deduped = true
+		s.pendingByID[req.CallID] = c
 	}
 	net.m.queueDepth.Add(1)
 	if req.Priority {
@@ -571,7 +590,7 @@ func (s *Server) Call(p *sim.Proc, from *Node, req Request) (Response, time.Dura
 	} else {
 		s.queue.Put(c)
 	}
-	p.Wait(c.done)
+	p.Wait(&c.done)
 	return s.respond(p, from, c.resp), p.Now() - start
 }
 

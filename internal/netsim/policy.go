@@ -249,48 +249,93 @@ func (c *Client) BreakerOpenFor(s *Server) bool {
 	return b != nil && b.state == breakerOpen
 }
 
+// deadlineCall is the state one logical call shares with its attempts under
+// a deadline policy. Each attempt runs in a helper process, and a timed-out
+// attempt keeps draining after the call gave up on it, so the call's dedup
+// record settles when the last of the call itself and its helpers is done.
+type deadlineCall struct {
+	s *Server
+	// id is the call ID to settle, or 0 when the caller supplied the ID and
+	// so owns its lifetime.
+	id uint64
+	// running counts the call, until it returns, and each helper, until it
+	// leaves Server.Call.
+	running int
+}
+
+// exit records that the call returned or one helper left Server.Call,
+// settling the call's record when nothing that carries its ID is left.
+func (d *deadlineCall) exit() {
+	d.running--
+	if d.running == 0 && d.id != 0 {
+		d.s.settle(d.id)
+	}
+}
+
+// deadlineAttempt is one attempt under a deadline policy: the helper's
+// response, and the gate the caller waits on, which fires when the attempt
+// returns or its deadline passes, whichever comes first.
+type deadlineAttempt struct {
+	resp     Response
+	finished bool
+	gate     sim.Signal
+}
+
+// fireGate is the deadline event's callback, hoisted so scheduling it
+// allocates nothing.
+var fireGate = func(arg any) { arg.(*deadlineAttempt).gate.Fire() }
+
 // attempt performs one attempt against s, honoring the per-attempt deadline.
-// Without a deadline it calls inline (zero overhead); with one, the attempt
-// runs in a helper process so the caller can give up at the deadline while
-// the attempt drains in the background (every server failure mode produces a
-// response, so helpers never leak).
-func (c *Client) attempt(p *sim.Proc, from *Node, s *Server, req Request) Response {
+// Without a deadline (dc is nil) it calls inline (zero overhead); with one,
+// the attempt runs in a helper process so the caller can give up at the
+// deadline while the attempt drains in the background (every server failure
+// mode produces a response, so helpers never leak).
+func (c *Client) attempt(p *sim.Proc, from *Node, s *Server, req Request, dc *deadlineCall) Response {
 	c.Attempts++
 	s.Node.net.m.attempts.Inc()
-	if c.policy.Deadline <= 0 {
+	if dc == nil {
 		resp, _ := s.Call(p, from, req)
 		return resp
 	}
 	k := s.Node.net.k
-	var resp Response
-	done := sim.NewSignal(k)
-	k.Go(fmt.Sprintf("rpc-attempt/%s", req.Method), func(ap *sim.Proc) {
-		r, _ := s.Call(ap, from, req)
-		resp = r
-		done.Fire()
+	a := &deadlineAttempt{}
+	dc.running++
+	k.Go("rpc-attempt/"+req.Method, func(ap *sim.Proc) {
+		a.resp, _ = s.Call(ap, from, req)
+		a.finished = true
+		a.gate.Fire()
+		dc.exit()
 	})
-	gate := sim.NewSignal(k)
-	done.OnFire(gate.Fire)
-	k.Schedule(c.policy.Deadline, gate.Fire)
-	p.Wait(gate)
-	if !done.Fired() {
+	k.ScheduleArg(c.policy.Deadline, fireGate, a)
+	p.Wait(&a.gate)
+	if !a.finished {
 		c.Deadlines++
 		s.Node.net.m.deadlines.Inc()
 		return Response{Err: fmt.Errorf("%w: %s after %v", ErrDeadlineExceeded, req.Method, c.policy.Deadline)}
 	}
-	return resp
+	return a.resp
 }
 
 // Call performs a policy-driven RPC against one server: a deadline per
 // attempt, retries with exponential backoff and jitter under the retry budget,
 // and the target's circuit breaker. It returns the last response and the
 // total elapsed time.
+//
+// A call ID that Call mints is settled at the server once no request carrying
+// it can arrive again: when Call returns, or with a deadline when its last
+// draining attempt returns. A caller-supplied ID is never settled.
 func (c *Client) Call(p *sim.Proc, from *Node, s *Server, req Request) (Response, time.Duration) {
 	net := s.Node.net
 	c.Calls++
 	net.m.calls.Inc()
+	var owned uint64
 	if req.CallID == 0 {
 		req.CallID = c.callID(net)
+		owned = req.CallID
+	}
+	var dc *deadlineCall
+	if c.policy.Deadline > 0 {
+		dc = &deadlineCall{s: s, id: owned, running: 1}
 	}
 	start := p.Now()
 	var resp Response
@@ -311,7 +356,7 @@ func (c *Client) Call(p *sim.Proc, from *Node, s *Server, req Request) (Response
 			net.m.breakerFastFails.Inc()
 			resp = Response{Err: fmt.Errorf("%w: %s", ErrCircuitOpen, s.Node.Name)}
 		} else {
-			resp = c.attempt(p, from, s, req)
+			resp = c.attempt(p, from, s, req, dc)
 			c.noteResult(s, resp.Err, p.Now())
 		}
 		if resp.Err == nil || !retryable(resp.Err) {
@@ -320,6 +365,11 @@ func (c *Client) Call(p *sim.Proc, from *Node, s *Server, req Request) (Response
 	}
 	if resp.Err == nil {
 		c.refillBudget()
+	}
+	if dc != nil {
+		dc.exit()
+	} else if owned != 0 {
+		s.settle(owned)
 	}
 	return resp, p.Now() - start
 }

@@ -96,30 +96,39 @@ func (p *Proc) Use(r *Resource, n int, d time.Duration) {
 }
 
 // Signal is a one-shot broadcast event. Processes that Wait before Fire block
-// until it fires; waits after Fire return immediately.
+// until it fires; waits after Fire return immediately. The zero Signal is
+// unfired and ready to use, so a struct that owns one can embed it by value.
 type Signal struct {
-	k       *Kernel
-	fired   bool
-	waiters []*Proc
-	hooks   []func()
+	fired bool
+	// first is the first waiter, kept inline: most signals have one waiter,
+	// which then costs no slice. Later waiters queue in more.
+	first *Proc
+	more  []*Proc
+	hooks []func()
 }
 
-// NewSignal creates an unfired signal.
-func NewSignal(k *Kernel) *Signal { return &Signal{k: k} }
+// NewSignal creates an unfired signal. The signal keeps no kernel: Fire
+// wakes each waiter on its own kernel.
+func NewSignal(*Kernel) *Signal { return &Signal{} }
 
 // Fired reports whether the signal has fired.
 func (s *Signal) Fired() bool { return s.fired }
 
-// Fire releases all current and future waiters. Firing twice is a no-op.
+// Fire releases all current and future waiters, in the order they began
+// waiting, then runs the OnFire hooks. Firing twice is a no-op.
 func (s *Signal) Fire() {
 	if s.fired {
 		return
 	}
 	s.fired = true
-	for _, w := range s.waiters {
-		s.k.wake(s.k.now, w)
+	if w := s.first; w != nil {
+		s.first = nil
+		w.k.wake(w.k.now, w)
 	}
-	s.waiters = nil
+	for _, w := range s.more {
+		w.k.wake(w.k.now, w)
+	}
+	s.more = nil
 	for _, fn := range s.hooks {
 		fn()
 	}
@@ -143,7 +152,11 @@ func (p *Proc) Wait(s *Signal) {
 	if s.fired {
 		return
 	}
-	s.waiters = append(s.waiters, p)
+	if s.first == nil {
+		s.first = p
+	} else {
+		s.more = append(s.more, p)
+	}
 	p.park()
 }
 
@@ -210,8 +223,7 @@ func (q *Queue[T]) Len() int { return len(q.items) }
 // called from kernel context or any process.
 func (q *Queue[T]) Put(v T) {
 	if len(q.waiters) > 0 {
-		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
+		w := q.popWaiter()
 		w.item = v
 		q.k.wake(q.k.now, w.p)
 		return
@@ -224,8 +236,7 @@ func (q *Queue[T]) Put(v T) {
 // waiting the bands are indistinguishable (the item is handed over directly).
 func (q *Queue[T]) PutHigh(v T) {
 	if len(q.waiters) > 0 {
-		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
+		w := q.popWaiter()
 		w.item = v
 		q.k.wake(q.k.now, w.p)
 		return
@@ -234,6 +245,20 @@ func (q *Queue[T]) PutHigh(v T) {
 	copy(q.items[q.high+1:], q.items[q.high:])
 	q.items[q.high] = v
 	q.high++
+}
+
+// popWaiter removes the oldest blocked getter. Emptying the slice rewinds it
+// to length zero, so the next blocked getter appends into the same backing
+// array instead of a fresh one.
+func (q *Queue[T]) popWaiter() *queueWaiter[T] {
+	w := q.waiters[0]
+	q.waiters[0] = nil
+	if len(q.waiters) == 1 {
+		q.waiters = q.waiters[:0]
+	} else {
+		q.waiters = q.waiters[1:]
+	}
+	return w
 }
 
 // Drain removes and returns all queued items without waking blocked getters.

@@ -19,6 +19,10 @@ out="${1:-BENCH_0.json}"
 benchtime="${BENCHTIME:-100000x}"
 # The netsim messageDelay op is ~25ns, so it needs far more iterations than
 # the kernel benchmarks before scheduler noise averages out.
+# ServerCallDedup (root package) is one deduplicated RPC through a Client,
+# a few microseconds; its allocs/op pins the server call's allocations, and
+# at this iteration count a dedup record that outlived its call would show
+# in B/op.
 netbenchtime="${NETBENCHTIME:-1000000x}"
 # Each benchmark runs BENCHCOUNT times; the JSON keeps the per-name minimum
 # ns/op (the least-interrupted sample — scheduler and frequency noise only
@@ -29,7 +33,7 @@ benchcount="${BENCHCOUNT:-6}"
 # exit, which every open-loop arrival pays. TraceBreakdown pins the §4.1
 # breakdown of a Spanner-sized trace at 0 allocs/op.
 kernpattern='^Benchmark(Sim(KernelEvents|KernelSchedule|KernelRun|KernelDenseTimers|KernelDenseTimersHeapOnly|ProcSwitch|ProcSpawn)|Stats(SketchRecord|SummaryRecord)|TraceBreakdown)$'
-netpattern='^BenchmarkNetMessageDelay$'
+netpattern='^Benchmark(NetMessageDelay|ServerCallDedup)$'
 pipepattern='^BenchmarkPipelineHandoff$'
 # The storage-path benches guard the allocation-lean SSTable seal and
 # bootstrap: the encoder into a reused buffer (0 allocs/op), a full BigTable
@@ -53,7 +57,7 @@ if [ $# -gt 1 ]; then
 	raw="$(cat "$@")"
 else
 	raw="$(go test -run '^$' -bench "$kernpattern" -benchmem -benchtime "$benchtime" -count "$benchcount" .)
-$(go test -run '^$' -bench "$netpattern" -benchmem -benchtime "$netbenchtime" -count "$benchcount" ./internal/netsim/)
+$(go test -run '^$' -bench "$netpattern" -benchmem -benchtime "$netbenchtime" -count "$benchcount" . ./internal/netsim/)
 $(go test -run '^$' -bench "$pipepattern" -benchmem -benchtime "$benchtime" -count "$benchcount" ./internal/workload/)
 $(go test -run '^$' -bench "$storagepattern" -benchmem -benchtime "$storagebenchtime" -count "$storagebenchcount" -cpu 1 .)"
 	printf '%s\n' "$raw"
