@@ -508,11 +508,12 @@ func BenchmarkSimProcSwitch(b *testing.B) {
 }
 
 // BenchmarkSimProcSpawn measures starting a process and running it to exit.
-// Its allocs/op pins the spawn cost — the Proc, its resume channel and the
-// goroutine's closure — that every open-loop arrival pays, so a coroutine
-// scheme that costs more per process cannot land unnoticed. The Gosched
-// lets each exited goroutine finish before the next spawn, so the runtime
-// reuses it and allocs/op is exact.
+// Its allocs/op pins the spawn cost that every open-loop arrival pays at one
+// allocation, the goroutine's start closure (the Proc and its resume channel
+// come from the kernel's free list), so a coroutine scheme that costs more
+// per process cannot land unnoticed. The Gosched lets each exited goroutine
+// finish before the next spawn, so the runtime reuses it and allocs/op is
+// exact.
 func BenchmarkSimProcSpawn(b *testing.B) {
 	b.ReportAllocs()
 	k := sim.New()
@@ -524,12 +525,35 @@ func BenchmarkSimProcSpawn(b *testing.B) {
 	}
 }
 
+// BenchmarkSimQueueHandoff measures a blocking get round trip: Put hands an
+// item to a parked getter, which takes it and parks again. Its allocs/op pins
+// the handoff at zero, the wait every RPC server worker makes per request.
+func BenchmarkSimQueueHandoff(b *testing.B) {
+	b.ReportAllocs()
+	k := sim.New()
+	q := sim.NewQueue[*int](k)
+	item := new(int)
+	k.Go("getter", func(p *sim.Proc) {
+		for sim.GetQueue(p, q) != nil {
+		}
+	})
+	k.Go("putter", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			q.Put(item)
+			p.Sleep(time.Nanosecond)
+		}
+		q.Put(nil)
+	})
+	b.ResetTimer()
+	k.Run()
+}
+
 // BenchmarkServerCallDedup measures one RPC through a Client to a server
 // with duplicate suppression on: both transfers, the server's queue and
-// worker, and the call's dedup record. Its allocs/op pins the path at two
-// allocations, the server's inFlight and the worker's queue waiter, and its
-// B/op stays flat in b.N only because each record settles with its call
-// instead of accumulating.
+// worker, and the call's dedup record. Its allocs/op pins the path at one
+// allocation, the server's inFlight (the worker's blocking get allocates
+// nothing), and its B/op stays flat in b.N only because each record settles
+// with its call instead of accumulating.
 func BenchmarkServerCallDedup(b *testing.B) {
 	b.ReportAllocs()
 	k := sim.New()

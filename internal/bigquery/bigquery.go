@@ -12,7 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-
+	"strconv"
 	"time"
 
 	"hyperprof/internal/check"
@@ -164,6 +164,9 @@ type Engine struct {
 	// releaser sends releaseSlot's drops: one attempt each, outside the
 	// data path's retry budget and circuit breakers.
 	releaser *netsim.Client
+	// s1Names and prNames name each worker's stage-1 process in a query and
+	// in a PageRank round, built once instead of per spawn.
+	s1Names, prNames []string
 
 	fact []*partition
 	dim  map[int64]string
@@ -283,6 +286,8 @@ func New(env *platform.Env, cfg Config) (*Engine, error) {
 	e.coord = machines[0]
 	for i := 0; i < cfg.Workers; i++ {
 		e.workers = append(e.workers, machines[(i+1)%len(machines)])
+		e.s1Names = append(e.s1Names, "bq-s1-w"+strconv.Itoa(i))
+		e.prNames = append(e.prNames, "bq-pr-w"+strconv.Itoa(i))
 	}
 	for i := 0; i < cfg.ShuffleServers; i++ {
 		m := machines[(cfg.Workers+1+i)%len(machines)]
@@ -727,14 +732,14 @@ func (e *Engine) shuffleRound(p *sim.Proc, tr *trace.Trace, q Query, qid, nParts
 	busy := min(nW, nParts)
 	errs := make([]error, busy)
 	bar := sim.NewBarrier(e.env.K, busy)
-	procName, round := "bq-s1-w", "query"
+	names, round := e.s1Names, "query"
 	if q.Kind == PageRank {
-		procName, round = "bq-pr-w", "rank round"
+		names, round = e.prNames, "rank round"
 	}
 
 	for w := 0; w < busy; w++ {
 		worker := e.workers[w]
-		e.env.K.Go(fmt.Sprintf("%s%d", procName, w), func(wp *sim.Proc) {
+		e.env.K.Go(names[w], func(wp *sim.Proc) {
 			defer bar.Done()
 			e.mStage1Active.Add(1)
 			defer e.mStage1Active.Add(-1)

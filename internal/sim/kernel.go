@@ -14,7 +14,9 @@
 // its deferred calls on the way out. A parked goroutine keeps everything its
 // stack reaches alive, so a caller that drops a kernel with parked processes
 // (server loops waiting for requests that will never come) must Close it to
-// release the simulation.
+// release the simulation. The Proc of a body that returned goes on the
+// kernel's free list, and a later Go reuses it with a fresh goroutine, so a
+// spawn allocates only that goroutine's start closure.
 //
 // A Kernel is single-threaded by construction, but distinct kernels share no
 // state, so independent simulations may run on concurrent goroutines (the
@@ -38,6 +40,7 @@ type Kernel struct {
 	yield  chan struct{}
 	live   int   // processes started and not yet terminated
 	procs  *Proc // head of the intrusive list of those live processes
+	free   *Proc // finished processes for Go to reuse, linked through next
 	// closing is set by Close: a process resumed from then on unwinds
 	// instead of running.
 	closing bool
@@ -120,31 +123,48 @@ func (k *Kernel) wake(at time.Duration, p *Proc) {
 // Go starts a new process executing fn. The process begins at the current
 // virtual time, after already-scheduled events for this instant. Go may be
 // called before Run, from kernel context, or from another process.
+//
+// The returned *Proc is valid only until fn returns: the kernel then recycles
+// it for a later Go, which gives it a new name and body.
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, resume: make(chan struct{})}
+	p := k.free
+	if p != nil {
+		k.free = p.next
+		p.next = nil
+	} else {
+		p = &Proc{k: k, resume: make(chan struct{})}
+	}
+	p.name, p.fn = name, fn
 	k.link(p)
-	go func() {
-		// A body that returns takes the explicit exit below; one that Close
-		// unwinds leaves through runtime.Goexit, which runs the deferred
-		// exit. returned keeps the deferred call from reading k.closing
-		// once the kernel has control again. A panicking body (closing is
-		// false) takes neither, so the panic crashes the program with the
-		// kernel still blocked.
-		returned := false
-		defer func() {
-			if !returned && k.closing {
-				k.exit(p)
-			}
-		}()
-		<-p.resume
-		if !k.closing {
-			fn(p)
-		}
-		returned = true
-		k.exit(p)
-	}()
+	go p.run()
 	k.wake(k.now, p)
 	return p
+}
+
+// run is the body of a process goroutine. Every process gets a fresh
+// goroutine: a reused one would keep the deepest stack any earlier body grew.
+func (p *Proc) run() {
+	k := p.k
+	// A body that returns takes the explicit exit below; one that Close
+	// unwinds leaves through runtime.Goexit, which runs the deferred unlink.
+	// returned keeps the deferred call from reading k.closing once the kernel
+	// has control again. A panicking body (closing is false) takes neither,
+	// so the panic crashes the program with the kernel still blocked.
+	returned := false
+	defer func() {
+		if !returned && k.closing {
+			k.unlink(p)
+			k.yield <- struct{}{}
+		}
+	}()
+	<-p.resume
+	fn := p.fn
+	p.fn = nil // a free Proc must not keep its body's closure alive
+	if !k.closing {
+		fn(p)
+	}
+	returned = true
+	k.exit(p)
 }
 
 // link records p as live at the head of the kernel's process list. The list
@@ -159,9 +179,8 @@ func (k *Kernel) link(p *Proc) {
 	k.procs = p
 }
 
-// exit retires p and hands control back to the kernel. It is the last thing
-// a process goroutine does.
-func (k *Kernel) exit(p *Proc) {
+// unlink removes p from the live-process list.
+func (k *Kernel) unlink(p *Proc) {
 	if p.prev != nil {
 		p.prev.next = p.next
 	} else {
@@ -172,6 +191,16 @@ func (k *Kernel) exit(p *Proc) {
 	}
 	p.prev, p.next = nil, nil
 	k.live--
+}
+
+// exit retires p to the free list and hands control back to the kernel. It
+// is the last thing a returning process goroutine does. Only a returned
+// process is recycled: one that Close unwound was parked, and the primitive
+// it parked on may still hold it.
+func (k *Kernel) exit(p *Proc) {
+	k.unlink(p)
+	p.next = k.free
+	k.free = p
 	k.yield <- struct{}{}
 }
 
@@ -586,10 +615,16 @@ func (q *eventHeap) pop() event {
 // Proc is a simulated process. All Proc methods must be called from within
 // the process's own goroutine (i.e. from the fn passed to Kernel.Go).
 type Proc struct {
-	k          *Kernel
-	name       string
-	resume     chan struct{}
-	prev, next *Proc // neighbours in the kernel's live-process list
+	k      *Kernel
+	name   string
+	fn     func(p *Proc) // the body, until run starts it
+	resume chan struct{}
+	// got carries the item a Queue hands to this process while it is parked
+	// in GetQueue.
+	got any
+	// prev and next are the neighbours in the kernel's live-process list;
+	// on the free list, next links the free processes.
+	prev, next *Proc
 }
 
 // Name returns the name the process was started with.

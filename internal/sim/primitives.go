@@ -104,7 +104,6 @@ type Signal struct {
 	// which then costs no slice. Later waiters queue in more.
 	first *Proc
 	more  []*Proc
-	hooks []func()
 }
 
 // NewSignal creates an unfired signal. The signal keeps no kernel: Fire
@@ -115,7 +114,7 @@ func NewSignal(*Kernel) *Signal { return &Signal{} }
 func (s *Signal) Fired() bool { return s.fired }
 
 // Fire releases all current and future waiters, in the order they began
-// waiting, then runs the OnFire hooks. Firing twice is a no-op.
+// waiting. Firing twice is a no-op.
 func (s *Signal) Fire() {
 	if s.fired {
 		return
@@ -129,22 +128,6 @@ func (s *Signal) Fire() {
 		w.k.wake(w.k.now, w)
 	}
 	s.more = nil
-	for _, fn := range s.hooks {
-		fn()
-	}
-	s.hooks = nil
-}
-
-// OnFire registers fn to run (in the firing context) when the signal fires;
-// if it already fired, fn runs immediately. It is the composition hook behind
-// wait-for-any patterns: forward several signals into one without spawning
-// watcher processes that could outlive the simulation.
-func (s *Signal) OnFire(fn func()) {
-	if s.fired {
-		fn()
-		return
-	}
-	s.hooks = append(s.hooks, fn)
 }
 
 // Wait blocks the calling process until the signal fires.
@@ -202,15 +185,10 @@ func (p *Proc) WaitBarrier(b *Barrier) { p.Wait(b.sig) }
 type Queue[T any] struct {
 	k       *Kernel
 	items   []T
-	waiters []*queueWaiter[T]
+	waiters []*Proc // blocked getters, oldest first
 	// high is the length of the priority band: items[0:high] were PutHigh,
 	// items[high:] were Put.
 	high int
-}
-
-type queueWaiter[T any] struct {
-	p    *Proc
-	item T
 }
 
 // NewQueue creates an empty queue.
@@ -222,23 +200,16 @@ func (q *Queue[T]) Len() int { return len(q.items) }
 // Put appends an item, waking the oldest blocked getter if any. It may be
 // called from kernel context or any process.
 func (q *Queue[T]) Put(v T) {
-	if len(q.waiters) > 0 {
-		w := q.popWaiter()
-		w.item = v
-		q.k.wake(q.k.now, w.p)
-		return
+	if !q.handoff(v) {
+		q.items = append(q.items, v)
 	}
-	q.items = append(q.items, v)
 }
 
 // PutHigh adds an item to the priority band: it is delivered before every
 // normal-band item but after earlier PutHigh items. With a blocked getter
 // waiting the bands are indistinguishable (the item is handed over directly).
 func (q *Queue[T]) PutHigh(v T) {
-	if len(q.waiters) > 0 {
-		w := q.popWaiter()
-		w.item = v
-		q.k.wake(q.k.now, w.p)
+	if q.handoff(v) {
 		return
 	}
 	q.items = append(q.items, v)
@@ -247,18 +218,24 @@ func (q *Queue[T]) PutHigh(v T) {
 	q.high++
 }
 
-// popWaiter removes the oldest blocked getter. Emptying the slice rewinds it
-// to length zero, so the next blocked getter appends into the same backing
-// array instead of a fresh one.
-func (q *Queue[T]) popWaiter() *queueWaiter[T] {
-	w := q.waiters[0]
+// handoff gives v to the oldest blocked getter in its Proc.got and wakes it,
+// and reports false if no getter is blocked. Emptying the waiter slice
+// rewinds it to length zero, so the next blocked getter appends into the
+// same backing array instead of a fresh one.
+func (q *Queue[T]) handoff(v T) bool {
+	if len(q.waiters) == 0 {
+		return false
+	}
+	p := q.waiters[0]
 	q.waiters[0] = nil
 	if len(q.waiters) == 1 {
 		q.waiters = q.waiters[:0]
 	} else {
 		q.waiters = q.waiters[1:]
 	}
-	return w
+	p.got = v
+	q.k.wake(q.k.now, p)
+	return true
 }
 
 // Drain removes and returns all queued items without waking blocked getters.
@@ -271,7 +248,9 @@ func (q *Queue[T]) Drain() []T {
 	return items
 }
 
-// GetQueue blocks p until an item is available in q and returns it.
+// GetQueue blocks p until an item is available in q and returns it. A
+// blocking get allocates nothing: the item arrives in p.got, and for a
+// pointer-shaped T storing it there boxes nothing.
 func GetQueue[T any](p *Proc, q *Queue[T]) T {
 	if len(q.items) > 0 {
 		v := q.items[0]
@@ -281,8 +260,10 @@ func GetQueue[T any](p *Proc, q *Queue[T]) T {
 		}
 		return v
 	}
-	w := &queueWaiter[T]{p: p}
-	q.waiters = append(q.waiters, w)
+	q.waiters = append(q.waiters, p)
 	p.park()
-	return w.item
+	// The two-value form: a nil interface item arrives as a nil got.
+	v, _ := p.got.(T)
+	p.got = nil
+	return v
 }

@@ -1,73 +1,9 @@
 package sim
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
-// Tests for the wait-for-any composition hook (Signal.OnFire) and the
-// wholesale-failure helper (Queue.Drain) that the RPC resilience layer
-// builds on.
-
-func TestSignalOnFireRunsAtFireTime(t *testing.T) {
-	k := New()
-	s := NewSignal(k)
-	var firedAt time.Duration = -1
-	s.OnFire(func() { firedAt = k.Now() })
-	k.Schedule(7*time.Millisecond, s.Fire)
-	k.Run()
-	if firedAt != 7*time.Millisecond {
-		t.Fatalf("hook ran at %v, want 7ms", firedAt)
-	}
-}
-
-func TestSignalOnFireAfterFiredRunsImmediately(t *testing.T) {
-	k := New()
-	s := NewSignal(k)
-	s.Fire()
-	ran := false
-	s.OnFire(func() { ran = true })
-	if !ran {
-		t.Fatal("hook on already-fired signal must run immediately")
-	}
-}
-
-func TestSignalOnFireForwardsWaitForAny(t *testing.T) {
-	// The composition pattern: several source signals forward into one gate,
-	// a process waits on the gate, and the first source to fire releases it —
-	// without any watcher processes that could leak.
-	k := New()
-	a, b := NewSignal(k), NewSignal(k)
-	gate := NewSignal(k)
-	a.OnFire(gate.Fire)
-	b.OnFire(gate.Fire)
-	var released time.Duration
-	k.Go("waiter", func(p *Proc) {
-		p.Wait(gate)
-		released = p.Now()
-	})
-	k.Schedule(3*time.Millisecond, b.Fire)
-	k.Schedule(9*time.Millisecond, a.Fire)
-	k.Run()
-	if released != 3*time.Millisecond {
-		t.Fatalf("released at %v, want 3ms (first of the sources)", released)
-	}
-	if k.Live() != 0 {
-		t.Fatalf("leaked procs: %d", k.Live())
-	}
-}
-
-func TestSignalDoubleFireSkipsHooks(t *testing.T) {
-	k := New()
-	s := NewSignal(k)
-	n := 0
-	s.OnFire(func() { n++ })
-	s.Fire()
-	s.Fire()
-	if n != 1 {
-		t.Fatalf("hook ran %d times, want 1", n)
-	}
-}
+// Tests for the wholesale-failure helper (Queue.Drain) that the RPC
+// resilience layer builds on.
 
 func TestQueueDrain(t *testing.T) {
 	k := New()

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math/rand"
 	"sort"
 	"testing"
@@ -68,6 +69,53 @@ func TestSleepParkResumeAllocFree(t *testing.T) {
 	// container/heap queue paid 2 allocs per cycle (~4000 here).
 	if avg > 25 {
 		t.Fatalf("sleep/park/resume allocated %.0f objects across %d cycles, want setup-only (<=25)", avg, cycles)
+	}
+}
+
+// TestQueueHandoffAllocFree asserts a blocking get round trip — Put hands
+// the item to a parked getter, which takes it and parks again — allocates
+// nothing in steady state: the item travels in the getter's Proc and the
+// waiter slice keeps its capacity. Every RPC server worker waits this way.
+func TestQueueHandoffAllocFree(t *testing.T) {
+	k := New()
+	q := NewQueue[*int](k)
+	item, n := new(int), 0
+	k.Go("getter", func(p *Proc) {
+		for {
+			if GetQueue(p, q) == item {
+				n++
+			}
+		}
+	})
+	k.Run()
+	avg := testing.AllocsPerRun(1000, func() {
+		q.Put(item)
+		k.Run()
+	})
+	if avg != 0 || n != 1001 {
+		t.Fatalf("blocking get round trip: %.2f allocs, %d items received; want 0 and 1001", avg, n)
+	}
+	k.Close()
+}
+
+// TestQueueNilInterfaceItem checks a blocked getter of an interface-typed
+// queue receives a nil item as nil instead of panicking on the handoff, and
+// a non-nil one intact.
+func TestQueueNilInterfaceItem(t *testing.T) {
+	k := New()
+	q := NewQueue[error](k)
+	boom := errors.New("boom")
+	var got []error
+	k.Go("getter", func(p *Proc) {
+		got = append(got, GetQueue(p, q), GetQueue(p, q))
+	})
+	k.Run()
+	q.Put(nil)
+	k.Run()
+	q.PutHigh(boom)
+	k.Run()
+	if len(got) != 2 || got[0] != nil || got[1] != boom {
+		t.Fatalf("got %v, want [<nil> boom]", got)
 	}
 }
 

@@ -30,9 +30,10 @@ netbenchtime="${NETBENCHTIME:-1000000x}"
 # so max == min unless something is actually wrong).
 benchcount="${BENCHCOUNT:-6}"
 # SimProcSpawn pins the allocations of starting a process and running it to
-# exit, which every open-loop arrival pays. TraceBreakdown pins the §4.1
-# breakdown of a Spanner-sized trace at 0 allocs/op.
-kernpattern='^Benchmark(Sim(KernelEvents|KernelSchedule|KernelRun|KernelDenseTimers|KernelDenseTimersHeapOnly|ProcSwitch|ProcSpawn)|Stats(SketchRecord|SummaryRecord)|TraceBreakdown)$'
+# exit, which every open-loop arrival pays, at 1; SimQueueHandoff pins a
+# blocking queue get at 0. TraceBreakdown pins the §4.1 breakdown of a
+# Spanner-sized trace at 0 allocs/op.
+kernpattern='^Benchmark(Sim(KernelEvents|KernelSchedule|KernelRun|KernelDenseTimers|KernelDenseTimersHeapOnly|ProcSwitch|ProcSpawn|QueueHandoff)|Stats(SketchRecord|SummaryRecord)|TraceBreakdown)$'
 netpattern='^Benchmark(NetMessageDelay|ServerCallDedup)$'
 pipepattern='^BenchmarkPipelineHandoff$'
 # The storage-path benches guard the allocation-lean SSTable seal and
