@@ -112,7 +112,8 @@ STUDY_backends = $(GO) test ./internal/dispatch/ && \
 # pairing/determinism property tests, the multi-seed safety-under-partition
 # study tests with broken-knob conviction and the partition conformance
 # subtest at -short, and a -study=partition -check sweep (nonzero exit on any
-# violation outside the broken demonstration arms) emitting the JSON report.
+# violation outside the broken demonstration arms, or when a broken arm is
+# not convicted) emitting the JSON report.
 STUDY_partition = $(GO) test ./internal/netsim/ ./internal/sim/ ./internal/check/ && \
 	$(GO) test -short ./internal/faults/ -run 'TestNemesis|TestSkippedUnknownTarget' && \
 	$(GO) test -short ./internal/experiments/ -run 'TestPartitionStudy|TestRenderPartition|TestStudyConformance/partition' && \
@@ -132,8 +133,8 @@ STUDY_fleet = $(GO) test ./internal/stats/ ./internal/check/ ./internal/workload
 # parallel and exec), the end-to-end span and stage-crash exactly-once
 # regressions with the broken-handoff fixture convicted, the handoff ledger's
 # 0-alloc hot-path pin, and a -study=pipeline -check run (nonzero exit on any
-# honest-arm violation or an unconvicted broken arm) emitting the Chrome
-# export whose spans cross all three platform processes.
+# honest-arm violation, or when a broken arm is not convicted) emitting the
+# Chrome export whose spans cross all three platform processes.
 STUDY_pipeline = $(GO) test -short ./internal/experiments/ -run 'TestPipeline|TestStudyConformance/pipeline' && \
 	$(GO) test ./internal/workload/ -run TestClosedLoopShapeDeterministicAndDistinct \
 		-bench BenchmarkPipelineHandoff -benchtime 100000x -benchmem && \

@@ -235,8 +235,7 @@ func parseArgs(studies []experiments.Study, args []string) (*invocation, error) 
 	}
 	cfg.Shape.Burst = v.burst
 	cfg.Shape.Diurnal = v.diurnal
-	cfg.Part.IncludeBroken = v.check
-	cfg.Pipe.IncludeBroken = v.check
+	cfg.Check.IncludeBroken = v.check
 	cfg.Backend = v.backend
 	cfg.Exec.Workers = v.workers
 	cfg.Exec.UnitTimeout = v.unitTimeout

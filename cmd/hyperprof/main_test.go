@@ -262,7 +262,7 @@ func tinyRun(t *testing.T, dir string, args ...string) ([]byte, error) {
 		"partition": func(c *experiments.StudyConfig) { c.Check.Seeds = 1 },
 		"pipeline": func(c *experiments.StudyConfig) {
 			c.Check.Seeds = 1
-			c.Pipe = experiments.PipelineConfig{Records: 8, Batches: 2, Iterations: 2, IncludeBroken: c.Pipe.IncludeBroken}
+			c.Pipe = experiments.PipelineConfig{Records: 8, Batches: 2, Iterations: 2}
 		},
 		"overload": func(c *experiments.StudyConfig) {
 			c.Load.Duration = 300 * time.Millisecond

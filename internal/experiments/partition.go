@@ -70,51 +70,24 @@ type PartitionRow struct {
 	Violations int
 }
 
+func (r PartitionRow) elapsed() time.Duration { return r.Elapsed }
+
 // Partition holds the full study: per platform one calibration row, then
 // naive and hardened rows per seed (and broken rows when configured), plus
-// the hardened arm's fault marks for Chrome-trace export.
+// the hardened arm's fault marks for Chrome-trace export. The baseline,
+// naive and hardened arms are honest; the broken arms must violate.
 type Partition struct {
-	Cfg  StudyConfig
-	Rows []PartitionRow
-	// Violations collects findings from the baseline, naive and hardened
-	// arms — any entry here is a real safety bug.
-	Violations []SafetyViolation
-	// BrokenViolations collects the broken arms' findings — expected by
-	// construction; an *empty* slice with broken arms enabled means the
-	// checkers missed the planted bug.
-	BrokenViolations []SafetyViolation
+	Cfg StudyConfig
+	checked[PartitionRow]
 	// Marks carries the first hardened arm's applied faults per platform as
 	// timeline marks, plus one mark per violation.
 	Marks map[taxonomy.Platform][]trace.Mark
 }
 
-// Ok reports whether the naive, hardened and baseline arms finished with
-// zero violations (broken arms are expected to violate and do not count).
-func (s *Partition) Ok() bool { return len(s.Violations) == 0 }
-
-// partitionArm is one completed arm, self-contained for concurrent (or
-// out-of-process) execution and ordered merge; it is the study's wire type.
-type partitionArm struct {
-	Row        PartitionRow
-	Violations []SafetyViolation
-	Marks      []trace.Mark
-}
-
-func (a partitionArm) elapsed() time.Duration { return a.Row.Elapsed }
-
-// partitionUnit is one (platform, arm, seed) run; a zero horizon is the
-// fault-free calibration run.
-type partitionUnit struct {
-	Platform taxonomy.Platform `json:"platform"`
-	Arm      string            `json:"arm"`
-	Seed     uint64            `json:"seed"`
-	Horizon  time.Duration     `json:"horizon"`
-}
-
 // partitionKind runs partition arms on either backend.
-var partitionKind = unitKind[partitionUnit, partitionArm]{
+var partitionKind = unitKind[checkedUnit, checkedArm[PartitionRow]]{
 	name: "partition/arm",
-	run: func(cfg StudyConfig, u partitionUnit) (partitionArm, error) {
+	run: func(cfg StudyConfig, u checkedUnit) (checkedArm[PartitionRow], error) {
 		return (&Partition{Cfg: cfg}).runArm(u.Platform, u.Arm, u.Seed, u.Horizon)
 	},
 }
@@ -131,22 +104,22 @@ func (cfg StudyConfig) Partition() (*Partition, error) {
 	}
 	s := &Partition{Cfg: cfg, Marks: map[taxonomy.Platform][]trace.Mark{}}
 	platforms := taxonomy.Platforms()
-	calUnits := make([]partitionUnit, len(platforms))
+	calUnits := make([]checkedUnit, len(platforms))
 	for i, p := range platforms {
-		calUnits[i] = partitionUnit{Platform: p, Arm: armBaseline, Seed: cfg.Seed}
+		calUnits[i] = checkedUnit{Platform: p, Arm: armBaseline, Seed: cfg.Seed}
 	}
 	cals, units, arms, err := calibrateThenTorture(cfg, partitionKind, calUnits,
-		func(units []partitionUnit, i int, horizon time.Duration) []partitionUnit {
+		func(units []checkedUnit, i int, horizon time.Duration) []checkedUnit {
 			for j := 0; j < cfg.Check.Seeds; j++ {
 				for _, arm := range []string{armNaive, armHardened} {
-					units = append(units, partitionUnit{Platform: platforms[i], Arm: arm, Seed: cfg.Seed + uint64(j), Horizon: horizon})
+					units = append(units, checkedUnit{Platform: platforms[i], Arm: arm, Seed: cfg.Seed + uint64(j), Horizon: horizon})
 				}
 			}
 			// Broken arms exist for Spanner (commit-wait off) and BigTable
 			// (unlogged partition writes); BigQuery's shuffle has no equivalent
 			// split-brain write path to break.
-			if cfg.Part.IncludeBroken && platforms[i] != taxonomy.BigQuery {
-				units = append(units, partitionUnit{Platform: platforms[i], Arm: armBroken, Seed: cfg.Seed, Horizon: horizon})
+			if cfg.Check.IncludeBroken && platforms[i] != taxonomy.BigQuery {
+				units = append(units, checkedUnit{Platform: platforms[i], Arm: armBroken, Seed: cfg.Seed, Horizon: horizon})
 			}
 			return units
 		})
@@ -154,27 +127,17 @@ func (cfg StudyConfig) Partition() (*Partition, error) {
 		return nil, err
 	}
 	for i, u := range calUnits {
-		s.merge(u.Platform, cals[i])
+		s.add(u, cals[i])
 	}
 	for i, u := range units {
-		s.merge(u.Platform, arms[i])
+		s.add(u, arms[i])
+		// The first hardened arm's fault marks become the platform's
+		// Chrome-trace marks.
+		if u.Arm == armHardened && u.Seed == cfg.Seed {
+			s.Marks[u.Platform] = arms[i].Marks
+		}
 	}
 	return s, nil
-}
-
-// merge folds one arm into the study in deterministic order. Broken-arm
-// violations are routed to the expected bucket; the first hardened arm's
-// fault marks become the platform's Chrome-trace marks.
-func (s *Partition) merge(p taxonomy.Platform, arm partitionArm) {
-	s.Rows = append(s.Rows, arm.Row)
-	if arm.Row.Arm == armBroken {
-		s.BrokenViolations = append(s.BrokenViolations, arm.Violations...)
-	} else {
-		s.Violations = append(s.Violations, arm.Violations...)
-	}
-	if arm.Row.Arm == armHardened && arm.Row.Seed == s.Cfg.Seed {
-		s.Marks[p] = arm.Marks
-	}
 }
 
 // Row returns the first row matching (platform, arm), or nil.
@@ -189,7 +152,7 @@ func (s *Partition) Row(p taxonomy.Platform, arm string) *PartitionRow {
 
 // runArm runs one (platform, arm, seed) run. A zero horizon is the
 // fault-free calibration run; a positive one draws a nemesis over it.
-func (s *Partition) runArm(p taxonomy.Platform, arm string, seed uint64, horizon time.Duration) (partitionArm, error) {
+func (s *Partition) runArm(p taxonomy.Platform, arm string, seed uint64, horizon time.Duration) (checkedArm[PartitionRow], error) {
 	b := newPlatformBuild(seed, spacedSeeds, 0)
 	b.checked = true
 	b.spanner.RPC = resilienceRPCPolicy()
@@ -211,7 +174,7 @@ func (s *Partition) runArm(p taxonomy.Platform, arm string, seed uint64, horizon
 	}
 	st, err := b.build(p)
 	if err != nil {
-		return partitionArm{}, err
+		return checkedArm[PartitionRow]{}, err
 	}
 	defer st.env.K.Close()
 	scfg := b.spanner
@@ -226,7 +189,7 @@ func (s *Partition) runArm(p taxonomy.Platform, arm string, seed uint64, horizon
 		// same skew would only stretch the wait, never break the ordering.
 		for r := 0; r < scfg.Regions; r++ {
 			if err := st.sp.SetClockSkew(0, r, 20*s.Cfg.Part.ClockEps, 0); err != nil {
-				return partitionArm{}, err
+				return checkedArm[PartitionRow]{}, err
 			}
 		}
 	}
@@ -243,7 +206,7 @@ func (s *Partition) runArm(p taxonomy.Platform, arm string, seed uint64, horizon
 				for r := 0; r < scfg.Regions; r++ {
 					node, err := st.sp.ReplicaNodeName(g, r)
 					if err != nil {
-						return partitionArm{}, err
+						return checkedArm[PartitionRow]{}, err
 					}
 					nodes = append(nodes, node)
 				}
@@ -255,14 +218,14 @@ func (s *Partition) runArm(p taxonomy.Platform, arm string, seed uint64, horizon
 			for i := 0; i < b.bigquery.ShuffleServers; i++ {
 				n, err := st.bq.ShuffleNodeName(i)
 				if err != nil {
-					return partitionArm{}, err
+					return checkedArm[PartitionRow]{}, err
 				}
 				nodes = append(nodes, n)
 			}
 			for w := 0; w < 2 && w < b.bigquery.Workers; w++ {
 				n, err := st.bq.WorkerNodeName(w)
 				if err != nil {
-					return partitionArm{}, err
+					return checkedArm[PartitionRow]{}, err
 				}
 				nodes = append(nodes, n)
 			}
@@ -280,7 +243,33 @@ func (s *Partition) runArm(p taxonomy.Platform, arm string, seed uint64, horizon
 	}
 	dc := drive(st.env, st.name, "partition", seed^partitionSalt, s.Cfg.Clients, s.Cfg.Ops.of(p), horizon,
 		st.torture(s.Cfg.Check.HotRows, seed, spread))
-	return s.finish(st, arm, seed, eng, dc), nil
+	// The arm condenses to availability and goodput from the drive counters,
+	// staleness from the recorded history, violations from every checker,
+	// and fault marks from the engine.
+	row := PartitionRow{
+		Platform: p, Arm: arm, Seed: seed,
+		Ops: dc.ops, Errors: dc.errs, Writes: dc.writes, WriteErrors: dc.werrs,
+		Elapsed: dc.elapsed, WriteAvailability: 1,
+	}
+	if dc.ops > 0 {
+		row.Availability = float64(dc.ops-dc.errs) / float64(dc.ops)
+	}
+	if dc.writes > 0 {
+		row.WriteAvailability = float64(dc.writes-dc.werrs) / float64(dc.writes)
+	}
+	if dc.elapsed > 0 {
+		row.GoodputOpsPerSec = float64(dc.ops-dc.errs) / dc.elapsed.Seconds()
+	}
+	row.StaleReads, row.MaxStaleness = st.h.Staleness()
+	violations, marks := collect(p, seed, st.h, st.reg, st.env.K.Now())
+	row.Violations = len(violations)
+	out := checkedArm[PartitionRow]{Violations: violations}
+	if eng != nil {
+		row.FaultsApplied = len(eng.Applied)
+		out.Marks = faultMarks(eng, marks...)
+	}
+	out.Row = row
+	return out, nil
 }
 
 // partitionTargets are the partition study's target lists, in the order its
@@ -342,36 +331,6 @@ func (s *Partition) nemesisFor(sc faults.ScheduleConfig, horizon time.Duration,
 // pace the clients open-loop over the horizon (see drive), so the naive and
 // hardened arms attempt each op at the same instant.
 const partitionSalt = 0x50415254
-
-// finish condenses a completed run into an arm: availability and goodput
-// from the drive counters, staleness from the recorded history, violations
-// from every checker, and fault marks from the engine.
-func (s *Partition) finish(st *stack, arm string, seed uint64, eng *faults.Engine, dc driveCounts) partitionArm {
-	row := PartitionRow{
-		Platform: st.p, Arm: arm, Seed: seed,
-		Ops: dc.ops, Errors: dc.errs, Writes: dc.writes, WriteErrors: dc.werrs,
-		Elapsed: dc.elapsed, WriteAvailability: 1,
-	}
-	if dc.ops > 0 {
-		row.Availability = float64(dc.ops-dc.errs) / float64(dc.ops)
-	}
-	if dc.writes > 0 {
-		row.WriteAvailability = float64(dc.writes-dc.werrs) / float64(dc.writes)
-	}
-	if dc.elapsed > 0 {
-		row.GoodputOpsPerSec = float64(dc.ops-dc.errs) / dc.elapsed.Seconds()
-	}
-	row.StaleReads, row.MaxStaleness = st.h.Staleness()
-	violations, marks := collect(st.p, seed, st.h, st.reg, st.env.K.Now())
-	row.Violations = len(violations)
-	out := partitionArm{Row: row, Violations: violations}
-	if eng != nil {
-		row.FaultsApplied = len(eng.Applied)
-		out.Row = row
-		out.Marks = faultMarks(eng, marks...)
-	}
-	return out
-}
 
 // JSON renders the study's machine-readable export: seed, rows and the
 // broken arms' expected-violation digests, in fixed order, so equal configs

@@ -96,7 +96,7 @@ func TestPartitionStudySafeUnderNemesis(t *testing.T) {
 func TestPartitionStudyBrokenKnobsCaught(t *testing.T) {
 	cfg := smallPartitionConfig()
 	cfg.Check.Seeds = 1
-	cfg.Part.IncludeBroken = true
+	cfg.Check.IncludeBroken = true
 	s, err := cfg.Partition()
 	if err != nil {
 		t.Fatal(err)
@@ -131,6 +131,9 @@ func TestPartitionStudyBrokenKnobsCaught(t *testing.T) {
 		if row.Arm == armBroken && row.Platform == taxonomy.Spanner && row.Violations == 0 {
 			t.Errorf("spanner broken-arm row reports zero violations")
 		}
+	}
+	if err := s.verdict("partition"); err != nil {
+		t.Errorf("verdict: %v", err)
 	}
 }
 

@@ -66,21 +66,18 @@ type PipelineRow struct {
 	Violations int
 }
 
+func (r PipelineRow) elapsed() time.Duration { return r.Elapsed }
+
 // Pipeline holds the full study: the baseline row, the faulted rows per seed,
 // the optional broken row, plus the baseline run's sampled traces (and
 // counter tracks when the obs plane is on) and the first faulted arm's fault
-// marks for Chrome export.
+// marks for Chrome export. The baseline and faulted arms are honest — a
+// violation there is a real exactly-once bug at a stage boundary (or a
+// platform-level safety bug surfaced by the pipeline workload); the broken
+// arm must violate.
 type Pipeline struct {
-	Cfg  StudyConfig
-	Rows []PipelineRow
-	// Violations collects baseline- and faulted-arm findings — any entry is
-	// a real exactly-once bug at a stage boundary (or a platform-level
-	// safety bug surfaced by the pipeline workload).
-	Violations []SafetyViolation
-	// BrokenViolations collects the broken arm's findings — expected by
-	// construction; an *empty* slice with the broken arm enabled means the
-	// handoff checker missed the planted double-write.
-	BrokenViolations []SafetyViolation
+	Cfg StudyConfig
+	checked[PipelineRow]
 	// Traces are the baseline arm's sampled traces: per record, one ingest
 	// span, one analytics span and one serving span sharing a trace ID.
 	Traces []*trace.Trace
@@ -92,33 +89,10 @@ type Pipeline struct {
 	Marks []trace.Mark
 }
 
-// Ok reports whether the baseline and faulted arms finished with zero
-// violations (the broken arm is expected to violate and does not count).
-func (s *Pipeline) Ok() bool { return len(s.Violations) == 0 }
-
-// pipelineArm is one completed arm, self-contained for concurrent (or
-// out-of-process) execution and ordered merge; it is the study's wire type.
-type pipelineArm struct {
-	Row        PipelineRow
-	Violations []SafetyViolation
-	Marks      []trace.Mark
-	Traces     []*trace.Trace
-	Counters   []trace.CounterTrack
-}
-
-func (a pipelineArm) elapsed() time.Duration { return a.Row.Elapsed }
-
-// pipelineUnit is one (arm, seed) run; a zero horizon injects no faults.
-type pipelineUnit struct {
-	Arm     string        `json:"arm"`
-	Seed    uint64        `json:"seed"`
-	Horizon time.Duration `json:"horizon"`
-}
-
 // pipelineKind runs pipeline arms on either backend.
-var pipelineKind = unitKind[pipelineUnit, pipelineArm]{
+var pipelineKind = unitKind[checkedUnit, checkedArm[PipelineRow]]{
 	name: "pipeline/arm",
-	run: func(cfg StudyConfig, u pipelineUnit) (pipelineArm, error) {
+	run: func(cfg StudyConfig, u checkedUnit) (checkedArm[PipelineRow], error) {
 		return (&Pipeline{Cfg: cfg}).runArm(u.Arm, u.Seed, u.Horizon)
 	},
 }
@@ -134,43 +108,31 @@ func (cfg StudyConfig) Pipeline() (*Pipeline, error) {
 		return nil, fmt.Errorf("experiments: invalid pipeline config %+v", cfg)
 	}
 	s := &Pipeline{Cfg: cfg}
-	cals, _, arms, err := calibrateThenTorture(cfg, pipelineKind, []pipelineUnit{{Arm: armBaseline, Seed: cfg.Seed}},
-		func(units []pipelineUnit, _ int, horizon time.Duration) []pipelineUnit {
+	baseline := checkedUnit{Arm: armBaseline, Seed: cfg.Seed}
+	cals, units, arms, err := calibrateThenTorture(cfg, pipelineKind, []checkedUnit{baseline},
+		func(units []checkedUnit, _ int, horizon time.Duration) []checkedUnit {
 			for j := 0; j < cfg.Check.Seeds; j++ {
-				units = append(units, pipelineUnit{Arm: armFaulted, Seed: cfg.Seed + uint64(j), Horizon: horizon})
+				units = append(units, checkedUnit{Arm: armFaulted, Seed: cfg.Seed + uint64(j), Horizon: horizon})
 			}
-			if cfg.Pipe.IncludeBroken {
-				units = append(units, pipelineUnit{Arm: armBroken, Seed: cfg.Seed})
+			if cfg.Check.IncludeBroken {
+				units = append(units, checkedUnit{Arm: armBroken, Seed: cfg.Seed})
 			}
 			return units
 		})
 	if err != nil {
 		return nil, err
 	}
-	s.merge(cals[0])
-	for _, arm := range arms {
-		s.merge(arm)
+	// The baseline arm supplies the exported traces and counter tracks, the
+	// first faulted arm the marks.
+	s.add(baseline, cals[0])
+	s.Traces, s.Counters = cals[0].Traces, cals[0].Counters
+	for i, u := range units {
+		s.add(u, arms[i])
+		if u.Arm == armFaulted && u.Seed == cfg.Seed {
+			s.Marks = arms[i].Marks
+		}
 	}
 	return s, nil
-}
-
-// merge folds one arm into the study in deterministic order. The broken
-// arm's violations route to the expected bucket; the baseline arm supplies
-// the exported traces and counter tracks, the first faulted arm the marks.
-func (s *Pipeline) merge(arm pipelineArm) {
-	s.Rows = append(s.Rows, arm.Row)
-	if arm.Row.Arm == armBroken {
-		s.BrokenViolations = append(s.BrokenViolations, arm.Violations...)
-	} else {
-		s.Violations = append(s.Violations, arm.Violations...)
-	}
-	if arm.Row.Arm == armBaseline && arm.Row.Seed == s.Cfg.Seed {
-		s.Traces = arm.Traces
-		s.Counters = arm.Counters
-	}
-	if arm.Row.Arm == armFaulted && arm.Row.Seed == s.Cfg.Seed {
-		s.Marks = arm.Marks
-	}
 }
 
 // Row returns the first row matching arm, or nil.
@@ -187,7 +149,7 @@ func (s *Pipeline) Row(arm string) *PipelineRow {
 // on ONE kernel with ONE shared tracer and ONE shared history, the pipeline
 // workload chained across them, and — on faulted arms — a fault schedule
 // killing BigQuery shuffle servers over the horizon while batch 0 replays.
-func (s *Pipeline) runArm(arm string, seed uint64, horizon time.Duration) (pipelineArm, error) {
+func (s *Pipeline) runArm(arm string, seed uint64, horizon time.Duration) (checkedArm[PipelineRow], error) {
 	cfg := s.Cfg
 	k := sim.New()
 	defer k.Close()
@@ -204,7 +166,7 @@ func (s *Pipeline) runArm(arm string, seed uint64, horizon time.Duration) (pipel
 	for _, p := range taxonomy.Platforms() {
 		st, err := b.build(p)
 		if err != nil {
-			return pipelineArm{}, err
+			return checkedArm[PipelineRow]{}, err
 		}
 		built = append(built, st)
 	}
@@ -289,7 +251,7 @@ func (s *Pipeline) runArm(arm string, seed uint64, horizon time.Duration) (pipel
 	row.EndToEndP99 = durQuantile(e2e, 0.99)
 	violations, marks := collect(pipelinePlatform, seed, serving.h, serving.reg, k.Now())
 	row.Violations = len(violations)
-	out := pipelineArm{Violations: violations}
+	out := checkedArm[PipelineRow]{Violations: violations}
 	if eng != nil {
 		row.FaultsApplied = len(eng.Applied)
 		out.Marks = faultMarks(eng, marks...)

@@ -97,7 +97,7 @@ func TestPipelineStageCrashExactlyOnce(t *testing.T) {
 // clean.
 func TestPipelineBrokenHandoffConvicted(t *testing.T) {
 	cfg := pipelineTestConfig()
-	cfg.Pipe.IncludeBroken = true
+	cfg.Check.IncludeBroken = true
 	s, err := cfg.Pipeline()
 	if err != nil {
 		t.Fatal(err)
@@ -115,6 +115,9 @@ func TestPipelineBrokenHandoffConvicted(t *testing.T) {
 	}
 	if row := s.Row(armBroken); row == nil || row.Violations != len(s.BrokenViolations) {
 		t.Fatalf("broken row does not account for its violations: %+v vs %d", row, len(s.BrokenViolations))
+	}
+	if err := s.verdict("pipeline"); err != nil {
+		t.Errorf("verdict: %v", err)
 	}
 }
 

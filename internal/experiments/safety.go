@@ -45,44 +45,22 @@ type SafetyRow struct {
 	Violations int
 }
 
-// Safety holds the full study.
+func (r SafetyRow) elapsed() time.Duration { return r.Elapsed }
+
+// Safety holds the full study. Every arm is honest: Violations must stay
+// empty, and no broken arm runs.
 type Safety struct {
-	Cfg        StudyConfig
-	Rows       []SafetyRow
-	Violations []SafetyViolation
+	Cfg StudyConfig
+	checked[SafetyRow]
 	// Marks carries one timeline mark per violation (plus nothing else), for
 	// Chrome-trace export of the violating run.
 	Marks map[taxonomy.Platform][]trace.Mark
 }
 
-// Ok reports whether the study finished with zero violations.
-func (s *Safety) Ok() bool { return len(s.Violations) == 0 }
-
-// safetyArm is one completed (platform, seed) torture run, self-contained so
-// arms can execute on concurrent goroutines — or in worker subprocesses —
-// and merge afterwards in fixed (platform, seed) order. Fields are exported
-// because the arm is the safety study's wire type: the exec backend ships it
-// between worker and coordinator as JSON.
-type safetyArm struct {
-	Row        SafetyRow
-	Violations []SafetyViolation
-	Marks      []trace.Mark
-}
-
-func (a safetyArm) elapsed() time.Duration { return a.Row.Elapsed }
-
-// safetyUnit is one (platform, seed, horizon) arm; a zero horizon is the
-// fault-free calibration run.
-type safetyUnit struct {
-	Platform taxonomy.Platform `json:"platform"`
-	Seed     uint64            `json:"seed"`
-	Horizon  time.Duration     `json:"horizon"`
-}
-
 // safetyKind runs safety arms on either backend.
-var safetyKind = unitKind[safetyUnit, safetyArm]{
+var safetyKind = unitKind[checkedUnit, checkedArm[SafetyRow]]{
 	name: "safety/arm",
-	run: func(cfg StudyConfig, u safetyUnit) (safetyArm, error) {
+	run: func(cfg StudyConfig, u checkedUnit) (checkedArm[SafetyRow], error) {
 		return (&Safety{Cfg: cfg}).runOne(u.Platform, u.Seed, u.Horizon)
 	},
 }
@@ -99,14 +77,14 @@ func (cfg StudyConfig) Safety() (*Safety, error) {
 	}
 	s := &Safety{Cfg: cfg, Marks: map[taxonomy.Platform][]trace.Mark{}}
 	platforms := taxonomy.Platforms()
-	calUnits := make([]safetyUnit, len(platforms))
+	calUnits := make([]checkedUnit, len(platforms))
 	for i, p := range platforms {
-		calUnits[i] = safetyUnit{Platform: p, Seed: cfg.Seed}
+		calUnits[i] = checkedUnit{Platform: p, Seed: cfg.Seed}
 	}
 	cals, units, tortured, err := calibrateThenTorture(cfg, safetyKind, calUnits,
-		func(units []safetyUnit, i int, horizon time.Duration) []safetyUnit {
+		func(units []checkedUnit, i int, horizon time.Duration) []checkedUnit {
 			for j := 0; j < cfg.Check.Seeds; j++ {
-				units = append(units, safetyUnit{Platform: platforms[i], Seed: cfg.Seed + uint64(j), Horizon: horizon})
+				units = append(units, checkedUnit{Platform: platforms[i], Seed: cfg.Seed + uint64(j), Horizon: horizon})
 			}
 			return units
 		})
@@ -114,22 +92,20 @@ func (cfg StudyConfig) Safety() (*Safety, error) {
 		return nil, err
 	}
 	for i, p := range platforms {
-		s.merge(p, cals[i])
+		s.merge(calUnits[i], cals[i])
 		for j, u := range units {
 			if u.Platform == p {
-				s.merge(p, tortured[j])
+				s.merge(u, tortured[j])
 			}
 		}
 	}
 	return s, nil
 }
 
-// merge folds one arm's results into the study. It is the only place study
-// state mutates, and it runs sequentially after the arms complete.
-func (s *Safety) merge(p taxonomy.Platform, arm safetyArm) {
-	s.Rows = append(s.Rows, arm.Row)
-	s.Violations = append(s.Violations, arm.Violations...)
-	s.Marks[p] = append(s.Marks[p], arm.Marks...)
+// merge folds one arm into the study; every arm's violation marks are kept.
+func (s *Safety) merge(u checkedUnit, arm checkedArm[SafetyRow]) {
+	s.add(u, arm)
+	s.Marks[u.Platform] = append(s.Marks[u.Platform], arm.Marks...)
 }
 
 // safetySalt ("SAFE") salts the torture clients' RNG root. The clients run
@@ -140,14 +116,14 @@ const safetySalt = 0x53414645
 // calibration run; a positive horizon is a torture run with a fault schedule
 // spanning it. The arm builds its own environment and kernel and touches no
 // study state, so distinct arms may run concurrently.
-func (s *Safety) runOne(p taxonomy.Platform, seed uint64, horizon time.Duration) (safetyArm, error) {
+func (s *Safety) runOne(p taxonomy.Platform, seed uint64, horizon time.Duration) (checkedArm[SafetyRow], error) {
 	b := newPlatformBuild(seed, spacedSeeds, 0)
 	b.checked = true
 	b.spanner.RPC = resilienceRPCPolicy()
 	b.bigquery.RPC = resilienceRPCPolicy()
 	st, err := b.build(p)
 	if err != nil {
-		return safetyArm{}, err
+		return checkedArm[SafetyRow]{}, err
 	}
 	defer st.env.K.Close()
 	var eng *faults.Engine
@@ -161,7 +137,7 @@ func (s *Safety) runOne(p taxonomy.Platform, seed uint64, horizon time.Duration)
 	}
 	dc := drive(st.env, st.name, "torture", seed^safetySalt, s.Cfg.Clients, s.Cfg.Ops.of(p), 0,
 		st.torture(s.Cfg.Check.HotRows, seed, 0))
-	arm := safetyArm{Row: SafetyRow{Platform: p, Seed: seed, Faulted: eng != nil,
+	arm := checkedArm[SafetyRow]{Row: SafetyRow{Platform: p, Seed: seed, Faulted: eng != nil,
 		Ops: dc.ops, Errors: dc.errs, Elapsed: dc.elapsed}}
 	if eng != nil {
 		arm.Row.FaultsApplied = len(eng.Applied)

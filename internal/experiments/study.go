@@ -55,14 +55,23 @@ type FaultConfig struct {
 	NetDropProb    float64
 }
 
-// CheckConfig sizes the safety checker: how many faulted seeds to sweep and
-// how hot the contended row range is.
+// CheckConfig sizes the checked studies' sweep: how many faulted seeds to
+// run, how hot the contended row range is, and whether the broken arms run.
 type CheckConfig struct {
 	// Seeds is the number of faulted runs per platform.
 	Seeds int
 	// HotRows bounds the contended row range so concurrent clients collide
 	// on the same registers, giving the linearizability checker real overlap.
 	HotRows int
+	// IncludeBroken adds the broken-knob demonstration arms, each planting a
+	// bug its study's checkers must convict: partition's Spanner with
+	// commit-wait disabled under a deterministic fast clock and BigTable
+	// serving writes from a partitioned server that are discarded at heal;
+	// pipeline's BigQuery→Spanner dedup latch disabled under a forced
+	// replay. Their violations are reported separately, and the study's
+	// verdict fails when any one of them finds none. Safety has no broken
+	// arms.
+	IncludeBroken bool
 }
 
 // LoadConfig sizes the overload study: open-loop offered load per platform,
@@ -127,16 +136,11 @@ type PartitionConfig struct {
 	// every partition-study arm: commit timestamps come from the skewed
 	// local clock and commits wait the bound out before acknowledging.
 	ClockEps time.Duration
-	// IncludeBroken adds the broken-knob demonstration arms (Spanner with
-	// commit-wait disabled under a deterministic fast clock, BigTable
-	// serving writes from a partitioned server that are discarded at heal).
-	// Their violations are expected and reported separately.
-	IncludeBroken bool
 }
 
 // PipelineConfig sizes the cross-platform pipeline study: how many logical
-// records flow BigTable → BigQuery → Spanner, how they batch into iterative
-// analytics queries, and whether the broken-handoff fixture arm runs.
+// records flow BigTable → BigQuery → Spanner and how they batch into
+// iterative analytics queries.
 type PipelineConfig struct {
 	// Records is the number of logical records flowing end to end.
 	Records int
@@ -145,11 +149,6 @@ type PipelineConfig struct {
 	Batches int
 	// Iterations is the PageRank round count per batch query.
 	Iterations int
-	// IncludeBroken adds the broken-handoff demonstration arm (the
-	// BigQuery→Spanner dedup latch disabled under a forced replay). Its
-	// violations are expected and reported separately — an empty set means
-	// the handoff checker missed the planted bug.
-	IncludeBroken bool
 }
 
 // ObsConfig switches on the observability plane and sizes its sampling.

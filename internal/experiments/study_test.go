@@ -59,7 +59,7 @@ func conformanceStudies(t *testing.T) []studyCase {
 	overload.Obs.Enabled = true
 
 	partition := smallPartitionConfig()
-	partition.Part.IncludeBroken = true
+	partition.Check.IncludeBroken = true
 	if testing.Short() {
 		partition.Check.Seeds = 1
 		partition.Ops = PlatformOps{Spanner: 80, BigTable: 80, BigQuery: 8}
@@ -69,7 +69,7 @@ func conformanceStudies(t *testing.T) []studyCase {
 	fleet.Fleet.Shape = workload.ArrivalShape{Burst: true, Diurnal: true}
 
 	pipeline := pipelineTestConfig()
-	pipeline.Pipe.IncludeBroken = true
+	pipeline.Check.IncludeBroken = true
 
 	sizes := map[string]studyCase{
 		"char":       {cfg: char},

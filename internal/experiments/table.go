@@ -252,10 +252,7 @@ func runSafety(cfg StudyConfig, req Request) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Text: RenderSafety(s)}
-	if !s.Ok() {
-		res.Verdict = fmt.Errorf("safety: %d violations", len(s.Violations))
-	}
+	res := &Result{Text: RenderSafety(s), Verdict: s.verdict("safety")}
 	if req.Chrome != "" {
 		marks := flatten(s.Marks)
 		if len(marks) == 0 {
@@ -333,10 +330,7 @@ func runPartition(cfg StudyConfig, req Request) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Text: RenderPartition(s)}
-	if !s.Ok() {
-		res.Verdict = fmt.Errorf("partition: %d violations outside the broken arms", len(s.Violations))
-	}
+	res := &Result{Text: RenderPartition(s), Verdict: s.verdict("partition")}
 	if res.JSON, err = s.JSON(); err != nil {
 		return nil, err
 	}
@@ -352,13 +346,7 @@ func runPipeline(cfg StudyConfig, req Request) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Text: RenderPipeline(s)}
-	switch {
-	case !s.Ok():
-		res.Verdict = fmt.Errorf("pipeline: %d violations in the honest arms", len(s.Violations))
-	case cfg.Pipe.IncludeBroken && len(s.BrokenViolations) == 0:
-		res.Verdict = fmt.Errorf("pipeline: the broken-handoff arm produced no violations — the exactly-once checker failed to convict")
-	}
+	res := &Result{Text: RenderPipeline(s), Verdict: s.verdict("pipeline")}
 	if res.JSON, err = s.JSON(); err != nil {
 		return nil, err
 	}

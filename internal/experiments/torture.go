@@ -21,7 +21,8 @@ import (
 // pipeline, and overload's trigger) share: the fault-rate → schedule
 // conversion, the network link plane, every stack's fault surface and the
 // shared target selection, the torture loop and its per-platform
-// operations, the calibrate-then-torture fan-out, and the verdict output.
+// operations, the calibrate-then-torture fan-out, the checked studies'
+// result side (unit, arm, routing and verdict), and the verdict output.
 // What differs per study — its own target selection, platform config knobs,
 // merge order — stays in the study's own file.
 
@@ -284,10 +285,100 @@ func (s *stack) torture(hotRows int, seed uint64, spread int) tortureOp {
 	}
 }
 
-// calibrated is an arm result that reports the virtual time its workload
-// took to drain; a calibration run's elapsed time is its faulted arms'
-// horizon.
+// calibrated is a checked-study row (or arm) that reports the virtual time
+// its workload took to drain; a calibration run's elapsed time is its
+// faulted arms' horizon.
 type calibrated interface{ elapsed() time.Duration }
+
+// checkedUnit is one arm of a checked study (safety, partition, pipeline):
+// platform, arm, seed and fault horizon; a zero horizon is the fault-free
+// calibration run. Safety leaves Arm empty and pipeline, whose one
+// simulation spans every platform, leaves Platform empty; omitempty keeps
+// their wire frames as they were.
+type checkedUnit struct {
+	Platform taxonomy.Platform `json:"platform,omitempty"`
+	Arm      string            `json:"arm,omitempty"`
+	Seed     uint64            `json:"seed"`
+	Horizon  time.Duration     `json:"horizon"`
+}
+
+// checkedArm is one completed checked-study arm, self-contained so arms can
+// execute on concurrent goroutines — or in worker subprocesses — and merge
+// afterwards in fixed order. Fields are exported because the arm is the
+// checked studies' wire type: the exec backend ships it between worker and
+// coordinator as JSON. Only pipeline fills Traces and Counters.
+type checkedArm[R calibrated] struct {
+	Row        R
+	Violations []SafetyViolation
+	Marks      []trace.Mark
+	Traces     lazySlice[*trace.Trace]       `json:",omitempty"`
+	Counters   lazySlice[trace.CounterTrack] `json:",omitempty"`
+}
+
+func (a checkedArm[R]) elapsed() time.Duration { return a.Row.elapsed() }
+
+// lazySlice is a slice that marshals itself. The first time encoding/json
+// decodes a struct type it builds the encoder of every field type, once per
+// process; a Marshaler field stops that at the field. So a coordinator
+// decoding safety or partition arms, which never fill Traces or Counters,
+// does not build the trace and counter-track encoders: about 100
+// allocations per process, 6% of what the study benchmark's safety_exec
+// coordinator allocates.
+type lazySlice[T any] []T
+
+func (l lazySlice[T]) MarshalJSON() ([]byte, error) { return json.Marshal([]T(l)) }
+
+// checked is the result side the checked studies share: their rows in merge
+// order and their findings, routed by arm. Each study embeds it and keeps
+// only its row type, its merge order and which arm supplies its marks.
+type checked[R calibrated] struct {
+	Rows []R
+	// Violations collects the honest arms' findings — any entry here is a
+	// real safety bug.
+	Violations []SafetyViolation
+	// BrokenViolations collects the broken arms' findings — expected by
+	// construction: each broken arm plants a bug the checkers must convict.
+	BrokenViolations []SafetyViolation
+	// unconvicted lists the broken arms that finished without a finding,
+	// each a planted bug the checkers missed.
+	unconvicted []checkedUnit
+}
+
+// Ok reports whether the honest arms finished with zero violations (broken
+// arms are expected to violate and do not count).
+func (c checked[R]) Ok() bool { return len(c.Violations) == 0 }
+
+// add folds one arm into the study, routing its findings by the unit's arm
+// name. It is the only place the shared result state mutates, and it runs
+// sequentially after the arms complete.
+func (c *checked[R]) add(u checkedUnit, a checkedArm[R]) {
+	c.Rows = append(c.Rows, a.Row)
+	if u.Arm != armBroken {
+		c.Violations = append(c.Violations, a.Violations...)
+		return
+	}
+	c.BrokenViolations = append(c.BrokenViolations, a.Violations...)
+	if len(a.Violations) == 0 {
+		c.unconvicted = append(c.unconvicted, u)
+	}
+}
+
+// verdict is a checked study's check on itself: nil when every honest arm
+// stayed clean and every broken arm was convicted. Each broken arm counts
+// on its own: one arm's findings never cover another's silence.
+func (c checked[R]) verdict(study string) error {
+	if !c.Ok() {
+		return fmt.Errorf("%s: %d violations in the honest arms", study, len(c.Violations))
+	}
+	var missed []string
+	for _, u := range c.unconvicted {
+		missed = append(missed, fmt.Sprintf("the %s arm (seed %d)", strings.TrimSpace(string(u.Platform)+" "+u.Arm), u.Seed))
+	}
+	if len(missed) > 0 {
+		return fmt.Errorf("%s: the checkers missed a planted bug: no violations from %s", study, strings.Join(missed, ", "))
+	}
+	return nil
+}
 
 // calibrateThenTorture runs the fault-free calibration units, then the units
 // torture appends for each calibration (by index and elapsed time), each

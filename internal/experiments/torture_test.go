@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -201,4 +202,51 @@ func actionKinds(a faults.Actions) []faults.Kind {
 		}
 	}
 	return ks
+}
+
+// TestCheckedVerdict pins the checked studies' one verdict over hand-built
+// arms: the honest arms must stay clean, and every broken arm must be
+// convicted on its own — one broken arm's findings do not cover another's
+// silence.
+func TestCheckedVerdict(t *testing.T) {
+	type arm struct {
+		p          taxonomy.Platform
+		name       string
+		violations int
+	}
+	for _, tc := range []struct {
+		name string
+		arms []arm
+		// want is a substring of the verdict, "" for a nil verdict.
+		want string
+	}{
+		{"honest clean, broken convicted",
+			[]arm{{taxonomy.Spanner, armHardened, 0}, {taxonomy.Spanner, armBroken, 8}, {taxonomy.BigTable, armBroken, 2}}, ""},
+		{"no broken arms", []arm{{taxonomy.Spanner, "", 0}}, ""},
+		{"honest violation",
+			[]arm{{taxonomy.Spanner, armNaive, 1}, {taxonomy.Spanner, armBroken, 8}}, "1 violations in the honest arms"},
+		{"one broken arm unconvicted",
+			[]arm{{taxonomy.Spanner, armBroken, 8}, {taxonomy.BigTable, armBroken, 0}}, "from the BigTable broken arm (seed 3)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var c checked[PartitionRow]
+			for _, a := range tc.arms {
+				out := checkedArm[PartitionRow]{Row: PartitionRow{Platform: a.p, Arm: a.name, Seed: 3, Violations: a.violations}}
+				for range a.violations {
+					out.Violations = append(out.Violations, SafetyViolation{Seed: 3})
+				}
+				c.add(checkedUnit{Platform: a.p, Arm: a.name, Seed: 3}, out)
+			}
+			err := c.verdict("partition")
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("verdict = %v, want nil", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) || strings.Contains(err.Error(), "Spanner") {
+				t.Fatalf("verdict = %v, want an error naming only %q", err, tc.want)
+			}
+		})
+	}
 }

@@ -40,7 +40,9 @@ invocations=(
 	"-study=overload -obs"
 	"-study=overload -json -burst -diurnal"
 	"-study=partition -check -json"
+	"-study=partition -json"
 	"-study=pipeline -check -chrome-trace trace.json"
+	"-study=pipeline -check -json"
 	"-study=fleet -json -fleet-servers 400 -fleet-users 200000 -fleet-ops 8000"
 	"-study=limits"
 	"-study=limits -extended"
