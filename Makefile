@@ -61,7 +61,8 @@ FUZZ_TARGETS = \
 	FuzzSlotIndex:./internal/storage/ \
 	FuzzReadFrame:./internal/dispatch/ \
 	FuzzStudyArgs:./cmd/hyperprof/ \
-	FuzzNemesisSchedule:./internal/faults/
+	FuzzNemesisSchedule:./internal/faults/ \
+	FuzzRowKeyOrder:./internal/bigtable/
 
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \

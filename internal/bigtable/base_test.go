@@ -5,51 +5,92 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"sort"
 	"testing"
 	"time"
 
+	"hyperprof/internal/bloom"
 	"hyperprof/internal/check"
+	"hyperprof/internal/compress"
 	"hyperprof/internal/platform"
 	"hyperprof/internal/sim"
 )
 
-// refTable builds a sealed table the way base tables were built before rows
-// went virtual: one slab of bootstrap rows for tablet t, a map over it, the
-// given overrides applied on top, sealed as a plain table.
-func refTable(db *DB, t int, overrides map[string][]byte) *sstable {
-	n := int(db.cfg.ValueBytes)
-	slab := make([]byte, db.cfg.RowsPerTablet*n)
-	s := &sstable{data: make(map[string][]byte, db.cfg.RowsPerTablet+len(overrides))}
-	for i := 0; i < db.cfg.RowsPerTablet; i++ {
-		val := slab[i*n : (i+1)*n : (i+1)*n]
-		fillBootstrap(val, t, i)
-		s.data[rowKey(t, i)] = val
+// refSealed is a table sealed by the reference algorithm, which knows
+// nothing of row numbers: every key is rendered as a string, the keys are
+// sorted with sort.Strings, each key and its value are appended to one raw
+// block, the block is encoded with compress.AppendEncode, and every key is
+// added to a fresh Bloom filter through the string API.
+type refSealed struct {
+	data            map[string][]byte
+	raw             []byte
+	bytes, rawBytes int64
+	filter          *bloom.Filter
+}
+
+func refSeal(t *testing.T, data map[string][]byte) *refSealed {
+	t.Helper()
+	keys := make([]string, 0, len(data))
+	for k := range data {
+		keys = append(keys, k)
 	}
-	maps.Copy(s.data, overrides)
-	db.seal(s)
-	return s
+	sort.Strings(keys)
+	r := &refSealed{data: data, filter: bloom.New(len(keys)+1, 0.01)}
+	for _, k := range keys {
+		r.raw = append(r.raw, k...)
+		r.raw = append(r.raw, data[k]...)
+		r.filter.Add(k)
+	}
+	enc, err := compress.AppendEncode(nil, r.raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.rawBytes, r.bytes = int64(len(r.raw)), max(int64(len(enc)), 1)
+	return r
+}
+
+// refTable seals tablet t's bootstrap rows with the given overrides
+// applied on top by the reference algorithm: what the tablet's oldest
+// table must hold.
+func refTable(t *testing.T, db *DB, tablet int, overrides map[int][]byte) *refSealed {
+	t.Helper()
+	data := make(map[string][]byte, db.cfg.RowsPerTablet+len(overrides))
+	for i := 0; i < db.cfg.RowsPerTablet; i++ {
+		data[rowKey(tablet, i)] = bootstrapValue(tablet, i, int(db.cfg.ValueBytes))
+	}
+	for r, v := range overrides {
+		data[rowKey(tablet, r)] = v
+	}
+	return refSeal(t, data)
+}
+
+// checkSealed compares a sealed table of tablet tb with its reference:
+// sealed sizes, key count, and Bloom answers for the keys of rows -5 to
+// 2*rows-1 of tablet tb and of tablet other.
+func checkSealed(t *testing.T, got *sstable, want *refSealed, tb, other, rows int) {
+	t.Helper()
+	if got.bytes != want.bytes || got.rawBytes != want.rawBytes {
+		t.Errorf("tablet %d: bytes=%d rawBytes=%d, reference %d %d", tb, got.bytes, got.rawBytes, want.bytes, want.rawBytes)
+	}
+	if got.filter.Len() != want.filter.Len() {
+		t.Errorf("tablet %d: filter holds %d keys, reference %d", tb, got.filter.Len(), want.filter.Len())
+	}
+	for r := -5; r < 2*rows; r++ {
+		for _, k := range []string{rowKey(tb, r), rowKey(other, r)} {
+			if got.filter.MayContain(k) != want.filter.MayContain(k) {
+				t.Fatalf("tablet %d: Bloom answers differ for %q", tb, k)
+			}
+		}
+	}
 }
 
 // checkAgainstRef compares the oldest table of every tablet with its
-// reference: sealed sizes, and Bloom answers for every row key, keys past
-// the last row and another tablet's keys.
-func checkAgainstRef(t *testing.T, db *DB, refs []*sstable) {
+// reference, probing the Bloom filter with keys past the last row and
+// another tablet's keys too.
+func checkAgainstRef(t *testing.T, db *DB, refs []*refSealed) {
 	t.Helper()
 	for i, tab := range db.tablets {
-		got, want := tab.ssts[len(tab.ssts)-1], refs[i]
-		if got.bytes != want.bytes || got.rawBytes != want.rawBytes {
-			t.Errorf("tablet %d: bytes=%d rawBytes=%d, reference %d %d", i, got.bytes, got.rawBytes, want.bytes, want.rawBytes)
-		}
-		if got.filter.Len() != want.filter.Len() {
-			t.Errorf("tablet %d: filter holds %d keys, reference %d", i, got.filter.Len(), want.filter.Len())
-		}
-		for r := -5; r < 2*db.cfg.RowsPerTablet; r++ {
-			for _, k := range []string{rowKey(i, r), rowKey(i+len(db.tablets), r)} {
-				if got.filter.MayContain(k) != want.filter.MayContain(k) {
-					t.Fatalf("tablet %d: Bloom answers differ for %q", i, k)
-				}
-			}
-		}
+		checkSealed(t, tab.ssts[len(tab.ssts)-1], refs[i], i, i+len(db.tablets), db.cfg.RowsPerTablet)
 	}
 }
 
@@ -89,20 +130,20 @@ func checkReads(t *testing.T, env *platform.Env, db *DB, model []map[string][]by
 }
 
 // TestBaseTablesMatchSlabReference checks every tablet of a DefaultConfig
-// DB against base tables built from a slab and a map: Get values, Scan
-// counts, sealed sizes and Bloom answers, before and after a major
-// compaction merges overrides — including an empty value and a key past
-// the last row — into the base.
+// DB against its rows in a string-keyed map sealed by the reference
+// algorithm: Get values, Scan counts, sealed sizes and Bloom answers,
+// before and after a major compaction merges overrides — including an
+// empty value and a key past the last row — into the base.
 func TestBaseTablesMatchSlabReference(t *testing.T) {
 	env := platform.NewEnv(1, 1)
 	db, err := New(env, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	refs := make([]*sstable, len(db.tablets))
+	refs := make([]*refSealed, len(db.tablets))
 	model := make([]map[string][]byte, len(db.tablets))
 	for i := range db.tablets {
-		refs[i] = refTable(db, i, nil)
+		refs[i] = refTable(t, db, i, nil)
 		model[i] = maps.Clone(refs[i].data)
 	}
 	checkAgainstRef(t, db, refs)
@@ -138,7 +179,7 @@ func TestBaseTablesMatchSlabReference(t *testing.T) {
 		if merged.base == nil || len(merged.data) == 0 || len(merged.data) > puts {
 			t.Fatalf("tablet %d: merged table is not base + overlay (%d overlay rows)", i, len(merged.data))
 		}
-		refs[i] = refTable(db, i, merged.data)
+		refs[i] = refTable(t, db, i, merged.data)
 	}
 	checkAgainstRef(t, db, refs)
 	for tb := range model {

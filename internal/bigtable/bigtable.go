@@ -8,12 +8,12 @@
 package bigtable
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -175,7 +175,8 @@ type sstable struct {
 	// every bootstrap row virtually, and data is the overlay of rows some
 	// write overrode. A table without a base holds exactly data.
 	base *baseIndex
-	data map[string][]byte
+	// data maps row numbers to values; a row's key is rowKey(tablet, row).
+	data map[int][]byte
 	// bytes is the on-DFS (block-compressed) size; rawBytes the logical
 	// size before compression.
 	bytes    int64
@@ -188,13 +189,13 @@ type sstable struct {
 // baseIndex is everything a base SSTable needs besides its row contents,
 // which fillBootstrap computes on demand. It depends only on (tablet,
 // RowsPerTablet, ValueBytes), so one index per triple is built once per
-// process and shared read-only by every DB: tens of bytes per row.
+// process and shared read-only by every DB: about ten bytes per row. Every
+// table of the tablet, based or not, is sealed in its key order.
 type baseIndex struct {
 	tablet     int
 	valueBytes int
-	// rows are the tablet's bootstrap keys in sorted order with their row
-	// numbers; keyBytes is the sum of the key lengths.
-	rows     []baseRow
+	keyOrder
+	// keyBytes is the sum of the bootstrap rows' key lengths.
 	keyBytes int
 	// filter, bytes and rawBytes are the sealed base table's: one real
 	// Snappy encode of the raw block sizes it.
@@ -202,15 +203,52 @@ type baseIndex struct {
 	bytes, rawBytes int64
 }
 
-type baseRow struct {
-	key string
-	row int
+// keyOrder orders row numbers as their keys sort as strings. Every key of
+// a tablet shares the "t<tablet>/k" prefix, so the order is that of the
+// rows' decimal renderings and depends on nothing but the row count R.
+type keyOrder struct {
+	// order holds the rows 0..R-1 in key order; rank[row] is row's position
+	// in order.
+	order, rank []int32
 }
 
-// has reports whether key is one of the base rows.
-func (b *baseIndex) has(key string) bool {
-	i := sort.Search(len(b.rows), func(i int) bool { return b.rows[i].key >= key })
-	return i < len(b.rows) && b.rows[i].key == key
+// newKeyOrder returns the key order of rows 0..rows-1: the preorder of the
+// decimal trie over them (0, 1, 10, 100, ..., 101, ..., 11, ...), which is
+// the order sort.Strings gives their keys, built without a key or a sort.
+func newKeyOrder(rows int) keyOrder {
+	o := keyOrder{order: make([]int32, 0, rows), rank: make([]int32, rows)}
+	if rows > 0 {
+		o.order = append(o.order, 0)
+	}
+	for cur := 1; len(o.order) < rows; {
+		o.order = append(o.order, int32(cur))
+		if cur*10 < rows {
+			cur *= 10 // descend to the first child
+			continue
+		}
+		for cur%10 == 9 || cur+1 >= rows {
+			cur /= 10 // no next sibling: climb
+		}
+		cur++
+	}
+	for i, r := range o.order {
+		o.rank[r] = int32(i)
+	}
+	return o
+}
+
+// has reports whether row is one of the base rows.
+func (o *keyOrder) has(row int) bool { return row >= 0 && row < len(o.rank) }
+
+// compare orders two rows of one tablet as strings.Compare orders their
+// keys. Two base rows compare by rank; otherwise both rows' decimals,
+// which is where their keys first differ, are rendered and compared.
+func (o *keyOrder) compare(a, b int) int {
+	if o.has(a) && o.has(b) {
+		return int(o.rank[a]) - int(o.rank[b])
+	}
+	var ab, bb [24]byte
+	return bytes.Compare(strconv.AppendInt(ab[:0], int64(a), 10), strconv.AppendInt(bb[:0], int64(b), 10))
 }
 
 type baseIndexKey struct {
@@ -242,73 +280,76 @@ func (db *DB) baseIndexFor(t int) *baseIndex {
 }
 
 func (db *DB) buildBaseIndex(t int) *baseIndex {
-	idx := &baseIndex{tablet: t, valueBytes: int(db.cfg.ValueBytes), rows: make([]baseRow, db.cfg.RowsPerTablet)}
-	for i := range idx.rows {
-		k := rowKey(t, i)
-		idx.rows[i] = baseRow{key: k, row: i}
-		idx.keyBytes += len(k)
+	rows := db.cfg.RowsPerTablet
+	idx := &baseIndex{tablet: t, valueBytes: int(db.cfg.ValueBytes), keyOrder: newKeyOrder(rows)}
+	for i := 0; i < rows; i++ {
+		idx.keyBytes += keyLen(t, i)
 	}
-	slices.SortFunc(idx.rows, func(a, b baseRow) int { return strings.Compare(a.key, b.key) })
 	s := &sstable{base: idx}
-	db.seal(s)
+	db.seal(s, idx)
 	idx.filter, idx.bytes, idx.rawBytes = s.filter, s.bytes, s.rawBytes
 	return idx
 }
 
-// seal finalizes an sstable: it builds the Bloom filter over its keys and
-// block-compresses its contents (real codec) to size the DFS file. Only the
-// two sizes survive the call, so the raw and encoded blocks are built in the
-// DB's scratch buffers, which every seal reuses. No lock guards them: the
-// kernel runs one process at a time and seal never parks. A table with a
-// base merges the sorted base keys with its sorted overlay keys and writes
-// the virtual rows straight into the raw block; when the overlay adds no key
-// the table shares the base's filter, which holds exactly its keys.
-func (db *DB) seal(s *sstable) {
+// seal finalizes an sstable of the tablet idx indexes: it builds the Bloom
+// filter over its keys and block-compresses its contents (real codec) to
+// size the DFS file. Only the two sizes survive the call, so the raw and
+// encoded blocks are built in the DB's scratch buffers, which every seal
+// reuses. No lock guards them: the kernel runs one process at a time and
+// seal never parks. Rows are written in their keys' string order, each key
+// rendered straight into the raw block and hashed into the filter from
+// there. A table with a base merges the base rows with its sorted overlay
+// rows and writes the virtual rows straight into the raw block; when the
+// overlay adds no key the table shares the base's filter, which holds
+// exactly its keys.
+func (db *DB) seal(s *sstable, idx *baseIndex) {
 	b := s.base
-	keys := make([]string, 0, len(s.data))
+	rows := make([]int, 0, len(s.data))
 	n, count := 0, 0
-	var rows []baseRow
+	var order []int32
 	if b != nil {
-		rows = b.rows
-		n, count = b.keyBytes+len(rows)*b.valueBytes, len(rows)
+		order = b.order
+		n, count = b.keyBytes+len(order)*b.valueBytes, len(order)
 	}
-	for k, v := range s.data {
-		keys = append(keys, k)
-		if b != nil && b.has(k) {
+	for r, v := range s.data {
+		rows = append(rows, r)
+		if b != nil && b.has(r) {
 			n += len(v) - b.valueBytes // overrides a base row
 			continue
 		}
-		n += len(k) + len(v)
+		n += keyLen(idx.tablet, r) + len(v)
 		count++
 	}
-	sort.Strings(keys)
+	slices.SortFunc(rows, idx.compare)
 	add := true
-	if b != nil && b.filter != nil && count == len(b.rows) {
+	if b != nil && b.filter != nil && count == len(order) {
 		s.filter, add = b.filter, false
 	} else {
 		s.filter = bloom.New(count+1, 0.01)
 	}
 	raw := slices.Grow(db.sealRaw[:0], n)
-	for len(rows) > 0 || len(keys) > 0 {
-		var k string
-		if len(keys) == 0 || (len(rows) > 0 && rows[0].key < keys[0]) {
-			k = rows[0].key
-			raw = append(raw, k...)
-			l := len(raw)
-			raw = raw[:l+b.valueBytes]
-			fillBootstrap(raw[l:], b.tablet, rows[0].row)
-			rows = rows[1:]
+	for len(order) > 0 || len(rows) > 0 {
+		var r int
+		virtual := len(rows) == 0 || (len(order) > 0 && idx.compare(int(order[0]), rows[0]) < 0)
+		if virtual {
+			r, order = int(order[0]), order[1:]
 		} else {
-			k = keys[0]
-			if len(rows) > 0 && rows[0].key == k {
-				rows = rows[1:]
+			r, rows = rows[0], rows[1:]
+			if len(order) > 0 && int(order[0]) == r {
+				order = order[1:] // the overlay row overrides the base row
 			}
-			keys = keys[1:]
-			raw = append(raw, k...)
-			raw = append(raw, s.data[k]...)
 		}
+		l := len(raw)
+		raw = appendRowKey(raw, idx.tablet, r)
 		if add {
-			s.filter.Add(k)
+			s.filter.AddBytes(raw[l:])
+		}
+		if virtual {
+			l = len(raw)
+			raw = raw[:l+b.valueBytes]
+			fillBootstrap(raw[l:], idx.tablet, r)
+		} else {
+			raw = append(raw, s.data[r]...)
 		}
 	}
 	enc, err := compress.AppendEncode(db.sealEnc[:0], raw)
@@ -327,7 +368,7 @@ func (db *DB) seal(s *sstable) {
 // tablet-server crash on the DFS and is replayed on recovery.
 type logRec struct {
 	seq   int64
-	key   string
+	row   int
 	value []byte
 }
 
@@ -335,9 +376,12 @@ type tablet struct {
 	id        int
 	server    *cluster.Machine
 	serverIdx int // index into mgr.Machines() of the owning tablet server
-	mem       map[string][]byte
-	memSize   int64
-	memPuts   int
+	// idx is the tablet's shared base index: every table of the tablet is
+	// sealed in its key order.
+	idx     *baseIndex
+	mem     map[int][]byte
+	memSize int64
+	memPuts int
 	// log holds the un-truncated commit-log records, in seq order; logBytes
 	// is their on-DFS volume — what a recovery replay must re-read after a
 	// tablet-server crash. Records are truncated only once the flush that
@@ -369,7 +413,8 @@ type tablet struct {
 
 // New builds and starts a deployment on the environment.
 func New(env *platform.Env, cfg Config) (*DB, error) {
-	if cfg.Tablets <= 0 || cfg.TabletServers <= 0 || cfg.RowsPerTablet <= 0 || cfg.ValueBytes < 0 {
+	// A tablet's key order holds its rows as int32s.
+	if cfg.Tablets <= 0 || cfg.TabletServers <= 0 || cfg.RowsPerTablet <= 0 || cfg.RowsPerTablet > math.MaxInt32 || cfg.ValueBytes < 0 {
 		return nil, fmt.Errorf("bigtable: invalid config %+v", cfg)
 	}
 	if cfg.Chunkservers < 3 {
@@ -485,15 +530,16 @@ func (db *DB) buildRecipes() {
 func (db *DB) load() error {
 	machines := db.mgr.Machines()
 	for t := 0; t < db.cfg.Tablets; t++ {
+		idx := db.baseIndexFor(t)
 		tab := &tablet{
 			id:        t,
 			server:    machines[t%len(machines)],
 			serverIdx: t % len(machines),
-			mem:       map[string][]byte{},
+			idx:       idx,
+			mem:       map[int][]byte{},
 			nextSeq:   1,
 			flushDone: map[int64]bool{},
 		}
-		idx := db.baseIndexFor(t)
 		base := &sstable{
 			file:     fmt.Sprintf("bt/tablet%d/base", t),
 			base:     idx,
@@ -511,15 +557,28 @@ func (db *DB) load() error {
 	return nil
 }
 
-// rowKey renders the t<tablet>/k<row> key into a stack buffer: one
-// allocation, the string itself.
-func rowKey(tablet, row int) string {
-	var buf [48]byte
-	b := append(buf[:0], 't')
+// appendRowKey appends the t<tablet>/k<row> key of a row to b. Tables key
+// rows by number; a key's bytes are rendered only where they are consumed:
+// a seal's raw block and Bloom filter, a point read's filter probes, and
+// the text a caller sees (rowKey).
+func appendRowKey(b []byte, tablet, row int) []byte {
+	b = append(b, 't')
 	b = strconv.AppendInt(b, int64(tablet), 10)
 	b = append(b, "/k"...)
-	b = strconv.AppendInt(b, int64(row), 10)
-	return string(b)
+	return strconv.AppendInt(b, int64(row), 10)
+}
+
+// rowKey renders a row's key as a string: the operation history's register
+// key and the not-found error's text.
+func rowKey(tablet, row int) string {
+	var buf [48]byte
+	return string(appendRowKey(buf[:0], tablet, row))
+}
+
+// keyLen is the length of rowKey(tablet, row).
+func keyLen(tablet, row int) int {
+	var buf [48]byte
+	return len(appendRowKey(buf[:0], tablet, row))
 }
 
 // bootstrapValue generates a row's initial content: a deterministic first
@@ -641,26 +700,27 @@ func (db *DB) get(p *sim.Proc, tr *trace.Trace, t, row int) ([]byte, error) {
 	}
 	db.waitIfCompacting(p, tr, tab)
 	db.env.ExecRecipe(p, taxonomy.BigTable, tab.server.Node, tr, db.getRecipe)
-	key := rowKey(t, row)
-	if v, ok := tab.mem[key]; ok {
+	if v, ok := tab.mem[row]; ok {
 		db.Gets++
 		return v, nil
 	}
 	for _, s := range tab.imm {
-		if v, ok := s.data[key]; ok {
+		if v, ok := s.data[row]; ok {
 			db.Gets++
 			return v, nil
 		}
 	}
 	// Probe SSTables newest-first; each probe reads one 16 KiB block. The
 	// per-table Bloom filter skips tables that cannot contain the key.
+	var buf [48]byte
+	key := appendRowKey(buf[:0], t, row)
 	for _, s := range tab.ssts {
-		if s.filter != nil && !s.filter.MayContain(key) {
+		if s.filter != nil && !s.filter.MayContainBytes(key) {
 			db.BloomSkips++
 			continue
 		}
-		v, ok := s.data[key]
-		inBase := !ok && s.base != nil && row >= 0 && row < db.cfg.RowsPerTablet
+		v, ok := s.data[row]
+		inBase := !ok && s.base != nil && s.base.has(row)
 		ioStart := p.Now()
 		blockOff := int64(0)
 		if s.bytes > 16<<10 {
@@ -682,7 +742,7 @@ func (db *DB) get(p *sim.Proc, tr *trace.Trace, t, row int) ([]byte, error) {
 			return bootstrapValue(t, row, int(db.cfg.ValueBytes)), nil
 		}
 	}
-	return nil, fmt.Errorf("%w: %q", storage.ErrNotFound, key)
+	return nil, fmt.Errorf("%w: %q", storage.ErrNotFound, rowKey(t, row))
 }
 
 // put is the un-recorded implementation of Put.
@@ -697,7 +757,6 @@ func (db *DB) put(p *sim.Proc, tr *trace.Trace, t, row int, value []byte) error 
 	db.waitIfCompacting(p, tr, tab)
 	db.env.ExecRecipe(p, taxonomy.BigTable, tab.server.Node, tr, db.putRecipe)
 
-	key := rowKey(t, row)
 	cp := make([]byte, len(value))
 	copy(cp, value)
 	if db.partitioned[tab.serverIdx] {
@@ -705,8 +764,8 @@ func (db *DB) put(p *sim.Proc, tr *trace.Trace, t, row int, value []byte) error 
 		// reach the shared commit log but acknowledges the write from its
 		// local memtable anyway. The heal-time fencing rebuild replays only
 		// the log, so this acknowledged write is doomed to vanish.
-		old := int64(len(tab.mem[key]))
-		tab.mem[key] = cp
+		old := int64(len(tab.mem[row]))
+		tab.mem[row] = cp
 		tab.memSize += int64(len(cp)) - old
 		db.Puts++
 		return nil
@@ -725,10 +784,10 @@ func (db *DB) put(p *sim.Proc, tr *trace.Trace, t, row int, value []byte) error 
 	// sees both or neither.
 	seq := tab.nextSeq
 	tab.nextSeq++
-	tab.log = append(tab.log, logRec{seq: seq, key: key, value: cp})
+	tab.log = append(tab.log, logRec{seq: seq, row: row, value: cp})
 	tab.logBytes += logBytes
-	old := int64(len(tab.mem[key]))
-	tab.mem[key] = cp
+	old := int64(len(tab.mem[row]))
+	tab.mem[row] = cp
 	tab.memSize += int64(len(cp)) - old
 	tab.memPuts++
 	db.Puts++
@@ -778,7 +837,7 @@ func (db *DB) Scan(p *sim.Proc, tr *trace.Trace, t, start int) (int, error) {
 	matched := 0
 	for i := 0; i < db.cfg.ScanRows; i++ {
 		row := (start + i) % db.cfg.RowsPerTablet
-		if b, ok := db.firstByte(tab, rowKey(t, row), row); ok && b%2 == 1 {
+		if b, ok := db.firstByte(tab, row); ok && b%2 == 1 {
 			matched++
 		}
 	}
@@ -790,14 +849,14 @@ func (db *DB) Scan(p *sim.Proc, tr *trace.Trace, t, start int) (int, error) {
 // (used by scans after the range has been streamed) and returns its first
 // byte, reading a virtual base row's without building it; ok is false for
 // an empty row.
-func (db *DB) firstByte(tab *tablet, key string, row int) (b byte, ok bool) {
-	v, found := tab.mem[key]
+func (db *DB) firstByte(tab *tablet, row int) (b byte, ok bool) {
+	v, found := tab.mem[row]
 	for i := 0; !found && i < len(tab.imm); i++ {
-		v, found = tab.imm[i].data[key]
+		v, found = tab.imm[i].data[row]
 	}
 	for i := 0; !found && i < len(tab.ssts); i++ {
 		s := tab.ssts[i]
-		if v, found = s.data[key]; !found && s.base != nil {
+		if v, found = s.data[row]; !found && s.base != nil {
 			return bootstrapFirst(tab.id, row), db.cfg.ValueBytes > 0
 		}
 	}
@@ -820,7 +879,7 @@ func (db *DB) flush(tab *tablet) {
 	snapSeq := tab.nextSeq - 1
 	epoch := tab.epoch
 	tab.nextSST++
-	tab.mem = map[string][]byte{}
+	tab.mem = map[int][]byte{}
 	tab.memSize = 0
 	tab.memPuts = 0
 	tab.imm = append([]*sstable{snap}, tab.imm...)
@@ -833,7 +892,7 @@ func (db *DB) flush(tab *tablet) {
 
 	db.env.K.Go("bt-minor-compaction", func(p *sim.Proc) {
 		db.env.ExecRecipe(p, taxonomy.BigTable, tab.server.Node, nil, db.minorRecipe)
-		db.seal(snap) // real block compression + Bloom filter
+		db.seal(snap, tab.idx) // real block compression + Bloom filter
 		db.CompressedBytes += snap.bytes
 		db.RawBytes += snap.rawBytes
 		if _, err := db.dfs.Create(snap.file, snap.bytes); err != nil {
@@ -905,7 +964,7 @@ func (db *DB) major(tab *tablet) {
 		}
 		merged := &sstable{
 			file: fmt.Sprintf("bt/tablet%d/sst%d", tab.id, tab.nextSST),
-			data: make(map[string][]byte, rows),
+			data: make(map[int][]byte, rows),
 		}
 		tab.nextSST++
 		// Merge oldest-to-newest so newer values win. The oldest input
@@ -928,7 +987,7 @@ func (db *DB) major(tab *tablet) {
 		}
 		p.Sleep(readTime)
 		db.env.ExecRecipe(p, taxonomy.BigTable, tab.server.Node, nil, db.majorRecipe)
-		db.seal(merged)
+		db.seal(merged, tab.idx)
 		if _, err := db.dfs.Create(merged.file, merged.bytes); err != nil {
 			panic(fmt.Sprintf("bigtable: major write: %v", err))
 		}
@@ -1102,7 +1161,7 @@ func (db *DB) HealTabletServer(i int) error {
 // burns the replay's IO and CPU time while the tablet blocks.
 func (db *DB) rebuildFromLog(tab *tablet) {
 	tab.epoch++ // aborts in-flight flush promotions from the dead server
-	tab.mem = map[string][]byte{}
+	tab.mem = map[int][]byte{}
 	tab.memSize = 0
 	tab.imm = nil
 	tab.flushPending = nil
@@ -1116,8 +1175,8 @@ func (db *DB) rebuildFromLog(tab *tablet) {
 			// would corrupt state), so it is flagged structurally.
 			dups++
 		}
-		old := int64(len(tab.mem[rec.key]))
-		tab.mem[rec.key] = rec.value
+		old := int64(len(tab.mem[rec.row]))
+		tab.mem[rec.row] = rec.value
 		tab.memSize += int64(len(rec.value)) - old
 	}
 	tab.memPuts = len(tab.log)

@@ -2,6 +2,7 @@ package bigtable
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"time"
 
@@ -40,6 +41,7 @@ func TestNewValidation(t *testing.T) {
 		{"zero tablets", func(c *Config) { c.Tablets = 0 }},
 		{"two chunkservers", func(c *Config) { c.Chunkservers = 2 }},
 		{"zero rows per tablet", func(c *Config) { c.RowsPerTablet = 0 }},
+		{"rows per tablet past int32", func(c *Config) { c.RowsPerTablet = math.MaxInt32 + 1 }},
 		{"negative value bytes", func(c *Config) { c.ValueBytes = -1 }},
 	} {
 		t.Run(c.name, func(t *testing.T) {

@@ -39,45 +39,95 @@ func TestBaseSSTableSizesGolden(t *testing.T) {
 	}
 }
 
-func testTable(rows, valueBytes int) *sstable {
-	s := &sstable{data: map[string][]byte{}}
+// testTable returns an unsealed table of rows 0..rows-1 without a base,
+// and the same rows keyed by their tablet-0 keys.
+func testTable(rows, valueBytes int) (*sstable, map[string][]byte) {
+	s := &sstable{data: map[int][]byte{}}
+	keyed := map[string][]byte{}
 	for i := 0; i < rows; i++ {
-		s.data[rowKey(0, i)] = bytes.Repeat([]byte{byte(i)}, valueBytes)
+		s.data[i] = bytes.Repeat([]byte{byte(i)}, valueBytes)
+		keyed[rowKey(0, i)] = s.data[i]
 	}
-	return s
+	return s, keyed
 }
 
 // TestSealScratchReuseIsInvisible seals a small table after a large one on
-// the same DB and checks the sizes match a seal on a fresh DB: leftover
-// scratch bytes must never reach a table's sizes.
+// the same DB and checks the sizes match a seal on a fresh DB and the
+// reference seal: leftover scratch bytes must never reach a table's sizes.
 func TestSealScratchReuseIsInvisible(t *testing.T) {
 	_, fresh := newDB(t, 1)
-	want := testTable(7, 33)
-	fresh.seal(want)
+	want, keyed := testTable(7, 33)
+	fresh.seal(want, fresh.baseIndexFor(0))
 
 	_, reused := newDB(t, 1)
-	reused.seal(testTable(500, 1024))
-	got := testTable(7, 33)
-	reused.seal(got)
+	large, _ := testTable(500, 1024)
+	reused.seal(large, reused.baseIndexFor(0))
+	got, _ := testTable(7, 33)
+	reused.seal(got, reused.baseIndexFor(0))
 	if got.bytes != want.bytes || got.rawBytes != want.rawBytes {
 		t.Fatalf("after a large seal: bytes=%d rawBytes=%d, fresh DB gives %d %d",
 			got.bytes, got.rawBytes, want.bytes, want.rawBytes)
 	}
-	for k := range got.data {
+	ref := refSeal(t, keyed)
+	if !bytes.Equal(reused.sealRaw, ref.raw) {
+		t.Fatal("raw block differs from the reference seal's")
+	}
+	checkSealed(t, got, ref, 0, 1, 7)
+	for k := range keyed {
 		if !got.filter.MayContain(k) {
 			t.Fatalf("filter misses %q", k)
 		}
 	}
 }
 
+// TestSealMatchesStringOrder seals overlays that mix base rows with rows
+// outside [0, RowsPerTablet), on a base and without one, and checks each
+// against the reference seal: the raw block byte for byte, the sizes, the
+// key count and the Bloom answers.
+func TestSealMatchesStringOrder(t *testing.T) {
+	_, db := newDB(t, 1)
+	rows := db.cfg.RowsPerTablet
+	for _, tb := range []int{0, 3} {
+		idx := db.baseIndexFor(tb)
+		for _, overlay := range [][]int{
+			nil,
+			{0, 1, 9, 10, 99, 100, rows - 1},
+			{-12, -1, 5, rows, rows + 7, 10 * rows, 123456789},
+			{-1000, -3, 4, 40, rows * 3},
+		} {
+			for _, based := range []bool{false, true} {
+				s := &sstable{data: map[int][]byte{}}
+				keyed := map[string][]byte{}
+				if based {
+					s.base = idx
+					for i := 0; i < rows; i++ {
+						keyed[rowKey(tb, i)] = bootstrapValue(tb, i, int(db.cfg.ValueBytes))
+					}
+				}
+				for j, r := range overlay {
+					s.data[r] = bytes.Repeat([]byte{byte(j + 1)}, 1+j*37%200)
+					keyed[rowKey(tb, r)] = s.data[r]
+				}
+				db.seal(s, idx)
+				ref := refSeal(t, keyed)
+				if !bytes.Equal(db.sealRaw, ref.raw) {
+					t.Fatalf("tablet %d based=%v overlay %v: raw block differs from the reference seal's", tb, based, overlay)
+				}
+				checkSealed(t, s, ref, tb, tb+1, rows)
+			}
+		}
+	}
+}
+
 // TestSealAllocs pins a warmed seal to its Bloom filter (struct and bit
-// array) and its sorted key slice: the raw and encoded blocks come from the
-// DB's scratch buffers.
+// array) and its sorted row slice: the raw and encoded blocks come from
+// the DB's scratch buffers.
 func TestSealAllocs(t *testing.T) {
 	_, db := newDB(t, 1)
-	s := testTable(200, 512)
-	db.seal(s)
-	if n := testing.AllocsPerRun(20, func() { db.seal(s) }); n != 3 {
+	s, _ := testTable(200, 512)
+	idx := db.baseIndexFor(0)
+	db.seal(s, idx)
+	if n := testing.AllocsPerRun(20, func() { db.seal(s, idx) }); n != 3 {
 		t.Fatalf("warmed seal allocates %v objects, want 3", n)
 	}
 }

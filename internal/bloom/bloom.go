@@ -4,10 +4,7 @@
 // behaviour the paper's BigTable characterization reflects (§2.2.2).
 package bloom
 
-import (
-	"hash/fnv"
-	"math"
-)
+import "math"
 
 // Filter is a classic k-hash Bloom filter over a bit array. The zero value
 // is not usable; create one with New.
@@ -43,20 +40,29 @@ func New(expected int, fp float64) *Filter {
 	return &Filter{bits: make([]uint64, (m+63)/64), nBits: m, k: k}
 }
 
-// hashes derives k bit positions via double hashing of two FNV variants.
-func (f *Filter) hashes(key string) (uint64, uint64) {
-	h1 := fnv.New64a()
-	h1.Write([]byte(key))
-	a := h1.Sum64()
-	h2 := fnv.New64()
-	h2.Write([]byte(key))
-	b := h2.Sum64() | 1 // odd so the stride visits all positions
-	return a, b
+// FNV-1a and FNV-1 64-bit parameters (hash/fnv's, computed inline so a key
+// never has to be converted or passed through an interface).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// hashes derives k bit positions via double hashing of two FNV variants: a
+// is the key's FNV-1a hash, b its FNV-1 hash made odd. A string and a byte
+// slice with equal contents hash alike.
+func hashes[K string | []byte](key K) (a, b uint64) {
+	a, b = fnvOffset64, fnvOffset64
+	for i := 0; i < len(key); i++ {
+		a ^= uint64(key[i])
+		a *= fnvPrime64
+		b *= fnvPrime64
+		b ^= uint64(key[i])
+	}
+	return a, b | 1 // odd so the stride visits all positions
 }
 
-// Add inserts a key.
-func (f *Filter) Add(key string) {
-	a, b := f.hashes(key)
+// add sets the key's k bits.
+func (f *Filter) add(a, b uint64) {
 	for i := 0; i < f.k; i++ {
 		pos := (a + uint64(i)*b) % f.nBits
 		f.bits[pos/64] |= 1 << (pos % 64)
@@ -64,10 +70,8 @@ func (f *Filter) Add(key string) {
 	f.nAdded++
 }
 
-// MayContain reports whether the key might be in the set. False positives
-// are possible at roughly the configured rate; false negatives are not.
-func (f *Filter) MayContain(key string) bool {
-	a, b := f.hashes(key)
+// mayContain reports whether all of the key's k bits are set.
+func (f *Filter) mayContain(a, b uint64) bool {
 	for i := 0; i < f.k; i++ {
 		pos := (a + uint64(i)*b) % f.nBits
 		if f.bits[pos/64]&(1<<(pos%64)) == 0 {
@@ -76,6 +80,20 @@ func (f *Filter) MayContain(key string) bool {
 	}
 	return true
 }
+
+// Add inserts a key.
+func (f *Filter) Add(key string) { f.add(hashes(key)) }
+
+// AddBytes inserts the key held in a byte slice; it sets the bits Add sets
+// for the equal string.
+func (f *Filter) AddBytes(key []byte) { f.add(hashes(key)) }
+
+// MayContain reports whether the key might be in the set. False positives
+// are possible at roughly the configured rate; false negatives are not.
+func (f *Filter) MayContain(key string) bool { return f.mayContain(hashes(key)) }
+
+// MayContainBytes is MayContain for a key held in a byte slice.
+func (f *Filter) MayContainBytes(key []byte) bool { return f.mayContain(hashes(key)) }
 
 // Len returns the number of keys added.
 func (f *Filter) Len() int { return f.nAdded }

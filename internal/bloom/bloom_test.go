@@ -2,6 +2,9 @@ package bloom
 
 import (
 	"fmt"
+	"hash/fnv"
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -87,5 +90,77 @@ func TestSizingScalesWithTargets(t *testing.T) {
 	tight := New(1000, 0.001)
 	if tight.Bits() <= loose.Bits() {
 		t.Fatalf("tighter fp target should need more bits: %d <= %d", tight.Bits(), loose.Bits())
+	}
+}
+
+// randomKeys returns n seeded random keys of 0 to 40 arbitrary bytes.
+func randomKeys(n int) [][]byte {
+	rng := rand.New(rand.NewPCG(1, 2))
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = make([]byte, rng.IntN(41))
+		for j := range keys[i] {
+			keys[i][j] = byte(rng.Uint32())
+		}
+	}
+	return keys
+}
+
+// TestHashesMatchHashFNV pins the inline hashes to hash/fnv's FNV-1a and
+// FNV-1: every filter bit, and so every sealed table's filter, depends on
+// them.
+func TestHashesMatchHashFNV(t *testing.T) {
+	for _, k := range randomKeys(2000) {
+		h1, h2 := fnv.New64a(), fnv.New64()
+		h1.Write(k)
+		h2.Write(k)
+		a, b := hashes(k)
+		if a != h1.Sum64() || b != h2.Sum64()|1 {
+			t.Fatalf("hashes(%q) = %x %x, hash/fnv gives %x %x", k, a, b, h1.Sum64(), h2.Sum64()|1)
+		}
+		if sa, sb := hashes(string(k)); sa != a || sb != b {
+			t.Fatalf("string and byte hashes of %q differ", k)
+		}
+	}
+}
+
+// TestByteKeysMatchStringKeys builds one filter through Add and one
+// through AddBytes from the same keys: their bits and lengths must be
+// identical, MayContain and MayContainBytes must agree on every probe, and
+// none of the four methods may allocate.
+func TestByteKeysMatchStringKeys(t *testing.T) {
+	keys := randomKeys(4000)
+	viaString, viaBytes := New(len(keys)/2, 0.01), New(len(keys)/2, 0.01)
+	for _, k := range keys[:len(keys)/2] {
+		viaString.Add(string(k))
+		viaBytes.AddBytes(k)
+	}
+	if !slices.Equal(viaString.bits, viaBytes.bits) || viaString.Len() != viaBytes.Len() {
+		t.Fatalf("Add and AddBytes built different filters (len %d vs %d)", viaString.Len(), viaBytes.Len())
+	}
+	hits := 0
+	for _, k := range keys {
+		s, b := viaString.MayContain(string(k)), viaString.MayContainBytes(k)
+		if s != b {
+			t.Fatalf("MayContain(%q) = %v, MayContainBytes = %v", k, s, b)
+		}
+		if s {
+			hits++
+		}
+	}
+	if hits < len(keys)/2 || hits == len(keys) {
+		t.Fatalf("%d of %d probes hit; want every member and not every absent key", hits, len(keys))
+	}
+	key := "t3/k2999"
+	buf := []byte(key)
+	for name, f := range map[string]func(){
+		"Add":             func() { viaString.Add(key) },
+		"AddBytes":        func() { viaBytes.AddBytes(buf) },
+		"MayContain":      func() { viaString.MayContain(key) },
+		"MayContainBytes": func() { viaBytes.MayContainBytes(buf) },
+	} {
+		if n := testing.AllocsPerRun(100, f); n != 0 {
+			t.Errorf("%s allocates %v objects per call, want 0", name, n)
+		}
 	}
 }

@@ -85,6 +85,9 @@ type Client struct {
 	budget float64
 	// breakers holds one circuit breaker per target this client has called.
 	breakers map[*Server]*breaker
+	// attemptNames holds each method's deadline-attempt process name,
+	// "rpc-attempt/<method>", built on the method's first such attempt.
+	attemptNames map[string]string
 
 	// Counters for reports and tests.
 	Calls, Attempts, Retries, Deadlines int
@@ -300,7 +303,7 @@ func (c *Client) attempt(p *sim.Proc, from *Node, s *Server, req Request, dc *de
 	k := s.Node.net.k
 	a := &deadlineAttempt{}
 	dc.running++
-	k.Go("rpc-attempt/"+req.Method, func(ap *sim.Proc) {
+	k.Go(c.attemptName(req.Method), func(ap *sim.Proc) {
 		a.resp, _ = s.Call(ap, from, req)
 		a.finished = true
 		a.gate.Fire()
@@ -314,6 +317,19 @@ func (c *Client) attempt(p *sim.Proc, from *Node, s *Server, req Request, dc *de
 		return Response{Err: fmt.Errorf("%w: %s after %v", ErrDeadlineExceeded, req.Method, c.policy.Deadline)}
 	}
 	return a.resp
+}
+
+// attemptName returns the process name of a deadline attempt of method.
+func (c *Client) attemptName(method string) string {
+	name, ok := c.attemptNames[method]
+	if !ok {
+		if c.attemptNames == nil {
+			c.attemptNames = map[string]string{}
+		}
+		name = "rpc-attempt/" + method
+		c.attemptNames[method] = name
+	}
+	return name
 }
 
 // Call performs a policy-driven RPC against one server: a deadline per
