@@ -30,7 +30,7 @@ FLEET_HEAP_MB ?= 128
 # the obs subtest of TestStudyConformance. A pattern that matches nothing
 # passes with "no tests to run", so keep these in step with the test names.
 
-.PHONY: check build vet fmt test race fuzz check-studies bench bench-gate bench-baseline
+.PHONY: check build vet fmt test race fuzz check-studies bench bench-gate bench-baseline allocs
 
 check: build vet fmt race
 
@@ -62,7 +62,8 @@ FUZZ_TARGETS = \
 	FuzzReadFrame:./internal/dispatch/ \
 	FuzzStudyArgs:./cmd/hyperprof/ \
 	FuzzNemesisSchedule:./internal/faults/ \
-	FuzzRowKeyOrder:./internal/bigtable/
+	FuzzRowKeyOrder:./internal/bigtable/ \
+	FuzzGroupsReuse:./internal/columnar/
 
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \
@@ -172,3 +173,10 @@ bench-gate:
 
 bench-baseline:
 	sh scripts/bench.sh BENCH_0.json
+
+# allocs prints the allocation profile of one study at the bench workload's
+# sizes (every allocation sampled; top sites by alloc_objects): `make allocs
+# STUDY=overload`. Diagnostic only; see scripts/allocs.sh.
+STUDY ?= fleet
+allocs:
+	bash scripts/allocs.sh $(STUDY)

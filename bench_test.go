@@ -873,8 +873,11 @@ func BenchmarkTieredStoreRead(b *testing.B) {
 // BenchmarkBigQueryScanAgg measures one ScanAgg query on a DefaultConfig
 // engine, kernel run included: 16 partitions scanned, filtered and
 // partially aggregated by the columnar kernels, shuffled and merged. It is
-// the bench-gate guard for the dense group vectors of the query path and
-// for spawning stage-1 processes only for workers that own partitions.
+// the bench-gate guard for the allocation-light shard path: partials and
+// merge accumulators recycled through the engine's free list, one reused
+// selection vector, one record per shuffle round carried by pointer in the
+// put and get payloads, and stage-1 processes spawned only for workers that
+// own partitions.
 func BenchmarkBigQueryScanAgg(b *testing.B) {
 	env := platform.NewEnv(1, 1)
 	e, err := bigquery.New(env, bigquery.DefaultConfig())

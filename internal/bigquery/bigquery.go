@@ -183,6 +183,13 @@ type Engine struct {
 	stage2 map[Kind]platform.Recipe // per-query
 	planR  platform.Recipe
 
+	// freeGroups recycles aggregates over the engine's key domain (see
+	// getGroups), filled lazily and never past maxFreeGroups. sel is the
+	// scan's selection vector: the filter and the aggregate that reads it
+	// run without parking in between, so one per engine serves every shard.
+	freeGroups []*columnar.Groups
+	sel        columnar.Bitmap
+
 	// Counters for tests and reports.
 	Queries      map[Kind]int
 	ShuffleBytes int64
@@ -221,8 +228,8 @@ type shuffleServer struct {
 }
 
 type shuffleSlot struct {
-	bytes   int64
-	payload interface{}
+	bytes int64
+	shard *roundShard
 }
 
 // New builds and starts a deployment on the environment.
@@ -443,14 +450,14 @@ func (e *Engine) Stop() {
 
 func (e *Engine) handleShufflePut(ss *shuffleServer) netsim.Handler {
 	return func(p *sim.Proc, req netsim.Request) netsim.Response {
-		slot := req.Payload.(shufflePutArgs)
+		sh := req.Payload.(*roundShard)
 		p.Use(ss.machine.Node.CPU, 1, time.Duration(float64(req.Bytes)/4e9*float64(time.Second))+20*time.Microsecond)
 		// The shuffle tier persists intermediate data: compact partials sit
 		// in flash, large row spills go to disk, as production distributed
 		// shuffles tier their storage.
 		p.Sleep(ss.machine.Store.RawAccess(shuffleTier(req.Bytes), req.Bytes, true))
-		if !ss.dropped[slot.key] {
-			ss.slots[slot.key] = shuffleSlot{bytes: req.Bytes, payload: slot.payload}
+		if !ss.dropped[sh.key] {
+			ss.slots[sh.key] = shuffleSlot{bytes: req.Bytes, shard: sh}
 		}
 		return netsim.Response{Bytes: 32}
 	}
@@ -474,7 +481,7 @@ func (e *Engine) handleShuffleDrop(ss *shuffleServer) netsim.Handler {
 
 func (e *Engine) handleShuffleGet(ss *shuffleServer) netsim.Handler {
 	return func(p *sim.Proc, req netsim.Request) netsim.Response {
-		key := req.Payload.(slotKey)
+		key := req.Payload.(*roundShard).key
 		slot, ok := ss.slots[key]
 		if !ok {
 			return netsim.Response{Err: fmt.Errorf("bigquery: shuffle slot %q missing", key)}
@@ -482,13 +489,8 @@ func (e *Engine) handleShuffleGet(ss *shuffleServer) netsim.Handler {
 		p.Use(ss.machine.Node.CPU, 1, time.Duration(float64(slot.bytes)/4e9*float64(time.Second))+20*time.Microsecond)
 		p.Sleep(ss.machine.Store.RawAccess(shuffleTier(slot.bytes), slot.bytes, false))
 		delete(ss.slots, key)
-		return netsim.Response{Bytes: slot.bytes, Payload: slot.payload}
+		return netsim.Response{Bytes: slot.bytes, Payload: slot.shard}
 	}
-}
-
-type shufflePutArgs struct {
-	key     slotKey
-	payload interface{}
 }
 
 // shuffleTier picks the storage medium for a shuffle slot: flash for compact
@@ -531,8 +533,10 @@ func (e *Engine) startShuffleServer(ss *shuffleServer) {
 // home server is tried. A failed put may still have run — on an earlier
 // attempt, or after its response was lost — so every server a put failed on
 // gets its slot released (see releaseSlot): a slot lives on one server.
-func (e *Engine) shufflePut(p *sim.Proc, from *netsim.Node, qid, pi int, bytes int64, payload interface{}) error {
-	key := newSlotKey(qid, pi)
+// The put carries sh itself, stage-1 shard pi of its round: the server keys
+// the slot by sh.key and stage 2's get hands sh back.
+func (e *Engine) shufflePut(p *sim.Proc, from *netsim.Node, pi int, sh *roundShard, bytes int64) error {
+	key := sh.key
 	tries := len(e.shuffle)
 	if e.cfg.DisableFailover {
 		tries = 1
@@ -548,7 +552,7 @@ func (e *Engine) shufflePut(p *sim.Proc, from *netsim.Node, qid, pi int, bytes i
 		resp, _ := e.client.Call(p, from, ss.srv, netsim.Request{
 			Method:  "shuffle.put",
 			Bytes:   bytes,
-			Payload: shufflePutArgs{key: key, payload: payload},
+			Payload: sh,
 		})
 		if resp.Err != nil {
 			lastErr = resp.Err
@@ -703,12 +707,17 @@ func (e *Engine) runDistributed(p *sim.Proc, tr *trace.Trace, q Query, qid int) 
 	if err != nil {
 		return nil, err
 	}
-	if e.rec != nil && !merged.Equal(e.referenceOver(q.Threshold, nParts)) {
-		e.rec.Violate("exact-result", fmt.Sprintf("q%d", qid),
-			"query %d (%s) aggregate diverges from the exact reference over %d partitions", qid, q.Kind, nParts)
+	if e.rec != nil {
+		ref := e.referenceOver(q.Threshold, nParts)
+		if !merged.Equal(ref) {
+			e.rec.Violate("exact-result", fmt.Sprintf("q%d", qid),
+				"query %d (%s) aggregate diverges from the exact reference over %d partitions", qid, q.Kind, nParts)
+		}
+		e.putGroups(ref)
 	}
 
 	groups := merged.Map()
+	e.putGroups(merged)
 	res := &Result{Groups: groups, RowsScanned: nParts * e.cfg.RowsPerPartition}
 	if q.Kind == JoinQuery {
 		res.Labeled = columnar.HashJoin(groups, e.dim)
@@ -716,6 +725,39 @@ func (e *Engine) runDistributed(p *sim.Proc, tr *trace.Trace, q Query, qid int) 
 	}
 	e.Queries[q.Kind]++
 	return res, nil
+}
+
+// round is the state of one shuffleRound that its stage-1 processes and its
+// reducer share. It is allocated per round and never recycled: a put or a get
+// that drains after its call gave up still reads its shard's key from it, so
+// a recycled record could store a stale put's slot under a live round's key.
+type round struct {
+	e      *Engine
+	tr     *trace.Trace
+	q      Query
+	nParts int
+	ranks  *columnar.Groups
+	bar    *sim.Barrier
+	// started counts the stage-1 processes that have begun; each takes it as
+	// its worker index. Processes start in spawn order, so worker w runs
+	// under the w-th name.
+	started int
+	// err is the error of the lowest-numbered worker that failed, errWorker.
+	err       error
+	errWorker int
+	shards    []roundShard
+}
+
+// roundShard is stage-1 shard pi of a round. It is the payload of the
+// shard's shuffle put and get: a pointer, so boxing it allocates nothing.
+type roundShard struct {
+	key     slotKey
+	partial *columnar.Groups
+	// contrib counts how many times the shard lands in the merge; the
+	// exactly-once checker asserts every shard contributes exactly once,
+	// whether it arrived through the shuffle or through speculative
+	// re-execution — never both, never twice.
+	contrib int
 }
 
 // shuffleRound runs one two-stage pass over the first nParts fact partitions
@@ -730,82 +772,49 @@ func (e *Engine) runDistributed(p *sim.Proc, tr *trace.Trace, q Query, qid int) 
 func (e *Engine) shuffleRound(p *sim.Proc, tr *trace.Trace, q Query, qid, nParts int, ranks *columnar.Groups) (*columnar.Groups, error) {
 	nW := len(e.workers)
 	busy := min(nW, nParts)
-	errs := make([]error, busy)
-	bar := sim.NewBarrier(e.env.K, busy)
-	names, round := e.s1Names, "query"
+	r := &round{e: e, tr: tr, q: q, nParts: nParts, ranks: ranks,
+		bar: sim.NewBarrier(e.env.K, busy), shards: make([]roundShard, nParts)}
+	for pi := range r.shards {
+		r.shards[pi].key = newSlotKey(qid, pi)
+	}
+	names, kind := e.s1Names, "query"
 	if q.Kind == PageRank {
-		names, round = e.prNames, "rank round"
+		names, kind = e.prNames, "rank round"
 	}
-
+	stage1 := r.stage1
 	for w := 0; w < busy; w++ {
-		worker := e.workers[w]
-		e.env.K.Go(names[w], func(wp *sim.Proc) {
-			defer bar.Done()
-			e.mStage1Active.Add(1)
-			defer e.mStage1Active.Add(-1)
-			for pi := w; pi < nParts; pi += nW {
-				partial, err := e.scanPartial(wp, tr, worker, q, pi, ranks)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				// Shuffle the partial to its server; join queries spill
-				// wide intermediate rows (a large fraction of the scanned
-				// bytes), the others only compact partials. The put fails
-				// over across the shuffle tier if the home server is down.
-				bytes := int64(partial.Len()) * 16
-				if q.Kind == JoinQuery {
-					bytes = e.cfg.PartitionFileBytes
-				}
-				remStart := wp.Now()
-				err = e.shufflePut(wp, worker.Node, qid, pi, bytes, partial)
-				platform.AnnotateRemote(tr, remStart, wp.Now())
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				e.ShuffleBytes += bytes
-				e.mShuffleBytes.Add(bytes)
-			}
-		})
+		e.env.K.Go(names[w], stage1)
 	}
-	p.WaitBarrier(bar)
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	p.WaitBarrier(r.bar)
+	if r.err != nil {
+		return nil, r.err
 	}
 
 	reducer := e.workers[qid%nW]
 	e.mStage2Active.Add(1)
 	defer e.mStage2Active.Add(-1)
-	merged := columnar.NewGroups(e.cfg.Groups)
-	// contrib counts how many times each stage-1 shard lands in the merge; the
-	// exactly-once checker asserts every shard contributes exactly once,
-	// whether it arrived through the shuffle or through speculative
-	// re-execution — never both, never twice.
-	contrib := make([]int, nParts)
-	for pi := 0; pi < nParts; pi++ {
-		key := newSlotKey(qid, pi)
-		idx, ok := e.slotLoc[key]
+	merged := e.getGroups()
+	for pi := range r.shards {
+		sh := &r.shards[pi]
+		idx, ok := e.slotLoc[sh.key]
 		if !ok {
 			idx = pi % len(e.shuffle)
 		}
-		delete(e.slotLoc, key)
+		delete(e.slotLoc, sh.key)
 		remStart := p.Now()
 		// Stage-2 gets ride the priority lane: they free shuffle slots and
 		// complete queries, so under overload they drain the system rather
 		// than feeding it — shedding them would only force speculative
 		// re-execution, amplifying load.
 		resp, _ := e.client.Call(p, reducer.Node, e.shuffle[idx].srv,
-			netsim.Request{Method: "shuffle.get", Payload: key, Priority: true})
+			netsim.Request{Method: "shuffle.get", Payload: sh, Priority: true})
 		platform.AnnotateRemote(tr, remStart, p.Now())
 		var partial *columnar.Groups
 		if resp.Err != nil {
 			if e.cfg.DisableFailover {
 				// Naive arm: no speculative re-execution — a lost or
 				// unreachable slot fails the whole query.
-				return nil, fmt.Errorf("bigquery: shuffle get %s failed: %w", key, resp.Err)
+				return nil, fmt.Errorf("bigquery: shuffle get %s failed: %w", sh.key, resp.Err)
 			}
 			e.Speculative++
 			e.mSpeculative.Inc()
@@ -819,26 +828,113 @@ func (e *Engine) shuffleRound(p *sim.Proc, tr *trace.Trace, q Query, qid, nParts
 				if err := columnar.MergeGroups(merged, partial); err != nil {
 					return nil, err
 				}
-				contrib[pi]++
+				sh.contrib++
 			}
 		} else {
-			partial = resp.Payload.(*columnar.Groups)
+			partial = resp.Payload.(*roundShard).partial
 		}
 		if err := columnar.MergeGroups(merged, partial); err != nil {
 			return nil, err
 		}
-		contrib[pi]++
+		sh.contrib++
+		// The merge was the partial's last read (see putGroups).
+		e.putGroups(partial)
 	}
 	e.env.ExecRecipe(p, taxonomy.BigQuery, reducer.Node, tr, e.stage2[q.Kind])
 	if e.rec != nil {
-		for pi, c := range contrib {
-			if c != 1 {
-				e.rec.Violate("exactly-once", newSlotKey(qid, pi).String(),
-					"%s %d merged stage-1 shard %d into the aggregate %d times, want exactly once", round, qid, pi, c)
+		for pi, sh := range r.shards {
+			if sh.contrib != 1 {
+				e.rec.Violate("exactly-once", sh.key.String(),
+					"%s %d merged stage-1 shard %d into the aggregate %d times, want exactly once", kind, qid, pi, sh.contrib)
 			}
 		}
 	}
 	return merged, nil
+}
+
+// stage1 is the body of a round's stage-1 processes, spawned as one method
+// value per round: worker w computes the partials of shards w, w+Workers, ...
+// and puts each in the shuffle tier.
+func (r *round) stage1(wp *sim.Proc) {
+	e := r.e
+	w := r.started
+	r.started++
+	defer r.bar.Done()
+	e.mStage1Active.Add(1)
+	defer e.mStage1Active.Add(-1)
+	worker := e.workers[w]
+	for pi := w; pi < r.nParts; pi += len(e.workers) {
+		sh := &r.shards[pi]
+		partial, err := e.scanPartial(wp, r.tr, worker, r.q, pi, r.ranks)
+		if err != nil {
+			r.fail(w, err)
+			return
+		}
+		sh.partial = partial
+		// Shuffle the partial to its server; join queries spill wide
+		// intermediate rows (a large fraction of the scanned bytes), the
+		// others only compact partials. The put fails over across the
+		// shuffle tier if the home server is down.
+		bytes := int64(partial.Len()) * 16
+		if r.q.Kind == JoinQuery {
+			bytes = e.cfg.PartitionFileBytes
+		}
+		remStart := wp.Now()
+		err = e.shufflePut(wp, worker.Node, pi, sh, bytes)
+		platform.AnnotateRemote(r.tr, remStart, wp.Now())
+		if err != nil {
+			r.fail(w, err)
+			return
+		}
+		e.ShuffleBytes += bytes
+		e.mShuffleBytes.Add(bytes)
+	}
+}
+
+// fail records worker w's error; the round reports the lowest-numbered
+// failed worker's.
+func (r *round) fail(w int, err error) {
+	if r.err == nil || w < r.errWorker {
+		r.err, r.errWorker = err, w
+	}
+}
+
+// maxFreeGroups caps the engine's free list of aggregates. A ScanAgg query
+// holds one partial per shard from its put to its merge, and an open-loop
+// burst keeps many queries in that window at once: a fleet run at bench
+// size peaks near 600 free partials over 40 partitions, char's near 70 over
+// 16. Sixteen queries' worth keeps the list hit nearly every time there,
+// while the memory it pins stays bounded under any backlog.
+func (e *Engine) maxFreeGroups() int { return 16 * e.cfg.FactPartitions }
+
+// getGroups returns an empty aggregate over the engine's key domain, taken
+// from the free list when it holds one.
+func (e *Engine) getGroups() *columnar.Groups {
+	n := len(e.freeGroups)
+	if n == 0 {
+		return columnar.NewGroups(e.cfg.Groups)
+	}
+	g := e.freeGroups[n-1]
+	e.freeGroups[n-1] = nil
+	e.freeGroups = e.freeGroups[:n-1]
+	g.Reset()
+	return g
+}
+
+// putGroups returns g to the free list, or leaves it to the collector when
+// the list is full. The caller must hold g's last reference that anything
+// reads. A shard's partial qualifies after the reducer's merge: the stage-1
+// worker that made it is done, and the merge consumed its slot. Other
+// references may remain: the slot map of a server a failed-over put also
+// reached, a settled dedup record, or a get that drained after its deadline.
+// Only the landing server's get ever
+// reads a partial's contents, and the key it is stored under belongs to a
+// round that has finished. The exact-result and exactly-once checks convict
+// a partial recycled while still live.
+func (e *Engine) putGroups(g *columnar.Groups) {
+	if len(e.freeGroups) < e.maxFreeGroups() {
+		e.freeGroups = append(e.freeGroups, g)
+	}
 }
 
 // scanPartial executes one stage-1 shard on machine m: read fact partition pi
@@ -857,11 +953,21 @@ func (e *Engine) scanPartial(p *sim.Proc, tr *trace.Trace, m *cluster.Machine, q
 	platform.AnnotateIO(tr, ioStart, p.Now())
 	e.env.ExecRecipe(p, taxonomy.BigQuery, m.Node, tr, e.stage1[q.Kind])
 	if q.Kind == PageRank {
-		return e.rankPartial(part, ranks), nil
+		return e.rankPartial(part, ranks, e.getGroups()), nil
 	}
-	// Real vectorized filter + partial aggregation.
-	sel := columnar.FilterGE(part.vals, q.Threshold)
-	return columnar.HashAggregate(part.keys, part.vals, sel, e.cfg.Groups)
+	return e.filterAggregate(part, q.Threshold)
+}
+
+// filterAggregate is the real vectorized filter and partial aggregation of
+// one partition. It does not park, so the engine's one selection vector
+// serves every caller.
+func (e *Engine) filterAggregate(part *partition, threshold int64) (*columnar.Groups, error) {
+	columnar.FilterGE(&e.sel, part.vals, threshold)
+	g := e.getGroups()
+	if err := columnar.HashAggregate(g, part.keys, part.vals, &e.sel); err != nil {
+		return nil, err
+	}
+	return g, nil
 }
 
 // runReport executes the small cached-table query on a single worker.
@@ -879,14 +985,14 @@ func (e *Engine) runReport(p *sim.Proc, tr *trace.Trace, q Query) (*Result, erro
 	// Real vectorized compute over the first fact partition (the "small
 	// table" proxy).
 	part := e.fact[0]
-	sel := columnar.FilterGE(part.vals, q.Threshold)
-	agg, err := columnar.HashAggregate(part.keys, part.vals, sel, e.cfg.Groups)
+	agg, err := e.filterAggregate(part, q.Threshold)
 	if err != nil {
 		return nil, err
 	}
 	e.env.ExecRecipe(p, taxonomy.BigQuery, worker.Node, tr, e.stage2[Report])
 	e.Queries[Report]++
 	groups := agg.Map()
+	e.putGroups(agg)
 	return &Result{Groups: groups, SortedKeys: columnar.SortKeysByValueDesc(groups), RowsScanned: len(part.vals)}, nil
 }
 
@@ -903,18 +1009,17 @@ const (
 // initialRanks is every node at rankScale. A rank vector holds every node of
 // the graph, so all of its keys are present.
 func (e *Engine) initialRanks() *columnar.Groups {
-	ranks := columnar.NewGroups(e.cfg.Groups)
+	ranks := e.getGroups()
 	for g := 0; g < e.cfg.Groups; g++ {
 		ranks.Add(int64(g), rankScale)
 	}
 	return ranks
 }
 
-// rankPartial computes one partition's rank contributions under the implicit
-// edge set keys[i] → keys[i+1 mod n]: each edge carries an equal share of its
-// source's damped rank.
-func (e *Engine) rankPartial(part *partition, ranks *columnar.Groups) *columnar.Groups {
-	contrib := columnar.NewGroups(e.cfg.Groups)
+// rankPartial adds one partition's rank contributions into contrib and
+// returns it, under the implicit edge set keys[i] → keys[i+1 mod n]: each
+// edge carries an equal share of its source's damped rank.
+func (e *Engine) rankPartial(part *partition, ranks, contrib *columnar.Groups) *columnar.Groups {
 	n := len(part.keys)
 	for i, u := range part.keys {
 		v := part.keys[(i+1)%n]
@@ -928,7 +1033,7 @@ func (e *Engine) rankPartial(part *partition, ranks *columnar.Groups) *columnar.
 // nextRanks folds merged contributions into the next rank vector; every node
 // keeps the undamped base share even with no in-edges.
 func (e *Engine) nextRanks(merged *columnar.Groups) *columnar.Groups {
-	next := columnar.NewGroups(e.cfg.Groups)
+	next := e.getGroups()
 	base := int64(rankScale) * (prDampDen - prDamp) / prDampDen
 	for g := 0; g < e.cfg.Groups; g++ {
 		next.Add(int64(g), base+merged.Sums[g])
@@ -936,13 +1041,23 @@ func (e *Engine) nextRanks(merged *columnar.Groups) *columnar.Groups {
 	return next
 }
 
+// advanceRanks returns the rank vector after ranks given the round's merged
+// contributions, recycling both: the round that read ranks is over.
+func (e *Engine) advanceRanks(ranks, merged *columnar.Groups) *columnar.Groups {
+	next := e.nextRanks(merged)
+	e.putGroups(merged)
+	e.putGroups(ranks)
+	return next
+}
+
 // referenceRankStep is the exact serial form of one rank iteration, used by
-// the per-iteration exact-result check and by ReferencePageRank.
+// the per-iteration exact-result check and by ReferencePageRank: every
+// partition's contributions summed into one fresh aggregate, with neither
+// the free list nor the merge it verifies.
 func (e *Engine) referenceRankStep(ranks *columnar.Groups) *columnar.Groups {
 	merged := columnar.NewGroups(e.cfg.Groups)
 	for _, part := range e.fact {
-		// Both cover the engine's key domain, so the merge cannot fail.
-		_ = columnar.MergeGroups(merged, e.rankPartial(part, ranks))
+		e.rankPartial(part, ranks, merged)
 	}
 	return merged
 }
@@ -955,9 +1070,11 @@ func (e *Engine) ReferencePageRank(iterations int) map[int64]int64 {
 	}
 	ranks := e.initialRanks()
 	for it := 0; it < iterations; it++ {
-		ranks = e.nextRanks(e.referenceRankStep(ranks))
+		ranks = e.advanceRanks(ranks, e.referenceRankStep(ranks))
 	}
-	return ranks.Map()
+	m := ranks.Map()
+	e.putGroups(ranks)
+	return m
 }
 
 // runPageRank executes the iterative rank query: each iteration is a full
@@ -981,14 +1098,19 @@ func (e *Engine) runPageRank(p *sim.Proc, tr *trace.Trace, q Query, qid int) (*R
 		if err != nil {
 			return nil, err
 		}
-		if e.rec != nil && !merged.Equal(e.referenceRankStep(ranks)) {
-			e.rec.Violate("exact-result", fmt.Sprintf("q%d", qid),
-				"rank round %d diverges from the exact serial reference", qid)
+		if e.rec != nil {
+			ref := e.referenceRankStep(ranks)
+			if !merged.Equal(ref) {
+				e.rec.Violate("exact-result", fmt.Sprintf("q%d", qid),
+					"rank round %d diverges from the exact serial reference", qid)
+			}
+			e.putGroups(ref)
 		}
 		res.RowsScanned += e.cfg.FactPartitions * e.cfg.RowsPerPartition
-		ranks = e.nextRanks(merged)
+		ranks = e.advanceRanks(ranks, merged)
 	}
 	res.Groups = ranks.Map()
+	e.putGroups(ranks)
 	res.SortedKeys = columnar.SortKeysByValueDesc(res.Groups)
 	e.Queries[PageRank]++
 	return res, nil
@@ -1018,7 +1140,9 @@ func (e *Engine) ReferenceOver(threshold int64, nParts int) map[int64]int64 {
 
 // referenceOver is the serial row loop behind the exact-result check and
 // the exported references: it shares no code with the vectorized kernels it
-// verifies.
+// verifies, and its aggregate is fresh rather than taken from the free list,
+// so a partial recycled twice cannot also be the reference it is compared
+// with.
 func (e *Engine) referenceOver(threshold int64, nParts int) *columnar.Groups {
 	out := columnar.NewGroups(e.cfg.Groups)
 	for pi := 0; pi < nParts && pi < len(e.fact); pi++ {

@@ -53,27 +53,31 @@ func (b *Bitmap) And(o *Bitmap) (*Bitmap, error) {
 	return out, nil
 }
 
-// FilterGE selects rows where col[i] >= threshold (the engine's scan
-// predicate).
-func FilterGE(col []int64, threshold int64) *Bitmap {
-	b := NewBitmap(len(col))
-	for i, v := range col {
-		if v >= threshold {
-			b.Set(i)
-		}
+// reset makes b an empty selection over n rows, reusing its words when they
+// are long enough.
+func (b *Bitmap) reset(n int) {
+	w := (n + 63) / 64
+	if cap(b.words) < w {
+		b.words = make([]uint64, w)
+	} else {
+		b.words = b.words[:w]
+		clear(b.words)
 	}
-	return b
+	b.n = n
 }
 
-// FilterLT selects rows where col[i] < threshold.
-func FilterLT(col []int64, threshold int64) *Bitmap {
-	b := NewBitmap(len(col))
+// FilterGE selects into dst the rows where col[i] >= threshold (the engine's
+// scan predicate). dst is resized to len(col) and nothing of its previous
+// selection survives; its words are reused when they are long enough, so a
+// caller-owned selection vector filters batch after batch without
+// allocating.
+func FilterGE(dst *Bitmap, col []int64, threshold int64) {
+	dst.reset(len(col))
 	for i, v := range col {
-		if v < threshold {
-			b.Set(i)
+		if v >= threshold {
+			dst.Set(i)
 		}
 	}
-	return b
 }
 
 // Groups is a dense partial aggregate over the bounded key domain [0, n):
@@ -96,6 +100,14 @@ func NewGroups(n int) *Groups {
 
 // Len returns the number of present keys.
 func (g *Groups) Len() int { return g.count }
+
+// Reset empties the aggregate in place, keeping its domain: every sum is 0
+// and no key is present, as in a fresh NewGroups.
+func (g *Groups) Reset() {
+	clear(g.Sums)
+	clear(g.present.words)
+	g.count = 0
+}
 
 // Add folds v into key k and marks it present. k must lie in the domain.
 func (g *Groups) Add(k, v int64) {
@@ -124,30 +136,29 @@ func (g *Groups) Equal(o *Groups) bool {
 	return g.count == o.count && slices.Equal(g.present.words, o.present.words) && slices.Equal(g.Sums, o.Sums)
 }
 
-// HashAggregate computes SUM(vals) grouped by keys over the selected rows,
-// into a dense aggregate over the key domain [0, n). A key outside the
-// domain is an error.
-func HashAggregate(keys, vals []int64, sel *Bitmap, n int) (*Groups, error) {
+// HashAggregate computes SUM(vals) grouped by keys over the selected rows
+// into dst, whose domain [0, len(dst.Sums)) bounds the keys. dst is Reset
+// first, so whatever it held before is gone. A key outside the domain is an
+// error, and leaves dst holding the rows before it.
+func HashAggregate(dst *Groups, keys, vals []int64, sel *Bitmap) error {
 	if len(keys) != len(vals) {
-		return nil, fmt.Errorf("columnar: column lengths %d != %d", len(keys), len(vals))
+		return fmt.Errorf("columnar: column lengths %d != %d", len(keys), len(vals))
 	}
 	if sel != nil && sel.Len() != len(keys) {
-		return nil, fmt.Errorf("columnar: selection length %d != %d", sel.Len(), len(keys))
+		return fmt.Errorf("columnar: selection length %d != %d", sel.Len(), len(keys))
 	}
-	if n < 0 {
-		return nil, fmt.Errorf("columnar: negative key domain %d", n)
-	}
-	out := NewGroups(n)
+	dst.Reset()
+	n := len(dst.Sums)
 	for i, k := range keys {
 		if sel != nil && !sel.Get(i) {
 			continue
 		}
 		if uint64(k) >= uint64(n) {
-			return nil, fmt.Errorf("columnar: key %d outside domain [0, %d)", k, n)
+			return fmt.Errorf("columnar: key %d outside domain [0, %d)", k, n)
 		}
-		out.Add(k, vals[i])
+		dst.Add(k, vals[i])
 	}
-	return out, nil
+	return nil
 }
 
 // CountAggregate counts selected rows per key.

@@ -2,6 +2,7 @@ package columnar
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -47,29 +48,18 @@ func TestBitmapAnd(t *testing.T) {
 
 func TestFilters(t *testing.T) {
 	col := []int64{5, 10, 15, 20, 25}
-	ge := FilterGE(col, 15)
+	var ge Bitmap
+	FilterGE(&ge, col, 15)
 	if ge.Count() != 3 || !ge.Get(2) || ge.Get(1) {
 		t.Fatalf("FilterGE: %d", ge.Count())
-	}
-	lt := FilterLT(col, 15)
-	if lt.Count() != 2 || !lt.Get(0) || lt.Get(2) {
-		t.Fatalf("FilterLT: %d", lt.Count())
-	}
-	// GE and LT partition the column.
-	both, _ := ge.And(lt)
-	if both.Count() != 0 {
-		t.Fatal("GE and LT overlap")
-	}
-	if ge.Count()+lt.Count() != len(col) {
-		t.Fatal("GE and LT do not partition")
 	}
 }
 
 func TestHashAggregate(t *testing.T) {
 	keys := []int64{1, 2, 1, 3, 2, 1, 5}
 	vals := []int64{10, 20, 30, 40, 50, 60, 0}
-	got, err := HashAggregate(keys, vals, nil, 6)
-	if err != nil {
+	got := NewGroups(6)
+	if err := HashAggregate(got, keys, vals, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Key 5 sums to zero but is present; keys 0 and 4 are absent.
@@ -81,32 +71,32 @@ func TestHashAggregate(t *testing.T) {
 		t.Fatalf("len = %d, domain = %d", got.Len(), len(got.Sums))
 	}
 	// With selection.
-	sel := FilterGE(vals, 30)
-	got, err = HashAggregate(keys, vals, sel, 6)
-	if err != nil {
+	// With selection, into the same aggregate: nothing of the first result
+	// survives.
+	var sel Bitmap
+	FilterGE(&sel, vals, 30)
+	if err := HashAggregate(got, keys, vals, &sel); err != nil {
 		t.Fatal(err)
 	}
 	if want := map[int64]int64{1: 90, 2: 50, 3: 40}; !reflect.DeepEqual(got.Map(), want) {
 		t.Fatalf("selected agg = %v, want %v", got.Map(), want)
 	}
 	// Length and domain validation.
-	if _, err := HashAggregate(keys, vals[:2], nil, 6); err == nil {
+	if err := HashAggregate(got, keys, vals[:2], nil); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
-	if _, err := HashAggregate(keys, vals, NewBitmap(3), 6); err == nil {
+	if err := HashAggregate(got, keys, vals, NewBitmap(3)); err == nil {
 		t.Fatal("selection mismatch accepted")
 	}
-	if _, err := HashAggregate(keys, vals, nil, 5); err == nil {
+	if err := HashAggregate(NewGroups(5), keys, vals, nil); err == nil {
 		t.Fatal("key 5 accepted in domain [0, 5)")
 	}
-	if _, err := HashAggregate([]int64{-1}, []int64{1}, nil, 5); err == nil {
+	if err := HashAggregate(NewGroups(5), []int64{-1}, []int64{1}, nil); err == nil {
 		t.Fatal("negative key accepted")
 	}
-	if _, err := HashAggregate(nil, nil, nil, -1); err == nil {
-		t.Fatal("negative domain accepted")
-	}
 	// A key outside the domain on an unselected row is never read.
-	if _, err := HashAggregate(keys, vals, FilterLT(vals, 1), 6); err != nil {
+	FilterGE(&sel, vals, 1)
+	if err := HashAggregate(NewGroups(5), keys, vals, &sel); err != nil {
 		t.Fatalf("unselected rows checked: %v", err)
 	}
 }
@@ -240,13 +230,15 @@ func TestAggregateMatchesReferenceProperty(t *testing.T) {
 				want[keys[i]] += vals[i]
 			}
 		}
-		merged := NewGroups(n)
+		// One selection vector and one partial serve every partition, as
+		// the engine reuses them shard after shard.
+		merged, partial := NewGroups(n), NewGroups(n)
+		var sel Bitmap
 		parts := 1 + rng.Intn(4)
 		for p := 0; p < parts; p++ {
 			lo, hi := p*rows/parts, (p+1)*rows/parts
-			sel := FilterGE(vals[lo:hi], threshold)
-			partial, err := HashAggregate(keys[lo:hi], vals[lo:hi], sel, n)
-			if err != nil || MergeGroups(merged, partial) != nil {
+			FilterGE(&sel, vals[lo:hi], threshold)
+			if HashAggregate(partial, keys[lo:hi], vals[lo:hi], &sel) != nil || MergeGroups(merged, partial) != nil {
 				return false
 			}
 		}
@@ -281,9 +273,10 @@ func TestAggregateRejectsBadInputProperty(t *testing.T) {
 		} else {
 			keys[bad] = int64(n + rng.Intn(1000))
 		}
-		_, errKey := HashAggregate(keys, vals, nil, n)
-		_, errCols := HashAggregate(keys, vals[:rows-1], nil, n)
-		_, errSel := HashAggregate(keys, vals, NewBitmap(rows+1), n)
+		g := NewGroups(n)
+		errKey := HashAggregate(g, keys, vals, nil)
+		errCols := HashAggregate(g, keys, vals[:rows-1], nil)
+		errSel := HashAggregate(g, keys, vals, NewBitmap(rows+1))
 		return errKey != nil && errCols != nil && errSel != nil
 	}, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -298,21 +291,22 @@ func TestAggregateAllocations(t *testing.T) {
 		keys[i] = int64(rng.Intn(64))
 		vals[i] = int64(rng.Intn(1000))
 	}
-	sel := FilterGE(vals, 500)
-	// The aggregate is three objects — the Groups, its sums and its presence
-	// words — however many rows or keys it folds.
+	// A reused selection vector and a reused aggregate cost nothing per
+	// batch, however many rows or keys they fold.
+	var sel Bitmap
+	FilterGE(&sel, vals, 500)
+	if a := testing.AllocsPerRun(100, func() { FilterGE(&sel, vals, 500) }); a != 0 {
+		t.Fatalf("FilterGE allocs = %v, want 0", a)
+	}
+	src := NewGroups(64)
 	if a := testing.AllocsPerRun(100, func() {
-		if _, err := HashAggregate(keys, vals, sel, 64); err != nil {
+		if err := HashAggregate(src, keys, vals, &sel); err != nil {
 			t.Fatal(err)
 		}
-	}); a != 3 {
-		t.Fatalf("HashAggregate allocs = %v, want 3", a)
+	}); a != 0 {
+		t.Fatalf("HashAggregate allocs = %v, want 0", a)
 	}
 	dst := NewGroups(64)
-	src, err := HashAggregate(keys, vals, sel, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if a := testing.AllocsPerRun(100, func() {
 		if err := MergeGroups(dst, src); err != nil {
 			t.Fatal(err)
@@ -320,4 +314,106 @@ func TestAggregateAllocations(t *testing.T) {
 	}); a != 0 {
 		t.Fatalf("MergeGroups allocs = %v, want 0", a)
 	}
+}
+
+// addAll folds (key, value) pairs decoded from data into g: each byte pair
+// is a key within g's domain and a signed value, zero included.
+func addAll(g *Groups, data []byte) {
+	for i := 0; i+1 < len(data); i += 2 {
+		g.Add(int64(int(data[i])%len(g.Sums)), int64(int8(data[i+1])))
+	}
+}
+
+func TestGroupsResetEqualsFresh(t *testing.T) {
+	if err := quick.Check(func(n uint8, before, after []byte) bool {
+		domain := 1 + int(n)
+		g := NewGroups(domain)
+		addAll(g, before)
+		g.Reset()
+		if !g.Equal(NewGroups(domain)) || g.Len() != 0 || len(g.Map()) != 0 {
+			return false
+		}
+		// A reset aggregate then folds exactly as a fresh one.
+		fresh := NewGroups(domain)
+		addAll(g, after)
+		addAll(fresh, after)
+		return g.Equal(fresh) && reflect.DeepEqual(g.Map(), fresh.Map())
+	}, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// column decodes data into a column of signed values.
+func column(data []byte) []int64 {
+	col := make([]int64, len(data))
+	for i, b := range data {
+		col[i] = int64(int8(b))
+	}
+	return col
+}
+
+// sameBits reports whether two bitmaps cover the same rows and select the
+// same ones.
+func sameBits(a, b *Bitmap) bool { return a.n == b.n && slices.Equal(a.words, b.words) }
+
+// filterReuseMatches filters each column in turn into one reused selection
+// vector and reports whether every result equals a fresh filter's.
+func filterReuseMatches(threshold int64, cols ...[]int64) bool {
+	var ge Bitmap
+	for _, col := range cols {
+		FilterGE(&ge, col, threshold)
+		fresh := NewBitmap(len(col))
+		for i, v := range col {
+			if v >= threshold {
+				fresh.Set(i)
+			}
+		}
+		if !sameBits(&ge, fresh) {
+			return false
+		}
+	}
+	return true
+}
+
+func TestFilterIntoReusedBitmap(t *testing.T) {
+	long := make([]int64, 200)
+	for i := range long {
+		long[i] = 1
+	}
+	short := []int64{0, 1, 0}
+	// Long then short: the long column's bits past the short one's end, in
+	// its last word and in the words beyond, must not survive.
+	if !filterReuseMatches(1, long, short, long, nil, long) {
+		t.Fatal("long-then-short filter differs from a fresh one")
+	}
+	if err := quick.Check(func(threshold int8, a, b, c []byte) bool {
+		return filterReuseMatches(int64(threshold), column(a), column(b), column(c))
+	}, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzGroupsReuse checks that an aggregate and a selection vector reused
+// after arbitrary earlier contents give what fresh ones give: a Reset
+// aggregate folds the second batch exactly as a new one, and a filter into
+// the bitmap of the first column selects exactly the second column's rows.
+func FuzzGroupsReuse(f *testing.F) {
+	f.Add(uint8(63), []byte{1, 2, 3, 4}, []byte{1, 0xff, 5, 0}, int8(0))
+	f.Add(uint8(0), []byte{}, []byte{0, 0}, int8(-128))
+	f.Add(uint8(200), make([]byte, 300), []byte{7, 7, 7}, int8(7))
+	f.Add(uint8(64), []byte{63, 1, 64, 1}, make([]byte, 129), int8(1))
+	f.Fuzz(func(t *testing.T, n uint8, first, second []byte, threshold int8) {
+		domain := 1 + int(n)
+		g, fresh := NewGroups(domain), NewGroups(domain)
+		addAll(g, first)
+		g.Reset()
+		addAll(g, second)
+		addAll(fresh, second)
+		if !g.Equal(fresh) {
+			t.Fatalf("reset aggregate %v, fresh %v", g.Map(), fresh.Map())
+		}
+		if !filterReuseMatches(int64(threshold), column(first), column(second)) {
+			t.Fatalf("filter reused from a %d-row column into a %d-row one differs from a fresh one", len(first), len(second))
+		}
+	})
 }

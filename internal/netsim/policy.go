@@ -85,9 +85,9 @@ type Client struct {
 	budget float64
 	// breakers holds one circuit breaker per target this client has called.
 	breakers map[*Server]*breaker
-	// attemptNames holds each method's deadline-attempt process name,
-	// "rpc-attempt/<method>", built on the method's first such attempt.
-	attemptNames map[string]string
+	// methods holds, per method, what its deadline attempts reuse, built on
+	// the method's first such attempt.
+	methods map[string]methodAttempts
 
 	// Counters for reports and tests.
 	Calls, Attempts, Retries, Deadlines int
@@ -303,7 +303,8 @@ func (c *Client) attempt(p *sim.Proc, from *Node, s *Server, req Request, dc *de
 	k := s.Node.net.k
 	a := &deadlineAttempt{}
 	dc.running++
-	k.Go(c.attemptName(req.Method), func(ap *sim.Proc) {
+	m := c.attemptsFor(req.Method)
+	k.Go(m.name, func(ap *sim.Proc) {
 		a.resp, _ = s.Call(ap, from, req)
 		a.finished = true
 		a.gate.Fire()
@@ -314,22 +315,36 @@ func (c *Client) attempt(p *sim.Proc, from *Node, s *Server, req Request, dc *de
 	if !a.finished {
 		c.Deadlines++
 		s.Node.net.m.deadlines.Inc()
-		return Response{Err: fmt.Errorf("%w: %s after %v", ErrDeadlineExceeded, req.Method, c.policy.Deadline)}
+		return Response{Err: m.deadlineErr}
 	}
 	return a.resp
 }
 
-// attemptName returns the process name of a deadline attempt of method.
-func (c *Client) attemptName(method string) string {
-	name, ok := c.attemptNames[method]
+// methodAttempts is what every deadline attempt of one method shares: the
+// helper process name, "rpc-attempt/<method>", and the error a missed
+// deadline returns. The error is immutable and its text names the policy's
+// deadline, which is fixed when the client is made, so one value serves
+// every attempt.
+type methodAttempts struct {
+	name        string
+	deadlineErr error
+}
+
+// attemptsFor returns method's shared attempt state, building it on the
+// method's first deadline attempt.
+func (c *Client) attemptsFor(method string) methodAttempts {
+	m, ok := c.methods[method]
 	if !ok {
-		if c.attemptNames == nil {
-			c.attemptNames = map[string]string{}
+		if c.methods == nil {
+			c.methods = map[string]methodAttempts{}
 		}
-		name = "rpc-attempt/" + method
-		c.attemptNames[method] = name
+		m = methodAttempts{
+			name:        "rpc-attempt/" + method,
+			deadlineErr: fmt.Errorf("%w: %s after %v", ErrDeadlineExceeded, method, c.policy.Deadline),
+		}
+		c.methods[method] = m
 	}
-	return name
+	return m
 }
 
 // Call performs a policy-driven RPC against one server: a deadline per

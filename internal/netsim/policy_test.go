@@ -55,20 +55,28 @@ func TestDeadlineExceeded(t *testing.T) {
 	})
 	s.Start()
 	c := NewClient(Policy{Deadline: 5 * time.Millisecond}, 1)
-	var resp Response
+	var resp, again Response
 	var elapsed time.Duration
 	k.Go("client", func(p *sim.Proc) {
 		resp, elapsed = c.Call(p, client, s, Request{Method: "slow"})
+		again, _ = c.Call(p, client, s, Request{Method: "slow"})
 	})
 	k.Run()
 	if !errors.Is(resp.Err, ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrDeadlineExceeded", resp.Err)
 	}
+	if want := fmt.Sprintf("%v: slow after 5ms", ErrDeadlineExceeded); resp.Err.Error() != want {
+		t.Fatalf("err = %q, want %q", resp.Err, want)
+	}
+	// The method's error is built once and shared by every missed attempt.
+	if again.Err != resp.Err {
+		t.Fatalf("second miss err = %v, want the first's %v", again.Err, resp.Err)
+	}
 	if elapsed != 5*time.Millisecond {
 		t.Fatalf("elapsed = %v, want the 5ms deadline", elapsed)
 	}
-	if c.Deadlines != 1 {
-		t.Fatalf("Deadlines = %d, want 1", c.Deadlines)
+	if c.Deadlines != 2 {
+		t.Fatalf("Deadlines = %d, want 2", c.Deadlines)
 	}
 	s.Stop()
 	k.Run()
