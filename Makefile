@@ -63,7 +63,8 @@ FUZZ_TARGETS = \
 	FuzzStudyArgs:./cmd/hyperprof/ \
 	FuzzNemesisSchedule:./internal/faults/ \
 	FuzzRowKeyOrder:./internal/bigtable/ \
-	FuzzGroupsReuse:./internal/columnar/
+	FuzzGroupsReuse:./internal/columnar/ \
+	FuzzRunUnit:./internal/experiments/
 
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \

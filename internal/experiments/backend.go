@@ -13,10 +13,15 @@ package experiments
 //     flat and a crashed arm cannot take the coordinator down.
 //
 // A remotable study describes each arm exactly once, as a typed work unit,
-// and declares one unitKind: the wire name plus the function that runs a
-// unit. runUnits hands the units to the configured backend, and the worker
-// registry is built from the same kind values, so the in-process and exec
-// paths cannot drift apart.
+// and declares one unitKind: the wire name, the study's validation, and the
+// function that runs a unit. Every platform study's unit is an armUnit
+// (platform, arm, seed, horizon) and its result an armResult; the worker
+// derives everything else from the StudyConfig the frame carries. Latency
+// alone keeps its own unit, because its rates and op count are arguments of
+// Latency, not config. runUnits validates the units and hands them to the
+// configured backend, and the worker registry is built from the same kind
+// values and validates every frame with the same check, so the in-process
+// and exec paths cannot drift apart.
 //
 // The determinism invariant extends across backends: a study's exported
 // bytes are identical whether its arms ran sequentially, on the goroutine
@@ -52,6 +57,10 @@ const BackendExec = "exec"
 type unitKind[U, T any] struct {
 	// name routes a unit to its kind in the worker registry.
 	name string
+	// check is the study's validation: it rejects a config the study
+	// cannot run under and a unit the study never emits. runUnits applies
+	// it before dispatch and a worker to every frame it decodes.
+	check func(StudyConfig, U) error
 	// run computes one arm under the study config.
 	run func(StudyConfig, U) (T, error)
 }
@@ -64,11 +73,16 @@ func checkBackend(cfg StudyConfig) error {
 	return nil
 }
 
-// runUnits executes a study's units on the configured backend and returns
-// their results in unit order. If any unit fails, the error of the
-// lowest-indexed failing unit is returned, so the surfaced error is
+// runUnits checks a study's units, executes them on the configured backend
+// and returns their results in unit order. If any unit fails, the error of
+// the lowest-indexed failing unit is returned, so the surfaced error is
 // deterministic regardless of worker interleaving.
 func runUnits[U, T any](cfg StudyConfig, kind unitKind[U, T], units []U) ([]T, error) {
+	for _, u := range units {
+		if err := kind.check(cfg, u); err != nil {
+			return nil, err
+		}
+	}
 	if err := checkBackend(cfg); err != nil {
 		return nil, err
 	}
@@ -130,16 +144,19 @@ type wireUnit[B any] struct {
 	Body B           `json:"body"`
 }
 
-// runWire is the worker side of a kind: decode the unit, run it, and encode
-// the result.
+// runWire is the worker side of a kind: decode the unit, check it as
+// runUnits does, run it, and encode the result. Every error names the kind.
 func (k unitKind[U, T]) runWire(cfg StudyConfig, body json.RawMessage) (json.RawMessage, error) {
 	var u U
 	if err := json.Unmarshal(body, &u); err != nil {
 		return nil, fmt.Errorf("experiments: decode %s unit: %w", k.name, err)
 	}
+	if err := k.check(cfg, u); err != nil {
+		return nil, fmt.Errorf("experiments: %s unit: %w", k.name, err)
+	}
 	result, err := k.run(cfg, u)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("experiments: %s unit: %w", k.name, err)
 	}
 	out, err := json.Marshal(result)
 	if err != nil {

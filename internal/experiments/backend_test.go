@@ -6,6 +6,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"hyperprof/internal/taxonomy"
 )
@@ -115,8 +116,67 @@ func TestRunUnitRejectsUnknownKind(t *testing.T) {
 	}
 }
 
+// unitTestConfigs is a small valid config per registered kind.
+func unitTestConfigs() map[string]StudyConfig {
+	ops := PlatformOps{Spanner: 40, BigTable: 40, BigQuery: 4}
+	safety, partition, resilience := DefaultSafetyStudyConfig(), DefaultPartitionStudyConfig(), DefaultResilienceStudyConfig()
+	safety.Ops, partition.Ops, resilience.Ops = ops, ops, ops
+	pipeline := DefaultPipelineStudyConfig()
+	pipeline.Pipe = PipelineConfig{Records: 6, Batches: 2, Iterations: 1}
+	overload := DefaultOverloadStudyConfig()
+	l := &overload.Load
+	l.Duration, l.TriggerAt, l.TriggerDur = 400*time.Millisecond, 100*time.Millisecond, 100*time.Millisecond
+	l.SpannerRate, l.BigTableRate, l.BigQueryRate = 200, 300, 20
+	fleet := DefaultFleetStudyConfig()
+	fleet.Fleet = FleetConfig{Servers: 12, Users: 100, Ops: 60, Duration: 200 * time.Millisecond}
+	return map[string]StudyConfig{
+		safetyKind.name:     safety,
+		partitionKind.name:  partition,
+		pipelineKind.name:   pipeline,
+		resilienceKind.name: resilience,
+		overloadKind.name:   overload,
+		fleetKind.name:      fleet,
+		latencyKind.name:    {Seed: 1},
+	}
+}
+
+// refusedUnits are well-formed bodies under a config, or with a label, the
+// study's entry point refuses, each with the part of the error that says so.
+func refusedUnits() []struct {
+	kind string
+	cfg  StudyConfig
+	body string
+	want string
+} {
+	cfgs := unitTestConfigs()
+	return []struct {
+		kind string
+		cfg  StudyConfig
+		body string
+		want string
+	}{
+		{"safety/arm", StudyConfig{}, `{"platform":"Spanner","seed":1,"horizon":0}`, "invalid safety config"},
+		{"safety/arm", cfgs["safety/arm"], `{"platform":"Oracle","seed":1,"horizon":0}`, "runs no arm"},
+		{"safety/arm", cfgs["safety/arm"], `{"platform":"Spanner","seed":1,"horizon":-1}`, "runs no arm"},
+		{"partition/arm", StudyConfig{}, `{"platform":"Spanner","arm":"baseline","seed":1,"horizon":0}`, "invalid partition config"},
+		{"partition/arm", cfgs["partition/arm"], `{"platform":"BigQuery","arm":"sideways","seed":1,"horizon":0}`, "runs no arm"},
+		{"pipeline/arm", StudyConfig{}, `{"arm":"baseline","seed":1,"horizon":0}`, "invalid pipeline config"},
+		{"pipeline/arm", cfgs["pipeline/arm"], `{"arm":"replayed","seed":1,"horizon":0}`, "runs no arm"},
+		{"pipeline/arm", cfgs["pipeline/arm"], `{"platform":"Spanner","arm":"baseline","seed":1,"horizon":0}`, "runs no arm"},
+		{"overload/pair", StudyConfig{}, `{"platform":"Spanner","seed":0,"horizon":0}`, "invalid overload config"},
+		{"overload/pair", cfgs["overload/pair"], `{"platform":"Spanner","arm":"protected","seed":0,"horizon":0}`, "runs no arm"},
+		{"resilience/arm", StudyConfig{}, `{"platform":"Spanner","seed":0,"horizon":0}`, "invalid resilience config"},
+		{"resilience/arm", cfgs["resilience/arm"], `{"platform":"BigQuery","seed":0,"horizon":-5}`, "runs no arm"},
+		{"fleet/platform", StudyConfig{}, `{"platform":"Spanner","seed":0,"horizon":0}`, "invalid fleet config"},
+		{"fleet/platform", cfgs["fleet/platform"], `{"seed":0,"horizon":0}`, "runs no arm"},
+		{"latency/point", StudyConfig{}, `{"rate":100,"ops":0}`, "opsPerPoint must be positive"},
+	}
+}
+
 // TestRunUnitRejectsMalformedBody feeds every registered kind a truncated
-// and a wrongly typed body: each must fail with an error naming the kind.
+// and a wrongly typed body, then well-formed bodies its study's entry point
+// would refuse: each must fail, before the arm runs, with an error naming
+// the kind.
 func TestRunUnitRejectsMalformedBody(t *testing.T) {
 	for kind := range unitRunners {
 		for _, body := range []string{`{`, `"x"`} {
@@ -126,4 +186,55 @@ func TestRunUnitRejectsMalformedBody(t *testing.T) {
 			}
 		}
 	}
+	for _, tc := range refusedUnits() {
+		_, err := runUnit(tc.cfg, tc.kind, json.RawMessage(tc.body))
+		if err == nil || !strings.Contains(err.Error(), tc.kind) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("kind %s, body %s: want an error naming the kind and %q, got %v", tc.kind, tc.body, tc.want, err)
+		}
+	}
+}
+
+// FuzzRunUnit runs arbitrary (kind, body) frames through the worker registry
+// under unitTestConfigs: each must run or fail with an error naming its
+// kind, and none may panic. The seeds are one runnable unit per kind plus
+// TestRunUnitRejectsMalformedBody's bodies. Latency points above 64 ops are
+// skipped: the op count is the one size a body carries, and an unbounded
+// one only makes an input slow.
+func FuzzRunUnit(f *testing.F) {
+	cfgs := unitTestConfigs()
+	for kind, body := range map[string]string{
+		"safety/arm":     `{"platform":"BigTable","seed":2,"horizon":3000000}`,
+		"partition/arm":  `{"platform":"BigQuery","arm":"naive","seed":1,"horizon":40000000}`,
+		"pipeline/arm":   `{"arm":"faulted","seed":1,"horizon":20000000}`,
+		"overload/pair":  `{"platform":"BigQuery","seed":0,"horizon":0}`,
+		"resilience/arm": `{"platform":"BigTable","seed":0,"horizon":2000000}`,
+		"fleet/platform": `{"platform":"BigQuery","seed":0,"horizon":0}`,
+		"latency/point":  `{"rate":500,"ops":16}`,
+	} {
+		f.Add(kind, []byte(body))
+		f.Add(kind, []byte(`{`))
+	}
+	for _, tc := range refusedUnits() {
+		f.Add(tc.kind, []byte(tc.body))
+	}
+	f.Add("no/such/kind", []byte(`{}`))
+	if len(cfgs) != len(unitRunners) {
+		f.Fatalf("%d kinds have a fuzz config, %d are registered", len(cfgs), len(unitRunners))
+	}
+	f.Fuzz(func(t *testing.T, kind string, body []byte) {
+		var point latencyUnit
+		if kind == latencyKind.name && json.Unmarshal(body, &point) == nil && point.Ops > 64 {
+			t.Skip()
+		}
+		_, err := runUnit(cfgs[kind], kind, body)
+		if _, ok := unitRunners[kind]; !ok {
+			if err == nil || !strings.Contains(err.Error(), "unknown work unit kind") {
+				t.Fatalf("kind %q: want an unknown-kind error, got %v", kind, err)
+			}
+			return
+		}
+		if err != nil && !strings.Contains(err.Error(), kind) {
+			t.Fatalf("kind %s, body %s: error does not name the kind: %v", kind, body, err)
+		}
+	})
 }

@@ -82,17 +82,18 @@ type FleetStudy struct {
 	Heap FleetHeapStats `json:"-"`
 }
 
-// fleetUnit is one platform's fleet run.
-type fleetUnit struct {
-	Platform taxonomy.Platform `json:"platform"`
-	Servers  int               `json:"servers"`
-	Users    int               `json:"users"`
-	Ops      int               `json:"ops"`
-	Rate     float64           `json:"rate"`
+// fleetKind runs platform fleet runs on either backend. A unit names only
+// its platform; the run derives the platform's share from cfg.Fleet.
+var fleetKind = unitKind[armUnit, armResult[FleetRow]]{
+	name: "fleet/platform",
+	check: func(cfg StudyConfig, u armUnit) error {
+		if f := cfg.Fleet; f.Servers < 3 || f.Users <= 0 || f.Ops <= 0 {
+			return fmt.Errorf("experiments: invalid fleet config %+v (need ≥3 servers, positive users and ops)", f)
+		}
+		return u.within(taxonomy.Platforms(), "")
+	},
+	run: runFleetPlatform,
 }
-
-// fleetKind runs platform fleet runs on either backend.
-var fleetKind = unitKind[fleetUnit, FleetRow]{name: "fleet/platform", run: runFleetPlatform}
 
 // fleetRecorders builds the latency recorder and operation history for one
 // fleet arm: bounded sketch and reservoir in sketch mode, the exact
@@ -111,23 +112,24 @@ func fleetRecorders(cfg StudyConfig, k *sim.Kernel, seed uint64) (stats.Recorder
 
 // runFleetPlatform sizes one platform to its server share and drives it
 // open-loop with bounded-memory recording.
-func runFleetPlatform(cfg StudyConfig, u fleetUnit) (FleetRow, error) {
+func runFleetPlatform(cfg StudyConfig, u armUnit) (armResult[FleetRow], error) {
+	servers, users, ops, rate := cfg.Fleet.share(u.Platform)
 	b := newPlatformBuild(cfg.Seed, adjacentSeeds, 0)
 	sc := &b.spanner
 	sc.Regions = 3
-	sc.Groups = max(1, u.Servers/sc.Regions)
+	sc.Groups = max(1, servers/sc.Regions)
 	// Rows stay bounded: users are a logical population attributed to
 	// arrivals, not materialized state.
 	sc.RowsPerGroup = 64
 	bc := &b.bigtable
-	bc.TabletServers = max(1, u.Servers*4/5)
-	bc.Chunkservers = max(3, u.Servers-bc.TabletServers)
+	bc.TabletServers = max(1, servers*4/5)
+	bc.Chunkservers = max(3, servers-bc.TabletServers)
 	bc.Tablets = 2 * bc.TabletServers
 	bc.RowsPerTablet = 32
 	qc := &b.bigquery
-	qc.Workers = max(1, u.Servers*7/10)
-	qc.ShuffleServers = max(1, u.Servers*3/20)
-	qc.Chunkservers = max(3, u.Servers-qc.Workers-qc.ShuffleServers)
+	qc.Workers = max(1, servers*7/10)
+	qc.ShuffleServers = max(1, servers*3/20)
+	qc.Chunkservers = max(3, servers-qc.Workers-qc.ShuffleServers)
 	// Chunkserver capacity is provisioned proportionally to the fact table
 	// (see bigquery.New) and chunk placement is hash-random, so keep
 	// partitions proportional to chunkservers and files small (1 MiB, a
@@ -138,21 +140,21 @@ func runFleetPlatform(cfg StudyConfig, u fleetUnit) (FleetRow, error) {
 	qc.PartitionFileBytes = 1 << 20
 	st, err := b.build(u.Platform)
 	if err != nil {
-		return FleetRow{}, err
+		return armResult[FleetRow]{}, err
 	}
 	env := st.env
 	defer env.K.Close()
 	rec, hist := fleetRecorders(cfg, env.K, st.seed)
 	checkStacks(hist, nil, st)
-	res := st.openLoop(u.Rate, u.Ops, workload.OpenLoopOpts{Shape: cfg.Fleet.Shape, Latencies: rec})
+	res := st.openLoop(rate, ops, workload.OpenLoopOpts{Shape: cfg.Fleet.Shape, Latencies: rec})
 	end := env.K.Run()
 	if err := res.Err(); err != nil {
-		return FleetRow{}, err
+		return armResult[FleetRow]{}, err
 	}
 	row := FleetRow{
 		Platform:       u.Platform,
-		Servers:        u.Servers,
-		Users:          u.Users,
+		Servers:        servers,
+		Users:          users,
 		Ops:            res.Completed,
 		Errors:         len(res.Errors),
 		P50Seconds:     res.Latencies.Quantile(0.5),
@@ -166,35 +168,29 @@ func runFleetPlatform(cfg StudyConfig, u fleetUnit) (FleetRow, error) {
 	if sk, ok := res.Latencies.(*stats.Sketch); ok {
 		row.SketchBuckets = sk.Buckets()
 	}
-	return row, nil
+	return armResult[FleetRow]{Row: row}, nil
 }
 
-// fleetUnits splits the fleet across platforms: half the servers to
-// BigTable (the paper's serving-heavy fleet), a quarter each to Spanner and
-// BigQuery; the user population follows the interactive platforms and the
-// operation budget follows the characterization mix (analytics queries are
-// few but heavy).
-func (cfg StudyConfig) fleetUnits() []fleetUnit {
-	f := cfg.Fleet
+// share is platform p's part of the fleet: half the servers to BigTable
+// (the paper's serving-heavy fleet), a quarter each to Spanner and BigQuery;
+// the user population follows the interactive platforms and the operation
+// budget follows the characterization mix (analytics queries are few but
+// heavy). The rate spreads the ops over the arrival horizon.
+func (f FleetConfig) share(p taxonomy.Platform) (servers, users, ops int, rate float64) {
 	horizon := f.Duration
 	if horizon <= 0 {
 		horizon = 2 * time.Second
 	}
-	bt := f.Servers / 2
-	sp := f.Servers / 4
-	bq := f.Servers - bt - sp
-	units := []fleetUnit{
-		{Platform: taxonomy.Spanner, Servers: sp, Users: f.Users * 2 / 5, Ops: f.Ops * 9 / 20},
-		{Platform: taxonomy.BigTable, Servers: bt, Users: f.Users / 2, Ops: f.Ops * 9 / 20},
-		{Platform: taxonomy.BigQuery, Servers: bq, Users: f.Users / 10, Ops: f.Ops / 10},
+	switch p {
+	case taxonomy.Spanner:
+		servers, users, ops = f.Servers/4, f.Users*2/5, f.Ops*9/20
+	case taxonomy.BigTable:
+		servers, users, ops = f.Servers/2, f.Users/2, f.Ops*9/20
+	default:
+		servers, users, ops = f.Servers-f.Servers/2-f.Servers/4, f.Users/10, f.Ops/10
 	}
-	for i := range units {
-		if units[i].Ops < 1 {
-			units[i].Ops = 1
-		}
-		units[i].Rate = float64(units[i].Ops) / horizon.Seconds()
-	}
-	return units
+	ops = max(1, ops)
+	return servers, users, ops, float64(ops) / horizon.Seconds()
 }
 
 // FleetScale runs the fleet-scale characterization. The three platform runs are
@@ -202,15 +198,14 @@ func (cfg StudyConfig) fleetUnits() []fleetUnit {
 // parallelism; rows come back in taxonomy.Platforms order regardless of
 // completion order, and heap is measured on the coordinator afterwards.
 func (cfg StudyConfig) FleetScale() (*FleetStudy, error) {
-	f := cfg.Fleet
-	if f.Servers < 3 || f.Users <= 0 || f.Ops <= 0 {
-		return nil, fmt.Errorf("experiments: invalid fleet config %+v (need ≥3 servers, positive users and ops)", f)
-	}
-	rows, err := runUnits(cfg, fleetKind, cfg.fleetUnits())
+	arms, err := runUnits(cfg, fleetKind, platformUnits("", 0))
 	if err != nil {
 		return nil, err
 	}
-	st := &FleetStudy{Cfg: cfg, Rows: rows}
+	st := &FleetStudy{Cfg: cfg}
+	for _, a := range arms {
+		st.Rows = append(st.Rows, a.Row)
+	}
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)

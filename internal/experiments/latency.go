@@ -19,7 +19,9 @@ type LatencyPoint struct {
 	P99Seconds float64
 }
 
-// latencyUnit is one offered-load point.
+// latencyUnit is one offered-load point. It is the one unit that is not an
+// armUnit: its rate and op count are arguments of Latency, not StudyConfig
+// fields a worker could derive them from.
 type latencyUnit struct {
 	Rate float64 `json:"rate"`
 	Ops  int     `json:"ops"`
@@ -28,6 +30,12 @@ type latencyUnit struct {
 // latencyKind runs offered-load points on either backend.
 var latencyKind = unitKind[latencyUnit, LatencyPoint]{
 	name: "latency/point",
+	check: func(_ StudyConfig, u latencyUnit) error {
+		if u.Ops <= 0 {
+			return fmt.Errorf("experiments: opsPerPoint must be positive")
+		}
+		return nil
+	},
 	run: func(cfg StudyConfig, u latencyUnit) (LatencyPoint, error) {
 		return runLatencyPoint(cfg.Seed, u.Rate, u.Ops)
 	},

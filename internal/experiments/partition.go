@@ -85,9 +85,15 @@ type Partition struct {
 }
 
 // partitionKind runs partition arms on either backend.
-var partitionKind = unitKind[checkedUnit, checkedArm[PartitionRow]]{
+var partitionKind = unitKind[armUnit, armResult[PartitionRow]]{
 	name: "partition/arm",
-	run: func(cfg StudyConfig, u checkedUnit) (checkedArm[PartitionRow], error) {
+	check: func(cfg StudyConfig, u armUnit) error {
+		if cfg.Clients <= 0 || cfg.Check.Seeds <= 0 || cfg.Check.HotRows <= 0 || cfg.Part.MTBFFrac <= 0 {
+			return fmt.Errorf("experiments: invalid partition config %+v", cfg)
+		}
+		return u.within(taxonomy.Platforms(), armBaseline, armNaive, armHardened, armBroken)
+	},
+	run: func(cfg StudyConfig, u armUnit) (armResult[PartitionRow], error) {
 		return (&Partition{Cfg: cfg}).runArm(u.Platform, u.Arm, u.Seed, u.Horizon)
 	},
 }
@@ -99,27 +105,21 @@ var partitionKind = unitKind[checkedUnit, checkedArm[PartitionRow]]{
 // configured backend and merge in fixed (platform, arm, seed) order, so the
 // export is byte-identical sequential vs parallel and across backends.
 func (cfg StudyConfig) Partition() (*Partition, error) {
-	if cfg.Clients <= 0 || cfg.Check.Seeds <= 0 || cfg.Check.HotRows <= 0 || cfg.Part.MTBFFrac <= 0 {
-		return nil, fmt.Errorf("experiments: invalid partition config %+v", cfg)
-	}
 	s := &Partition{Cfg: cfg, Marks: map[taxonomy.Platform][]trace.Mark{}}
-	platforms := taxonomy.Platforms()
-	calUnits := make([]checkedUnit, len(platforms))
-	for i, p := range platforms {
-		calUnits[i] = checkedUnit{Platform: p, Arm: armBaseline, Seed: cfg.Seed}
-	}
+	calUnits := platformUnits(armBaseline, cfg.Seed)
 	cals, units, arms, err := calibrateThenTorture(cfg, partitionKind, calUnits,
-		func(units []checkedUnit, i int, horizon time.Duration) []checkedUnit {
+		func(units []armUnit, i int, horizon time.Duration) []armUnit {
+			p := calUnits[i].Platform
 			for j := 0; j < cfg.Check.Seeds; j++ {
 				for _, arm := range []string{armNaive, armHardened} {
-					units = append(units, checkedUnit{Platform: platforms[i], Arm: arm, Seed: cfg.Seed + uint64(j), Horizon: horizon})
+					units = append(units, armUnit{Platform: p, Arm: arm, Seed: cfg.Seed + uint64(j), Horizon: horizon})
 				}
 			}
 			// Broken arms exist for Spanner (commit-wait off) and BigTable
 			// (unlogged partition writes); BigQuery's shuffle has no equivalent
 			// split-brain write path to break.
-			if cfg.Check.IncludeBroken && platforms[i] != taxonomy.BigQuery {
-				units = append(units, checkedUnit{Platform: platforms[i], Arm: armBroken, Seed: cfg.Seed, Horizon: horizon})
+			if cfg.Check.IncludeBroken && p != taxonomy.BigQuery {
+				units = append(units, armUnit{Platform: p, Arm: armBroken, Seed: cfg.Seed, Horizon: horizon})
 			}
 			return units
 		})
@@ -152,7 +152,7 @@ func (s *Partition) Row(p taxonomy.Platform, arm string) *PartitionRow {
 
 // runArm runs one (platform, arm, seed) run. A zero horizon is the
 // fault-free calibration run; a positive one draws a nemesis over it.
-func (s *Partition) runArm(p taxonomy.Platform, arm string, seed uint64, horizon time.Duration) (checkedArm[PartitionRow], error) {
+func (s *Partition) runArm(p taxonomy.Platform, arm string, seed uint64, horizon time.Duration) (armResult[PartitionRow], error) {
 	b := newPlatformBuild(seed, spacedSeeds, 0)
 	b.checked = true
 	b.spanner.RPC = resilienceRPCPolicy()
@@ -174,7 +174,7 @@ func (s *Partition) runArm(p taxonomy.Platform, arm string, seed uint64, horizon
 	}
 	st, err := b.build(p)
 	if err != nil {
-		return checkedArm[PartitionRow]{}, err
+		return armResult[PartitionRow]{}, err
 	}
 	defer st.env.K.Close()
 	scfg := b.spanner
@@ -189,7 +189,7 @@ func (s *Partition) runArm(p taxonomy.Platform, arm string, seed uint64, horizon
 		// same skew would only stretch the wait, never break the ordering.
 		for r := 0; r < scfg.Regions; r++ {
 			if err := st.sp.SetClockSkew(0, r, 20*s.Cfg.Part.ClockEps, 0); err != nil {
-				return checkedArm[PartitionRow]{}, err
+				return armResult[PartitionRow]{}, err
 			}
 		}
 	}
@@ -206,7 +206,7 @@ func (s *Partition) runArm(p taxonomy.Platform, arm string, seed uint64, horizon
 				for r := 0; r < scfg.Regions; r++ {
 					node, err := st.sp.ReplicaNodeName(g, r)
 					if err != nil {
-						return checkedArm[PartitionRow]{}, err
+						return armResult[PartitionRow]{}, err
 					}
 					nodes = append(nodes, node)
 				}
@@ -218,14 +218,14 @@ func (s *Partition) runArm(p taxonomy.Platform, arm string, seed uint64, horizon
 			for i := 0; i < b.bigquery.ShuffleServers; i++ {
 				n, err := st.bq.ShuffleNodeName(i)
 				if err != nil {
-					return checkedArm[PartitionRow]{}, err
+					return armResult[PartitionRow]{}, err
 				}
 				nodes = append(nodes, n)
 			}
 			for w := 0; w < 2 && w < b.bigquery.Workers; w++ {
 				n, err := st.bq.WorkerNodeName(w)
 				if err != nil {
-					return checkedArm[PartitionRow]{}, err
+					return armResult[PartitionRow]{}, err
 				}
 				nodes = append(nodes, n)
 			}
@@ -263,7 +263,7 @@ func (s *Partition) runArm(p taxonomy.Platform, arm string, seed uint64, horizon
 	row.StaleReads, row.MaxStaleness = st.h.Staleness()
 	violations, marks := collect(p, seed, st.h, st.reg, st.env.K.Now())
 	row.Violations = len(violations)
-	out := checkedArm[PartitionRow]{Violations: violations}
+	out := armResult[PartitionRow]{Violations: violations}
 	if eng != nil {
 		row.FaultsApplied = len(eng.Applied)
 		out.Marks = faultMarks(eng, marks...)

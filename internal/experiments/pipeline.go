@@ -90,9 +90,15 @@ type Pipeline struct {
 }
 
 // pipelineKind runs pipeline arms on either backend.
-var pipelineKind = unitKind[checkedUnit, checkedArm[PipelineRow]]{
+var pipelineKind = unitKind[armUnit, armResult[PipelineRow]]{
 	name: "pipeline/arm",
-	run: func(cfg StudyConfig, u checkedUnit) (checkedArm[PipelineRow], error) {
+	check: func(cfg StudyConfig, u armUnit) error {
+		if cfg.Clients <= 0 || cfg.Check.Seeds <= 0 || cfg.Pipe.Records <= 0 || cfg.Pipe.Batches <= 0 {
+			return fmt.Errorf("experiments: invalid pipeline config %+v", cfg)
+		}
+		return u.within([]taxonomy.Platform{""}, armBaseline, armFaulted, armBroken)
+	},
+	run: func(cfg StudyConfig, u armUnit) (armResult[PipelineRow], error) {
 		return (&Pipeline{Cfg: cfg}).runArm(u.Arm, u.Seed, u.Horizon)
 	},
 }
@@ -104,18 +110,15 @@ var pipelineKind = unitKind[checkedUnit, checkedArm[PipelineRow]]{
 // across the configured backend and merge in fixed order, so the export is
 // byte-identical sequential vs parallel and across backends.
 func (cfg StudyConfig) Pipeline() (*Pipeline, error) {
-	if cfg.Clients <= 0 || cfg.Check.Seeds <= 0 || cfg.Pipe.Records <= 0 || cfg.Pipe.Batches <= 0 {
-		return nil, fmt.Errorf("experiments: invalid pipeline config %+v", cfg)
-	}
 	s := &Pipeline{Cfg: cfg}
-	baseline := checkedUnit{Arm: armBaseline, Seed: cfg.Seed}
-	cals, units, arms, err := calibrateThenTorture(cfg, pipelineKind, []checkedUnit{baseline},
-		func(units []checkedUnit, _ int, horizon time.Duration) []checkedUnit {
+	baseline := armUnit{Arm: armBaseline, Seed: cfg.Seed}
+	cals, units, arms, err := calibrateThenTorture(cfg, pipelineKind, []armUnit{baseline},
+		func(units []armUnit, _ int, horizon time.Duration) []armUnit {
 			for j := 0; j < cfg.Check.Seeds; j++ {
-				units = append(units, checkedUnit{Arm: armFaulted, Seed: cfg.Seed + uint64(j), Horizon: horizon})
+				units = append(units, armUnit{Arm: armFaulted, Seed: cfg.Seed + uint64(j), Horizon: horizon})
 			}
 			if cfg.Check.IncludeBroken {
-				units = append(units, checkedUnit{Arm: armBroken, Seed: cfg.Seed})
+				units = append(units, armUnit{Arm: armBroken, Seed: cfg.Seed})
 			}
 			return units
 		})
@@ -149,7 +152,7 @@ func (s *Pipeline) Row(arm string) *PipelineRow {
 // on ONE kernel with ONE shared tracer and ONE shared history, the pipeline
 // workload chained across them, and — on faulted arms — a fault schedule
 // killing BigQuery shuffle servers over the horizon while batch 0 replays.
-func (s *Pipeline) runArm(arm string, seed uint64, horizon time.Duration) (checkedArm[PipelineRow], error) {
+func (s *Pipeline) runArm(arm string, seed uint64, horizon time.Duration) (armResult[PipelineRow], error) {
 	cfg := s.Cfg
 	k := sim.New()
 	defer k.Close()
@@ -166,7 +169,7 @@ func (s *Pipeline) runArm(arm string, seed uint64, horizon time.Duration) (check
 	for _, p := range taxonomy.Platforms() {
 		st, err := b.build(p)
 		if err != nil {
-			return checkedArm[PipelineRow]{}, err
+			return armResult[PipelineRow]{}, err
 		}
 		built = append(built, st)
 	}
@@ -251,7 +254,7 @@ func (s *Pipeline) runArm(arm string, seed uint64, horizon time.Duration) (check
 	row.EndToEndP99 = durQuantile(e2e, 0.99)
 	violations, marks := collect(pipelinePlatform, seed, serving.h, serving.reg, k.Now())
 	row.Violations = len(violations)
-	out := checkedArm[PipelineRow]{Violations: violations}
+	out := armResult[PipelineRow]{Violations: violations}
 	if eng != nil {
 		row.FaultsApplied = len(eng.Applied)
 		out.Marks = faultMarks(eng, marks...)

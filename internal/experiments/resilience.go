@@ -49,6 +49,8 @@ type ResilienceRow struct {
 	FaultEvents []faults.Applied
 }
 
+func (r ResilienceRow) elapsed() time.Duration { return r.Elapsed }
+
 // Resilience holds the full study: two rows per platform (baseline then
 // faulted, in taxonomy.Platforms() order) plus the faulted arm's traces,
 // fault marks and (when enabled) observability series for timeline export.
@@ -62,83 +64,52 @@ type Resilience struct {
 	Series map[taxonomy.Platform][]obs.Series
 }
 
-// resilienceArm is one completed (platform, arm) measurement plus the traces,
-// fault marks and observability series the faulted arm exports, kept
-// arm-local so platforms can run on concurrent goroutines — or in worker
-// subprocesses — and merge afterwards in platform order. Fields are
-// exported because the arm pair is the resilience study's wire type: the
-// exec backend ships it between worker and coordinator as JSON (trace.Trace
-// round-trips its sampling state through custom JSON for exactly this).
-type resilienceArm struct {
-	Row    ResilienceRow
-	Traces []*trace.Trace
-	Marks  []trace.Mark
-	Series []obs.Series
-}
-
-// resilienceUnit is one platform's baseline+faulted arm pair. The pair stays
-// one unit because the fault schedule spans the measured baseline horizon.
-type resilienceUnit struct {
-	Platform taxonomy.Platform `json:"platform"`
-}
-
-// resilienceKind runs platform arm pairs on either backend.
-var resilienceKind = unitKind[resilienceUnit, [2]resilienceArm]{
-	name: "resilience/pair",
-	run: func(cfg StudyConfig, u resilienceUnit) ([2]resilienceArm, error) {
-		return (&Resilience{Cfg: cfg}).runPair(u.Platform)
+// resilienceKind runs resilience arms on either backend: a zero horizon is a
+// platform's baseline, a positive one its faulted arm over that baseline's
+// elapsed time.
+var resilienceKind = unitKind[armUnit, armResult[ResilienceRow]]{
+	name: "resilience/arm",
+	check: func(cfg StudyConfig, u armUnit) error {
+		if cfg.Clients <= 0 || cfg.TraceRate <= 0 {
+			return fmt.Errorf("experiments: invalid resilience config %+v", cfg)
+		}
+		return u.within(taxonomy.Platforms(), "")
 	},
-}
-
-// runPair runs one platform's baseline arm and then, over the measured
-// horizon, its faulted arm.
-func (r *Resilience) runPair(p taxonomy.Platform) ([2]resilienceArm, error) {
-	base, err := r.runArm(p, 0)
-	if err != nil {
-		return [2]resilienceArm{}, err
-	}
-	faulted, err := r.runArm(p, base.Row.Elapsed)
-	if err != nil {
-		return [2]resilienceArm{}, err
-	}
-	return [2]resilienceArm{base, faulted}, nil
+	run: func(cfg StudyConfig, u armUnit) (armResult[ResilienceRow], error) {
+		return (&Resilience{Cfg: cfg}).runArm(u.Platform, u.Horizon)
+	},
 }
 
 // Resilience measures each platform fault-free, generates a seeded fault
 // schedule spanning the measured horizon, and re-runs the identical workload
-// under injection. Equal configs replay bit-identically; the three platforms
-// run concurrently (bounded by cfg.Parallel) with each platform's
-// baseline→faulted pair kept sequential, since the fault schedule spans the
-// measured baseline horizon.
+// under injection. Equal configs replay bit-identically; the arms fan out
+// across the configured backend in two waves — the three baselines, then
+// the three faulted arms, each over its own baseline's elapsed time — and
+// merge in platform order.
 func (cfg StudyConfig) Resilience() (*Resilience, error) {
-	if cfg.Clients <= 0 || cfg.TraceRate <= 0 {
-		return nil, fmt.Errorf("experiments: invalid resilience config %+v", cfg)
-	}
 	r := &Resilience{
 		Cfg:    cfg,
 		Traces: map[taxonomy.Platform][]*trace.Trace{},
 		Marks:  map[taxonomy.Platform][]trace.Mark{},
 		Series: map[taxonomy.Platform][]obs.Series{},
 	}
-	platforms := taxonomy.Platforms()
-	units := make([]resilienceUnit, len(platforms))
-	for i, p := range platforms {
-		units[i] = resilienceUnit{Platform: p}
-	}
-	pairs, err := runUnits(cfg, resilienceKind, units)
+	calUnits := platformUnits("", 0)
+	cals, _, faulted, err := calibrateThenTorture(cfg, resilienceKind, calUnits,
+		func(units []armUnit, i int, horizon time.Duration) []armUnit {
+			return append(units, armUnit{Platform: calUnits[i].Platform, Horizon: horizon})
+		})
 	if err != nil {
 		return nil, err
 	}
-	for i, u := range units {
-		for _, arm := range pairs[i] {
-			r.Rows = append(r.Rows, arm.Row)
-			if arm.Row.Faulted {
-				r.Traces[u.Platform] = arm.Traces
-				r.Marks[u.Platform] = arm.Marks
-				if arm.Series != nil {
-					r.Series[u.Platform] = arm.Series
-				}
-			}
+	for i, cal := range calUnits {
+		p, arm := cal.Platform, faulted[i]
+		r.Rows = append(r.Rows, cals[i].Row, arm.Row)
+		if !arm.Row.Faulted {
+			continue
+		}
+		r.Traces[p], r.Marks[p] = arm.Traces, arm.Marks
+		if arm.Series != nil {
+			r.Series[p] = arm.Series
 		}
 	}
 	return r, nil
@@ -158,13 +129,13 @@ func (r *Resilience) Row(p taxonomy.Platform, faulted bool) *ResilienceRow {
 // a positive horizon is the faulted arm with a schedule spanning it. The arm
 // builds its own environment and kernel and touches no study state, so
 // distinct platforms may run concurrently.
-func (r *Resilience) runArm(p taxonomy.Platform, horizon time.Duration) (resilienceArm, error) {
+func (r *Resilience) runArm(p taxonomy.Platform, horizon time.Duration) (armResult[ResilienceRow], error) {
 	b := r.Cfg.studyBuild()
 	b.spanner.RPC = resilienceRPCPolicy()
 	b.bigquery.RPC = resilienceRPCPolicy()
 	st, err := b.build(p)
 	if err != nil {
-		return resilienceArm{}, err
+		return armResult[ResilienceRow]{}, err
 	}
 	defer st.env.K.Close()
 	var eng *faults.Engine
@@ -182,7 +153,7 @@ func (r *Resilience) runArm(p taxonomy.Platform, horizon time.Duration) (resilie
 // result. Elapsed is the instant the workload drains, not the kernel's final
 // time: recovery events from the fault schedule may fire after the last
 // operation.
-func (r *Resilience) measure(p taxonomy.Platform, env *platform.Env, run *workload.Run, eng *faults.Engine) (resilienceArm, error) {
+func (r *Resilience) measure(p taxonomy.Platform, env *platform.Env, run *workload.Run, eng *faults.Engine) (armResult[ResilienceRow], error) {
 	var elapsed time.Duration
 	env.K.Go("resilience-measure", func(mp *sim.Proc) {
 		mp.Wait(run.Done)
@@ -213,7 +184,7 @@ func (r *Resilience) measure(p taxonomy.Platform, env *platform.Env, run *worklo
 		row.P99 = time.Duration(lat.Quantile(0.99) * float64(time.Second))
 		row.P999 = time.Duration(lat.Quantile(0.999) * float64(time.Second))
 	}
-	arm := resilienceArm{Row: row, Series: env.Obs.Snapshot()}
+	arm := armResult[ResilienceRow]{Row: row, Series: env.Obs.Snapshot()}
 	if eng != nil {
 		arm.Row.FaultsApplied = len(eng.Applied)
 		arm.Row.FaultEvents = eng.Applied

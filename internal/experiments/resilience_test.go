@@ -90,11 +90,16 @@ func TestBrownoutOnlyOnRPCPlatforms(t *testing.T) {
 	cfg := smallResilienceConfig()
 	cfg.Faults.NetDegradeProb = 1
 	for _, p := range taxonomy.Platforms() {
-		pair, err := (&Resilience{Cfg: cfg}).runPair(p)
+		r := &Resilience{Cfg: cfg}
+		base, err := r.runArm(p, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		row := pair[1].Row
+		faulted, err := r.runArm(p, base.Row.Elapsed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := faulted.Row
 		if len(row.FaultEvents) != row.FaultsApplied {
 			t.Fatalf("%s: %d fault events for FaultsApplied %d", p, len(row.FaultEvents), row.FaultsApplied)
 		}

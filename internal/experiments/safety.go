@@ -58,9 +58,15 @@ type Safety struct {
 }
 
 // safetyKind runs safety arms on either backend.
-var safetyKind = unitKind[checkedUnit, checkedArm[SafetyRow]]{
+var safetyKind = unitKind[armUnit, armResult[SafetyRow]]{
 	name: "safety/arm",
-	run: func(cfg StudyConfig, u checkedUnit) (checkedArm[SafetyRow], error) {
+	check: func(cfg StudyConfig, u armUnit) error {
+		if cfg.Clients <= 0 || cfg.Check.Seeds <= 0 || cfg.Check.HotRows <= 0 {
+			return fmt.Errorf("experiments: invalid safety config %+v", cfg)
+		}
+		return u.within(taxonomy.Platforms(), "")
+	},
+	run: func(cfg StudyConfig, u armUnit) (armResult[SafetyRow], error) {
 		return (&Safety{Cfg: cfg}).runOne(u.Platform, u.Seed, u.Horizon)
 	},
 }
@@ -72,29 +78,22 @@ var safetyKind = unitKind[checkedUnit, checkedArm[SafetyRow]]{
 // runs, then every faulted (platform, seed) arm — merging results in the
 // same order the sequential loop produced.
 func (cfg StudyConfig) Safety() (*Safety, error) {
-	if cfg.Clients <= 0 || cfg.Check.Seeds <= 0 || cfg.Check.HotRows <= 0 {
-		return nil, fmt.Errorf("experiments: invalid safety config %+v", cfg)
-	}
 	s := &Safety{Cfg: cfg, Marks: map[taxonomy.Platform][]trace.Mark{}}
-	platforms := taxonomy.Platforms()
-	calUnits := make([]checkedUnit, len(platforms))
-	for i, p := range platforms {
-		calUnits[i] = checkedUnit{Platform: p, Seed: cfg.Seed}
-	}
+	calUnits := platformUnits("", cfg.Seed)
 	cals, units, tortured, err := calibrateThenTorture(cfg, safetyKind, calUnits,
-		func(units []checkedUnit, i int, horizon time.Duration) []checkedUnit {
+		func(units []armUnit, i int, horizon time.Duration) []armUnit {
 			for j := 0; j < cfg.Check.Seeds; j++ {
-				units = append(units, checkedUnit{Platform: platforms[i], Seed: cfg.Seed + uint64(j), Horizon: horizon})
+				units = append(units, armUnit{Platform: calUnits[i].Platform, Seed: cfg.Seed + uint64(j), Horizon: horizon})
 			}
 			return units
 		})
 	if err != nil {
 		return nil, err
 	}
-	for i, p := range platforms {
-		s.merge(calUnits[i], cals[i])
+	for i, cal := range calUnits {
+		s.merge(cal, cals[i])
 		for j, u := range units {
-			if u.Platform == p {
+			if u.Platform == cal.Platform {
 				s.merge(u, tortured[j])
 			}
 		}
@@ -103,7 +102,7 @@ func (cfg StudyConfig) Safety() (*Safety, error) {
 }
 
 // merge folds one arm into the study; every arm's violation marks are kept.
-func (s *Safety) merge(u checkedUnit, arm checkedArm[SafetyRow]) {
+func (s *Safety) merge(u armUnit, arm armResult[SafetyRow]) {
 	s.add(u, arm)
 	s.Marks[u.Platform] = append(s.Marks[u.Platform], arm.Marks...)
 }
@@ -116,14 +115,14 @@ const safetySalt = 0x53414645
 // calibration run; a positive horizon is a torture run with a fault schedule
 // spanning it. The arm builds its own environment and kernel and touches no
 // study state, so distinct arms may run concurrently.
-func (s *Safety) runOne(p taxonomy.Platform, seed uint64, horizon time.Duration) (checkedArm[SafetyRow], error) {
+func (s *Safety) runOne(p taxonomy.Platform, seed uint64, horizon time.Duration) (armResult[SafetyRow], error) {
 	b := newPlatformBuild(seed, spacedSeeds, 0)
 	b.checked = true
 	b.spanner.RPC = resilienceRPCPolicy()
 	b.bigquery.RPC = resilienceRPCPolicy()
 	st, err := b.build(p)
 	if err != nil {
-		return checkedArm[SafetyRow]{}, err
+		return armResult[SafetyRow]{}, err
 	}
 	defer st.env.K.Close()
 	var eng *faults.Engine
@@ -137,7 +136,7 @@ func (s *Safety) runOne(p taxonomy.Platform, seed uint64, horizon time.Duration)
 	}
 	dc := drive(st.env, st.name, "torture", seed^safetySalt, s.Cfg.Clients, s.Cfg.Ops.of(p), 0,
 		st.torture(s.Cfg.Check.HotRows, seed, 0))
-	arm := checkedArm[SafetyRow]{Row: SafetyRow{Platform: p, Seed: seed, Faulted: eng != nil,
+	arm := armResult[SafetyRow]{Row: SafetyRow{Platform: p, Seed: seed, Faulted: eng != nil,
 		Ops: dc.ops, Errors: dc.errs, Elapsed: dc.elapsed}}
 	if eng != nil {
 		arm.Row.FaultsApplied = len(eng.Applied)

@@ -10,6 +10,7 @@ import (
 	"hyperprof/internal/bigquery"
 	"hyperprof/internal/check"
 	"hyperprof/internal/faults"
+	"hyperprof/internal/obs"
 	"hyperprof/internal/platform"
 	"hyperprof/internal/sim"
 	"hyperprof/internal/stats"
@@ -21,8 +22,9 @@ import (
 // pipeline, and overload's trigger) share: the fault-rate → schedule
 // conversion, the network link plane, every stack's fault surface and the
 // shared target selection, the torture loop and its per-platform
-// operations, the calibrate-then-torture fan-out, the checked studies'
-// result side (unit, arm, routing and verdict), and the verdict output.
+// operations, the platform studies' work unit and arm result, the
+// calibrate-then-torture fan-out, the checked studies' result side (routing
+// and verdict), and the verdict output.
 // What differs per study — its own target selection, platform config knobs,
 // merge order — stays in the study's own file.
 
@@ -285,45 +287,65 @@ func (s *stack) torture(hotRows int, seed uint64, spread int) tortureOp {
 	}
 }
 
-// calibrated is a checked-study row (or arm) that reports the virtual time
-// its workload took to drain; a calibration run's elapsed time is its
-// faulted arms' horizon.
+// calibrated is a row that reports the virtual time its workload took to
+// drain; a calibration run's elapsed time is its faulted arms' horizon.
 type calibrated interface{ elapsed() time.Duration }
 
-// checkedUnit is one arm of a checked study (safety, partition, pipeline):
-// platform, arm, seed and fault horizon; a zero horizon is the fault-free
-// calibration run. Safety leaves Arm empty and pipeline, whose one
-// simulation spans every platform, leaves Platform empty; omitempty keeps
-// their wire frames as they were.
-type checkedUnit struct {
+// armUnit is one arm of a platform study: platform, arm, seed and fault
+// horizon; a zero horizon is a fault-free run. A study leaves empty what it
+// does not vary: safety leaves Arm empty, pipeline (whose one simulation
+// spans every platform) leaves Platform empty, and overload, resilience and
+// fleet take their seed from the config. omitempty keeps safety's and
+// pipeline's wire frames as they were.
+type armUnit struct {
 	Platform taxonomy.Platform `json:"platform,omitempty"`
 	Arm      string            `json:"arm,omitempty"`
 	Seed     uint64            `json:"seed"`
 	Horizon  time.Duration     `json:"horizon"`
 }
 
-// checkedArm is one completed checked-study arm, self-contained so arms can
-// execute on concurrent goroutines — or in worker subprocesses — and merge
-// afterwards in fixed order. Fields are exported because the arm is the
-// checked studies' wire type: the exec backend ships it between worker and
-// coordinator as JSON. Only pipeline fills Traces and Counters.
-type checkedArm[R calibrated] struct {
+// within rejects a unit its study never emits: a platform outside
+// platforms, an arm label outside arms, or a negative horizon. A study that
+// leaves a field empty lists "" as its one value.
+func (u armUnit) within(platforms []taxonomy.Platform, arms ...string) error {
+	if !slices.Contains(platforms, u.Platform) || !slices.Contains(arms, u.Arm) || u.Horizon < 0 {
+		return fmt.Errorf("experiments: the study runs no arm %+v", u)
+	}
+	return nil
+}
+
+// platformUnits returns one unit per platform, in taxonomy.Platforms order,
+// each with the given arm label and seed.
+func platformUnits(arm string, seed uint64) []armUnit {
+	var units []armUnit
+	for _, p := range taxonomy.Platforms() {
+		units = append(units, armUnit{Platform: p, Arm: arm, Seed: seed})
+	}
+	return units
+}
+
+// armResult is one completed arm, self-contained so arms can execute on
+// concurrent goroutines — or in worker subprocesses — and merge afterwards
+// in fixed order. Fields are exported because the arm is the platform
+// studies' wire type: the exec backend ships it between worker and
+// coordinator as JSON. Only resilience and pipeline fill Traces, only
+// pipeline Counters, and only resilience and overload Series.
+type armResult[R any] struct {
 	Row        R
 	Violations []SafetyViolation
 	Marks      []trace.Mark
 	Traces     lazySlice[*trace.Trace]       `json:",omitempty"`
 	Counters   lazySlice[trace.CounterTrack] `json:",omitempty"`
+	Series     lazySlice[obs.Series]         `json:",omitempty"`
 }
-
-func (a checkedArm[R]) elapsed() time.Duration { return a.Row.elapsed() }
 
 // lazySlice is a slice that marshals itself. The first time encoding/json
 // decodes a struct type it builds the encoder of every field type, once per
 // process; a Marshaler field stops that at the field. So a coordinator
-// decoding safety or partition arms, which never fill Traces or Counters,
-// does not build the trace and counter-track encoders: about 100
-// allocations per process, 6% of what the study benchmark's safety_exec
-// coordinator allocates.
+// decoding safety or partition arms, which never fill Traces, Counters or
+// Series, does not build the trace, counter-track and obs series encoders:
+// about 100 allocations per process, 6% of what the study benchmark's
+// safety_exec coordinator allocates.
 type lazySlice[T any] []T
 
 func (l lazySlice[T]) MarshalJSON() ([]byte, error) { return json.Marshal([]T(l)) }
@@ -331,7 +353,7 @@ func (l lazySlice[T]) MarshalJSON() ([]byte, error) { return json.Marshal([]T(l)
 // checked is the result side the checked studies share: their rows in merge
 // order and their findings, routed by arm. Each study embeds it and keeps
 // only its row type, its merge order and which arm supplies its marks.
-type checked[R calibrated] struct {
+type checked[R any] struct {
 	Rows []R
 	// Violations collects the honest arms' findings — any entry here is a
 	// real safety bug.
@@ -341,7 +363,7 @@ type checked[R calibrated] struct {
 	BrokenViolations []SafetyViolation
 	// unconvicted lists the broken arms that finished without a finding,
 	// each a planted bug the checkers missed.
-	unconvicted []checkedUnit
+	unconvicted []armUnit
 }
 
 // Ok reports whether the honest arms finished with zero violations (broken
@@ -351,7 +373,7 @@ func (c checked[R]) Ok() bool { return len(c.Violations) == 0 }
 // add folds one arm into the study, routing its findings by the unit's arm
 // name. It is the only place the shared result state mutates, and it runs
 // sequentially after the arms complete.
-func (c *checked[R]) add(u checkedUnit, a checkedArm[R]) {
+func (c *checked[R]) add(u armUnit, a armResult[R]) {
 	c.Rows = append(c.Rows, a.Row)
 	if u.Arm != armBroken {
 		c.Violations = append(c.Violations, a.Violations...)
@@ -384,14 +406,14 @@ func (c checked[R]) verdict(study string) error {
 // torture appends for each calibration (by index and elapsed time), each
 // wave through runUnits. It returns the calibrations, the appended units and
 // their arms in unit order; the caller merges them in its own order.
-func calibrateThenTorture[U any, T calibrated](cfg StudyConfig, kind unitKind[U, T], calUnits []U,
-	torture func(units []U, i int, horizon time.Duration) []U) (cals []T, units []U, arms []T, err error) {
+func calibrateThenTorture[R calibrated](cfg StudyConfig, kind unitKind[armUnit, armResult[R]], calUnits []armUnit,
+	torture func(units []armUnit, i int, horizon time.Duration) []armUnit) (cals []armResult[R], units []armUnit, arms []armResult[R], err error) {
 	cals, err = runUnits(cfg, kind, calUnits)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	for i, c := range cals {
-		units = torture(units, i, c.elapsed())
+		units = torture(units, i, c.Row.elapsed())
 	}
 	arms, err = runUnits(cfg, kind, units)
 	if err != nil {

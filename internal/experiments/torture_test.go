@@ -231,11 +231,11 @@ func TestCheckedVerdict(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var c checked[PartitionRow]
 			for _, a := range tc.arms {
-				out := checkedArm[PartitionRow]{Row: PartitionRow{Platform: a.p, Arm: a.name, Seed: 3, Violations: a.violations}}
+				out := armResult[PartitionRow]{Row: PartitionRow{Platform: a.p, Arm: a.name, Seed: 3, Violations: a.violations}}
 				for range a.violations {
 					out.Violations = append(out.Violations, SafetyViolation{Seed: 3})
 				}
-				c.add(checkedUnit{Platform: a.p, Arm: a.name, Seed: 3}, out)
+				c.add(armUnit{Platform: a.p, Arm: a.name, Seed: 3}, out)
 			}
 			err := c.verdict("partition")
 			if tc.want == "" {

@@ -15,6 +15,9 @@
 # reach BigQuery's, the ones with the most intervals.
 # Fleet runs with -json because its text report prints the coordinator's
 # live heap, which varies between runs of one binary.
+# Each remotable study whose work unit or arm result is a wire type runs once
+# more on two exec workers, so a change to a unit or arm is compared after
+# its JSON round trip too.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -33,17 +36,22 @@ invocations=(
 	"-study=safety"
 	"-study=safety -backend=exec -workers 2"
 	"-study=resilience"
+	"-study=resilience -backend=exec -workers 2"
 	"-study=resilience -obs"
 	"-study=resilience -burst -diurnal"
 	"-study=obs"
 	"-study=overload -json"
+	"-study=overload -json -backend=exec -workers 2"
 	"-study=overload -obs"
 	"-study=overload -json -burst -diurnal"
 	"-study=partition -check -json"
+	"-study=partition -check -json -backend=exec -workers 2"
 	"-study=partition -json"
 	"-study=pipeline -check -chrome-trace trace.json"
 	"-study=pipeline -check -json"
+	"-study=pipeline -check -json -backend=exec -workers 2"
 	"-study=fleet -json -fleet-servers 400 -fleet-users 200000 -fleet-ops 8000"
+	"-study=fleet -json -fleet-servers 400 -fleet-users 200000 -fleet-ops 8000 -backend=exec -workers 2"
 	"-study=limits"
 	"-study=limits -extended"
 	"-study=table8"
