@@ -508,12 +508,12 @@ func BenchmarkSimProcSwitch(b *testing.B) {
 }
 
 // BenchmarkSimProcSpawn measures starting a process and running it to exit.
-// Its allocs/op pins the spawn cost that every open-loop arrival pays at one
-// allocation, the goroutine's start closure (the Proc and its resume channel
-// come from the kernel's free list), so a coroutine scheme that costs more
-// per process cannot land unnoticed. The Gosched lets each exited goroutine
-// finish before the next spawn, so the runtime reuses it and allocs/op is
-// exact.
+// Its allocs/op pins the spawn cost that every open-loop arrival pays at
+// zero: the Proc, its resume channel and its goroutine's pre-bound start
+// function come from the kernel's free list, so a coroutine scheme that
+// costs more per process cannot land unnoticed. The Gosched lets each exited
+// goroutine finish before the next spawn, so the runtime reuses it and
+// allocs/op is exact.
 func BenchmarkSimProcSpawn(b *testing.B) {
 	b.ReportAllocs()
 	k := sim.New()
@@ -550,10 +550,10 @@ func BenchmarkSimQueueHandoff(b *testing.B) {
 
 // BenchmarkServerCallDedup measures one RPC through a Client to a server
 // with duplicate suppression on: both transfers, the server's queue and
-// worker, and the call's dedup record. Its allocs/op pins the path at one
-// allocation, the server's inFlight (the worker's blocking get allocates
-// nothing), and its B/op stays flat in b.N only because each record settles
-// with its call instead of accumulating.
+// worker, and the call's dedup record. Its allocs/op pins the path at zero:
+// the server's call record comes from the network's free list and the
+// worker's blocking get allocates nothing. Its B/op stays flat in b.N only
+// because each dedup record settles with its call instead of accumulating.
 func BenchmarkServerCallDedup(b *testing.B) {
 	b.ReportAllocs()
 	k := sim.New()
@@ -566,6 +566,36 @@ func BenchmarkServerCallDedup(b *testing.B) {
 	srv.Start()
 	from := n.NewNode("cli", 0, 0, 1)
 	c := netsim.NewClient(netsim.Policy{}, 1)
+	k.Go("client", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			c.Call(p, from, srv, netsim.Request{Method: "op", Bytes: 64})
+		}
+		srv.Stop()
+	})
+	b.ResetTimer()
+	k.Run()
+}
+
+// BenchmarkClientDeadlineCall measures one RPC through a Client under a
+// deadline policy: the attempt runs in a helper process the caller waits on,
+// with a deadline event armed beside it. Its allocs/op pins the path at zero:
+// the policy's call and attempt records, the server's call record and the
+// helper's Proc all come from free lists, and the helper's body is bound
+// once per attempt record. The deadline is generous, so every attempt
+// succeeds and its deadline event fires after it, on a record that event
+// still holds.
+func BenchmarkClientDeadlineCall(b *testing.B) {
+	b.ReportAllocs()
+	k := sim.New()
+	n := netsim.New(k, netsim.DefaultConfig())
+	srv := netsim.NewServer(n.NewNode("srv", 0, 0, 1), 1)
+	srv.Handle("op", func(p *sim.Proc, req netsim.Request) netsim.Response {
+		return netsim.Response{Bytes: 32}
+	})
+	srv.SetDedup(true)
+	srv.Start()
+	from := n.NewNode("cli", 0, 0, 1)
+	c := netsim.NewClient(netsim.Policy{Deadline: time.Millisecond}, 1)
 	k.Go("client", func(p *sim.Proc) {
 		for i := 0; i < b.N; i++ {
 			c.Call(p, from, srv, netsim.Request{Method: "op", Bytes: 64})

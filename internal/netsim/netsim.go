@@ -70,6 +70,14 @@ type Network struct {
 	// The zero value (all-nil handles) is the disabled state: every record
 	// site costs one nil check.
 	m netMetrics
+
+	// Recycled call records, each list linked through its records' next
+	// field: server calls (see inFlight), and the logical calls and attempts
+	// of the deadline policy (see deadlineCall and deadlineAttempt). A
+	// steady-state RPC takes its records from here and allocates none.
+	freeCalls    *inFlight
+	freeDeadline *deadlineCall
+	freeAttempts *deadlineAttempt
 }
 
 // netMetrics holds the network's obs series handles. Per-network (not
@@ -343,6 +351,13 @@ type Server struct {
 	DupSuppressed int
 }
 
+// inFlight is one admitted server call. Records are recycled through the
+// network's free list, so a record is returned only when nothing can read it
+// again: holds counts the caller until it has copied resp, each dedup joiner
+// until it has copied the response it joined, and the worker from dequeue to
+// the end of its loop iteration. The worker's hold matters because Crash can
+// fire a call that is still in service: the worker then reads done.Fired()
+// and scans inService for the record after the caller has gone.
 type inFlight struct {
 	req  Request
 	resp Response
@@ -352,6 +367,31 @@ type inFlight struct {
 	deduped bool
 	// enqueuedAt is the admission instant, the basis of the CoDel sojourn.
 	enqueuedAt time.Duration
+	holds      int
+	next       *inFlight // on the free list
+}
+
+// newCall returns a cleared call record for req, held once by its caller.
+func (n *Network) newCall(req Request, now time.Duration) *inFlight {
+	c := n.freeCalls
+	if c != nil {
+		n.freeCalls = c.next
+		c.next = nil
+	} else {
+		c = &inFlight{}
+	}
+	c.req, c.enqueuedAt, c.holds = req, now, 1
+	return c
+}
+
+// releaseCall drops one hold on c; the last one clears the record, so it
+// pins no payload or waiter, and returns it to the free list.
+func (n *Network) releaseCall(c *inFlight) {
+	c.holds--
+	if c.holds == 0 {
+		*c = inFlight{next: n.freeCalls}
+		n.freeCalls = c
+	}
 }
 
 // fire completes c with the response already in c.resp: its waiters wake
@@ -419,60 +459,68 @@ func (s *Server) Start() {
 		return
 	}
 	s.started = true
+	net := s.Node.net
 	for i := 0; i < s.workers; i++ {
 		name := fmt.Sprintf("%s/rpc-worker-%d", s.Node.Name, i)
-		s.Node.net.k.Go(name, func(p *sim.Proc) {
+		net.k.Go(name, func(p *sim.Proc) {
 			for {
 				c := sim.GetQueue(p, s.queue)
 				if c == nil {
 					return // shutdown sentinel
 				}
-				s.Node.net.m.queueDepth.Add(-1)
-				if s.expireAtDequeue(p.Now(), c) {
-					// CoDel expiry: the request waited above target for a
-					// full interval — discard it instead of servicing it, so
-					// a deep backlog drains at dequeue speed rather than at
-					// service speed (the mechanism that breaks metastable
-					// queues).
-					s.Expired++
-					s.Node.net.m.expired.Inc()
-					if !c.done.Fired() {
-						c.resp = Response{Err: fmt.Errorf("%w: %s after %v queued",
-							ErrExpired, s.Node.Name, p.Now()-c.enqueuedAt)}
-						s.fire(c)
-					}
-					continue
-				}
-				if s.Node.net.accounting && c.req.CallID != 0 {
-					s.Node.net.execs[deliveryKey{s.Node.Name, c.req.CallID}]++
-				}
-				s.inService = append(s.inService, c)
-				svcStart := p.Now()
-				var resp Response
-				h, ok := s.handlers[c.req.Method]
-				if !ok {
-					resp = Response{Err: fmt.Errorf("%w: %q", ErrNoMethod, c.req.Method)}
-				} else {
-					resp = h(p, c.req)
-				}
-				if s.slowdown > 1 {
-					// Straggler injection: stretch the observed service time.
-					p.Sleep(time.Duration(float64(p.Now()-svcStart) * (s.slowdown - 1)))
-				}
-				for i, e := range s.inService {
-					if e == c {
-						s.inService = append(s.inService[:i], s.inService[i+1:]...)
-						break
-					}
-				}
-				// A crash may have failed this call while it was in service;
-				// its response already went out, so drop the handler's.
-				if !c.done.Fired() {
-					c.resp = resp
-					s.fire(c)
-				}
+				c.holds++
+				s.serve(p, c)
+				net.releaseCall(c)
 			}
 		})
+	}
+}
+
+// serve completes one dequeued call on worker process p: it expires the call
+// under CoDel or runs its handler, then fires it unless Crash already has.
+func (s *Server) serve(p *sim.Proc, c *inFlight) {
+	s.Node.net.m.queueDepth.Add(-1)
+	if s.expireAtDequeue(p.Now(), c) {
+		// CoDel expiry: the request waited above target for a full interval —
+		// discard it instead of servicing it, so a deep backlog drains at
+		// dequeue speed rather than at service speed (the mechanism that
+		// breaks metastable queues).
+		s.Expired++
+		s.Node.net.m.expired.Inc()
+		if !c.done.Fired() {
+			c.resp = Response{Err: fmt.Errorf("%w: %s after %v queued",
+				ErrExpired, s.Node.Name, p.Now()-c.enqueuedAt)}
+			s.fire(c)
+		}
+		return
+	}
+	if s.Node.net.accounting && c.req.CallID != 0 {
+		s.Node.net.execs[deliveryKey{s.Node.Name, c.req.CallID}]++
+	}
+	s.inService = append(s.inService, c)
+	svcStart := p.Now()
+	var resp Response
+	h, ok := s.handlers[c.req.Method]
+	if !ok {
+		resp = Response{Err: fmt.Errorf("%w: %q", ErrNoMethod, c.req.Method)}
+	} else {
+		resp = h(p, c.req)
+	}
+	if s.slowdown > 1 {
+		// Straggler injection: stretch the observed service time.
+		p.Sleep(time.Duration(float64(p.Now()-svcStart) * (s.slowdown - 1)))
+	}
+	for i, e := range s.inService {
+		if e == c {
+			s.inService = append(s.inService[:i], s.inService[i+1:]...)
+			break
+		}
+	}
+	// A crash may have failed this call while it was in service; its
+	// response already went out, so drop the handler's.
+	if !c.done.Fired() {
+		c.resp = resp
+		s.fire(c)
 	}
 }
 
@@ -572,14 +620,17 @@ func (s *Server) Call(p *sim.Proc, from *Node, req Request) (Response, time.Dura
 		if prev, ok := s.pendingByID[req.CallID]; ok {
 			s.DupSuppressed++
 			net.m.dedupSuppressed.Inc()
+			prev.holds++
 			p.Wait(&prev.done)
-			return s.respond(p, from, prev.resp), p.Now() - start
+			resp := prev.resp
+			net.releaseCall(prev)
+			return s.respond(p, from, resp), p.Now() - start
 		}
 	}
 	if err := s.admit(req); err != nil {
 		return Response{Err: err}, p.Now() - start
 	}
-	c := &inFlight{req: req, enqueuedAt: p.Now()}
+	c := net.newCall(req, p.Now())
 	if s.dedup && tracked {
 		c.deduped = true
 		s.pendingByID[req.CallID] = c
@@ -591,7 +642,9 @@ func (s *Server) Call(p *sim.Proc, from *Node, req Request) (Response, time.Dura
 		s.queue.Put(c)
 	}
 	p.Wait(&c.done)
-	return s.respond(p, from, c.resp), p.Now() - start
+	resp := c.resp
+	net.releaseCall(c)
+	return s.respond(p, from, resp), p.Now() - start
 }
 
 // respond models the response transfer back to the caller at `from`: the

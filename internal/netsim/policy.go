@@ -256,6 +256,7 @@ func (c *Client) BreakerOpenFor(s *Server) bool {
 // a deadline policy. Each attempt runs in a helper process, and a timed-out
 // attempt keeps draining after the call gave up on it, so the call's dedup
 // record settles when the last of the call itself and its helpers is done.
+// The record then goes back on its network's free list.
 type deadlineCall struct {
 	s *Server
 	// id is the call ID to settle, or 0 when the caller supplied the ID and
@@ -264,29 +265,102 @@ type deadlineCall struct {
 	// running counts the call, until it returns, and each helper, until it
 	// leaves Server.Call.
 	running int
+	next    *deadlineCall // on the free list
+}
+
+// newDeadlineCall returns a recycled record for a logical call against s,
+// counting the call itself as running.
+func (n *Network) newDeadlineCall(s *Server, id uint64) *deadlineCall {
+	d := n.freeDeadline
+	if d != nil {
+		n.freeDeadline = d.next
+	} else {
+		d = &deadlineCall{}
+	}
+	*d = deadlineCall{s: s, id: id, running: 1}
+	return d
 }
 
 // exit records that the call returned or one helper left Server.Call,
-// settling the call's record when nothing that carries its ID is left.
+// settling the call's record and recycling d when nothing that carries its
+// ID is left.
 func (d *deadlineCall) exit() {
 	d.running--
-	if d.running == 0 && d.id != 0 {
+	if d.running > 0 {
+		return
+	}
+	net := d.s.Node.net
+	if d.id != 0 {
 		d.s.settle(d.id)
 	}
+	*d = deadlineCall{next: net.freeDeadline}
+	net.freeDeadline = d
 }
 
-// deadlineAttempt is one attempt under a deadline policy: the helper's
-// response, and the gate the caller waits on, which fires when the attempt
-// returns or its deadline passes, whichever comes first.
+// deadlineAttempt is one attempt under a deadline policy: what the helper
+// process calls with, its response, and the gate the caller waits on, which
+// fires when the attempt returns or its deadline passes, whichever comes
+// first. The record is recycled once the caller, the helper and the deadline
+// event are all done with it: holds counts the three, and the deadline event
+// fires on the record even after a fast attempt has returned.
 type deadlineAttempt struct {
+	s        *Server
+	from     *Node
+	req      Request
+	dc       *deadlineCall
 	resp     Response
 	finished bool
 	gate     sim.Signal
+	holds    int
+	// body is run, bound once when the record is made, so spawning a helper
+	// makes no closure.
+	body func(*sim.Proc)
+	next *deadlineAttempt // on the free list
+}
+
+// newAttempt returns a recycled attempt record, held by the caller, the
+// helper and the deadline event.
+func (n *Network) newAttempt() *deadlineAttempt {
+	a := n.freeAttempts
+	if a != nil {
+		n.freeAttempts = a.next
+		a.next = nil
+	} else {
+		a = &deadlineAttempt{}
+		a.body = a.run
+	}
+	a.holds = 3
+	return a
+}
+
+// run is the helper process's body: the attempt's server call.
+func (a *deadlineAttempt) run(ap *sim.Proc) {
+	a.resp, _ = a.s.Call(ap, a.from, a.req)
+	a.finished = true
+	a.gate.Fire()
+	a.dc.exit()
+	a.release()
+}
+
+// release drops one hold on a; the last one clears the record and returns
+// it to its network's free list.
+func (a *deadlineAttempt) release() {
+	a.holds--
+	if a.holds > 0 {
+		return
+	}
+	net := a.s.Node.net
+	*a = deadlineAttempt{body: a.body, next: net.freeAttempts}
+	net.freeAttempts = a
 }
 
 // fireGate is the deadline event's callback, hoisted so scheduling it
 // allocates nothing.
-var fireGate = func(arg any) { arg.(*deadlineAttempt).gate.Fire() }
+var fireGate = func(arg any) {
+	a := arg.(*deadlineAttempt)
+	a.gate.Fire()
+	a.release()
+}
 
 // attempt performs one attempt against s, honoring the per-attempt deadline.
 // Without a deadline (dc is nil) it calls inline (zero overhead); with one,
@@ -295,29 +369,27 @@ var fireGate = func(arg any) { arg.(*deadlineAttempt).gate.Fire() }
 // mode produces a response, so helpers never leak).
 func (c *Client) attempt(p *sim.Proc, from *Node, s *Server, req Request, dc *deadlineCall) Response {
 	c.Attempts++
-	s.Node.net.m.attempts.Inc()
+	net := s.Node.net
+	net.m.attempts.Inc()
 	if dc == nil {
 		resp, _ := s.Call(p, from, req)
 		return resp
 	}
-	k := s.Node.net.k
-	a := &deadlineAttempt{}
+	a := net.newAttempt()
+	a.s, a.from, a.req, a.dc = s, from, req, dc
 	dc.running++
 	m := c.attemptsFor(req.Method)
-	k.Go(m.name, func(ap *sim.Proc) {
-		a.resp, _ = s.Call(ap, from, req)
-		a.finished = true
-		a.gate.Fire()
-		dc.exit()
-	})
-	k.ScheduleArg(c.policy.Deadline, fireGate, a)
+	net.k.Go(m.name, a.body)
+	net.k.ScheduleArg(c.policy.Deadline, fireGate, a)
 	p.Wait(&a.gate)
-	if !a.finished {
+	finished, resp := a.finished, a.resp
+	a.release()
+	if !finished {
 		c.Deadlines++
-		s.Node.net.m.deadlines.Inc()
+		net.m.deadlines.Inc()
 		return Response{Err: m.deadlineErr}
 	}
-	return a.resp
+	return resp
 }
 
 // methodAttempts is what every deadline attempt of one method shares: the
@@ -366,7 +438,7 @@ func (c *Client) Call(p *sim.Proc, from *Node, s *Server, req Request) (Response
 	}
 	var dc *deadlineCall
 	if c.policy.Deadline > 0 {
-		dc = &deadlineCall{s: s, id: owned, running: 1}
+		dc = net.newDeadlineCall(s, owned)
 	}
 	start := p.Now()
 	var resp Response

@@ -137,9 +137,9 @@ func TestCloseTwiceAndGoroutines(t *testing.T) {
 }
 
 // TestSpawnAllocs pins the cost of starting a process and running it to
-// exit: the goroutine's start closure, nothing more. The Proc and its resume
-// channel come from the kernel's free list, and the live-process list is
-// intrusive so it adds none. The Gosched lets the exited goroutine finish
+// exit at zero. The Proc, its resume channel and its goroutine's pre-bound
+// start function come from the kernel's free list, and the live-process list
+// is intrusive so it adds none. The Gosched lets the exited goroutine finish
 // before the next spawn, so the runtime reuses its g and sudog instead of
 // allocating fresh ones, and the count is exact.
 func TestSpawnAllocs(t *testing.T) {
@@ -150,8 +150,8 @@ func TestSpawnAllocs(t *testing.T) {
 		k.Run()
 		runtime.Gosched()
 	})
-	if avg != 1 {
-		t.Fatalf("Go + run to exit allocated %.0f objects, want 1", avg)
+	if avg != 0 {
+		t.Fatalf("Go + run to exit allocated %.0f objects, want 0", avg)
 	}
 }
 

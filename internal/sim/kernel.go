@@ -15,8 +15,9 @@
 // stack reaches alive, so a caller that drops a kernel with parked processes
 // (server loops waiting for requests that will never come) must Close it to
 // release the simulation. The Proc of a body that returned goes on the
-// kernel's free list, and a later Go reuses it with a fresh goroutine, so a
-// spawn allocates only that goroutine's start closure.
+// kernel's free list, and a later Go reuses it with a fresh goroutine. The
+// goroutine starts from a func value bound once when the Proc is made, so a
+// spawn that reuses a Proc allocates nothing.
 //
 // A Kernel is single-threaded by construction, but distinct kernels share no
 // state, so independent simulations may run on concurrent goroutines (the
@@ -133,16 +134,19 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 		p.next = nil
 	} else {
 		p = &Proc{k: k, resume: make(chan struct{})}
+		p.start = p.run
 	}
 	p.name, p.fn = name, fn
 	k.link(p)
-	go p.run()
+	go p.start()
 	k.wake(k.now, p)
 	return p
 }
 
 // run is the body of a process goroutine. Every process gets a fresh
 // goroutine: a reused one would keep the deepest stack any earlier body grew.
+// Go starts it through p.start, not as `go p.run()`: a method value in a go
+// statement allocates its closure per spawn, a stored func() allocates none.
 func (p *Proc) run() {
 	k := p.k
 	// A body that returns takes the explicit exit below; one that Close
@@ -615,9 +619,12 @@ func (q *eventHeap) pop() event {
 // Proc is a simulated process. All Proc methods must be called from within
 // the process's own goroutine (i.e. from the fn passed to Kernel.Go).
 type Proc struct {
-	k      *Kernel
-	name   string
-	fn     func(p *Proc) // the body, until run starts it
+	k    *Kernel
+	name string
+	fn   func(p *Proc) // the body, until run starts it
+	// start is p.run, bound once when the Proc is made and reused by every
+	// spawn on it.
+	start  func()
 	resume chan struct{}
 	// got carries the item a Queue hands to this process while it is parked
 	// in GetQueue.

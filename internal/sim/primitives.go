@@ -15,7 +15,7 @@ type Resource struct {
 	name    string
 	cap     int
 	inUse   int
-	waiters []resWaiter
+	waiters fifo[resWaiter] // blocked acquirers, oldest first
 
 	// Busy accumulates inUse-weighted time for utilization reporting.
 	busy     time.Duration
@@ -63,12 +63,12 @@ func (p *Proc) Acquire(r *Resource, n int) {
 	if n <= 0 || n > r.cap {
 		panic("sim: acquire count out of range")
 	}
-	if len(r.waiters) == 0 && r.inUse+n <= r.cap {
+	if r.waiters.len() == 0 && r.inUse+n <= r.cap {
 		r.account()
 		r.inUse += n
 		return
 	}
-	r.waiters = append(r.waiters, resWaiter{p: p, n: n})
+	r.waiters.push(resWaiter{p: p, n: n})
 	p.park()
 }
 
@@ -80,9 +80,8 @@ func (r *Resource) Release(n int) {
 	}
 	r.account()
 	r.inUse -= n
-	for len(r.waiters) > 0 && r.inUse+r.waiters[0].n <= r.cap {
-		w := r.waiters[0]
-		r.waiters = r.waiters[1:]
+	for r.waiters.len() > 0 && r.inUse+r.waiters.front().n <= r.cap {
+		w := r.waiters.pop()
 		r.inUse += w.n
 		r.k.wake(r.k.now, w.p)
 	}
@@ -182,26 +181,29 @@ func (p *Proc) WaitBarrier(b *Barrier) { p.Wait(b.sig) }
 // the normal FIFO band, and items added with PutHigh form a priority band
 // serviced first (FIFO among themselves) — the lane that lets system and
 // checker traffic overtake a brownout backlog.
+//
+// Items and blocked getters are both fifos, so a steady Put/GetQueue cycle
+// allocates nothing.
 type Queue[T any] struct {
-	k       *Kernel
-	items   []T
-	waiters []*Proc // blocked getters, oldest first
-	// high is the length of the priority band: items[0:high] were PutHigh,
-	// items[high:] were Put.
-	high int
+	k     *Kernel
+	items fifo[T]
+	// high is the length of the priority band: the first high queued items
+	// were PutHigh, the rest were Put.
+	high    int
+	waiters fifo[*Proc] // blocked getters, oldest first
 }
 
 // NewQueue creates an empty queue.
 func NewQueue[T any](k *Kernel) *Queue[T] { return &Queue[T]{k: k} }
 
 // Len returns the number of queued items (not counting blocked getters).
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.len() }
 
 // Put appends an item, waking the oldest blocked getter if any. It may be
 // called from kernel context or any process.
 func (q *Queue[T]) Put(v T) {
 	if !q.handoff(v) {
-		q.items = append(q.items, v)
+		q.items.push(v)
 	}
 }
 
@@ -212,27 +214,20 @@ func (q *Queue[T]) PutHigh(v T) {
 	if q.handoff(v) {
 		return
 	}
-	q.items = append(q.items, v)
-	copy(q.items[q.high+1:], q.items[q.high:])
-	q.items[q.high] = v
+	q.items.push(v)
+	band := q.items.s[q.items.head+q.high:]
+	copy(band[1:], band)
+	band[0] = v
 	q.high++
 }
 
 // handoff gives v to the oldest blocked getter in its Proc.got and wakes it,
-// and reports false if no getter is blocked. Emptying the waiter slice
-// rewinds it to length zero, so the next blocked getter appends into the
-// same backing array instead of a fresh one.
+// and reports false if no getter is blocked.
 func (q *Queue[T]) handoff(v T) bool {
-	if len(q.waiters) == 0 {
+	if q.waiters.len() == 0 {
 		return false
 	}
-	p := q.waiters[0]
-	q.waiters[0] = nil
-	if len(q.waiters) == 1 {
-		q.waiters = q.waiters[:0]
-	} else {
-		q.waiters = q.waiters[1:]
-	}
+	p := q.waiters.pop()
 	p.got = v
 	q.k.wake(q.k.now, p)
 	return true
@@ -242,9 +237,8 @@ func (q *Queue[T]) handoff(v T) bool {
 // Callers use it to fail pending work wholesale (e.g. a crashed RPC server
 // erroring out its backlog).
 func (q *Queue[T]) Drain() []T {
-	items := q.items
-	q.items = nil
-	q.high = 0
+	items := q.items.s[q.items.head:]
+	q.items, q.high = fifo[T]{}, 0
 	return items
 }
 
@@ -252,18 +246,56 @@ func (q *Queue[T]) Drain() []T {
 // blocking get allocates nothing: the item arrives in p.got, and for a
 // pointer-shaped T storing it there boxes nothing.
 func GetQueue[T any](p *Proc, q *Queue[T]) T {
-	if len(q.items) > 0 {
-		v := q.items[0]
-		q.items = q.items[1:]
+	if q.items.len() > 0 {
+		v := q.items.pop()
 		if q.high > 0 {
 			q.high--
 		}
 		return v
 	}
-	q.waiters = append(q.waiters, p)
+	q.waiters.push(p)
 	p.park()
 	// The two-value form: a nil interface item arrives as a nil got.
 	v, _ := p.got.(T)
 	p.got = nil
+	return v
+}
+
+// fifo is a first-in first-out list over one slice, consumed from a head
+// index rather than by reslicing the front away, so the array keeps its
+// capacity: a list that drains as fast as it fills reuses one array. s[head:]
+// are the queued elements.
+type fifo[E any] struct {
+	s    []E
+	head int
+}
+
+func (f *fifo[E]) len() int { return len(f.s) - f.head }
+
+// front returns the oldest element. The list must not be empty.
+func (f *fifo[E]) front() E { return f.s[f.head] }
+
+// push appends v, first moving the queued elements to the front of the array
+// when it is full and at least half of it is the consumed prefix.
+func (f *fifo[E]) push(v E) {
+	if len(f.s) == cap(f.s) && f.head > 0 && 2*f.head >= len(f.s) {
+		n := copy(f.s, f.s[f.head:])
+		clear(f.s[n:])
+		f.s, f.head = f.s[:n], 0
+	}
+	f.s = append(f.s, v)
+}
+
+// pop removes and returns the oldest element, zeroing its slot so the array
+// does not pin it; an emptied list rewinds to the front of its array. The
+// list must not be empty.
+func (f *fifo[E]) pop() E {
+	v := f.s[f.head]
+	var zero E
+	f.s[f.head] = zero
+	f.head++
+	if f.head == len(f.s) {
+		f.s, f.head = f.s[:0], 0
+	}
 	return v
 }

@@ -621,40 +621,44 @@ func (db *DB) quorumRound(p *sim.Proc, tr *trace.Trace, grp *group, method strin
 
 // quorum runs fn against every follower in parallel and waits until a
 // majority (with the leader) has succeeded, annotating the wait as remote
-// work. It errors out as soon as a majority becomes impossible.
+// work. It errors out as soon as a majority becomes impossible. A round
+// allocates its quorumTally and the followers' spawns, nothing more.
 func (db *DB) quorum(p *sim.Proc, tr *trace.Trace, grp *group, fn func(rep *replica, cp *sim.Proc) error) error {
 	db.mConsensusRounds.Inc()
 	start := p.Now()
-	followers := make([]*replica, 0, len(grp.replicas)-1)
-	for i, rep := range grp.replicas {
-		if i != grp.leader {
-			followers = append(followers, rep)
-		}
-	}
+	followers := len(grp.replicas) - 1
 	need := len(grp.replicas) / 2 // follower acks for majority incl. leader
-	acks, nacks := 0, 0
-	decided := sim.NewSignal(db.env.K)
-	for _, rep := range followers {
-		rep := rep
+	t := &quorumTally{}
+	for i, rep := range grp.replicas {
+		if i == grp.leader {
+			continue
+		}
 		db.env.K.Go("spanner-replicate", func(cp *sim.Proc) {
 			if err := fn(rep, cp); err != nil {
-				nacks++
+				t.nacks++
 			} else {
-				acks++
+				t.acks++
 			}
-			if acks >= need || nacks > len(followers)-need {
-				decided.Fire()
+			if t.acks >= need || t.nacks > followers-need {
+				t.decided.Fire()
 			}
 		})
 	}
 	if need > 0 {
-		p.Wait(decided)
+		p.Wait(&t.decided)
 	}
 	platform.AnnotateRemote(tr, start, p.Now())
-	if acks < need {
-		return fmt.Errorf("%w: group %d got %d/%d follower acks", ErrNoQuorum, grp.id, acks, need)
+	if t.acks < need {
+		return fmt.Errorf("%w: group %d got %d/%d follower acks", ErrNoQuorum, grp.id, t.acks, need)
 	}
 	return nil
+}
+
+// quorumTally is what one quorum round's followers report into: their acks
+// and nacks, and the signal that fires once the round is decided.
+type quorumTally struct {
+	acks, nacks int
+	decided     sim.Signal
 }
 
 // StopReplica injects a failure: it stops the RPC server of group g's

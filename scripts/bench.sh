@@ -20,9 +20,11 @@ benchtime="${BENCHTIME:-100000x}"
 # The netsim messageDelay op is ~25ns, so it needs far more iterations than
 # the kernel benchmarks before scheduler noise averages out.
 # ServerCallDedup (root package) is one deduplicated RPC through a Client,
-# a few microseconds; its allocs/op pins the server call's allocations, and
-# at this iteration count a dedup record that outlived its call would show
-# in B/op.
+# a few microseconds; its allocs/op pins the server call's allocations at 0,
+# and at this iteration count a dedup record that outlived its call would
+# show in B/op. ClientDeadlineCall is the same RPC under a deadline policy,
+# with a helper process and a deadline event per attempt; it pins that path
+# at 0 allocs/op too.
 netbenchtime="${NETBENCHTIME:-1000000x}"
 # Each benchmark runs BENCHCOUNT times; the JSON keeps the per-name minimum
 # ns/op (the least-interrupted sample — scheduler and frequency noise only
@@ -30,11 +32,11 @@ netbenchtime="${NETBENCHTIME:-1000000x}"
 # so max == min unless something is actually wrong).
 benchcount="${BENCHCOUNT:-6}"
 # SimProcSpawn pins the allocations of starting a process and running it to
-# exit, which every open-loop arrival pays, at 1; SimQueueHandoff pins a
+# exit, which every open-loop arrival pays, at 0; SimQueueHandoff pins a
 # blocking queue get at 0. TraceBreakdown pins the §4.1 breakdown of a
 # Spanner-sized trace at 0 allocs/op.
 kernpattern='^Benchmark(Sim(KernelEvents|KernelSchedule|KernelRun|KernelDenseTimers|KernelDenseTimersHeapOnly|ProcSwitch|ProcSpawn|QueueHandoff)|Stats(SketchRecord|SummaryRecord)|TraceBreakdown)$'
-netpattern='^Benchmark(NetMessageDelay|ServerCallDedup)$'
+netpattern='^Benchmark(NetMessageDelay|ServerCallDedup|ClientDeadlineCall)$'
 pipepattern='^BenchmarkPipelineHandoff$'
 # The storage-path benches guard the allocation-lean SSTable seal and
 # bootstrap: the encoder into a reused buffer (0 allocs/op), a full BigTable
