@@ -196,10 +196,21 @@ func (h *History) Seeded(key string) bool {
 }
 
 // Invoke records an operation's invocation at the current virtual time and
-// returns its handle, to be completed with OK, Fail or Indeterminate.
+// returns its handle, to be completed with OK, Fail or Indeterminate. A
+// sampled history (NewSampledHistory) returns nil for an invocation its
+// reservoir rejects: nothing is recorded, and callers skip completing a nil
+// handle.
 func (h *History) Invoke(client, kind, key string, arg uint64) *Op {
+	id := int(h.seen)
+	h.seen++
+	slot := len(h.ops)
+	if h.limit > 0 {
+		if slot = h.slot(); slot < 0 {
+			return nil
+		}
+	}
 	op := &Op{
-		ID:      int(h.seen),
+		ID:      id,
 		Client:  client,
 		Kind:    kind,
 		Key:     key,
@@ -208,11 +219,10 @@ func (h *History) Invoke(client, kind, key string, arg uint64) *Op {
 		Return:  -1,
 		Outcome: OutcomePending,
 	}
-	h.seen++
-	if h.limit > 0 {
-		h.admit(op)
-	} else {
+	if slot == len(h.ops) {
 		h.ops = append(h.ops, op)
+	} else {
+		h.ops[slot] = op
 	}
 	return op
 }

@@ -58,18 +58,19 @@ func (h *History) SampledOps() []*Op {
 	return ops
 }
 
-// admit places a newly invoked op into the reservoir: keep the first limit
-// outright, then replace a uniformly random slot with probability
-// limit/seen. Evicted ops stay live through their caller's handle until
-// completion, they just stop being part of the retained history.
-func (h *History) admit(op *Op) {
+// slot is where the reservoir puts the operation just invoked: keep the
+// first limit outright, then replace a uniformly random slot with
+// probability limit/seen. It returns len(h.ops) to append and -1 to reject.
+// Evicted ops stay live through their caller's handle until completion, they
+// just stop being part of the retained history.
+func (h *History) slot() int {
 	if len(h.ops) < h.limit {
-		h.ops = append(h.ops, op)
-		return
+		return len(h.ops)
 	}
 	if j := h.rng.Intn(int(h.seen)); j < h.limit {
-		h.ops[j] = op
+		return j
 	}
+	return -1
 }
 
 // guardExact panics if a completeness-sensitive checker is invoked on a

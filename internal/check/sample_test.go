@@ -5,14 +5,16 @@ import (
 	"testing"
 
 	"hyperprof/internal/sim"
+	"hyperprof/internal/stats"
 )
 
 func fillSampled(limit int, seed uint64, n int) *History {
 	k := sim.New()
 	h := NewSampledHistory(k, limit, seed)
 	for i := 0; i < n; i++ {
-		op := h.Invoke(fmt.Sprintf("c%d", i%7), "write", fmt.Sprintf("k%d", i%11), uint64(i))
-		h.OK(op, 0)
+		if op := h.Invoke(fmt.Sprintf("c%d", i%7), "write", fmt.Sprintf("k%d", i%11), uint64(i)); op != nil {
+			h.OK(op, 0)
+		}
 	}
 	return h
 }
@@ -122,7 +124,9 @@ func TestSampledHistoryStructuralViolationsSurvive(t *testing.T) {
 	k := sim.New()
 	h := NewSampledHistory(k, 4, 1)
 	for i := 0; i < 1000; i++ {
-		h.OK(h.Invoke("c", "write", "k", uint64(i)), 0)
+		if op := h.Invoke("c", "write", "k", uint64(i)); op != nil {
+			h.OK(op, 0)
+		}
 		if i%100 == 0 {
 			h.Violate("exactly-once", "k", "replayed mutation %d", i)
 		}
@@ -148,5 +152,44 @@ func TestExactHistoryUnchanged(t *testing.T) {
 	}
 	if h.CheckLinearizability() != nil {
 		t.Fatal("sequential writes flagged as non-linearizable")
+	}
+}
+
+// TestSampledInvokeKeepsReservoirAndRejectsFree pins the sampled Invoke
+// against Algorithm R written out on its own: the same seed keeps the same
+// IDs in the same slots, and Seen counts every invocation. An invocation the
+// reservoir rejects returns nil and allocates nothing.
+func TestSampledInvokeKeepsReservoirAndRejectsFree(t *testing.T) {
+	const limit, n, seed = 64, 20000, 9
+	h := NewSampledHistory(sim.New(), limit, seed)
+	rng := stats.NewRNG(seed)
+	var want []int
+	for i := 0; i < n; i++ {
+		kept := h.Invoke("c", "write", "k", uint64(i)) != nil
+		wantKept := true
+		if len(want) < limit {
+			want = append(want, i)
+		} else if j := rng.Intn(i + 1); j < limit {
+			want[j] = i
+		} else {
+			wantKept = false
+		}
+		if kept != wantKept {
+			t.Fatalf("invocation %d: kept %v, reservoir keeps %v", i, kept, wantKept)
+		}
+	}
+	if h.Seen() != n || h.Len() != limit {
+		t.Fatalf("Seen %d, Len %d, want %d and %d", h.Seen(), h.Len(), n, limit)
+	}
+	for j, op := range h.Ops() {
+		if op.ID != want[j] {
+			t.Fatalf("slot %d holds op %d, reservoir holds %d", j, op.ID, want[j])
+		}
+	}
+	// Past 20,000 invocations a 64-op reservoir keeps about 3 in 1,000, so
+	// nearly every invocation below is rejected; AllocsPerRun truncates its
+	// average, and one object per rejection would read 1.
+	if got := testing.AllocsPerRun(1000, func() { h.Invoke("c", "write", "k", 0) }); got != 0 {
+		t.Fatalf("a rejected invocation allocates %v objects, want 0", got)
 	}
 }

@@ -46,6 +46,14 @@ type appendReply struct {
 	NeedFrom int
 }
 
+// The OK and Stale replies carry nothing else, so every follower returns
+// these shared values; callers only read a reply. Only a NeedFrom reply is
+// allocated.
+var (
+	replyOK    = &appendReply{OK: true}
+	replyStale = &appendReply{Stale: true}
+)
+
 // startServer (re)creates and starts a replica's RPC server, registering
 // the consensus handlers. It is used at placement time and by
 // RestartReplica.
@@ -70,24 +78,24 @@ func (db *DB) startServer(grp *group, rep *replica) {
 // replica's row state, and persist to the local log device.
 func (db *DB) handleAppend(grp *group, rep *replica) netsim.Handler {
 	return func(p *sim.Proc, req netsim.Request) netsim.Response {
-		args := req.Payload.(appendArgs)
+		args := req.Payload.(*appendArgs)
 		db.env.ExecRecipe(p, taxonomy.Spanner, rep.machine.Node, nil, db.followerRecipe)
 		if args.Term < grp.term {
 			// Append from a deposed leadership: an election happened while this
 			// round was in flight. Accepting it would let the old leader count
 			// the ack toward a majority and commit an entry the new leader may
 			// not hold — the commit must fail as indeterminate instead.
-			return netsim.Response{Bytes: 64, Payload: appendReply{Stale: true}}
+			return netsim.Response{Bytes: 64, Payload: replyStale}
 		}
 		if args.FromIndex > len(rep.log) {
 			// Gap: this follower missed earlier entries (it was down).
-			return netsim.Response{Bytes: 64, Payload: appendReply{OK: false, NeedFrom: len(rep.log)}}
+			return netsim.Response{Bytes: 64, Payload: &appendReply{NeedFrom: len(rep.log)}}
 		}
 		if args.FromIndex > 0 && rep.log[args.FromIndex-1].term != args.PrevTerm {
 			// Divergent prefix: this follower's entry before FromIndex is not
 			// the leader's. Back the leader up one entry so the catch-up batch
 			// covers (and truncates) the divergence.
-			return netsim.Response{Bytes: 64, Payload: appendReply{OK: false, NeedFrom: args.FromIndex - 1}}
+			return netsim.Response{Bytes: 64, Payload: &appendReply{NeedFrom: args.FromIndex - 1}}
 		}
 		// Log matching: truncate only on *conflict* (same index, different
 		// term), then append what is new. An entry already present with the
@@ -115,64 +123,109 @@ func (db *DB) handleAppend(grp *group, rep *replica) netsim.Handler {
 		}
 		applyUpTo(rep, args.Commit)
 		p.Sleep(rep.machine.Store.RawAccess(storage.SSD, bytes, true))
-		return netsim.Response{Bytes: 64, Payload: appendReply{OK: true}}
+		return netsim.Response{Bytes: 64, Payload: replyOK}
 	}
 }
 
+// appendRound is one replication round: the leader's log entry at index,
+// shipped to every follower under term. It is allocated per round and never
+// recycled (see round): a follower's first append carries a pointer into the
+// round's slots.
+type appendRound struct {
+	round
+	lead  *replica
+	index int
+	// term is the leadership term the entry was appended under, NOT the live
+	// grp.term: if an election lands mid-round, followers must recognize the
+	// remaining appends as coming from a deposed leader and refuse them, or
+	// the old round could commit an entry the new leader does not hold.
+	term int
+	// slots hold the first append to each of the first len(slots) followers,
+	// enough for a 3-replica group; a larger group's further followers
+	// allocate theirs, as catch-up sends do.
+	slots [2]appendSlot
+}
+
+// appendSlot is the message of one follower's first append: the arguments
+// and a copy of the entry they carry. It is the payload of that append, by
+// pointer, so boxing it allocates nothing. The entry is copied, not sliced
+// from the leader's log: a deposed leader's log is truncated and re-appended
+// in place, and a delayed append must still deliver the entry it was sent.
+type appendSlot struct {
+	args  appendArgs
+	entry [1]logEntry
+}
+
 // replicateEntry ships the leader's log entry at index to every follower in
-// parallel and waits for a majority, retrying once with a catch-up batch
-// for followers that report a gap.
+// parallel and waits for a majority, retrying with catch-up batches for
+// followers that report a gap or a divergent prefix.
 func (db *DB) replicateEntry(p *sim.Proc, tr *trace.Trace, grp *group, leader *replica, index int) error {
-	// The round is stamped with the leadership term the entry was appended
-	// under, NOT the live grp.term: if an election lands mid-round, followers
-	// must recognize the remaining appends as coming from a deposed leader and
-	// refuse them, or the old round could commit an entry the new leader does
-	// not hold.
-	term := leader.log[index].term
-	return db.quorum(p, tr, grp, func(rep *replica, cp *sim.Proc) error {
-		send := func(from int) (netsim.Response, bool) {
-			entries := make([]logEntry, len(leader.log[from:index+1]))
-			copy(entries, leader.log[from:index+1])
-			var bytes int64
-			for _, e := range entries {
-				bytes += int64(len(e.value)) + 64
-			}
-			prevTerm := -1
-			if from > 0 {
-				prevTerm = leader.log[from-1].term
-			}
-			resp, _ := db.client.Call(cp, leader.machine.Node, rep.srv, netsim.Request{
-				Method:  "consensus.append",
-				Bytes:   bytes,
-				Payload: appendArgs{FromIndex: from, Entries: entries, Term: term, PrevTerm: prevTerm, Commit: grp.committed},
-			})
-			if resp.Err != nil {
-				return resp, false
-			}
-			return resp, resp.Payload.(appendReply).OK
+	r := &appendRound{round: db.newRound(grp), lead: leader, index: index, term: leader.log[index].term}
+	return r.run(p, tr, r.follow)
+}
+
+// follow is the body of an append round's follower processes, spawned as one
+// method value per round.
+func (r *appendRound) follow(cp *sim.Proc) {
+	k, rep := r.follower()
+	r.report(r.replicate(cp, k, rep))
+}
+
+// replicate backs follower k up until its log agrees with the leader's: each
+// rejection reports a strictly smaller NeedFrom (a gap reports the follower's
+// log length, a divergent prefix reports FromIndex-1), so this terminates —
+// at index 0 there is no prefix left to disagree on.
+func (r *appendRound) replicate(cp *sim.Proc, k int, rep *replica) error {
+	for from := r.index; ; {
+		resp := r.send(cp, k, rep, from)
+		if resp.Err != nil {
+			return resp.Err
 		}
-		// Back the follower up until logs agree: each rejection reports a
-		// strictly smaller NeedFrom (a gap reports the follower's log length,
-		// a divergent prefix reports FromIndex-1), so this terminates — at
-		// index 0 there is no prefix left to disagree on.
-		for from := index; ; {
-			resp, ok := send(from)
-			if resp.Err != nil {
-				return resp.Err
-			}
-			if ok {
-				return nil
-			}
-			reply := resp.Payload.(appendReply)
-			if reply.Stale {
-				return fmt.Errorf("spanner: group %d leadership lost mid-replication (term %d superseded)", grp.id, term)
-			}
-			if reply.NeedFrom >= from {
-				return fmt.Errorf("spanner: group %d catch-up made no progress at index %d", grp.id, from)
-			}
-			from = reply.NeedFrom
+		reply := resp.Payload.(*appendReply)
+		if reply.OK {
+			return nil
 		}
+		if reply.Stale {
+			return fmt.Errorf("spanner: group %d leadership lost mid-replication (term %d superseded)", r.grp.id, r.term)
+		}
+		if reply.NeedFrom >= from {
+			return fmt.Errorf("spanner: group %d catch-up made no progress at index %d", r.grp.id, from)
+		}
+		from = reply.NeedFrom
+	}
+}
+
+// send ships the leader's log from index from through the round's entry to
+// follower k. The first send (from == index) uses k's slot; a catch-up send
+// allocates its own batch. Commit is read at each send.
+func (r *appendRound) send(cp *sim.Proc, k int, rep *replica, from int) netsim.Response {
+	lead := r.lead
+	var args *appendArgs
+	if from == r.index && k < len(r.slots) {
+		s := &r.slots[k]
+		copy(s.entry[:], lead.log[from:r.index+1])
+		args = &s.args
+		args.Entries = s.entry[:]
+	} else {
+		entries := make([]logEntry, len(lead.log[from:r.index+1]))
+		copy(entries, lead.log[from:r.index+1])
+		args = &appendArgs{Entries: entries}
+	}
+	var bytes int64
+	for _, e := range args.Entries {
+		bytes += int64(len(e.value)) + 64
+	}
+	args.PrevTerm = -1
+	if from > 0 {
+		args.PrevTerm = lead.log[from-1].term
+	}
+	args.FromIndex, args.Term, args.Commit = from, r.term, r.grp.committed
+	resp, _ := r.db.client.Call(cp, lead.machine.Node, rep.srv, netsim.Request{
+		Method:  "consensus.append",
+		Bytes:   bytes,
+		Payload: args,
 	})
+	return resp
 }
 
 // Leader returns the region index of group g's current leader.

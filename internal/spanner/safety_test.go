@@ -285,7 +285,7 @@ func TestStaleTermAppendRefused(t *testing.T) {
 		resp, _ := db.client.Call(p, grp.leaderRep().machine.Node, follower.srv, netsim.Request{
 			Method: "consensus.append",
 			Bytes:  128,
-			Payload: appendArgs{
+			Payload: &appendArgs{
 				FromIndex: wantLog,
 				Entries:   []logEntry{{key: rowID(0, 7), value: []byte("from-deposed-leader"), term: staleTerm}},
 				Term:      staleTerm,
@@ -296,7 +296,7 @@ func TestStaleTermAppendRefused(t *testing.T) {
 			t.Errorf("append RPC failed: %v", resp.Err)
 			return
 		}
-		reply := resp.Payload.(appendReply)
+		reply := resp.Payload.(*appendReply)
 		if reply.OK || !reply.Stale {
 			t.Errorf("stale-term append reply = %+v, want refused as Stale", reply)
 		}
@@ -332,7 +332,7 @@ func TestDivergentPrefixAppendBackedUp(t *testing.T) {
 		resp, _ := db.client.Call(p, grp.leaderRep().machine.Node, follower.srv, netsim.Request{
 			Method: "consensus.append",
 			Bytes:  128,
-			Payload: appendArgs{
+			Payload: &appendArgs{
 				FromIndex: len(follower.log),
 				Entries:   []logEntry{{key: rowID(0, 4), value: []byte("on-top"), term: grp.term}},
 				Term:      grp.term,
@@ -344,7 +344,7 @@ func TestDivergentPrefixAppendBackedUp(t *testing.T) {
 			t.Errorf("append RPC failed: %v", resp.Err)
 			return
 		}
-		reply := resp.Payload.(appendReply)
+		reply := resp.Payload.(*appendReply)
 		if reply.OK || reply.Stale {
 			t.Errorf("divergent-prefix append reply = %+v, want refused with a back-up hint", reply)
 		}

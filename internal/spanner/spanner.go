@@ -482,7 +482,7 @@ func (db *DB) read(p *sim.Proc, tr *trace.Trace, g, row int, strong bool) ([]byt
 		return nil, err
 	}
 	if strong {
-		if err := db.quorumRound(p, tr, grp, "consensus.lease", 32); err != nil {
+		if err := db.quorumRound(p, tr, grp); err != nil {
 			return nil, err
 		}
 	}
@@ -604,61 +604,103 @@ func (db *DB) commit(p *sim.Proc, tr *trace.Trace, g, row int, value []byte) (ap
 // majority.
 var ErrNoQuorum = errors.New("spanner: quorum unavailable")
 
-// quorumRound sends an RPC to every follower in parallel and waits for
-// enough acknowledgments to form a majority with the leader, annotating the
-// wait as remote work. Followers whose servers are down count as failures;
-// the round errors out as soon as a majority becomes impossible.
-func (db *DB) quorumRound(p *sim.Proc, tr *trace.Trace, grp *group, method string, bytes int64) error {
-	return db.quorum(p, tr, grp, func(rep *replica, cp *sim.Proc) error {
-		// Lease/health rounds ride the priority lane: under a brownout they
-		// overtake the user-traffic backlog and bypass shedding, so the
-		// control plane keeps functioning while the data plane degrades.
-		resp, _ := db.client.Call(cp, grp.leaderRep().machine.Node, rep.srv,
-			netsim.Request{Method: method, Bytes: bytes, Priority: true})
-		return resp.Err
-	})
+// quorumRound confirms the leader's lease: it sends a lease check to every
+// follower in parallel and waits for enough acknowledgments to form a
+// majority with the leader, annotating the wait as remote work. Followers
+// whose servers are down count as failures; the round errors out as soon as
+// a majority becomes impossible.
+func (db *DB) quorumRound(p *sim.Proc, tr *trace.Trace, grp *group) error {
+	r := &leaseRound{db.newRound(grp)}
+	return r.run(p, tr, r.follow)
 }
 
-// quorum runs fn against every follower in parallel and waits until a
-// majority (with the leader) has succeeded, annotating the wait as remote
-// work. It errors out as soon as a majority becomes impossible. A round
-// allocates its quorumTally and the followers' spawns, nothing more.
-func (db *DB) quorum(p *sim.Proc, tr *trace.Trace, grp *group, fn func(rep *replica, cp *sim.Proc) error) error {
-	db.mConsensusRounds.Inc()
+// leaseRound is one lease round: a consensus.lease RPC to every follower.
+type leaseRound struct{ round }
+
+// follow is the body of a lease round's follower processes, spawned as one
+// method value per round.
+func (r *leaseRound) follow(cp *sim.Proc) {
+	_, rep := r.follower()
+	// Lease/health rounds ride the priority lane: under a brownout they
+	// overtake the user-traffic backlog and bypass shedding, so the control
+	// plane keeps functioning while the data plane degrades.
+	resp, _ := r.db.client.Call(cp, r.grp.leaderRep().machine.Node, rep.srv,
+		netsim.Request{Method: "consensus.lease", Bytes: 32, Priority: true})
+	r.report(resp.Err)
+}
+
+// round is the state one quorum round's follower processes share: which
+// replica each serves, their acks and nacks, and the signal that fires once
+// the round is decided. Lease and append rounds embed it. A round is
+// allocated per round and never recycled: under a deadline policy or a crash,
+// Client.Call returns while the follower's handler is still queued or
+// running, and the handler reads its payload, which may point into the round,
+// later.
+type round struct {
+	db  *DB
+	grp *group
+	// leader is grp.leader at round start: the one replica no follower
+	// serves.
+	leader int
+	// started counts the follower processes that have begun. Processes start
+	// in spawn order, so the k-th serves the k-th replica after skipping the
+	// leader.
+	started     int
+	acks, nacks int
+	decided     sim.Signal
+}
+
+// newRound starts a round of grp under its current leader.
+func (db *DB) newRound(grp *group) round {
+	return round{db: db, grp: grp, leader: grp.leader}
+}
+
+// run spawns follow once per follower and waits until a majority (with the
+// leader) has succeeded, annotating the wait as remote work. It errors out as
+// soon as a majority becomes impossible. A round allocates its record and the
+// one method value its followers share, nothing more.
+func (r *round) run(p *sim.Proc, tr *trace.Trace, follow func(*sim.Proc)) error {
+	r.db.mConsensusRounds.Inc()
 	start := p.Now()
-	followers := len(grp.replicas) - 1
-	need := len(grp.replicas) / 2 // follower acks for majority incl. leader
-	t := &quorumTally{}
-	for i, rep := range grp.replicas {
-		if i == grp.leader {
-			continue
-		}
-		db.env.K.Go("spanner-replicate", func(cp *sim.Proc) {
-			if err := fn(rep, cp); err != nil {
-				t.nacks++
-			} else {
-				t.acks++
-			}
-			if t.acks >= need || t.nacks > followers-need {
-				t.decided.Fire()
-			}
-		})
+	need := len(r.grp.replicas) / 2 // follower acks for majority incl. leader
+	for range len(r.grp.replicas) - 1 {
+		r.db.env.K.Go("spanner-replicate", follow)
 	}
 	if need > 0 {
-		p.Wait(&t.decided)
+		p.Wait(&r.decided)
 	}
 	platform.AnnotateRemote(tr, start, p.Now())
-	if t.acks < need {
-		return fmt.Errorf("%w: group %d got %d/%d follower acks", ErrNoQuorum, grp.id, t.acks, need)
+	if r.acks < need {
+		return fmt.Errorf("%w: group %d got %d/%d follower acks", ErrNoQuorum, r.grp.id, r.acks, need)
 	}
 	return nil
 }
 
-// quorumTally is what one quorum round's followers report into: their acks
-// and nacks, and the signal that fires once the round is decided.
-type quorumTally struct {
-	acks, nacks int
-	decided     sim.Signal
+// follower returns the index among the round's followers and the replica of
+// the follower process now starting.
+func (r *round) follower() (int, *replica) {
+	k := r.started
+	r.started++
+	i := k
+	if i >= r.leader {
+		i++
+	}
+	return k, r.grp.replicas[i]
+}
+
+// report counts one follower's outcome and fires decided once the round has
+// its majority or can no longer reach one.
+func (r *round) report(err error) {
+	if err != nil {
+		r.nacks++
+	} else {
+		r.acks++
+	}
+	followers := len(r.grp.replicas) - 1
+	need := len(r.grp.replicas) / 2
+	if r.acks >= need || r.nacks > followers-need {
+		r.decided.Fire()
+	}
 }
 
 // StopReplica injects a failure: it stops the RPC server of group g's

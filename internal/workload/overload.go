@@ -190,7 +190,22 @@ func Overload(cfg OverloadConfig, ops *Ops) *OverloadRun {
 		s := ops.stream(rng, overloadDriver)
 		envl := cfg.Shape.envelope(rng)
 		baseGap := float64(time.Second) / tn.RatePerSec
-		opName := fmt.Sprintf("overload-%s-op", tn.Name)
+		arrivals := &arrivalList{k: env.K, name: fmt.Sprintf("overload-%s-op", tn.Name), issue: func(p *sim.Proc, x op) {
+			err := s.issue(p, x)
+			done := p.Now()
+			if err == nil {
+				st.Successes++
+				run.win(done).Successes++
+			} else {
+				st.Failures++
+				run.win(done).Failures++
+			}
+			if gov != nil {
+				cfg.Governor.Done(gov, err == nil)
+			}
+			run.outstanding--
+			run.maybeFinish()
+		}}
 		env.K.Go(fmt.Sprintf("overload-%s-arrivals", tn.Name), func(p *sim.Proc) {
 			defer func() {
 				run.gensLeft--
@@ -215,24 +230,8 @@ func Overload(cfg OverloadConfig, ops *Ops) *OverloadRun {
 					run.win(at).Throttled++
 					continue
 				}
-				x := s.next()
 				run.outstanding++
-				env.K.Go(opName, func(op *sim.Proc) {
-					err := s.issue(op, x)
-					done := op.Now()
-					if err == nil {
-						st.Successes++
-						run.win(done).Successes++
-					} else {
-						st.Failures++
-						run.win(done).Failures++
-					}
-					if gov != nil {
-						cfg.Governor.Done(gov, err == nil)
-					}
-					run.outstanding--
-					run.maybeFinish()
-				})
+				arrivals.launch(s.next())
 			}
 		})
 	}

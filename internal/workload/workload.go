@@ -142,7 +142,16 @@ func openLoop(ops *Ops, ratePerSec float64, total int, opts OpenLoopOpts) *OpenL
 	envl := opts.Shape.envelope(rng)
 	bar := sim.NewBarrier(env.K, total)
 	meanGap := float64(time.Second) / ratePerSec
-	opName := name + "-op"
+	arrivals := &arrivalList{k: env.K, name: name + "-op", issue: func(p *sim.Proc, x op) {
+		defer bar.Done()
+		start := p.Now()
+		err := s.issue(p, x)
+		res.Completed++
+		if err != nil {
+			res.fail(name, err)
+		}
+		res.Latencies.Add((p.Now() - start).Seconds())
+	}}
 	env.K.Go(name+"-arrivals", func(p *sim.Proc) {
 		for launched := 0; launched < total; {
 			p.Sleep(time.Duration(rng.Exp(envl.gap(meanGap))))
@@ -150,17 +159,7 @@ func openLoop(ops *Ops, ratePerSec float64, total int, opts OpenLoopOpts) *OpenL
 				continue
 			}
 			launched++
-			x := s.next()
-			env.K.Go(opName, func(op *sim.Proc) {
-				defer bar.Done()
-				start := op.Now()
-				err := s.issue(op, x)
-				res.Completed++
-				if err != nil {
-					res.fail(name, err)
-				}
-				res.Latencies.Add((op.Now() - start).Seconds())
-			})
+			arrivals.launch(s.next())
 		}
 	})
 	env.K.Go(name+"-shutdown", func(p *sim.Proc) {
@@ -169,6 +168,47 @@ func openLoop(ops *Ops, ratePerSec float64, total int, opts OpenLoopOpts) *OpenL
 		res.Done.Fire()
 	})
 	return res
+}
+
+// arrivalList launches one open-loop driver's operations, each in its own
+// process named name, and keeps the arrival records those processes start
+// from. A record is free again once its process has started, so the list
+// stays about one record deep however many operations are in flight.
+type arrivalList struct {
+	k     *sim.Kernel
+	name  string
+	issue func(p *sim.Proc, x op) // one operation's work, run in its process
+	free  *arrival
+}
+
+// arrival is one launched operation: its drawn op and the body its process
+// runs, bound once when the record is made.
+type arrival struct {
+	list *arrivalList
+	x    op
+	body func(*sim.Proc)
+	next *arrival
+}
+
+// launch spawns a process that issues x.
+func (l *arrivalList) launch(x op) {
+	a := l.free
+	if a != nil {
+		l.free = a.next
+	} else {
+		a = &arrival{list: l}
+		a.body = a.run
+	}
+	a.x = x
+	l.k.Go(l.name, a.body)
+}
+
+// run is an arrival's process body. It copies the op out and frees the
+// record before its first park, so the next launch can reuse it.
+func (a *arrival) run(p *sim.Proc) {
+	l, x := a.list, a.x
+	a.next, l.free = l.free, a
+	l.issue(p, x)
 }
 
 // SpannerOpenLoopWithOpts schedules an open-loop Spanner workload (Poisson

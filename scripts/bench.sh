@@ -45,13 +45,15 @@ pipepattern='^BenchmarkPipelineHandoff$'
 # 0 allocs/op.
 # BigQueryScanAgg guards the query path's dense partial aggregation: one
 # ScanAgg query through the columnar kernels and the shuffle.
+# SpannerCommit guards the commit path: one fault-free commit and its
+# replication round, at 3 allocs/op.
 # Each op is milliseconds, so they take few iterations. They run at -cpu 1:
 # with one P, fmt's per-P buffer pools hit the same way every run, so
 # their allocs/op is exact and the zero-growth gate applies to them.
 # STORAGEBENCHCOUNT (default BENCHCOUNT) is their sample count: at 20x a
 # BigTableNew sample lasts about a millisecond, so a gate that takes few
 # samples of the other rows still needs more of these.
-storagepattern='^Benchmark(CompressEncode|BigTableNew|SpannerNew|TieredStoreRead|BigQueryScanAgg)$'
+storagepattern='^Benchmark(CompressEncode|BigTableNew|SpannerNew|SpannerCommit|TieredStoreRead|BigQueryScanAgg)$'
 storagebenchtime=20x
 storagebenchcount="${STORAGEBENCHCOUNT:-$benchcount}"
 
