@@ -30,9 +30,9 @@ FLEET_HEAP_MB ?= 128
 # the obs subtest of TestStudyConformance. A pattern that matches nothing
 # passes with "no tests to run", so keep these in step with the test names.
 
-.PHONY: check build vet fmt test race fuzz check-studies bench bench-gate bench-baseline allocs
+.PHONY: check build vet fmt test race reach fuzz check-studies bench bench-gate bench-baseline allocs
 
-check: build vet fmt race
+check: build vet fmt reach race
 
 build:
 	$(GO) build ./...
@@ -52,6 +52,12 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
+# reach fails when a func declared outside tests is linked into no binary
+# (cmd/hyperprof, examples/*, bench/) and is not named, with its reason, in
+# scripts/reach.keep; a stale keep-list entry fails it too.
+reach:
+	sh scripts/reach.sh
+
 # fuzz runs each fuzz target for FUZZTIME beyond its seed corpus (go test
 # -fuzz takes one target in one package per run). A failing input is written
 # under the package's testdata/fuzz/ and replays in every later go test.
@@ -64,7 +70,8 @@ FUZZ_TARGETS = \
 	FuzzNemesisSchedule:./internal/faults/ \
 	FuzzRowKeyOrder:./internal/bigtable/ \
 	FuzzGroupsReuse:./internal/columnar/ \
-	FuzzRunUnit:./internal/experiments/
+	FuzzRunUnit:./internal/experiments/ \
+	FuzzSnappyRoundTrip:./internal/compress/
 
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \
@@ -122,7 +129,7 @@ STUDY_partition = $(GO) test ./internal/netsim/ ./internal/sim/ ./internal/check
 	$(GO) test -short ./internal/experiments/ -run 'TestPartitionStudy|TestRenderPartition|TestStudyConformance/partition' && \
 	$(GO) run ./cmd/hyperprof -study=partition -check -check-seeds $(PARTITION_SEEDS) -json > partition.json
 
-# fleet: the quantile-sketch accuracy/merge property tests, the
+# fleet: the quantile-sketch accuracy and bounded-memory tests, the
 # reservoir-sampling soundness tests, the fleet conformance subtest
 # (sketch-mode bytes identical sequential, parallel and on exec workers; a
 # different seed must differ), the flat-heap unit test, and a reduced fleet

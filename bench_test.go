@@ -988,20 +988,6 @@ func BenchmarkDecompress(b *testing.B) {
 	}
 }
 
-// BenchmarkExtensionLatencyStudy regenerates the latency-under-load curve.
-func BenchmarkExtensionLatencyStudy(b *testing.B) {
-	var pts []experiments.LatencyPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = experiments.StudyConfig{Seed: 1}.Latency([]float64{1000, 30000, 80000}, 300)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(pts[0].P99Seconds*1e3, "p99-ms-light")
-	b.ReportMetric(pts[len(pts)-1].P99Seconds*1e3, "p99-ms-heavy")
-}
-
 // BenchmarkPipelineStudy regenerates the cross-platform pipeline study
 // (BigTable ingest → BigQuery analytics → Spanner serving in one
 // simulation) at a reduced size and reports the baseline arm's end-to-end

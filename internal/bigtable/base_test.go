@@ -39,7 +39,7 @@ func refSeal(t *testing.T, data map[string][]byte) *refSealed {
 	for _, k := range keys {
 		r.raw = append(r.raw, k...)
 		r.raw = append(r.raw, data[k]...)
-		r.filter.Add(k)
+		r.filter.AddBytes([]byte(k))
 	}
 	enc, err := compress.AppendEncode(nil, r.raw)
 	if err != nil {
@@ -77,7 +77,7 @@ func checkSealed(t *testing.T, got *sstable, want *refSealed, tb, other, rows in
 	}
 	for r := -5; r < 2*rows; r++ {
 		for _, k := range []string{rowKey(tb, r), rowKey(other, r)} {
-			if got.filter.MayContain(k) != want.filter.MayContain(k) {
+			if got.filter.MayContainBytes([]byte(k)) != want.filter.MayContainBytes([]byte(k)) {
 				t.Fatalf("tablet %d: Bloom answers differ for %q", tb, k)
 			}
 		}

@@ -652,9 +652,6 @@ func (db *DB) Machines() []*cluster.Machine { return db.mgr.Machines() }
 // DFS exposes the backing file system (for inventory and stats).
 func (db *DB) DFS() *storage.DFS { return db.dfs }
 
-// SSTableCount returns the number of live SSTables for a tablet (tests).
-func (db *DB) SSTableCount(t int) int { return len(db.tablets[t].ssts) }
-
 // waitIfCompacting blocks the op while the tablet's major compaction runs,
 // annotating the wait as remote work (compaction happens in remote storage).
 func (db *DB) waitIfCompacting(p *sim.Proc, tr *trace.Trace, tab *tablet) {

@@ -119,7 +119,7 @@ func TestPutSurvivesFlushAndMajor(t *testing.T) {
 		t.Fatalf("compactions: minor=%d major=%d", db.MinorCompactions, db.MajorCompactions)
 	}
 	// Major compaction collapses the tablet to one SSTable.
-	if n := db.SSTableCount(2); n > 2 {
+	if n := len(db.tablets[2].ssts); n > 2 {
 		t.Fatalf("sstables after major = %d", n)
 	}
 }

@@ -18,9 +18,6 @@ import (
 // SetRecorder attaches an operation-history recorder. Pass nil to detach.
 func (db *DB) SetRecorder(h *check.History) { db.rec = h }
 
-// Recorder returns the attached recorder, if any.
-func (db *DB) Recorder() *check.History { return db.rec }
-
 // seedInitial returns the row's register key, recording its bootstrap digest
 // first if this is the key's first recorded operation.
 func (db *DB) seedInitial(t, row int) string {

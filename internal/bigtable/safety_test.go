@@ -181,8 +181,8 @@ func TestMajorCompactionKeepsConcurrentFlush(t *testing.T) {
 		t.Fatalf("compactions minor=%d major=%d, want 2/1", db.MinorCompactions, db.MajorCompactions)
 	}
 	// Both flushed SSTables survived alongside the merged one.
-	if n := db.SSTableCount(0); n != 3 {
-		t.Fatalf("SSTableCount = %d, want 3 (two kept flushes + merged)", n)
+	if n := len(db.tablets[0].ssts); n != 3 {
+		t.Fatalf("live SSTables = %d, want 3 (two kept flushes + merged)", n)
 	}
 	if vs := h.CheckLinearizability(); len(vs) != 0 {
 		t.Fatalf("history not linearizable:\n%v", vs)

@@ -74,7 +74,7 @@ func TestSealScratchReuseIsInvisible(t *testing.T) {
 	}
 	checkSealed(t, got, ref, 0, 1, 7)
 	for k := range keyed {
-		if !got.filter.MayContain(k) {
+		if !got.filter.MayContainBytes([]byte(k)) {
 			t.Fatalf("filter misses %q", k)
 		}
 	}

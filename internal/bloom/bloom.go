@@ -48,21 +48,21 @@ const (
 )
 
 // hashes derives k bit positions via double hashing of two FNV variants: a
-// is the key's FNV-1a hash, b its FNV-1 hash made odd. A string and a byte
-// slice with equal contents hash alike.
-func hashes[K string | []byte](key K) (a, b uint64) {
+// is the key's FNV-1a hash, b its FNV-1 hash made odd.
+func hashes(key []byte) (a, b uint64) {
 	a, b = fnvOffset64, fnvOffset64
-	for i := 0; i < len(key); i++ {
-		a ^= uint64(key[i])
+	for _, c := range key {
+		a ^= uint64(c)
 		a *= fnvPrime64
 		b *= fnvPrime64
-		b ^= uint64(key[i])
+		b ^= uint64(c)
 	}
 	return a, b | 1 // odd so the stride visits all positions
 }
 
-// add sets the key's k bits.
-func (f *Filter) add(a, b uint64) {
+// AddBytes inserts the key held in a byte slice by setting its k bits.
+func (f *Filter) AddBytes(key []byte) {
+	a, b := hashes(key)
 	for i := 0; i < f.k; i++ {
 		pos := (a + uint64(i)*b) % f.nBits
 		f.bits[pos/64] |= 1 << (pos % 64)
@@ -70,8 +70,11 @@ func (f *Filter) add(a, b uint64) {
 	f.nAdded++
 }
 
-// mayContain reports whether all of the key's k bits are set.
-func (f *Filter) mayContain(a, b uint64) bool {
+// MayContainBytes reports whether the key held in a byte slice might be in
+// the set: whether all of its k bits are set. False positives are possible
+// at roughly the configured rate; false negatives are not.
+func (f *Filter) MayContainBytes(key []byte) bool {
+	a, b := hashes(key)
 	for i := 0; i < f.k; i++ {
 		pos := (a + uint64(i)*b) % f.nBits
 		if f.bits[pos/64]&(1<<(pos%64)) == 0 {
@@ -81,32 +84,5 @@ func (f *Filter) mayContain(a, b uint64) bool {
 	return true
 }
 
-// Add inserts a key.
-func (f *Filter) Add(key string) { f.add(hashes(key)) }
-
-// AddBytes inserts the key held in a byte slice; it sets the bits Add sets
-// for the equal string.
-func (f *Filter) AddBytes(key []byte) { f.add(hashes(key)) }
-
-// MayContain reports whether the key might be in the set. False positives
-// are possible at roughly the configured rate; false negatives are not.
-func (f *Filter) MayContain(key string) bool { return f.mayContain(hashes(key)) }
-
-// MayContainBytes is MayContain for a key held in a byte slice.
-func (f *Filter) MayContainBytes(key []byte) bool { return f.mayContain(hashes(key)) }
-
 // Len returns the number of keys added.
 func (f *Filter) Len() int { return f.nAdded }
-
-// Bits returns the filter's size in bits (for storage accounting).
-func (f *Filter) Bits() uint64 { return f.nBits }
-
-// EstimatedFPRate returns the theoretical false-positive rate at the
-// current fill: (1 - e^{-kn/m})^k.
-func (f *Filter) EstimatedFPRate() float64 {
-	if f.nAdded == 0 {
-		return 0
-	}
-	exp := -float64(f.k) * float64(f.nAdded) / float64(f.nBits)
-	return math.Pow(1-math.Exp(exp), float64(f.k))
-}

@@ -1,8 +1,6 @@
 package check
 
 import (
-	"sort"
-
 	"hyperprof/internal/sim"
 	"hyperprof/internal/stats"
 )
@@ -48,14 +46,6 @@ func (h *History) Seen() int64 {
 		return 0
 	}
 	return h.seen
-}
-
-// SampledOps returns the retained operations in invocation order. On an
-// exact history it is the same as Ops.
-func (h *History) SampledOps() []*Op {
-	ops := append([]*Op(nil), h.ops...)
-	sort.Slice(ops, func(i, j int) bool { return ops[i].ID < ops[j].ID })
-	return ops
 }
 
 // slot is where the reservoir puts the operation just invoked: keep the

@@ -2,6 +2,7 @@ package check
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"hyperprof/internal/sim"
@@ -17,6 +18,13 @@ func fillSampled(limit int, seed uint64, n int) *History {
 		}
 	}
 	return h
+}
+
+// sampledOps returns h's retained operations in invocation order.
+func sampledOps(h *History) []*Op {
+	ops := append([]*Op(nil), h.ops...)
+	sort.Slice(ops, func(i, j int) bool { return ops[i].ID < ops[j].ID })
+	return ops
 }
 
 // TestSampledHistoryBoundedAndCounted pins the reservoir contract: retained
@@ -38,10 +46,10 @@ func TestSampledHistoryBoundedAndCounted(t *testing.T) {
 	if got := small.Len(); got != 60 {
 		t.Fatalf("under the limit the history must be complete: retained %d of 60", got)
 	}
-	ops := small.SampledOps()
+	ops := sampledOps(small)
 	for i, op := range ops {
 		if op.ID != i {
-			t.Fatalf("under the limit SampledOps must be the full run in order; op %d has ID %d", i, op.ID)
+			t.Fatalf("under the limit the retained ops must be the full run in order; op %d has ID %d", i, op.ID)
 		}
 	}
 }
@@ -49,8 +57,8 @@ func TestSampledHistoryBoundedAndCounted(t *testing.T) {
 // TestSampledHistoryDeterministic requires the retained set to be a pure
 // function of the seed and the invocation sequence.
 func TestSampledHistoryDeterministic(t *testing.T) {
-	a := fillSampled(64, 42, 20000).SampledOps()
-	b := fillSampled(64, 42, 20000).SampledOps()
+	a := sampledOps(fillSampled(64, 42, 20000))
+	b := sampledOps(fillSampled(64, 42, 20000))
 	if len(a) != len(b) {
 		t.Fatalf("same seed retained %d vs %d ops", len(a), len(b))
 	}
@@ -59,7 +67,7 @@ func TestSampledHistoryDeterministic(t *testing.T) {
 			t.Fatalf("same seed diverges at slot %d: ID %d vs %d", i, a[i].ID, b[i].ID)
 		}
 	}
-	c := fillSampled(64, 43, 20000).SampledOps()
+	c := sampledOps(fillSampled(64, 43, 20000))
 	same := true
 	for i := range a {
 		if a[i].ID != c[i].ID {
@@ -83,7 +91,7 @@ func TestSampledHistoryUniform(t *testing.T) {
 	)
 	var sum, count float64
 	for seed := uint64(0); seed < trials; seed++ {
-		for _, op := range fillSampled(limit, seed, stream).SampledOps() {
+		for _, op := range sampledOps(fillSampled(limit, seed, stream)) {
 			sum += float64(op.ID)
 			count++
 		}

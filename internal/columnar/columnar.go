@@ -1,8 +1,8 @@
 // Package columnar implements the vectorized relational kernels a
 // BigQuery-class engine executes per batch: selection bitmaps over typed
-// columns, dense group aggregation, hash join, and ordering. These are the "core
-// compute" operators of Table 5 (filter, aggregate, join, sort, compute) as
-// real code; internal/bigquery executes its queries through them.
+// columns, dense group aggregation, hash join, and ordering. These are four
+// of the "core compute" operators of Table 5 (filter, aggregate, join, sort)
+// as real code; internal/bigquery executes its queries through them.
 package columnar
 
 import (
@@ -18,11 +18,6 @@ type Bitmap struct {
 	n     int
 }
 
-// NewBitmap creates an empty selection over n rows.
-func NewBitmap(n int) *Bitmap {
-	return &Bitmap{words: make([]uint64, (n+63)/64), n: n}
-}
-
 // Len returns the number of rows the bitmap covers.
 func (b *Bitmap) Len() int { return b.n }
 
@@ -31,27 +26,6 @@ func (b *Bitmap) Set(i int) { b.words[i/64] |= 1 << (i % 64) }
 
 // Get reports whether row i is selected.
 func (b *Bitmap) Get(i int) bool { return b.words[i/64]&(1<<(i%64)) != 0 }
-
-// Count returns the number of selected rows.
-func (b *Bitmap) Count() int {
-	total := 0
-	for _, w := range b.words {
-		total += bits.OnesCount64(w)
-	}
-	return total
-}
-
-// And intersects two bitmaps of equal length into a new one.
-func (b *Bitmap) And(o *Bitmap) (*Bitmap, error) {
-	if b.n != o.n {
-		return nil, fmt.Errorf("columnar: bitmap lengths %d != %d", b.n, o.n)
-	}
-	out := NewBitmap(b.n)
-	for i := range b.words {
-		out.words[i] = b.words[i] & o.words[i]
-	}
-	return out, nil
-}
 
 // reset makes b an empty selection over n rows, reusing its words when they
 // are long enough.
@@ -161,20 +135,6 @@ func HashAggregate(dst *Groups, keys, vals []int64, sel *Bitmap) error {
 	return nil
 }
 
-// CountAggregate counts selected rows per key.
-func CountAggregate(keys []int64, sel *Bitmap) (map[int64]int64, error) {
-	if sel != nil && sel.Len() != len(keys) {
-		return nil, fmt.Errorf("columnar: selection length %d != %d", sel.Len(), len(keys))
-	}
-	out := map[int64]int64{}
-	for i, k := range keys {
-		if sel == nil || sel.Get(i) {
-			out[k]++
-		}
-	}
-	return out, nil
-}
-
 // MergeGroups folds src into dst (the stage-2 reduction). Both must cover
 // the same key domain; a key present in either is present in dst after.
 func MergeGroups(dst, src *Groups) error {
@@ -206,18 +166,6 @@ func HashJoin(groups map[int64]int64, dim map[int64]string) map[string]int64 {
 	return out
 }
 
-// Compute applies a column-wise arithmetic transform (val*scale + offset)
-// over the selected rows, returning a new column aligned with the input.
-func Compute(vals []int64, sel *Bitmap, scale, offset int64) []int64 {
-	out := make([]int64, len(vals))
-	for i, v := range vals {
-		if sel == nil || sel.Get(i) {
-			out[i] = v*scale + offset
-		}
-	}
-	return out
-}
-
 // SortKeysByValueDesc orders group keys by descending aggregate, breaking
 // ties by ascending key so results are deterministic.
 func SortKeysByValueDesc(m map[int64]int64) []int64 {
@@ -231,14 +179,5 @@ func SortKeysByValueDesc(m map[int64]int64) []int64 {
 		}
 		return keys[i] < keys[j]
 	})
-	return keys
-}
-
-// TopN returns the first n keys of the descending-sum ordering.
-func TopN(m map[int64]int64, n int) []int64 {
-	keys := SortKeysByValueDesc(m)
-	if n < len(keys) {
-		keys = keys[:n]
-	}
 	return keys
 }

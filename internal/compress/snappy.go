@@ -172,18 +172,6 @@ func emitOneCopy(dst []byte, offset, length int) []byte {
 	return dst
 }
 
-// DecodedLen returns the uncompressed length declared in the block header.
-func DecodedLen(src []byte) (int, error) {
-	v, _, err := readUvarint(src)
-	if err != nil {
-		return 0, err
-	}
-	if v > MaxBlockSize {
-		return 0, ErrTooLarge
-	}
-	return int(v), nil
-}
-
 func readUvarint(src []byte) (uint64, int, error) {
 	var v uint64
 	for i := 0; i < len(src); i++ {
@@ -312,17 +300,4 @@ func appendCopy(dst *[]byte, offset, length int) error {
 	}
 	*dst = d
 	return nil
-}
-
-// Ratio returns the compression ratio achieved on src (original size over
-// encoded size); 0 for empty input.
-func Ratio(src []byte) float64 {
-	if len(src) == 0 {
-		return 0
-	}
-	enc, err := Encode(src)
-	if err != nil {
-		return 0
-	}
-	return float64(len(src)) / float64(len(enc))
 }

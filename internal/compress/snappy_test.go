@@ -50,9 +50,6 @@ func TestCompressesRepetitiveData(t *testing.T) {
 		t.Fatalf("repetitive data: %d -> %d bytes (ratio %.1f), want >4x",
 			len(src), len(enc), float64(len(src))/float64(len(enc)))
 	}
-	if r := Ratio(src); r < 4 {
-		t.Fatalf("ratio = %.2f", r)
-	}
 }
 
 func TestIncompressibleDataBounded(t *testing.T) {
@@ -166,11 +163,11 @@ func TestAppendEncodeAllocs(t *testing.T) {
 
 func TestDecodedLen(t *testing.T) {
 	enc, _ := Encode([]byte("hello world hello world"))
-	n, err := DecodedLen(enc)
+	n, _, err := readUvarint(enc)
 	if err != nil || n != 23 {
 		t.Fatalf("decoded len = %d, %v", n, err)
 	}
-	if _, err := DecodedLen(nil); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := readUvarint(nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatal("empty header accepted")
 	}
 }

@@ -12,13 +12,12 @@ package experiments
 //     a fresh address space, so the study's memory high-water mark stays
 //     flat and a crashed arm cannot take the coordinator down.
 //
-// A remotable study describes each arm exactly once, as a typed work unit,
-// and declares one unitKind: the wire name, the study's validation, and the
-// function that runs a unit. Every platform study's unit is an armUnit
-// (platform, arm, seed, horizon) and its result an armResult; the worker
-// derives everything else from the StudyConfig the frame carries. Latency
-// alone keeps its own unit, because its rates and op count are arguments of
-// Latency, not config. runUnits validates the units and hands them to the
+// A remotable study describes each arm exactly once, as an armUnit
+// (platform, arm, seed, horizon), and declares one unitKind: the wire name,
+// the study's validation, and the function that runs a unit. The worker
+// derives everything else from the StudyConfig the frame carries, and every
+// kind's result is an armResult (overload's a pair of them). runUnits
+// validates the units and hands them to the
 // configured backend, and the worker registry is built from the same kind
 // values and validates every frame with the same check, so the in-process
 // and exec paths cannot drift apart.
@@ -37,8 +36,8 @@ package experiments
 // tracers, storage inventories — straight to the figure extractors; there
 // is no wire form of a platformRun, so those studies always execute
 // in-process regardless of the configured backend. Safety, resilience,
-// latency, overload, partition, fleet and pipeline arms condense to plain
-// data and ship fine.
+// overload, partition, fleet and pipeline arms condense to plain data and
+// ship fine.
 
 import (
 	"encoding/json"
@@ -52,17 +51,16 @@ import (
 // StudyConfig.Backend; the empty string selects the in-process pool.
 const BackendExec = "exec"
 
-// unitKind describes one remotable arm type: U is the unit (the arm's
-// parameters, its wire form on the exec backend) and T the arm result.
-type unitKind[U, T any] struct {
+// unitKind describes one remotable arm type, whose result is T.
+type unitKind[T any] struct {
 	// name routes a unit to its kind in the worker registry.
 	name string
 	// check is the study's validation: it rejects a config the study
 	// cannot run under and a unit the study never emits. runUnits applies
 	// it before dispatch and a worker to every frame it decodes.
-	check func(StudyConfig, U) error
+	check func(StudyConfig, armUnit) error
 	// run computes one arm under the study config.
-	run func(StudyConfig, U) (T, error)
+	run func(StudyConfig, armUnit) (T, error)
 }
 
 // checkBackend rejects a Backend name no study understands.
@@ -77,7 +75,7 @@ func checkBackend(cfg StudyConfig) error {
 // and returns their results in unit order. If any unit fails, the error of
 // the lowest-indexed failing unit is returned, so the surfaced error is
 // deterministic regardless of worker interleaving.
-func runUnits[U, T any](cfg StudyConfig, kind unitKind[U, T], units []U) ([]T, error) {
+func runUnits[T any](cfg StudyConfig, kind unitKind[T], units []armUnit) ([]T, error) {
 	for _, u := range units {
 		if err := kind.check(cfg, u); err != nil {
 			return nil, err
@@ -89,12 +87,12 @@ func runUnits[U, T any](cfg StudyConfig, kind unitKind[U, T], units []U) ([]T, e
 	if cfg.Backend == BackendExec {
 		return runExec(cfg, kind, units)
 	}
-	return runJobs(cfg.Parallel, units, func(u U) (T, error) { return kind.run(cfg, u) })
+	return runJobs(cfg.Parallel, units, func(u armUnit) (T, error) { return kind.run(cfg, u) })
 }
 
 // runExec executes the units across hyperprof -worker subprocesses. Each
 // unit is marshalled once, together with the config its worker runs under.
-func runExec[U, T any](cfg StudyConfig, kind unitKind[U, T], units []U) ([]T, error) {
+func runExec[T any](cfg StudyConfig, kind unitKind[T], units []armUnit) ([]T, error) {
 	ec := cfg.Exec
 	workers := ec.Workers
 	if workers <= 0 {
@@ -117,7 +115,7 @@ func runExec[U, T any](cfg StudyConfig, kind unitKind[U, T], units []U) ([]T, er
 	}
 	wire := make([]dispatch.Unit, len(units))
 	for i, u := range units {
-		body, err := json.Marshal(wireUnit[U]{Cfg: wcfg, Body: u})
+		body, err := json.Marshal(wireUnit{Cfg: wcfg, Body: u})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: marshal %s unit %d: %w", kind.name, i, err)
 		}
@@ -137,20 +135,15 @@ func runExec[U, T any](cfg StudyConfig, kind unitKind[U, T], units []U) ([]T, er
 }
 
 // wireUnit is the exec backend's frame body: the study config the arm runs
-// under plus the unit's own parameters. The coordinator encodes the typed
-// unit; the worker decodes the body raw and leaves it to the unit's kind.
-type wireUnit[B any] struct {
+// under plus the arm's unit.
+type wireUnit struct {
 	Cfg  StudyConfig `json:"cfg"`
-	Body B           `json:"body"`
+	Body armUnit     `json:"body"`
 }
 
-// runWire is the worker side of a kind: decode the unit, check it as
-// runUnits does, run it, and encode the result. Every error names the kind.
-func (k unitKind[U, T]) runWire(cfg StudyConfig, body json.RawMessage) (json.RawMessage, error) {
-	var u U
-	if err := json.Unmarshal(body, &u); err != nil {
-		return nil, fmt.Errorf("experiments: decode %s unit: %w", k.name, err)
-	}
+// runWire is the worker side of a kind: check the unit as runUnits does, run
+// it, and encode the result. Every error names the kind.
+func (k unitKind[T]) runWire(cfg StudyConfig, u armUnit) (json.RawMessage, error) {
 	if err := k.check(cfg, u); err != nil {
 		return nil, fmt.Errorf("experiments: %s unit: %w", k.name, err)
 	}
@@ -166,10 +159,9 @@ func (k unitKind[U, T]) runWire(cfg StudyConfig, body json.RawMessage) (json.Raw
 }
 
 // unitRunners is the worker registry mapping a unit kind's name to its
-// decode-run-encode adapter.
-var unitRunners = map[string]func(StudyConfig, json.RawMessage) (json.RawMessage, error){
+// check-run-encode adapter.
+var unitRunners = map[string]func(StudyConfig, armUnit) (json.RawMessage, error){
 	safetyKind.name:     safetyKind.runWire,
-	latencyKind.name:    latencyKind.runWire,
 	resilienceKind.name: resilienceKind.runWire,
 	overloadKind.name:   overloadKind.runWire,
 	partitionKind.name:  partitionKind.runWire,
@@ -177,25 +169,24 @@ var unitRunners = map[string]func(StudyConfig, json.RawMessage) (json.RawMessage
 	pipelineKind.name:   pipelineKind.runWire,
 }
 
-// runUnit resolves and executes one serialized work unit in this process.
-func runUnit(cfg StudyConfig, kind string, body json.RawMessage) (json.RawMessage, error) {
+// runUnit decodes one exec-backend frame body and runs its unit in this
+// process. Every error names the kind.
+func runUnit(kind string, body json.RawMessage) (json.RawMessage, error) {
 	run, ok := unitRunners[kind]
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown work unit kind %q", kind)
 	}
-	return run(cfg, body)
+	var u wireUnit
+	if err := json.Unmarshal(body, &u); err != nil {
+		return nil, fmt.Errorf("experiments: decode %s work unit: %w", kind, err)
+	}
+	return run(u.Cfg, u.Body)
 }
 
 // ServeWorker runs the worker side of the exec backend protocol on the
-// given streams until EOF: decode each frame's study config and unit
-// parameters, run the arm in this process, and answer with the serialized
-// result. cmd/hyperprof serves this under its -worker flag.
+// given streams until EOF: decode each frame's study config and unit, run
+// the arm in this process, and answer with the serialized result.
+// cmd/hyperprof serves this under its -worker flag.
 func ServeWorker(r io.Reader, w io.Writer) error {
-	return dispatch.Serve(r, w, func(kind string, body json.RawMessage) (json.RawMessage, error) {
-		var u wireUnit[json.RawMessage]
-		if err := json.Unmarshal(body, &u); err != nil {
-			return nil, fmt.Errorf("experiments: decode %s work unit: %w", kind, err)
-		}
-		return runUnit(u.Cfg, kind, u.Body)
-	})
+	return dispatch.Serve(r, w, runUnit)
 }

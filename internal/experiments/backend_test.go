@@ -109,10 +109,28 @@ func TestUnknownBackendRejected(t *testing.T) {
 	}
 }
 
+// wireFrame is the frame body a coordinator sends for a unit whose encoding
+// is body, under cfg. The config comes last, so a body that carries a "cfg"
+// key of its own cannot replace it.
+func wireFrame(t testing.TB, cfg StudyConfig, body []byte) json.RawMessage {
+	c, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return json.RawMessage(`{"body":` + string(body) + `,"cfg":` + string(c) + `}`)
+}
+
+// TestRunUnitRejectsUnknownKind includes a well-formed latency/point frame:
+// no coordinator sends that kind, so a worker must not run it.
 func TestRunUnitRejectsUnknownKind(t *testing.T) {
-	_, err := runUnit(StudyConfig{}, "no/such/kind", json.RawMessage(`{}`))
-	if err == nil || !strings.Contains(err.Error(), "unknown work unit kind") {
-		t.Fatalf("want unknown-kind error, got: %v", err)
+	for _, frame := range []struct{ kind, body string }{
+		{"no/such/kind", `{}`},
+		{"latency/point", `{"rate":500,"ops":16}`},
+	} {
+		_, err := runUnit(frame.kind, wireFrame(t, StudyConfig{Seed: 1}, []byte(frame.body)))
+		if err == nil || !strings.Contains(err.Error(), "unknown work unit kind") {
+			t.Fatalf("kind %q: want unknown-kind error, got: %v", frame.kind, err)
+		}
 	}
 }
 
@@ -136,7 +154,6 @@ func unitTestConfigs() map[string]StudyConfig {
 		resilienceKind.name: resilience,
 		overloadKind.name:   overload,
 		fleetKind.name:      fleet,
-		latencyKind.name:    {Seed: 1},
 	}
 }
 
@@ -169,7 +186,6 @@ func refusedUnits() []struct {
 		{"resilience/arm", cfgs["resilience/arm"], `{"platform":"BigQuery","seed":0,"horizon":-5}`, "runs no arm"},
 		{"fleet/platform", StudyConfig{}, `{"platform":"Spanner","seed":0,"horizon":0}`, "invalid fleet config"},
 		{"fleet/platform", cfgs["fleet/platform"], `{"seed":0,"horizon":0}`, "runs no arm"},
-		{"latency/point", StudyConfig{}, `{"rate":100,"ops":0}`, "opsPerPoint must be positive"},
 	}
 }
 
@@ -180,14 +196,14 @@ func refusedUnits() []struct {
 func TestRunUnitRejectsMalformedBody(t *testing.T) {
 	for kind := range unitRunners {
 		for _, body := range []string{`{`, `"x"`} {
-			_, err := runUnit(StudyConfig{}, kind, json.RawMessage(body))
+			_, err := runUnit(kind, wireFrame(t, StudyConfig{}, []byte(body)))
 			if err == nil || !strings.Contains(err.Error(), kind) {
 				t.Errorf("kind %s, body %s: want an error naming the kind, got %v", kind, body, err)
 			}
 		}
 	}
 	for _, tc := range refusedUnits() {
-		_, err := runUnit(tc.cfg, tc.kind, json.RawMessage(tc.body))
+		_, err := runUnit(tc.kind, wireFrame(t, tc.cfg, []byte(tc.body)))
 		if err == nil || !strings.Contains(err.Error(), tc.kind) || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("kind %s, body %s: want an error naming the kind and %q, got %v", tc.kind, tc.body, tc.want, err)
 		}
@@ -197,9 +213,7 @@ func TestRunUnitRejectsMalformedBody(t *testing.T) {
 // FuzzRunUnit runs arbitrary (kind, body) frames through the worker registry
 // under unitTestConfigs: each must run or fail with an error naming its
 // kind, and none may panic. The seeds are one runnable unit per kind plus
-// TestRunUnitRejectsMalformedBody's bodies. Latency points above 64 ops are
-// skipped: the op count is the one size a body carries, and an unbounded
-// one only makes an input slow.
+// TestRunUnitRejectsMalformedBody's bodies.
 func FuzzRunUnit(f *testing.F) {
 	cfgs := unitTestConfigs()
 	for kind, body := range map[string]string{
@@ -209,7 +223,6 @@ func FuzzRunUnit(f *testing.F) {
 		"overload/pair":  `{"platform":"BigQuery","seed":0,"horizon":0}`,
 		"resilience/arm": `{"platform":"BigTable","seed":0,"horizon":2000000}`,
 		"fleet/platform": `{"platform":"BigQuery","seed":0,"horizon":0}`,
-		"latency/point":  `{"rate":500,"ops":16}`,
 	} {
 		f.Add(kind, []byte(body))
 		f.Add(kind, []byte(`{`))
@@ -222,11 +235,7 @@ func FuzzRunUnit(f *testing.F) {
 		f.Fatalf("%d kinds have a fuzz config, %d are registered", len(cfgs), len(unitRunners))
 	}
 	f.Fuzz(func(t *testing.T, kind string, body []byte) {
-		var point latencyUnit
-		if kind == latencyKind.name && json.Unmarshal(body, &point) == nil && point.Ops > 64 {
-			t.Skip()
-		}
-		_, err := runUnit(cfgs[kind], kind, body)
+		_, err := runUnit(kind, wireFrame(t, cfgs[kind], body))
 		if _, ok := unitRunners[kind]; !ok {
 			if err == nil || !strings.Contains(err.Error(), "unknown work unit kind") {
 				t.Fatalf("kind %q: want an unknown-kind error, got %v", kind, err)

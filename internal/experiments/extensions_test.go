@@ -163,34 +163,6 @@ func TestAcceleratorPriority(t *testing.T) {
 	}
 }
 
-func TestLatencyStudy(t *testing.T) {
-	pts, err := StudyConfig{Seed: 7}.Latency([]float64{500, 80000}, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 2 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	// The heavy point sits beyond the fleet's ~60k ops/s capacity, so both
-	// the median and the tail must inflate.
-	if pts[1].P50Seconds <= pts[0].P50Seconds*1.5 {
-		t.Fatalf("p50 flat under overload: %.4f -> %.4f", pts[0].P50Seconds, pts[1].P50Seconds)
-	}
-	if pts[1].P99Seconds <= pts[0].P99Seconds {
-		t.Fatalf("p99 flat under overload: %.4f -> %.4f", pts[0].P99Seconds, pts[1].P99Seconds)
-	}
-	if pts[0].P50Seconds <= 0 {
-		t.Fatal("zero p50")
-	}
-	out := RenderLatency(pts)
-	if !strings.Contains(out, "p99") {
-		t.Fatal("render")
-	}
-	if _, err := (StudyConfig{Seed: 7}).Latency(nil, 0); err == nil {
-		t.Fatal("zero ops accepted")
-	}
-}
-
 func TestChainScaling(t *testing.T) {
 	rows := ChainScaling([]int{1, 2, 4, 8, 16, 0})
 	if len(rows) != 5 {

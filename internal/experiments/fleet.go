@@ -84,7 +84,7 @@ type FleetStudy struct {
 
 // fleetKind runs platform fleet runs on either backend. A unit names only
 // its platform; the run derives the platform's share from cfg.Fleet.
-var fleetKind = unitKind[armUnit, armResult[FleetRow]]{
+var fleetKind = unitKind[armResult[FleetRow]]{
 	name: "fleet/platform",
 	check: func(cfg StudyConfig, u armUnit) error {
 		if f := cfg.Fleet; f.Servers < 3 || f.Users <= 0 || f.Ops <= 0 {

@@ -131,7 +131,7 @@ type Overload struct {
 // arms first) over 4+4 alternating runs, against a 10% bound. Six units
 // likely keep both pool workers busy for longer than three pairs do; that
 // cause is not verified.
-var overloadKind = unitKind[armUnit, [2]armResult[OverloadRow]]{
+var overloadKind = unitKind[[2]armResult[OverloadRow]]{
 	name: "overload/pair",
 	check: func(cfg StudyConfig, u armUnit) error {
 		l := cfg.Load

@@ -85,7 +85,7 @@ type Partition struct {
 }
 
 // partitionKind runs partition arms on either backend.
-var partitionKind = unitKind[armUnit, armResult[PartitionRow]]{
+var partitionKind = unitKind[armResult[PartitionRow]]{
 	name: "partition/arm",
 	check: func(cfg StudyConfig, u armUnit) error {
 		if cfg.Clients <= 0 || cfg.Check.Seeds <= 0 || cfg.Check.HotRows <= 0 || cfg.Part.MTBFFrac <= 0 {
@@ -138,16 +138,6 @@ func (cfg StudyConfig) Partition() (*Partition, error) {
 		}
 	}
 	return s, nil
-}
-
-// Row returns the first row matching (platform, arm), or nil.
-func (s *Partition) Row(p taxonomy.Platform, arm string) *PartitionRow {
-	for i := range s.Rows {
-		if s.Rows[i].Platform == p && s.Rows[i].Arm == arm {
-			return &s.Rows[i]
-		}
-	}
-	return nil
 }
 
 // runArm runs one (platform, arm, seed) run. A zero horizon is the

@@ -90,7 +90,7 @@ type Pipeline struct {
 }
 
 // pipelineKind runs pipeline arms on either backend.
-var pipelineKind = unitKind[armUnit, armResult[PipelineRow]]{
+var pipelineKind = unitKind[armResult[PipelineRow]]{
 	name: "pipeline/arm",
 	check: func(cfg StudyConfig, u armUnit) error {
 		if cfg.Clients <= 0 || cfg.Check.Seeds <= 0 || cfg.Pipe.Records <= 0 || cfg.Pipe.Batches <= 0 {

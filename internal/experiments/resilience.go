@@ -67,7 +67,7 @@ type Resilience struct {
 // resilienceKind runs resilience arms on either backend: a zero horizon is a
 // platform's baseline, a positive one its faulted arm over that baseline's
 // elapsed time.
-var resilienceKind = unitKind[armUnit, armResult[ResilienceRow]]{
+var resilienceKind = unitKind[armResult[ResilienceRow]]{
 	name: "resilience/arm",
 	check: func(cfg StudyConfig, u armUnit) error {
 		if cfg.Clients <= 0 || cfg.TraceRate <= 0 {

@@ -58,7 +58,7 @@ type Safety struct {
 }
 
 // safetyKind runs safety arms on either backend.
-var safetyKind = unitKind[armUnit, armResult[SafetyRow]]{
+var safetyKind = unitKind[armResult[SafetyRow]]{
 	name: "safety/arm",
 	check: func(cfg StudyConfig, u armUnit) error {
 		if cfg.Clients <= 0 || cfg.Check.Seeds <= 0 || cfg.Check.HotRows <= 0 {

@@ -171,7 +171,7 @@ func (o ObsConfig) registry() obs.Config {
 // bounded-memory sketching. Off by default: exact recording stays the
 // reference, and every pre-existing artifact reproduces byte-for-byte.
 type SketchConfig struct {
-	// Enabled swaps latency summaries for mergeable quantile sketches and
+	// Enabled swaps latency summaries for quantile sketches and
 	// operation histories for reservoir samples.
 	Enabled bool
 	// RelErr is the sketch's relative-error bound on every reported

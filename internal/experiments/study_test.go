@@ -36,7 +36,7 @@ func (st studyCase) remotable() bool {
 var allOutputs = Request{Chrome: "trace.json", ObsOut: "obs-series.json", Pprof: "profile", Extended: true}
 
 // conformanceStudies is the conformance table: every row of the study table
-// at its test size, plus latency, the one study only tests run.
+// at its test size.
 func conformanceStudies(t *testing.T) []studyCase {
 	ops := func(full, short PlatformOps) PlatformOps {
 		if testing.Short() {
@@ -92,24 +92,7 @@ func conformanceStudies(t *testing.T) []studyCase {
 		c.Study = st
 		studies = append(studies, c)
 	}
-
-	latencyOps := 150
-	if testing.Short() {
-		latencyOps = 80
-	}
-	latency := Study{
-		Name: "latency",
-		Run: func(cfg StudyConfig, _ Request) (*Result, error) {
-			points, err := cfg.Latency([]float64{400, 800, 1200}, latencyOps)
-			if err != nil {
-				return nil, err
-			}
-			return &Result{Text: RenderLatency(points)}, nil
-		},
-		// Latency's arms run on exec workers too.
-		Modifiers: map[string]string{"backend": ""},
-	}
-	return append(studies, studyCase{Study: latency, cfg: StudyConfig{Seed: 1}})
+	return studies
 }
 
 // Run modes of a conformance row. Every mode but modeSeedPlusOne must export
@@ -301,10 +284,6 @@ func TestResilienceStudyIdenticalAcrossBackends(t *testing.T) {
 // of the resilience export.
 func TestResilienceStudyDeterministic(t *testing.T) {
 	checkConformance(t, "resilience", modeParallel, modeExec)
-}
-
-func TestLatencyStudyIdenticalAcrossBackends(t *testing.T) {
-	checkConformance(t, "latency", modeExec)
 }
 
 func TestOverloadStudyParallelMatchesSequentialByteForByte(t *testing.T) {

@@ -406,7 +406,7 @@ func (c checked[R]) verdict(study string) error {
 // torture appends for each calibration (by index and elapsed time), each
 // wave through runUnits. It returns the calibrations, the appended units and
 // their arms in unit order; the caller merges them in its own order.
-func calibrateThenTorture[R calibrated](cfg StudyConfig, kind unitKind[armUnit, armResult[R]], calUnits []armUnit,
+func calibrateThenTorture[R calibrated](cfg StudyConfig, kind unitKind[armResult[R]], calUnits []armUnit,
 	torture func(units []armUnit, i int, horizon time.Duration) []armUnit) (cals []armResult[R], units []armUnit, arms []armResult[R], err error) {
 	cals, err = runUnits(cfg, kind, calUnits)
 	if err != nil {

@@ -82,10 +82,10 @@ func TestDedupReplaysCachedSuccess(t *testing.T) {
 	if execs != 1 {
 		t.Fatalf("handler executed %d times, want 1", execs)
 	}
-	if got := n.Admits("srv", 42); got != 2 {
+	if got := n.admits[deliveryKey{"srv", 42}]; got != 2 {
 		t.Fatalf("Admits = %d, want 2", got)
 	}
-	if got := n.Execs("srv", 42); got != 1 {
+	if got := n.execs[deliveryKey{"srv", 42}]; got != 1 {
 		t.Fatalf("Execs = %d, want 1", got)
 	}
 }
@@ -203,10 +203,10 @@ func assertSettled(t *testing.T, s *Server) {
 // and the server's suppressed duplicates.
 func assertDeliveries(t *testing.T, n *Network, s *Server, id uint64, admits, execs, dups int) {
 	t.Helper()
-	if got := n.Admits(s.Node.Name, id); got != admits {
+	if got := n.admits[deliveryKey{s.Node.Name, id}]; got != admits {
 		t.Errorf("Admits = %d, want %d", got, admits)
 	}
-	if got := n.Execs(s.Node.Name, id); got != execs {
+	if got := n.execs[deliveryKey{s.Node.Name, id}]; got != execs {
 		t.Errorf("Execs = %d, want %d", got, execs)
 	}
 	if s.DupSuppressed != dups {

@@ -131,17 +131,6 @@ func (n *Network) BlockLink(from, to string) bool {
 	return true
 }
 
-// UnblockLink removes a full block from the directed link, leaving any gray
-// (extra delay / loss) parameters in place.
-func (n *Network) UnblockLink(from, to string) bool {
-	lf := n.link(from, to)
-	if lf == nil {
-		return false
-	}
-	lf.blocked = false
-	return true
-}
-
 // HealLink clears every injected fault on the directed link. The link's RNG
 // stream is kept, so alternating fault/heal windows stay on one
 // deterministic stream.

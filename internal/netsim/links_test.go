@@ -146,7 +146,7 @@ func TestReachableRequiresBothDirections(t *testing.T) {
 	if r.net.Reachable(r.a, r.b) || r.net.Reachable(r.b, r.a) {
 		t.Fatalf("pair with one blocked direction still reachable")
 	}
-	r.net.UnblockLink("a", "b")
+	r.net.HealLink("a", "b")
 	// A gray (slow, lossy, unblocked) link still counts as reachable: only
 	// full blocks may justify partition recovery.
 	r.net.SetLinkFault("a", "b", time.Millisecond, 0.9)

@@ -135,18 +135,6 @@ func (n *Network) EnableDeliveryAccounting() {
 	}
 }
 
-// Admits returns how many times a call ID arrived at (was admitted by) the
-// named server.
-func (n *Network) Admits(server string, id uint64) int {
-	return n.admits[deliveryKey{server, id}]
-}
-
-// Execs returns how many times a call ID was actually executed (not
-// dedup-suppressed) at the named server.
-func (n *Network) Execs(server string, id uint64) int {
-	return n.execs[deliveryKey{server, id}]
-}
-
 // DupExecs returns a sorted description of every (server, call-ID) pair whose
 // handler executed more than once — the at-most-once violations. Retried
 // requests legitimately admit twice; with server-side dedup enabled they must
@@ -169,9 +157,6 @@ func New(k *sim.Kernel, cfg Config) *Network {
 	}
 	return &Network{k: k, cfg: cfg}
 }
-
-// Kernel returns the simulation kernel.
-func (n *Network) Kernel() *sim.Kernel { return n.k }
 
 // messageDelay is TransferTime plus the directed link's injected
 // per-message delay; local messages are exempt (they never cross the
@@ -315,7 +300,6 @@ type Server struct {
 	slowdown float64
 	started  bool
 	stopped  bool
-	crashed  bool
 	// inService tracks requests currently being handled, in admission order,
 	// so Crash can fail them immediately. A slice (not a set) keeps the
 	// failure order deterministic: Crash wakes the waiters in the order the
@@ -548,7 +532,6 @@ func (s *Server) Crash() {
 		return
 	}
 	s.stopped = true
-	s.crashed = true
 	downErr := fmt.Errorf("%w: %s (crashed)", ErrServerDown, s.Node.Name)
 	for _, c := range s.queue.Drain() {
 		if c != nil {
@@ -574,9 +557,6 @@ func (s *Server) Crash() {
 
 // Stopped reports whether the server has been stopped or crashed.
 func (s *Server) Stopped() bool { return s.stopped }
-
-// Crashed reports whether the server went down via Crash.
-func (s *Server) Crashed() bool { return s.crashed }
 
 // Call performs a blocking RPC from the calling process located at `from`:
 // request transfer, server queueing and handler execution, response

@@ -211,9 +211,6 @@ func TestHandlerCanUseServerCPU(t *testing.T) {
 	if end < 10*time.Millisecond {
 		t.Fatalf("end = %v, want >= 10ms (CPU contention)", end)
 	}
-	if got := server.CPU.BusyTime(); got != 20*time.Millisecond {
-		t.Fatalf("cpu busy = %v, want 20ms", got)
-	}
 	s.Stop()
 	k.Run()
 }

@@ -210,12 +210,6 @@ func (g *TenantGovernor) AddTenant(name string, weight float64) *Tenant {
 	return t
 }
 
-// Tenants returns the registered tenants in registration order.
-func (g *TenantGovernor) Tenants() []*Tenant { return g.tenants }
-
-// Capacity returns the governor's total concurrency capacity.
-func (g *TenantGovernor) Capacity() int { return g.capacity }
-
 // Admit decides whether one operation of tenant t may start. Admitted
 // operations must be completed with Done.
 func (g *TenantGovernor) Admit(t *Tenant) bool {
@@ -263,28 +257,4 @@ func (g *TenantGovernor) EnableMetrics(r *obs.Registry) {
 		t := byName[name]
 		r.GaugeFunc("qos.tenant."+name+".goodput", func() int64 { return int64(t.Successes) })
 	}
-}
-
-// JainFairness returns Jain's fairness index over the tenants'
-// weight-normalized success counts: 1.0 means every tenant got goodput
-// exactly proportional to its weight, 1/n means one tenant got everything.
-func (g *TenantGovernor) JainFairness() float64 {
-	return JainFairness(g.tenants)
-}
-
-// JainFairness computes Jain's index over weight-normalized successes for an
-// arbitrary tenant slice.
-func JainFairness(tenants []*Tenant) float64 {
-	var sum, sumSq float64
-	n := 0
-	for _, t := range tenants {
-		x := float64(t.Successes) / t.Weight
-		sum += x
-		sumSq += x * x
-		n++
-	}
-	if n == 0 || sumSq == 0 {
-		return 1
-	}
-	return sum * sum / (float64(n) * sumSq)
 }

@@ -200,7 +200,7 @@ func TestRetryBudgetExhaustedMidBackoff(t *testing.T) {
 	}
 	k.Run()
 	if c.BudgetExhausted == 0 {
-		t.Fatalf("budget never exhausted (Retries=%d, tokens=%v)", c.Retries, c.RetryTokens())
+		t.Fatalf("budget never exhausted (Retries=%d, tokens=%v)", c.Retries, c.budget)
 	}
 	if c.Retries != 1 {
 		t.Fatalf("Retries = %d, want exactly the 1 budgeted retry", c.Retries)
@@ -229,20 +229,20 @@ func TestRetryBudgetRefillsOnSuccess(t *testing.T) {
 	k.Go("drain", func(p *sim.Proc) {
 		c.Call(p, client, dead, Request{Method: "op"}) // spends 1 token
 		c.Call(p, client, dead, Request{Method: "op"}) // spends 1 token
-		if c.RetryTokens() != 0 {
-			t.Errorf("tokens = %v after drain, want 0", c.RetryTokens())
+		if c.budget != 0 {
+			t.Errorf("tokens = %v after drain, want 0", c.budget)
 		}
 		for i := 0; i < 5; i++ {
 			c.Call(p, client, s, Request{Method: "op"})
 		}
 		// Sums of 0.1 are not exact in floating point.
-		if got := c.RetryTokens(); math.Abs(got-5*retryRefill) > 1e-9 {
+		if got := c.budget; math.Abs(got-5*retryRefill) > 1e-9 {
 			t.Errorf("tokens = %v after 5 successes, want %v", got, 5*retryRefill)
 		}
 		for i := 0; i < 20; i++ {
 			c.Call(p, client, s, Request{Method: "op"})
 		}
-		if got := c.RetryTokens(); got != 2 {
+		if got := c.budget; got != 2 {
 			t.Errorf("tokens = %v after 25 successes, want the cap 2", got)
 		}
 	})
@@ -280,7 +280,7 @@ func TestBreakerOpensFastFailsAndProbes(t *testing.T) {
 				t.Errorf("call %d: err = %v, want deadline", i, resp.Err)
 			}
 		}
-		if !c.BreakerOpenFor(s) {
+		if !breakerIsOpen(c, s) {
 			t.Errorf("breaker not open after 3 consecutive failures")
 		}
 		attemptsBefore := c.Attempts
@@ -302,7 +302,7 @@ func TestBreakerOpensFastFailsAndProbes(t *testing.T) {
 		if resp.Err != nil {
 			t.Errorf("probe call failed: %v", resp.Err)
 		}
-		if c.BreakerOpenFor(s) {
+		if breakerIsOpen(c, s) {
 			t.Errorf("breaker still open after successful probe")
 		}
 		if c.BreakerOpens != 1 {
@@ -362,7 +362,7 @@ func TestTenantGovernorIsolationAndFairness(t *testing.T) {
 		g.Done(fl, true)
 	}
 	// Weight-normalized goodput: 6/3=2, 2/1=2, 2/1=2 — perfectly fair.
-	if f := g.JainFairness(); f < 0.999 {
+	if f := jainFairness(g.tenants); f < 0.999 {
 		t.Fatalf("fairness = %v, want ~1.0 for proportional goodput", f)
 	}
 	if g.ThrottledTotal != 49 {
@@ -505,4 +505,26 @@ func TestOverloadRunDeterministic(t *testing.T) {
 			t.Fatalf("window %d diverged: %d vs %d", i, a[i], b[i])
 		}
 	}
+}
+
+// breakerIsOpen reports whether c's breaker for s is open.
+func breakerIsOpen(c *Client, s *Server) bool {
+	b := c.breakers[s]
+	return b != nil && b.state == breakerOpen
+}
+
+// jainFairness is Jain's fairness index over the tenants' weight-normalized
+// success counts: 1.0 means every tenant got goodput exactly proportional
+// to its weight, 1/n means one tenant got everything.
+func jainFairness(tenants []*Tenant) float64 {
+	var sum, sumSq float64
+	for _, t := range tenants {
+		x := float64(t.Successes) / t.Weight
+		sum += x
+		sumSq += x * x
+	}
+	if sumSq == 0 {
+		return 1
+	}
+	return sum * sum / (float64(len(tenants)) * sumSq)
 }

@@ -176,9 +176,6 @@ func (c *Client) refillBudget() {
 	}
 }
 
-// RetryTokens returns the current retry-budget balance (tests/monitoring).
-func (c *Client) RetryTokens() float64 { return c.budget }
-
 // breakerFor returns the target's breaker, creating it on first use; nil
 // when breakers are disabled.
 func (c *Client) breakerFor(s *Server) *breaker {
@@ -240,16 +237,6 @@ func (c *Client) noteResult(s *Server, err error, now time.Duration) {
 		b.state = breakerOpen
 		b.openedAt = now
 	}
-}
-
-// BreakerOpenFor reports whether the client's breaker for s is currently
-// open (tests/monitoring).
-func (c *Client) BreakerOpenFor(s *Server) bool {
-	if c.policy.BreakerFailures <= 0 || c.breakers == nil {
-		return false
-	}
-	b := c.breakers[s]
-	return b != nil && b.state == breakerOpen
 }
 
 // deadlineCall is the state one logical call shares with its attempts under

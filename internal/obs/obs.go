@@ -13,7 +13,7 @@
 //   - Integer values only. Points carry int64 values (counts, bytes,
 //     nanoseconds); no float enters the export path, so there is no
 //     accumulation-order sensitivity to hide.
-//   - Allocation-lean fast path. Counter.Add, Gauge.Set/Add and
+//   - Allocation-lean fast path. Counter.Add, Gauge.Add and
 //     Histogram.Record are a nil check plus a field write (histograms append
 //     into a preallocated fixed-capacity buffer). A disabled registry hands
 //     out nil handles whose methods are no-ops, so instrumented code pays one
@@ -21,7 +21,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"sort"
 	"time"
 )
@@ -88,20 +87,12 @@ func (c *Counter) Add(n int64) {
 func (c *Counter) Inc() { c.Add(1) }
 
 // Gauge is an instantaneous level (queue depth, active workers). A nil Gauge
-// is valid; Set/Add on it are no-ops.
+// is valid; Add on it is a no-op.
 type Gauge struct {
 	name string
 	v    int64
 	fn   func() int64 // non-nil for GaugeFunc-backed gauges
 	pts  []Point
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v = v
 }
 
 // Add moves the gauge by delta.
@@ -170,14 +161,6 @@ type Registry struct {
 // take defaults).
 func NewRegistry(cfg Config) *Registry {
 	return &Registry{cfg: cfg.withDefaults(), byName: map[string]bool{}}
-}
-
-// Interval returns the sampling period.
-func (r *Registry) Interval() time.Duration {
-	if r == nil {
-		return 0
-	}
-	return r.cfg.Interval
 }
 
 func (r *Registry) claim(name string) {
@@ -349,10 +332,4 @@ func (r *Registry) Snapshot() []Series {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// MarshalSeries renders a snapshot as indented JSON — the canonical export
-// format the determinism tests pin byte-for-byte.
-func MarshalSeries(series []Series) ([]byte, error) {
-	return json.MarshalIndent(series, "", "  ")
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -17,7 +18,7 @@ func TestCounterGaugeSampling(t *testing.T) {
 
 	c.Add(3)
 	c.Inc()
-	g.Set(10)
+	g.Add(10)
 	g.Add(-4)
 	r.SampleAt(time.Millisecond)
 	level = 9
@@ -53,7 +54,7 @@ func TestSnapshotSortedByName(t *testing.T) {
 	r := NewRegistry(Config{})
 	r.Counter("z").Inc()
 	r.Counter("a").Inc()
-	r.Gauge("m").Set(1)
+	r.Gauge("m").Add(1)
 	r.SampleAt(time.Millisecond)
 	snap := r.Snapshot()
 	for i := 1; i < len(snap); i++ {
@@ -131,7 +132,6 @@ func TestNilRegistryAndHandlesAreNoOps(t *testing.T) {
 	r.AttachProfile("p.", func(emit func(string, int64)) { emit("x", 1) })
 	c.Add(1)
 	c.Inc()
-	g.Set(1)
 	g.Add(1)
 	h.Record(1)
 	h.RecordSince(0, time.Millisecond)
@@ -139,9 +139,6 @@ func TestNilRegistryAndHandlesAreNoOps(t *testing.T) {
 	r.Start(nil)
 	if snap := r.Snapshot(); snap != nil {
 		t.Fatalf("nil registry snapshot = %v, want nil", snap)
-	}
-	if r.Interval() != 0 {
-		t.Fatalf("nil registry interval = %v, want 0", r.Interval())
 	}
 }
 
@@ -234,9 +231,9 @@ func TestMarshalSeriesDeterministic(t *testing.T) {
 	mk := func() []byte {
 		r := NewRegistry(Config{})
 		r.Counter("a").Add(2)
-		r.Gauge("b").Set(3)
+		r.Gauge("b").Add(3)
 		r.SampleAt(time.Millisecond)
-		data, err := MarshalSeries(r.Snapshot())
+		data, err := json.MarshalIndent(r.Snapshot(), "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,8 +254,8 @@ func TestRecordPathsDoNotAllocate(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { c.Add(1) }); n != 0 {
 		t.Errorf("Counter.Add allocates %.1f/op, want 0", n)
 	}
-	if n := testing.AllocsPerRun(1000, func() { g.Set(3) }); n != 0 {
-		t.Errorf("Gauge.Set allocates %.1f/op, want 0", n)
+	if n := testing.AllocsPerRun(1000, func() { g.Add(3) }); n != 0 {
+		t.Errorf("Gauge.Add allocates %.1f/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(1000, func() { h.Record(5) }); n != 0 {
 		t.Errorf("Histogram.Record allocates %.1f/op, want 0", n)

@@ -105,25 +105,6 @@ type Step struct {
 // CPU side.
 type Recipe []Step
 
-// TotalMean returns the sum of mean step durations.
-func (r Recipe) TotalMean() time.Duration {
-	var t time.Duration
-	for _, s := range r {
-		t += s.Mean
-	}
-	return t
-}
-
-// Scaled returns a copy of the recipe with all means multiplied by f.
-func (r Recipe) Scaled(f float64) Recipe {
-	out := make(Recipe, len(r))
-	for i, s := range r {
-		out[i] = s
-		out[i].Mean = time.Duration(float64(s.Mean) * f)
-	}
-	return out
-}
-
 // Split maps leaf function names to fractional weights.
 type Split map[string]float64
 

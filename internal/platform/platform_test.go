@@ -11,6 +11,22 @@ import (
 	"hyperprof/internal/trace"
 )
 
+// totalMean returns the sum of the recipe's mean step durations.
+func totalMean(r Recipe) time.Duration {
+	var t time.Duration
+	for _, s := range r {
+		t += s.Mean
+	}
+	return t
+}
+
+// profiledCPU returns the CPU time env's profiler recorded for a platform.
+func profiledCPU(env *Env, p taxonomy.Platform) time.Duration {
+	var total time.Duration
+	env.Prof.EachCategoryCPU(p, func(_ taxonomy.Category, cpu time.Duration) { total += cpu })
+	return total
+}
+
 func TestBuildRecipeNormalizesAndOrders(t *testing.T) {
 	r := BuildRecipe(100*time.Millisecond, Split{"b": 3, "a": 1}, nil)
 	if len(r) != 2 || r[0].Function != "a" || r[1].Function != "b" {
@@ -19,7 +35,7 @@ func TestBuildRecipeNormalizesAndOrders(t *testing.T) {
 	if r[0].Mean != 25*time.Millisecond || r[1].Mean != 75*time.Millisecond {
 		t.Fatalf("means = %v %v", r[0].Mean, r[1].Mean)
 	}
-	if got := r.TotalMean(); got != 100*time.Millisecond {
+	if got := totalMean(r); got != 100*time.Millisecond {
 		t.Fatalf("total = %v", got)
 	}
 }
@@ -28,17 +44,6 @@ func TestBuildRecipeSkipsZeroWeights(t *testing.T) {
 	r := BuildRecipe(time.Second, Split{"a": 1, "zero": 0}, nil)
 	if len(r) != 1 || r[0].Function != "a" {
 		t.Fatalf("recipe = %+v", r)
-	}
-}
-
-func TestRecipeScaled(t *testing.T) {
-	r := Recipe{{Function: "f", Mean: 10 * time.Millisecond}}
-	s := r.Scaled(2.5)
-	if s[0].Mean != 25*time.Millisecond {
-		t.Fatalf("scaled = %v", s[0].Mean)
-	}
-	if r[0].Mean != 10*time.Millisecond {
-		t.Fatal("original mutated")
 	}
 }
 
@@ -52,7 +57,7 @@ func TestExecStepRecordsAndAnnotates(t *testing.T) {
 		env.Tracer.Finish(tr, p.Now())
 	})
 	env.K.Run()
-	if got := env.Prof.TotalCPU(taxonomy.Spanner); got != 5*time.Millisecond {
+	if got := profiledCPU(env, taxonomy.Spanner); got != 5*time.Millisecond {
 		t.Fatalf("profiled = %v", got)
 	}
 	b := tr.ComputeBreakdown()
@@ -82,7 +87,7 @@ func TestExecStepQueueingCountsAsCPU(t *testing.T) {
 		t.Fatalf("queued op CPU = %v, want 20ms", b.CPU)
 	}
 	// But profiled CPU time (actual execution) is 10ms each.
-	if got := env.Prof.TotalCPU(taxonomy.BigTable); got != 20*time.Millisecond {
+	if got := profiledCPU(env, taxonomy.BigTable); got != 20*time.Millisecond {
 		t.Fatalf("profiled total = %v, want 20ms", got)
 	}
 }
@@ -99,7 +104,7 @@ func TestExecRecipeRunsAllSteps(t *testing.T) {
 	if end != 30*time.Millisecond {
 		t.Fatalf("end = %v", end)
 	}
-	if got := env.Prof.TotalCPU(taxonomy.BigQuery); got != 30*time.Millisecond {
+	if got := profiledCPU(env, taxonomy.BigQuery); got != 30*time.Millisecond {
 		t.Fatalf("profiled = %v", got)
 	}
 }
@@ -124,7 +129,7 @@ func TestPaperTablesCoverPlatforms(t *testing.T) {
 		} {
 			var sum float64
 			for cat, f := range m {
-				if !taxonomy.Known(cat) {
+				if taxonomy.Descriptions[cat] == "" {
 					t.Errorf("%s %s split has unknown category %q", p, name, cat)
 				}
 				sum += f
@@ -157,7 +162,7 @@ func TestPaperMicroMatchesTable7SpotChecks(t *testing.T) {
 func TestTaxTablesFor(t *testing.T) {
 	tt := TaxTablesFor(taxonomy.BigTable)
 	r := tt.TaxRecipe(40*time.Millisecond, 34*time.Millisecond)
-	if got := r.TotalMean(); got < 73*time.Millisecond || got > 75*time.Millisecond {
+	if got := totalMean(r); got < 73*time.Millisecond || got > 75*time.Millisecond {
 		t.Fatalf("tax recipe total = %v", got)
 	}
 	// RPC should be the biggest DCT step for BigTable (37%).

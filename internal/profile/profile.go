@@ -1,8 +1,7 @@
 // Package profile is the repository's Google-Wide-Profiling equivalent
-// (§5.1): it observes the CPU work simulated platforms execute, samples it in
-// virtual time, buckets samples by leaf function through the taxonomy
-// classifier, and aggregates cycle breakdowns (Figures 3–6) and
-// microarchitectural statistics (Tables 6–7).
+// (§5.1): it observes the CPU work simulated platforms execute, buckets it
+// by leaf function through the taxonomy classifier, and aggregates cycle
+// breakdowns (Figures 3–6) and microarchitectural statistics (Tables 6–7).
 package profile
 
 import (
@@ -85,8 +84,7 @@ type Profiler struct {
 	classifier *taxonomy.Classifier
 	rng        *stats.RNG
 	hz         float64
-	period     time.Duration // sampling period; 0 = exact accounting
-	jitter     float64       // relative noise applied per sample to counters
+	jitter     float64 // relative noise applied per sample to counters
 
 	byCategory map[key]*agg
 	byFunction map[taxonomy.Platform]map[string]*agg
@@ -94,14 +92,6 @@ type Profiler struct {
 
 // Option configures a Profiler.
 type Option func(*Profiler)
-
-// WithSampling makes the profiler keep work with probability proportional to
-// its duration relative to the sampling period, like a real timer-based
-// profiler; work shorter than the period is kept probabilistically with
-// matching expected weight.
-func WithSampling(period time.Duration) Option {
-	return func(p *Profiler) { p.period = period }
-}
 
 // WithJitter applies relative noise frac to each sample's counters, modelling
 // measurement variance.
@@ -137,18 +127,6 @@ func (p *Profiler) Record(w Work) {
 	if w.Duration <= 0 {
 		return
 	}
-	weight := w.Duration
-	if p.period > 0 {
-		n := float64(w.Duration) / float64(p.period)
-		whole := int(n)
-		if p.rng.Float64() < n-float64(whole) {
-			whole++
-		}
-		if whole == 0 {
-			return
-		}
-		weight = time.Duration(whole) * p.period
-	}
 	m := w.Micro
 	if p.jitter > 0 {
 		m.IPC = p.rng.Jitter(m.IPC, p.jitter)
@@ -160,7 +138,7 @@ func (p *Profiler) Record(w Work) {
 		m.DTLBLD = p.rng.Jitter(m.DTLBLD, p.jitter)
 	}
 	cat := p.classifier.Classify(w.Function)
-	cycles := weight.Seconds() * p.hz
+	cycles := w.Duration.Seconds() * p.hz
 
 	k := key{w.Platform, cat}
 	a := p.byCategory[k]
@@ -168,7 +146,7 @@ func (p *Profiler) Record(w Work) {
 		a = &agg{}
 		p.byCategory[k] = a
 	}
-	a.add(cycles, m, weight)
+	a.add(cycles, m, w.Duration)
 
 	fns := p.byFunction[w.Platform]
 	if fns == nil {
@@ -180,18 +158,7 @@ func (p *Profiler) Record(w Work) {
 		fa = &agg{}
 		fns[w.Function] = fa
 	}
-	fa.add(cycles, m, weight)
-}
-
-// TotalCPU returns the total profiled CPU time for a platform.
-func (p *Profiler) TotalCPU(platform taxonomy.Platform) time.Duration {
-	var total time.Duration
-	for k, a := range p.byCategory {
-		if k.platform == platform {
-			total += a.cpu
-		}
-	}
-	return total
+	fa.add(cycles, m, w.Duration)
 }
 
 // BroadBreakdown returns the fraction of a platform's cycles in each broad

@@ -1,8 +1,8 @@
 // Package protowire implements a protocol-buffer compatible wire format from
 // first principles: varint/zigzag/tag primitives, descriptor-driven dynamic
 // messages, and a generator of fleet-representative message corpora in the
-// spirit of HyperProtoBench. It is the serialization workload used by the
-// SoC model validation (Table 8) and by the platform simulations' RPC layer.
+// spirit of HyperProtoBench. It is the serialization workload of the SoC
+// model validation (Table 8) and the encoder of the pprof profile export.
 package protowire
 
 import (

@@ -1,15 +1,11 @@
-// Package sha3 implements the FIPS-202 SHA-3 hash family and the SHAKE
-// extendable-output functions from first principles on top of the
-// Keccak-f[1600] permutation. It is the hashing workload chained after
+// Package sha3 implements FIPS-202 SHA3-256 from first principles on top of
+// the Keccak-f[1600] permutation. It is the hashing workload chained after
 // protobuf serialization in the paper's Table 8 validation (the open-source
 // SHA3 RTL accelerator of Schmidt & Izraelevitz), reimplemented here in
 // software so the SoC model can execute it functionally.
 package sha3
 
-import (
-	"encoding/binary"
-	"hash"
-)
+import "encoding/binary"
 
 // rc holds the 24 round constants of Keccak-f[1600].
 var rc = [24]uint64{
@@ -65,156 +61,75 @@ func keccakF1600(a *[25]uint64) {
 	}
 }
 
-// state is a Keccak sponge.
-type state struct {
-	a       [25]uint64
-	buf     []byte // absorbed input not yet permuted; len < rate
-	rate    int    // bytes absorbed/squeezed per permutation
-	outLen  int    // digest size for the fixed-output functions
-	dsbyte  byte   // domain separation + first padding bit
-	squeeze []byte // pending squeeze output
+// SHA3-256's sponge parameters: the rate is the 1600-bit state less twice the
+// digest width, and the domain-separation byte carries SHA-3's 01 suffix and
+// the first padding bit.
+const (
+	// Size is the digest length in bytes.
+	Size   = 32
+	rate   = 136
+	dsSHA3 = 0x06
+)
+
+// Hash is an incremental SHA3-256 computation: absorb with Write, then read
+// the digest with Sum, as often as wanted between writes.
+type Hash struct {
+	a   [25]uint64
+	buf []byte // absorbed input not yet permuted; len < rate
 }
 
-func newState(rate, outLen int, dsbyte byte) *state {
-	return &state{rate: rate, outLen: outLen, dsbyte: dsbyte}
-}
+// New256 returns an empty SHA3-256 computation.
+func New256() *Hash { return &Hash{} }
 
 // Write absorbs input into the sponge. It never returns an error.
-func (s *state) Write(p []byte) (int, error) {
-	if s.squeeze != nil {
-		panic("sha3: Write after Sum/Read")
-	}
+func (h *Hash) Write(p []byte) (int, error) {
 	n := len(p)
 	for len(p) > 0 {
-		space := s.rate - len(s.buf)
+		space := rate - len(h.buf)
 		if space > len(p) {
 			space = len(p)
 		}
-		s.buf = append(s.buf, p[:space]...)
+		h.buf = append(h.buf, p[:space]...)
 		p = p[space:]
-		if len(s.buf) == s.rate {
-			s.absorb()
+		if len(h.buf) == rate {
+			h.absorb()
 		}
 	}
 	return n, nil
 }
 
-func (s *state) absorb() {
-	for i := 0; i < s.rate/8; i++ {
-		s.a[i] ^= binary.LittleEndian.Uint64(s.buf[i*8:])
+func (h *Hash) absorb() {
+	for i := 0; i < rate/8; i++ {
+		h.a[i] ^= binary.LittleEndian.Uint64(h.buf[i*8:])
 	}
-	keccakF1600(&s.a)
-	s.buf = s.buf[:0]
+	keccakF1600(&h.a)
+	h.buf = h.buf[:0]
 }
 
-// pad applies the pad10*1 rule with the domain-separation byte and permutes.
-func (s *state) pad() {
-	block := make([]byte, s.rate)
-	copy(block, s.buf)
-	block[len(s.buf)] = s.dsbyte
-	block[s.rate-1] |= 0x80
-	s.buf = block
-	s.absorb()
-}
-
-// squeezeBlock appends one rate-sized block of output.
-func (s *state) squeezeBlock() {
-	block := make([]byte, s.rate)
-	for i := 0; i < s.rate/8; i++ {
-		binary.LittleEndian.PutUint64(block[i*8:], s.a[i])
+// Sum appends the digest of the input written so far to b. It pads and
+// permutes a copy of the sponge, so further writes continue the input.
+func (h *Hash) Sum(b []byte) []byte {
+	dup := *h
+	// pad10*1 with the domain-separation byte, into a block of its own so
+	// h's buffer is left as it was.
+	block := make([]byte, rate)
+	copy(block, h.buf)
+	block[len(h.buf)] = dsSHA3
+	block[rate-1] |= 0x80
+	dup.buf = block
+	dup.absorb()
+	var out [Size]byte
+	for i := 0; i < Size/8; i++ {
+		binary.LittleEndian.PutUint64(out[i*8:], dup.a[i])
 	}
-	s.squeeze = append(s.squeeze, block...)
+	return append(b, out[:]...)
 }
-
-// Read squeezes len(p) bytes of output, finalizing the sponge on first call.
-func (s *state) Read(p []byte) (int, error) {
-	if s.squeeze == nil {
-		s.pad()
-		s.squeeze = []byte{}
-		s.squeezeBlock()
-	}
-	n := len(p)
-	for len(p) > 0 {
-		if len(s.squeeze) == 0 {
-			keccakF1600(&s.a)
-			s.squeezeBlock()
-		}
-		c := copy(p, s.squeeze)
-		s.squeeze = s.squeeze[c:]
-		p = p[c:]
-	}
-	return n, nil
-}
-
-// Sum appends the digest to b without disturbing further writes on a copy.
-func (s *state) Sum(b []byte) []byte {
-	dup := *s
-	dup.buf = append([]byte(nil), s.buf...)
-	dup.squeeze = nil
-	out := make([]byte, s.outLen)
-	if _, err := dup.Read(out); err != nil {
-		panic(err)
-	}
-	return append(b, out...)
-}
-
-// Reset returns the sponge to its initial state.
-func (s *state) Reset() {
-	s.a = [25]uint64{}
-	s.buf = s.buf[:0]
-	s.squeeze = nil
-}
-
-// Size returns the digest length in bytes.
-func (s *state) Size() int { return s.outLen }
-
-// BlockSize returns the sponge rate in bytes.
-func (s *state) BlockSize() int { return s.rate }
-
-const (
-	dsSHA3  = 0x06
-	dsShake = 0x1f
-)
-
-// New224 returns a SHA3-224 hash.
-func New224() hash.Hash { return newState(144, 28, dsSHA3) }
-
-// New256 returns a SHA3-256 hash.
-func New256() hash.Hash { return newState(136, 32, dsSHA3) }
-
-// New384 returns a SHA3-384 hash.
-func New384() hash.Hash { return newState(104, 48, dsSHA3) }
-
-// New512 returns a SHA3-512 hash.
-func New512() hash.Hash { return newState(72, 64, dsSHA3) }
-
-// Sum224 returns the SHA3-224 digest of data.
-func Sum224(data []byte) [28]byte { var d [28]byte; sum(New224(), data, d[:]); return d }
 
 // Sum256 returns the SHA3-256 digest of data.
-func Sum256(data []byte) [32]byte { var d [32]byte; sum(New256(), data, d[:]); return d }
-
-// Sum384 returns the SHA3-384 digest of data.
-func Sum384(data []byte) [48]byte { var d [48]byte; sum(New384(), data, d[:]); return d }
-
-// Sum512 returns the SHA3-512 digest of data.
-func Sum512(data []byte) [64]byte { var d [64]byte; sum(New512(), data, d[:]); return d }
-
-func sum(h hash.Hash, data, out []byte) {
+func Sum256(data []byte) [Size]byte {
+	var d [Size]byte
+	h := New256()
 	h.Write(data)
-	copy(out, h.Sum(nil))
+	h.Sum(d[:0]) // fills d: the digest fits its capacity
+	return d
 }
-
-// ShakeHash is a SHAKE extendable-output function: absorb with Write, then
-// squeeze arbitrarily many bytes with Read.
-type ShakeHash interface {
-	Write(p []byte) (int, error)
-	Read(p []byte) (int, error)
-	Reset()
-}
-
-// NewShake128 returns a SHAKE128 XOF.
-func NewShake128() ShakeHash { return newState(168, 0, dsShake) }
-
-// NewShake256 returns a SHAKE256 XOF.
-func NewShake256() ShakeHash { return newState(136, 0, dsShake) }

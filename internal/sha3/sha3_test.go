@@ -55,55 +55,6 @@ func TestSum256Million(t *testing.T) {
 	}
 }
 
-func TestOtherWidths(t *testing.T) {
-	abc := []byte("abc")
-	if got := Sum224(abc); hex.EncodeToString(got[:]) != "e642824c3f8cf24ad09234ee7d3c766fc9a3a5168d0c94ad73b46fdf" {
-		t.Errorf("Sum224 = %x", got)
-	}
-	if got := Sum384(abc); hex.EncodeToString(got[:]) != "ec01498288516fc926459f58e2c6ad8df9b473cb0fc08c2596da7cf0e49be4b298d88cea927ac7f539f1edf228376d25" {
-		t.Errorf("Sum384 = %x", got)
-	}
-	if got := Sum512(abc); hex.EncodeToString(got[:]) != "b751850b1a57168a5693cd924b6b096e08f621827444f70d884f5d0240d2712e10e116e9192af3c91a7ec57647e3934057340b4cf408d5a56592f8274eec53f0" {
-		t.Errorf("Sum512 = %x", got)
-	}
-}
-
-func TestShake(t *testing.T) {
-	s := NewShake128()
-	s.Write([]byte("abc"))
-	out := make([]byte, 32)
-	s.Read(out)
-	if hex.EncodeToString(out) != "5881092dd818bf5cf8a3ddb793fbcba74097d5c526a6d35f97b83351940f2cc8" {
-		t.Errorf("shake128 = %x", out)
-	}
-	s2 := NewShake256()
-	s2.Write([]byte("abc"))
-	out2 := make([]byte, 64)
-	s2.Read(out2)
-	if hex.EncodeToString(out2) != "483366601360a8771c6863080cc4114d8db44530f8f1e1ee4f94ea37e78b5739d5a15bef186a5386c75744c0527e1faa9f8726e462a12a4feb06bd8801e751e4" {
-		t.Errorf("shake256 = %x", out2)
-	}
-}
-
-func TestShakeIncrementalRead(t *testing.T) {
-	// Reading 500 bytes one byte at a time must match one large read (spans
-	// multiple squeeze permutations).
-	a := NewShake128()
-	a.Write([]byte("incremental"))
-	big := make([]byte, 500)
-	a.Read(big)
-
-	b := NewShake128()
-	b.Write([]byte("incremental"))
-	small := make([]byte, 500)
-	for i := range small {
-		b.Read(small[i : i+1])
-	}
-	if !bytes.Equal(big, small) {
-		t.Fatal("incremental squeeze differs from bulk squeeze")
-	}
-}
-
 func TestIncrementalWrite(t *testing.T) {
 	data := bytes.Repeat([]byte("0123456789"), 100)
 	whole := Sum256(data)
@@ -132,34 +83,6 @@ func TestSumDoesNotFinalize(t *testing.T) {
 	want := Sum256([]byte("abc"))
 	if !bytes.Equal(h.Sum(nil), want[:]) {
 		t.Fatal("Write after Sum gave wrong digest")
-	}
-}
-
-func TestReset(t *testing.T) {
-	h := New256()
-	h.Write([]byte("garbage"))
-	h.Reset()
-	h.Write([]byte("abc"))
-	want := Sum256([]byte("abc"))
-	if !bytes.Equal(h.Sum(nil), want[:]) {
-		t.Fatal("Reset did not clear state")
-	}
-}
-
-func TestSizeAndBlockSize(t *testing.T) {
-	cases := []struct {
-		h interface {
-			Size() int
-			BlockSize() int
-		}
-		size, rate int
-	}{
-		{New224(), 28, 144}, {New256(), 32, 136}, {New384(), 48, 104}, {New512(), 64, 72},
-	}
-	for _, c := range cases {
-		if c.h.Size() != c.size || c.h.BlockSize() != c.rate {
-			t.Errorf("size=%d rate=%d, want %d/%d", c.h.Size(), c.h.BlockSize(), c.size, c.rate)
-		}
 	}
 }
 

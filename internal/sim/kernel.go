@@ -637,9 +637,6 @@ type Proc struct {
 // Name returns the name the process was started with.
 func (p *Proc) Name() string { return p.name }
 
-// Kernel returns the kernel this process runs on.
-func (p *Proc) Kernel() *Kernel { return p.k }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.k.now }
 

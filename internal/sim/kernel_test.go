@@ -168,8 +168,8 @@ func TestResourceConcurrentHolders(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		k.Go("w", func(p *Proc) {
 			p.Acquire(r, 1)
-			if r.InUse() > maxInUse {
-				maxInUse = r.InUse()
+			if r.inUse > maxInUse {
+				maxInUse = r.inUse
 			}
 			p.Sleep(time.Millisecond)
 			r.Release(1)
@@ -182,16 +182,6 @@ func TestResourceConcurrentHolders(t *testing.T) {
 	// 9 jobs of 1ms on 3 cores: 3ms total.
 	if end != 3*time.Millisecond {
 		t.Fatalf("makespan = %v, want 3ms", end)
-	}
-}
-
-func TestResourceBusyTime(t *testing.T) {
-	k := New()
-	r := NewResource(k, "cpu", 4)
-	k.Go("w", func(p *Proc) { p.Use(r, 2, 3*time.Millisecond) })
-	k.Run()
-	if got := r.BusyTime(); got != 6*time.Millisecond {
-		t.Fatalf("busy = %v, want 6ms", got)
 	}
 }
 

@@ -16,10 +16,6 @@ type Resource struct {
 	cap     int
 	inUse   int
 	waiters fifo[resWaiter] // blocked acquirers, oldest first
-
-	// Busy accumulates inUse-weighted time for utilization reporting.
-	busy     time.Duration
-	lastTick time.Duration
 }
 
 type resWaiter struct {
@@ -38,25 +34,6 @@ func NewResource(k *Kernel, name string, capacity int) *Resource {
 // Name returns the resource name.
 func (r *Resource) Name() string { return r.name }
 
-// Capacity returns the total capacity.
-func (r *Resource) Capacity() int { return r.cap }
-
-// InUse returns the units currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
-// BusyTime returns the accumulated unit-weighted busy time: holding 2 units
-// for 3ms adds 6ms.
-func (r *Resource) BusyTime() time.Duration {
-	r.account()
-	return r.busy
-}
-
-func (r *Resource) account() {
-	now := r.k.now
-	r.busy += time.Duration(r.inUse) * (now - r.lastTick)
-	r.lastTick = now
-}
-
 // Acquire blocks the calling process until n units are available and held.
 // n must be between 1 and the resource capacity.
 func (p *Proc) Acquire(r *Resource, n int) {
@@ -64,7 +41,6 @@ func (p *Proc) Acquire(r *Resource, n int) {
 		panic("sim: acquire count out of range")
 	}
 	if r.waiters.len() == 0 && r.inUse+n <= r.cap {
-		r.account()
 		r.inUse += n
 		return
 	}
@@ -78,7 +54,6 @@ func (r *Resource) Release(n int) {
 	if n <= 0 || n > r.inUse {
 		panic("sim: release count out of range")
 	}
-	r.account()
 	r.inUse -= n
 	for r.waiters.len() > 0 && r.inUse+r.waiters.front().n <= r.cap {
 		w := r.waiters.pop()

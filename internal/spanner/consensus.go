@@ -237,19 +237,6 @@ func (db *DB) Leader(g int) (int, error) {
 	return grp.leaderRep().region, nil
 }
 
-// LogLen returns the replicated-log length of group g's replica in the
-// given region (tests and monitoring).
-func (db *DB) LogLen(g, region int) (int, error) {
-	if g < 0 || g >= len(db.groups) {
-		return 0, fmt.Errorf("spanner: group %d out of range", g)
-	}
-	grp := db.groups[g]
-	if region < 0 || region >= len(grp.replicas) {
-		return 0, fmt.Errorf("spanner: region %d out of range", region)
-	}
-	return len(grp.replicas[region].log), nil
-}
-
 // FailLeader injects a leader failure for group g: the leader's server is
 // stopped and a new leader is elected among the live replicas — the most
 // up-to-date one by (last log term, log length), ties breaking toward the

@@ -148,8 +148,7 @@ func TestFollowerCatchUpAfterRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaderLen, _ := db.LogLen(0, 0)
-	lagLen, _ := db.LogLen(0, 2)
+	leaderLen, lagLen := len(db.groups[0].replicas[0].log), len(db.groups[0].replicas[2].log)
 	if leaderLen != downCommits+1 {
 		t.Fatalf("leader log = %d", leaderLen)
 	}
@@ -172,9 +171,6 @@ func TestRestartValidation(t *testing.T) {
 	}
 	if _, err := db.Leader(99); err == nil {
 		t.Error("bad group accepted by Leader")
-	}
-	if _, err := db.LogLen(0, 99); err == nil {
-		t.Error("bad region accepted by LogLen")
 	}
 	db.Stop()
 	env.K.Run()
@@ -201,7 +197,7 @@ func TestLogsConvergeAcrossReplicas(t *testing.T) {
 	// All replication procs ran to completion: every replica has all 10
 	// entries even though commits only waited for a majority.
 	for r := 0; r < 3; r++ {
-		if n, _ := db.LogLen(0, r); n != 10 {
+		if n := len(db.groups[0].replicas[r].log); n != 10 {
 			t.Fatalf("region %d log = %d, want 10", r, n)
 		}
 	}

@@ -14,10 +14,8 @@ import (
 type Recorder interface {
 	Add(v float64)
 	N() int
-	Sum() float64
 	Mean() float64
 	Quantile(q float64) float64
-	Min() float64
 	Max() float64
 }
 
@@ -30,7 +28,7 @@ var (
 // Sketch guarantees.
 const DefaultSketchRelErr = 0.01
 
-// Sketch is a mergeable quantile sketch over non-negative observations with
+// Sketch is a quantile sketch over non-negative observations with
 // bounded memory and a relative value-error guarantee, in the style of
 // DDSketch (Masson et al., VLDB'19): bucket i counts observations in
 // (γ^(i-1), γ^i] with γ = (1+α)/(1−α), so reporting the bucket midpoint
@@ -41,12 +39,11 @@ const DefaultSketchRelErr = 0.01
 //   - Quantile guarantee: for any q, Quantile(q) is within relative error α
 //     of an exact q-quantile of the recorded values (observations ≤ 0 are
 //     counted in a dedicated zero bucket and reported exactly as 0).
-//   - Deterministic mergeability: merging is per-key counter addition —
-//     associative and commutative — and every exported number is derived
-//     from (key, count) pairs in sorted-key order, so merge order cannot
-//     change exported bytes. This is why the repo uses a bucketed sketch
-//     rather than KLL/t-digest, whose compaction decisions depend on
-//     insertion and merge order.
+//   - Order independence: every exported number is derived from (key,
+//     count) pairs in sorted-key order, so the order observations arrive in
+//     cannot change exported bytes. This is why the repo uses a bucketed
+//     sketch rather than KLL/t-digest, whose compaction decisions depend on
+//     insertion order.
 //
 // Memory is O(log(max/min)/α): ~1500 buckets of 16 bytes cover nanoseconds
 // through hours at α = 1%, regardless of how many observations stream
@@ -82,9 +79,6 @@ func NewSketch(relErr float64) *Sketch {
 		counts:      make(map[int]int64),
 	}
 }
-
-// RelErr returns the sketch's relative value-error bound α.
-func (s *Sketch) RelErr() float64 { return s.relErr }
 
 // Add records one observation. Values ≤ 0 land in the zero bucket and are
 // reported exactly as 0; the simulator's latencies are non-negative, so in
@@ -163,16 +157,6 @@ func (s *Sketch) Quantile(q float64) float64 {
 	return 0 // unreachable: cum reaches total ≥ rank
 }
 
-// Min returns a value within relative error RelErr of the smallest
-// observation (exactly 0 if a non-positive value was recorded), or 0 for an
-// empty sketch.
-func (s *Sketch) Min() float64 {
-	if s.total == 0 || s.zero > 0 {
-		return 0
-	}
-	return s.estimate(s.sortedKeys()[0])
-}
-
 // Max returns a value within relative error RelErr of the largest
 // observation, or 0 for an empty sketch.
 func (s *Sketch) Max() float64 {
@@ -186,8 +170,8 @@ func (s *Sketch) Max() float64 {
 // Sum returns the sum of bucket-representative values — within relative
 // error RelErr of the exact sum, since every observation is represented
 // within RelErr. It is accumulated in sorted-key order from integer counts,
-// so the result is bit-identical regardless of observation or merge order
-// (a running float sum would not be: float addition is not associative).
+// so the result is bit-identical regardless of observation order (a running
+// float sum would not be: float addition is not associative).
 func (s *Sketch) Sum() float64 {
 	var sum float64
 	for _, k := range s.sortedKeys() {
@@ -205,27 +189,6 @@ func (s *Sketch) Mean() float64 {
 	return s.Sum() / float64(s.total)
 }
 
-// Merge folds o into s. Bucket merging is integer counter addition, so any
-// merge order — and any tree shape of pairwise merges — yields an identical
-// sketch. Both sketches must share the same error bound; mixing bounds
-// would silently void the guarantee, so it panics instead.
-func (s *Sketch) Merge(o *Sketch) {
-	if o == nil || o.total == 0 {
-		return
-	}
-	if o.relErr != s.relErr {
-		panic(fmt.Sprintf("stats: merging sketches with different error bounds (%g vs %g)", s.relErr, o.relErr))
-	}
-	s.total += o.total
-	s.zero += o.zero
-	for k, c := range o.counts {
-		if s.counts[k] == 0 {
-			s.keysDirty = true
-		}
-		s.counts[k] += c
-	}
-}
-
 // Reset empties the sketch in place, keeping its bucket map and key cache
 // capacity so steady-state windowed use (the obs histogram tick) does not
 // reallocate.
@@ -235,26 +198,6 @@ func (s *Sketch) Reset() {
 	clear(s.counts)
 	s.keys = s.keys[:0]
 	s.keysDirty = false
-}
-
-// SketchDump is the canonical serialized form of a sketch: occupied buckets
-// in ascending key order. Equal sketches — in particular, the same
-// observations merged in any order — marshal to identical bytes.
-type SketchDump struct {
-	RelErr float64 `json:"rel_err"`
-	Zero   int64   `json:"zero,omitempty"`
-	Keys   []int   `json:"keys,omitempty"`
-	Counts []int64 `json:"counts,omitempty"`
-}
-
-// Dump returns the canonical form. The slices are freshly allocated.
-func (s *Sketch) Dump() SketchDump {
-	d := SketchDump{RelErr: s.relErr, Zero: s.zero}
-	for _, k := range s.sortedKeys() {
-		d.Keys = append(d.Keys, k)
-		d.Counts = append(d.Counts, s.counts[k])
-	}
-	return d
 }
 
 // String renders a compact human-readable summary.

@@ -99,7 +99,11 @@ func TestNormMoments(t *testing.T) {
 	if m := s.Mean(); math.Abs(m-10) > 0.1 {
 		t.Fatalf("Norm mean = %.3f", m)
 	}
-	if sd := s.Stddev(); math.Abs(sd-2) > 0.1 {
+	var acc float64
+	for _, v := range s.vals {
+		acc += (v - s.Mean()) * (v - s.Mean())
+	}
+	if sd := math.Sqrt(acc / float64(s.N()-1)); math.Abs(sd-2) > 0.1 {
 		t.Fatalf("Norm stddev = %.3f", sd)
 	}
 }
@@ -231,17 +235,17 @@ func mustPanic(t *testing.T, fn func()) {
 
 func TestSummaryBasics(t *testing.T) {
 	var s Summary
-	if s.Mean() != 0 || s.Quantile(0.5) != 0 || s.Stddev() != 0 {
+	if s.Mean() != 0 || s.Quantile(0.5) != 0 {
 		t.Fatal("empty summary should report zeros")
 	}
 	for _, v := range []float64{4, 1, 3, 2, 5} {
 		s.Add(v)
 	}
-	if s.N() != 5 || s.Sum() != 15 || s.Mean() != 3 {
-		t.Fatalf("n=%d sum=%v mean=%v", s.N(), s.Sum(), s.Mean())
+	if s.N() != 5 || s.sum != 15 || s.Mean() != 3 {
+		t.Fatalf("n=%d sum=%v mean=%v", s.N(), s.sum, s.Mean())
 	}
-	if s.Min() != 1 || s.Max() != 5 {
-		t.Fatalf("min=%v max=%v", s.Min(), s.Max())
+	if s.Quantile(0) != 1 || s.Max() != 5 {
+		t.Fatalf("min=%v max=%v", s.Quantile(0), s.Max())
 	}
 	if q := s.Quantile(0.5); q != 3 {
 		t.Fatalf("median = %v", q)

@@ -27,31 +27,12 @@ func (s *Summary) Add(v float64) {
 // N returns the number of observations.
 func (s *Summary) N() int { return len(s.vals) }
 
-// Sum returns the total of all observations.
-func (s *Summary) Sum() float64 { return s.sum }
-
 // Mean returns the arithmetic mean, or 0 for an empty summary.
 func (s *Summary) Mean() float64 {
 	if len(s.vals) == 0 {
 		return 0
 	}
 	return s.sum / float64(len(s.vals))
-}
-
-// Stddev returns the sample standard deviation, or 0 for fewer than two
-// observations.
-func (s *Summary) Stddev() float64 {
-	n := len(s.vals)
-	if n < 2 {
-		return 0
-	}
-	m := s.Mean()
-	var acc float64
-	for _, v := range s.vals {
-		d := v - m
-		acc += d * d
-	}
-	return math.Sqrt(acc / float64(n-1))
 }
 
 // Quantile returns the q-quantile (0 <= q <= 1) using linear interpolation,
@@ -78,9 +59,6 @@ func (s *Summary) Quantile(q float64) float64 {
 	}
 	return s.vals[lo]*(1-frac) + s.vals[lo+1]*frac
 }
-
-// Min returns the smallest observation, or 0 for an empty summary.
-func (s *Summary) Min() float64 { return s.Quantile(0) }
 
 // Max returns the largest observation, or 0 for an empty summary.
 func (s *Summary) Max() float64 { return s.Quantile(1) }

@@ -133,8 +133,8 @@ func TestAdmissionCacheBasics(t *testing.T) {
 	}
 	// Rewriting a resident key always succeeds.
 	s.Write(a, 80)
-	if !inRAM(s, a) || s.Used(RAM) != 80 {
-		t.Fatalf("resident rewrite: in RAM %v, RAM used = %d", inRAM(s, a), s.Used(RAM))
+	if !inRAM(s, a) || used(s, RAM) != 80 {
+		t.Fatalf("resident rewrite: in RAM %v, RAM used = %d", inRAM(s, a), used(s, RAM))
 	}
 	// A cold newcomer that would displace a hotter victim is kept out.
 	for i := 0; i < 8; i++ {
@@ -167,7 +167,7 @@ func TestAdmissionOversized(t *testing.T) {
 	s := admissionStore(t, 100, TinyLFUPolicy)
 	s.Write(1, 500)
 	s.Read(1)
-	if inRAM(s, 1) || s.Used(RAM) != 0 {
+	if inRAM(s, 1) || used(s, RAM) != 0 {
 		t.Fatal("oversized object admitted")
 	}
 }

@@ -117,22 +117,8 @@ func (d *DFS) ServerDown(i int) bool {
 	return i >= 0 && i < len(d.down) && d.down[i]
 }
 
-// DownServers returns the indices of failed chunkservers.
-func (d *DFS) DownServers() []int {
-	var out []int
-	for i, dn := range d.down {
-		if dn {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // Servers returns the chunkserver stores (for inventory and stats).
 func (d *DFS) Servers() []*TieredStore { return d.servers }
-
-// ChunkSize returns the chunk granularity.
-func (d *DFS) ChunkSize() int64 { return d.chunkSize }
 
 // chunkKey names a chunk replica object: the file's id over the chunk index.
 func chunkKey(f file, idx int64) uint64 { return uint64(f.id)<<32 | uint64(idx) }
@@ -162,15 +148,6 @@ func (d *DFS) replicaServers(dst []int, name string, idx int64) []int {
 func (d *DFS) Exists(name string) bool {
 	_, ok := d.files[name]
 	return ok
-}
-
-// FileSize returns a file's size or an error.
-func (d *DFS) FileSize(name string) (int64, error) {
-	f, ok := d.files[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: file %q", ErrNotFound, name)
-	}
-	return f.size, nil
 }
 
 // chunks returns a file's chunk count: at least one, even when empty.
@@ -304,17 +281,6 @@ func (d *DFS) Delete(name string) error {
 	}
 	delete(d.files, name)
 	return nil
-}
-
-// TierHits sums read counts per tier across all chunkservers.
-func (d *DFS) TierHits() map[Tier]int64 {
-	out := map[Tier]int64{}
-	for _, s := range d.servers {
-		for _, t := range Tiers() {
-			out[t] += s.Stats(t).Reads
-		}
-	}
-	return out
 }
 
 func min64(a, b int64) int64 {

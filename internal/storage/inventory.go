@@ -41,11 +41,6 @@ func (inv *Inventory) AddStore(p taxonomy.Platform, s *TieredStore) {
 	inv.AddServer(p, Capacities{RAM: s.Capacity(RAM), SSD: s.Capacity(SSD), HDD: s.Capacity(HDD)})
 }
 
-// Owned returns total bytes owned by a platform at a tier.
-func (inv *Inventory) Owned(p taxonomy.Platform, t Tier) int64 {
-	return inv.owned[p][t]
-}
-
 // Ratios returns the platform's RAM:SSD:HDD ratio normalized to RAM = 1
 // (the presentation of Table 1). It returns zeros when the platform owns no
 // RAM.

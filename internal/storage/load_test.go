@@ -96,9 +96,9 @@ func sameStore(t *testing.T, when string, want, got *TieredStore) {
 		}
 	}
 	for _, tier := range Tiers() {
-		if want.Used(tier) != got.Used(tier) || want.Stats(tier) != got.Stats(tier) {
+		if used(want, tier) != used(got, tier) || want.Stats(tier) != got.Stats(tier) {
 			t.Fatalf("%s: %v differs: used %d %+v vs %d %+v", when, tier,
-				want.Used(tier), want.Stats(tier), got.Used(tier), got.Stats(tier))
+				used(want, tier), want.Stats(tier), used(got, tier), got.Stats(tier))
 		}
 	}
 	if !reflect.DeepEqual(want.sketch, got.sketch) {

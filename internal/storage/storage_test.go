@@ -12,6 +12,18 @@ import (
 	"hyperprof/internal/taxonomy"
 )
 
+// used returns the bytes resident at a tier of s.
+func used(s *TieredStore, t Tier) int64 {
+	switch t {
+	case RAM:
+		return s.ram.Used()
+	case SSD:
+		return s.ssd.Used()
+	default:
+		return s.hddUsed
+	}
+}
+
 func TestTierAccessTime(t *testing.T) {
 	p := TierParams{Latency: time.Millisecond, BytesPerSec: 1e6}
 	if got := p.AccessTime(0); got != time.Millisecond {
@@ -66,8 +78,8 @@ func TestLRUBasics(t *testing.T) {
 	if !inRAM(s, a) || !inRAM(s, b) {
 		t.Fatal("entries missing")
 	}
-	if s.Used(RAM) != 80 || s.ram.Len() != 2 {
-		t.Fatalf("used=%d len=%d", s.Used(RAM), s.ram.Len())
+	if used(s, RAM) != 80 || s.ram.Len() != 2 {
+		t.Fatalf("used=%d len=%d", used(s, RAM), s.ram.Len())
 	}
 	// Touch a so b is least recently used; adding 40 more evicts b.
 	if _, tier, _ := s.Read(a); tier != RAM {
@@ -86,8 +98,8 @@ func TestLRUUpdateSize(t *testing.T) {
 	s := lruStore(t, 100)
 	s.Write(1, 30)
 	s.Write(1, 60)
-	if s.Used(RAM) != 60 || s.ram.Len() != 1 || s.Used(SSD) != 60 {
-		t.Fatalf("RAM used=%d len=%d, SSD used=%d", s.Used(RAM), s.ram.Len(), s.Used(SSD))
+	if used(s, RAM) != 60 || s.ram.Len() != 1 || used(s, SSD) != 60 {
+		t.Fatalf("RAM used=%d len=%d, SSD used=%d", used(s, RAM), s.ram.Len(), used(s, SSD))
 	}
 }
 
@@ -95,14 +107,14 @@ func TestLRUOversizedEntryNotCached(t *testing.T) {
 	const big, x = 1, 2
 	s := lruStore(t, 100)
 	s.Write(big, 200)
-	if inRAM(s, big) || s.Used(RAM) != 0 {
+	if inRAM(s, big) || used(s, RAM) != 0 {
 		t.Fatal("oversized entry cached")
 	}
 	// Growing a cached entry past the capacity drops it.
 	s.Write(x, 50)
 	s.Write(x, 500)
-	if inRAM(s, x) || s.ram.Len() != 0 || s.Used(RAM) != 0 {
-		t.Fatalf("stale entry kept, len=%d used=%d", s.ram.Len(), s.Used(RAM))
+	if inRAM(s, x) || s.ram.Len() != 0 || used(s, RAM) != 0 {
+		t.Fatalf("stale entry kept, len=%d used=%d", s.ram.Len(), used(s, RAM))
 	}
 }
 
@@ -111,7 +123,7 @@ func TestLRURemove(t *testing.T) {
 	s.Write(1, 10)
 	s.Delete(1)
 	s.Delete(2) // no-op
-	if s.Used(RAM) != 0 || s.Used(SSD) != 0 || inRAM(s, 1) {
+	if used(s, RAM) != 0 || used(s, SSD) != 0 || inRAM(s, 1) {
 		t.Fatal("remove failed")
 	}
 }
@@ -162,8 +174,8 @@ func TestLRUAddSteadyStateAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, write); n != 0 {
 		t.Fatalf("evicting Write allocates %v objects, want 0", n)
 	}
-	if s.ram.Len() != 16 || s.Used(RAM) != 1600 {
-		t.Fatalf("len=%d used=%d, want 16 entries / 1600 bytes", s.ram.Len(), s.Used(RAM))
+	if s.ram.Len() != 16 || used(s, RAM) != 1600 {
+		t.Fatalf("len=%d used=%d, want 16 entries / 1600 bytes", s.ram.Len(), used(s, RAM))
 	}
 }
 
@@ -249,8 +261,8 @@ func TestTieredWriteErrors(t *testing.T) {
 	if _, err := s.Write(3, 900); err != nil {
 		t.Fatalf("rewrite should fit: %v", err)
 	}
-	if s.Used(HDD) != 900 {
-		t.Fatalf("hdd used = %d", s.Used(HDD))
+	if used(s, HDD) != 900 {
+		t.Fatalf("hdd used = %d", used(s, HDD))
 	}
 }
 
@@ -258,11 +270,8 @@ func TestTieredDelete(t *testing.T) {
 	s := testStore(t)
 	s.Write(1, 500)
 	s.Delete(1)
-	if s.Has(1) || s.Used(HDD) != 0 {
+	if s.Has(1) || used(s, HDD) != 0 {
 		t.Fatal("delete incomplete")
-	}
-	if _, err := s.Size(1); !errors.Is(err, ErrNotFound) {
-		t.Fatal("size after delete")
 	}
 	s.Delete(1) // idempotent
 }
@@ -298,9 +307,8 @@ func TestDFSCreateReadDelete(t *testing.T) {
 	if !d.Exists("table/part-0") {
 		t.Fatal("file missing")
 	}
-	sz, err := d.FileSize("table/part-0")
-	if err != nil || sz != 5<<20 {
-		t.Fatalf("size = %d err=%v", sz, err)
+	if sz := d.files["table/part-0"].size; sz != 5<<20 {
+		t.Fatalf("size = %d", sz)
 	}
 	dur, tier, err := d.Read("table/part-0", 0, 5<<20)
 	if err != nil || dur <= 0 {
@@ -316,7 +324,7 @@ func TestDFSCreateReadDelete(t *testing.T) {
 		t.Fatal("file still exists")
 	}
 	for _, s := range d.Servers() {
-		if s.Used(HDD) != 0 {
+		if used(s, HDD) != 0 {
 			t.Fatal("replica bytes leaked after delete")
 		}
 	}
@@ -349,7 +357,7 @@ func TestDFSCreateValidation(t *testing.T) {
 		t.Fatal("duplicate create accepted")
 	}
 	// Chunk keys hold a 32-bit chunk index under a 32-bit file id.
-	if _, err := d.Create("huge", maxChunks*d.ChunkSize()+1); err == nil {
+	if _, err := d.Create("huge", maxChunks*d.chunkSize+1); err == nil {
 		t.Fatal("file with more than 2^32 chunks accepted")
 	}
 	d.nextID = maxChunks
@@ -363,7 +371,7 @@ func TestDFSReplication(t *testing.T) {
 	d.Create("f", 1<<20) // one chunk, 3 replicas
 	var total int64
 	for _, s := range d.Servers() {
-		total += s.Used(HDD)
+		total += used(s, HDD)
 	}
 	if total != 3<<20 {
 		t.Fatalf("replicated bytes = %d, want 3MiB", total)
@@ -444,9 +452,12 @@ func TestDFSTierHitsImproveWithReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	hits := d.TierHits()
-	if hits[RAM] < 9 {
-		t.Fatalf("RAM hits = %d, want >= 9", hits[RAM])
+	var ramHits int64
+	for _, s := range d.servers {
+		ramHits += s.Stats(RAM).Reads
+	}
+	if ramHits < 9 {
+		t.Fatalf("RAM hits = %d, want >= 9", ramHits)
 	}
 }
 
@@ -461,7 +472,7 @@ func TestInventoryRatios(t *testing.T) {
 	if s := inv.RatioString(taxonomy.Spanner); s != "1:16:164" {
 		t.Fatalf("ratio string = %q", s)
 	}
-	if got := inv.Owned(taxonomy.Spanner, RAM); got != 100<<30 {
+	if got := inv.owned[taxonomy.Spanner][RAM]; got != 100<<30 {
 		t.Fatalf("owned RAM = %d", got)
 	}
 }
@@ -480,7 +491,7 @@ func TestInventoryAddStore(t *testing.T) {
 	inv := NewInventory()
 	s, _ := NewTieredStore(Capacities{RAM: 10, SSD: 20, HDD: 30}, nil)
 	inv.AddStore(taxonomy.BigTable, s)
-	if inv.Owned(taxonomy.BigTable, SSD) != 20 {
+	if inv.owned[taxonomy.BigTable][SSD] != 20 {
 		t.Fatal("AddStore did not record capacities")
 	}
 }
@@ -492,8 +503,10 @@ func TestDFSReadFailsOverToSurvivingReplica(t *testing.T) {
 	if err := d.FailServer(primary); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.DownServers(); len(got) != 1 || got[0] != primary {
-		t.Fatalf("down = %v", got)
+	for i, down := range d.down {
+		if down != (i == primary) {
+			t.Fatalf("server %d down = %v, want only %d down", i, down, primary)
+		}
 	}
 	if _, _, err := d.Read("ha-file", 0, 1<<20); err != nil {
 		t.Fatalf("read with one replica down: %v", err)
@@ -521,7 +534,7 @@ func TestDFSCreateSkipsDownServers(t *testing.T) {
 		t.Fatalf("create with one server down: %v", err)
 	}
 	// Bytes only landed on live replicas.
-	if used := d.servers[0].Used(HDD); used != 0 {
+	if used := used(d.servers[0], HDD); used != 0 {
 		t.Fatalf("down server stored %d bytes", used)
 	}
 	for i := 1; i < len(d.servers); i++ {
@@ -571,7 +584,7 @@ func TestDFSDeleteWhileServerDown(t *testing.T) {
 	if _, err := d.Create("doomed", 2<<20); err != nil {
 		t.Fatalf("re-create during outage: %v", err)
 	}
-	if used := d.servers[victim].Used(HDD); used != 0 {
+	if used := used(d.servers[victim], HDD); used != 0 {
 		t.Fatalf("down server stored %d bytes", used)
 	}
 	if err := d.RecoverServer(victim); err != nil {

@@ -118,18 +118,6 @@ func (s *TieredStore) Capacity(t Tier) int64 {
 	}
 }
 
-// Used returns the bytes resident at a tier.
-func (s *TieredStore) Used(t Tier) int64 {
-	switch t {
-	case RAM:
-		return s.ram.Used()
-	case SSD:
-		return s.ssd.Used()
-	default:
-		return s.hddUsed
-	}
-}
-
 // Stats returns the access statistics for a tier.
 func (s *TieredStore) Stats(t Tier) TierStats { return s.stats[t] }
 
@@ -137,15 +125,6 @@ func (s *TieredStore) Stats(t Tier) TierStats { return s.stats[t] }
 func (s *TieredStore) Has(key uint64) bool {
 	_, ok := s.index.get(s.objs, key)
 	return ok
-}
-
-// Size returns the object's size, or an error if it does not exist.
-func (s *TieredStore) Size(key uint64) (int64, error) {
-	i, ok := s.index.get(s.objs, key)
-	if !ok {
-		return 0, errNotFound(key)
-	}
-	return s.objs[i].size, nil
 }
 
 // Read fetches an object, returning the modeled access time and the tier

@@ -190,12 +190,6 @@ func BroadOf(c Category) Broad {
 	return CoreCompute
 }
 
-// Known reports whether c is one of the paper's categories.
-func Known(c Category) bool {
-	_, ok := broadOf[c]
-	return ok
-}
-
 // Classifier maps leaf function names (as they appear in profile samples) to
 // categories by longest-prefix match, mirroring the manual categorization of
 // §5.1. A '*' registered as the final byte of a prefix matches any suffix;

@@ -7,7 +7,7 @@ func TestBroadOfCoversAllCategories(t *testing.T) {
 	want := []Broad{DatacenterTax, SystemTax, CoreCompute, CoreCompute}
 	for i, list := range all {
 		for _, c := range list {
-			if !Known(c) {
+			if _, ok := broadOf[c]; !ok {
 				t.Errorf("category %q not known", c)
 			}
 			if BroadOf(c) != want[i] {
@@ -21,7 +21,7 @@ func TestBroadOfUnknownDefaultsToCoreCompute(t *testing.T) {
 	if BroadOf(Category("nonsense")) != CoreCompute {
 		t.Fatal("unknown category should default to core compute")
 	}
-	if Known(Category("nonsense")) {
+	if _, ok := broadOf[Category("nonsense")]; ok {
 		t.Fatal("nonsense should not be known")
 	}
 }

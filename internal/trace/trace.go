@@ -110,13 +110,12 @@ func (t *Trace) Annotate(start, end time.Duration, c Class) {
 // ID so a run is reproducible: trace k is sampled iff k mod rate == 0.
 //
 // A nil *Tracer records nothing: Start and StartChild return a nil *Trace,
-// Finish ignores it, and Total and Sampled report no traces. An environment
+// Finish ignores it, and Sampled reports no traces. An environment
 // whose study reads no traces carries a nil tracer, so its operations pay
 // nothing for tracing.
 type Tracer struct {
 	rate    uint64
 	nextID  uint64
-	total   int
 	sampled []*Trace
 }
 
@@ -137,7 +136,6 @@ func (tr *Tracer) Start(p taxonomy.Platform, now time.Duration) *Trace {
 	}
 	id := tr.nextID
 	tr.nextID++
-	tr.total++
 	return &Trace{ID: id, Platform: p, Start: now, sampled: id%tr.rate == 0}
 }
 
@@ -151,7 +149,6 @@ func (tr *Tracer) StartChild(parent *Trace, p taxonomy.Platform, now time.Durati
 	if tr == nil {
 		return nil
 	}
-	tr.total++
 	return &Trace{ID: parent.ID, Platform: p, Start: now, sampled: parent.sampled}
 }
 
@@ -165,14 +162,6 @@ func (tr *Tracer) Finish(t *Trace, now time.Duration) {
 	if t.sampled {
 		tr.sampled = append(tr.sampled, t)
 	}
-}
-
-// Total returns the number of traces started.
-func (tr *Tracer) Total() int {
-	if tr == nil {
-		return 0
-	}
-	return tr.total
 }
 
 // Sampled returns the retained traces in completion order.

@@ -138,8 +138,8 @@ func TestSamplingRate(t *testing.T) {
 		tc := tr.Start(taxonomy.BigTable, 0)
 		tr.Finish(tc, ms(1))
 	}
-	if tr.Total() != 1000 {
-		t.Fatalf("total = %d", tr.Total())
+	if tr.nextID != 1000 {
+		t.Fatalf("started = %d", tr.nextID)
 	}
 	if got := len(tr.Sampled()); got != 100 {
 		t.Fatalf("sampled = %d, want 100", got)
@@ -278,7 +278,7 @@ func TestNilTracerRecordsNothing(t *testing.T) {
 	if tc != nil || tc.Sampled() {
 		t.Fatalf("nil tracer started trace %+v", tc)
 	}
-	if tr.Total() != 0 || tr.Sampled() != nil {
-		t.Fatalf("nil tracer reports %d traces, %d sampled", tr.Total(), len(tr.Sampled()))
+	if tr.Sampled() != nil {
+		t.Fatalf("nil tracer reports %d sampled traces", len(tr.Sampled()))
 	}
 }

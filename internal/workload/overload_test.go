@@ -121,8 +121,8 @@ func TestOverloadThrottlesCountedAtArrival(t *testing.T) {
 	}, sleepOps(env, time.Second))
 	env.K.Run()
 	st := run.Tenants[0]
-	if st.Throttled != st.Arrivals-1 || gov.Tenants()[0].Throttled != st.Throttled {
-		t.Fatalf("arrivals=%d throttled=%d governor throttled=%d", st.Arrivals, st.Throttled, gov.Tenants()[0].Throttled)
+	if st.Throttled != st.Arrivals-1 || gov.ThrottledTotal != st.Throttled {
+		t.Fatalf("arrivals=%d throttled=%d governor throttled=%d", st.Arrivals, st.Throttled, gov.ThrottledTotal)
 	}
 	for i, w := range run.Windows {
 		if w.Start >= 300*time.Millisecond {

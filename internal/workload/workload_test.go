@@ -39,7 +39,7 @@ func TestSpannerWorkload(t *testing.T) {
 	if !run.Done.Fired() {
 		t.Fatal("done signal not fired")
 	}
-	if got := env.Tracer.Total(); got != 120 {
+	if got := len(env.Tracer.Sampled()); got != 120 {
 		t.Fatalf("traces = %d", got)
 	}
 	// The default mix must have exercised all three op types.
